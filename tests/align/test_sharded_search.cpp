@@ -276,6 +276,82 @@ TEST(ShardedSearch, RetryBudgetExhaustionYieldsPartialResultsWithReason) {
   }
 }
 
+TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
+  // Random records plus planted query homologs in every shard. Shard 1
+  // fails every attempt: the filtered answer is partial, none of its
+  // records may surface as a hit or count as a candidate, and the hits are
+  // the exact top-k of the healthy records.
+  Rng rng(0xfa17);
+  Corpus corpus;
+  corpus.query = random_codes(rng, 90);
+  for (std::size_t i = 0; i < 60; ++i) {
+    if (i % 5 == 2) {
+      auto homolog = corpus.query;
+      for (std::size_t p = i % 7; p < homolog.size(); p += 13) {
+        homolog[p] = static_cast<std::uint8_t>(rng.below(20));
+      }
+      corpus.records.push_back(std::move(homolog));
+    } else {
+      corpus.records.push_back(random_codes(
+          rng, static_cast<std::size_t>(rng.between(40, 160))));
+    }
+  }
+  const DbView db = corpus.view();
+  const ScoringScheme scheme;
+  const std::size_t k = 5;
+  FilterConfig filter;
+  filter.mode = FilterMode::kHeuristic;
+  filter.band = 12;
+  filter.keep_factor = 2.0;
+
+  ShardedSearchOptions options;
+  options.num_shards = 3;
+  options.max_shard_retries = 1;
+  options.before_shard = [](std::size_t shard, std::size_t) {
+    if (shard == 1) throw std::runtime_error("shard 1 is down");
+  };
+  const ShardedSearchEngine engine(db, options);
+  const std::vector<std::span<const std::uint8_t>> queries{
+      {corpus.query.data(), corpus.query.size()}};
+  const auto many = engine.search_many_filtered(
+      queries, scheme, KernelKind::kInterSeq, k, filter);
+  ASSERT_EQ(many.size(), 1u);
+  const ShardedSearchResult& result = many[0];
+  EXPECT_FALSE(result.complete);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].shard, 1u);
+
+  std::vector<bool> failed(db.size(), false);
+  for (const std::uint32_t id : engine.plan().shards[1].records) {
+    failed[id] = true;
+  }
+  for (const SearchHit& hit : result.ranked.hits) {
+    EXPECT_FALSE(failed[hit.db_index])
+        << "failed-shard record " << hit.db_index << " in partial hits";
+  }
+
+  // The healthy records alone, screened and selected serially: the partial
+  // answer must count exactly their candidates and rank their exact top-k.
+  DbView healthy;
+  std::vector<std::size_t> healthy_index;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    if (failed[i]) continue;
+    healthy.push_back(db[i]);
+    healthy_index.push_back(i);
+  }
+  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kInterSeq);
+  FilterStats want;
+  (void)filter_select_candidates(
+      screen_range(profiles, healthy, 0, healthy.size(), filter.band), k,
+      filter, &want);
+  EXPECT_EQ(result.filter.candidates, want.candidates);
+
+  const SearchResult exact = search_database(profiles, healthy);
+  std::vector<SearchHit> expected = exact.top(k);
+  for (SearchHit& hit : expected) hit.db_index = healthy_index[hit.db_index];
+  expect_hits_equal(result.ranked.hits, expected, "healthy top-k");
+}
+
 TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
   Rng rng(17);
   std::vector<seq::Sequence> records;

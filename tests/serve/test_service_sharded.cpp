@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "align/alignment.h"
+#include "align/annotate.h"
 #include "align/search.h"
 #include "obs/metrics.h"
 #include "seq/dbgen.h"
@@ -185,6 +187,103 @@ TEST(ShardedQueryService, ExhaustedShardYieldsPartialResponseNeverCached) {
   EXPECT_EQ(stats.searches, 2u);
   EXPECT_EQ(stats.partial_responses, 2u);
   EXPECT_EQ(stats.results.size, 0u);  // nothing was inserted
+}
+
+/// Random records with a dozen mutated copies of `query` spread across the
+/// database, so a heuristic filter finds the exact top hits in every shard.
+std::vector<seq::Sequence> planted_database(const seq::Sequence& query,
+                                            std::uint64_t seed) {
+  std::vector<seq::Sequence> db = make_database(48, seed);
+  Rng rng(seed + 1);
+  for (std::size_t copy = 0; copy < 12; ++copy) {
+    seq::Sequence homolog = query;
+    homolog.id = "homolog" + std::to_string(copy);
+    for (std::size_t p = copy % 9; p < homolog.residues.size(); p += 9) {
+      homolog.residues[p] = static_cast<std::uint8_t>(rng.below(20));
+    }
+    db[copy * 4 + 1] = std::move(homolog);
+  }
+  return db;
+}
+
+ServiceConfig filtered_annotated_config() {
+  ServiceConfig config = sharded_config(2);
+  config.db_id = "filtered-annotated";
+  config.master.filter.mode = align::FilterMode::kHeuristic;
+  config.master.filter.band = 16;
+  config.master.filter.keep_factor = 4.0;
+  config.master.annotate.mode = align::AnnotateMode::kStatsCigar;
+  return config;
+}
+
+TEST(ShardedQueryService, FilteredAnnotatedShardRescuedThroughMaster) {
+  const seq::Sequence query = make_query(41, 80);
+  const auto db = planted_database(query, 7);
+  const align::DbView view = align::make_db_view(db);
+  const align::ScoringScheme scheme;
+
+  std::vector<align::SearchHit> healthy;
+  {
+    QueryService service(db, filtered_annotated_config());
+    healthy = service.submit(query).result.get().hits;
+    service.shutdown();
+  }
+  ASSERT_FALSE(healthy.empty());
+
+  ServiceConfig config = filtered_annotated_config();
+  config.max_shard_retries = 1;
+  config.before_shard = [](std::size_t shard, std::size_t) {
+    if (shard == 1) throw std::runtime_error("injected: shard 1 down");
+  };
+  QueryService service(db, std::move(config));
+  const QueryResponse response = service.submit(query).result.get();
+  EXPECT_FALSE(response.partial) << response.partial_reason;
+  EXPECT_TRUE(response.filtered);
+  EXPECT_TRUE(response.annotated);
+  expect_hits_equal(response.hits, healthy, "rescued");
+  for (std::size_t i = 0; i < response.hits.size(); ++i) {
+    const align::SearchHit& hit = response.hits[i];
+    ASSERT_NE(hit.annotation, nullptr) << "hit " << i;
+    EXPECT_EQ(align::cigar_score(hit.annotation->cigar,
+                                 {query.residues.data(), query.residues.size()},
+                                 view[hit.db_index],
+                                 hit.annotation->query_begin,
+                                 hit.annotation->db_begin, scheme),
+              hit.score)
+        << "hit " << i << " cigar " << hit.annotation->cigar;
+  }
+  EXPECT_GE(service.stats().shard_recoveries, 1u);
+
+  // A rescued filtered answer merged the shard's own candidate selection,
+  // so it is never cached: the resubmission searches again.
+  const QueryResponse again = service.submit(query).result.get();
+  EXPECT_FALSE(again.cache_hit);
+  expect_hits_equal(again.hits, healthy, "rescued again");
+  EXPECT_EQ(service.stats().searches, 2u);
+  service.shutdown();
+}
+
+TEST(ShardedQueryService, FilteredAnnotatedWithoutRecoveryIsPartialUncached) {
+  const seq::Sequence query = make_query(43, 80);
+  const auto db = planted_database(query, 8);
+  ServiceConfig config = filtered_annotated_config();
+  config.max_shard_retries = 1;
+  config.shard_recovery = false;
+  config.before_shard = [](std::size_t shard, std::size_t) {
+    if (shard == 1) throw std::runtime_error("injected: shard 1 down");
+  };
+  QueryService service(db, std::move(config));
+
+  const QueryResponse first = service.submit(query).result.get();
+  EXPECT_TRUE(first.partial);
+  EXPECT_NE(first.partial_reason.find("shard 1"), std::string::npos);
+  const QueryResponse second = service.submit(query).result.get();
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_TRUE(second.partial);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.partial_responses, 2u);
+  EXPECT_EQ(stats.results.size, 0u);
+  service.shutdown();
 }
 
 TEST(ShardedQueryService, ShutdownMidScatterDrainsAdmittedRequests) {
