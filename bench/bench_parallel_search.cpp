@@ -15,6 +15,7 @@
 
 #include "align/backend.h"
 #include "align/parallel_search.h"
+#include "align/pipeline.h"
 #include "align/search.h"
 #include "bench_common.h"
 #include "seq/dbgen.h"
@@ -252,11 +253,13 @@ int main(int argc, char** argv) {
         options.threads = threads;
         // Engines share the mapping and its precomputed lane-batch index.
         const align::ParallelSearchEngine engine(mapped, options);
-        const bool identical =
-            engine.search(query_view, scheme, kernel, backend).scores ==
-            reference[ki];
-        const Measurement parallel_best = measure(
-            [&] { return engine.search(query_view, scheme, kernel, backend); });
+        const auto parallel_search = [&] {
+          const align::SearchProfiles profiles(query_view, scheme, kernel,
+                                               backend);
+          return engine.search(profiles);
+        };
+        const bool identical = parallel_search().scores == reference[ki];
+        const Measurement parallel_best = measure(parallel_search);
         const double speedup = serial_best.gcups > 0
                                    ? parallel_best.gcups / serial_best.gcups
                                    : 0.0;
@@ -286,12 +289,21 @@ int main(int argc, char** argv) {
         query_view, views, scheme, align::KernelKind::kInterSeq, backend);
     const std::vector<align::SearchHit> exact_top = exact.top(top_k);
     const double exact_cells = static_cast<double>(exact.cells);
-    align::FilterConfig off_config;
-    const align::FilteredSearchResult off_result =
-        align::search_database_filtered(query_view, views, scheme,
-                                        align::KernelKind::kInterSeq, top_k,
-                                        off_config, backend);
-    const bool off_identical = off_result.result.scores == exact.scores;
+    // One query through the search pipeline on `engine`.
+    const auto filtered_search = [&](const align::SearchEngine& engine,
+                                     const align::FilterConfig& filter) {
+      const align::SearchProfiles profiles(
+          query_view, scheme, align::KernelKind::kInterSeq, backend);
+      const align::SearchProfiles* group[] = {&profiles};
+      align::SearchRequest request;
+      request.k = top_k;
+      request.filter = filter;
+      return std::move(align::search(engine, group, request).front());
+    };
+    const align::SerialSearchEngine serial_engine(views);
+    const align::SearchOutcome off_result =
+        filtered_search(serial_engine, align::FilterConfig{});
+    const bool off_identical = off_result.ranked.result.scores == exact.scores;
     align::FilterConfig heuristic;
     heuristic.mode = align::FilterMode::kHeuristic;
     heuristic.band = filter_band;
@@ -315,11 +327,11 @@ int main(int argc, char** argv) {
       double recall = 1.0;
       for (std::size_t r = 0; r < reps; ++r) {
         WallTimer timer;
-        const align::FilteredSearchResult result = filtered_fn();
+        const align::SearchOutcome result = filtered_fn();
         const double seconds = timer.seconds();
         const double gcups = seconds > 0 ? exact_cells / seconds / 1e9 : 0.0;
         if (gcups > best.gcups) best = {gcups, seconds};
-        recall = recall_of(result.hits);
+        recall = recall_of(result.ranked.hits);
       }
       return std::pair<Measurement, double>(best, recall);
     };
@@ -330,11 +342,8 @@ int main(int argc, char** argv) {
       });
       return best.gcups;
     }();
-    const auto [filtered_serial, serial_recall] = measure_filtered([&] {
-      return align::search_database_filtered(query_view, views, scheme,
-                                             align::KernelKind::kInterSeq,
-                                             top_k, heuristic, backend);
-    });
+    const auto [filtered_serial, serial_recall] = measure_filtered(
+        [&] { return filtered_search(serial_engine, heuristic); });
     table.add_row({"filtered", bname, "serial", "1",
                    TextTable::fmt(filtered_serial.gcups, 3),
                    TextTable::fmt(serial_exact_gcups > 0
@@ -366,11 +375,8 @@ int main(int argc, char** argv) {
       align::ParallelSearchOptions options;
       options.threads = threads;
       const align::ParallelSearchEngine engine(mapped, options);
-      const auto [best, recall] = measure_filtered([&] {
-        return engine.search_filtered(query_view, scheme,
-                                      align::KernelKind::kInterSeq, top_k,
-                                      heuristic, backend);
-      });
+      const auto [best, recall] = measure_filtered(
+          [&] { return filtered_search(engine, heuristic); });
       table.add_row({"filtered", bname, std::to_string(threads),
                      std::to_string(engine.num_chunks()),
                      TextTable::fmt(best.gcups, 3),

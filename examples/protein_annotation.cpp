@@ -13,6 +13,7 @@
 #include <exception>
 #include <iostream>
 
+#include "align/annotate.h"
 #include "align/statistics.h"
 #include "core/report.h"
 #include "master/master.h"
@@ -82,27 +83,26 @@ int main(int argc, char** argv) try {
   std::cerr << "  lambda = " << params.lambda << ", K = " << params.k
             << "\n\n";
 
+  // The search pipeline attaches e-values and bit scores to every hit.
   master::MasterConfig config;
   config.cpu_workers = 1;
   config.gpu_workers = 1;
   config.top_hits = 3;
+  config.annotate.mode = align::AnnotateMode::kStats;
+  config.stats = &params;
   const master::SearchReport report = master::run_search(queries, db, config);
 
-  std::uint64_t db_residues = 0;
-  for (const auto& record : db) db_residues += record.length();
-
-  std::cout << core::render_search_report(queries, db, report, params,
-                                          cutoff);
+  std::cout << core::render_search_report(queries, db, report, cutoff);
   std::cout << "\nannotation decisions (E-value cutoff " << cutoff << "):\n";
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto hits = core::annotate_hits(report.results[q], params,
-                                          queries[q].length(), db_residues);
-    const bool significant = !hits.empty() && hits[0].evalue <= cutoff;
+    const auto& hits = report.results[q].hits;
+    const bool significant =
+        !hits.empty() && hits[0].annotation->evalue <= cutoff;
     std::cout << "  " << queries[q].id << ": ";
     if (significant) {
       const std::string& subject = db[hits[0].db_index].id;
       std::cout << "annotated from " << subject.substr(0, subject.find('_'))
-                << " (E=" << hits[0].evalue << ")";
+                << " (E=" << hits[0].annotation->evalue << ")";
     } else {
       std::cout << "no significant homolog — novel family candidate";
     }

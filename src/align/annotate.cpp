@@ -202,30 +202,4 @@ StatsCache::Stats StatsCache::stats() const {
   return {hits_, misses_, evictions_, lru_.size(), capacity_};
 }
 
-RankedSearchResult search_database_annotated(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const AnnotateConfig& annotate, const KarlinAltschulParams& params,
-    Backend backend) {
-  RankedSearchResult out;
-  out.result = search_database(query, db, scheme, kernel, backend);
-  out.hits = out.result.top(top_k);
-  annotate_hits(out.hits, query, db, scheme, annotate, params,
-                db_residue_count(db));
-  return out;
-}
-
-FilteredSearchResult search_database_filtered_annotated(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const FilterConfig& filter, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params, Backend backend) {
-  FilteredSearchResult out =
-      search_database_filtered(query, db, scheme, kernel, top_k, filter,
-                               backend);
-  annotate_hits(out.hits, query, db, scheme, annotate, params,
-                db_residue_count(db));
-  return out;
-}
-
 }  // namespace swdual::align

@@ -5,7 +5,7 @@
 // (e-value, bit score) and the alignment itself. This module turns the
 // library islands in statistics.h / traceback.h / locate.h into a pipeline
 // stage: annotate_hits() decorates an already-merged top-k hit list in
-// place, and the engines / serve plumb an AnnotateConfig through to it.
+// place, and the search pipeline (align/pipeline.h) is its one caller.
 //
 // Placement is the key invariant: annotation runs ONCE, post-merge, on the
 // global top-k winners — never per chunk or per shard. The hit list an
@@ -156,20 +156,5 @@ class StatsCache {
   std::uint64_t misses_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ SWDUAL_GUARDED_BY(mutex_) = 0;
 };
-
-/// Serial annotated drivers: search_database / search_database_filtered plus
-/// an annotate_hits pass on the ranked winners. These are the reference
-/// semantics the parallel / sharded / serve paths must match bit-for-bit.
-RankedSearchResult search_database_annotated(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const AnnotateConfig& annotate, const KarlinAltschulParams& params,
-    Backend backend = Backend::kAuto);
-
-FilteredSearchResult search_database_filtered_annotated(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const FilterConfig& filter, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params, Backend backend = Backend::kAuto);
 
 }  // namespace swdual::align

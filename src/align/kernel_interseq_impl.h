@@ -62,9 +62,23 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
 
   AlignScratch& scratch = thread_scratch();
 
+  // One per-thread workspace with a fixed layout: the column's lane codes,
+  // the substitution rows, the per-column database profile, then the H/E
+  // cells interleaved per query row. Every load and store of the hot loops
+  // thus sits at a fixed offset from the others. With separately allocated
+  // buffers (and the codes on the stack) the scan time depended on where
+  // the heap happened to place them: the same 600-record scan took anywhere
+  // from 2.8 to 4.2 ms on one host. Each region starts on a whole vector.
+  const std::size_t ext_size = (asize * (asize + 1) + kL - 1) / kL * kL;
+  const std::size_t dprofile_size = asize * kL;
+  std::int16_t* const workspace = scratch.interseq_workspace(
+      kL + ext_size + dprofile_size + 2 * m * kL);
+  // This column's database residue per lane.
+  std::uint8_t* const codes = reinterpret_cast<std::uint8_t*>(workspace);
+
   // Substitution rows widened to int16 with the pad column appended:
   // ext_rows[a * (asize+1) + c] == S(a, c), and the pad score at c == asize.
-  std::int16_t* ext_rows = scratch.interseq_ext_rows(asize * (asize + 1));
+  std::int16_t* const ext_rows = workspace + kL;
   for (std::size_t a = 0; a < asize; ++a) {
     const std::int8_t* row = matrix.row(static_cast<std::uint8_t>(a));
     std::int16_t* dst = ext_rows + a * (asize + 1);
@@ -102,7 +116,9 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
 
   // Per-column database profile: dprofile[a * kL + lane] is the score of
   // query residue a against lane's current database residue.
-  std::int16_t* dprofile = scratch.interseq_dprofile(asize * kL);
+  std::int16_t* const dprofile = ext_rows + ext_size;
+  // H and E of query row i: cells[2*i*kL ...] and cells[(2*i+1)*kL ...].
+  std::int16_t* const cells = dprofile + dprofile_size;
 
   for (std::size_t group_start = 0; group_start < order.size();
        group_start += kL) {
@@ -123,15 +139,12 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
     }
     if (max_len == 0) continue;
 
-    // H/E columns live in the per-thread workspace.
-    const AlignScratch::InterSeqState state =
-        scratch.interseq_state(m * kL);
+    std::fill(cells, cells + 2 * m * kL, std::int16_t{0});
     V v_max = V::zero();
 
     for (std::size_t j = 0; j < max_len; ++j) {
       // This column's database residue per lane (pad once a lane's
       // sequence has ended), then the dprofile for the whole column.
-      std::uint8_t codes[kL];
       for (std::size_t l = 0; l < kL; ++l) {
         codes[l] = j < lane_len[l] ? lane_seq[l][j] : pad_code;
       }
@@ -144,9 +157,10 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
       V v_diag = V::zero();  // H[i-1][j-1]; boundary row is 0
       V v_f = V::zero();     // F[i][j], carried down the column
       for (std::size_t i = 0; i < m; ++i) {
+        std::int16_t* const cell = cells + 2 * i * kL;
         const V v_score = V::load(dprofile + query[i] * kL);
-        const V v_h_prev = V::load(state.h + i * kL);
-        const V v_e_prev = V::load(state.e + i * kL);
+        const V v_h_prev = V::load(cell);
+        const V v_e_prev = V::load(cell + kL);
 
         // E: horizontal gap from column j-1 (Eq. 3).
         const V v_e = max(subs(v_e_prev, v_gap_extend),
@@ -159,8 +173,8 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
         v_max = max(v_max, v_h);
 
         v_diag = v_h_prev;
-        v_h.store(state.h + i * kL);
-        v_e.store(state.e + i * kL);
+        v_h.store(cell);
+        v_e.store(cell + kL);
 
         // F for the next query position (Eq. 4).
         v_f = max(subs(v_f, v_gap_extend), subs(v_h, v_gap_open_extend));

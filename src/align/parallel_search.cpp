@@ -1,7 +1,7 @@
 #include "align/parallel_search.h"
 
 #include <algorithm>
-#include <future>
+#include <functional>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -47,44 +47,31 @@ std::vector<std::pair<std::size_t, std::size_t>> balanced_cuts(
 
 ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                                            const ParallelSearchOptions& options)
-    : db_(db),
-      tracer_(options.tracer),
-      metrics_(options.metrics),
-      trace_track_(options.trace_track) {
+    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
+      db_(db) {
   original_index_.resize(db_.size());
   std::iota(original_index_.begin(), original_index_.end(), 0);
-  if (options.sort_by_length) {
-    std::stable_sort(original_index_.begin(), original_index_.end(),
-                     [&db](std::size_t a, std::size_t b) {
-                       return db[a].size() > db[b].size();
-                     });
-    for (std::size_t p = 0; p < db_.size(); ++p) {
-      db_[p] = db[original_index_[p]];
-    }
+  std::stable_sort(original_index_.begin(), original_index_.end(),
+                   [&db](std::size_t a, std::size_t b) {
+                     return db[a].size() > db[b].size();
+                   });
+  for (std::size_t p = 0; p < db_.size(); ++p) {
+    db_[p] = db[original_index_[p]];
   }
   init_partition(options);
 }
 
 ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
                                            const ParallelSearchOptions& options)
-    : tracer_(options.tracer),
-      metrics_(options.metrics),
-      trace_track_(options.trace_track) {
+    : SearchEngine({options.tracer, options.metrics, options.trace_track}) {
   // Same longest-first permutation the DbView ctor computes, but read from
   // the database's lane-batch index (identical tie-breaking by record id),
   // and every span points into the shared mapping — no copies, no sort.
   original_index_.reserve(db.size());
   db_.reserve(db.size());
-  if (options.sort_by_length) {
-    for (const std::uint32_t id : db.lane_order()) {
-      original_index_.push_back(id);
-      db_.push_back(db.residues(id));
-    }
-  } else {
-    for (std::size_t i = 0; i < db.size(); ++i) {
-      original_index_.push_back(i);
-      db_.push_back(db.residues(i));
-    }
+  for (const std::uint32_t id : db.lane_order()) {
+    original_index_.push_back(id);
+    db_.push_back(db.residues(id));
   }
   init_partition(options);
 }
@@ -97,13 +84,6 @@ void ParallelSearchEngine::init_partition(
   }
   total_residues_ = db_residue_count(db_);
   const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  std::size_t num_chunks;
-  if (options.chunk_records > 0) {
-    num_chunks =
-        (db_.size() + options.chunk_records - 1) / options.chunk_records;
-  } else {
-    num_chunks = threads * std::max<std::size_t>(1, options.chunks_per_thread);
-  }
   if (!db_.empty()) {
     if (options.chunk_records > 0) {
       // Fixed record-count chunks, as requested.
@@ -113,36 +93,14 @@ void ParallelSearchEngine::init_partition(
             {begin, std::min(begin + options.chunk_records, db_.size())});
       }
     } else {
+      const std::size_t num_chunks =
+          threads * std::max<std::size_t>(1, options.chunks_per_thread);
       for (const auto& [begin, end] : balanced_cuts(db_, num_chunks)) {
         chunks_.push_back({begin, end});
       }
     }
   }
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-ParallelSearchEngine::ChunkOutcome ParallelSearchEngine::run_chunk(
-    const SearchProfiles& profiles, const Chunk& chunk,
-    std::size_t chunk_index, std::size_t top_k) const {
-  obs::Span span;
-  if (tracer_) {
-    span = tracer_->span("chunk_scan", "align", trace_track_);
-    span.arg("chunk", static_cast<double>(chunk_index));
-    span.arg("records", static_cast<double>(chunk.end - chunk.begin));
-  }
-  WallTimer timer;
-  ChunkOutcome outcome;
-  outcome.result = search_range(profiles, db_, chunk.begin, chunk.end);
-  span.arg("cells", static_cast<double>(outcome.result.cells));
-  if (metrics_) metrics_->observe("chunk_scan_seconds", timer.seconds());
-  if (top_k > 0) {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      push_top_hit(outcome.hits,
-                   {original_index_[i], outcome.result.scores[i - chunk.begin]},
-                   top_k);
-    }
-  }
-  return outcome;
 }
 
 std::vector<ParallelSearchEngine::Chunk>
@@ -165,86 +123,19 @@ ParallelSearchEngine::batch_aligned_chunks(std::size_t batch) const {
   return out;
 }
 
-RankedSearchResult ParallelSearchEngine::run(const SearchProfiles& profiles,
-                                             std::size_t top_k) const {
-  WallTimer timer;
-
-  // The inter-sequence kernel processes the (length-sorted) records in
-  // groups of one SIMD batch; keep chunk boundaries on batch multiples so
-  // no batch is split mid-vector across two chunks.
-  const std::vector<Chunk> chunks =
-      profiles.kernel() == KernelKind::kInterSeq
-          ? batch_aligned_chunks(backend_lanes16(profiles.backend()))
-          : chunks_;
-
-  std::vector<ChunkOutcome> outcomes(chunks.size());
+void ParallelSearchEngine::for_each_chunk(
+    std::size_t count, const std::function<void(std::size_t)>& task) const {
   if (pool_) {
-    std::vector<std::future<ChunkOutcome>> futures;
-    futures.reserve(chunks.size());
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      const Chunk chunk = chunks[c];
-      futures.push_back(pool_->submit([this, &profiles, chunk, c, top_k] {
-        return run_chunk(profiles, chunk, c, top_k);
-      }));
-    }
-    for (std::size_t c = 0; c < futures.size(); ++c) {
-      outcomes[c] = futures[c].get();
-    }
+    parallel_for(*pool_, count, task);
   } else {
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      outcomes[c] = run_chunk(profiles, chunks[c], c, top_k);
-    }
+    for (std::size_t c = 0; c < count; ++c) task(c);
   }
-
-  // Deterministic merge: chunks reduced in index order, scores scattered
-  // through the inverse permutation back to database order.
-  RankedSearchResult ranked;
-  SearchResult& merged = ranked.result;
-  merged.scores.assign(db_.size(), 0);
-  for (std::size_t c = 0; c < outcomes.size(); ++c) {
-    const Chunk& chunk = chunks[c];
-    const SearchResult& r = outcomes[c].result;
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      merged.scores[original_index_[i]] = r.scores[i - chunk.begin];
-    }
-    merged.cells += r.cells;
-    merged.overflow_rescans += r.overflow_rescans;
-    for (const SearchHit& hit : outcomes[c].hits) {
-      push_top_hit(ranked.hits, hit, top_k);
-    }
-  }
-  finish_top_hits(ranked.hits);
-  merged.seconds = timer.seconds();
-  return ranked;
 }
 
-std::vector<ParallelSearchEngine::ChunkOutcome>
-ParallelSearchEngine::run_chunk_many(
-    std::span<const SearchProfiles* const> profiles, const Chunk& chunk,
-    std::size_t chunk_index, std::size_t top_k) const {
-  obs::Span span;
-  if (tracer_) {
-    span = tracer_->span("chunk_scan_group", "align", trace_track_);
-    span.arg("chunk", static_cast<double>(chunk_index));
-    span.arg("records", static_cast<double>(chunk.end - chunk.begin));
-    span.arg("queries", static_cast<double>(profiles.size()));
-  }
-  WallTimer timer;
-  std::vector<ChunkOutcome> outcomes(profiles.size());
-  for (std::size_t q = 0; q < profiles.size(); ++q) {
-    ChunkOutcome& outcome = outcomes[q];
-    outcome.result = search_range(*profiles[q], db_, chunk.begin, chunk.end);
-    if (top_k > 0) {
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-        push_top_hit(
-            outcome.hits,
-            {original_index_[i], outcome.result.scores[i - chunk.begin]},
-            top_k);
-      }
-    }
-  }
-  if (metrics_) metrics_->observe("chunk_scan_seconds", timer.seconds());
-  return outcomes;
+SearchResult ParallelSearchEngine::search(
+    const SearchProfiles& profiles) const {
+  const SearchProfiles* group[] = {&profiles};
+  return std::move(search_ranked_many(group, 0).front().result);
 }
 
 std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
@@ -258,32 +149,52 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   }
   WallTimer timer;
 
+  // The inter-sequence kernel processes the (length-sorted) records in
+  // groups of one SIMD batch; keep chunk boundaries on batch multiples so
+  // no batch is split mid-vector across two chunks.
   const std::vector<Chunk> chunks =
       profiles[0]->kernel() == KernelKind::kInterSeq
           ? batch_aligned_chunks(backend_lanes16(profiles[0]->backend()))
           : chunks_;
 
-  // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q.
-  std::vector<std::vector<ChunkOutcome>> per_chunk(chunks.size());
-  if (pool_) {
-    std::vector<std::future<std::vector<ChunkOutcome>>> futures;
-    futures.reserve(chunks.size());
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      const Chunk chunk = chunks[c];
-      futures.push_back(pool_->submit([this, profiles, chunk, c, top_k] {
-        return run_chunk_many(profiles, chunk, c, top_k);
-      }));
+  // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q,
+  // the chunk's records scanned once per query while they are hot; hits are
+  // chunk-local top-k heaps on original indices.
+  const SearchSinks& sink = sinks();
+  std::vector<std::vector<RankedSearchResult>> per_chunk(chunks.size());
+  for_each_chunk(chunks.size(), [&](std::size_t c) {
+    const Chunk& chunk = chunks[c];
+    obs::Span span;
+    if (sink.tracer) {
+      span = sink.tracer->span("chunk_scan", "align", sink.trace_track);
+      span.arg("chunk", static_cast<double>(c));
+      span.arg("records", static_cast<double>(chunk.end - chunk.begin));
+      span.arg("queries", static_cast<double>(profiles.size()));
     }
-    for (std::size_t c = 0; c < futures.size(); ++c) {
-      per_chunk[c] = futures[c].get();
+    WallTimer chunk_timer;
+    std::vector<RankedSearchResult>& outcomes = per_chunk[c];
+    outcomes.resize(profiles.size());
+    std::uint64_t cells = 0;
+    for (std::size_t q = 0; q < profiles.size(); ++q) {
+      RankedSearchResult& outcome = outcomes[q];
+      outcome.result = search_range(*profiles[q], db_, chunk.begin, chunk.end);
+      cells += outcome.result.cells;
+      if (top_k == 0) continue;
+      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+        push_top_hit(
+            outcome.hits,
+            {original_index_[i], outcome.result.scores[i - chunk.begin]},
+            top_k);
+      }
     }
-  } else {
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      per_chunk[c] = run_chunk_many(profiles, chunks[c], c, top_k);
+    span.arg("cells", static_cast<double>(cells));
+    if (sink.metrics) {
+      sink.metrics->observe("chunk_scan_seconds", chunk_timer.seconds());
     }
-  }
+  });
 
-  // Same deterministic index-order merge as run(), once per query.
+  // Deterministic merge: chunks reduced in index order, scores scattered
+  // through the inverse permutation back to database order.
   const double elapsed = timer.seconds();
   for (std::size_t q = 0; q < profiles.size(); ++q) {
     RankedSearchResult& ranked = results[q];
@@ -307,61 +218,6 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   return results;
 }
 
-std::vector<ScreenResult> ParallelSearchEngine::screen_chunk_many(
-    std::span<const SearchProfiles* const> profiles, const Chunk& chunk,
-    std::size_t chunk_index, std::size_t band) const {
-  obs::Span span;
-  if (tracer_) {
-    span = tracer_->span("filter_screen", "align", trace_track_);
-    span.arg("chunk", static_cast<double>(chunk_index));
-    span.arg("records", static_cast<double>(chunk.end - chunk.begin));
-    span.arg("queries", static_cast<double>(profiles.size()));
-  }
-  WallTimer timer;
-  std::vector<ScreenResult> screens(profiles.size());
-  for (std::size_t q = 0; q < profiles.size(); ++q) {
-    screens[q] = screen_range(*profiles[q], db_, chunk.begin, chunk.end, band);
-  }
-  if (metrics_) metrics_->observe("chunk_scan_seconds", timer.seconds());
-  return screens;
-}
-
-void ParallelSearchEngine::rescore_candidates(
-    const SearchProfiles& profiles,
-    const std::vector<std::uint32_t>& candidates, const ScreenResult& screen,
-    FilteredSearchResult& out) const {
-  std::vector<std::uint32_t> rescan_index;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) rescan_index.push_back(c);
-  }
-  // Longest-first so the interseq rescan packs similar lengths into the
-  // same SIMD batch; lanes are independent, so order never changes scores.
-  std::stable_sort(rescan_index.begin(), rescan_index.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return db_[permuted_pos_[a]].size() >
-                            db_[permuted_pos_[b]].size();
-                   });
-  DbView rescan;
-  rescan.reserve(rescan_index.size());
-  for (const std::uint32_t c : rescan_index) {
-    rescan.push_back(db_[permuted_pos_[c]]);
-  }
-  obs::Span span;
-  if (tracer_) {
-    span = tracer_->span("filter_rescore", "align", trace_track_);
-    span.arg("candidates", static_cast<double>(candidates.size()));
-    span.arg("rescans", static_cast<double>(rescan.size()));
-  }
-  const SearchResult rescored =
-      search_range(profiles, rescan, 0, rescan.size());
-  out.result.cells += rescored.cells;
-  out.result.overflow_rescans += rescored.overflow_rescans;
-  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-    out.result.scores[rescan_index[i]] = rescored.scores[i];
-  }
-  out.stats.rescans += rescan_index.size();
-}
-
 std::vector<ScreenResult> ParallelSearchEngine::screen_many(
     std::span<const SearchProfiles* const> profiles, std::size_t band) const {
   std::vector<ScreenResult> merged(profiles.size());
@@ -376,33 +232,35 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
   if (db_.empty() || profiles.empty()) return merged;
 
   // The banded kernel batches byte lanes; keep those batches unsplit the
-  // same way run() aligns interseq chunks to the 16-bit lane count.
+  // same way the exact scan aligns interseq chunks to the 16-bit lanes.
   const std::vector<Chunk> chunks =
       profiles[0]->kernel() == KernelKind::kScalar
           ? chunks_
           : batch_aligned_chunks(backend_lanes8(profiles[0]->backend()));
 
+  const SearchSinks& sink = sinks();
   std::vector<std::vector<ScreenResult>> per_chunk(chunks.size());
-  if (pool_) {
-    std::vector<std::future<std::vector<ScreenResult>>> futures;
-    futures.reserve(chunks.size());
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      const Chunk chunk = chunks[c];
-      futures.push_back(pool_->submit([this, profiles, chunk, c, band] {
-        return screen_chunk_many(profiles, chunk, c, band);
-      }));
+  for_each_chunk(chunks.size(), [&](std::size_t c) {
+    const Chunk& chunk = chunks[c];
+    obs::Span span;
+    if (sink.tracer) {
+      span = sink.tracer->span("filter_screen", "align", sink.trace_track);
+      span.arg("chunk", static_cast<double>(c));
+      span.arg("records", static_cast<double>(chunk.end - chunk.begin));
+      span.arg("queries", static_cast<double>(profiles.size()));
     }
-    for (std::size_t c = 0; c < futures.size(); ++c) {
-      per_chunk[c] = futures[c].get();
+    WallTimer chunk_timer;
+    for (const SearchProfiles* p : profiles) {
+      per_chunk[c].push_back(
+          screen_range(*p, db_, chunk.begin, chunk.end, band));
     }
-  } else {
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      per_chunk[c] = screen_chunk_many(profiles, chunks[c], c, band);
+    if (sink.metrics) {
+      sink.metrics->observe("chunk_scan_seconds", chunk_timer.seconds());
     }
-  }
+  });
 
   // Scatter back to database order through the inverse permutation, like
-  // run()'s merge — per-record screen values are chunk-independent.
+  // the exact scan's merge — per-record screen values are chunk-independent.
   for (std::size_t q = 0; q < profiles.size(); ++q) {
     ScreenResult& out = merged[q];
     for (std::size_t c = 0; c < per_chunk.size(); ++c) {
@@ -418,113 +276,6 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
     }
   }
   return merged;
-}
-
-std::vector<FilteredSearchResult> ParallelSearchEngine::search_filtered_many(
-    std::span<const SearchProfiles* const> profiles, std::size_t top_k,
-    const FilterConfig& config) const {
-  config.validate();
-  if (!config.enabled()) {
-    // Bit-identical to the unfiltered group scan.
-    std::vector<RankedSearchResult> ranked =
-        search_ranked_many(profiles, top_k);
-    std::vector<FilteredSearchResult> results(ranked.size());
-    for (std::size_t q = 0; q < ranked.size(); ++q) {
-      results[q].result = std::move(ranked[q].result);
-      results[q].hits = std::move(ranked[q].hits);
-    }
-    return results;
-  }
-  WallTimer timer;
-  std::vector<ScreenResult> screens = screen_many(profiles, config.band);
-  std::vector<FilteredSearchResult> results(profiles.size());
-  for (std::size_t q = 0; q < profiles.size(); ++q) {
-    FilteredSearchResult& out = results[q];
-    ScreenResult& screen = screens[q];
-    const std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, top_k, config, &out.stats);
-    out.result.cells = screen.cells;
-    out.result.scores = std::move(screen.scores);
-    screen.scores.clear();
-    rescore_candidates(*profiles[q], candidates, screen, out);
-    for (const std::uint32_t c : candidates) {
-      push_top_hit(out.hits, {c, out.result.scores[c]}, top_k);
-    }
-    finish_top_hits(out.hits);
-    out.result.seconds = timer.seconds();
-    if (metrics_) {
-      metrics_->add("filter_candidates",
-                    static_cast<double>(out.stats.candidates));
-      metrics_->add("filter_rescans", static_cast<double>(out.stats.rescans));
-      metrics_->add("filter_band_uncertain",
-                    static_cast<double>(out.stats.band_uncertain));
-    }
-  }
-  return results;
-}
-
-FilteredSearchResult ParallelSearchEngine::search_filtered(
-    const SearchProfiles& profiles, std::size_t top_k,
-    const FilterConfig& config) const {
-  const SearchProfiles* group[] = {&profiles};
-  std::vector<FilteredSearchResult> results =
-      search_filtered_many(group, top_k, config);
-  return std::move(results.front());
-}
-
-FilteredSearchResult ParallelSearchEngine::search_filtered(
-    std::span<const std::uint8_t> query, const ScoringScheme& scheme,
-    KernelKind kernel, std::size_t k, const FilterConfig& config,
-    Backend backend) const {
-  const SearchProfiles profiles(query, scheme, kernel, backend);
-  return search_filtered(profiles, k, config);
-}
-
-SearchResult ParallelSearchEngine::search(std::span<const std::uint8_t> query,
-                                          const ScoringScheme& scheme,
-                                          KernelKind kernel,
-                                          Backend backend) const {
-  const SearchProfiles profiles(query, scheme, kernel, backend);
-  return run(profiles, 0).result;
-}
-
-RankedSearchResult ParallelSearchEngine::search_ranked(
-    std::span<const std::uint8_t> query, const ScoringScheme& scheme,
-    KernelKind kernel, std::size_t k, Backend backend) const {
-  const SearchProfiles profiles(query, scheme, kernel, backend);
-  return run(profiles, k);
-}
-
-SearchResult ParallelSearchEngine::search(const SearchProfiles& profiles) const {
-  return run(profiles, 0).result;
-}
-
-RankedSearchResult ParallelSearchEngine::search_ranked(
-    const SearchProfiles& profiles, std::size_t k) const {
-  return run(profiles, k);
-}
-
-RankedSearchResult ParallelSearchEngine::search_ranked(
-    const SearchProfiles& profiles, std::size_t k,
-    const AnnotateConfig& annotate, const KarlinAltschulParams& params) const {
-  RankedSearchResult out = run(profiles, k);
-  annotate_hits(
-      out.hits, profiles.query(),
-      [this](std::size_t index) { return record(index); }, profiles.scheme(),
-      annotate, params, total_residues_, tracer_, metrics_, trace_track_);
-  return out;
-}
-
-FilteredSearchResult ParallelSearchEngine::search_filtered(
-    const SearchProfiles& profiles, std::size_t top_k,
-    const FilterConfig& config, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params) const {
-  FilteredSearchResult out = search_filtered(profiles, top_k, config);
-  annotate_hits(
-      out.hits, profiles.query(),
-      [this](std::size_t index) { return record(index); }, profiles.scheme(),
-      annotate, params, total_residues_, tracer_, metrics_, trace_track_);
-  return out;
 }
 
 }  // namespace swdual::align

@@ -11,14 +11,18 @@
 // scores, same cells / overflow_rescans accounting — deterministically,
 // regardless of thread count: chunks are merged in index order and every
 // per-record value is independent of its chunk.
+//
+// As a pipeline engine (align/pipeline.h) it supplies the chunked group
+// scan and group screen; filtering and annotation are the pipeline's.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "align/annotate.h"
+#include "align/pipeline.h"
 #include "align/search.h"
 #include "util/thread_pool.h"
 
@@ -46,137 +50,78 @@ struct ParallelSearchOptions {
   /// imbalance from length skew at slightly higher merge cost.
   std::size_t chunks_per_thread = 4;
 
-  /// Permute the database longest-first once at engine construction (the
-  /// inverse mapping is applied at merge, so callers always see database
-  /// order). Groups similar lengths into the same interseq batch so padded
-  /// lanes waste fewer cells; harmless for the other kernels.
-  bool sort_by_length = true;
-
   /// Optional observability sinks (obs/trace.h, obs/metrics.h): every chunk
-  /// scan becomes a wall-clock `chunk_scan` span on `trace_track` (recorded
-  /// from the pool thread that ran it) and a `chunk_scan_seconds` histogram
-  /// sample. Both must outlive the engine.
+  /// pass becomes a wall-clock `chunk_scan` / `filter_screen` span on
+  /// `trace_track` (recorded from the pool thread that ran it) and a
+  /// `chunk_scan_seconds` histogram sample. Both must outlive the engine.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   std::size_t trace_track = 0;
 };
 
-// RankedSearchResult lives in align/search.h (shared with the serial
-// annotated drivers); this header re-exports it via that include.
-
-class ParallelSearchEngine {
+class ParallelSearchEngine final : public SearchEngine {
  public:
-  /// Snapshots `db` (span copies, not residues) and builds the partition
-  /// once; the underlying records must outlive the engine.
+  /// Snapshots `db` (span copies, not residues), permutes it longest-first
+  /// (so the interseq lane batches waste few padded cells; the inverse
+  /// mapping is applied at merge, so callers always see database order) and
+  /// builds the partition once; the underlying records must outlive the
+  /// engine.
   explicit ParallelSearchEngine(const DbView& db,
                                 const ParallelSearchOptions& options = {});
 
   /// Zero-copy engine over an mmap-backed SWDB: chunk scans read residues
   /// straight out of the shared mapping (no per-engine or per-thread copy),
-  /// and when options.sort_by_length is set the longest-first permutation
-  /// comes from the database's precomputed lane-batch index instead of a
-  /// per-engine sort — the heap-free refill path of the interseq kernel.
-  /// The mapping must outlive the engine (see MappedSwdb lifetime rules).
+  /// and the longest-first permutation comes from the database's
+  /// precomputed lane-batch index instead of a per-engine sort. The mapping
+  /// must outlive the engine (see MappedSwdb lifetime rules).
   ParallelSearchEngine(const seq::MappedSwdb& db,
                        const ParallelSearchOptions& options = {});
 
   ParallelSearchEngine(const ParallelSearchEngine&) = delete;
   ParallelSearchEngine& operator=(const ParallelSearchEngine&) = delete;
 
-  /// Score one query against the whole database. Scores are in database
-  /// order and bit-identical to serial search_database, on every SIMD
-  /// backend (kAuto = widest available, overridable via
-  /// SWDUAL_FORCE_BACKEND).
-  SearchResult search(std::span<const std::uint8_t> query,
-                      const ScoringScheme& scheme, KernelKind kernel,
-                      Backend backend = Backend::kAuto) const;
-
-  /// search() plus a bounded top-k merge: each chunk keeps a k-hit heap and
-  /// only those heaps are merged, so ranking costs O(n log k) total instead
-  /// of sorting all n scores.
-  RankedSearchResult search_ranked(std::span<const std::uint8_t> query,
-                                   const ScoringScheme& scheme,
-                                   KernelKind kernel, std::size_t k,
-                                   Backend backend = Backend::kAuto) const;
-
-  /// Scan with caller-provided (possibly cached/shared) profiles, skipping
-  /// the per-call profile build. Bit-identical to the building overloads.
+  /// Score one query against the whole database with caller-provided
+  /// (possibly cached/shared) profiles. Scores are in database order and
+  /// bit-identical to serial search_database on every SIMD backend.
   SearchResult search(const SearchProfiles& profiles) const;
-  RankedSearchResult search_ranked(const SearchProfiles& profiles,
-                                   std::size_t k) const;
-
-  /// search_ranked plus an annotate_hits pass (align/annotate.h) on the
-  /// merged top-k: e-value/bit score from `params` with the database's
-  /// total residue count as the search space, the evalue cutoff, and
-  /// (stats+cigar) a validated traceback per surviving hit. The annotation
-  /// runs once, post-merge, so hit scores/order stay bit-identical to the
-  /// unannotated overload regardless of thread count or chunking.
-  RankedSearchResult search_ranked(const SearchProfiles& profiles,
-                                   std::size_t k,
-                                   const AnnotateConfig& annotate,
-                                   const KarlinAltschulParams& params) const;
 
   /// Multi-query scan: K queries share ONE pass over every database chunk.
   /// Each chunk task scans its records once per query while the chunk's
   /// residues are hot in cache, amortizing DB decode/cache traffic across
   /// the group the way SWAPHI shares one partition pass between concurrent
-  /// queries. All profile sets must use the same kernel (the serve batcher
-  /// collapses per-config groups, so this holds by construction). Results
-  /// are per query, in input order, and bit-identical to running
-  /// search_ranked once per profile set.
+  /// queries. Each chunk keeps a k-hit heap per query and only those heaps
+  /// are merged, so ranking costs O(n log k). All profile sets must use the
+  /// same kernel. Results are per query, in input order, and bit-identical
+  /// to one serial scan per query.
   std::vector<RankedSearchResult> search_ranked_many(
       std::span<const SearchProfiles* const> profiles, std::size_t k) const;
 
-  /// Two-stage filtered search (align/search.h): chunked banded screen,
-  /// deterministic candidate selection, then a candidate-only exact rescan.
-  /// Mode kOff is bit-identical to search_ranked; heuristic results are
-  /// identical to the serial search_database_filtered path regardless of
-  /// thread count or chunking. Emits filter_screen / filter_rescore spans
-  /// and filter_candidates / filter_rescans / filter_band_uncertain
-  /// metrics when sinks are configured.
-  FilteredSearchResult search_filtered(const SearchProfiles& profiles,
-                                       std::size_t k,
-                                       const FilterConfig& config) const;
-  FilteredSearchResult search_filtered(std::span<const std::uint8_t> query,
-                                       const ScoringScheme& scheme,
-                                       KernelKind kernel, std::size_t k,
-                                       const FilterConfig& config,
-                                       Backend backend = Backend::kAuto) const;
-
-  /// Filtered search plus post-merge annotation (see the annotated
-  /// search_ranked overload for the semantics).
-  FilteredSearchResult search_filtered(const SearchProfiles& profiles,
-                                       std::size_t k,
-                                       const FilterConfig& config,
-                                       const AnnotateConfig& annotate,
-                                       const KarlinAltschulParams& params)
-      const;
-
-  /// Multi-query filtered search: the stage-1 screens share ONE pass over
-  /// every chunk (like search_ranked_many's group passes), then each query
-  /// selects and rescans its own candidates. Results per query, input order.
-  std::vector<FilteredSearchResult> search_filtered_many(
-      std::span<const SearchProfiles* const> profiles, std::size_t k,
-      const FilterConfig& config) const;
-
-  /// Stage 1 alone, for callers that merge candidates across engines (the
-  /// sharded scatter-gather path): per-query screens of the whole database,
-  /// in database order, bit-identical to serial screen_range.
+  /// Stage 1 alone: per-query banded screens of the whole database, one
+  /// shared pass per chunk, in database order, bit-identical to serial
+  /// screen_range.
   std::vector<ScreenResult> screen_many(
       std::span<const SearchProfiles* const> profiles, std::size_t band) const;
 
-  std::size_t num_chunks() const { return chunks_.size(); }
-  std::size_t threads() const { return pool_ ? pool_->size() : 1; }
-  std::size_t db_records() const { return db_.size(); }
-
-  /// Total residues across the database (the Karlin–Altschul `n`).
-  std::uint64_t db_residues() const { return total_residues_; }
-
+  // Pipeline primitives (align/pipeline.h).
+  std::uint64_t db_residues() const override { return total_residues_; }
   /// The residue span of database record `index` (database order, i.e. the
   /// caller's original indexing, independent of the length permutation).
-  std::span<const std::uint8_t> record(std::size_t index) const {
+  std::span<const std::uint8_t> record(std::size_t index) const override {
     return db_[permuted_pos_[index]];
   }
+  std::vector<RankedSearchResult> scan(
+      std::span<const SearchProfiles* const> group, std::size_t k,
+      std::vector<ShardFailure>& /*failures*/) const override {
+    return search_ranked_many(group, k);
+  }
+  std::vector<ScreenResult> screen(
+      std::span<const SearchProfiles* const> group, std::size_t band,
+      std::vector<ShardFailure>& /*failures*/) const override {
+    return screen_many(group, band);
+  }
+
+  std::size_t num_chunks() const { return chunks_.size(); }
+  std::size_t db_records() const { return db_.size(); }
 
  private:
   struct Chunk {
@@ -184,32 +129,10 @@ class ParallelSearchEngine {
     std::size_t end = 0;    ///< one past the last record
   };
 
-  struct ChunkOutcome {
-    SearchResult result;
-    std::vector<SearchHit> hits;  ///< chunk-local top-k, original indices
-  };
-
-  ChunkOutcome run_chunk(const SearchProfiles& profiles, const Chunk& chunk,
-                         std::size_t chunk_index, std::size_t top_k) const;
-  RankedSearchResult run(const SearchProfiles& profiles,
-                         std::size_t top_k) const;
-
-  /// One chunk scanned once per query (outcomes in query order).
-  std::vector<ChunkOutcome> run_chunk_many(
-      std::span<const SearchProfiles* const> profiles, const Chunk& chunk,
-      std::size_t chunk_index, std::size_t top_k) const;
-
-  /// One chunk screened once per query with the banded stage-1 kernel.
-  std::vector<ScreenResult> screen_chunk_many(
-      std::span<const SearchProfiles* const> profiles, const Chunk& chunk,
-      std::size_t chunk_index, std::size_t band) const;
-
-  /// Exact rescan of the non-certified candidates; overwrites their entries
-  /// in `out.result.scores` and accumulates cells/stats.
-  void rescore_candidates(const SearchProfiles& profiles,
-                          const std::vector<std::uint32_t>& candidates,
-                          const ScreenResult& screen,
-                          FilteredSearchResult& out) const;
+  /// Run `task(c)` for every c < count: on the pool when there is one,
+  /// inline otherwise.
+  void for_each_chunk(std::size_t count,
+                      const std::function<void(std::size_t)>& task) const;
 
   /// Partition db_ into chunks and spin up the pool (shared ctor tail;
   /// db_ and original_index_ must already be populated).
@@ -221,15 +144,12 @@ class ParallelSearchEngine {
   /// unaffected — lanes are independent — only padding waste is.
   std::vector<Chunk> batch_aligned_chunks(std::size_t batch) const;
 
-  DbView db_;  ///< permuted (or original-order) span copies
+  DbView db_;  ///< longest-first span copies
   std::uint64_t total_residues_ = 0;
   std::vector<std::size_t> original_index_;  ///< permuted pos → db pos
   std::vector<std::size_t> permuted_pos_;    ///< db pos → permuted pos
   std::vector<Chunk> chunks_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when options.threads <= 1
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::size_t trace_track_ = 0;
 };
 
 }  // namespace swdual::align

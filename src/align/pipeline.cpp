@@ -1,0 +1,185 @@
+#include "align/pipeline.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/error.h"
+#include "util/timer.h"
+
+namespace swdual::align {
+
+void SearchRequest::validate() const {
+  filter.validate();
+  if (!annotate.enabled()) return;
+  annotate.validate();
+  SWDUAL_REQUIRE(stats != nullptr,
+                 "annotation requires calibrated Karlin-Altschul params "
+                 "(acquire them via align::StatsCache)");
+}
+
+SerialSearchEngine::SerialSearchEngine(const DbView& db,
+                                       const SearchSinks& sinks)
+    : SearchEngine(sinks), db_(db), residues_(db_residue_count(db)) {}
+
+std::span<const std::uint8_t> SerialSearchEngine::record(
+    std::size_t index) const {
+  SWDUAL_CHECK(index < db_.size(), "hit index outside the database");
+  return db_[index];
+}
+
+std::vector<RankedSearchResult> SerialSearchEngine::scan(
+    std::span<const SearchProfiles* const> group, std::size_t k,
+    std::vector<ShardFailure>&) const {
+  std::vector<RankedSearchResult> out(group.size());
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    out[q].result = rescan(*group[q], db_);
+    out[q].hits = out[q].result.top(k);
+  }
+  return out;
+}
+
+std::vector<ScreenResult> SerialSearchEngine::screen(
+    std::span<const SearchProfiles* const> group, std::size_t band,
+    std::vector<ShardFailure>&) const {
+  std::vector<ScreenResult> out;
+  out.reserve(group.size());
+  for (const SearchProfiles* profiles : group) {
+    out.push_back(screen_range(*profiles, db_, 0, db_.size(), band));
+  }
+  return out;
+}
+
+namespace {
+
+/// Stages select → rescan → rank for one query's merged screen. `missing`
+/// (empty when every partition answered) flags records no screen covered.
+SearchOutcome select_rescan_rank(const SearchEngine& engine,
+                                 const SearchProfiles& profiles,
+                                 ScreenResult screen,
+                                 const std::vector<std::uint8_t>& missing,
+                                 const SearchRequest& request) {
+  SearchOutcome out;
+  out.filtered = true;
+  std::vector<std::uint32_t> candidates = filter_select_candidates(
+      screen, request.k, request.filter, &out.filter);
+  if (!missing.empty()) {
+    // Never-screened records read score 0 and must not surface as hits.
+    out.filter.candidates -= static_cast<std::uint64_t>(std::erase_if(
+        candidates, [&missing](std::uint32_t c) { return missing[c] != 0; }));
+  }
+
+  // Rescan only the candidates whose screened score lacks the coverage
+  // certificate, longest-first so the interseq kernel packs similar lengths
+  // into one SIMD batch (lanes are independent: order never changes scores).
+  std::vector<std::uint32_t> rescan_index;
+  for (const std::uint32_t c : candidates) {
+    if (!screen.exact[c]) rescan_index.push_back(c);
+  }
+  std::stable_sort(rescan_index.begin(), rescan_index.end(),
+                   [&engine](std::uint32_t a, std::uint32_t b) {
+                     return engine.record(a).size() > engine.record(b).size();
+                   });
+  DbView rescan;
+  rescan.reserve(rescan_index.size());
+  for (const std::uint32_t c : rescan_index) rescan.push_back(engine.record(c));
+  const SearchSinks& sinks = engine.sinks();
+  obs::Span span;
+  if (sinks.tracer) {
+    span = sinks.tracer->span("filter_rescore", "align", sinks.trace_track);
+    span.arg("candidates", static_cast<double>(candidates.size()));
+    span.arg("rescans", static_cast<double>(rescan.size()));
+  }
+  const SearchResult rescored = engine.rescan(profiles, rescan);
+  span.finish();
+
+  SearchResult& result = out.ranked.result;
+  result.scores = std::move(screen.scores);
+  result.cells = screen.cells + rescored.cells;
+  result.overflow_rescans = rescored.overflow_rescans;
+  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
+    result.scores[rescan_index[i]] = rescored.scores[i];
+  }
+  out.filter.rescans += rescan_index.size();
+
+  // Only candidates are eligible for the ranking: their scores are exact,
+  // so the hit list is correct whenever the screen retained the true top-k.
+  for (const std::uint32_t c : candidates) {
+    push_top_hit(out.ranked.hits, {c, result.scores[c]}, request.k);
+  }
+  finish_top_hits(out.ranked.hits);
+  if (obs::MetricsRegistry* metrics = sinks.metrics) {
+    metrics->add("filter_candidates",
+                 static_cast<double>(out.filter.candidates));
+    metrics->add("filter_rescans", static_cast<double>(out.filter.rescans));
+    metrics->add("filter_band_uncertain",
+                 static_cast<double>(out.filter.band_uncertain));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<SearchOutcome> search(const SearchEngine& engine,
+                                  std::span<const SearchProfiles* const> group,
+                                  const SearchRequest& request) {
+  request.validate();
+  for (const SearchProfiles* profiles : group) {
+    SWDUAL_REQUIRE(profiles != nullptr, "null profile set in search group");
+    SWDUAL_REQUIRE(profiles->kernel() == group[0]->kernel(),
+                   "a search group must share one kernel");
+  }
+  std::vector<SearchOutcome> outcomes(group.size());
+  if (group.empty()) return outcomes;
+
+  WallTimer timer;
+  std::vector<ShardFailure> failures;
+  if (!request.filter.enabled()) {
+    std::vector<RankedSearchResult> ranked =
+        engine.scan(group, request.k, failures);
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      outcomes[q].ranked = std::move(ranked[q]);
+    }
+  } else {
+    std::vector<ScreenResult> screens =
+        engine.screen(group, request.filter.band, failures);
+    std::vector<std::uint8_t> missing;
+    for (const ShardFailure& failure : failures) {
+      if (missing.empty()) missing.assign(screens.front().scores.size(), 0);
+      for (const std::uint32_t id : failure.records) missing[id] = 1;
+    }
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      outcomes[q] = select_rescan_rank(engine, *group[q],
+                                       std::move(screens[q]), missing,
+                                       request);
+    }
+  }
+  const double seconds = timer.seconds();
+  for (SearchOutcome& outcome : outcomes) {
+    outcome.ranked.result.seconds = seconds;
+    outcome.complete = failures.empty();
+    outcome.failures = failures;
+  }
+
+  engine.recover(group, request, outcomes);
+
+  // Annotation runs once, on each query's final global top-k: hit scores
+  // and order are already fixed, and the search space is the whole
+  // database, so annotated answers inherit the topology independence.
+  if (request.annotate.enabled()) {
+    const auto record = [&engine](std::size_t index) {
+      return engine.record(index);
+    };
+    const SearchSinks& sinks = engine.sinks();
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      annotate_hits(outcomes[q].ranked.hits, group[q]->query(), record,
+                    group[q]->scheme(), request.annotate, *request.stats,
+                    engine.db_residues(), sinks.tracer, sinks.metrics,
+                    sinks.trace_track);
+    }
+  }
+  return outcomes;
+}
+
+}  // namespace swdual::align

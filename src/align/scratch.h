@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include <vector>
+
 #include "util/aligned.h"
 
 namespace swdual::align {
@@ -47,7 +49,23 @@ class AlignScratch {
     return {h16_load_.data(), h16_store_.data(), e16_.data()};
   }
 
-  /// Inter-sequence kernel state: H and E columns (zeroed), `n` elements
+  /// The inter-sequence kernel's workspace: `n` 64-byte-aligned elements
+  /// that the kernel lays out itself (see kernel_interseq_impl.h). Contents
+  /// are NOT zeroed. The buffer is a plain vector aligned by hand: an
+  /// aligned allocation is padded by the allocator, so the block a finished
+  /// worker thread frees is too small for the next thread's identical
+  /// request, and a master run's short-lived workers left a trail of them.
+  std::int16_t* interseq_workspace(std::size_t n) {
+    constexpr std::size_t kPad = kCacheLineBytes / sizeof(std::int16_t);
+    if (iseq_workspace_.size() < n + kPad) iseq_workspace_.resize(n + kPad);
+    const auto address =
+        reinterpret_cast<std::uintptr_t>(iseq_workspace_.data());
+    const std::size_t skip =
+        (kCacheLineBytes - address % kCacheLineBytes) % kCacheLineBytes;
+    return iseq_workspace_.data() + skip / sizeof(std::int16_t);
+  }
+
+  /// 16-bit banded-screen state: H and E columns (zeroed), `n` elements
   /// each (query length x lane count).
   struct InterSeqState {
     std::int16_t* h;
@@ -60,16 +78,16 @@ class AlignScratch {
     return {iseq_h_.data(), iseq_e_.data()};
   }
 
-  /// SWIPE-style per-column database profile: (alphabet size) x (lane
-  /// count) int16 scores rebuilt for every database column. Contents are
-  /// NOT zeroed — the kernel overwrites every slot before reading.
+  /// 16-bit banded-screen per-column database profile: (alphabet size) x
+  /// (lane count) int16 scores rebuilt for every database column. Contents
+  /// are NOT zeroed — the kernel overwrites every slot before reading.
   std::int16_t* interseq_dprofile(std::size_t n) {
     if (dprofile_.size() < n) dprofile_.resize(n);
     return dprofile_.data();
   }
 
-  /// Extended substitution rows (one extra padding column per row), built
-  /// once per interseq call. Contents are NOT zeroed.
+  /// 16-bit banded-screen substitution rows (one extra padding column per
+  /// row), built once per call. Contents are NOT zeroed.
   std::int16_t* interseq_ext_rows(std::size_t n) {
     if (ext_rows_.size() < n) ext_rows_.resize(n);
     return ext_rows_.data();
@@ -117,6 +135,7 @@ class AlignScratch {
   // straddle cache lines (util/aligned.h).
   AlignedVector<std::uint8_t> h8_load_, h8_store_, e8_;
   AlignedVector<std::int16_t> h16_load_, h16_store_, e16_;
+  std::vector<std::int16_t> iseq_workspace_;
   AlignedVector<std::int16_t> iseq_h_, iseq_e_;
   AlignedVector<std::int16_t> dprofile_, ext_rows_;
   AlignedVector<std::uint32_t> iseq_order_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "align/banded.h"
 #include "align/kernel_banded.h"
@@ -150,9 +151,9 @@ SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
     case KernelKind::kInterSeq: {
       const SequenceViews slice(db.begin() + static_cast<std::ptrdiff_t>(begin),
                                 db.begin() + static_cast<std::ptrdiff_t>(end));
-      const InterSeqResult r = profiles.table().interseq(query, slice, scheme);
+      InterSeqResult r = profiles.table().interseq(query, slice, scheme);
       result.cells = r.cells;
-      result.scores = r.scores;
+      result.scores = std::move(r.scores);
       for (std::size_t i = 0; i < slice.size(); ++i) {
         if (r.overflow[i]) {
           result.scores[i] = gotoh_score(query, slice[i], scheme).score;
@@ -299,66 +300,6 @@ std::vector<std::uint32_t> filter_select_candidates(const ScreenResult& screen,
                    candidates.end());
   if (stats) stats->candidates += candidates.size();
   return candidates;
-}
-
-FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
-                                              const DbView& db,
-                                              std::size_t top_k,
-                                              const FilterConfig& config) {
-  config.validate();
-  WallTimer timer;
-  FilteredSearchResult out;
-  if (!config.enabled()) {
-    out.result = search_range(profiles, db, 0, db.size());
-    out.result.seconds = timer.seconds();
-    out.hits = out.result.top(top_k);
-    return out;
-  }
-
-  ScreenResult screen = screen_range(profiles, db, 0, db.size(), config.band);
-  const std::vector<std::uint32_t> candidates =
-      filter_select_candidates(screen, top_k, config, &out.stats);
-
-  // Rescan only candidates whose screened score lacks the coverage
-  // certificate; gather them into a compact view so the exact kernel can
-  // batch them in one pass.
-  DbView rescan;
-  std::vector<std::uint32_t> rescan_index;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) {
-      rescan.push_back(db[c]);
-      rescan_index.push_back(c);
-    }
-  }
-  out.result.scores = std::move(screen.scores);
-  out.result.cells = screen.cells;
-  const SearchResult rescored =
-      search_range(profiles, rescan, 0, rescan.size());
-  out.result.cells += rescored.cells;
-  out.result.overflow_rescans += rescored.overflow_rescans;
-  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-    out.result.scores[rescan_index[i]] = rescored.scores[i];
-  }
-  out.stats.rescans += rescan_index.size();
-
-  // Only candidates are eligible for the ranking: their scores are exact,
-  // so the hit list is correct whenever the screen retained the true top-k.
-  std::vector<SearchHit> heap;
-  for (const std::uint32_t c : candidates) {
-    push_top_hit(heap, {c, out.result.scores[c]}, top_k);
-  }
-  finish_top_hits(heap);
-  out.hits = std::move(heap);
-  out.result.seconds = timer.seconds();
-  return out;
-}
-
-FilteredSearchResult search_database_filtered(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const FilterConfig& config, Backend backend) {
-  const SearchProfiles profiles(query, scheme, kernel, backend);
-  return search_database_filtered(profiles, db, top_k, config);
 }
 
 }  // namespace swdual::align

@@ -149,14 +149,15 @@ SearchResult search_database(const seq::Sequence& query,
                              const ScoringScheme& scheme, KernelKind kernel,
                              Backend backend = Backend::kAuto);
 
-// --- Two-stage filtered search -------------------------------------------
+// --- Two-stage filter primitives ------------------------------------------
 //
 // Stage 1 screens every record with the cheap vectorized banded kernel
 // (align/kernel_banded.h); stage 2 rescans only the surviving candidates
-// with the configured exact kernel. Screening is bit-identical across SIMD
-// backends and candidate selection is deterministic, so filtered results
-// are a pure function of (query, db, scheme, kernel, filter config) — they
-// do not depend on backend, thread count, chunking, or shard topology.
+// with the configured exact kernel (the stage sequence lives in
+// align/pipeline.h). Screening is bit-identical across SIMD backends and
+// candidate selection is deterministic, so filtered results are a pure
+// function of (query, db, scheme, kernel, filter config) — they do not
+// depend on backend, thread count, chunking, or shard topology.
 
 /// Filtering policy for a search.
 enum class FilterMode {
@@ -180,7 +181,7 @@ struct FilterConfig {
   void validate() const;
 };
 
-/// Counters describing what the filter did (serve exports these as
+/// Counters describing what the filter did (the pipeline exports these as
 /// filter_candidates / filter_rescans / filter_band_uncertain metrics).
 struct FilterStats {
   std::uint64_t candidates = 0;      ///< records surviving the screen
@@ -215,30 +216,10 @@ ScreenResult screen_range(const SearchProfiles& profiles, const DbView& db,
 /// Deterministic stage-2 candidate selection: the max(k, ceil(keep_factor*k))
 /// best screened records plus every edge-uncertain one, as sorted unique
 /// range-local indices. `stats` (optional) accumulates selection counters.
+/// The search pipeline (align/pipeline.h) is its one caller in the library.
 std::vector<std::uint32_t> filter_select_candidates(const ScreenResult& screen,
                                                     std::size_t top_k,
                                                     const FilterConfig& config,
                                                     FilterStats* stats);
-
-/// Result of a filtered search. `result.scores` holds screened lower bounds
-/// with every candidate overwritten by its exact score (candidates are the
-/// only records eligible for `hits`, so the ranking is exact whenever the
-/// true top-k survived the screen). Mode kOff yields scores and hits
-/// bit-identical to search_database + top(k).
-struct FilteredSearchResult {
-  SearchResult result;
-  std::vector<SearchHit> hits;  ///< exact-scored top-k over the candidates
-  FilterStats stats;
-};
-
-FilteredSearchResult search_database_filtered(const SearchProfiles& profiles,
-                                              const DbView& db,
-                                              std::size_t top_k,
-                                              const FilterConfig& config);
-
-FilteredSearchResult search_database_filtered(
-    std::span<const std::uint8_t> query, const DbView& db,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t top_k,
-    const FilterConfig& config, Backend backend = Backend::kAuto);
 
 }  // namespace swdual::align

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <future>
 #include <numeric>
 #include <utility>
 
@@ -78,34 +77,34 @@ ShardPlan plan_shards(const DbView& db, std::size_t num_shards) {
 }
 
 struct ShardedSearchEngine::ShardState {
-  DbView view;  ///< shard records, longest-first (spans into shared storage)
+  DbView view;  ///< shard records, ascending database order (shared storage)
   std::unique_ptr<ParallelSearchEngine> engine;
-  std::unique_ptr<ProfileCache> profiles;
 };
 
 ShardedSearchEngine::ShardedSearchEngine(const DbView& db,
                                          const ShardedSearchOptions& options)
-    : options_(options) {
+    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
+      options_(options) {
   plan_ = plan_shards(db, options_.num_shards);
-  init(db, {});
+  init(db);
 }
 
 ShardedSearchEngine::ShardedSearchEngine(
     std::shared_ptr<const seq::MappedSwdb> db,
     const ShardedSearchOptions& options)
-    : options_(options), mapped_(std::move(db)) {
+    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
+      options_(options),
+      mapped_(std::move(db)) {
   SWDUAL_REQUIRE(mapped_ != nullptr, "mapped database must not be null");
   plan_ = plan_shards(mapped_->lengths(), options_.num_shards);
-  init(mapped_->residue_views(), mapped_->lengths());
+  init(mapped_->residue_views());
 }
 
 ShardedSearchEngine::~ShardedSearchEngine() = default;
 
-void ShardedSearchEngine::init(const DbView& db,
-                               std::span<const std::uint32_t> lengths) {
-  (void)lengths;
+void ShardedSearchEngine::init(const DbView& db) {
   db_records_ = db.size();
-  global_view_ = db;  // span copies; the filtered gather rescans through it
+  global_view_ = db;  // span copies; candidate rescans read through it
   db_residues_ = db_residue_count(global_view_);
   shards_.reserve(plan_.shards.size());
   for (const ShardPlan::Shard& shard_plan : plan_.shards) {
@@ -116,137 +115,25 @@ void ShardedSearchEngine::init(const DbView& db,
     }
     ParallelSearchOptions engine_options;
     engine_options.threads = std::max<std::size_t>(1, options_.threads_per_shard);
-    // The shard view is in ascending database order (the merge-discipline
-    // invariant); the engine re-sorts longest-first internally for the
-    // inter-sequence lane batches and inverse-permutes results back.
-    engine_options.sort_by_length = true;
     engine_options.tracer = options_.tracer;
     engine_options.metrics = options_.metrics;
     engine_options.trace_track = options_.trace_track;
+    // The shard view is in ascending database order (the merge-discipline
+    // invariant); the engine re-sorts longest-first internally for the
+    // inter-sequence lane batches and inverse-permutes results back.
     state->engine =
         std::make_unique<ParallelSearchEngine>(state->view, engine_options);
-    state->profiles =
-        std::make_unique<ProfileCache>(options_.profile_cache_capacity);
     shards_.push_back(std::move(state));
   }
-  if (options_.parallel_scatter && shards_.size() > 1) {
+  if (shards_.size() > 1) {
     scatter_pool_ = std::make_unique<ThreadPool>(shards_.size());
   }
 }
 
-std::vector<RankedSearchResult> ShardedSearchEngine::scan_shard_serial(
-    const ShardState& shard, std::span<const SearchProfiles* const> profiles,
-    std::size_t k) const {
-  std::vector<RankedSearchResult> results(profiles.size());
-  for (std::size_t q = 0; q < profiles.size(); ++q) {
-    RankedSearchResult& ranked = results[q];
-    ranked.result = search_range(*profiles[q], shard.view, 0, shard.view.size());
-    for (std::size_t i = 0; i < shard.view.size(); ++i) {
-      push_top_hit(ranked.hits, {i, ranked.result.scores[i]}, k);
-    }
-    finish_top_hits(ranked.hits);
-  }
-  return results;
-}
-
-ShardedSearchEngine::ShardOutcome ShardedSearchEngine::scan_shard(
-    std::size_t shard_index,
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, Backend backend,
-    std::size_t k) const {
-  const ShardState& shard = *shards_[shard_index];
-  ShardOutcome outcome;
-
-  // Build (or fetch) the K profile sets once for the whole group pass, from
-  // this shard's private cache — the "build K profiles once, scan the chunk
-  // once per query" half of the multi-query amortization.
-  std::vector<std::shared_ptr<const CachedProfiles>> cached;
-  std::vector<const SearchProfiles*> profiles;
-  cached.reserve(queries.size());
-  profiles.reserve(queries.size());
-  for (const auto& query : queries) {
-    cached.push_back(shard.profiles->acquire(query, scheme, kernel, backend));
-    profiles.push_back(&cached.back()->profiles());
-  }
-
-  for (std::size_t attempt = 0; attempt <= options_.max_shard_retries;
-       ++attempt) {
-    ++outcome.attempts;
-    obs::Span span;
-    if (options_.tracer) {
-      span = options_.tracer->span("shard_scan", "shard",
-                                   options_.trace_track);
-      span.arg("shard", static_cast<double>(shard_index));
-      span.arg("attempt", static_cast<double>(attempt));
-      span.arg("records", static_cast<double>(shard.view.size()));
-      span.arg("queries", static_cast<double>(queries.size()));
-    }
-    WallTimer timer;
-    try {
-      if (options_.before_shard) options_.before_shard(shard_index, attempt);
-      outcome.per_query =
-          attempt == 0
-              ? shard.engine->search_ranked_many(profiles, k)
-              : scan_shard_serial(shard, profiles, k);  // recovery path
-      outcome.ok = true;
-    } catch (const std::exception& error) {
-      outcome.reason = error.what();
-    } catch (...) {
-      outcome.reason = "unknown shard failure";
-    }
-    if (options_.metrics) {
-      if (outcome.ok) {
-        options_.metrics->add("serve_shard_scans");
-        options_.metrics->observe("serve_shard_scan_seconds",
-                                  timer.seconds());
-      } else if (attempt < options_.max_shard_retries) {
-        options_.metrics->add("serve_shard_retries");
-      } else {
-        options_.metrics->add("serve_shard_failures");
-      }
-    }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (outcome.ok) {
-        ++stats_.scans;
-      } else if (attempt < options_.max_shard_retries) {
-        ++stats_.retries;
-      } else {
-        ++stats_.failures;
-      }
-    }
-    if (outcome.ok) break;
-  }
-
-  if (outcome.ok) {
-    // Gather discipline: shard-local hit indices become global database
-    // indices through the plan's record list (the inverse permutation), so
-    // the cross-shard merge ranks exactly the same candidates the unsharded
-    // search ranks.
-    const std::vector<std::uint32_t>& records =
-        plan_.shards[shard_index].records;
-    for (RankedSearchResult& ranked : outcome.per_query) {
-      for (SearchHit& hit : ranked.hits) {
-        hit.db_index = records[hit.db_index];
-      }
-    }
-  }
-  return outcome;
-}
-
-std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-    Backend backend) const {
-  std::vector<ShardedSearchResult> results(queries.size());
-  if (queries.empty()) return results;
-  for (const auto& query : queries) {
-    SWDUAL_REQUIRE(!query.empty(), "cannot search with an empty query");
-  }
-  // Resolve once so every shard stripes its profiles for the same backend
-  // (and their caches share entries across group passes).
-  const Backend resolved = resolve_backend(backend, kernel);
-
+std::vector<std::uint8_t> ShardedSearchEngine::scatter(
+    std::size_t queries, bool screen,
+    const std::function<void(const SearchEngine&, std::size_t)>& pass,
+    std::vector<ShardFailure>& failures) const {
   {
     util::MutexLock lock(stats_mutex_);
     ++stats_.group_passes;
@@ -254,221 +141,140 @@ std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
   if (options_.metrics) {
     options_.metrics->add("serve_shard_group_passes");
     options_.metrics->observe("serve_shard_group_queries",
-                              static_cast<double>(queries.size()));
+                              static_cast<double>(queries));
   }
-
-  // Scatter.
-  std::vector<ShardOutcome> outcomes(shards_.size());
+  // The retry ladder, one shard at a time: its own engine first, then the
+  // serial engine over the shard's view on this thread — independent of
+  // the shard's engine/pool, same results by construction.
+  std::vector<ShardFailure> attempts(shards_.size());
+  std::vector<std::uint8_t> ok(shards_.size(), 0);
+  const auto ladder = [&](std::size_t s) {
+    const ShardState& shard = *shards_[s];
+    ShardFailure& failure = attempts[s];
+    failure.shard = s;
+    failure.records = plan_.shards[s].records;
+    for (std::size_t attempt = 0; attempt <= options_.max_shard_retries;
+         ++attempt) {
+      ++failure.attempts;
+      obs::Span span;
+      if (options_.tracer) {
+        span = options_.tracer->span("shard_scan", "shard",
+                                     options_.trace_track);
+        span.arg("shard", static_cast<double>(s));
+        span.arg("attempt", static_cast<double>(attempt));
+        span.arg("records", static_cast<double>(shard.view.size()));
+        span.arg("queries", static_cast<double>(queries));
+        if (screen) span.arg("screen", 1.0);
+      }
+      WallTimer timer;
+      try {
+        if (options_.before_shard) options_.before_shard(s, attempt);
+        if (attempt == 0) {
+          pass(*shard.engine, s);
+        } else {
+          pass(SerialSearchEngine(shard.view), s);
+        }
+        ok[s] = 1;
+      } catch (const std::exception& error) {
+        failure.reason = error.what();
+      } catch (...) {
+        failure.reason = "unknown shard failure";
+      }
+      const bool retrying = !ok[s] && attempt < options_.max_shard_retries;
+      if (options_.metrics) {
+        if (ok[s]) {
+          options_.metrics->add("serve_shard_scans");
+          options_.metrics->observe("serve_shard_scan_seconds",
+                                    timer.seconds());
+        } else {
+          options_.metrics->add(retrying ? "serve_shard_retries"
+                                         : "serve_shard_failures");
+        }
+      }
+      {
+        util::MutexLock lock(stats_mutex_);
+        ++(ok[s] ? stats_.scans : retrying ? stats_.retries : stats_.failures);
+      }
+      if (ok[s]) return;
+    }
+  };
   if (scatter_pool_) {
-    std::vector<std::future<ShardOutcome>> futures;
-    futures.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      futures.push_back(scatter_pool_->submit([this, s, queries, &scheme,
-                                               kernel, resolved, k] {
-        return scan_shard(s, queries, scheme, kernel, resolved, k);
-      }));
-    }
-    for (std::size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
+    parallel_for(*scatter_pool_, shards_.size(), ladder);
   } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      outcomes[s] = scan_shard(s, queries, scheme, kernel, resolved, k);
-    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) ladder(s);
   }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!ok[s]) failures.push_back(std::move(attempts[s]));
+  }
+  return ok;
+}
+
+std::vector<RankedSearchResult> ShardedSearchEngine::scan(
+    std::span<const SearchProfiles* const> group, std::size_t k,
+    std::vector<ShardFailure>& failures) const {
+  std::vector<std::vector<RankedSearchResult>> per_shard(shards_.size());
+  const std::vector<std::uint8_t> ok = scatter(
+      group.size(), false,
+      [&](const SearchEngine& engine, std::size_t s) {
+        std::vector<ShardFailure> none;
+        per_shard[s] = engine.scan(group, k, none);
+      },
+      failures);
 
   // Gather: scatter shard-local scores back to database order and merge the
-  // per-shard top-k heaps (already on global indices) in shard order; ties
-  // resolve by global index, so the ranking matches the unsharded search.
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    ShardedSearchResult& result = results[q];
-    result.ranked.result.scores.assign(db_records_, 0);
+  // per-shard top-k heaps in shard order. Shard-local hit indices become
+  // global ones through the plan's record list (ascending, so ties resolve
+  // by global index and the ranking matches the unsharded search).
+  std::vector<RankedSearchResult> results(group.size());
+  for (RankedSearchResult& result : results) {
+    result.result.scores.assign(db_records_, 0);
   }
-  for (std::size_t s = 0; s < outcomes.size(); ++s) {
-    const ShardOutcome& outcome = outcomes[s];
-    if (!outcome.ok) {
-      for (ShardedSearchResult& result : results) {
-        result.complete = false;
-        result.failures.push_back({s, outcome.attempts, outcome.reason});
-      }
-      continue;
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!ok[s]) continue;
     const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ShardedSearchResult& result = results[q];
-      const RankedSearchResult& shard_ranked = outcome.per_query[q];
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      RankedSearchResult& result = results[q];
+      const RankedSearchResult& shard_ranked = per_shard[s][q];
       for (std::size_t i = 0; i < records.size(); ++i) {
-        result.ranked.result.scores[records[i]] =
-            shard_ranked.result.scores[i];
+        result.result.scores[records[i]] = shard_ranked.result.scores[i];
       }
-      result.ranked.result.cells += shard_ranked.result.cells;
-      result.ranked.result.overflow_rescans +=
-          shard_ranked.result.overflow_rescans;
+      result.result.cells += shard_ranked.result.cells;
+      result.result.overflow_rescans += shard_ranked.result.overflow_rescans;
       for (const SearchHit& hit : shard_ranked.hits) {
-        push_top_hit(result.ranked.hits, hit, k);
+        push_top_hit(result.hits, {records[hit.db_index], hit.score}, k);
       }
     }
   }
-  for (ShardedSearchResult& result : results) {
-    finish_top_hits(result.ranked.hits);
-  }
+  for (RankedSearchResult& result : results) finish_top_hits(result.hits);
   return results;
 }
 
-ShardedSearchEngine::ShardScreenOutcome ShardedSearchEngine::screen_shard(
-    std::size_t shard_index,
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, Backend backend,
-    std::size_t band) const {
-  const ShardState& shard = *shards_[shard_index];
-  ShardScreenOutcome outcome;
-
-  std::vector<std::shared_ptr<const CachedProfiles>> cached;
-  std::vector<const SearchProfiles*> profiles;
-  cached.reserve(queries.size());
-  profiles.reserve(queries.size());
-  for (const auto& query : queries) {
-    cached.push_back(shard.profiles->acquire(query, scheme, kernel, backend));
-    profiles.push_back(&cached.back()->profiles());
-  }
-
-  const auto serial_screen = [&] {
-    // Recovery path: direct screen over the shard view on this thread,
-    // independent of the shard's engine/pool. Same results by construction.
-    std::vector<ScreenResult> screens(profiles.size());
-    for (std::size_t q = 0; q < profiles.size(); ++q) {
-      screens[q] =
-          screen_range(*profiles[q], shard.view, 0, shard.view.size(), band);
-    }
-    return screens;
-  };
-
-  for (std::size_t attempt = 0; attempt <= options_.max_shard_retries;
-       ++attempt) {
-    ++outcome.attempts;
-    obs::Span span;
-    if (options_.tracer) {
-      span = options_.tracer->span("shard_scan", "shard",
-                                   options_.trace_track);
-      span.arg("shard", static_cast<double>(shard_index));
-      span.arg("attempt", static_cast<double>(attempt));
-      span.arg("records", static_cast<double>(shard.view.size()));
-      span.arg("queries", static_cast<double>(queries.size()));
-      span.arg("screen", 1.0);
-    }
-    WallTimer timer;
-    try {
-      if (options_.before_shard) options_.before_shard(shard_index, attempt);
-      outcome.per_query = attempt == 0
-                              ? shard.engine->screen_many(profiles, band)
-                              : serial_screen();
-      outcome.ok = true;
-    } catch (const std::exception& error) {
-      outcome.reason = error.what();
-    } catch (...) {
-      outcome.reason = "unknown shard failure";
-    }
-    if (options_.metrics) {
-      if (outcome.ok) {
-        options_.metrics->add("serve_shard_scans");
-        options_.metrics->observe("serve_shard_scan_seconds",
-                                  timer.seconds());
-      } else if (attempt < options_.max_shard_retries) {
-        options_.metrics->add("serve_shard_retries");
-      } else {
-        options_.metrics->add("serve_shard_failures");
-      }
-    }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (outcome.ok) {
-        ++stats_.scans;
-      } else if (attempt < options_.max_shard_retries) {
-        ++stats_.retries;
-      } else {
-        ++stats_.failures;
-      }
-    }
-    if (outcome.ok) break;
-  }
-  return outcome;
-}
-
-std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
-    std::span<const std::span<const std::uint8_t>> queries,
-    const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-    const FilterConfig& config, Backend backend) const {
-  config.validate();
-  if (!config.enabled()) {
-    return search_many(queries, scheme, kernel, k, backend);
-  }
-  std::vector<ShardedSearchResult> results(queries.size());
-  if (queries.empty()) return results;
-  for (const auto& query : queries) {
-    SWDUAL_REQUIRE(!query.empty(), "cannot search with an empty query");
-  }
-  const Backend resolved = resolve_backend(backend, kernel);
-
-  {
-    util::MutexLock lock(stats_mutex_);
-    ++stats_.group_passes;
-  }
-  if (options_.metrics) {
-    options_.metrics->add("serve_shard_group_passes");
-    options_.metrics->observe("serve_shard_group_queries",
-                              static_cast<double>(queries.size()));
-  }
-
-  // Scatter the stage-1 screens.
-  std::vector<ShardScreenOutcome> outcomes(shards_.size());
-  if (scatter_pool_) {
-    std::vector<std::future<ShardScreenOutcome>> futures;
-    futures.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      futures.push_back(scatter_pool_->submit([this, s, queries, &scheme,
-                                               kernel, resolved, &config] {
-        return screen_shard(s, queries, scheme, kernel, resolved,
-                            config.band);
-      }));
-    }
-    for (std::size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      outcomes[s] =
-          screen_shard(s, queries, scheme, kernel, resolved, config.band);
-    }
-  }
+std::vector<ScreenResult> ShardedSearchEngine::screen(
+    std::span<const SearchProfiles* const> group, std::size_t band,
+    std::vector<ShardFailure>& failures) const {
+  std::vector<std::vector<ScreenResult>> per_shard(shards_.size());
+  const std::vector<std::uint8_t> ok = scatter(
+      group.size(), true,
+      [&](const SearchEngine& engine, std::size_t s) {
+        std::vector<ShardFailure> none;
+        per_shard[s] = engine.screen(group, band, none);
+      },
+      failures);
 
   // Gather the screens to database order. Records of failed shards keep
-  // score 0 with the exact certificate set, so they are never rescanned and
-  // stay out of the top-k — the same partial-result semantics as
-  // search_many.
-  std::vector<ScreenResult> screens(queries.size());
+  // score 0 with the exact certificate set, so they are never rescanned.
+  std::vector<ScreenResult> screens(group.size());
   for (ScreenResult& screen : screens) {
     screen.scores.assign(db_records_, 0);
     screen.exact.assign(db_records_, 1);
     screen.edge_hit.assign(db_records_, 0);
   }
-  std::vector<std::uint8_t> scanned;  // built only when a shard failed
-  for (std::size_t s = 0; s < outcomes.size(); ++s) {
-    const ShardScreenOutcome& outcome = outcomes[s];
-    if (!outcome.ok) {
-      for (ShardedSearchResult& result : results) {
-        result.complete = false;
-        result.failures.push_back({s, outcome.attempts, outcome.reason});
-      }
-      if (scanned.empty()) scanned.assign(db_records_, 1);
-      for (const std::uint32_t id : plan_.shards[s].records) {
-        scanned[id] = 0;
-      }
-      continue;
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!ok[s]) continue;
     const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (std::size_t q = 0; q < group.size(); ++q) {
       ScreenResult& screen = screens[q];
-      const ScreenResult& shard_screen = outcome.per_query[q];
+      const ScreenResult& shard_screen = per_shard[s][q];
       for (std::size_t i = 0; i < records.size(); ++i) {
         screen.scores[records[i]] = shard_screen.scores[i];
         screen.exact[records[i]] = shard_screen.exact[i];
@@ -477,98 +283,35 @@ std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
       screen.cells += shard_screen.cells;
     }
   }
+  return screens;
+}
 
-  // Global candidate selection + exact rescan on the gather thread: the
-  // candidate set is a pure function of the merged screens, so results are
-  // identical for every shard topology.
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    ShardedSearchResult& result = results[q];
-    ScreenResult& screen = screens[q];
-    result.filtered = true;
-    std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, k, config, &result.filter);
-    if (!scanned.empty()) {
-      // Partial results: records of failed shards were never screened and
-      // must not surface as zero-score hits (search_many's semantics).
-      result.filter.candidates -= static_cast<std::uint64_t>(std::erase_if(
-          candidates, [&scanned](std::uint32_t c) { return !scanned[c]; }));
-    }
-
-    std::vector<std::uint32_t> rescan_index;
-    for (const std::uint32_t c : candidates) {
-      if (!screen.exact[c]) rescan_index.push_back(c);
-    }
-    std::stable_sort(rescan_index.begin(), rescan_index.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return global_view_[a].size() > global_view_[b].size();
-                     });
-    DbView rescan;
-    rescan.reserve(rescan_index.size());
-    for (const std::uint32_t c : rescan_index) {
-      rescan.push_back(global_view_[c]);
-    }
-
-    obs::Span span;
-    if (options_.tracer) {
-      span = options_.tracer->span("filter_rescore", "shard",
-                                   options_.trace_track);
-      span.arg("query", static_cast<double>(q));
-      span.arg("candidates", static_cast<double>(candidates.size()));
-      span.arg("rescans", static_cast<double>(rescan.size()));
-    }
-    const SearchProfiles profiles(queries[q], scheme, kernel, resolved);
-    const SearchResult rescored =
-        search_range(profiles, rescan, 0, rescan.size());
-
-    result.ranked.result.scores = std::move(screen.scores);
-    result.ranked.result.cells = screen.cells + rescored.cells;
-    result.ranked.result.overflow_rescans = rescored.overflow_rescans;
-    for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-      result.ranked.result.scores[rescan_index[i]] = rescored.scores[i];
-    }
-    result.filter.rescans += rescan_index.size();
-
-    for (const std::uint32_t c : candidates) {
-      push_top_hit(result.ranked.hits, {c, result.ranked.result.scores[c]},
-                   k);
-    }
-    finish_top_hits(result.ranked.hits);
-    if (options_.metrics) {
-      options_.metrics->add("filter_candidates",
-                            static_cast<double>(result.filter.candidates));
-      options_.metrics->add("filter_rescans",
-                            static_cast<double>(result.filter.rescans));
-      options_.metrics->add("filter_band_uncertain",
-                            static_cast<double>(result.filter.band_uncertain));
-    }
-  }
-  return results;
+std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
+    std::span<const std::span<const std::uint8_t>> queries,
+    const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
+    Backend backend) const {
+  return search_many_filtered(queries, scheme, kernel, k, FilterConfig{},
+                              backend);
 }
 
 std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
     std::span<const std::span<const std::uint8_t>> queries,
     const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-    const FilterConfig& config, const AnnotateConfig& annotate,
-    const KarlinAltschulParams& params, Backend backend) const {
-  std::vector<ShardedSearchResult> results =
-      search_many_filtered(queries, scheme, kernel, k, config, backend);
-  if (!annotate.enabled()) return results;
-  // Post-gather only: every query's hits are already the merged GLOBAL
-  // top-k, so annotating here (against the database-order view with the
-  // true residue total) is independent of the shard topology.
-  for (std::size_t q = 0; q < results.size(); ++q) {
-    annotate_hits(results[q].ranked.hits, queries[q], global_view_, scheme,
-                  annotate, params, db_residues_, options_.tracer,
-                  options_.metrics, options_.trace_track);
+    const FilterConfig& config, Backend backend) const {
+  // One profile set per query, shared read-only by every shard.
+  std::vector<std::unique_ptr<SearchProfiles>> profiles;
+  std::vector<const SearchProfiles*> group;
+  profiles.reserve(queries.size());
+  for (const auto& query : queries) {
+    SWDUAL_REQUIRE(!query.empty(), "cannot search with an empty query");
+    profiles.push_back(
+        std::make_unique<SearchProfiles>(query, scheme, kernel, backend));
+    group.push_back(profiles.back().get());
   }
-  return results;
-}
-
-ShardedSearchResult ShardedSearchEngine::search_ranked(
-    std::span<const std::uint8_t> query, const ScoringScheme& scheme,
-    KernelKind kernel, std::size_t k, Backend backend) const {
-  const std::span<const std::uint8_t> queries[] = {query};
-  return std::move(search_many(queries, scheme, kernel, k, backend).front());
+  SearchRequest request;
+  request.k = k;
+  request.filter = config;
+  return search(*this, group, request);
 }
 
 ShardedSearchEngine::Stats ShardedSearchEngine::stats() const {

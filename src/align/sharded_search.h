@@ -10,17 +10,21 @@
 // the chunked engine uses, so results are bit-identical to the unsharded
 // search for every kernel, backend, thread count, and shard count.
 //
-// Multi-query groups: search_many() takes K concurrent queries and shares
-// ONE pass over every shard chunk between them (profiles built once per
-// shard via its cache, the chunk scanned once per query while hot), the way
-// SWAPHI amortizes one database partition pass across concurrent queries.
+// Multi-query groups: every pass takes K concurrent queries and shares ONE
+// pass over every shard chunk between them (profiles built once, the chunk
+// scanned once per query while hot), the way SWAPHI amortizes one database
+// partition pass across concurrent queries.
+//
+// As a pipeline engine (align/pipeline.h) it supplies the scattered group
+// scan and group screen; candidate selection, the rescan and annotation run
+// once on the gathered, database-order data, so they never see the shards.
 //
 // Failure semantics: an optional before_shard hook (mirroring the serve
-// layer's before_batch) is invoked ahead of every shard-scan attempt; a
-// throwing attempt is retried up to max_shard_retries times on the recovery
-// path — a direct serial scan on the gather thread, independent of the
-// shard's own engine/pool — and a shard that exhausts its budget is
-// reported in ShardedSearchResult::failures with a reason while the
+// layer's before_batch) is invoked ahead of every shard attempt, scan or
+// screen alike; a throwing attempt is retried up to max_shard_retries times
+// on the recovery path — the serial engine over the shard's view,
+// independent of the shard's own engine/pool — and a shard that exhausts
+// its budget is reported in SearchOutcome::failures with a reason while the
 // remaining shards' results are still returned (partial results, scores of
 // unscanned records read 0 and never enter the merged top-k).
 #pragma once
@@ -34,7 +38,7 @@
 #include <vector>
 
 #include "align/parallel_search.h"
-#include "align/profile_cache.h"
+#include "align/pipeline.h"
 #include "align/search.h"
 #include "util/mutex.h"
 
@@ -85,21 +89,14 @@ struct ShardedSearchOptions {
   /// Intra-shard scan threads (each shard's ParallelSearchEngine pool).
   std::size_t threads_per_shard = 1;
 
-  /// Scatter shard scans across a pool of one thread per shard; false runs
-  /// them sequentially on the calling thread (identical results).
-  bool parallel_scatter = true;
-
-  /// Capacity of each shard's private ProfileCache.
-  std::size_t profile_cache_capacity = 32;
-
-  /// Recovery attempts after a shard scan throws. Each retry runs the
-  /// shard's records through the direct serial scan path on the gather
-  /// thread (a healthy engine independent of the shard's pool); a shard
-  /// that fails 1 + max_shard_retries times is reported as failed.
+  /// Recovery attempts after a shard attempt throws. Each retry runs the
+  /// shard's records through the serial engine (independent of the shard's
+  /// pool); a shard that fails 1 + max_shard_retries times is reported as
+  /// failed.
   std::size_t max_shard_retries = 1;
 
   /// Test hook mirroring serve's before_batch: invoked with (shard index,
-  /// attempt) before every scan attempt, including recovery attempts. A
+  /// attempt) before every shard attempt, including recovery attempts. A
   /// throw from the hook is treated as that attempt failing. nullptr in
   /// production.
   std::function<void(std::size_t shard, std::size_t attempt)> before_shard;
@@ -112,31 +109,10 @@ struct ShardedSearchOptions {
   std::size_t trace_track = 0;
 };
 
-/// One shard that exhausted its retry budget during a search.
-struct ShardFailure {
-  std::size_t shard = 0;
-  std::size_t attempts = 0;  ///< scan attempts made (1 + retries)
-  std::string reason;        ///< what() of the last failure
-};
+/// Result of one query of a sharded search (the pipeline's outcome).
+using ShardedSearchResult = SearchOutcome;
 
-/// Result of one query of a sharded search.
-struct ShardedSearchResult {
-  RankedSearchResult ranked;  ///< database-order scores + global top-k
-
-  /// True when every shard was scanned: ranked is then bit-identical to the
-  /// unsharded search. False = partial results; records of the shards in
-  /// `failures` were not scanned (their scores read 0 and they are absent
-  /// from the top-k).
-  bool complete = true;
-  std::vector<ShardFailure> failures;
-
-  /// Set by search_many_filtered in heuristic mode; `filter` then carries
-  /// the query's candidate/rescan counters.
-  bool filtered = false;
-  FilterStats filter;
-};
-
-class ShardedSearchEngine {
+class ShardedSearchEngine : public SearchEngine {
  public:
   /// Shards over record views (spans are copied, viewed residues must
   /// outlive the engine).
@@ -147,107 +123,69 @@ class ShardedSearchEngine {
   ShardedSearchEngine(std::shared_ptr<const seq::MappedSwdb> db,
                       const ShardedSearchOptions& options);
 
-  ~ShardedSearchEngine();
+  ~ShardedSearchEngine() override;
 
   ShardedSearchEngine(const ShardedSearchEngine&) = delete;
   ShardedSearchEngine& operator=(const ShardedSearchEngine&) = delete;
 
-  /// Scatter-gather search of one query. Bit-identical to the unsharded
-  /// search_database / ParallelSearchEngine result when complete.
-  ShardedSearchResult search_ranked(std::span<const std::uint8_t> query,
-                                    const ScoringScheme& scheme,
-                                    KernelKind kernel, std::size_t k,
-                                    Backend backend = Backend::kAuto) const;
-
-  /// Multi-query group: all queries share one pass over each shard chunk.
-  /// Results are per query, in input order; a shard failure applies to the
-  /// whole group (the pass is shared), so every result reports the same
-  /// failures.
+  /// Exact group search through the pipeline: all queries share one pass
+  /// over each shard chunk. Results are per query, in input order, and
+  /// bit-identical to the unsharded search when complete; a shard failure
+  /// applies to the whole group (the pass is shared), so every result
+  /// reports the same failures.
   std::vector<ShardedSearchResult> search_many(
       std::span<const std::span<const std::uint8_t>> queries,
       const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
       Backend backend = Backend::kAuto) const;
 
-  /// Two-stage filtered group search. Every shard screens the group with
-  /// the banded stage-1 kernel (one shared pass per shard chunk, same
-  /// scatter/retry discipline as search_many); candidates are then selected
-  /// GLOBALLY from the gathered screens and rescanned exactly on the gather
-  /// thread — so heuristic results are identical for every shard count,
-  /// thread count, and backend. Mode kOff delegates to search_many
-  /// (bit-identical to the unsharded search).
+  /// Two-stage filtered group search through the pipeline: every shard
+  /// screens the group (one shared pass per shard chunk), then candidates
+  /// are selected GLOBALLY from the gathered screens and rescanned — so
+  /// heuristic results are identical for every shard count, thread count,
+  /// and backend. Mode kOff is search_many.
   std::vector<ShardedSearchResult> search_many_filtered(
       std::span<const std::span<const std::uint8_t>> queries,
       const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
       const FilterConfig& config, Backend backend = Backend::kAuto) const;
 
-  /// search_many_filtered plus a post-gather annotate_hits pass
-  /// (align/annotate.h) per query, run on the merged GLOBAL top-k against
-  /// the database-order view with the database's true residue total as the
-  /// Karlin–Altschul search space — never per shard, so annotated hit
-  /// scores/order are bit-identical to the unannotated overload for every
-  /// shard count, thread count, and backend.
-  std::vector<ShardedSearchResult> search_many_filtered(
-      std::span<const std::span<const std::uint8_t>> queries,
-      const ScoringScheme& scheme, KernelKind kernel, std::size_t k,
-      const FilterConfig& config, const AnnotateConfig& annotate,
-      const KarlinAltschulParams& params,
-      Backend backend = Backend::kAuto) const;
+  // Pipeline primitives (align/pipeline.h): scatter over the shards, each
+  // through the retry ladder, then gather to database order.
+  std::uint64_t db_residues() const override { return db_residues_; }
+  std::span<const std::uint8_t> record(std::size_t index) const override {
+    return global_view_[index];
+  }
+  std::vector<RankedSearchResult> scan(
+      std::span<const SearchProfiles* const> group, std::size_t k,
+      std::vector<ShardFailure>& failures) const override;
+  std::vector<ScreenResult> screen(
+      std::span<const SearchProfiles* const> group, std::size_t band,
+      std::vector<ShardFailure>& failures) const override;
 
   std::size_t num_shards() const { return shards_.size(); }
-  std::size_t db_records() const { return db_records_; }
   const ShardPlan& plan() const { return plan_; }
 
-  /// Total residues across the database (true span sizes, not the planner's
-  /// load costs, which count empty records as 1).
-  std::uint64_t db_residues() const { return db_residues_; }
-
   struct Stats {
-    std::uint64_t scans = 0;      ///< successful shard-scan attempts
+    std::uint64_t scans = 0;      ///< successful shard attempts
     std::uint64_t retries = 0;    ///< recovery attempts after a failure
     std::uint64_t failures = 0;   ///< shards that exhausted their budget
-    std::uint64_t group_passes = 0;  ///< search_many / search_ranked calls
+    std::uint64_t group_passes = 0;  ///< scatter passes (scan or screen)
   };
   Stats stats() const;
 
  private:
   struct ShardState;
 
-  /// Per-query outcome of one shard scan, hits already in global indices.
-  struct ShardOutcome {
-    std::vector<RankedSearchResult> per_query;
-    bool ok = false;
-    std::size_t attempts = 0;
-    std::string reason;
-  };
+  void init(const DbView& db);
 
-  /// Per-query stage-1 screens of one shard, shard-local record order.
-  struct ShardScreenOutcome {
-    std::vector<ScreenResult> per_query;
-    bool ok = false;
-    std::size_t attempts = 0;
-    std::string reason;
-  };
-
-  void init(const DbView& db, std::span<const std::uint32_t> lengths);
-  ShardOutcome scan_shard(std::size_t shard_index,
-                          std::span<const std::span<const std::uint8_t>>
-                              queries,
-                          const ScoringScheme& scheme, KernelKind kernel,
-                          Backend backend, std::size_t k) const;
-  /// Recovery path: serial search_range over the shard view, no pool.
-  std::vector<RankedSearchResult> scan_shard_serial(
-      const ShardState& shard,
-      std::span<const SearchProfiles* const> profiles, std::size_t k) const;
-
-  /// Stage-1 variant of scan_shard: same profile sharing, retry budget,
-  /// and metrics, but each attempt screens instead of scanning exactly
-  /// (recovery attempts use serial screen_range on the gather thread).
-  ShardScreenOutcome screen_shard(std::size_t shard_index,
-                                  std::span<const std::span<const std::uint8_t>>
-                                      queries,
-                                  const ScoringScheme& scheme,
-                                  KernelKind kernel, Backend backend,
-                                  std::size_t band) const;
+  /// Run `pass(engine, shard)` on every shard — its own engine first, the
+  /// serial engine over its view on each retry — through the one retry
+  /// ladder. Failed shards are appended to `failures`; the result flags
+  /// the shards that answered.
+  std::vector<std::uint8_t> scatter(
+      std::size_t queries, bool screen,
+      const std::function<void(const SearchEngine& engine, std::size_t shard)>&
+          pass,
+      std::vector<ShardFailure>& failures) const;
 
   ShardedSearchOptions options_;
   ShardPlan plan_;
@@ -256,11 +194,11 @@ class ShardedSearchEngine {
   DbView global_view_;  ///< database-order spans, for candidate rescans
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::shared_ptr<const seq::MappedSwdb> mapped_;  ///< keeps mapping alive
-  std::unique_ptr<ThreadPool> scatter_pool_;       ///< null when serial
+  std::unique_ptr<ThreadPool> scatter_pool_;       ///< null for one shard
 
   /// Leaf capability: only the Stats aggregate lives under it, and no other
-  /// lock is ever acquired while it is held (shard scans update it between
-  /// engine passes, never inside one).
+  /// lock is ever acquired while it is held (shard attempts update it
+  /// between engine passes, never inside one).
   mutable util::Mutex stats_mutex_;
   mutable Stats stats_ SWDUAL_GUARDED_BY(stats_mutex_);
 };

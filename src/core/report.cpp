@@ -2,55 +2,35 @@
 
 #include <sstream>
 
+#include "align/annotate.h"
 #include "util/error.h"
 #include "util/table.h"
 
 namespace swdual::core {
 
-std::vector<AnnotatedHit> annotate_hits(
-    const master::QueryResult& result,
-    const align::KarlinAltschulParams& params, std::size_t query_length,
-    std::uint64_t db_residues) {
-  std::vector<AnnotatedHit> hits;
-  hits.reserve(result.hits.size());
-  for (const align::SearchHit& hit : result.hits) {
-    AnnotatedHit annotated;
-    annotated.db_index = hit.db_index;
-    annotated.score = hit.score;
-    annotated.bits = align::bit_score(params, hit.score);
-    annotated.evalue =
-        align::evalue(params, hit.score, query_length, db_residues);
-    hits.push_back(annotated);
-  }
-  return hits;
-}
-
 std::string render_search_report(const std::vector<seq::Sequence>& queries,
                                  const std::vector<seq::Sequence>& db,
                                  const master::SearchReport& report,
-                                 const align::KarlinAltschulParams& params,
                                  double max_evalue) {
   SWDUAL_REQUIRE(max_evalue > 0, "E-value cutoff must be positive");
-  std::uint64_t db_residues = 0;
-  for (const seq::Sequence& record : db) db_residues += record.length();
-
   std::ostringstream os;
   for (const master::QueryResult& result : report.results) {
     const seq::Sequence& query = queries[result.query_index];
     os << "Query: " << query.id << " (" << query.length() << " residues)\n";
-    const auto hits =
-        annotate_hits(result, params, query.length(), db_residues);
     TextTable table;
     table.set_header({"subject", "length", "score", "bits", "E-value"});
     std::size_t shown = 0;
-    for (const AnnotatedHit& hit : hits) {
-      if (hit.evalue > max_evalue) continue;
+    for (const align::SearchHit& hit : result.hits) {
+      SWDUAL_REQUIRE(hit.annotation != nullptr,
+                     "report hits must be annotated (MasterConfig::annotate)");
+      if (hit.annotation->evalue > max_evalue) continue;
       std::ostringstream evalue_text;
       evalue_text.precision(2);
-      evalue_text << std::scientific << hit.evalue;
+      evalue_text << std::scientific << hit.annotation->evalue;
       table.add_row({db[hit.db_index].id,
                      std::to_string(db[hit.db_index].length()),
-                     std::to_string(hit.score), TextTable::fmt(hit.bits, 1),
+                     std::to_string(hit.score),
+                     TextTable::fmt(hit.annotation->bits, 1),
                      evalue_text.str()});
       ++shown;
     }

@@ -1,37 +1,22 @@
-// Search-report annotation and rendering: raw Smith–Waterman scores turned
-// into bit scores and E-values (statistics.h), formatted like a classic
+// Search-report rendering: annotated hits (bit scores, E-values attached by
+// the search pipeline, align/annotate.h) formatted like a classic
 // sequence-search tool report.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "align/statistics.h"
 #include "master/master.h"
 
 namespace swdual::core {
 
-/// One hit with significance statistics.
-struct AnnotatedHit {
-  std::size_t db_index = 0;
-  int score = 0;
-  double bits = 0.0;
-  double evalue = 0.0;
-};
-
-/// Annotate one query's hits. `db_residues` is the total database size (the
-/// n of the Karlin–Altschul m·n search space).
-std::vector<AnnotatedHit> annotate_hits(
-    const master::QueryResult& result, const align::KarlinAltschulParams& params,
-    std::size_t query_length, std::uint64_t db_residues);
-
 /// Render a full human-readable report for a finished search: per query the
-/// ranked hits with score/bits/E-value, then the timing summary. Hits with
-/// E-value above `max_evalue` are suppressed.
+/// ranked hits with score/bits/E-value, then the timing summary. Every hit
+/// must carry its annotation (run the search with MasterConfig::annotate
+/// enabled). Hits with E-value above `max_evalue` are suppressed.
 std::string render_search_report(const std::vector<seq::Sequence>& queries,
                                  const std::vector<seq::Sequence>& db,
                                  const master::SearchReport& report,
-                                 const align::KarlinAltschulParams& params,
                                  double max_evalue = 10.0);
 
 }  // namespace swdual::core

@@ -61,8 +61,8 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
   // Annotation is disabled for the sub-view run unconditionally: a shard
   // report exists to be merged with other shards, and per-shard annotation
   // would use the shard's residue count as the Karlin–Altschul search
-  // space (wrong e-values) before the winners are even known. The caller
-  // annotates the merged global top-k instead.
+  // space (wrong e-values) before the winners are even known. The caller's
+  // pipeline annotates the merged global top-k instead.
   MasterConfig shard_config = config;
   shard_config.annotate = {};
   shard_config.stats = nullptr;
@@ -82,19 +82,21 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
                         const MasterConfig& config) {
   SWDUAL_REQUIRE(config.cpu_workers + config.gpu_workers > 0,
                  "need at least one worker");
-  if (config.annotate.enabled()) {
-    config.annotate.validate();
-    SWDUAL_REQUIRE(config.stats != nullptr,
-                   "annotation requires calibrated Karlin-Altschul params "
-                   "(acquire them via align::StatsCache)");
-  }
+  // Every task is one query through the search pipeline: a worker ranks,
+  // filters and annotates its query's answer, so the merge below only
+  // collects. Validated here, on the caller's thread.
+  align::SearchRequest request;
+  request.k = config.top_hits;
+  request.filter = config.filter;
+  request.annotate = config.annotate;
+  request.stats = config.stats;
+  request.validate();
   SearchReport report;
   if (queries.empty()) return report;
 
   WallTimer wall;
 
-  std::uint64_t db_residues = 0;
-  for (const auto& view : db_view) db_residues += view.size();
+  const std::uint64_t db_residues = align::db_residue_count(db_view);
 
   std::vector<sched::Task> tasks;
   tasks.reserve(queries.size());
@@ -156,9 +158,7 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
   // worker is pinned to the same backend for the whole run.
   context.cpu_backend =
       align::resolve_backend(config.cpu_backend, config.cpu_kernel);
-  config.filter.validate();
-  context.filter = config.filter;
-  context.top_hits = config.top_hits;
+  context.request = request;
   context.threads_per_cpu_worker = config.threads_per_cpu_worker;
   context.profile_cache = config.profile_cache;
   context.fault_injector = config.fault_injector;
@@ -329,32 +329,11 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
     report.worker_virtual_busy[r.worker_id] += r.virtual_seconds;
     QueryResult& query_result = report.results[r.query_index];
     query_result.query_index = r.query_index;
-    if (r.ranked) {
-      // Filtered tasks already ranked over their candidate set; a top()
-      // over the mixed screened/exact score vector could not re-derive it.
-      query_result.hits = std::move(r.hits);
-      report.filter.merge(r.filter);
-    } else {
-      align::SearchResult scores;
-      scores.scores = r.scores;
-      query_result.hits = scores.top(config.top_hits);
-    }
+    query_result.hits = std::move(r.hits);
+    query_result.filter = r.filter;
+    report.filter.merge(r.filter);
   }
   merge_span.finish();
-
-  // Annotation runs once, after the merge, on each query's global top-k:
-  // GPU-path and CPU-path results are annotated identically, and the
-  // Karlin–Altschul search space is the whole database's residue count.
-  if (config.annotate.enabled()) {
-    for (QueryResult& query_result : report.results) {
-      const auto& query = queries[query_result.query_index];
-      align::annotate_hits(query_result.hits,
-                           {query.residues.data(), query.residues.size()},
-                           db_view, config.scheme, config.annotate,
-                           *config.stats, db_residues, config.tracer,
-                           config.metrics, obs::kMasterTrack);
-    }
-  }
 
   double busy_sum = 0.0;
   for (const auto& [worker_id, busy] : report.worker_virtual_busy) {

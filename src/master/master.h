@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "align/annotate.h"
+#include "align/pipeline.h"
 #include "align/profile_cache.h"
 #include "align/search.h"
 #include "master/protocol.h"
@@ -59,15 +59,14 @@ struct MasterConfig {
   /// default) is bit-identical to the unfiltered search.
   align::FilterConfig filter;
 
-  /// Per-hit annotation (align/annotate.h). When enabled, the master
-  /// annotates each query's merged top-k AFTER the collect/merge phase —
-  /// GPU-path and CPU-path task results alike — with e-value/bit score
-  /// (and, stats+cigar, a validated traceback) computed against the full
-  /// database view, so annotated hits are identical for every allocation
-  /// policy, worker mix, and schedule. `stats` must then point to
-  /// calibrated parameters (borrowed for the run): the master never
-  /// calibrates itself — callers go through align::StatsCache so repeated
-  /// runs share one deterministic calibration.
+  /// Per-hit annotation (align/annotate.h). When enabled, each task's
+  /// pipeline annotates its query's final top-k — GPU and CPU tasks alike —
+  /// with e-value/bit score (and, stats+cigar, a validated traceback)
+  /// computed against the full database view, so annotated hits are
+  /// identical for every allocation policy, worker mix, and schedule.
+  /// `stats` must then point to calibrated parameters (borrowed for the
+  /// run): the master never calibrates itself — callers go through
+  /// align::StatsCache so repeated runs share one deterministic calibration.
   align::AnnotateConfig annotate;
   const align::KarlinAltschulParams* stats = nullptr;
 
@@ -119,6 +118,7 @@ struct MasterConfig {
 struct QueryResult {
   std::size_t query_index = 0;
   std::vector<align::SearchHit> hits;  ///< top_hits best database records
+  align::FilterStats filter;           ///< the query's filter counters
 };
 
 /// End-to-end report of one database search run.

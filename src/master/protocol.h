@@ -29,18 +29,11 @@ struct TaskReport {
   std::size_t worker_id = 0;
   sched::PeId pe;
   bool failed = false;            ///< worker fault — master must reassign
-  std::vector<int> scores;        ///< score per database record
+  std::vector<align::SearchHit> hits;  ///< the query's top hits, rank order
+  align::FilterStats filter;      ///< what the filter did (zero when off)
   std::uint64_t cells = 0;        ///< DP cells computed
   double wall_seconds = 0.0;      ///< real kernel time on this host
   double virtual_seconds = 0.0;   ///< modeled time on the paper's hardware
-
-  /// Filtered tasks rank on the worker (only screened candidates are
-  /// eligible for hits, which a merge-side top() over `scores` cannot
-  /// reconstruct). When `ranked` is set the master takes `hits` verbatim;
-  /// `scores` then holds screened lower bounds with candidates exact.
-  bool ranked = false;
-  std::vector<align::SearchHit> hits;
-  align::FilterStats filter;
 };
 
 }  // namespace swdual::master

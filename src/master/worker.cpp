@@ -1,8 +1,11 @@
 #include "master/worker.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
+#include "align/parallel_search.h"
+#include "gpusim/virtual_gpu.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
@@ -10,23 +13,72 @@
 
 namespace swdual::master {
 
+/// A GPU worker's pipeline primitives: the serial engine, with every exact
+/// scan — the whole database, or a filtered task's candidates — run on the
+/// virtual device and the banded screen on the host CPU, the way
+/// CUDASW++-class tools prefilter before shipping work. Each stage's
+/// modeled time is charged to its hardware and accumulates until the worker
+/// takes it. Screens and candidate selection are deterministic, so a
+/// GPU-executed task reports the same hits as a CPU-executed one. Used by
+/// its worker thread only.
+class DeviceEngine final : public align::SerialSearchEngine {
+ public:
+  DeviceEngine(const WorkerContext& context, const align::SearchSinks& sinks)
+      : SerialSearchEngine(*context.db, sinks),
+        gpu_(gpusim::DeviceSpec{.gcups = context.model.gpu_worker().gcups}),
+        host_(context.model.cpu_worker()) {}
+
+  std::vector<align::ScreenResult> screen(
+      std::span<const align::SearchProfiles* const> group, std::size_t band,
+      std::vector<align::ShardFailure>& failures) const override {
+    std::vector<align::ScreenResult> screens =
+        SerialSearchEngine::screen(group, band, failures);
+    for (const align::ScreenResult& s : screens) {
+      virtual_seconds_ += host_.seconds_for(s.cells);
+    }
+    return screens;
+  }
+
+  align::SearchResult rescan(const align::SearchProfiles& profiles,
+                             const align::DbView& candidates) const override {
+    gpusim::BatchResult batch = gpu_.run_batch(profiles, candidates);
+    virtual_seconds_ += batch.virtual_seconds;
+    align::SearchResult result;
+    result.scores = std::move(batch.scores);
+    result.cells = batch.cells;
+    return result;
+  }
+
+  /// Modeled seconds charged since the last call.
+  double take_virtual_seconds() { return std::exchange(virtual_seconds_, 0.0); }
+
+ private:
+  mutable gpusim::VirtualGpu gpu_;
+  platform::WorkerClass host_;
+  mutable double virtual_seconds_ = 0.0;
+};
+
 Worker::Worker(std::size_t id, sched::PeId pe, const WorkerContext& context,
                ConcurrentQueue<TaskReport>& results)
     : id_(id), pe_(pe), context_(context), results_(results) {
   SWDUAL_REQUIRE(context.queries != nullptr && context.db != nullptr,
                  "worker context incomplete");
+  const align::SearchSinks sinks{context_.tracer, context_.metrics,
+                                 obs::worker_track(id_)};
   if (pe_.type == sched::PeType::kGpu) {
-    gpusim::DeviceSpec spec;
-    spec.gcups = context_.model.gpu_worker().gcups;
-    gpu_ = std::make_unique<gpusim::VirtualGpu>(spec);
+    auto device = std::make_unique<DeviceEngine>(context_, sinks);
+    device_ = device.get();
+    engine_ = std::move(device);
   } else if (context_.threads_per_cpu_worker > 1) {
     align::ParallelSearchOptions options;
     options.threads = context_.threads_per_cpu_worker;
-    options.tracer = context_.tracer;
-    options.metrics = context_.metrics;
-    options.trace_track = obs::worker_track(id_);
+    options.tracer = sinks.tracer;
+    options.metrics = sinks.metrics;
+    options.trace_track = sinks.trace_track;
     engine_ =
         std::make_unique<align::ParallelSearchEngine>(*context_.db, options);
+  } else {
+    engine_ = std::make_unique<align::SerialSearchEngine>(*context_.db, sinks);
   }
   thread_ = std::thread([this] { run(); });
 }
@@ -47,63 +99,8 @@ void Worker::run() {
   }
 }
 
-void Worker::execute_gpu_filtered(std::span<const std::uint8_t> query_view,
-                                  const align::DbView& db,
-                                  TaskReport& report) {
-  // Host-side stage 1: the banded screen is a CPU kernel (CUDASW++-class
-  // tools run exactly this kind of host prefilter before shipping work).
-  // Screens and candidate selection are deterministic, so a GPU-executed
-  // filtered task reports the same scores and hits as a CPU-executed one.
-  std::shared_ptr<const align::CachedProfiles> cached;
-  std::unique_ptr<align::SearchProfiles> local;
-  const align::SearchProfiles* profiles;
-  if (context_.profile_cache) {
-    cached = context_.profile_cache->acquire(query_view, context_.scheme,
-                                             align::KernelKind::kInterSeq);
-    profiles = &cached->profiles();
-  } else {
-    local = std::make_unique<align::SearchProfiles>(
-        query_view, context_.scheme, align::KernelKind::kInterSeq);
-    profiles = local.get();
-  }
-  const align::ScreenResult screen =
-      align::screen_range(*profiles, db, 0, db.size(), context_.filter.band);
-  const std::vector<std::uint32_t> candidates = align::filter_select_candidates(
-      screen, context_.top_hits, context_.filter, &report.filter);
-
-  align::DbView rescan;
-  std::vector<std::uint32_t> rescan_index;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) {
-      rescan.push_back(db[c]);
-      rescan_index.push_back(c);
-    }
-  }
-  const gpusim::BatchResult batch =
-      cached ? gpu_->run_batch(cached->profiles(), rescan)
-             : gpu_->run_batch(query_view, rescan, context_.scheme);
-  report.scores = screen.scores;
-  for (std::size_t i = 0; i < rescan_index.size(); ++i) {
-    report.scores[rescan_index[i]] = batch.scores[i];
-  }
-  report.filter.rescans += rescan_index.size();
-  report.cells = screen.cells + batch.cells;
-  report.ranked = true;
-  for (const std::uint32_t c : candidates) {
-    align::push_top_hit(report.hits, {c, report.scores[c]},
-                        context_.top_hits);
-  }
-  align::finish_top_hits(report.hits);
-  // The screen runs on the host CPU, the candidate batch on the device:
-  // charge each to its hardware model.
-  report.virtual_seconds =
-      context_.model.cpu_worker().seconds_for(screen.cells) +
-      batch.virtual_seconds;
-}
-
 TaskReport Worker::execute(const TaskOrder& order) {
   const seq::Sequence& query = (*context_.queries)[order.query_index];
-  const align::DbView& db = *context_.db;
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
   TaskReport report;
@@ -134,82 +131,33 @@ TaskReport Worker::execute(const TaskOrder& order) {
   }
 
   WallTimer timer;
-  if (pe_.type == sched::PeType::kGpu) {
-    if (context_.filter.enabled()) {
-      execute_gpu_filtered(query_view, db, report);
-    } else {
-      gpusim::BatchResult batch;
-      if (context_.profile_cache) {
-        const auto cached = context_.profile_cache->acquire(
-            query_view, context_.scheme, align::KernelKind::kInterSeq);
-        batch = gpu_->run_batch(cached->profiles(), db);
-      } else {
-        batch = gpu_->run_batch(query_view, db, context_.scheme);
-      }
-      report.scores = std::move(batch.scores);
-      report.cells = batch.cells;
-      report.virtual_seconds = batch.virtual_seconds;
-    }
-  } else if (context_.filter.enabled()) {
-    align::FilteredSearchResult filtered;
-    if (context_.profile_cache) {
-      const auto cached = context_.profile_cache->acquire(
-          query_view, context_.scheme, context_.cpu_kernel,
-          context_.cpu_backend);
-      filtered = engine_ ? engine_->search_filtered(cached->profiles(),
-                                                    context_.top_hits,
-                                                    context_.filter)
-                         : align::search_database_filtered(
-                               cached->profiles(), db, context_.top_hits,
-                               context_.filter);
-    } else {
-      filtered = engine_ ? engine_->search_filtered(
-                               query_view, context_.scheme,
-                               context_.cpu_kernel, context_.top_hits,
-                               context_.filter, context_.cpu_backend)
-                         : align::search_database_filtered(
-                               query_view, db, context_.scheme,
-                               context_.cpu_kernel, context_.top_hits,
-                               context_.filter, context_.cpu_backend);
-    }
-    report.scores = std::move(filtered.result.scores);
-    report.cells = filtered.result.cells;
-    report.ranked = true;
-    report.hits = std::move(filtered.hits);
-    report.filter = filtered.stats;
-    report.virtual_seconds =
-        context_.model.cpu_worker().seconds_for(report.cells);
+  // The device runs the inter-task kernel (CUDASW++'s SIMT model); CPU
+  // workers the configured kernel on the configured backend.
+  const align::KernelKind kernel =
+      device_ ? align::KernelKind::kInterSeq : context_.cpu_kernel;
+  const align::Backend backend =
+      device_ ? align::Backend::kAuto : context_.cpu_backend;
+  std::shared_ptr<const align::CachedProfiles> cached;
+  std::optional<align::SearchProfiles> local;
+  const align::SearchProfiles* profiles;
+  if (context_.profile_cache) {
+    cached = context_.profile_cache->acquire(query_view, context_.scheme,
+                                             kernel, backend);
+    profiles = &cached->profiles();
   } else {
-    align::SearchResult result;
-    if (context_.profile_cache) {
-      const auto cached = context_.profile_cache->acquire(
-          query_view, context_.scheme, context_.cpu_kernel,
-          context_.cpu_backend);
-      result = engine_ ? engine_->search(cached->profiles())
-                       : align::search_database(cached->profiles(), db);
-    } else {
-      result =
-          engine_ ? engine_->search(query_view, context_.scheme,
-                                    context_.cpu_kernel, context_.cpu_backend)
-                  : align::search_database(query_view, db, context_.scheme,
-                                           context_.cpu_kernel,
-                                           context_.cpu_backend);
-    }
-    report.scores = std::move(result.scores);
-    report.cells = result.cells;
-    report.virtual_seconds =
-        context_.model.cpu_worker().seconds_for(result.cells);
+    profiles = &local.emplace(query_view, context_.scheme, kernel, backend);
   }
+  const align::SearchProfiles* group[] = {profiles};
+  align::SearchOutcome outcome =
+      std::move(align::search(*engine_, group, context_.request).front());
+  report.hits = std::move(outcome.ranked.hits);
+  report.filter = outcome.filter;
+  report.cells = outcome.ranked.result.cells;
+  report.virtual_seconds =
+      device_ ? device_->take_virtual_seconds()
+              : context_.model.cpu_worker().seconds_for(report.cells);
   report.wall_seconds = timer.seconds();
-  // (The chunked engine emits these itself when it ran the filtered scan.)
-  if (context_.filter.enabled() && context_.metrics && !engine_) {
-    context_.metrics->add("filter_candidates",
-                          static_cast<double>(report.filter.candidates));
-    context_.metrics->add("filter_rescans",
-                          static_cast<double>(report.filter.rescans));
-    context_.metrics->add("filter_band_uncertain",
-                          static_cast<double>(report.filter.band_uncertain));
-  }
+
   // Successful tasks tile the worker's virtual timeline back to back, so
   // per-track span sums reproduce SearchReport::worker_virtual_busy.
   span.arg("cells", static_cast<double>(report.cells));

@@ -1,20 +1,21 @@
 // Worker threads (the "slaves" of the paper's master–slave model).
 //
 // Every worker owns a command queue of TaskOrders and pushes TaskReports to
-// the master's shared result queue. A CPU worker runs the SWIPE-class
-// inter-sequence kernel directly; a GPU worker drives a gpusim::VirtualGpu.
-// Both compute exact scores on this host and additionally report modeled
-// ("virtual") execution times for the paper's hardware classes.
+// the master's shared result queue. A task is one query answered by the
+// search pipeline (align/pipeline.h) over the worker's engine: a CPU worker
+// scans with the SWIPE-class kernel (serially, or chunked over a pool); a
+// GPU worker drives a gpusim::VirtualGpu. Both compute exact scores on this
+// host and additionally report modeled ("virtual") execution times for the
+// paper's hardware classes.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <thread>
 
-#include "align/parallel_search.h"
+#include "align/pipeline.h"
 #include "align/profile_cache.h"
 #include "align/search.h"
-#include "gpusim/virtual_gpu.h"
 #include "master/protocol.h"
 #include "platform/perf_model.h"
 #include "util/concurrent_queue.h"
@@ -38,15 +39,14 @@ struct WorkerContext {
   /// align/backend.h). Forwarded to every search call a CPU worker makes.
   align::Backend cpu_backend = align::Backend::kAuto;
 
-  /// Two-stage filter plus the hit count its candidate selection targets
-  /// (MasterConfig::filter / top_hits). Applies to both worker types; see
-  /// MasterConfig::filter for the determinism argument.
-  align::FilterConfig filter;
-  std::size_t top_hits = 10;
+  /// What every task asks the pipeline for: top_hits, the filter, and the
+  /// annotation (see MasterConfig for the determinism argument). Applies to
+  /// both worker types.
+  align::SearchRequest request;
 
   /// Intra-task threads for each CPU worker: > 1 makes the worker scan the
   /// database through a chunked ParallelSearchEngine instead of the serial
-  /// search_database path (results are bit-identical either way).
+  /// engine (results are bit-identical either way).
   std::size_t threads_per_cpu_worker = 1;
 
   /// Optional shared query-profile cache (align/profile_cache.h). When set,
@@ -70,6 +70,9 @@ struct WorkerContext {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// The pipeline primitives of a GPU worker (defined in worker.cpp).
+class DeviceEngine;
 
 class Worker {
  public:
@@ -100,21 +103,16 @@ class Worker {
   void run();
   TaskReport execute(const TaskOrder& order);
 
-  /// Two-stage GPU task: banded screen on the host, candidate-only batch on
-  /// the virtual device, rank over candidates. Fills scores/cells/hits/
-  /// filter/virtual_seconds of `report`.
-  void execute_gpu_filtered(std::span<const std::uint8_t> query_view,
-                            const align::DbView& db, TaskReport& report);
-
   std::size_t id_;
   sched::PeId pe_;
   const WorkerContext& context_;
   ConcurrentQueue<TaskReport>& results_;
   ConcurrentQueue<TaskOrder> commands_;
-  std::unique_ptr<gpusim::VirtualGpu> gpu_;  ///< only for GPU workers
-  /// Chunked multithreaded scan engine; only for CPU workers with
-  /// threads_per_cpu_worker > 1.
-  std::unique_ptr<align::ParallelSearchEngine> engine_;
+  /// What the pipeline runs this worker's tasks on: the virtual device for
+  /// a GPU worker, the chunked engine for a CPU worker with
+  /// threads_per_cpu_worker > 1, the serial engine otherwise.
+  std::unique_ptr<align::SearchEngine> engine_;
+  DeviceEngine* device_ = nullptr;  ///< engine_ of a GPU worker, else null
   /// Virtual clock of this worker: tasks execute back to back in modeled
   /// time, so successive task spans tile [0, worker_virtual_busy) exactly.
   double virtual_clock_ = 0.0;

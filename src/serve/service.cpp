@@ -19,6 +19,77 @@ const char* submit_status_name(SubmitStatus status) {
   return "unknown";
 }
 
+/// The service's sharded engine. A shard that exhausts its in-engine
+/// retries gets one more chance in the pipeline's recover stage — after the
+/// ranking, before the single annotate stage: its records re-run through
+/// the master scheduler (run_search's shard overload) and the rescued top-k
+/// merges into every query's partial top-k. Failures are shared by the
+/// whole group, so recovery runs once per failed shard, not per query.
+class QueryService::RescuingShards final : public align::ShardedSearchEngine {
+ public:
+  template <typename Db>
+  RescuingShards(QueryService& service, const Db& db,
+                 const align::ShardedSearchOptions& options)
+      : ShardedSearchEngine(db, options), service_(service) {}
+
+  void recover(std::span<const align::SearchProfiles* const> group,
+               const align::SearchRequest& request,
+               std::vector<align::SearchOutcome>& outcomes) const override {
+    if (!service_.config_.shard_recovery || outcomes.empty() ||
+        outcomes.front().failures.empty()) {
+      return;
+    }
+    std::vector<seq::Sequence> queries(group.size());
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      const std::span<const std::uint8_t> residues = group[q]->query();
+      queries[q].residues.assign(residues.begin(), residues.end());
+    }
+    std::vector<align::ShardFailure> remaining;
+    for (const align::ShardFailure& failure : outcomes.front().failures) {
+      master::SearchReport rescued;
+      try {
+        rescued = master::run_search(queries, service_.view_, failure.records,
+                                     service_.master_config());
+      } catch (...) {
+        remaining.push_back(failure);  // master recovery failed too
+        continue;
+      }
+      for (std::size_t q = 0; q < outcomes.size(); ++q) {
+        // Re-rank the union of the partial top-k and the rescued shard's
+        // top-k; both carry global indices, so the merged ranking matches
+        // the unsharded search.
+        std::vector<align::SearchHit> merged;
+        for (const align::SearchHit& hit : outcomes[q].ranked.hits) {
+          align::push_top_hit(merged, hit, request.k);
+        }
+        for (const align::SearchHit& hit : rescued.results[q].hits) {
+          align::push_top_hit(merged, hit, request.k);
+        }
+        align::finish_top_hits(merged);
+        outcomes[q].ranked.hits = std::move(merged);
+        // A filtered rescue merges the shard's *per-shard* candidate
+        // selection into the global one: every hit is exactly rescored,
+        // but the answer is not the canonical one the filter key promises.
+        if (request.filter.enabled()) outcomes[q].canonical = false;
+      }
+      {
+        util::MutexLock lock(service_.mutex_);
+        ++service_.shard_recoveries_;
+      }
+      if (service_.config_.metrics) {
+        service_.config_.metrics->add("serve_shard_recoveries");
+      }
+    }
+    for (align::SearchOutcome& outcome : outcomes) {
+      outcome.complete = remaining.empty();
+      outcome.failures = remaining;
+    }
+  }
+
+ private:
+  QueryService& service_;
+};
+
 QueryService::QueryService(std::vector<seq::Sequence> db, ServiceConfig config)
     : db_(std::move(db)),
       view_(align::make_db_view(db_)),
@@ -55,7 +126,6 @@ void QueryService::start() {
                                : db_.front().alphabet);
     stats_params_ = stats_cache_.acquire(
         config_.master.scheme, seq::Alphabet::get(kind), config_.db_id);
-    db_residues_ = align::db_residue_count(view_);
   }
   if (config_.shards > 0) {
     align::ShardedSearchOptions options;
@@ -65,10 +135,9 @@ void QueryService::start() {
     options.before_shard = config_.before_shard;
     options.tracer = config_.tracer;
     options.metrics = config_.metrics;
-    sharded_ = mapped_ ? std::make_unique<align::ShardedSearchEngine>(
-                             mapped_, options)
-                       : std::make_unique<align::ShardedSearchEngine>(
-                             view_, options);
+    sharded_ = mapped_
+                   ? std::make_unique<RescuingShards>(*this, mapped_, options)
+                   : std::make_unique<RescuingShards>(*this, view_, options);
   }
   batcher_ = std::thread([this] { run(); });
 }
@@ -144,8 +213,17 @@ void QueryService::run() {
         admission_.pop_front();
       }
     }
-    execute_batch(std::move(batch));
+    dispatch(std::move(batch));
   }
+}
+
+master::MasterConfig QueryService::master_config() {
+  master::MasterConfig engine = config_.master;
+  engine.tracer = config_.tracer;
+  engine.metrics = config_.metrics;
+  engine.profile_cache = &profiles_;
+  engine.stats = stats_params_.get();
+  return engine;
 }
 
 void QueryService::admit(Request& request) {
@@ -211,7 +289,7 @@ void QueryService::fulfill(Request& request,
   request.promise->set_value(std::move(response));
 }
 
-void QueryService::execute_batch(std::vector<Request> batch) {
+void QueryService::dispatch(std::vector<Request> batch) {
   if (config_.before_batch) config_.before_batch(batch.size());
   obs::Span span;
   if (config_.tracer) {
@@ -240,26 +318,45 @@ void QueryService::execute_batch(std::vector<Request> batch) {
   }
   if (leaders.empty()) return;
 
-  if (sharded_) {
-    execute_group_sharded(batch, leaders, groups);
-    return;
-  }
-
-  std::vector<seq::Sequence> queries;
-  queries.reserve(leaders.size());
-  for (const std::size_t leader : leaders) {
-    queries.push_back(batch[leader].query);
-  }
-
-  master::MasterConfig engine = config_.master;
-  engine.tracer = config_.tracer;
-  engine.metrics = config_.metrics;
-  engine.profile_cache = &profiles_;
-  engine.stats = stats_params_.get();  // run_search annotates post-merge
-
-  master::SearchReport report;
+  const master::MasterConfig& mc = config_.master;
+  std::vector<align::SearchOutcome> outcomes(leaders.size());
   try {
-    report = master::run_search(queries, view_, engine);
+    if (sharded_) {
+      // The distinct queries form one multi-query group: each shard chunk
+      // is scanned once per query while hot, instead of one full database
+      // pass per query; selection, rescan, recovery and annotation run on
+      // the gathered data.
+      std::vector<std::shared_ptr<const align::CachedProfiles>> cached;
+      std::vector<const align::SearchProfiles*> group;
+      for (const std::size_t leader : leaders) {
+        const seq::Sequence& query = batch[leader].query;
+        cached.push_back(profiles_.acquire(
+            {query.residues.data(), query.residues.size()}, mc.scheme,
+            mc.cpu_kernel, mc.cpu_backend));
+        group.push_back(&cached.back()->profiles());
+      }
+      align::SearchRequest request;
+      request.k = mc.top_hits;
+      request.filter = mc.filter;
+      request.annotate = mc.annotate;
+      request.stats = stats_params_.get();
+      outcomes = align::search(*sharded_, group, request);
+    } else {
+      // One scheduler workload: the master's workers run the pipeline per
+      // query, split across CPU and GPU workers.
+      std::vector<seq::Sequence> queries;
+      queries.reserve(leaders.size());
+      for (const std::size_t leader : leaders) {
+        queries.push_back(batch[leader].query);
+      }
+      master::SearchReport report =
+          master::run_search(queries, view_, master_config());
+      for (std::size_t q = 0; q < leaders.size(); ++q) {
+        outcomes[q].ranked.hits = std::move(report.results[q].hits);
+        outcomes[q].filtered = mc.filter.enabled();
+        outcomes[q].filter = report.results[q].filter;
+      }
+    }
   } catch (...) {
     // Execution failed (e.g. a task exhausted its retries): fail exactly the
     // requests of this batch and keep serving — the batcher must survive.
@@ -278,7 +375,9 @@ void QueryService::execute_batch(std::vector<Request> batch) {
     util::MutexLock lock(mutex_);
     ++batches_;
     searches_ += leaders.size();
-    filter_stats_.merge(report.filter);
+    for (const align::SearchOutcome& outcome : outcomes) {
+      filter_stats_.merge(outcome.filter);
+    }
   }
   if (config_.metrics) {
     config_.metrics->add("serve_batches");
@@ -286,161 +385,30 @@ void QueryService::execute_batch(std::vector<Request> batch) {
                          static_cast<double>(leaders.size()));
   }
 
-  for (std::size_t q = 0; q < leaders.size(); ++q) {
-    const std::string& key = batch[leaders[q]].key;
-    const auto value = results_.insert(key, report.results[q].hits);
-    for (const std::size_t i : groups[key]) {
-      // report.filter is the batch aggregate: the master merges worker
-      // counters across every query of the workload.
-      fulfill(batch[i], *value, /*cache_hit=*/false, {}, report.filter);
-    }
-  }
-}
-
-void QueryService::execute_group_sharded(
-    std::vector<Request>& batch, const std::vector<std::size_t>& leaders,
-    std::unordered_map<std::string, std::vector<std::size_t>>& groups) {
-  // The collapsed distinct queries of this batch form one multi-query
-  // group: the sharded engine scans every shard chunk once per query while
-  // the chunk is hot, instead of one full database pass per query.
-  std::vector<std::span<const std::uint8_t>> queries;
-  queries.reserve(leaders.size());
-  for (const std::size_t leader : leaders) {
-    const seq::Sequence& query = batch[leader].query;
-    queries.emplace_back(query.residues.data(), query.residues.size());
-  }
-
-  const std::size_t top = config_.master.top_hits;
-  std::vector<align::ShardedSearchResult> results;
-  try {
-    // search_many_filtered with mode kOff delegates straight to
-    // search_many, so this is the one dispatch point for both modes.
-    results = sharded_->search_many_filtered(
-        queries, config_.master.scheme, config_.master.cpu_kernel, top,
-        config_.master.filter, config_.master.cpu_backend);
-  } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    for (const std::size_t leader : leaders) {
-      for (const std::size_t i : groups[batch[leader].key]) {
-        batch[i].promise->set_exception(error);
-      }
-    }
-    return;
-  }
-
-  // Escalated recovery: a shard that exhausted its in-engine retries gets
-  // one more chance through the master scheduler (the shard overload of
-  // run_search), scanning only that shard's records. Failures are shared
-  // by the whole group, so recovery runs once per failed shard, not per
-  // query.
-  std::vector<align::ShardFailure> remaining;
-  bool rescued_any = false;
-  if (!results.empty() && !results.front().failures.empty()) {
-    std::vector<seq::Sequence> leader_queries;
-    leader_queries.reserve(leaders.size());
-    for (const std::size_t leader : leaders) {
-      leader_queries.push_back(batch[leader].query);
-    }
-    for (const align::ShardFailure& failure : results.front().failures) {
-      const auto& records = sharded_->plan().shards[failure.shard].records;
-      if (config_.shard_recovery) {
-        master::MasterConfig engine = config_.master;
-        engine.tracer = config_.tracer;
-        engine.metrics = config_.metrics;
-        engine.profile_cache = &profiles_;
-        try {
-          const master::SearchReport rescued = master::run_search(
-              leader_queries, view_, records, engine);
-          for (std::size_t q = 0; q < results.size(); ++q) {
-            // Re-rank the union of the partial top-k and the rescued
-            // shard's top-k; both carry global indices, so the merged
-            // ranking matches the unsharded search.
-            std::vector<align::SearchHit> merged;
-            for (const align::SearchHit& hit : results[q].ranked.hits) {
-              align::push_top_hit(merged, hit, top);
-            }
-            for (const align::SearchHit& hit : rescued.results[q].hits) {
-              align::push_top_hit(merged, hit, top);
-            }
-            align::finish_top_hits(merged);
-            results[q].ranked.hits = std::move(merged);
-          }
-          {
-            util::MutexLock lock(mutex_);
-            ++shard_recoveries_;
-          }
-          if (config_.metrics) {
-            config_.metrics->add("serve_shard_recoveries");
-          }
-          rescued_any = true;
-          continue;  // shard rescued; not a remaining failure
-        } catch (...) {
-          // master recovery failed too — fall through to partial
-        }
-      }
-      remaining.push_back(failure);
-    }
-  }
-
-  // Annotate AFTER the recovery merge, never inside the sharded engine or
-  // the per-shard recovery run (the shard overload of run_search disables
-  // annotation itself): each query's hits are only now the final global
-  // top-k, and the search space must be the whole database's residues.
-  if (config_.master.annotate.enabled()) {
-    for (std::size_t q = 0; q < results.size(); ++q) {
-      align::annotate_hits(results[q].ranked.hits, queries[q], view_,
-                           config_.master.scheme, config_.master.annotate,
-                           *stats_params_, db_residues_, config_.tracer,
-                           config_.metrics, obs::kMasterTrack);
-    }
-  }
-
+  // Failures are shared by the group (one pass per shard chunk).
   std::string partial_reason;
-  for (const align::ShardFailure& failure : remaining) {
+  for (const align::ShardFailure& failure : outcomes.front().failures) {
     if (!partial_reason.empty()) partial_reason += "; ";
     partial_reason += "shard " + std::to_string(failure.shard) +
                       " failed after " + std::to_string(failure.attempts) +
                       " attempts: " + failure.reason;
   }
-
-  {
-    util::MutexLock lock(mutex_);
-    ++batches_;
-    searches_ += leaders.size();
-    for (const align::ShardedSearchResult& result : results) {
-      filter_stats_.merge(result.filter);
-    }
-  }
-  if (config_.metrics) {
-    config_.metrics->add("serve_batches");
-    config_.metrics->add("serve_searches",
-                         static_cast<double>(leaders.size()));
-  }
-
-  // A filtered answer patched up through master recovery merges the rescued
-  // shard's *per-shard* candidate selection into the surviving shards'
-  // global selection — a valid answer (every hit is exactly rescored) but
-  // not the canonical one the filter key promises, so it must not be cached.
-  const bool cacheable =
-      partial_reason.empty() &&
-      !(rescued_any && config_.master.filter.enabled());
-
   for (std::size_t q = 0; q < leaders.size(); ++q) {
+    const align::SearchOutcome& outcome = outcomes[q];
     const std::string& key = batch[leaders[q]].key;
-    if (cacheable) {
+    if (outcome.complete && outcome.canonical) {
       // Complete answers are deterministic across shard topology and
       // cacheable under the topology-free key.
-      const auto value = results_.insert(key, results[q].ranked.hits);
+      const auto value = results_.insert(key, outcome.ranked.hits);
       for (const std::size_t i : groups[key]) {
-        fulfill(batch[i], *value, /*cache_hit=*/false, {},
-                results[q].filter);
+        fulfill(batch[i], *value, /*cache_hit=*/false, {}, outcome.filter);
       }
     } else {
-      // Partial answers must never enter the cache: a later request at a
-      // healthy moment deserves the full result.
+      // Partial or non-canonical answers never enter the cache: a later
+      // request at a healthy moment deserves the canonical result.
       for (const std::size_t i : groups[key]) {
-        fulfill(batch[i], results[q].ranked.hits, /*cache_hit=*/false,
-                partial_reason, results[q].filter);
+        fulfill(batch[i], outcome.ranked.hits, /*cache_hit=*/false,
+                partial_reason, outcome.filter);
       }
     }
   }

@@ -38,7 +38,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "align/profile_cache.h"
@@ -147,10 +146,9 @@ struct QueryResponse {
   std::string partial_reason;
 
   /// Set when the two-stage filter (ServiceConfig master.filter) produced
-  /// this answer. `filter` carries the screen counters of the engine pass
-  /// behind a fresh answer — per query on the sharded path, batch-aggregate
-  /// on the master path — and is zero on cache hits (the work was already
-  /// paid for by the request that populated the cache).
+  /// this answer. `filter` carries the query's screen counters behind a
+  /// fresh answer and is zero on cache hits (the work was already paid for
+  /// by the request that populated the cache).
   bool filtered = false;
   align::FilterStats filter;
 
@@ -233,14 +231,16 @@ class QueryService {
     std::uint64_t id = 0;      ///< monotonic request id, for trace args
   };
 
+  /// The sharded engine plus escalated recovery through the master.
+  class RescuingShards;
+
   void run();
-  void execute_batch(std::vector<Request> batch);
-  /// Sharded scatter-gather execution of one collapsed query group.
-  void execute_group_sharded(std::vector<Request>& batch,
-                             const std::vector<std::size_t>& leaders,
-                             std::unordered_map<std::string,
-                                                std::vector<std::size_t>>&
-                                 groups);
+  /// The one dispatch path: admit the batch, answer cache hits, collapse
+  /// duplicates, search the distinct queries (the sharded pipeline or the
+  /// master), then one error fan-out, one stats update, one fulfil loop.
+  void dispatch(std::vector<Request> batch);
+  /// config_.master with the service's cache and sinks installed.
+  master::MasterConfig master_config();
   void admit(Request& request);
   void fulfill(Request& request, std::vector<align::SearchHit> hits,
                bool cache_hit, std::string partial_reason = {},
@@ -259,7 +259,6 @@ class QueryService {
   /// dispatch borrows the same calibration (deterministic per scheme ×
   /// alphabet × db_id, see align::StatsCache).
   std::shared_ptr<const align::KarlinAltschulParams> stats_params_;
-  std::uint64_t db_residues_ = 0;  ///< Karlin–Altschul search space n
   std::unique_ptr<align::ShardedSearchEngine> sharded_;  ///< shards > 0 only
 
   /// Service capability, declared before both cache capabilities: the

@@ -22,6 +22,7 @@
 #include "align/annotate.h"
 #include "align/backend.h"
 #include "align/parallel_search.h"
+#include "align/pipeline.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
 #include "align/statistics.h"
@@ -84,6 +85,21 @@ KarlinAltschulParams test_params() {
   // Small calibration — the tests only need valid positive (λ, K).
   return calibrate_gapped_params(ScoringScheme{},
                                  std::vector<double>(20, 0.05), 60, 60, 40, 3);
+}
+
+/// One query through the search pipeline on `engine`, annotated.
+SearchOutcome annotated_search(const SearchEngine& engine,
+                               const SearchProfiles& profiles, std::size_t k,
+                               const FilterConfig& filter,
+                               const AnnotateConfig& annotate,
+                               const KarlinAltschulParams& params) {
+  const SearchProfiles* group[] = {&profiles};
+  SearchRequest request;
+  request.k = k;
+  request.filter = filter;
+  request.annotate = annotate;
+  request.stats = &params;
+  return std::move(search(engine, group, request).front());
 }
 
 // --- Layer 1: CIGAR emission + score oracle ------------------------------
@@ -355,21 +371,21 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
     const std::vector<SearchHit> plain =
         search_database(corpus.query, db, scheme, kernel, GetParam()).top(k);
 
-    const RankedSearchResult serial = search_database_annotated(
-        corpus.query, db, scheme, kernel, k, config, params, GetParam());
-    check_annotated(serial.hits, plain, corpus, db, scheme, params, n,
-                    std::string("serial ") + kernel_name(kernel));
-
     const SearchProfiles profiles(
         {corpus.query.data(), corpus.query.size()}, scheme, kernel,
         GetParam());
+    const SearchOutcome serial = annotated_search(
+        SerialSearchEngine(db), profiles, k, FilterConfig{}, config, params);
+    check_annotated(serial.ranked.hits, plain, corpus, db, scheme, params, n,
+                    std::string("serial ") + kernel_name(kernel));
+
     for (std::size_t threads : {1u, 3u}) {
       ParallelSearchOptions options;
       options.threads = threads;
       const ParallelSearchEngine engine(db, options);
-      const RankedSearchResult par =
-          engine.search_ranked(profiles, k, config, params);
-      check_annotated(par.hits, plain, corpus, db, scheme, params, n,
+      const SearchOutcome par = annotated_search(
+          engine, profiles, k, FilterConfig{}, config, params);
+      check_annotated(par.ranked.hits, plain, corpus, db, scheme, params, n,
                       std::string("parallel x") + std::to_string(threads) +
                           " " + kernel_name(kernel));
     }
@@ -378,15 +394,10 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
       ShardedSearchOptions options;
       options.num_shards = shard_count;
       const ShardedSearchEngine engine(db, options);
-      const std::span<const std::uint8_t> q(corpus.query.data(),
-                                            corpus.query.size());
-      const std::vector<std::span<const std::uint8_t>> queries{q};
-      const auto many = engine.search_many_filtered(
-          queries, scheme, kernel, k, FilterConfig{}, config, params,
-          GetParam());
-      ASSERT_EQ(many.size(), 1u);
-      ASSERT_TRUE(many[0].complete);
-      check_annotated(many[0].ranked.hits, plain, corpus, db, scheme, params,
+      const SearchOutcome sharded = annotated_search(
+          engine, profiles, k, FilterConfig{}, config, params);
+      ASSERT_TRUE(sharded.complete);
+      check_annotated(sharded.ranked.hits, plain, corpus, db, scheme, params,
                       n,
                       std::string("sharded x") + std::to_string(shard_count) +
                           " " + kernel_name(kernel));
@@ -408,14 +419,16 @@ TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
   AnnotateConfig config;
   config.mode = AnnotateMode::kStatsCigar;
 
-  const FilteredSearchResult plain = search_database_filtered(
-      corpus.query, db, scheme, KernelKind::kInterSeq, k, filter, GetParam());
-  const FilteredSearchResult annotated = search_database_filtered_annotated(
-      corpus.query, db, scheme, KernelKind::kInterSeq, k, filter, config,
-      params, GetParam());
-  check_annotated(annotated.hits, plain.hits, corpus, db, scheme, params, n,
-                  "filtered serial");
-  EXPECT_EQ(annotated.stats.candidates, plain.stats.candidates);
+  const SearchProfiles profiles({corpus.query.data(), corpus.query.size()},
+                                scheme, KernelKind::kInterSeq, GetParam());
+  const SerialSearchEngine engine(db);
+  const SearchOutcome plain = annotated_search(engine, profiles, k, filter,
+                                               AnnotateConfig{}, params);
+  const SearchOutcome annotated =
+      annotated_search(engine, profiles, k, filter, config, params);
+  check_annotated(annotated.ranked.hits, plain.ranked.hits, corpus, db,
+                  scheme, params, n, "filtered serial");
+  EXPECT_EQ(annotated.filter.candidates, plain.filter.candidates);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, AnnotateBackends,

@@ -194,8 +194,8 @@ TEST_P(BackendEquivalence, ParallelEngineMatchesSerialScalarAcrossThreads) {
     ParallelSearchOptions options;
     options.threads = threads;
     const ParallelSearchEngine engine(db, options);
-    const SearchResult got =
-        engine.search(corpus.query, scheme, KernelKind::kInterSeq);
+    const SearchProfiles profiles(corpus.query, scheme, KernelKind::kInterSeq);
+    const SearchResult got = engine.search(profiles);
     ASSERT_EQ(got.scores, ref.scores) << "threads=" << threads;
     ASSERT_EQ(got.cells, ref.cells) << "threads=" << threads;
   }
@@ -224,19 +224,14 @@ TEST_P(BackendEquivalence, InterSeqRaggedLengthsMatchScalarAcrossThreads) {
       search_database(query, db, scheme, KernelKind::kInterSeq);
   ASSERT_EQ(serial.scores, ref.scores);
   ASSERT_EQ(serial.cells, ref.cells);
+  const SearchProfiles profiles(query, scheme, KernelKind::kInterSeq);
   for (std::size_t threads : {1u, 4u}) {
-    for (const bool sorted : {false, true}) {
-      ParallelSearchOptions options;
-      options.threads = threads;
-      options.sort_by_length = sorted;
-      const ParallelSearchEngine engine(db, options);
-      const SearchResult got =
-          engine.search(query, scheme, KernelKind::kInterSeq);
-      ASSERT_EQ(got.scores, ref.scores)
-          << "threads=" << threads << " sorted=" << sorted;
-      ASSERT_EQ(got.cells, ref.cells)
-          << "threads=" << threads << " sorted=" << sorted;
-    }
+    ParallelSearchOptions options;
+    options.threads = threads;
+    const ParallelSearchEngine engine(db, options);
+    const SearchResult got = engine.search(profiles);
+    ASSERT_EQ(got.scores, ref.scores) << "threads=" << threads;
+    ASSERT_EQ(got.cells, ref.cells) << "threads=" << threads;
   }
 }
 

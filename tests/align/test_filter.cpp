@@ -20,6 +20,7 @@
 #include "align/banded.h"
 #include "align/kernel_banded.h"
 #include "align/parallel_search.h"
+#include "align/pipeline.h"
 #include "align/scalar.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
@@ -223,6 +224,20 @@ double recall_against(const std::vector<SearchHit>& got,
   return static_cast<double>(found) / static_cast<double>(want.size());
 }
 
+/// One query through the search pipeline on `engine`.
+SearchOutcome pipeline_search(const SearchEngine& engine,
+                              std::span<const std::uint8_t> query,
+                              const ScoringScheme& scheme, KernelKind kernel,
+                              std::size_t k, const FilterConfig& filter,
+                              Backend backend = Backend::kAuto) {
+  const SearchProfiles profiles(query, scheme, kernel, backend);
+  const SearchProfiles* group[] = {&profiles};
+  SearchRequest request;
+  request.k = k;
+  request.filter = filter;
+  return std::move(search(engine, group, request).front());
+}
+
 TEST(FilterConfigTest, ValidateRejectsBadParameters) {
   FilterConfig config;
   config.mode = FilterMode::kHeuristic;
@@ -264,19 +279,21 @@ TEST_P(FilterBackends, OffModeBitIdenticalAcrossEngines) {
       corpus.query, db, scheme, KernelKind::kInterSeq, GetParam());
   const std::vector<SearchHit> exact_top = exact.top(k);
 
-  const FilteredSearchResult serial = search_database_filtered(
-      corpus.query, db, scheme, KernelKind::kInterSeq, k, off, GetParam());
-  EXPECT_EQ(serial.result.scores, exact.scores);
-  expect_same_hits(serial.hits, exact_top, "serial off");
+  const SearchOutcome serial =
+      pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                      KernelKind::kInterSeq, k, off, GetParam());
+  EXPECT_EQ(serial.ranked.result.scores, exact.scores);
+  expect_same_hits(serial.ranked.hits, exact_top, "serial off");
 
   for (std::size_t threads : {1u, 3u}) {
     ParallelSearchOptions options;
     options.threads = threads;
     const ParallelSearchEngine engine(db, options);
-    const FilteredSearchResult par = engine.search_filtered(
-        corpus.query, scheme, KernelKind::kInterSeq, k, off, GetParam());
-    EXPECT_EQ(par.result.scores, exact.scores) << threads << " threads";
-    expect_same_hits(par.hits, exact_top,
+    const SearchOutcome par = pipeline_search(
+        engine, corpus.query, scheme, KernelKind::kInterSeq, k, off,
+        GetParam());
+    EXPECT_EQ(par.ranked.result.scores, exact.scores) << threads << " threads";
+    expect_same_hits(par.ranked.hits, exact_top,
                      "parallel off x" + std::to_string(threads));
   }
 
@@ -312,22 +329,25 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
   config.keep_factor = 3.0;
   force(GetParam());
 
-  const FilteredSearchResult serial = search_database_filtered(
-      corpus.query, db, scheme, KernelKind::kInterSeq, k, config, GetParam());
-  ASSERT_EQ(serial.hits.size(), k);
-  EXPECT_GE(serial.stats.candidates, k);
-  EXPECT_EQ(serial.stats.rescans, serial.stats.candidates);
+  const SearchOutcome serial =
+      pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                      KernelKind::kInterSeq, k, config, GetParam());
+  ASSERT_EQ(serial.ranked.hits.size(), k);
+  EXPECT_GE(serial.filter.candidates, k);
+  EXPECT_EQ(serial.filter.rescans, serial.filter.candidates);
 
   for (std::size_t threads : {1u, 3u}) {
     ParallelSearchOptions options;
     options.threads = threads;
     const ParallelSearchEngine engine(db, options);
-    const FilteredSearchResult par = engine.search_filtered(
-        corpus.query, scheme, KernelKind::kInterSeq, k, config, GetParam());
-    EXPECT_EQ(par.result.scores, serial.result.scores) << threads;
-    expect_same_hits(par.hits, serial.hits,
+    const SearchOutcome par = pipeline_search(
+        engine, corpus.query, scheme, KernelKind::kInterSeq, k, config,
+        GetParam());
+    EXPECT_EQ(par.ranked.result.scores, serial.ranked.result.scores)
+        << threads;
+    expect_same_hits(par.ranked.hits, serial.ranked.hits,
                      "parallel heuristic x" + std::to_string(threads));
-    EXPECT_EQ(par.stats.candidates, serial.stats.candidates) << threads;
+    EXPECT_EQ(par.filter.candidates, serial.filter.candidates) << threads;
   }
 
   for (std::size_t shards : {1u, 2u, 5u}) {
@@ -343,9 +363,9 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
     ASSERT_EQ(many.size(), 1u);
     ASSERT_TRUE(many[0].complete);
     EXPECT_TRUE(many[0].filtered);
-    expect_same_hits(many[0].ranked.hits, serial.hits,
+    expect_same_hits(many[0].ranked.hits, serial.ranked.hits,
                      "sharded heuristic x" + std::to_string(shards));
-    EXPECT_EQ(many[0].filter.candidates, serial.stats.candidates) << shards;
+    EXPECT_EQ(many[0].filter.candidates, serial.filter.candidates) << shards;
   }
 }
 
@@ -364,11 +384,12 @@ TEST(FilterPipeline, HeuristicPerfectRecallOnPlantedCorpus) {
     const DbView db = corpus.view();
     const SearchResult exact =
         search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
-    const FilteredSearchResult got = search_database_filtered(
-        corpus.query, db, scheme, KernelKind::kInterSeq, k, config);
-    EXPECT_EQ(recall_against(got.hits, exact.top(k)), 1.0)
+    const SearchOutcome got =
+        pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                        KernelKind::kInterSeq, k, config);
+    EXPECT_EQ(recall_against(got.ranked.hits, exact.top(k)), 1.0)
         << "seed " << seed;
-    EXPECT_LT(got.stats.rescans, db.size())
+    EXPECT_LT(got.filter.rescans, db.size())
         << "filter rescanned everything; screen did no work";
   }
 }
@@ -393,9 +414,10 @@ TEST(FilterPipeline, HeuristicHighRecallOnRandomCorpus) {
     const DbView db = corpus.view();
     const SearchResult exact =
         search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
-    const FilteredSearchResult got = search_database_filtered(
-        corpus.query, db, scheme, KernelKind::kInterSeq, k, config);
-    recalled += recall_against(got.hits, exact.top(k));
+    const SearchOutcome got =
+        pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                        KernelKind::kInterSeq, k, config);
+    recalled += recall_against(got.ranked.hits, exact.top(k));
     ++trials;
   }
   EXPECT_GE(recalled / trials, 0.99);

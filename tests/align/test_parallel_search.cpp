@@ -45,6 +45,14 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.overflow_rescans, b.overflow_rescans);
 }
 
+/// One query through the engine's exact scan, profiles built per call.
+SearchResult engine_search(const ParallelSearchEngine& engine,
+                           std::span<const std::uint8_t> query,
+                           const ScoringScheme& scheme, KernelKind kernel) {
+  const SearchProfiles profiles(query, scheme, kernel);
+  return engine.search(profiles);
+}
+
 class ParallelSearchKernels : public ::testing::TestWithParam<KernelKind> {};
 
 TEST_P(ParallelSearchKernels, MatchesSerialAcrossThreadCounts) {
@@ -61,7 +69,8 @@ TEST_P(ParallelSearchKernels, MatchesSerialAcrossThreadCounts) {
     ParallelSearchOptions options;
     options.threads = threads;
     const ParallelSearchEngine engine(views, options);
-    expect_identical(engine.search(query_view, scheme, GetParam()), serial);
+    expect_identical(engine_search(engine, query_view, scheme, GetParam()),
+                     serial);
   }
 }
 
@@ -76,20 +85,17 @@ TEST_P(ParallelSearchKernels, MatchesSerialAcrossChunkGeometries) {
   const SearchResult serial =
       search_database(query_view, views, scheme, GetParam());
   // Chunk sizes: single-record chunks, a mid value, and one larger than the
-  // whole database (collapses to a single chunk); each with/without the
-  // length-sorted permutation.
+  // whole database (collapses to a single chunk).
   for (const std::size_t chunk_records : {1u, 7u, 1000u}) {
-    for (const bool sorted : {false, true}) {
-      ParallelSearchOptions options;
-      options.threads = 3;
-      options.chunk_records = chunk_records;
-      options.sort_by_length = sorted;
-      const ParallelSearchEngine engine(views, options);
-      if (chunk_records >= db.size()) {
-        EXPECT_EQ(engine.num_chunks(), 1u);
-      }
-      expect_identical(engine.search(query_view, scheme, GetParam()), serial);
+    ParallelSearchOptions options;
+    options.threads = 3;
+    options.chunk_records = chunk_records;
+    const ParallelSearchEngine engine(views, options);
+    if (chunk_records >= db.size()) {
+      EXPECT_EQ(engine.num_chunks(), 1u);
     }
+    expect_identical(engine_search(engine, query_view, scheme, GetParam()),
+                     serial);
   }
 }
 
@@ -104,9 +110,11 @@ TEST_P(ParallelSearchKernels, DeterministicAcrossRepeatedRuns) {
   ParallelSearchOptions options;
   options.threads = 4;
   const ParallelSearchEngine engine(views, options);
-  const SearchResult first = engine.search(query_view, scheme, GetParam());
+  const SearchResult first =
+      engine_search(engine, query_view, scheme, GetParam());
   for (int run = 0; run < 3; ++run) {
-    expect_identical(engine.search(query_view, scheme, GetParam()), first);
+    expect_identical(engine_search(engine, query_view, scheme, GetParam()),
+                     first);
   }
 }
 
@@ -142,7 +150,7 @@ TEST(ParallelSearch, OverflowEscalationMatchesSerial) {
     options.threads = 4;
     options.chunk_records = 3;
     const ParallelSearchEngine engine(views, options);
-    expect_identical(engine.search(query_view, scheme, kernel), serial);
+    expect_identical(engine_search(engine, query_view, scheme, kernel), serial);
   }
 }
 
@@ -157,9 +165,11 @@ TEST(ParallelSearch, RankedSearchEqualsTopOfFullResult) {
   ParallelSearchOptions options;
   options.threads = 4;
   const ParallelSearchEngine engine(views, options);
+  const SearchProfiles profiles(query_view, scheme, KernelKind::kStriped8);
+  const SearchProfiles* group[] = {&profiles};
   for (const std::size_t k : {1u, 5u, 200u}) {
     const RankedSearchResult ranked =
-        engine.search_ranked(query_view, scheme, KernelKind::kStriped8, k);
+        engine.search_ranked_many(group, k).front();
     const auto expected = ranked.result.top(k);
     ASSERT_EQ(ranked.hits.size(), expected.size()) << "k=" << k;
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -181,7 +191,7 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
                                                  query.residues.size());
   for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
                             KernelKind::kStriped8, KernelKind::kInterSeq}) {
-    const SearchResult r = engine.search(query_view, scheme, kernel);
+    const SearchResult r = engine_search(engine, query_view, scheme, kernel);
     EXPECT_TRUE(r.scores.empty());
     EXPECT_EQ(r.cells, 0u);
   }
@@ -192,14 +202,14 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
   for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
                             KernelKind::kStriped8, KernelKind::kInterSeq}) {
     const SearchResult serial = search_database({}, views, scheme, kernel);
-    expect_identical(full.search({}, scheme, kernel), serial);
+    expect_identical(engine_search(full, {}, scheme, kernel), serial);
   }
 }
 
 TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
   // The zero-copy path: an engine built over a MappedSwdb (v1 or v2 file)
   // must score bit-identically to one built over in-memory record views —
-  // for every kernel, with and without the lane-batch ordering.
+  // for every kernel (the lane-batch index supplies the longest-first order).
   const std::string path =
       ::testing::TempDir() + "/swdual_parallel_mapped.swdb";
   const auto db = random_database(48, 31);
@@ -213,18 +223,14 @@ TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
        {seq::kSwdbVersion1, seq::kSwdbVersion2}) {
     seq::write_swdb(path, db, seq::AlphabetKind::kProtein, version);
     const seq::MappedSwdb mapped(path);
-    for (const bool sorted : {false, true}) {
-      ParallelSearchOptions options;
-      options.threads = 3;
-      options.sort_by_length = sorted;
-      const ParallelSearchEngine from_views(views, options);
-      const ParallelSearchEngine from_mapped(mapped, options);
-      for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                                KernelKind::kStriped8,
-                                KernelKind::kInterSeq}) {
-        expect_identical(from_mapped.search(query_view, scheme, kernel),
-                         from_views.search(query_view, scheme, kernel));
-      }
+    ParallelSearchOptions options;
+    options.threads = 3;
+    const ParallelSearchEngine from_views(views, options);
+    const ParallelSearchEngine from_mapped(mapped, options);
+    for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
+                              KernelKind::kStriped8, KernelKind::kInterSeq}) {
+      expect_identical(engine_search(from_mapped, query_view, scheme, kernel),
+                       engine_search(from_views, query_view, scheme, kernel));
     }
   }
   std::remove(path.c_str());
@@ -251,8 +257,9 @@ TEST(ParallelSearch, ResidueBalancedPartitionCoversAndBalances) {
   ScoringScheme scheme;
   const SearchResult serial =
       search_database(query_view, views, scheme, KernelKind::kInterSeq);
-  expect_identical(engine.search(query_view, scheme, KernelKind::kInterSeq),
-                   serial);
+  expect_identical(
+      engine_search(engine, query_view, scheme, KernelKind::kInterSeq),
+      serial);
 }
 
 }  // namespace

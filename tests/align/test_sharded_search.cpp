@@ -77,6 +77,17 @@ void expect_hits_equal(const std::vector<SearchHit>& actual,
 
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 7, 16};
 
+/// One query through the sharded engine (a group of one).
+ShardedSearchResult search_one(const ShardedSearchEngine& engine,
+                               std::span<const std::uint8_t> query,
+                               const ScoringScheme& scheme, KernelKind kernel,
+                               std::size_t k,
+                               Backend backend = Backend::kAuto) {
+  const std::span<const std::uint8_t> queries[] = {query};
+  return std::move(
+      engine.search_many(queries, scheme, kernel, k, backend).front());
+}
+
 TEST(ShardPlan, CoversEveryRecordExactlyOnce) {
   const Corpus corpus = ragged_corpus(11, 40, 30);
   for (const std::size_t shards : kShardCounts) {
@@ -143,10 +154,9 @@ TEST(ShardedSearch, BitIdenticalToUnshardedEverywhere) {
           ShardedSearchOptions options;
           options.num_shards = shards;
           options.threads_per_shard = threads;
-          options.parallel_scatter = threads > 1;
           const ShardedSearchEngine engine(db, options);
-          const ShardedSearchResult result = engine.search_ranked(
-              corpus.query, scheme, kernel, k, backend);
+          const ShardedSearchResult result =
+              search_one(engine, corpus.query, scheme, kernel, k, backend);
           const std::string label =
               std::string(backend_name(backend)) + "/" +
               kernel_name(kernel) + "/shards=" + std::to_string(shards) +
@@ -219,7 +229,7 @@ TEST(ShardedSearch, FailedShardRetriesOnRecoveryPathAndStaysBitIdentical) {
   };
   const ShardedSearchEngine engine(db, options);
   const ShardedSearchResult result =
-      engine.search_ranked(corpus.query, scheme, KernelKind::kInterSeq, 6);
+      search_one(engine, corpus.query, scheme, KernelKind::kInterSeq, 6);
 
   EXPECT_EQ(injected.load(), 1);
   EXPECT_TRUE(result.complete);
@@ -246,7 +256,7 @@ TEST(ShardedSearch, RetryBudgetExhaustionYieldsPartialResultsWithReason) {
   };
   const ShardedSearchEngine engine(db, options);
   const ShardedSearchResult result =
-      engine.search_ranked(corpus.query, scheme, KernelKind::kStriped, 5);
+      search_one(engine, corpus.query, scheme, KernelKind::kStriped, 5);
 
   EXPECT_FALSE(result.complete);
   ASSERT_EQ(result.failures.size(), 1u);
@@ -378,7 +388,7 @@ TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
   options.threads_per_shard = 2;
   const ShardedSearchEngine engine(mapped, options);
   const ShardedSearchResult result =
-      engine.search_ranked(query, scheme, KernelKind::kInterSeq, 10);
+      search_one(engine, query, scheme, KernelKind::kInterSeq, 10);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.ranked.result.scores, expected.scores);
   expect_hits_equal(result.ranked.hits, expected.top(10), "mmap");

@@ -1,6 +1,7 @@
-// Tests for search-report annotation and rendering.
+// Tests for search-report rendering of annotated hits.
 #include <gtest/gtest.h>
 
+#include "align/annotate.h"
 #include "core/report.h"
 #include "seq/dbgen.h"
 #include "util/error.h"
@@ -11,19 +12,6 @@ namespace {
 
 align::KarlinAltschulParams test_params() { return {0.3, 0.1}; }
 
-TEST(AnnotateHits, BitsAndEvaluesComputed) {
-  master::QueryResult result;
-  result.query_index = 0;
-  result.hits = {{3, 100}, {7, 40}};
-  const auto hits = annotate_hits(result, test_params(), 200, 1'000'000);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].db_index, 3u);
-  EXPECT_GT(hits[0].bits, hits[1].bits);
-  EXPECT_LT(hits[0].evalue, hits[1].evalue);
-  EXPECT_NEAR(hits[0].evalue,
-              0.1 * 200.0 * 1e6 * std::exp(-0.3 * 100), 1e-9);
-}
-
 TEST(RenderReport, ShowsSignificantHitsOnly) {
   Rng rng(11);
   std::vector<seq::Sequence> db, queries;
@@ -33,14 +21,16 @@ TEST(RenderReport, ShowsSignificantHitsOnly) {
   queries.push_back(db[4]);  // exact copy: extremely significant
   queries[0].id = "probe";
 
+  const align::KarlinAltschulParams params = test_params();
   master::MasterConfig config;
   config.cpu_workers = 1;
   config.gpu_workers = 1;
   config.top_hits = 3;
+  config.annotate.mode = align::AnnotateMode::kStats;
+  config.stats = &params;
   const auto report = master::run_search(queries, db, config);
 
-  const std::string text =
-      render_search_report(queries, db, report, test_params(), 1e-3);
+  const std::string text = render_search_report(queries, db, report, 1e-3);
   EXPECT_NE(text.find("Query: probe"), std::string::npos);
   EXPECT_NE(text.find("ref4"), std::string::npos);  // the self hit survives
   EXPECT_NE(text.find("GCUPS"), std::string::npos);
@@ -53,20 +43,22 @@ TEST(RenderReport, SuppressesInsignificantQueries) {
     db.push_back(seq::random_protein(rng, "ref" + std::to_string(i), 100));
   }
   queries.push_back(seq::random_protein(rng, "orphan", 100));
+  const align::KarlinAltschulParams params = test_params();
   master::MasterConfig config;
   config.cpu_workers = 1;
   config.gpu_workers = 1;
+  config.annotate.mode = align::AnnotateMode::kStats;
+  config.stats = &params;
   const auto report = master::run_search(queries, db, config);
   // Absurdly strict cutoff: nothing qualifies.
-  const std::string text =
-      render_search_report(queries, db, report, test_params(), 1e-30);
+  const std::string text = render_search_report(queries, db, report, 1e-30);
   EXPECT_NE(text.find("no hits below"), std::string::npos);
 }
 
 TEST(RenderReport, RejectsNonPositiveCutoff) {
   const master::SearchReport report;
   EXPECT_THROW(
-      render_search_report({}, {}, report, test_params(), 0.0),
+      render_search_report({}, {}, report, 0.0),
       InvalidArgument);
 }
 

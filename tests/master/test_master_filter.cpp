@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "align/pipeline.h"
 #include "align/profile_cache.h"
 #include "align/search.h"
 #include "master/master.h"
@@ -80,14 +81,20 @@ struct SerialAnswer {
 };
 
 SerialAnswer serial_filtered(const Corpus& corpus, std::size_t k) {
-  const align::DbView view = align::make_db_view(corpus.db);
+  const align::SerialSearchEngine engine(align::make_db_view(corpus.db));
+  align::SearchRequest request;
+  request.k = k;
+  request.filter = heuristic();
   SerialAnswer answer;
   for (const seq::Sequence& query : corpus.queries) {
-    const align::FilteredSearchResult result = align::search_database_filtered(
-        std::span<const std::uint8_t>(query.residues), view,
-        align::ScoringScheme{}, align::KernelKind::kInterSeq, k, heuristic());
-    answer.hits.push_back(result.hits);
-    answer.candidates += result.stats.candidates;
+    const align::SearchProfiles profiles(
+        std::span<const std::uint8_t>(query.residues), align::ScoringScheme{},
+        align::KernelKind::kInterSeq);
+    const align::SearchProfiles* group[] = {&profiles};
+    const align::SearchOutcome result =
+        std::move(align::search(engine, group, request).front());
+    answer.hits.push_back(result.ranked.hits);
+    answer.candidates += result.filter.candidates;
   }
   return answer;
 }

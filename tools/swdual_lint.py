@@ -23,8 +23,13 @@ Enforces conventions clang-tidy cannot express:
     analysis; use the scoped util::*MutexLock types
   * no ``banded_gotoh_score`` calls outside src/align/ — the scalar banded
     kernel is the screen's reference oracle, not a search primitive; other
-    layers go through the two-stage filter pipeline (search_database_filtered
-    / banded_screen), which keeps band semantics and escalation in one place
+    layers go through the search pipeline (align::search with a FilterConfig,
+    or screen_range / banded_screen), which keeps band semantics and
+    escalation in one place
+  * ``filter_select_candidates`` and ``annotate_hits`` are called only from
+    src/align/pipeline.cpp (and annotate.cpp, which holds annotate_hits'
+    overloads) — candidate selection and annotation are pipeline stages,
+    written once, not re-implemented per engine or layer
   * no ``calibrate_gapped_params`` / ``sw_align_affine`` calls outside
     src/align/ and src/core/ — statistics calibration is StatsCache's job
     (deterministic, shared, cached per database) and the O(m·n) traceback
@@ -96,7 +101,7 @@ RAW_READ_ALLOWED = ("src/seq/swdb.cpp",)
 # Any other layer calling it directly would fork band/escalation semantics
 # away from the pipeline (FilterConfig validation, edge_hit handling, the
 # 8->16->32-bit ladder), so everything outside src/align/ must go through
-# search_database_filtered / the engines' *_filtered entry points.
+# the search pipeline (align::search) or screen_range.
 BANDED_ORACLE_CALL = re.compile(r"\bbanded_gotoh_score\s*\(")
 BANDED_ORACLE_ALLOWED_PREFIX = "src/align/"
 
@@ -110,6 +115,24 @@ STATS_INTERNAL_CALL = re.compile(
     r"\b(calibrate_gapped_params|sw_align_affine)\s*\("
 )
 STATS_INTERNAL_ALLOWED_PREFIXES = ("src/align/", "src/core/")
+
+# The search pipeline (align/pipeline.h) writes screen -> select -> rescan ->
+# rank -> recover -> annotate once for every engine. A second caller of a
+# stage would fork the stage sequence again (the per-engine filter copies
+# and post-merge annotate calls this rule exists to keep out).
+PIPELINE_STAGE_CALL = re.compile(r"\b(filter_select_candidates|annotate_hits)\s*\(")
+PIPELINE_STAGE_CALLERS = ("src/align/pipeline.cpp", "src/align/annotate.cpp")
+
+
+def is_call(code: str, match: re.Match) -> bool:
+    """True unless the match is a declaration or definition (a return type
+    precedes the name on its line)."""
+    line_start = code.rfind("\n", 0, match.start()) + 1
+    before = code[line_start:match.start()].rstrip()
+    before = re.sub(r"(?:\w*::)+$", "", before).rstrip()
+    if not before or before.endswith("return"):
+        return True
+    return not (before[-1].isalnum() or before[-1] in "_>&*")
 
 
 def strip_comments(text: str) -> str:
@@ -232,8 +255,8 @@ def lint_file(path: pathlib.Path) -> list[str]:
             report(
                 lineno,
                 "banded_gotoh_score outside src/align/ — the scalar banded "
-                "oracle is align-internal; use search_database_filtered / "
-                "the *_filtered engine entry points",
+                "oracle is align-internal; use the search pipeline "
+                "(align::search) or screen_range",
             )
 
     if not rel.as_posix().startswith(STATS_INTERNAL_ALLOWED_PREFIXES):
@@ -245,6 +268,18 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 "calibration goes through align::StatsCache and tracebacks "
                 "through the annotate pipeline (AnnotateConfig + "
                 "annotate_hits)",
+            )
+
+    if rel.as_posix() not in PIPELINE_STAGE_CALLERS:
+        for match in PIPELINE_STAGE_CALL.finditer(code):
+            if not is_call(code, match):
+                continue
+            lineno = code.count("\n", 0, match.start()) + 1
+            report(
+                lineno,
+                f"{match.group(1)} called outside src/align/pipeline.cpp — "
+                "selection and annotation are search-pipeline stages; build "
+                "an align::SearchRequest and call align::search",
             )
 
     if top_dir in DETERMINISTIC_DIRS:
