@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "align/alignment.h"
-#include "align/locate.h"
+#include "align/linear_space.h"
 #include "align/profile_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,17 +44,12 @@ void AnnotateConfig::validate() const {
                  "evalue cutoff must be positive (+inf disables the cutoff)");
 }
 
-void annotate_hits(
-    std::vector<SearchHit>& hits, std::span<const std::uint8_t> query,
-    const std::function<std::span<const std::uint8_t>(std::size_t)>& record,
-    const ScoringScheme& scheme, const AnnotateConfig& config,
-    const KarlinAltschulParams& params, std::uint64_t db_residues,
-    obs::Tracer* tracer, obs::MetricsRegistry* metrics,
-    std::size_t trace_track) {
-  if (!config.enabled()) return;
-  config.validate();
+void annotate_stats(std::vector<SearchHit>& hits, std::size_t query_length,
+                    const AnnotateConfig& config,
+                    const KarlinAltschulParams& params,
+                    std::uint64_t db_residues, obs::Tracer* tracer,
+                    obs::MetricsRegistry* metrics, std::size_t trace_track) {
   if (hits.empty()) return;
-
   const std::size_t total = hits.size();
   {
     obs::Span span;
@@ -64,7 +59,7 @@ void annotate_hits(
     }
     for (SearchHit& hit : hits) {
       auto annotation = std::make_shared<HitAnnotation>();
-      annotation->evalue = evalue(params, hit.score, query.size(),
+      annotation->evalue = evalue(params, hit.score, query_length,
                                   db_residues);
       annotation->bits = bit_score(params, hit.score);
       hit.annotation = std::move(annotation);
@@ -82,29 +77,25 @@ void annotate_hits(
     metrics->add("annotate_cutoff_dropped",
                  static_cast<double>(total - hits.size()));
   }
+}
 
-  if (config.mode != AnnotateMode::kStatsCigar) return;
-
-  obs::Span span;
-  if (tracer) {
-    span = tracer->span("annotate_traceback", "align", trace_track);
-    span.arg("hits", static_cast<double>(hits.size()));
-  }
-  for (SearchHit& hit : hits) {
-    const Alignment alignment =
-        sw_align_affine_frugal(query, record(hit.db_index), scheme);
-    // Search kernels and the traceback compute the same Gotoh recurrence;
-    // a disagreement here is a kernel or traceback bug, never an input one.
-    SWDUAL_CHECK(alignment.score == hit.score,
-                 "traceback score disagrees with search score");
-    auto annotation = std::make_shared<HitAnnotation>(*hit.annotation);
-    annotation->cigar = alignment.cigar();
-    annotation->query_begin = alignment.query_begin;
-    annotation->query_end = alignment.query_end;
-    annotation->db_begin = alignment.db_begin;
-    annotation->db_end = alignment.db_end;
-    hit.annotation = std::move(annotation);
-  }
+void annotate_cigar(SearchHit& hit, std::span<const std::uint8_t> query,
+                    std::span<const std::uint8_t> record,
+                    const ScoringScheme& scheme) {
+  SWDUAL_REQUIRE(hit.annotation != nullptr,
+                 "annotate_cigar needs the hit's stats annotation");
+  const Alignment alignment = sw_align_affine_linear(query, record, scheme);
+  // Search kernels and the traceback compute the same Gotoh recurrence;
+  // a disagreement here is a kernel or traceback bug, never an input one.
+  SWDUAL_CHECK(alignment.score == hit.score,
+               "traceback score disagrees with search score");
+  auto annotation = std::make_shared<HitAnnotation>(*hit.annotation);
+  annotation->cigar = alignment.cigar();
+  annotation->query_begin = alignment.query_begin;
+  annotation->query_end = alignment.query_end;
+  annotation->db_begin = alignment.db_begin;
+  annotation->db_end = alignment.db_end;
+  hit.annotation = std::move(annotation);
 }
 
 void annotate_hits(std::vector<SearchHit>& hits,
@@ -113,13 +104,22 @@ void annotate_hits(std::vector<SearchHit>& hits,
                    const KarlinAltschulParams& params,
                    std::uint64_t db_residues, obs::Tracer* tracer,
                    obs::MetricsRegistry* metrics, std::size_t trace_track) {
-  annotate_hits(
-      hits, query,
-      [&db](std::size_t index) {
-        SWDUAL_CHECK(index < db.size(), "hit index outside the database");
-        return db[index];
-      },
-      scheme, config, params, db_residues, tracer, metrics, trace_track);
+  if (!config.enabled()) return;
+  config.validate();
+  if (hits.empty()) return;
+  annotate_stats(hits, query.size(), config, params, db_residues, tracer,
+                 metrics, trace_track);
+  if (config.mode != AnnotateMode::kStatsCigar) return;
+
+  obs::Span span;
+  if (tracer) {
+    span = tracer->span("annotate_traceback", "align", trace_track);
+    span.arg("hits", static_cast<double>(hits.size()));
+  }
+  for (SearchHit& hit : hits) {
+    SWDUAL_CHECK(hit.db_index < db.size(), "hit index outside the database");
+    annotate_cigar(hit, query, db[hit.db_index], scheme);
+  }
 }
 
 std::uint64_t db_residue_count(const DbView& db) {

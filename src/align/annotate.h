@@ -3,21 +3,24 @@
 // A raw Smith–Waterman score is not a result — production services in the
 // BLAST / SWAPHI lineage report, for every hit, how surprising the score is
 // (e-value, bit score) and the alignment itself. This module turns the
-// library islands in statistics.h / traceback.h / locate.h into a pipeline
-// stage: annotate_hits() decorates an already-merged top-k hit list in
-// place, and the search pipeline (align/pipeline.h) is its one caller.
+// library islands in statistics.h / linear_space.h into pipeline stages:
+// annotate_stats() decorates an already-merged top-k hit list in place and
+// applies the cutoff, annotate_cigar() adds one hit's traceback, and the
+// search pipeline (align/pipeline.h) is their one caller; annotate_hits()
+// runs both on one hit list.
 //
 // Placement is the key invariant: annotation runs ONCE, post-merge, on the
 // global top-k winners — never per chunk or per shard. The hit list an
 // engine produces is already bit-identical across backends, thread counts,
 // chunking, and shard topologies, and annotation is a pure per-hit function
 // of (query, record, scheme, params, db_residues), so annotated results
-// inherit that topology independence by construction. The cost is k
-// tracebacks of O(m·n̂) on winners, negligible next to the full DB scan.
+// inherit that topology independence by construction — including which of
+// several co-optimal CIGARs is reported, because every path runs the one
+// linear-space traceback. Each traceback costs O(m·n) time and O(m + n)
+// memory.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <list>
 #include <memory>
@@ -79,25 +82,34 @@ struct HitAnnotation {
   std::size_t db_begin = 0, db_end = 0;
 };
 
-/// Decorate a merged, ranked hit list in place: compute evalue/bits for
-/// every hit with `params` and search space m = |query|, n = db_residues,
-/// drop hits beyond config.evalue_cutoff, then (kStatsCigar) traceback each
-/// survivor against its record — `record(db_index)` must return the residue
-/// span of that database record. The traceback score is checked against the
-/// hit's search score (they are the same Gotoh recurrence; a mismatch is a
-/// kernel bug, reported as swdual::Error). Emits annotate_stats /
-/// annotate_traceback spans on `trace_track` and annotate_hits_total /
-/// annotate_cutoff_dropped metrics when sinks are provided. No-op when
-/// config.enabled() is false.
-void annotate_hits(
-    std::vector<SearchHit>& hits, std::span<const std::uint8_t> query,
-    const std::function<std::span<const std::uint8_t>(std::size_t)>& record,
-    const ScoringScheme& scheme, const AnnotateConfig& config,
-    const KarlinAltschulParams& params, std::uint64_t db_residues,
-    obs::Tracer* tracer = nullptr, obs::MetricsRegistry* metrics = nullptr,
-    std::size_t trace_track = 0);
+/// Stats stage: set evalue/bits on every hit of a merged, ranked hit list
+/// (search space m = query_length, n = db_residues; the annotation pointer
+/// is replaced), then drop hits beyond config.evalue_cutoff. Emits an
+/// annotate_stats span on `trace_track` and annotate_hits_total /
+/// annotate_cutoff_dropped metrics when sinks are provided. `config` must
+/// be enabled and valid.
+void annotate_stats(std::vector<SearchHit>& hits, std::size_t query_length,
+                    const AnnotateConfig& config,
+                    const KarlinAltschulParams& params,
+                    std::uint64_t db_residues, obs::Tracer* tracer = nullptr,
+                    obs::MetricsRegistry* metrics = nullptr,
+                    std::size_t trace_track = 0);
 
-/// DbView convenience overload: record i resolves to db[i].
+/// CIGAR stage for one hit that already carries its stats annotation:
+/// re-align `query` against `record` with the linear-space traceback
+/// (sw_align_affine_linear) and attach the CIGAR and aligned ranges. The
+/// traceback score is checked against the hit's search score (they are the
+/// same Gotoh recurrence; a mismatch is a kernel bug, reported as
+/// swdual::Error). Touches only `hit`, so distinct hits may be annotated
+/// concurrently.
+void annotate_cigar(SearchHit& hit, std::span<const std::uint8_t> query,
+                    std::span<const std::uint8_t> record,
+                    const ScoringScheme& scheme);
+
+/// Both stages on one hit list, serially: annotate_stats, then
+/// (kStatsCigar) annotate_cigar for every survivor against
+/// db[hit.db_index] under one annotate_traceback span. No-op when
+/// config.enabled() is false; throws InvalidArgument on an invalid config.
 void annotate_hits(std::vector<SearchHit>& hits,
                    std::span<const std::uint8_t> query, const DbView& db,
                    const ScoringScheme& scheme, const AnnotateConfig& config,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "align/traceback.h"
+#include "align/scalar.h"
 #include "util/error.h"
 
 namespace swdual::align {
@@ -33,28 +33,6 @@ LocalRegion locate_best_alignment(std::span<const std::uint8_t> query,
   region.query_begin = forward.end_query - backward.end_query + 1;
   region.db_begin = forward.end_db - backward.end_db + 1;
   return region;
-}
-
-Alignment sw_align_affine_frugal(std::span<const std::uint8_t> query,
-                                 std::span<const std::uint8_t> db,
-                                 const ScoringScheme& scheme) {
-  const LocalRegion region = locate_best_alignment(query, db, scheme);
-  if (region.score == 0) return {};
-
-  const std::span<const std::uint8_t> query_slice =
-      query.subspan(region.query_begin - 1,
-                    region.query_end - region.query_begin + 1);
-  const std::span<const std::uint8_t> db_slice =
-      db.subspan(region.db_begin - 1, region.db_end - region.db_begin + 1);
-
-  Alignment alignment = sw_align_affine(query_slice, db_slice, scheme);
-  SWDUAL_CHECK(alignment.score == region.score,
-               "region realignment lost the optimal score");
-  alignment.query_begin += region.query_begin - 1;
-  alignment.query_end += region.query_begin - 1;
-  alignment.db_begin += region.db_begin - 1;
-  alignment.db_end += region.db_begin - 1;
-  return alignment;
 }
 
 }  // namespace swdual::align

@@ -1,4 +1,4 @@
-// Memory-frugal full alignment: locate, then realign.
+// Locate the optimal local alignment with score-only passes.
 //
 // sw_align_affine (traceback.h) keeps the whole O(m·n) DP matrix — fine for
 // reporting a handful of hits, prohibitive for aligning a 35,213-residue
@@ -6,19 +6,17 @@
 // SSEARCH do instead:
 //
 //   1. forward score-only pass (O(n) memory) → best score + END cell,
-//   2. reverse score-only pass from the end cell → START cell,
-//   3. full traceback restricted to the [start..end]×[start..end] region,
-//      whose area is the alignment's footprint, not the whole matrix.
+//   2. reverse score-only pass from the end cell → START cell.
 //
-// The result is score-identical to sw_align_affine; memory drops from
-// O(m·n) to O(n + region²).
+// The located region is then aligned globally in linear space
+// (sw_align_affine_linear, linear_space.h), so a full local alignment
+// needs O(m + n) memory, never the region's area.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
-#include "align/alignment.h"
-#include "align/scalar.h"
 #include "align/scoring.h"
 
 namespace swdual::align {
@@ -34,11 +32,5 @@ struct LocalRegion {
 LocalRegion locate_best_alignment(std::span<const std::uint8_t> query,
                                   std::span<const std::uint8_t> db,
                                   const ScoringScheme& scheme);
-
-/// Full local alignment using locate-then-realign (score-identical to
-/// sw_align_affine, memory proportional to the alignment region only).
-Alignment sw_align_affine_frugal(std::span<const std::uint8_t> query,
-                                 std::span<const std::uint8_t> db,
-                                 const ScoringScheme& scheme);
 
 }  // namespace swdual::align

@@ -14,36 +14,78 @@ namespace swdual::align {
 
 namespace {
 
-/// Residue-balanced contiguous partition: cut after the record whose
-/// cumulative residue count crosses the next multiple of total/num_chunks.
-/// Every chunk gets at least one record; empty records count as cost 1 so a
-/// database of empty sequences still splits. Requires a non-empty db.
-std::vector<std::pair<std::size_t, std::size_t>> balanced_cuts(
-    const DbView& db, std::size_t num_chunks) {
+/// Records per lane batch of the profiles' exact scan (1: no batching).
+std::size_t exact_batch(const SearchProfiles& profiles) {
+  return profiles.kernel() == KernelKind::kInterSeq
+             ? backend_lanes16(profiles.backend())
+             : 1;
+}
+
+}  // namespace
+
+std::vector<RecordRange> balanced_ranges(const DbView& db, std::size_t parts,
+                                         std::size_t batch) {
   const std::size_t n = db.size();
-  num_chunks = std::clamp<std::size_t>(num_chunks, 1, n);
+  if (n == 0) return {};
+  // Residue-balanced cuts: end a range after the record whose cumulative
+  // residue count crosses the next multiple of total/parts. Every range
+  // gets at least one record.
+  parts = std::clamp<std::size_t>(parts, 1, n);
   std::vector<std::uint64_t> prefix(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     prefix[i + 1] = prefix[i] + std::max<std::uint64_t>(db[i].size(), 1);
   }
-  std::vector<std::pair<std::size_t, std::size_t>> cuts;
-  cuts.reserve(num_chunks);
+  std::vector<RecordRange> cuts;
+  cuts.reserve(parts);
   std::size_t begin = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::uint64_t target = prefix[n] * (c + 1) / num_chunks;
+  for (std::size_t c = 0; c < parts; ++c) {
+    const std::uint64_t target = prefix[n] * (c + 1) / parts;
     std::size_t end = begin + 1;
     while (end < n && prefix[end] < target) ++end;
-    // Leave one record for each remaining chunk.
-    end = std::min(end, n - (num_chunks - 1 - c));
+    // Leave one record for each remaining range.
+    end = std::min(end, n - (parts - 1 - c));
     end = std::max(end, begin + 1);
-    cuts.emplace_back(begin, end);
+    cuts.push_back({begin, end});
     begin = end;
   }
-  cuts.back().second = n;
-  return cuts;
+  cuts.back().end = n;
+  if (batch <= 1 || cuts.size() <= 1) return cuts;
+
+  // Snap each interior cut to the nearest batch multiple.
+  std::vector<RecordRange> out;
+  out.reserve(cuts.size());
+  begin = 0;
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const std::size_t end =
+        std::min(n, (cuts[c].end + batch / 2) / batch * batch);
+    if (end <= begin) continue;
+    out.push_back({begin, end});
+    begin = end;
+  }
+  if (begin < n) out.push_back({begin, n});
+  return out;
 }
 
-}  // namespace
+SearchResult search_ranges(const SearchEngine& engine,
+                           const SearchProfiles& profiles, const DbView& view,
+                           std::size_t parts) {
+  const std::vector<RecordRange> ranges =
+      balanced_ranges(view, parts, exact_batch(profiles));
+  std::vector<SearchResult> scanned(ranges.size());
+  engine.parallel_for(ranges.size(), [&](std::size_t r) {
+    scanned[r] =
+        search_range(profiles, view, ranges[r].begin, ranges[r].end);
+  });
+  SearchResult result;
+  result.scores.reserve(view.size());
+  for (const SearchResult& part : scanned) {
+    result.scores.insert(result.scores.end(), part.scores.begin(),
+                         part.scores.end());
+    result.cells += part.cells;
+    result.overflow_rescans += part.overflow_rescans;
+  }
+  return result;
+}
 
 ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                                            const ParallelSearchOptions& options)
@@ -58,7 +100,7 @@ ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
   for (std::size_t p = 0; p < db_.size(); ++p) {
     db_[p] = db[original_index_[p]];
   }
-  init_partition(options);
+  init(options);
 }
 
 ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
@@ -73,63 +115,47 @@ ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
     original_index_.push_back(id);
     db_.push_back(db.residues(id));
   }
-  init_partition(options);
+  init(options);
 }
 
-void ParallelSearchEngine::init_partition(
-    const ParallelSearchOptions& options) {
+void ParallelSearchEngine::init(const ParallelSearchOptions& options) {
   permuted_pos_.resize(original_index_.size());
   for (std::size_t p = 0; p < original_index_.size(); ++p) {
     permuted_pos_[original_index_[p]] = p;
   }
   total_residues_ = db_residue_count(db_);
   const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  if (!db_.empty()) {
-    if (options.chunk_records > 0) {
-      // Fixed record-count chunks, as requested.
-      for (std::size_t begin = 0; begin < db_.size();
-           begin += options.chunk_records) {
-        chunks_.push_back(
-            {begin, std::min(begin + options.chunk_records, db_.size())});
-      }
-    } else {
-      const std::size_t num_chunks =
-          threads * std::max<std::size_t>(1, options.chunks_per_thread);
-      for (const auto& [begin, end] : balanced_cuts(db_, num_chunks)) {
-        chunks_.push_back({begin, end});
-      }
-    }
-  }
+  chunk_records_ = options.chunk_records;
+  balanced_parts_ =
+      threads * std::max<std::size_t>(1, options.chunks_per_thread);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-std::vector<ParallelSearchEngine::Chunk>
-ParallelSearchEngine::batch_aligned_chunks(std::size_t batch) const {
-  if (batch <= 1 || chunks_.size() <= 1) return chunks_;
-  const std::size_t n = db_.size();
-  std::vector<Chunk> out;
-  out.reserve(chunks_.size());
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c + 1 < chunks_.size(); ++c) {
-    // Snap each cut to the nearest batch multiple; a cut swallowed by its
-    // predecessor simply merges the two chunks.
-    const std::size_t end =
-        std::min(n, (chunks_[c].end + batch / 2) / batch * batch);
-    if (end <= begin) continue;
-    out.push_back({begin, end});
-    begin = end;
+std::vector<RecordRange> ParallelSearchEngine::chunk_ranges(
+    std::size_t batch) const {
+  if (chunk_records_ == 0) {
+    return balanced_ranges(db_, balanced_parts_, batch);
   }
-  if (begin < n) out.push_back({begin, n});
+  const std::size_t step = (chunk_records_ + batch - 1) / batch * batch;
+  std::vector<RecordRange> out;
+  for (std::size_t begin = 0; begin < db_.size(); begin += step) {
+    out.push_back({begin, std::min(begin + step, db_.size())});
+  }
   return out;
 }
 
-void ParallelSearchEngine::for_each_chunk(
-    std::size_t count, const std::function<void(std::size_t)>& task) const {
-  if (pool_) {
-    parallel_for(*pool_, count, task);
+void ParallelSearchEngine::parallel_for(
+    std::size_t count, const std::function<void(std::size_t)>& fn) const {
+  if (pool_ && count > 1) {
+    swdual::parallel_for(*pool_, count, fn);
   } else {
-    for (std::size_t c = 0; c < count; ++c) task(c);
+    SearchEngine::parallel_for(count, fn);
   }
+}
+
+SearchResult ParallelSearchEngine::rescan(const SearchProfiles& profiles,
+                                          const DbView& candidates) const {
+  return search_ranges(*this, profiles, candidates, balanced_parts_);
 }
 
 SearchResult ParallelSearchEngine::search(
@@ -152,18 +178,16 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   // The inter-sequence kernel processes the (length-sorted) records in
   // groups of one SIMD batch; keep chunk boundaries on batch multiples so
   // no batch is split mid-vector across two chunks.
-  const std::vector<Chunk> chunks =
-      profiles[0]->kernel() == KernelKind::kInterSeq
-          ? batch_aligned_chunks(backend_lanes16(profiles[0]->backend()))
-          : chunks_;
+  const std::vector<RecordRange> chunks =
+      chunk_ranges(exact_batch(*profiles[0]));
 
   // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q,
   // the chunk's records scanned once per query while they are hot; hits are
   // chunk-local top-k heaps on original indices.
   const SearchSinks& sink = sinks();
   std::vector<std::vector<RankedSearchResult>> per_chunk(chunks.size());
-  for_each_chunk(chunks.size(), [&](std::size_t c) {
-    const Chunk& chunk = chunks[c];
+  parallel_for(chunks.size(), [&](std::size_t c) {
+    const RecordRange& chunk = chunks[c];
     obs::Span span;
     if (sink.tracer) {
       span = sink.tracer->span("chunk_scan", "align", sink.trace_track);
@@ -201,7 +225,7 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
     SearchResult& merged = ranked.result;
     merged.scores.assign(db_.size(), 0);
     for (std::size_t c = 0; c < per_chunk.size(); ++c) {
-      const Chunk& chunk = chunks[c];
+      const RecordRange& chunk = chunks[c];
       const SearchResult& r = per_chunk[c][q].result;
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         merged.scores[original_index_[i]] = r.scores[i - chunk.begin];
@@ -233,15 +257,15 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
 
   // The banded kernel batches byte lanes; keep those batches unsplit the
   // same way the exact scan aligns interseq chunks to the 16-bit lanes.
-  const std::vector<Chunk> chunks =
+  const std::vector<RecordRange> chunks = chunk_ranges(
       profiles[0]->kernel() == KernelKind::kScalar
-          ? chunks_
-          : batch_aligned_chunks(backend_lanes8(profiles[0]->backend()));
+          ? 1
+          : backend_lanes8(profiles[0]->backend()));
 
   const SearchSinks& sink = sinks();
   std::vector<std::vector<ScreenResult>> per_chunk(chunks.size());
-  for_each_chunk(chunks.size(), [&](std::size_t c) {
-    const Chunk& chunk = chunks[c];
+  parallel_for(chunks.size(), [&](std::size_t c) {
+    const RecordRange& chunk = chunks[c];
     obs::Span span;
     if (sink.tracer) {
       span = sink.tracer->span("filter_screen", "align", sink.trace_track);
@@ -264,7 +288,7 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
   for (std::size_t q = 0; q < profiles.size(); ++q) {
     ScreenResult& out = merged[q];
     for (std::size_t c = 0; c < per_chunk.size(); ++c) {
-      const Chunk& chunk = chunks[c];
+      const RecordRange& chunk = chunks[c];
       const ScreenResult& r = per_chunk[c][q];
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         const std::size_t at = original_index_[i];

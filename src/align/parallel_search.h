@@ -13,7 +13,8 @@
 // per-record value is independent of its chunk.
 //
 // As a pipeline engine (align/pipeline.h) it supplies the chunked group
-// scan and group screen; filtering and annotation are the pipeline's.
+// scan and group screen, and runs the pipeline's rescan ranges and
+// tracebacks on the same pool; filtering and annotation are the pipeline's.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +59,31 @@ struct ParallelSearchOptions {
   obs::MetricsRegistry* metrics = nullptr;
   std::size_t trace_track = 0;
 };
+
+/// A contiguous range of records, [begin, end).
+struct RecordRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The record partition of the chunked scans and of the rescan split: cut
+/// `db` into at most `parts` contiguous ranges of about equal residue count
+/// (empty records cost 1), then snap every interior cut to the nearest
+/// multiple of `batch` records, so a SIMD kernel never splits a lane batch
+/// between two ranges (a split batch runs twice with mostly padded lanes; a
+/// cut swallowed by its predecessor merges the two ranges). Scores, cells
+/// and overflow rescans never depend on the cut, since lanes are
+/// independent; only padding waste does. Empty for an empty `db`.
+std::vector<RecordRange> balanced_ranges(const DbView& db, std::size_t parts,
+                                         std::size_t batch);
+
+/// search_range(profiles, view, 0, view.size()) cut by balanced_ranges into
+/// at most `parts` lane-batch-aligned ranges that run through
+/// engine.parallel_for: the same scores, cells and overflow_rescans. The
+/// rescan of the threaded engines.
+SearchResult search_ranges(const SearchEngine& engine,
+                           const SearchProfiles& profiles, const DbView& view,
+                           std::size_t parts);
 
 class ParallelSearchEngine final : public SearchEngine {
  public:
@@ -119,36 +145,32 @@ class ParallelSearchEngine final : public SearchEngine {
       std::vector<ShardFailure>& /*failures*/) const override {
     return screen_many(group, band);
   }
+  /// search_ranges over the pool, as many ranges as database chunks.
+  SearchResult rescan(const SearchProfiles& profiles,
+                      const DbView& candidates) const override;
+  /// On the pool; inline with one thread or one item.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn) const override;
 
-  std::size_t num_chunks() const { return chunks_.size(); }
+  std::size_t num_chunks() const { return chunk_ranges(1).size(); }
   std::size_t db_records() const { return db_.size(); }
 
  private:
-  struct Chunk {
-    std::size_t begin = 0;  ///< first record (permuted order)
-    std::size_t end = 0;    ///< one past the last record
-  };
-
-  /// Run `task(c)` for every c < count: on the pool when there is one,
-  /// inline otherwise.
-  void for_each_chunk(std::size_t count,
-                      const std::function<void(std::size_t)>& task) const;
-
-  /// Partition db_ into chunks and spin up the pool (shared ctor tail;
+  /// Build the reverse permutation and spin up the pool (shared ctor tail;
   /// db_ and original_index_ must already be populated).
-  void init_partition(const ParallelSearchOptions& options);
+  void init(const ParallelSearchOptions& options);
 
-  /// chunks_ with every boundary snapped to a multiple of `batch` records,
-  /// so the inter-sequence kernel never splits a SIMD batch between two
-  /// chunks (a split batch runs twice with mostly-padded lanes). Scores are
-  /// unaffected — lanes are independent — only padding waste is.
-  std::vector<Chunk> batch_aligned_chunks(std::size_t batch) const;
+  /// The chunks of db_ (permuted order) for a kernel whose lane batches
+  /// hold `batch` records: balanced_ranges, or fixed-size chunks grown to
+  /// whole batches.
+  std::vector<RecordRange> chunk_ranges(std::size_t batch) const;
 
   DbView db_;  ///< longest-first span copies
   std::uint64_t total_residues_ = 0;
   std::vector<std::size_t> original_index_;  ///< permuted pos → db pos
   std::vector<std::size_t> permuted_pos_;    ///< db pos → permuted pos
-  std::vector<Chunk> chunks_;
+  std::size_t chunk_records_ = 0;            ///< 0: residue-balanced
+  std::size_t balanced_parts_ = 1;           ///< chunks when balanced
   std::unique_ptr<ThreadPool> pool_;  ///< null when options.threads <= 1
 };
 

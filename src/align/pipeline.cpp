@@ -167,16 +167,34 @@ std::vector<SearchOutcome> search(const SearchEngine& engine,
   // Annotation runs once, on each query's final global top-k: hit scores
   // and order are already fixed, and the search space is the whole
   // database, so annotated answers inherit the topology independence.
+  // Stats and the cutoff run per query; the surviving tracebacks, the
+  // stage's cost, fan out over the engine's threads.
   if (request.annotate.enabled()) {
-    const auto record = [&engine](std::size_t index) {
-      return engine.record(index);
-    };
     const SearchSinks& sinks = engine.sinks();
+    std::vector<std::pair<std::size_t, std::size_t>> tracebacks;  // (q, hit)
     for (std::size_t q = 0; q < group.size(); ++q) {
-      annotate_hits(outcomes[q].ranked.hits, group[q]->query(), record,
-                    group[q]->scheme(), request.annotate, *request.stats,
-                    engine.db_residues(), sinks.tracer, sinks.metrics,
-                    sinks.trace_track);
+      std::vector<SearchHit>& hits = outcomes[q].ranked.hits;
+      annotate_stats(hits, group[q]->query().size(), request.annotate,
+                     *request.stats, engine.db_residues(), sinks.tracer,
+                     sinks.metrics, sinks.trace_track);
+      if (request.annotate.mode != AnnotateMode::kStatsCigar) continue;
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        tracebacks.emplace_back(q, i);
+      }
+    }
+    if (!tracebacks.empty()) {
+      obs::Span span;
+      if (sinks.tracer) {
+        span = sinks.tracer->span("annotate_traceback", "align",
+                                  sinks.trace_track);
+        span.arg("hits", static_cast<double>(tracebacks.size()));
+      }
+      engine.parallel_for(tracebacks.size(), [&](std::size_t t) {
+        const auto [q, i] = tracebacks[t];
+        SearchHit& hit = outcomes[q].ranked.hits[i];
+        annotate_cigar(hit, group[q]->query(), engine.record(hit.db_index),
+                       group[q]->scheme());
+      });
     }
   }
   return outcomes;

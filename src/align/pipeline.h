@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -108,10 +109,21 @@ class SearchEngine {
       std::vector<ShardFailure>& failures) const = 0;
 
   /// Exact scan of the candidate records in `candidates` (longest-first).
-  /// Default: serial search_range on the calling thread.
+  /// Default: serial search_range on the calling thread. Overrides must
+  /// return the same scores, cells and overflow_rescans.
   virtual SearchResult rescan(const SearchProfiles& profiles,
                               const DbView& candidates) const {
     return search_range(profiles, candidates, 0, candidates.size());
+  }
+
+  /// Run fn(i) for every i < count and wait. If items throw, the first
+  /// exception is rethrown once no item is still running. Items are
+  /// independent and never call parallel_for again (the caller blocks on
+  /// the engine's threads). Default: inline on the calling thread, in
+  /// index order.
+  virtual void parallel_for(std::size_t count,
+                            const std::function<void(std::size_t)>& fn) const {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
   }
 
   /// Runs after ranking and before annotation, so recovered answers are

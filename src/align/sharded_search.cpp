@@ -125,9 +125,25 @@ void ShardedSearchEngine::init(const DbView& db) {
         std::make_unique<ParallelSearchEngine>(state->view, engine_options);
     shards_.push_back(std::move(state));
   }
-  if (shards_.size() > 1) {
-    scatter_pool_ = std::make_unique<ThreadPool>(shards_.size());
+  const std::size_t threads =
+      shards_.size() * std::max<std::size_t>(1, options_.threads_per_shard);
+  if (threads > 1) scatter_pool_ = std::make_unique<ThreadPool>(threads);
+}
+
+void ShardedSearchEngine::parallel_for(
+    std::size_t count, const std::function<void(std::size_t)>& fn) const {
+  if (scatter_pool_ && count > 1) {
+    swdual::parallel_for(*scatter_pool_, count, fn);
+  } else {
+    SearchEngine::parallel_for(count, fn);
   }
+}
+
+SearchResult ShardedSearchEngine::rescan(const SearchProfiles& profiles,
+                                         const DbView& candidates) const {
+  const std::size_t threads = scatter_pool_ ? scatter_pool_->size() : 1;
+  return search_ranges(*this, profiles, candidates,
+                       threads * ParallelSearchOptions{}.chunks_per_thread);
 }
 
 std::vector<std::uint8_t> ShardedSearchEngine::scatter(
@@ -198,11 +214,7 @@ std::vector<std::uint8_t> ShardedSearchEngine::scatter(
       if (ok[s]) return;
     }
   };
-  if (scatter_pool_) {
-    parallel_for(*scatter_pool_, shards_.size(), ladder);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) ladder(s);
-  }
+  parallel_for(shards_.size(), ladder);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (!ok[s]) failures.push_back(std::move(attempts[s]));
   }

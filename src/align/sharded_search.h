@@ -3,12 +3,12 @@
 // One monolithic database search caps out at one machine's worth of
 // threads. This engine splits the database into N residue-balanced shards —
 // zero-copy views into one shared buffer or mmap-backed SWDB, never copies —
-// and runs an independent ParallelSearchEngine (with its own ProfileCache,
-// simulating one worker node each) per shard. A search scatters over the
-// shards, each shard scan keeps a local top-k heap, and the gather step
-// merges the per-shard heaps with the same inverse-permutation discipline
-// the chunked engine uses, so results are bit-identical to the unsharded
-// search for every kernel, backend, thread count, and shard count.
+// and runs an independent ParallelSearchEngine (simulating one worker node
+// each) per shard. A search scatters over the shards, each shard scan
+// keeps a local top-k heap, and the gather step merges the per-shard heaps
+// with the same inverse-permutation discipline the chunked engine uses, so
+// results are bit-identical to the unsharded search for every kernel,
+// backend, thread count, and shard count.
 //
 // Multi-query groups: every pass takes K concurrent queries and shares ONE
 // pass over every shard chunk between them (profiles built once, the chunk
@@ -18,6 +18,8 @@
 // As a pipeline engine (align/pipeline.h) it supplies the scattered group
 // scan and group screen; candidate selection, the rescan and annotation run
 // once on the gathered, database-order data, so they never see the shards.
+// The scatter pool holds num_shards × threads_per_shard threads, idle once
+// the gather is done: the pipeline's rescan ranges and tracebacks run there.
 //
 // Failure semantics: an optional before_shard hook (mirroring the serve
 // layer's before_batch) is invoked ahead of every shard attempt, scan or
@@ -87,6 +89,7 @@ struct ShardedSearchOptions {
   std::size_t num_shards = 1;
 
   /// Intra-shard scan threads (each shard's ParallelSearchEngine pool).
+  /// The engine's scatter pool holds num_shards × threads_per_shard.
   std::size_t threads_per_shard = 1;
 
   /// Recovery attempts after a shard attempt throws. Each retry runs the
@@ -160,6 +163,12 @@ class ShardedSearchEngine : public SearchEngine {
   std::vector<ScreenResult> screen(
       std::span<const SearchProfiles* const> group, std::size_t band,
       std::vector<ShardFailure>& failures) const override;
+  /// search_ranges of the gathered candidates over the scatter pool.
+  SearchResult rescan(const SearchProfiles& profiles,
+                      const DbView& candidates) const override;
+  /// On the scatter pool; inline without one or for a single item.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn) const override;
 
   std::size_t num_shards() const { return shards_.size(); }
   const ShardPlan& plan() const { return plan_; }
@@ -194,7 +203,8 @@ class ShardedSearchEngine : public SearchEngine {
   DbView global_view_;  ///< database-order spans, for candidate rescans
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::shared_ptr<const seq::MappedSwdb> mapped_;  ///< keeps mapping alive
-  std::unique_ptr<ThreadPool> scatter_pool_;       ///< null for one shard
+  /// num_shards × threads_per_shard threads; null when that is 1.
+  std::unique_ptr<ThreadPool> scatter_pool_;
 
   /// Leaf capability: only the Stats aggregate lives under it, and no other
   /// lock is ever acquired while it is held (shard attempts update it

@@ -20,7 +20,9 @@ namespace swdual::master {
 /// modeled time is charged to its hardware and accumulates until the worker
 /// takes it. Screens and candidate selection are deterministic, so a
 /// GPU-executed task reports the same hits as a CPU-executed one. Used by
-/// its worker thread only.
+/// its worker thread only: parallel_for stays the inline default and a
+/// rescan stays one unsplit device batch, so modeled occupancy and virtual
+/// time do not depend on the pipeline's fan-outs.
 class DeviceEngine final : public align::SerialSearchEngine {
  public:
   DeviceEngine(const WorkerContext& context, const align::SearchSinks& sinks)

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace swdual {
 
@@ -31,11 +32,26 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   const std::size_t step = std::max<std::size_t>(1, grain);
   std::vector<std::future<void>> futures;
   futures.reserve((count + step - 1) / step);
-  for (std::size_t begin = 0; begin < count; begin += step) {
-    const std::size_t end = std::min(begin + step, count);
-    futures.push_back(pool.submit([&fn, begin, end] { fn(begin, end); }));
+  // Every submitted range borrows `fn` by reference, so none may still be
+  // running when this frame unwinds: wait for all of them, then rethrow the
+  // first failure.
+  std::exception_ptr first;
+  try {
+    for (std::size_t begin = 0; begin < count; begin += step) {
+      const std::size_t end = std::min(begin + step, count);
+      futures.push_back(pool.submit([&fn, begin, end] { fn(begin, end); }));
+    }
+  } catch (...) {
+    first = std::current_exception();
   }
-  for (auto& f : futures) f.get();
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void parallel_for(ThreadPool& pool, std::size_t count,

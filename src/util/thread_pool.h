@@ -61,7 +61,8 @@ class ThreadPool {
 
 /// Run fn(i) for i in [0, count) across the pool and wait for completion.
 /// Items are batched into ranges internally so tiny per-item closures do not
-/// pay one queue round-trip each.
+/// pay one queue round-trip each. If a range throws, every other range still
+/// runs to completion before the first failure is rethrown.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

@@ -4,9 +4,11 @@
 // validation, and cigar_score() as an independent score oracle — every
 // CIGAR an annotated search reports must re-derive the hit's exact Gotoh
 // score from the raw residues. (2) annotate_hits(): stats/cigar decoration,
-// the post-ranking e-value cutoff, and bit-identity of annotated vs.
-// unannotated hit lists across kernels, backends, thread counts, and shard
-// topologies {1, 2, 5}. (3) StatsCache: deterministic calibration, LRU
+// the post-ranking e-value cutoff, a 30k-residue record, bit-identity of
+// annotated vs. unannotated hit lists across kernels, backends, thread
+// counts, and shard topologies {1, 2, 5}, and filtered annotated answers
+// identical field by field across engines whose pools run the rescan and
+// the tracebacks. (3) StatsCache: deterministic calibration, LRU
 // accounting, and first-writer-wins under concurrent acquire.
 #include <gtest/gtest.h>
 
@@ -306,6 +308,62 @@ TEST(AnnotateHits, CutoffDropsExactlyTheInsignificantSuffix) {
   }
 }
 
+TEST(AnnotateHits, LongRecordCigarPassesScoreOracle) {
+  // A 30k-residue record holding a gapped 1.5k-residue homolog of the
+  // query, annotated through a threaded engine. The traceback's memory is
+  // linear in the sequences (the region's full matrices would be ~27 MB),
+  // and its CIGAR must re-derive the search score.
+  const ScoringScheme scheme;
+  Rng rng(0x30c0);
+  const std::vector<std::uint8_t> query = random_codes(rng, 1500);
+  std::vector<std::uint8_t> homolog = query;
+  for (std::size_t p = 0; p < homolog.size(); p += 9) {
+    homolog[p] = static_cast<std::uint8_t>(rng.below(20));
+  }
+  homolog.erase(homolog.begin() + 600, homolog.begin() + 606);
+  const std::vector<std::uint8_t> insert = random_codes(rng, 4);
+  homolog.insert(homolog.begin() + 1100, insert.begin(), insert.end());
+  std::vector<std::uint8_t> record = random_codes(rng, 14000);
+  record.insert(record.end(), homolog.begin(), homolog.end());
+  const std::vector<std::uint8_t> tail =
+      random_codes(rng, 30000 - record.size());
+  record.insert(record.end(), tail.begin(), tail.end());
+  ASSERT_EQ(record.size(), 30000u);
+  const std::vector<std::uint8_t> before = random_codes(rng, 200);
+  const std::vector<std::uint8_t> after = random_codes(rng, 300);
+  const DbView db{{before.data(), before.size()},
+                  {record.data(), record.size()},
+                  {after.data(), after.size()}};
+
+  const KarlinAltschulParams params = test_params();
+  ParallelSearchOptions options;
+  options.threads = 2;
+  const ParallelSearchEngine engine(db, options);
+  const SearchProfiles profiles({query.data(), query.size()}, scheme,
+                                KernelKind::kInterSeq);
+  AnnotateConfig config;
+  config.mode = AnnotateMode::kStatsCigar;
+  const SearchOutcome out =
+      annotated_search(engine, profiles, 3, FilterConfig{}, config, params);
+  ASSERT_EQ(out.ranked.hits.size(), 3u);
+  const SearchHit& best = out.ranked.hits.front();
+  EXPECT_EQ(best.db_index, 1u);
+  for (const SearchHit& hit : out.ranked.hits) {
+    ASSERT_NE(hit.annotation, nullptr);
+    const HitAnnotation& note = *hit.annotation;
+    EXPECT_EQ(cigar_score(note.cigar, {query.data(), query.size()},
+                          db[hit.db_index], note.query_begin, note.db_begin,
+                          scheme),
+              hit.score)
+        << "hit " << hit.db_index << " cigar " << note.cigar;
+  }
+  const HitAnnotation& note = *best.annotation;
+  EXPECT_GT(note.db_begin, 14000u);
+  EXPECT_LE(note.db_end, 14000u + homolog.size());
+  EXPECT_NE(note.cigar.find('D'), std::string::npos);
+  EXPECT_NE(note.cigar.find('I'), std::string::npos);
+}
+
 class AnnotateBackends : public ::testing::TestWithParam<Backend> {
  protected:
   void SetUp() override {
@@ -429,6 +487,85 @@ TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
   check_annotated(annotated.ranked.hits, plain.ranked.hits, corpus, db,
                   scheme, params, n, "filtered serial");
   EXPECT_EQ(annotated.filter.candidates, plain.filter.candidates);
+}
+
+TEST_P(AnnotateBackends, FilteredAnnotatedIdenticalAcrossEnginesAndShards) {
+  // The threaded engines rescan candidates and trace back hits on their
+  // pools; a filtered stats+cigar answer must still equal the serial
+  // engine's field by field, for every query of a group.
+  const ScoringScheme scheme;
+  const Corpus corpus = make_corpus(0x7a9e, 120, 130);
+  const DbView db = corpus.view();
+  const KarlinAltschulParams params = test_params();
+  SearchRequest request;
+  request.k = 8;
+  request.filter.mode = FilterMode::kHeuristic;
+  request.filter.band = 12;
+  request.filter.keep_factor = 3.0;
+  request.annotate.mode = AnnotateMode::kStatsCigar;
+  request.stats = &params;
+
+  // Two queries: the corpus query and a slice of one of its homologs.
+  const std::vector<std::uint8_t> second(corpus.records[1].begin() + 5,
+                                         corpus.records[1].end() - 5);
+  const SearchProfiles first_profiles(
+      {corpus.query.data(), corpus.query.size()}, scheme,
+      KernelKind::kInterSeq, GetParam());
+  const SearchProfiles second_profiles({second.data(), second.size()}, scheme,
+                                       KernelKind::kInterSeq, GetParam());
+  const SearchProfiles* group[] = {&first_profiles, &second_profiles};
+  const std::vector<SearchOutcome> serial =
+      search(SerialSearchEngine(db), group, request);
+  ASSERT_EQ(serial.size(), 2u);
+
+  const auto expect_same = [&](const std::vector<SearchOutcome>& got,
+                               const std::string& what) {
+    ASSERT_EQ(got.size(), serial.size()) << what;
+    for (std::size_t q = 0; q < got.size(); ++q) {
+      const SearchOutcome& a = got[q];
+      const SearchOutcome& b = serial[q];
+      EXPECT_TRUE(a.complete) << what;
+      EXPECT_EQ(a.ranked.result.scores, b.ranked.result.scores) << what;
+      EXPECT_EQ(a.filter.candidates, b.filter.candidates) << what;
+      EXPECT_EQ(a.filter.rescans, b.filter.rescans) << what;
+      EXPECT_EQ(a.filter.band_uncertain, b.filter.band_uncertain) << what;
+      ASSERT_EQ(a.ranked.hits.size(), b.ranked.hits.size()) << what;
+      for (std::size_t i = 0; i < a.ranked.hits.size(); ++i) {
+        const SearchHit& x = a.ranked.hits[i];
+        const SearchHit& y = b.ranked.hits[i];
+        const std::string at =
+            what + " query " + std::to_string(q) + " #" + std::to_string(i);
+        EXPECT_EQ(x.db_index, y.db_index) << at;
+        EXPECT_EQ(x.score, y.score) << at;
+        ASSERT_NE(x.annotation, nullptr) << at;
+        ASSERT_NE(y.annotation, nullptr) << at;
+        EXPECT_EQ(x.annotation->evalue, y.annotation->evalue) << at;
+        EXPECT_EQ(x.annotation->bits, y.annotation->bits) << at;
+        EXPECT_EQ(x.annotation->cigar, y.annotation->cigar) << at;
+        EXPECT_EQ(x.annotation->query_begin, y.annotation->query_begin) << at;
+        EXPECT_EQ(x.annotation->query_end, y.annotation->query_end) << at;
+        EXPECT_EQ(x.annotation->db_begin, y.annotation->db_begin) << at;
+        EXPECT_EQ(x.annotation->db_end, y.annotation->db_end) << at;
+      }
+    }
+  };
+
+  for (std::size_t threads : {1u, 4u}) {
+    ParallelSearchOptions options;
+    options.threads = threads;
+    expect_same(search(ParallelSearchEngine(db, options), group, request),
+                "parallel x" + std::to_string(threads));
+  }
+  for (std::size_t shard_count : {1u, 2u, 5u}) {
+    for (std::size_t threads : {1u, 3u}) {
+      ShardedSearchOptions options;
+      options.num_shards = shard_count;
+      options.threads_per_shard = threads;
+      expect_same(search(ShardedSearchEngine(db, options), group, request),
+                  "sharded " + std::to_string(shard_count) + "x" +
+                      std::to_string(threads));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, AnnotateBackends,

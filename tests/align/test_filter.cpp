@@ -369,6 +369,69 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
   }
 }
 
+TEST_P(FilterBackends, RescanCutMatchesSerialSearchRange) {
+  // The threaded engines cut a longest-first candidate view into
+  // residue-balanced, lane-batch-aligned ranges on their pools. Every cut
+  // must reproduce one serial search_range bit for bit: at the lane-batch
+  // edges, and with one long record ahead of short ones.
+  const ScoringScheme scheme;
+  Rng rng(0x5ca7);
+  const std::vector<std::uint8_t> query = random_codes(rng, 300);
+  const std::size_t lanes = backend_lanes16(GetParam());
+  // The long record holds the query, so its score saturates the striped8
+  // byte tier and escalates (overflow_rescans > 0).
+  std::vector<std::uint8_t> long_record = random_codes(rng, 750);
+  long_record.insert(long_record.end(), query.begin(), query.end());
+  const std::vector<std::uint8_t> tail = random_codes(rng, 750);
+  long_record.insert(long_record.end(), tail.begin(), tail.end());
+  std::vector<std::vector<std::uint8_t>> short_records;
+  for (std::size_t i = 0; i < 3 * lanes; ++i) {
+    short_records.push_back(random_codes(rng, 300));
+  }
+  DbView shorts;
+  for (const auto& r : short_records) shorts.emplace_back(r.data(), r.size());
+
+  std::vector<DbView> views;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, lanes - 1,
+                              lanes, lanes + 1}) {
+    views.emplace_back(shorts.begin(),
+                       shorts.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  DbView skewed{{long_record.data(), long_record.size()}};
+  skewed.insert(skewed.end(), shorts.begin(), shorts.end());
+  views.push_back(skewed);
+
+  ParallelSearchOptions parallel_options;
+  parallel_options.threads = 4;
+  const ParallelSearchEngine parallel(shorts, parallel_options);
+  ShardedSearchOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.threads_per_shard = 2;
+  const ShardedSearchEngine sharded(shorts, sharded_options);
+  const std::pair<const char*, const SearchEngine*> engines[] = {
+      {"parallel x4", &parallel}, {"sharded 2x2", &sharded}};
+
+  for (KernelKind kernel : {KernelKind::kInterSeq, KernelKind::kStriped8}) {
+    const SearchProfiles profiles({query.data(), query.size()}, scheme,
+                                  kernel, GetParam());
+    for (const DbView& view : views) {
+      const SearchResult serial = search_range(profiles, view, 0, view.size());
+      if (kernel == KernelKind::kStriped8 && view.size() == skewed.size()) {
+        EXPECT_GT(serial.overflow_rescans, 0u);
+      }
+      for (const auto& [name, engine] : engines) {
+        const SearchResult cut = engine->rescan(profiles, view);
+        const std::string what = std::string(name) + " " +
+                                 kernel_name(kernel) + ", " +
+                                 std::to_string(view.size()) + " candidates";
+        EXPECT_EQ(cut.scores, serial.scores) << what;
+        EXPECT_EQ(cut.cells, serial.cells) << what;
+        EXPECT_EQ(cut.overflow_rescans, serial.overflow_rescans) << what;
+      }
+    }
+  }
+}
+
 TEST(FilterPipeline, HeuristicPerfectRecallOnPlantedCorpus) {
   // Every top-k slot is held by a planted homolog (plant > k), so the
   // screen's banded lower bound ranks them far above the noise — recall

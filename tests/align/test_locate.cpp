@@ -1,6 +1,8 @@
-// Tests for locate-then-realign (memory-frugal full alignment).
+// Tests for locate-then-realign: the located region, and the local
+// alignment that aligns it in linear space (sw_align_affine_linear).
 #include <gtest/gtest.h>
 
+#include "align/linear_space.h"
 #include "align/locate.h"
 #include "align/traceback.h"
 #include "util/rng.h"
@@ -41,22 +43,22 @@ TEST(Locate, FrugalAlignmentScoreIdentical) {
   for (int rep = 0; rep < 30; ++rep) {
     const auto q = random_codes(rng, 1 + rng.below(120));
     const auto d = random_codes(rng, 1 + rng.below(120));
-    const Alignment frugal = sw_align_affine_frugal(q, d, scheme);
+    const Alignment linear = sw_align_affine_linear(q, d, scheme);
     const Alignment full = sw_align_affine(q, d, scheme);
-    ASSERT_EQ(frugal.score, full.score) << "rep " << rep;
+    ASSERT_EQ(linear.score, full.score) << "rep " << rep;
   }
 }
 
 TEST(Locate, FrugalCoordinatesConsistentWithScore) {
-  // Re-scoring the frugal alignment's columns must reproduce its score,
-  // and its coordinates must index the original sequences correctly.
+  // The linear-space alignment's coordinates must index the original
+  // sequences correctly.
   ScoringScheme scheme;
   const seq::Alphabet& alpha = seq::Alphabet::protein();
   Rng rng(45);
   for (int rep = 0; rep < 20; ++rep) {
     const auto q = random_codes(rng, 20 + rng.below(100));
     const auto d = random_codes(rng, 20 + rng.below(100));
-    const Alignment a = sw_align_affine_frugal(q, d, scheme);
+    const Alignment a = sw_align_affine_linear(q, d, scheme);
     if (a.score == 0) continue;
     // Strip gaps: must equal the claimed coordinate slices.
     std::string q_nogap, d_nogap;
@@ -99,7 +101,7 @@ TEST(Locate, PlantedMotifFound) {
 TEST(Locate, EmptyAndZeroScoreInputs) {
   ScoringScheme scheme;
   EXPECT_EQ(locate_best_alignment({}, {}, scheme).score, 0);
-  const Alignment a = sw_align_affine_frugal({}, {}, scheme);
+  const Alignment a = sw_align_affine_linear({}, {}, scheme);
   EXPECT_EQ(a.score, 0);
   EXPECT_TRUE(a.aligned_query.empty());
 }

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "align/annotate.h"
+#include "align/parallel_search.h"
 #include "align/pipeline.h"
 #include "align/search.h"
 #include "align/statistics.h"
@@ -207,6 +211,42 @@ class RescuingEngine : public FailingEngine {
 
  private:
   DbView db_;
+};
+
+/// Serial engine with the threaded engines' contract and a scrambled
+/// schedule: parallel_for starts one thread per item, last item first, and
+/// rescan cuts its view through it (search_ranges).
+class ReversedThreadsEngine : public SerialSearchEngine {
+ public:
+  using SerialSearchEngine::SerialSearchEngine;
+
+  SearchResult rescan(const SearchProfiles& profiles,
+                      const DbView& candidates) const override {
+    return search_ranges(*this, profiles, candidates, 5);
+  }
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn) const override {
+    ++fan_outs;
+    last_count = count;
+    std::vector<std::exception_ptr> errors(count);
+    std::vector<std::thread> threads;
+    for (std::size_t i = count; i-- > 0;) {
+      threads.emplace_back([&fn, &errors, i] {
+        try {
+          fn(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+  }
+
+  mutable std::size_t fan_outs = 0;
+  mutable std::size_t last_count = 0;
 };
 
 void expect_same_hits(const std::vector<SearchHit>& got,
@@ -627,6 +667,51 @@ TEST(Pipeline, EvalueCutoffKeepsRankedPrefix) {
   expect_same_hits(cut.ranked.hits, want);
   // The scores behind the ranking are untouched by the cutoff.
   EXPECT_EQ(cut.ranked.result.scores, all.ranked.result.scores);
+}
+
+TEST(Pipeline, ThreadedFanOutMatchesInlineEngine) {
+  // Rescan ranges and tracebacks run in reverse order on their own
+  // threads; the outcomes must equal the inline engine's, annotations
+  // included, and every surviving hit is traced back in one fan-out.
+  const Corpus corpus = make_corpus(20, 3, 150);
+  const DbView db = corpus.view();
+  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const KarlinAltschulParams params = test_params();
+  SearchRequest request = heuristic_request(6, 8);
+  request.annotate.mode = AnnotateMode::kStatsCigar;
+  request.stats = &params;
+
+  const ReversedThreadsEngine threaded(db);
+  const std::vector<SearchOutcome> want =
+      search(SerialSearchEngine(db), group.span(), request);
+  const std::vector<SearchOutcome> got =
+      search(threaded, group.span(), request);
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t hits = 0;
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    EXPECT_EQ(got[q].ranked.result.scores, want[q].ranked.result.scores);
+    EXPECT_EQ(got[q].ranked.result.cells, want[q].ranked.result.cells);
+    EXPECT_EQ(got[q].ranked.result.overflow_rescans,
+              want[q].ranked.result.overflow_rescans);
+    EXPECT_EQ(got[q].filter.candidates, want[q].filter.candidates);
+    EXPECT_EQ(got[q].filter.rescans, want[q].filter.rescans);
+    expect_same_hits(got[q].ranked.hits, want[q].ranked.hits);
+    for (std::size_t i = 0; i < got[q].ranked.hits.size(); ++i) {
+      const HitAnnotation& a = *got[q].ranked.hits[i].annotation;
+      const HitAnnotation& b = *want[q].ranked.hits[i].annotation;
+      EXPECT_EQ(a.evalue, b.evalue);
+      EXPECT_EQ(a.bits, b.bits);
+      EXPECT_EQ(a.cigar, b.cigar);
+      EXPECT_EQ(a.query_begin, b.query_begin);
+      EXPECT_EQ(a.query_end, b.query_end);
+      EXPECT_EQ(a.db_begin, b.db_begin);
+      EXPECT_EQ(a.db_end, b.db_end);
+    }
+    hits += got[q].ranked.hits.size();
+  }
+  // One rescan fan-out per query, then one for every traceback.
+  EXPECT_EQ(threaded.fan_outs, got.size() + 1);
+  EXPECT_EQ(threaded.last_count, hits);
 }
 
 // --- Sinks ------------------------------------------------------------------

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "util/thread_pool.h"
 
@@ -108,6 +110,22 @@ TEST(ParallelFor, ZeroGrainTreatedAsOne) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 5);
+}
+
+TEST(ParallelFor, ThrowingRangeWaitsForSiblings) {
+  // Ranges borrow the caller's fn and its captures; when one throws, the
+  // call must not return while a sibling is still running them.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      parallel_for(pool, 8, 1,
+                   [&finished](std::size_t begin, std::size_t) {
+                     if (begin == 0) throw std::runtime_error("range 0");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                     finished.fetch_add(1);
+                   }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 }  // namespace

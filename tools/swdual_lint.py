@@ -109,8 +109,8 @@ BANDED_ORACLE_ALLOWED_PREFIX = "src/align/"
 # internals: calibrate_gapped_params must go through align::StatsCache (one
 # deterministic calibration per (scheme, alphabet, db), shared), and
 # sw_align_affine's O(m·n) matrix must not leak into service layers — the
-# annotate pipeline uses the frugal wrapper on located regions. Other
-# layers request annotation via AnnotateConfig / annotate_hits instead.
+# annotate stage uses the linear-space traceback (sw_align_affine_linear).
+# Other layers request annotation via AnnotateConfig instead.
 STATS_INTERNAL_CALL = re.compile(
     r"\b(calibrate_gapped_params|sw_align_affine)\s*\("
 )
@@ -120,7 +120,10 @@ STATS_INTERNAL_ALLOWED_PREFIXES = ("src/align/", "src/core/")
 # rank -> recover -> annotate once for every engine. A second caller of a
 # stage would fork the stage sequence again (the per-engine filter copies
 # and post-merge annotate calls this rule exists to keep out).
-PIPELINE_STAGE_CALL = re.compile(r"\b(filter_select_candidates|annotate_hits)\s*\(")
+PIPELINE_STAGE_CALL = re.compile(
+    r"\b(filter_select_candidates|annotate_hits|annotate_stats|annotate_cigar)"
+    r"\s*\("
+)
 PIPELINE_STAGE_CALLERS = ("src/align/pipeline.cpp", "src/align/annotate.cpp")
 
 
