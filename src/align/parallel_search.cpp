@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,6 +15,10 @@ namespace swdual::align {
 
 namespace {
 
+/// Chunks per pool thread: more chunks smooth load imbalance from length
+/// skew at slightly higher merge cost.
+constexpr std::size_t kChunksPerThread = 4;
+
 /// Records per lane batch of the profiles' exact scan (1: no batching).
 std::size_t exact_batch(const SearchProfiles& profiles) {
   return profiles.kernel() == KernelKind::kInterSeq
@@ -21,10 +26,20 @@ std::size_t exact_batch(const SearchProfiles& profiles) {
              : 1;
 }
 
+/// The public group passes answer for every record or throw.
+void require_complete(const std::vector<ShardFailure>& failures) {
+  if (failures.empty()) return;
+  const ShardFailure& failure = failures.front();
+  throw Error("shard " + std::to_string(failure.shard) + " failed after " +
+              std::to_string(failure.attempts) +
+              " attempts: " + failure.reason);
+}
+
 }  // namespace
 
-std::vector<RecordRange> balanced_ranges(const DbView& db, std::size_t parts,
-                                         std::size_t batch) {
+std::vector<RecordRange> balanced_ranges(
+    std::span<const std::span<const std::uint8_t>> db, std::size_t parts,
+    std::size_t batch) {
   const std::size_t n = db.size();
   if (n == 0) return {};
   // Residue-balanced cuts: end a range after the record whose cumulative
@@ -89,59 +104,90 @@ SearchResult search_ranges(const SearchEngine& engine,
 
 ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                                            const ParallelSearchOptions& options)
-    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
-      db_(db) {
-  original_index_.resize(db_.size());
-  std::iota(original_index_.begin(), original_index_.end(), 0);
-  std::stable_sort(original_index_.begin(), original_index_.end(),
-                   [&db](std::size_t a, std::size_t b) {
-                     return db[a].size() > db[b].size();
-                   });
-  for (std::size_t p = 0; p < db_.size(); ++p) {
-    db_[p] = db[original_index_[p]];
-  }
-  init(options);
-}
+    : ParallelSearchEngine(
+          db, longest_first(db), std::vector<std::uint32_t>(db.size(), 0),
+          options.threads,
+          {options.tracer, options.metrics, options.trace_track}) {}
 
+// Same longest-first order the DbView ctor computes, but read from the
+// database's lane-batch index (identical tie-breaking by record id), and
+// every span points into the shared mapping — no copies, no sort.
 ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
                                            const ParallelSearchOptions& options)
-    : SearchEngine({options.tracer, options.metrics, options.trace_track}) {
-  // Same longest-first permutation the DbView ctor computes, but read from
-  // the database's lane-batch index (identical tie-breaking by record id),
-  // and every span points into the shared mapping — no copies, no sort.
-  original_index_.reserve(db.size());
-  db_.reserve(db.size());
-  for (const std::uint32_t id : db.lane_order()) {
-    original_index_.push_back(id);
-    db_.push_back(db.residues(id));
-  }
-  init(options);
-}
+    : ParallelSearchEngine(
+          db.residue_views(), db.lane_order(),
+          std::vector<std::uint32_t>(db.size(), 0), options.threads,
+          {options.tracer, options.metrics, options.trace_track}) {}
 
-void ParallelSearchEngine::init(const ParallelSearchOptions& options) {
-  permuted_pos_.resize(original_index_.size());
-  for (std::size_t p = 0; p < original_index_.size(); ++p) {
-    permuted_pos_[original_index_[p]] = p;
+ParallelSearchEngine::ParallelSearchEngine(
+    const DbView& db, std::span<const std::uint32_t> longest_first,
+    std::span<const std::uint32_t> shard_of, std::size_t threads_per_shard,
+    const SearchSinks& sinks)
+    : SearchEngine(sinks) {
+  SWDUAL_REQUIRE(longest_first.size() == db.size() &&
+                     shard_of.size() == db.size(),
+                 "every record needs one position and one shard");
+  // next[s]: shard s's record count, then its next free position. Filling
+  // the shards in longest-first visit order keeps that order within each.
+  std::vector<std::size_t> next;
+  for (const std::uint32_t s : shard_of) {
+    if (s >= next.size()) next.resize(s + 1, 0);
+    ++next[s];
   }
+  std::size_t begin = 0;
+  for (std::size_t& slot : next) {
+    shards_.push_back({begin, begin + slot});
+    slot = begin;
+    begin = shards_.back().end;
+  }
+  original_index_.resize(db.size());
+  permuted_pos_.resize(db.size());
+  for (const std::uint32_t id : longest_first) {
+    permuted_pos_[id] = next[shard_of[id]]++;
+    original_index_[permuted_pos_[id]] = id;
+  }
+  db_.reserve(db.size());
+  for (const std::size_t id : original_index_) db_.push_back(db[id]);
   total_residues_ = db_residue_count(db_);
-  const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  chunk_records_ = options.chunk_records;
-  balanced_parts_ =
-      threads * std::max<std::size_t>(1, options.chunks_per_thread);
+  const std::size_t threads_each = std::max<std::size_t>(1, threads_per_shard);
+  chunks_per_shard_ = threads_each * kChunksPerThread;
+  const std::size_t threads = shards_.size() * threads_each;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-std::vector<RecordRange> ParallelSearchEngine::chunk_ranges(
+std::vector<std::uint32_t> ParallelSearchEngine::longest_first(
+    const DbView& db) {
+  std::vector<std::uint32_t> order(db.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&db](std::uint32_t a, std::uint32_t b) {
+                     return db[a].size() > db[b].size();
+                   });
+  return order;
+}
+
+std::vector<ParallelSearchEngine::Chunk> ParallelSearchEngine::chunk_ranges(
     std::size_t batch) const {
-  if (chunk_records_ == 0) {
-    return balanced_ranges(db_, balanced_parts_, batch);
+  const std::span<const std::span<const std::uint8_t>> records(db_);
+  std::vector<Chunk> chunks;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const RecordRange shard = shards_[s];
+    for (const RecordRange& range :
+         balanced_ranges(records.subspan(shard.begin, shard.end - shard.begin),
+                         chunks_per_shard_, batch)) {
+      chunks.push_back(
+          {{shard.begin + range.begin, shard.begin + range.end}, s});
+    }
   }
-  const std::size_t step = (chunk_records_ + batch - 1) / batch * batch;
-  std::vector<RecordRange> out;
-  for (std::size_t begin = 0; begin < db_.size(); begin += step) {
-    out.push_back({begin, std::min(begin + step, db_.size())});
-  }
-  return out;
+  return chunks;
+}
+
+std::vector<std::uint8_t> ParallelSearchEngine::run_chunks(
+    std::span<const Chunk> chunks, std::size_t /*queries*/, bool /*screen*/,
+    const std::function<void(std::size_t)>& run,
+    std::vector<ShardFailure>& /*failures*/) const {
+  parallel_for(chunks.size(), run);
+  return std::vector<std::uint8_t>(chunks.size(), 1);
 }
 
 void ParallelSearchEngine::parallel_for(
@@ -155,7 +201,9 @@ void ParallelSearchEngine::parallel_for(
 
 SearchResult ParallelSearchEngine::rescan(const SearchProfiles& profiles,
                                           const DbView& candidates) const {
-  return search_ranges(*this, profiles, candidates, balanced_parts_);
+  const std::size_t threads = pool_ ? pool_->size() : 1;
+  return search_ranges(*this, profiles, candidates,
+                       threads * kChunksPerThread);
 }
 
 SearchResult ParallelSearchEngine::search(
@@ -166,6 +214,23 @@ SearchResult ParallelSearchEngine::search(
 
 std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
     std::span<const SearchProfiles* const> profiles, std::size_t top_k) const {
+  std::vector<ShardFailure> failures;
+  std::vector<RankedSearchResult> results = scan(profiles, top_k, failures);
+  require_complete(failures);
+  return results;
+}
+
+std::vector<ScreenResult> ParallelSearchEngine::screen_many(
+    std::span<const SearchProfiles* const> profiles, std::size_t band) const {
+  std::vector<ShardFailure> failures;
+  std::vector<ScreenResult> screens = screen(profiles, band, failures);
+  require_complete(failures);
+  return screens;
+}
+
+std::vector<RankedSearchResult> ParallelSearchEngine::scan(
+    std::span<const SearchProfiles* const> profiles, std::size_t top_k,
+    std::vector<ShardFailure>& failures) const {
   std::vector<RankedSearchResult> results(profiles.size());
   if (profiles.empty()) return results;
   for (const SearchProfiles* p : profiles) {
@@ -178,16 +243,15 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   // The inter-sequence kernel processes the (length-sorted) records in
   // groups of one SIMD batch; keep chunk boundaries on batch multiples so
   // no batch is split mid-vector across two chunks.
-  const std::vector<RecordRange> chunks =
-      chunk_ranges(exact_batch(*profiles[0]));
+  const std::vector<Chunk> chunks = chunk_ranges(exact_batch(*profiles[0]));
 
   // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q,
   // the chunk's records scanned once per query while they are hot; hits are
   // chunk-local top-k heaps on original indices.
   const SearchSinks& sink = sinks();
   std::vector<std::vector<RankedSearchResult>> per_chunk(chunks.size());
-  parallel_for(chunks.size(), [&](std::size_t c) {
-    const RecordRange& chunk = chunks[c];
+  const auto scan_chunk = [&](std::size_t c) {
+    const RecordRange& chunk = chunks[c].range;
     obs::Span span;
     if (sink.tracer) {
       span = sink.tracer->span("chunk_scan", "align", sink.trace_track);
@@ -197,7 +261,7 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
     }
     WallTimer chunk_timer;
     std::vector<RankedSearchResult>& outcomes = per_chunk[c];
-    outcomes.resize(profiles.size());
+    outcomes.assign(profiles.size(), RankedSearchResult{});
     std::uint64_t cells = 0;
     for (std::size_t q = 0; q < profiles.size(); ++q) {
       RankedSearchResult& outcome = outcomes[q];
@@ -215,7 +279,9 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
     if (sink.metrics) {
       sink.metrics->observe("chunk_scan_seconds", chunk_timer.seconds());
     }
-  });
+  };
+  const std::vector<std::uint8_t> merged_chunks = run_chunks(
+      chunks, profiles.size(), /*screen=*/false, scan_chunk, failures);
 
   // Deterministic merge: chunks reduced in index order, scores scattered
   // through the inverse permutation back to database order.
@@ -225,7 +291,8 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
     SearchResult& merged = ranked.result;
     merged.scores.assign(db_.size(), 0);
     for (std::size_t c = 0; c < per_chunk.size(); ++c) {
-      const RecordRange& chunk = chunks[c];
+      if (!merged_chunks[c]) continue;
+      const RecordRange& chunk = chunks[c].range;
       const SearchResult& r = per_chunk[c][q].result;
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         merged.scores[original_index_[i]] = r.scores[i - chunk.begin];
@@ -242,30 +309,31 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   return results;
 }
 
-std::vector<ScreenResult> ParallelSearchEngine::screen_many(
-    std::span<const SearchProfiles* const> profiles, std::size_t band) const {
+std::vector<ScreenResult> ParallelSearchEngine::screen(
+    std::span<const SearchProfiles* const> profiles, std::size_t band,
+    std::vector<ShardFailure>& failures) const {
   std::vector<ScreenResult> merged(profiles.size());
   for (const SearchProfiles* p : profiles) {
     SWDUAL_REQUIRE(p != nullptr, "null profile set in multi-query group");
   }
   for (std::size_t q = 0; q < profiles.size(); ++q) {
     merged[q].scores.assign(db_.size(), 0);
-    merged[q].exact.assign(db_.size(), 0);
+    merged[q].exact.assign(db_.size(), 1);
     merged[q].edge_hit.assign(db_.size(), 0);
   }
-  if (db_.empty() || profiles.empty()) return merged;
+  if (profiles.empty()) return merged;
 
   // The banded kernel batches byte lanes; keep those batches unsplit the
   // same way the exact scan aligns interseq chunks to the 16-bit lanes.
-  const std::vector<RecordRange> chunks = chunk_ranges(
+  const std::vector<Chunk> chunks = chunk_ranges(
       profiles[0]->kernel() == KernelKind::kScalar
           ? 1
           : backend_lanes8(profiles[0]->backend()));
 
   const SearchSinks& sink = sinks();
   std::vector<std::vector<ScreenResult>> per_chunk(chunks.size());
-  parallel_for(chunks.size(), [&](std::size_t c) {
-    const RecordRange& chunk = chunks[c];
+  const auto screen_chunk = [&](std::size_t c) {
+    const RecordRange& chunk = chunks[c].range;
     obs::Span span;
     if (sink.tracer) {
       span = sink.tracer->span("filter_screen", "align", sink.trace_track);
@@ -274,6 +342,7 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
       span.arg("queries", static_cast<double>(profiles.size()));
     }
     WallTimer chunk_timer;
+    per_chunk[c].clear();
     for (const SearchProfiles* p : profiles) {
       per_chunk[c].push_back(
           screen_range(*p, db_, chunk.begin, chunk.end, band));
@@ -281,14 +350,17 @@ std::vector<ScreenResult> ParallelSearchEngine::screen_many(
     if (sink.metrics) {
       sink.metrics->observe("chunk_scan_seconds", chunk_timer.seconds());
     }
-  });
+  };
+  const std::vector<std::uint8_t> merged_chunks = run_chunks(
+      chunks, profiles.size(), /*screen=*/true, screen_chunk, failures);
 
   // Scatter back to database order through the inverse permutation, like
   // the exact scan's merge — per-record screen values are chunk-independent.
   for (std::size_t q = 0; q < profiles.size(); ++q) {
     ScreenResult& out = merged[q];
     for (std::size_t c = 0; c < per_chunk.size(); ++c) {
-      const RecordRange& chunk = chunks[c];
+      if (!merged_chunks[c]) continue;
+      const RecordRange& chunk = chunks[c].range;
       const ScreenResult& r = per_chunk[c][q];
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         const std::size_t at = original_index_[i];

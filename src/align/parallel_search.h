@@ -15,9 +15,16 @@
 // As a pipeline engine (align/pipeline.h) it supplies the chunked group
 // scan and group screen, and runs the pipeline's rescan ranges and
 // tracebacks on the same pool; filtering and annotation are the pipeline's.
+//
+// Shards: a derived engine may split the records into shards, its fault
+// domains (align/sharded_search.h). The records are then ordered shard by
+// shard, chunks never cross a shard boundary, and one group pass still runs
+// every chunk of every shard on the one pool; run_chunks decides how the
+// pass's chunks run and which of their outputs the one merge takes.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -40,16 +47,8 @@ namespace swdual::align {
 
 struct ParallelSearchOptions {
   /// Worker threads for the internal pool. 1 runs chunks inline (no pool).
+  /// The database is cut into 4 residue-balanced chunks per thread.
   std::size_t threads = 1;
-
-  /// Fixed chunk size in records; 0 selects residue-balanced automatic
-  /// partitioning (chunks_per_thread chunks per thread). Values larger than
-  /// the database collapse to a single chunk.
-  std::size_t chunk_records = 0;
-
-  /// Automatic-partition granularity: more chunks per thread smooth load
-  /// imbalance from length skew at slightly higher merge cost.
-  std::size_t chunks_per_thread = 4;
 
   /// Optional observability sinks (obs/trace.h, obs/metrics.h): every chunk
   /// pass becomes a wall-clock `chunk_scan` / `filter_screen` span on
@@ -74,8 +73,9 @@ struct RecordRange {
 /// cut swallowed by its predecessor merges the two ranges). Scores, cells
 /// and overflow rescans never depend on the cut, since lanes are
 /// independent; only padding waste does. Empty for an empty `db`.
-std::vector<RecordRange> balanced_ranges(const DbView& db, std::size_t parts,
-                                         std::size_t batch);
+std::vector<RecordRange> balanced_ranges(
+    std::span<const std::span<const std::uint8_t>> db, std::size_t parts,
+    std::size_t batch);
 
 /// search_range(profiles, view, 0, view.size()) cut by balanced_ranges into
 /// at most `parts` lane-batch-aligned ranges that run through
@@ -85,7 +85,7 @@ SearchResult search_ranges(const SearchEngine& engine,
                            const SearchProfiles& profiles, const DbView& view,
                            std::size_t parts);
 
-class ParallelSearchEngine final : public SearchEngine {
+class ParallelSearchEngine : public SearchEngine {
  public:
   /// Snapshots `db` (span copies, not residues), permutes it longest-first
   /// (so the interseq lane batches waste few padded cells; the inverse
@@ -118,13 +118,15 @@ class ParallelSearchEngine final : public SearchEngine {
   /// queries. Each chunk keeps a k-hit heap per query and only those heaps
   /// are merged, so ranking costs O(n log k). All profile sets must use the
   /// same kernel. Results are per query, in input order, and bit-identical
-  /// to one serial scan per query.
+  /// to one serial scan per query. Throws when a shard fails past its
+  /// retries: partial answers come only from scan(), which reports them.
   std::vector<RankedSearchResult> search_ranked_many(
       std::span<const SearchProfiles* const> profiles, std::size_t k) const;
 
   /// Stage 1 alone: per-query banded screens of the whole database, one
   /// shared pass per chunk, in database order, bit-identical to serial
-  /// screen_range.
+  /// screen_range. Throws when a shard fails past its retries, like
+  /// search_ranked_many.
   std::vector<ScreenResult> screen_many(
       std::span<const SearchProfiles* const> profiles, std::size_t band) const;
 
@@ -135,17 +137,18 @@ class ParallelSearchEngine final : public SearchEngine {
   std::span<const std::uint8_t> record(std::size_t index) const override {
     return db_[permuted_pos_[index]];
   }
+  /// The group pass of search_ranked_many; chunks run_chunks does not
+  /// merge leave their records at score 0, outside the ranking.
   std::vector<RankedSearchResult> scan(
       std::span<const SearchProfiles* const> group, std::size_t k,
-      std::vector<ShardFailure>& /*failures*/) const override {
-    return search_ranked_many(group, k);
-  }
+      std::vector<ShardFailure>& failures) const override;
+  /// The group pass of screen_many; records of chunks run_chunks does not
+  /// merge read score 0 with the exact certificate, so they are never
+  /// rescanned.
   std::vector<ScreenResult> screen(
       std::span<const SearchProfiles* const> group, std::size_t band,
-      std::vector<ShardFailure>& /*failures*/) const override {
-    return screen_many(group, band);
-  }
-  /// search_ranges over the pool, as many ranges as database chunks.
+      std::vector<ShardFailure>& failures) const override;
+  /// search_ranges over the pool, 4 ranges per pool thread.
   SearchResult rescan(const SearchProfiles& profiles,
                       const DbView& candidates) const override;
   /// On the pool; inline with one thread or one item.
@@ -155,23 +158,50 @@ class ParallelSearchEngine final : public SearchEngine {
   std::size_t num_chunks() const { return chunk_ranges(1).size(); }
   std::size_t db_records() const { return db_.size(); }
 
+ protected:
+  /// Sharded layout: record `id` belongs to shard shard_of[id]. Records are
+  /// ordered shard by shard, each shard in `longest_first` order (every
+  /// record id, longest first, ties by id), each shard is cut into
+  /// threads_per_shard × 4 chunks, and the pool holds shards ×
+  /// threads_per_shard threads.
+  ParallelSearchEngine(const DbView& db,
+                       std::span<const std::uint32_t> longest_first,
+                       std::span<const std::uint32_t> shard_of,
+                       std::size_t threads_per_shard,
+                       const SearchSinks& sinks);
+
+  /// The record ids of `db`, longest first, ties by id.
+  static std::vector<std::uint32_t> longest_first(const DbView& db);
+
+  /// One chunk of a group pass: a range of the shard-major record order
+  /// inside one shard.
+  struct Chunk {
+    RecordRange range;
+    std::size_t shard = 0;
+  };
+
+  /// How a group pass runs its chunks (in shard order): call run(c) for
+  /// every chunk c and return, per chunk, 1 when its output is merged.
+  /// run(c) overwrites chunk c's output, so a chunk may run again.
+  /// `queries` and `screen` describe the pass. Default: every chunk on the
+  /// pool, every output merged; a throwing chunk propagates.
+  virtual std::vector<std::uint8_t> run_chunks(
+      std::span<const Chunk> chunks, std::size_t queries, bool screen,
+      const std::function<void(std::size_t)>& run,
+      std::vector<ShardFailure>& failures) const;
+
  private:
-  /// Build the reverse permutation and spin up the pool (shared ctor tail;
-  /// db_ and original_index_ must already be populated).
-  void init(const ParallelSearchOptions& options);
+  /// The chunks of every shard for a kernel whose lane batches hold `batch`
+  /// records: balanced_ranges of the shard, batches counted from its start.
+  std::vector<Chunk> chunk_ranges(std::size_t batch) const;
 
-  /// The chunks of db_ (permuted order) for a kernel whose lane batches
-  /// hold `batch` records: balanced_ranges, or fixed-size chunks grown to
-  /// whole batches.
-  std::vector<RecordRange> chunk_ranges(std::size_t batch) const;
-
-  DbView db_;  ///< longest-first span copies
+  DbView db_;  ///< shard-major, each shard longest-first (span copies)
   std::uint64_t total_residues_ = 0;
   std::vector<std::size_t> original_index_;  ///< permuted pos → db pos
   std::vector<std::size_t> permuted_pos_;    ///< db pos → permuted pos
-  std::size_t chunk_records_ = 0;            ///< 0: residue-balanced
-  std::size_t balanced_parts_ = 1;           ///< chunks when balanced
-  std::unique_ptr<ThreadPool> pool_;  ///< null when options.threads <= 1
+  std::vector<RecordRange> shards_;          ///< each shard's positions
+  std::size_t chunks_per_shard_ = 1;
+  std::unique_ptr<ThreadPool> pool_;  ///< null with a single thread
 };
 
 }  // namespace swdual::align

@@ -2,17 +2,53 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "seq/swdb.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace swdual::align {
+
+namespace {
+
+/// The shard of each of `records` records: the chunked engine's layout.
+std::vector<std::uint32_t> shard_of(const ShardPlan& plan,
+                                    std::size_t records) {
+  std::vector<std::uint32_t> out(records);
+  for (std::uint32_t s = 0; s < plan.shards.size(); ++s) {
+    for (const std::uint32_t id : plan.shards[s].records) out[id] = s;
+  }
+  return out;
+}
+
+const seq::MappedSwdb& require_mapped(
+    const std::shared_ptr<const seq::MappedSwdb>& db) {
+  SWDUAL_REQUIRE(db != nullptr, "mapped database must not be null");
+  return *db;
+}
+
+/// Run one shard attempt: nullopt when it returned, else what() of the
+/// exception it threw.
+template <typename Attempt>
+std::optional<std::string> failure_of(const Attempt& attempt) {
+  try {
+    attempt();
+    return std::nullopt;
+  } catch (const std::exception& error) {
+    return std::string(error.what());
+  } catch (...) {
+    return std::string("unknown shard failure");
+  }
+}
+
+}  // namespace
 
 double ShardPlan::imbalance() const {
   if (shards.empty()) return 0.0;
@@ -57,10 +93,10 @@ ShardPlan plan_shards(std::span<const std::uint32_t> lengths,
     plan.shards[best].residues += cost;
     plan.total_residues += cost;
   }
-  // Record lists in ascending database order: a shard's local record order
-  // then agrees with global order, so per-shard top-k heaps break score
+  // Record lists in ascending database order: a search over one shard's
+  // records (the serve layer's rescue of a failed shard) then breaks score
   // ties exactly the way the unsharded search does (smallest database index
-  // wins) — the invariant the scatter-gather merge depends on.
+  // wins).
   for (ShardPlan::Shard& shard : plan.shards) {
     std::sort(shard.records.begin(), shard.records.end());
   }
@@ -76,79 +112,34 @@ ShardPlan plan_shards(const DbView& db, std::size_t num_shards) {
   return plan_shards(lengths, num_shards);
 }
 
-struct ShardedSearchEngine::ShardState {
-  DbView view;  ///< shard records, ascending database order (shared storage)
-  std::unique_ptr<ParallelSearchEngine> engine;
-};
+ShardedSearchEngine::ShardedSearchEngine(
+    const DbView& db, std::span<const std::uint32_t> longest_first,
+    ShardPlan plan, const ShardedSearchOptions& options)
+    : ParallelSearchEngine(
+          db, longest_first, shard_of(plan, db.size()),
+          options.threads_per_shard,
+          {options.tracer, options.metrics, options.trace_track}),
+      options_(options),
+      plan_(std::move(plan)) {}
 
 ShardedSearchEngine::ShardedSearchEngine(const DbView& db,
                                          const ShardedSearchOptions& options)
-    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
-      options_(options) {
-  plan_ = plan_shards(db, options_.num_shards);
-  init(db);
-}
+    : ShardedSearchEngine(db, longest_first(db),
+                          plan_shards(db, options.num_shards), options) {}
 
 ShardedSearchEngine::ShardedSearchEngine(
     std::shared_ptr<const seq::MappedSwdb> db,
     const ShardedSearchOptions& options)
-    : SearchEngine({options.tracer, options.metrics, options.trace_track}),
-      options_(options),
-      mapped_(std::move(db)) {
-  SWDUAL_REQUIRE(mapped_ != nullptr, "mapped database must not be null");
-  plan_ = plan_shards(mapped_->lengths(), options_.num_shards);
-  init(mapped_->residue_views());
+    : ShardedSearchEngine(
+          require_mapped(db).residue_views(), require_mapped(db).lane_order(),
+          plan_shards(require_mapped(db).lengths(), options.num_shards),
+          options) {
+  mapped_ = std::move(db);
 }
 
-ShardedSearchEngine::~ShardedSearchEngine() = default;
-
-void ShardedSearchEngine::init(const DbView& db) {
-  db_records_ = db.size();
-  global_view_ = db;  // span copies; candidate rescans read through it
-  db_residues_ = db_residue_count(global_view_);
-  shards_.reserve(plan_.shards.size());
-  for (const ShardPlan::Shard& shard_plan : plan_.shards) {
-    auto state = std::make_unique<ShardState>();
-    state->view.reserve(shard_plan.records.size());
-    for (const std::uint32_t id : shard_plan.records) {
-      state->view.push_back(db[id]);
-    }
-    ParallelSearchOptions engine_options;
-    engine_options.threads = std::max<std::size_t>(1, options_.threads_per_shard);
-    engine_options.tracer = options_.tracer;
-    engine_options.metrics = options_.metrics;
-    engine_options.trace_track = options_.trace_track;
-    // The shard view is in ascending database order (the merge-discipline
-    // invariant); the engine re-sorts longest-first internally for the
-    // inter-sequence lane batches and inverse-permutes results back.
-    state->engine =
-        std::make_unique<ParallelSearchEngine>(state->view, engine_options);
-    shards_.push_back(std::move(state));
-  }
-  const std::size_t threads =
-      shards_.size() * std::max<std::size_t>(1, options_.threads_per_shard);
-  if (threads > 1) scatter_pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-void ShardedSearchEngine::parallel_for(
-    std::size_t count, const std::function<void(std::size_t)>& fn) const {
-  if (scatter_pool_ && count > 1) {
-    swdual::parallel_for(*scatter_pool_, count, fn);
-  } else {
-    SearchEngine::parallel_for(count, fn);
-  }
-}
-
-SearchResult ShardedSearchEngine::rescan(const SearchProfiles& profiles,
-                                         const DbView& candidates) const {
-  const std::size_t threads = scatter_pool_ ? scatter_pool_->size() : 1;
-  return search_ranges(*this, profiles, candidates,
-                       threads * ParallelSearchOptions{}.chunks_per_thread);
-}
-
-std::vector<std::uint8_t> ShardedSearchEngine::scatter(
-    std::size_t queries, bool screen,
-    const std::function<void(const SearchEngine&, std::size_t)>& pass,
+std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
+    std::span<const Chunk> chunks, std::size_t queries, bool screen,
+    const std::function<void(std::size_t)>& run,
     std::vector<ShardFailure>& failures) const {
   {
     util::MutexLock lock(stats_mutex_);
@@ -159,143 +150,93 @@ std::vector<std::uint8_t> ShardedSearchEngine::scatter(
     options_.metrics->observe("serve_shard_group_queries",
                               static_cast<double>(queries));
   }
-  // The retry ladder, one shard at a time: its own engine first, then the
-  // serial engine over the shard's view on this thread — independent of
-  // the shard's engine/pool, same results by construction.
-  std::vector<ShardFailure> attempts(shards_.size());
-  std::vector<std::uint8_t> ok(shards_.size(), 0);
-  const auto ladder = [&](std::size_t s) {
-    const ShardState& shard = *shards_[s];
-    ShardFailure& failure = attempts[s];
-    failure.shard = s;
-    failure.records = plan_.shards[s].records;
-    for (std::size_t attempt = 0; attempt <= options_.max_shard_retries;
-         ++attempt) {
-      ++failure.attempts;
-      obs::Span span;
-      if (options_.tracer) {
-        span = options_.tracer->span("shard_scan", "shard",
-                                     options_.trace_track);
-        span.arg("shard", static_cast<double>(s));
-        span.arg("attempt", static_cast<double>(attempt));
-        span.arg("records", static_cast<double>(shard.view.size()));
-        span.arg("queries", static_cast<double>(queries));
-        if (screen) span.arg("screen", 1.0);
-      }
-      WallTimer timer;
-      try {
-        if (options_.before_shard) options_.before_shard(s, attempt);
-        if (attempt == 0) {
-          pass(*shard.engine, s);
-        } else {
-          pass(SerialSearchEngine(shard.view), s);
-        }
-        ok[s] = 1;
-      } catch (const std::exception& error) {
-        failure.reason = error.what();
-      } catch (...) {
-        failure.reason = "unknown shard failure";
-      }
-      const bool retrying = !ok[s] && attempt < options_.max_shard_retries;
-      if (options_.metrics) {
-        if (ok[s]) {
-          options_.metrics->add("serve_shard_scans");
-          options_.metrics->observe("serve_shard_scan_seconds",
-                                    timer.seconds());
-        } else {
-          options_.metrics->add(retrying ? "serve_shard_retries"
-                                         : "serve_shard_failures");
-        }
-      }
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++(ok[s] ? stats_.scans : retrying ? stats_.retries : stats_.failures);
-      }
-      if (ok[s]) return;
+  // Chunks come in shard order: shard s owns chunks [first[s], first[s+1]).
+  const std::size_t num_shards = plan_.shards.size();
+  std::vector<std::size_t> first(num_shards + 1, chunks.size());
+  for (std::size_t c = chunks.size(); c-- > 0;) first[chunks[c].shard] = c;
+
+  // One outcome per shard attempt: a shard_scan span over [start, end] on
+  // the pass clock, the serve_shard_* metrics and Stats.
+  WallTimer pass_timer;
+  const double epoch = options_.tracer ? options_.tracer->now() : 0.0;
+  const auto note = [&](std::size_t s, std::size_t attempt, double start,
+                        double end, bool ok) {
+    const bool retrying = !ok && attempt < options_.max_shard_retries;
+    if (options_.tracer) {
+      obs::TraceEvent event;
+      event.name = "shard_scan";
+      event.category = "shard";
+      event.track = options_.trace_track;
+      event.start = epoch + start;
+      event.end = epoch + end;
+      event.args = {
+          {"shard", static_cast<double>(s)},
+          {"attempt", static_cast<double>(attempt)},
+          {"records", static_cast<double>(plan_.shards[s].records.size())},
+          {"queries", static_cast<double>(queries)}};
+      if (screen) event.args.emplace_back("screen", 1.0);
+      options_.tracer->record(std::move(event));
     }
+    if (options_.metrics) {
+      if (ok) {
+        options_.metrics->add("serve_shard_scans");
+        options_.metrics->observe("serve_shard_scan_seconds", end - start);
+      } else {
+        options_.metrics->add(retrying ? "serve_shard_retries"
+                                       : "serve_shard_failures");
+      }
+    }
+    util::MutexLock lock(stats_mutex_);
+    ++(ok ? stats_.scans : retrying ? stats_.retries : stats_.failures);
   };
-  parallel_for(shards_.size(), ladder);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!ok[s]) failures.push_back(std::move(attempts[s]));
-  }
-  return ok;
-}
 
-std::vector<RankedSearchResult> ShardedSearchEngine::scan(
-    std::span<const SearchProfiles* const> group, std::size_t k,
-    std::vector<ShardFailure>& failures) const {
-  std::vector<std::vector<RankedSearchResult>> per_shard(shards_.size());
-  const std::vector<std::uint8_t> ok = scatter(
-      group.size(), false,
-      [&](const SearchEngine& engine, std::size_t s) {
-        std::vector<ShardFailure> none;
-        per_shard[s] = engine.scan(group, k, none);
-      },
-      failures);
+  // Attempt 0: every chunk of every shard on the pool, each shard's hook at
+  // the start of its first chunk.
+  std::vector<std::optional<std::string>> errors(chunks.size());
+  std::vector<std::pair<double, double>> times(chunks.size());
+  parallel_for(chunks.size(), [&](std::size_t c) {
+    const std::size_t s = chunks[c].shard;
+    times[c].first = pass_timer.seconds();
+    errors[c] = failure_of([&] {
+      if (c == first[s] && options_.before_shard) options_.before_shard(s, 0);
+      run(c);
+    });
+    times[c].second = pass_timer.seconds();
+  });
 
-  // Gather: scatter shard-local scores back to database order and merge the
-  // per-shard top-k heaps in shard order. Shard-local hit indices become
-  // global ones through the plan's record list (ascending, so ties resolve
-  // by global index and the ranking matches the unsharded search).
-  std::vector<RankedSearchResult> results(group.size());
-  for (RankedSearchResult& result : results) {
-    result.result.scores.assign(db_records_, 0);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!ok[s]) continue;
-    const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < group.size(); ++q) {
-      RankedSearchResult& result = results[q];
-      const RankedSearchResult& shard_ranked = per_shard[s][q];
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        result.result.scores[records[i]] = shard_ranked.result.scores[i];
-      }
-      result.result.cells += shard_ranked.result.cells;
-      result.result.overflow_rescans += shard_ranked.result.overflow_rescans;
-      for (const SearchHit& hit : shard_ranked.hits) {
-        push_top_hit(result.hits, {records[hit.db_index], hit.score}, k);
-      }
+  // The ladder: a shard whose hook or chunk threw reruns all its chunks
+  // inline, its hook first, until one attempt succeeds or the budget ends.
+  std::vector<std::uint8_t> merged(chunks.size(), 1);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    ShardFailure failure;
+    failure.shard = s;
+    failure.attempts = 1;
+    failure.records = plan_.shards[s].records;
+    double start = std::numeric_limits<double>::infinity();
+    double end = 0.0;
+    std::optional<std::string> error;
+    for (std::size_t c = first[s]; c < first[s + 1]; ++c) {
+      start = std::min(start, times[c].first);
+      end = std::max(end, times[c].second);
+      if (!error) error = errors[c];
+    }
+    note(s, 0, start, end, !error);
+    while (error && failure.attempts <= options_.max_shard_retries) {
+      const std::size_t attempt = failure.attempts++;
+      start = pass_timer.seconds();
+      error = failure_of([&] {
+        if (options_.before_shard) options_.before_shard(s, attempt);
+        for (std::size_t c = first[s]; c < first[s + 1]; ++c) run(c);
+      });
+      note(s, attempt, start, pass_timer.seconds(), !error);
+    }
+    if (error) {
+      for (std::size_t c = first[s]; c < first[s + 1]; ++c) merged[c] = 0;
+      failure.reason = std::move(*error);
+      failures.push_back(std::move(failure));
     }
   }
-  for (RankedSearchResult& result : results) finish_top_hits(result.hits);
-  return results;
-}
-
-std::vector<ScreenResult> ShardedSearchEngine::screen(
-    std::span<const SearchProfiles* const> group, std::size_t band,
-    std::vector<ShardFailure>& failures) const {
-  std::vector<std::vector<ScreenResult>> per_shard(shards_.size());
-  const std::vector<std::uint8_t> ok = scatter(
-      group.size(), true,
-      [&](const SearchEngine& engine, std::size_t s) {
-        std::vector<ShardFailure> none;
-        per_shard[s] = engine.screen(group, band, none);
-      },
-      failures);
-
-  // Gather the screens to database order. Records of failed shards keep
-  // score 0 with the exact certificate set, so they are never rescanned.
-  std::vector<ScreenResult> screens(group.size());
-  for (ScreenResult& screen : screens) {
-    screen.scores.assign(db_records_, 0);
-    screen.exact.assign(db_records_, 1);
-    screen.edge_hit.assign(db_records_, 0);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!ok[s]) continue;
-    const std::vector<std::uint32_t>& records = plan_.shards[s].records;
-    for (std::size_t q = 0; q < group.size(); ++q) {
-      ScreenResult& screen = screens[q];
-      const ScreenResult& shard_screen = per_shard[s][q];
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        screen.scores[records[i]] = shard_screen.scores[i];
-        screen.exact[records[i]] = shard_screen.exact[i];
-        screen.edge_hit[records[i]] = shard_screen.edge_hit[i];
-      }
-      screen.cells += shard_screen.cells;
-    }
-  }
-  return screens;
+  return merged;
 }
 
 std::vector<ShardedSearchResult> ShardedSearchEngine::search_many(
@@ -323,7 +264,7 @@ std::vector<ShardedSearchResult> ShardedSearchEngine::search_many_filtered(
   SearchRequest request;
   request.k = k;
   request.filter = config;
-  return search(*this, group, request);
+  return align::search(*this, group, request);
 }
 
 ShardedSearchEngine::Stats ShardedSearchEngine::stats() const {

@@ -1,10 +1,9 @@
 // Full-traceback pairwise alignment.
 //
 // These routines keep the whole DP matrix (O(m·n) memory) and recover the
-// alignment path, unlike the score-only kernels in scalar.h. They back the
-// annotated-results pipeline (annotate.h tracebacks the merged top-k winners
-// to produce CIGARs), the memory-frugal wrappers in locate.h, and the Fig. 1
-// example.
+// alignment path, unlike the score-only kernels in scalar.h. They are the
+// tests' oracle for the linear-space traceback that annotation uses
+// (locate.h), and the quickstart example's Fig. 1 traceback.
 #pragma once
 
 #include <cstdint>

@@ -158,8 +158,8 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
 /// sub-view — still zero-copy spans into the caller's storage — and every
 /// reported hit is mapped back to its *global* database index before the
 /// report is returned, so the output composes directly with results from
-/// other shards (the serve layer's scatter-gather recovery path re-runs a
-/// failed shard through the full master scheduler with this overload).
+/// other shards (the serve layer's shard recovery re-runs a failed shard
+/// through the full master scheduler with this overload).
 SearchReport run_search(const std::vector<seq::Sequence>& queries,
                         const align::DbView& db,
                         std::span<const std::uint32_t> shard,

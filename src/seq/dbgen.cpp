@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "seq/swdb.h"
 #include "util/error.h"
 
 namespace swdual::seq {
@@ -129,13 +128,6 @@ std::vector<Sequence> generate_database(const DatabaseProfile& profile) {
         rng, profile.name + "_" + std::to_string(i), lengths[i]));
   }
   return records;
-}
-
-std::size_t generate_database_file(const DatabaseProfile& profile,
-                                   const std::string& swdb_path) {
-  const std::vector<Sequence> records = generate_database(profile);
-  write_swdb(swdb_path, records, AlphabetKind::kProtein);
-  return records.size();
 }
 
 }  // namespace swdual::seq

@@ -67,8 +67,4 @@ std::vector<std::size_t> generate_lengths(const DatabaseProfile& profile);
 /// profile.seed).
 std::vector<Sequence> generate_database(const DatabaseProfile& profile);
 
-/// Generate and persist a database as SWDB; returns number of records.
-std::size_t generate_database_file(const DatabaseProfile& profile,
-                                   const std::string& swdb_path);
-
 }  // namespace swdual::seq

@@ -8,8 +8,8 @@
 // deliberately *not* part of the key — every backend produces bit-identical
 // scores (tests/align/test_backend_equivalence.cpp), so a hit computed on
 // AVX2 is the right answer for an SSE2 host too. Shard topology (shard
-// count, thread counts, scatter order) is excluded for the same reason:
-// sharded scatter-gather results are bit-identical to the unsharded search
+// count, thread counts) is excluded for the same reason: sharded results
+// are bit-identical to the unsharded search
 // (tests/align/test_sharded_search.cpp), so a cached answer is valid at any
 // shard count. test_result_cache.cpp pins the exact key layout so a field
 // cannot sneak in unreviewed.

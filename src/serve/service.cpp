@@ -10,15 +10,6 @@
 
 namespace swdual::serve {
 
-const char* submit_status_name(SubmitStatus status) {
-  switch (status) {
-    case SubmitStatus::kAccepted: return "accepted";
-    case SubmitStatus::kQueueFull: return "queue-full";
-    case SubmitStatus::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 /// The service's sharded engine. A shard that exhausts its in-engine
 /// retries gets one more chance in the pipeline's recover stage — after the
 /// ranking, before the single annotate stage: its records re-run through
@@ -35,8 +26,7 @@ class QueryService::RescuingShards final : public align::ShardedSearchEngine {
   void recover(std::span<const align::SearchProfiles* const> group,
                const align::SearchRequest& request,
                std::vector<align::SearchOutcome>& outcomes) const override {
-    if (!service_.config_.shard_recovery || outcomes.empty() ||
-        outcomes.front().failures.empty()) {
+    if (outcomes.empty() || outcomes.front().failures.empty()) {
       return;
     }
     std::vector<seq::Sequence> queries(group.size());
@@ -325,7 +315,7 @@ void QueryService::dispatch(std::vector<Request> batch) {
       // The distinct queries form one multi-query group: each shard chunk
       // is scanned once per query while hot, instead of one full database
       // pass per query; selection, rescan, recovery and annotation run on
-      // the gathered data.
+      // the merged data.
       std::vector<std::shared_ptr<const align::CachedProfiles>> cached;
       std::vector<const align::SearchProfiles*> group;
       for (const std::size_t leader : leaders) {

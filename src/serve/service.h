@@ -88,22 +88,20 @@ struct ServiceConfig {
 
   /// Scale-out: > 0 runs every batch through an align::ShardedSearchEngine
   /// with this many residue-balanced shards (zero-copy views into the one
-  /// database), scatter-gather merged, with the batch's distinct queries
-  /// sharing one pass over each shard chunk. 0 keeps the classic path: one
+  /// database), with the batch's distinct queries sharing one pass over
+  /// every shard chunk. 0 keeps the classic path: one
   /// master::run_search (CPU+GPU scheduler) per batch.
   std::size_t shards = 0;
 
-  /// Intra-shard scan threads for the sharded path.
+  /// Scan threads per shard for the sharded path; the engine's one pool
+  /// holds shards × threads_per_shard threads.
   std::size_t threads_per_shard = 1;
 
-  /// In-engine recovery attempts per failed shard scan (sharded path).
+  /// In-engine recovery attempts per failed shard scan (sharded path). A
+  /// shard that exhausts them is re-run through the master scheduler
+  /// (run_search's shard overload) before it surfaces as a partial
+  /// response.
   std::size_t max_shard_retries = 1;
-
-  /// When a shard exhausts its in-engine retry budget, re-run just that
-  /// shard's records through the master scheduler (run_search's shard
-  /// overload) before giving up. Off → failed shards surface as partial
-  /// responses immediately.
-  bool shard_recovery = true;
 
   /// Test hook mirroring before_batch, forwarded to the sharded engine:
   /// invoked with (shard, attempt) before every shard-scan attempt; a throw
@@ -128,8 +126,6 @@ enum class SubmitStatus {
   kQueueFull,  ///< admission queue at capacity — retry later
   kShutdown,   ///< service no longer accepts work
 };
-
-const char* submit_status_name(SubmitStatus status);
 
 /// One fulfilled request.
 struct QueryResponse {
@@ -264,7 +260,7 @@ class QueryService {
   /// Service capability, declared before both cache capabilities: the
   /// admission lock may be held briefly around queue/counter state, but the
   /// caches are only ever entered with it released (their methods are
-  /// self-locking), so the scatter-gather path cannot produce a
+  /// self-locking), so the sharded path cannot produce a
   /// service↔cache deadlock — and under Clang, acquiring mutex_ while a
   /// cache lock is held contradicts this declaration and fails the build.
   mutable util::Mutex mutex_

@@ -84,16 +84,12 @@ TEST_P(ParallelSearchKernels, MatchesSerialAcrossChunkGeometries) {
   ScoringScheme scheme;
   const SearchResult serial =
       search_database(query_view, views, scheme, GetParam());
-  // Chunk sizes: single-record chunks, a mid value, and one larger than the
-  // whole database (collapses to a single chunk).
-  for (const std::size_t chunk_records : {1u, 7u, 1000u}) {
+  // 4 chunks per thread: a few records per chunk at 1 and 2 threads, and
+  // single-record chunks at 7 (28 parts over 25 records).
+  for (const std::size_t threads : {1u, 2u, 7u}) {
     ParallelSearchOptions options;
-    options.threads = 3;
-    options.chunk_records = chunk_records;
+    options.threads = threads;
     const ParallelSearchEngine engine(views, options);
-    if (chunk_records >= db.size()) {
-      EXPECT_EQ(engine.num_chunks(), 1u);
-    }
     expect_identical(engine_search(engine, query_view, scheme, GetParam()),
                      serial);
   }
@@ -148,7 +144,6 @@ TEST(ParallelSearch, OverflowEscalationMatchesSerial) {
     EXPECT_GE(serial.overflow_rescans, 1u) << kernel_name(kernel);
     ParallelSearchOptions options;
     options.threads = 4;
-    options.chunk_records = 3;
     const ParallelSearchEngine engine(views, options);
     expect_identical(engine_search(engine, query_view, scheme, kernel), serial);
   }
@@ -246,8 +241,7 @@ TEST(ParallelSearch, ResidueBalancedPartitionCoversAndBalances) {
   }
   const DbView views = make_db_view(db);
   ParallelSearchOptions options;
-  options.threads = 4;
-  options.chunks_per_thread = 2;
+  options.threads = 2;
   const ParallelSearchEngine engine(views, options);
   EXPECT_EQ(engine.num_chunks(), 8u);
   EXPECT_EQ(engine.db_records(), db.size());

@@ -1,4 +1,4 @@
-// Sharded scatter-gather search battery: the sharded engine must be
+// Sharded search battery: the sharded engine must be
 // bit-identical to the unsharded search at every shard count, for every
 // kernel, on every available backend, serial and threaded — including a
 // ragged database whose 5000-residue outlier dwarfs every other record.
@@ -22,6 +22,7 @@
 #include "align/search.h"
 #include "align/sharded_search.h"
 #include "seq/swdb.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace swdual::align {
@@ -212,78 +213,119 @@ TEST(ShardedSearch, MultiQueryGroupMatchesPerQuerySearch) {
   EXPECT_EQ(engine.stats().scans, 3u);
 }
 
+// With threads_per_shard 3 a failed shard spans several chunks on the
+// shared pool, and its attempt-0 hook fires mid-pass on a pool thread.
 TEST(ShardedSearch, FailedShardRetriesOnRecoveryPathAndStaysBitIdentical) {
   const Corpus corpus = ragged_corpus(5, 30, 40);
   const DbView db = corpus.view();
   const ScoringScheme scheme;
-
-  std::atomic<int> injected{0};
-  ShardedSearchOptions options;
-  options.num_shards = 4;
-  options.max_shard_retries = 1;
-  options.before_shard = [&](std::size_t shard, std::size_t attempt) {
-    if (shard == 1 && attempt == 0) {
-      ++injected;
-      throw std::runtime_error("injected shard fault");
-    }
-  };
-  const ShardedSearchEngine engine(db, options);
-  const ShardedSearchResult result =
-      search_one(engine, corpus.query, scheme, KernelKind::kInterSeq, 6);
-
-  EXPECT_EQ(injected.load(), 1);
-  EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(result.failures.empty());
-  EXPECT_EQ(engine.stats().retries, 1u);
-  EXPECT_EQ(engine.stats().failures, 0u);
-
   const SearchResult expected =
       search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
-  EXPECT_EQ(result.ranked.result.scores, expected.scores);
-  expect_hits_equal(result.ranked.hits, expected.top(6), "recovered");
+
+  for (const std::size_t threads : {1u, 3u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    std::atomic<int> injected{0};
+    ShardedSearchOptions options;
+    options.num_shards = 4;
+    options.threads_per_shard = threads;
+    options.max_shard_retries = 1;
+    options.before_shard = [&](std::size_t shard, std::size_t attempt) {
+      if (shard == 1 && attempt == 0) {
+        ++injected;
+        throw std::runtime_error("injected shard fault");
+      }
+    };
+    const ShardedSearchEngine engine(db, options);
+    const ShardedSearchResult result =
+        search_one(engine, corpus.query, scheme, KernelKind::kInterSeq, 6);
+
+    EXPECT_EQ(injected.load(), 1) << label;
+    EXPECT_TRUE(result.complete) << label;
+    EXPECT_TRUE(result.failures.empty()) << label;
+    EXPECT_EQ(engine.stats().retries, 1u) << label;
+    EXPECT_EQ(engine.stats().failures, 0u) << label;
+
+    EXPECT_EQ(result.ranked.result.scores, expected.scores) << label;
+    EXPECT_EQ(result.ranked.result.cells, expected.cells) << label;
+    expect_hits_equal(result.ranked.hits, expected.top(6),
+                      "recovered " + label);
+  }
 }
 
 TEST(ShardedSearch, RetryBudgetExhaustionYieldsPartialResultsWithReason) {
   const Corpus corpus = ragged_corpus(6, 30, 40);
   const DbView db = corpus.view();
   const ScoringScheme scheme;
-
-  ShardedSearchOptions options;
-  options.num_shards = 3;
-  options.max_shard_retries = 2;
-  options.before_shard = [](std::size_t shard, std::size_t) {
-    if (shard == 2) throw std::runtime_error("shard 2 is on fire");
-  };
-  const ShardedSearchEngine engine(db, options);
-  const ShardedSearchResult result =
-      search_one(engine, corpus.query, scheme, KernelKind::kStriped, 5);
-
-  EXPECT_FALSE(result.complete);
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].shard, 2u);
-  EXPECT_EQ(result.failures[0].attempts, 3u);  // 1 try + 2 retries
-  EXPECT_NE(result.failures[0].reason.find("on fire"), std::string::npos);
-  EXPECT_EQ(engine.stats().failures, 1u);
-
-  // The scanned shards' scores are still exact; the failed shard's records
-  // read zero and are absent from the hits.
   const SearchResult expected =
       search_database(corpus.query, db, scheme, KernelKind::kStriped);
-  const auto& failed_records = engine.plan().shards[2].records;
-  std::vector<bool> failed(db.size(), false);
-  for (const std::uint32_t id : failed_records) failed[id] = true;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    if (failed[i]) {
-      EXPECT_EQ(result.ranked.result.scores[i], 0) << "record " << i;
-    } else {
-      EXPECT_EQ(result.ranked.result.scores[i], expected.scores[i])
-          << "record " << i;
+
+  for (const std::size_t threads : {1u, 3u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ShardedSearchOptions options;
+    options.num_shards = 3;
+    options.threads_per_shard = threads;
+    options.max_shard_retries = 2;
+    options.before_shard = [](std::size_t shard, std::size_t) {
+      if (shard == 2) throw std::runtime_error("shard 2 is on fire");
+    };
+    const ShardedSearchEngine engine(db, options);
+    const ShardedSearchResult result =
+        search_one(engine, corpus.query, scheme, KernelKind::kStriped, 5);
+
+    EXPECT_FALSE(result.complete) << label;
+    ASSERT_EQ(result.failures.size(), 1u) << label;
+    EXPECT_EQ(result.failures[0].shard, 2u) << label;
+    EXPECT_EQ(result.failures[0].attempts, 3u) << label;  // 1 try + 2 retries
+    EXPECT_NE(result.failures[0].reason.find("on fire"), std::string::npos)
+        << label;
+    EXPECT_EQ(engine.stats().failures, 1u) << label;
+
+    // The scanned shards' scores are still exact; the failed shard's
+    // records read zero and are absent from the hits.
+    const auto& failed_records = engine.plan().shards[2].records;
+    std::vector<bool> failed(db.size(), false);
+    for (const std::uint32_t id : failed_records) failed[id] = true;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      if (failed[i]) {
+        EXPECT_EQ(result.ranked.result.scores[i], 0)
+            << label << " record " << i;
+      } else {
+        EXPECT_EQ(result.ranked.result.scores[i], expected.scores[i])
+            << label << " record " << i;
+      }
+    }
+    for (const SearchHit& hit : result.ranked.hits) {
+      EXPECT_FALSE(failed[hit.db_index])
+          << label << " failed-shard record " << hit.db_index
+          << " in partial hits";
     }
   }
-  for (const SearchHit& hit : result.ranked.hits) {
-    EXPECT_FALSE(failed[hit.db_index])
-        << "failed-shard record " << hit.db_index << " in partial hits";
-  }
+}
+
+TEST(ShardedSearch, PublicGroupPassesThrowOnFailedShard) {
+  // Partial answers come only through the pipeline primitives, which report
+  // the failure; the chunked engine's public passes never drop it silently.
+  const Corpus corpus = ragged_corpus(8, 30, 40);
+  ShardedSearchOptions options;
+  options.num_shards = 3;
+  options.threads_per_shard = 2;
+  options.max_shard_retries = 1;
+  options.before_shard = [](std::size_t shard, std::size_t) {
+    if (shard == 0) throw std::runtime_error("shard 0 is gone");
+  };
+  const ShardedSearchEngine engine(corpus.view(), options);
+  const SearchProfiles profiles(corpus.query, ScoringScheme{},
+                                KernelKind::kInterSeq);
+  const SearchProfiles* group[] = {&profiles};
+  EXPECT_THROW((void)engine.search(profiles), Error);
+  EXPECT_THROW((void)engine.search_ranked_many(group, 5), Error);
+  EXPECT_THROW((void)engine.screen_many(group, 16), Error);
+
+  std::vector<ShardFailure> failures;
+  (void)engine.scan(group, 5, failures);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].shard, 0u);
+  EXPECT_NE(failures[0].reason.find("is gone"), std::string::npos);
 }
 
 TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
@@ -314,52 +356,58 @@ TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
   filter.band = 12;
   filter.keep_factor = 2.0;
 
-  ShardedSearchOptions options;
-  options.num_shards = 3;
-  options.max_shard_retries = 1;
-  options.before_shard = [](std::size_t shard, std::size_t) {
-    if (shard == 1) throw std::runtime_error("shard 1 is down");
-  };
-  const ShardedSearchEngine engine(db, options);
+  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kInterSeq);
   const std::vector<std::span<const std::uint8_t>> queries{
       {corpus.query.data(), corpus.query.size()}};
-  const auto many = engine.search_many_filtered(
-      queries, scheme, KernelKind::kInterSeq, k, filter);
-  ASSERT_EQ(many.size(), 1u);
-  const ShardedSearchResult& result = many[0];
-  EXPECT_FALSE(result.complete);
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].shard, 1u);
+  for (const std::size_t threads : {1u, 3u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ShardedSearchOptions options;
+    options.num_shards = 3;
+    options.threads_per_shard = threads;
+    options.max_shard_retries = 1;
+    options.before_shard = [](std::size_t shard, std::size_t) {
+      if (shard == 1) throw std::runtime_error("shard 1 is down");
+    };
+    const ShardedSearchEngine engine(db, options);
+    const auto many = engine.search_many_filtered(
+        queries, scheme, KernelKind::kInterSeq, k, filter);
+    ASSERT_EQ(many.size(), 1u) << label;
+    const ShardedSearchResult& result = many[0];
+    EXPECT_FALSE(result.complete) << label;
+    ASSERT_EQ(result.failures.size(), 1u) << label;
+    EXPECT_EQ(result.failures[0].shard, 1u) << label;
 
-  std::vector<bool> failed(db.size(), false);
-  for (const std::uint32_t id : engine.plan().shards[1].records) {
-    failed[id] = true;
-  }
-  for (const SearchHit& hit : result.ranked.hits) {
-    EXPECT_FALSE(failed[hit.db_index])
-        << "failed-shard record " << hit.db_index << " in partial hits";
-  }
+    std::vector<bool> failed(db.size(), false);
+    for (const std::uint32_t id : engine.plan().shards[1].records) {
+      failed[id] = true;
+    }
+    for (const SearchHit& hit : result.ranked.hits) {
+      EXPECT_FALSE(failed[hit.db_index])
+          << label << " failed-shard record " << hit.db_index
+          << " in partial hits";
+    }
 
-  // The healthy records alone, screened and selected serially: the partial
-  // answer must count exactly their candidates and rank their exact top-k.
-  DbView healthy;
-  std::vector<std::size_t> healthy_index;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    if (failed[i]) continue;
-    healthy.push_back(db[i]);
-    healthy_index.push_back(i);
-  }
-  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kInterSeq);
-  FilterStats want;
-  (void)filter_select_candidates(
-      screen_range(profiles, healthy, 0, healthy.size(), filter.band), k,
-      filter, &want);
-  EXPECT_EQ(result.filter.candidates, want.candidates);
+    // The healthy records alone, screened and selected serially: the
+    // partial answer must count exactly their candidates and rank their
+    // exact top-k.
+    DbView healthy;
+    std::vector<std::size_t> healthy_index;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      if (failed[i]) continue;
+      healthy.push_back(db[i]);
+      healthy_index.push_back(i);
+    }
+    FilterStats want;
+    (void)filter_select_candidates(
+        screen_range(profiles, healthy, 0, healthy.size(), filter.band), k,
+        filter, &want);
+    EXPECT_EQ(result.filter.candidates, want.candidates) << label;
 
-  const SearchResult exact = search_database(profiles, healthy);
-  std::vector<SearchHit> expected = exact.top(k);
-  for (SearchHit& hit : expected) hit.db_index = healthy_index[hit.db_index];
-  expect_hits_equal(result.ranked.hits, expected, "healthy top-k");
+    const SearchResult exact = search_database(profiles, healthy);
+    std::vector<SearchHit> expected = exact.top(k);
+    for (SearchHit& hit : expected) hit.db_index = healthy_index[hit.db_index];
+    expect_hits_equal(result.ranked.hits, expected, "healthy top-k " + label);
+  }
 }
 
 TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {

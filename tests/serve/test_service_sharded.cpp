@@ -1,4 +1,4 @@
-// Serve-layer sharded scatter-gather: bit-identity of sharded responses,
+// Serve-layer sharded search: bit-identity of sharded responses,
 // cache hits independent of shard topology, shard-failure recovery through
 // the master scheduler, partial-results-with-reason fallback, and the
 // shutdown-mid-scatter drain guarantee. The multithreaded soak at the end
@@ -162,7 +162,11 @@ TEST(ShardedQueryService, ExhaustedShardYieldsPartialResponseNeverCached) {
   const auto db = make_database(18, 4);
   ServiceConfig config = sharded_config(3);
   config.max_shard_retries = 1;
-  config.shard_recovery = false;  // no master fallback: partial surfaces
+  // The master rescue fails too (every task past max_task_retries), so the
+  // ladder's failure surfaces as a partial response.
+  config.master.fault_injector = [](std::size_t, std::size_t) {
+    return true;
+  };
   config.before_shard = [](std::size_t shard, std::size_t) {
     if (shard == 0) throw std::runtime_error("injected: shard 0 down");
   };
@@ -186,6 +190,7 @@ TEST(ShardedQueryService, ExhaustedShardYieldsPartialResponseNeverCached) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.searches, 2u);
   EXPECT_EQ(stats.partial_responses, 2u);
+  EXPECT_EQ(stats.shard_recoveries, 0u);
   EXPECT_EQ(stats.results.size, 0u);  // nothing was inserted
 }
 
@@ -268,7 +273,9 @@ TEST(ShardedQueryService, FilteredAnnotatedWithoutRecoveryIsPartialUncached) {
   const auto db = planted_database(query, 8);
   ServiceConfig config = filtered_annotated_config();
   config.max_shard_retries = 1;
-  config.shard_recovery = false;
+  config.master.fault_injector = [](std::size_t, std::size_t) {
+    return true;
+  };
   config.before_shard = [](std::size_t shard, std::size_t) {
     if (shard == 1) throw std::runtime_error("injected: shard 1 down");
   };
@@ -277,11 +284,13 @@ TEST(ShardedQueryService, FilteredAnnotatedWithoutRecoveryIsPartialUncached) {
   const QueryResponse first = service.submit(query).result.get();
   EXPECT_TRUE(first.partial);
   EXPECT_NE(first.partial_reason.find("shard 1"), std::string::npos);
+  EXPECT_NE(first.partial_reason.find("shard 1 down"), std::string::npos);
   const QueryResponse second = service.submit(query).result.get();
   EXPECT_FALSE(second.cache_hit);
   EXPECT_TRUE(second.partial);
   const auto stats = service.stats();
   EXPECT_EQ(stats.partial_responses, 2u);
+  EXPECT_EQ(stats.shard_recoveries, 0u);
   EXPECT_EQ(stats.results.size, 0u);
   service.shutdown();
 }

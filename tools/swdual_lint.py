@@ -35,6 +35,10 @@ Enforces conventions clang-tidy cannot express:
     (deterministic, shared, cached per database) and the O(m·n) traceback
     must not leak into service layers; annotation goes through
     AnnotateConfig + annotate_hits
+  * a ``ThreadPool`` is constructed in src/ only by
+    src/align/parallel_search.cpp — one pool per engine: the sharded
+    engine runs its shards as chunks of that engine's pass, and other
+    layers reach the pool through SearchEngine::parallel_for
   * optionally (--cxx), every header under src/ compiles standalone
 
 Exit status 0 when clean, 1 with one ``file:line: message`` per violation
@@ -125,6 +129,16 @@ PIPELINE_STAGE_CALL = re.compile(
     r"\s*\("
 )
 PIPELINE_STAGE_CALLERS = ("src/align/pipeline.cpp", "src/align/annotate.cpp")
+
+# One pool per engine: the chunked engine (align/parallel_search.cpp) owns
+# the only ThreadPool in the library. A second pool stacked under or beside
+# it oversubscribes the cores and splits one pass into nested ones.
+THREAD_POOL_CONSTRUCTION = re.compile(
+    r"(?:\bmake_(?:unique|shared)\s*<\s*(?:\w+::)*ThreadPool\s*>"
+    r"|\bnew\s+(?:\w+::)*ThreadPool\b"
+    r"|\bThreadPool\s+\w+\s*[({;])"
+)
+THREAD_POOL_OWNER = "src/align/parallel_search.cpp"
 
 
 def is_call(code: str, match: re.Match) -> bool:
@@ -283,6 +297,16 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 f"{match.group(1)} called outside src/align/pipeline.cpp — "
                 "selection and annotation are search-pipeline stages; build "
                 "an align::SearchRequest and call align::search",
+            )
+
+    if rel.as_posix() != THREAD_POOL_OWNER:
+        for match in THREAD_POOL_CONSTRUCTION.finditer(code):
+            lineno = code.count("\n", 0, match.start()) + 1
+            report(
+                lineno,
+                "ThreadPool constructed outside align/parallel_search.cpp — "
+                "one pool per engine; run work through the engine's "
+                "parallel_for or as chunks of its pass",
             )
 
     if top_dir in DETERMINISTIC_DIRS:
