@@ -6,7 +6,16 @@
 //
 //   ./bench_parallel_search [--records N] [--len L] [--query-len Q]
 //                           [--threads-list 1,2,4] [--backend-list all]
-//                           [--reps R]
+//                           [--reps R] [--db-zipf-s S] [--shards N]
+//
+// --db-zipf-s S > 0 draws the record lengths from a Zipf rank distribution,
+// max(24, 3·len / rank^S), the length skew of the sharded serve workloads.
+// --shards N > 0 adds, per backend, the sharded layer: an interseq group
+// pass of two queries through N shards × t threads per shard against the
+// chunked engine at N·t threads, for every t in --threads-list (median
+// wall time over --reps, GCUPS, and score identity with the serial scan).
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,6 +26,7 @@
 #include "align/parallel_search.h"
 #include "align/pipeline.h"
 #include "align/search.h"
+#include "align/sharded_search.h"
 #include "bench_common.h"
 #include "seq/dbgen.h"
 #include "seq/swdb.h"
@@ -104,6 +114,10 @@ int main(int argc, char** argv) {
   cli.add_option("filter-band", "banded-screen half-width for the filtered "
                  "rows", "16");
   cli.add_option("top-k", "hits requested from the filtered search", "10");
+  cli.add_option("db-zipf-s",
+                 "Zipf skew of record lengths (0 = uniform jitter)", "0");
+  cli.add_option("shards", "shards of the sharded group-pass rows (0 = none)",
+                 "0");
   cli.add_option("out", "JSON output path", "BENCH_parallel_search.json");
   try {
     cli.parse(argc, argv);
@@ -117,7 +131,8 @@ int main(int argc, char** argv) {
   }
 
   std::size_t records = 0, len = 0, query_len = 0, reps = 0;
-  std::size_t plant = 0, filter_band = 0, top_k = 0;
+  std::size_t plant = 0, filter_band = 0, top_k = 0, shards = 0;
+  double db_zipf_s = 0.0;
   std::vector<std::size_t> thread_counts;
   std::vector<align::Backend> backends;
   try {
@@ -128,6 +143,9 @@ int main(int argc, char** argv) {
     plant = cli.option_uint("plant");
     filter_band = cli.option_uint("filter-band");
     top_k = cli.option_uint("top-k");
+    shards = cli.option_uint("shards");
+    db_zipf_s = cli.option_double("db-zipf-s");
+    SWDUAL_REQUIRE(db_zipf_s >= 0.0, "--db-zipf-s must be >= 0");
     SWDUAL_REQUIRE(filter_band > 0, "--filter-band must be >= 1");
     SWDUAL_REQUIRE(top_k > 0, "--top-k must be >= 1");
     thread_counts = parse_list(cli.option("threads-list"));
@@ -145,14 +163,32 @@ int main(int argc, char** argv) {
   std::vector<seq::Sequence> db;
   db.reserve(records);
   for (std::size_t i = 0; i < records; ++i) {
-    // Mild length skew so chunk balancing has something to balance.
-    const std::size_t jitter = rng.below(len);
-    db.push_back(seq::random_protein(rng, "d" + std::to_string(i),
-                                     len / 2 + jitter));
+    // Mild length skew so chunk balancing has something to balance, or a
+    // Zipf rank skew (a few giants, a long tail of short records) with the
+    // ranks scattered over the database like bench_serve's.
+    std::size_t record_len = 0;
+    if (db_zipf_s > 0.0) {
+      const std::size_t rank = (i * 0x9e3779b9u) % records;
+      record_len = std::max<std::size_t>(
+          24, static_cast<std::size_t>(
+                  3.0 * static_cast<double>(len) /
+                  std::pow(static_cast<double>(rank + 1), db_zipf_s)));
+    } else {
+      record_len = len / 2 + rng.below(len);
+    }
+    db.push_back(
+        seq::random_protein(rng, "d" + std::to_string(i), record_len));
   }
   const seq::Sequence query = seq::random_protein(rng, "q", query_len);
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
+  // The sharded rows' second query, drawn apart so the database does not
+  // depend on --shards.
+  Rng second_rng(4243);
+  const seq::Sequence second_query =
+      seq::random_protein(second_rng, "q2", query_len);
+  const std::span<const std::uint8_t> second_view(
+      second_query.residues.data(), second_query.residues.size());
   // Planted homologs (point substitutions every ~20 residues) give the
   // filtered rows a realistic top-k: without them the exact top-k is
   // off-diagonal noise, the screen's documented miss class.
@@ -202,7 +238,10 @@ int main(int argc, char** argv) {
   json += "  \"host_threads\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"records\": " + std::to_string(records) + ",\n";
+  json += "  \"len\": " + std::to_string(len) + ",\n";
+  json += "  \"db_zipf_s\": " + TextTable::fmt(db_zipf_s, 2) + ",\n";
   json += "  \"query_len\": " + std::to_string(query_len) + ",\n";
+  json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"db_format\": \"swdb v2 (pre-encoded, mmap zero-copy)\",\n";
   json += "  \"backends\": {\n";
 
@@ -280,6 +319,83 @@ int main(int argc, char** argv) {
       json += ki + 1 < kernels.size() ? "        },\n" : "        }\n";
     }
     json += "      },\n";
+
+    // The sharded layer: one interseq group pass of two queries through
+    // `shards` shards × t threads each, against the chunked engine's pass
+    // at the same shards·t threads. Both must score like the serial scan.
+    if (shards > 0) {
+      const align::KernelKind kernel = align::KernelKind::kInterSeq;
+      const align::SearchProfiles first(query_view, scheme, kernel, backend);
+      const align::SearchProfiles second(second_view, scheme, kernel,
+                                         backend);
+      const align::SearchProfiles* group[] = {&first, &second};
+      const align::SearchResult expected[] = {
+          align::search_database(first, views),
+          align::search_database(second, views)};
+      const double cells =
+          static_cast<double>(expected[0].cells + expected[1].cells);
+      // Median wall time of the group pass over `reps` passes, after one
+      // untimed pass that also checks the scores.
+      const auto group_pass = [&](const align::ParallelSearchEngine& engine,
+                                  bool& identical) {
+        const auto results = engine.search_ranked_many(group, top_k);
+        identical = results[0].result.scores == expected[0].scores &&
+                    results[1].result.scores == expected[1].scores;
+        std::vector<double> seconds;
+        for (std::size_t r = 0; r < reps; ++r) {
+          WallTimer timer;
+          (void)engine.search_ranked_many(group, top_k);
+          seconds.push_back(timer.seconds());
+        }
+        std::sort(seconds.begin(), seconds.end());
+        return seconds[seconds.size() / 2];
+      };
+      json += "      \"sharded\": {\"kernel\": \"interseq\", \"group\": 2, "
+              "\"shards\": " + std::to_string(shards) + ", \"rows\": [\n";
+      for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+        const std::size_t per_shard = thread_counts[ti];
+        align::ParallelSearchOptions chunked_options;
+        chunked_options.threads = shards * per_shard;
+        const align::ParallelSearchEngine chunked(mapped, chunked_options);
+        align::ShardedSearchOptions sharded_options;
+        sharded_options.num_shards = shards;
+        sharded_options.threads_per_shard = per_shard;
+        const align::ShardedSearchEngine sharded(views, sharded_options);
+        bool chunked_identical = false;
+        bool sharded_identical = false;
+        const double chunked_s = group_pass(chunked, chunked_identical);
+        const double sharded_s = group_pass(sharded, sharded_identical);
+        const bool identical = chunked_identical && sharded_identical;
+        const double chunked_gcups = cells / chunked_s / 1e9;
+        const double sharded_gcups = cells / sharded_s / 1e9;
+        const std::string topology =
+            std::to_string(shards) + "x" + std::to_string(per_shard);
+        table.add_row({"group2 chunked", bname,
+                       std::to_string(chunked_options.threads),
+                       std::to_string(chunked.num_chunks()),
+                       TextTable::fmt(chunked_gcups, 3), "1.00",
+                       chunked_identical ? "yes" : "NO"});
+        table.add_row({"group2 sharded", bname, topology,
+                       std::to_string(sharded.num_chunks()),
+                       TextTable::fmt(sharded_gcups, 3),
+                       TextTable::fmt(chunked_s / sharded_s, 2),
+                       sharded_identical ? "yes" : "NO"});
+        json += "        {\"threads_per_shard\": " + std::to_string(per_shard) +
+                ", \"threads\": " + std::to_string(chunked_options.threads) +
+                ", \"imbalance\": " +
+                TextTable::fmt(sharded.plan().imbalance(), 4) +
+                ", \"chunked_ms\": " + TextTable::fmt(chunked_s * 1e3, 3) +
+                ", \"sharded_ms\": " + TextTable::fmt(sharded_s * 1e3, 3) +
+                ", \"chunked_gcups\": " + TextTable::fmt(chunked_gcups, 4) +
+                ", \"sharded_gcups\": " + TextTable::fmt(sharded_gcups, 4) +
+                ", \"overhead_frac\": " +
+                TextTable::fmt(sharded_s / chunked_s - 1.0, 4) +
+                ", \"scores_identical\": " + (identical ? "true" : "false") +
+                "}";
+        json += ti + 1 < thread_counts.size() ? ",\n" : "\n";
+      }
+      json += "      ]},\n";
+    }
 
     // Two-stage filtered search at this backend: banded screen + interseq
     // candidate rescan, scored as *effective* GCUPS — exact-scan cells over

@@ -39,16 +39,17 @@ void require_complete(const std::vector<ShardFailure>& failures) {
 
 std::vector<RecordRange> balanced_ranges(
     std::span<const std::span<const std::uint8_t>> db, std::size_t parts,
-    std::size_t batch) {
+    std::size_t batch, RecordCost cost) {
   const std::size_t n = db.size();
   if (n == 0) return {};
-  // Residue-balanced cuts: end a range after the record whose cumulative
-  // residue count crosses the next multiple of total/parts. Every range
-  // gets at least one record.
+  // Cost-balanced cuts: end a range after the record whose cumulative cost
+  // crosses the next multiple of total/parts. Every range gets at least one
+  // record.
   parts = std::clamp<std::size_t>(parts, 1, n);
   std::vector<std::uint64_t> prefix(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    prefix[i + 1] = prefix[i] + std::max<std::uint64_t>(db[i].size(), 1);
+    const std::uint64_t residues = std::max<std::uint64_t>(db[i].size(), 1);
+    prefix[i + 1] = prefix[i] + (cost == RecordCost::kRecord ? 1 : residues);
   }
   std::vector<RecordRange> cuts;
   cuts.reserve(parts);
@@ -84,8 +85,8 @@ std::vector<RecordRange> balanced_ranges(
 SearchResult search_ranges(const SearchEngine& engine,
                            const SearchProfiles& profiles, const DbView& view,
                            std::size_t parts) {
-  const std::vector<RecordRange> ranges =
-      balanced_ranges(view, parts, exact_batch(profiles));
+  const std::vector<RecordRange> ranges = balanced_ranges(
+      view, parts, exact_batch(profiles), RecordCost::kResidues);
   std::vector<SearchResult> scanned(ranges.size());
   engine.parallel_for(ranges.size(), [&](std::size_t r) {
     scanned[r] =
@@ -105,7 +106,7 @@ SearchResult search_ranges(const SearchEngine& engine,
 ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                                            const ParallelSearchOptions& options)
     : ParallelSearchEngine(
-          db, longest_first(db), std::vector<std::uint32_t>(db.size(), 0),
+          db, longest_first(db), std::vector<std::size_t>{db.size()},
           options.threads,
           {options.tracer, options.metrics, options.trace_track}) {}
 
@@ -116,35 +117,25 @@ ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
                                            const ParallelSearchOptions& options)
     : ParallelSearchEngine(
           db.residue_views(), db.lane_order(),
-          std::vector<std::uint32_t>(db.size(), 0), options.threads,
+          std::vector<std::size_t>{db.size()}, options.threads,
           {options.tracer, options.metrics, options.trace_track}) {}
 
 ParallelSearchEngine::ParallelSearchEngine(
     const DbView& db, std::span<const std::uint32_t> longest_first,
-    std::span<const std::uint32_t> shard_of, std::size_t threads_per_shard,
+    std::span<const std::size_t> runs, std::size_t threads_per_shard,
     const SearchSinks& sinks)
-    : SearchEngine(sinks) {
-  SWDUAL_REQUIRE(longest_first.size() == db.size() &&
-                     shard_of.size() == db.size(),
-                 "every record needs one position and one shard");
-  // next[s]: shard s's record count, then its next free position. Filling
-  // the shards in longest-first visit order keeps that order within each.
-  std::vector<std::size_t> next;
-  for (const std::uint32_t s : shard_of) {
-    if (s >= next.size()) next.resize(s + 1, 0);
-    ++next[s];
-  }
+    : SearchEngine(sinks), original_index_(longest_first.begin(),
+                                           longest_first.end()) {
   std::size_t begin = 0;
-  for (std::size_t& slot : next) {
-    shards_.push_back({begin, begin + slot});
-    slot = begin;
-    begin = shards_.back().end;
+  for (const std::size_t run : runs) {
+    shards_.push_back({begin, begin + run});
+    begin += run;
   }
-  original_index_.resize(db.size());
+  SWDUAL_REQUIRE(longest_first.size() == db.size() && begin == db.size(),
+                 "the runs must cut one position per record");
   permuted_pos_.resize(db.size());
-  for (const std::uint32_t id : longest_first) {
-    permuted_pos_[id] = next[shard_of[id]]++;
-    original_index_[permuted_pos_[id]] = id;
+  for (std::size_t pos = 0; pos < original_index_.size(); ++pos) {
+    permuted_pos_[original_index_[pos]] = pos;
   }
   db_.reserve(db.size());
   for (const std::size_t id : original_index_) db_.push_back(db[id]);
@@ -167,14 +158,14 @@ std::vector<std::uint32_t> ParallelSearchEngine::longest_first(
 }
 
 std::vector<ParallelSearchEngine::Chunk> ParallelSearchEngine::chunk_ranges(
-    std::size_t batch) const {
+    std::size_t batch, RecordCost cost) const {
   const std::span<const std::span<const std::uint8_t>> records(db_);
   std::vector<Chunk> chunks;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const RecordRange shard = shards_[s];
     for (const RecordRange& range :
          balanced_ranges(records.subspan(shard.begin, shard.end - shard.begin),
-                         chunks_per_shard_, batch)) {
+                         chunks_per_shard_, batch, cost)) {
       chunks.push_back(
           {{shard.begin + range.begin, shard.begin + range.end}, s});
     }
@@ -243,7 +234,8 @@ std::vector<RankedSearchResult> ParallelSearchEngine::scan(
   // The inter-sequence kernel processes the (length-sorted) records in
   // groups of one SIMD batch; keep chunk boundaries on batch multiples so
   // no batch is split mid-vector across two chunks.
-  const std::vector<Chunk> chunks = chunk_ranges(exact_batch(*profiles[0]));
+  const std::vector<Chunk> chunks =
+      chunk_ranges(exact_batch(*profiles[0]), RecordCost::kResidues);
 
   // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q,
   // the chunk's records scanned once per query while they are hot; hits are
@@ -324,11 +316,15 @@ std::vector<ScreenResult> ParallelSearchEngine::screen(
   if (profiles.empty()) return merged;
 
   // The banded kernel batches byte lanes; keep those batches unsplit the
-  // same way the exact scan aligns interseq chunks to the 16-bit lanes.
+  // same way the exact scan aligns interseq chunks to the 16-bit lanes. Its
+  // paced lane walk covers one band window per record, so the chunks
+  // balance records, not residues: a residue cut would pile the short tail
+  // of the longest-first order into one straggler chunk.
   const std::vector<Chunk> chunks = chunk_ranges(
       profiles[0]->kernel() == KernelKind::kScalar
           ? 1
-          : backend_lanes8(profiles[0]->backend()));
+          : backend_lanes8(profiles[0]->backend()),
+      RecordCost::kRecord);
 
   const SearchSinks& sink = sinks();
   std::vector<std::vector<ScreenResult>> per_chunk(chunks.size());

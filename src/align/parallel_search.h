@@ -3,7 +3,7 @@
 // The master–slave engine parallelizes *across* tasks (one query vs the
 // whole database per worker); this engine additionally parallelizes *inside*
 // one task, the way SWIPE/CUDASW++-class tools do: the database is
-// partitioned into residue-balanced chunks that fan out over a ThreadPool,
+// partitioned into cost-balanced chunks that fan out over a ThreadPool,
 // every chunk sharing one read-only set of query profiles (including the
 // lazily built 16-bit escalation profile of the striped8 tier).
 //
@@ -16,11 +16,11 @@
 // scan and group screen, and runs the pipeline's rescan ranges and
 // tracebacks on the same pool; filtering and annotation are the pipeline's.
 //
-// Shards: a derived engine may split the records into shards, its fault
-// domains (align/sharded_search.h). The records are then ordered shard by
-// shard, chunks never cross a shard boundary, and one group pass still runs
-// every chunk of every shard on the one pool; run_chunks decides how the
-// pass's chunks run and which of their outputs the one merge takes.
+// Shards: a derived engine may cut the longest-first order into contiguous
+// runs, its shards and fault domains (align/sharded_search.h). Chunks never
+// cross a run boundary, and one group pass still runs every chunk of every
+// shard on the one pool; run_chunks decides how the pass's chunks run and
+// which of their outputs the one merge takes.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,8 @@ namespace swdual::align {
 
 struct ParallelSearchOptions {
   /// Worker threads for the internal pool. 1 runs chunks inline (no pool).
-  /// The database is cut into 4 residue-balanced chunks per thread.
+  /// Each pass cuts the database into 4 chunks per thread, balanced by what
+  /// the pass costs per record (balanced_ranges).
   std::size_t threads = 1;
 
   /// Optional observability sinks (obs/trace.h, obs/metrics.h): every chunk
@@ -65,17 +66,24 @@ struct RecordRange {
   std::size_t end = 0;
 };
 
-/// The record partition of the chunked scans and of the rescan split: cut
-/// `db` into at most `parts` contiguous ranges of about equal residue count
-/// (empty records cost 1), then snap every interior cut to the nearest
-/// multiple of `batch` records, so a SIMD kernel never splits a lane batch
-/// between two ranges (a split batch runs twice with mostly padded lanes; a
-/// cut swallowed by its predecessor merges the two ranges). Scores, cells
-/// and overflow rescans never depend on the cut, since lanes are
-/// independent; only padding waste does. Empty for an empty `db`.
+/// What one record costs the pass that a partition is cut for.
+enum class RecordCost {
+  kResidues,  ///< its residues, empty records 1: the exact scans
+  kRecord,    ///< 1: the banded screen, whose paced lane walk covers one
+              ///< band window per record whatever its length
+};
+
+/// The record partition of the chunked passes and of the rescan split: cut
+/// `db` into at most `parts` contiguous ranges of about equal `cost`, then
+/// snap every interior cut to the nearest multiple of `batch` records, so a
+/// SIMD kernel never splits a lane batch between two ranges (a split batch
+/// runs twice with mostly padded lanes; a cut swallowed by its predecessor
+/// merges the two ranges). Scores, cells and overflow rescans never depend
+/// on the cut, since lanes are independent; only padding waste and chunk
+/// balance do. Empty for an empty `db`.
 std::vector<RecordRange> balanced_ranges(
     std::span<const std::span<const std::uint8_t>> db, std::size_t parts,
-    std::size_t batch);
+    std::size_t batch, RecordCost cost);
 
 /// search_range(profiles, view, 0, view.size()) cut by balanced_ranges into
 /// at most `parts` lane-batch-aligned ranges that run through
@@ -155,18 +163,19 @@ class ParallelSearchEngine : public SearchEngine {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn) const override;
 
-  std::size_t num_chunks() const { return chunk_ranges(1).size(); }
+  std::size_t num_chunks() const {
+    return chunk_ranges(1, RecordCost::kResidues).size();
+  }
   std::size_t db_records() const { return db_.size(); }
 
  protected:
-  /// Sharded layout: record `id` belongs to shard shard_of[id]. Records are
-  /// ordered shard by shard, each shard in `longest_first` order (every
-  /// record id, longest first, ties by id), each shard is cut into
-  /// threads_per_shard × 4 chunks, and the pool holds shards ×
-  /// threads_per_shard threads.
+  /// Sharded layout: records in `longest_first` order (every record id,
+  /// longest first, ties by id), cut into consecutive shards of `runs[s]`
+  /// records each; each shard is cut into threads_per_shard × 4 chunks, and
+  /// the pool holds shards × threads_per_shard threads.
   ParallelSearchEngine(const DbView& db,
                        std::span<const std::uint32_t> longest_first,
-                       std::span<const std::uint32_t> shard_of,
+                       std::span<const std::size_t> runs,
                        std::size_t threads_per_shard,
                        const SearchSinks& sinks);
 
@@ -191,11 +200,12 @@ class ParallelSearchEngine : public SearchEngine {
       std::vector<ShardFailure>& failures) const;
 
  private:
-  /// The chunks of every shard for a kernel whose lane batches hold `batch`
-  /// records: balanced_ranges of the shard, batches counted from its start.
-  std::vector<Chunk> chunk_ranges(std::size_t batch) const;
+  /// The chunks of every shard for a pass whose lane batches hold `batch`
+  /// records: balanced_ranges of the shard by `cost`, batches counted from
+  /// its start.
+  std::vector<Chunk> chunk_ranges(std::size_t batch, RecordCost cost) const;
 
-  DbView db_;  ///< shard-major, each shard longest-first (span copies)
+  DbView db_;  ///< longest first, ties by id (span copies)
   std::uint64_t total_residues_ = 0;
   std::vector<std::size_t> original_index_;  ///< permuted pos → db pos
   std::vector<std::size_t> permuted_pos_;    ///< db pos → permuted pos

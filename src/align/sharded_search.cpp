@@ -18,14 +18,75 @@ namespace swdual::align {
 
 namespace {
 
-/// The shard of each of `records` records: the chunked engine's layout.
-std::vector<std::uint32_t> shard_of(const ShardPlan& plan,
-                                    std::size_t records) {
-  std::vector<std::uint32_t> out(records);
-  for (std::uint32_t s = 0; s < plan.shards.size(); ++s) {
-    for (const std::uint32_t id : plan.shards[s].records) out[id] = s;
+/// Cut `order` (record ids, longest first) into min(num_shards, records)
+/// contiguous non-empty runs whose largest residue load is as small as it
+/// can be; `length(id)` is record id's residue count, empty records load 1.
+template <typename Length>
+ShardPlan cut_runs(std::span<const std::uint32_t> order,
+                   std::size_t num_shards, const Length& length) {
+  ShardPlan plan;
+  const std::size_t n = order.size();
+  if (n == 0) return plan;
+  num_shards = std::clamp<std::size_t>(num_shards, 1, n);
+  std::vector<std::uint64_t> load(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    load[i] = std::max<std::uint64_t>(length(order[i]), 1);
+    plan.total_residues += load[i];
   }
-  return out;
+  // Runs of a greedy fill under `capacity`: the fewest any cut can manage.
+  const auto runs_within = [&](std::uint64_t capacity) {
+    std::size_t runs = 1;
+    std::uint64_t run_load = 0;
+    for (const std::uint64_t l : load) {
+      if (run_load + l > capacity) {
+        ++runs;
+        run_load = 0;
+      }
+      run_load += l;
+    }
+    return runs;
+  };
+  // The smallest capacity that num_shards greedy runs can hold.
+  std::uint64_t low = *std::max_element(load.begin(), load.end());
+  std::uint64_t high = plan.total_residues;
+  while (low < high) {
+    const std::uint64_t mid = low + (high - low) / 2;
+    if (runs_within(mid) <= num_shards) {
+      high = mid;
+    } else {
+      low = mid + 1;
+    }
+  }
+  // Fill greedily under it, closing a run early when the records left are
+  // only enough for one per remaining shard.
+  plan.shards.resize(num_shards);
+  std::size_t s = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ShardPlan::Shard& run = plan.shards[s];
+    if (!run.records.empty() &&
+        (run.residues + load[i] > low || n - i < num_shards - s)) {
+      ++s;
+    }
+    plan.shards[s].records.push_back(order[i]);
+    plan.shards[s].residues += load[i];
+  }
+  // Record lists in ascending database order: a search over one shard's
+  // records (the serve layer's rescue of a failed shard) then breaks score
+  // ties exactly the way the unsharded search does (smallest database index
+  // wins).
+  for (ShardPlan::Shard& shard : plan.shards) {
+    std::sort(shard.records.begin(), shard.records.end());
+  }
+  return plan;
+}
+
+/// Each shard's record count: the runs of the chunked engine's layout.
+std::vector<std::size_t> run_lengths(const ShardPlan& plan) {
+  std::vector<std::size_t> runs;
+  for (const ShardPlan::Shard& shard : plan.shards) {
+    runs.push_back(shard.records.size());
+  }
+  return runs;
 }
 
 const seq::MappedSwdb& require_mapped(
@@ -66,41 +127,16 @@ double ShardPlan::imbalance() const {
 
 ShardPlan plan_shards(std::span<const std::uint32_t> lengths,
                       std::size_t num_shards) {
-  ShardPlan plan;
-  const std::size_t n = lengths.size();
-  if (n == 0) return plan;
-  num_shards = std::clamp<std::size_t>(num_shards, 1, n);
-  plan.shards.resize(num_shards);
-
-  // Longest-first visit order (ties by record id — the same tie-break the
-  // SWDB lane-batch index uses, so shard record lists line up with the
-  // inter-sequence kernel's preferred batching).
-  std::vector<std::uint32_t> order(n);
+  // Longest first, ties by record id: the order of the SWDB lane-batch index
+  // and of the chunked engine's layout.
+  std::vector<std::uint32_t> order(lengths.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&lengths](std::uint32_t a, std::uint32_t b) {
                      return lengths[a] > lengths[b];
                    });
-
-  for (const std::uint32_t id : order) {
-    // Lightest shard so far, ties to the lowest index: deterministic LPT.
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < num_shards; ++s) {
-      if (plan.shards[s].residues < plan.shards[best].residues) best = s;
-    }
-    const std::uint64_t cost = std::max<std::uint64_t>(lengths[id], 1);
-    plan.shards[best].records.push_back(id);
-    plan.shards[best].residues += cost;
-    plan.total_residues += cost;
-  }
-  // Record lists in ascending database order: a search over one shard's
-  // records (the serve layer's rescue of a failed shard) then breaks score
-  // ties exactly the way the unsharded search does (smallest database index
-  // wins).
-  for (ShardPlan::Shard& shard : plan.shards) {
-    std::sort(shard.records.begin(), shard.records.end());
-  }
-  return plan;
+  return cut_runs(order, num_shards,
+                  [&lengths](std::uint32_t id) { return lengths[id]; });
 }
 
 ShardPlan plan_shards(const DbView& db, std::size_t num_shards) {
@@ -116,26 +152,45 @@ ShardedSearchEngine::ShardedSearchEngine(
     const DbView& db, std::span<const std::uint32_t> longest_first,
     ShardPlan plan, const ShardedSearchOptions& options)
     : ParallelSearchEngine(
-          db, longest_first, shard_of(plan, db.size()),
-          options.threads_per_shard,
+          db, longest_first, run_lengths(plan), options.threads_per_shard,
           {options.tracer, options.metrics, options.trace_track}),
       options_(options),
-      plan_(std::move(plan)) {}
+      plan_(std::move(plan)) {
+  // The layout cut `longest_first` into runs of the shards' sizes; each run
+  // must hold exactly its shard's records, or a failed shard would drop the
+  // wrong chunks.
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < plan_.shards.size(); ++s) {
+    const std::vector<std::uint32_t>& records = plan_.shards[s].records;
+    const auto run = longest_first.subspan(begin, records.size());
+    std::vector<std::uint32_t> ids(run.begin(), run.end());
+    std::sort(ids.begin(), ids.end());
+    SWDUAL_CHECK(ids == records,
+                 "shard " + std::to_string(s) + " is not its layout run");
+    begin += records.size();
+  }
+}
 
 ShardedSearchEngine::ShardedSearchEngine(const DbView& db,
                                          const ShardedSearchOptions& options)
-    : ShardedSearchEngine(db, longest_first(db),
-                          plan_shards(db, options.num_shards), options) {}
+    : ShardedSearchEngine(db, longest_first(db), options) {}
 
 ShardedSearchEngine::ShardedSearchEngine(
     std::shared_ptr<const seq::MappedSwdb> db,
     const ShardedSearchOptions& options)
-    : ShardedSearchEngine(
-          require_mapped(db).residue_views(), require_mapped(db).lane_order(),
-          plan_shards(require_mapped(db).lengths(), options.num_shards),
-          options) {
+    : ShardedSearchEngine(require_mapped(db).residue_views(),
+                          require_mapped(db).lane_order(), options) {
   mapped_ = std::move(db);
 }
+
+ShardedSearchEngine::ShardedSearchEngine(
+    const DbView& db, std::span<const std::uint32_t> longest_first,
+    const ShardedSearchOptions& options)
+    : ShardedSearchEngine(
+          db, longest_first,
+          cut_runs(longest_first, options.num_shards,
+                   [&db](std::uint32_t id) { return db[id].size(); }),
+          options) {}
 
 std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
     std::span<const Chunk> chunks, std::size_t queries, bool screen,

@@ -4,11 +4,11 @@
 // threads. This engine splits the database into N residue-balanced shards —
 // zero-copy views into one shared buffer or mmap-backed SWDB, never copies —
 // each a fault domain of the chunked engine's pass (align/parallel_search.h):
-// the records are ordered shard by shard, chunks never cross a shard
-// boundary, and one group pass runs every chunk of every shard on the
-// engine's one pool of num_shards × threads_per_shard threads. The merge is
-// the chunked engine's, so results are bit-identical to the unsharded
-// search for every kernel, backend, thread count, and shard count.
+// the shards are contiguous runs of the longest-first record order, chunks
+// never cross a shard boundary, and one group pass runs every chunk of every
+// shard on the engine's one pool of num_shards × threads_per_shard threads.
+// The merge is the chunked engine's, so results are bit-identical to the
+// unsharded search for every kernel, backend, thread count, and shard count.
 //
 // Multi-query groups: every pass takes K concurrent queries and shares ONE
 // pass over every shard chunk between them (profiles built once, the chunk
@@ -30,7 +30,8 @@
 // shard that exhausts its budget is reported in SearchOutcome::failures
 // with a reason while the remaining shards' results are still returned
 // (partial results, scores of unscanned records read 0 and never enter the
-// merged top-k).
+// merged top-k). A shard is a run of the length order, so a partial answer
+// misses one contiguous length band of the database.
 #pragma once
 
 #include <cstddef>
@@ -57,13 +58,14 @@ class MappedSwdb;
 namespace swdual::align {
 
 /// Residue-balanced shard assignment: which database records each shard
-/// scans. Assignment is greedy longest-processing-time (records visited
-/// longest-first, each placed on the currently lightest shard, ties to the
-/// lowest shard index); each shard's record list is then stored in
-/// ascending database order, so a search over one shard's records (the
-/// serve layer's rescue of a failed shard) breaks score ties by database
-/// index like the whole-database search. Deterministic for a given
-/// (lengths, shard count).
+/// scans. The records, visited longest first (ties by id: the SWDB lane
+/// index's order), are cut into contiguous runs whose largest residue load
+/// is as small as any such cut allows, so every shard's lane batches are
+/// the global longest-first ones and pad few lanes. Each shard's record
+/// list is stored in ascending database order, so a search over one
+/// shard's records (the serve layer's rescue of a failed shard) breaks
+/// score ties by database index like the whole-database search.
+/// Deterministic for a given (lengths, shard count).
 struct ShardPlan {
   struct Shard {
     std::vector<std::uint32_t> records;  ///< db indices, ascending
@@ -75,13 +77,14 @@ struct ShardPlan {
 
   /// Relative load imbalance: max shard load / mean shard load − 1.
   /// 0 means perfectly balanced; the planner keeps this small whenever no
-  /// single record exceeds a shard's fair share.
+  /// single record exceeds a shard's fair share (a run can overshoot it by
+  /// at most one record).
   double imbalance() const;
 };
 
 /// Plan `num_shards` shards over records with the given residue lengths.
-/// num_shards is clamped to [1, record count]; an empty database yields a
-/// plan with zero shards.
+/// num_shards is clamped to [1, record count], and every shard gets at least
+/// one record; an empty database yields a plan with zero shards.
 ShardPlan plan_shards(std::span<const std::uint32_t> lengths,
                       std::size_t num_shards);
 ShardPlan plan_shards(const DbView& db, std::size_t num_shards);
@@ -170,6 +173,10 @@ class ShardedSearchEngine : public ParallelSearchEngine {
       std::vector<ShardFailure>& failures) const override;
 
  private:
+  /// Both public forms: plan and layout from one longest-first order.
+  ShardedSearchEngine(const DbView& db,
+                      std::span<const std::uint32_t> longest_first,
+                      const ShardedSearchOptions& options);
   ShardedSearchEngine(const DbView& db,
                       std::span<const std::uint32_t> longest_first,
                       ShardPlan plan, const ShardedSearchOptions& options);

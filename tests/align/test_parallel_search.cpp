@@ -256,5 +256,61 @@ TEST(ParallelSearch, ResidueBalancedPartitionCoversAndBalances) {
       serial);
 }
 
+TEST(ParallelSearch, ScreenChunksBalanceRecordsExactChunksBalanceResidues) {
+  // A longest-first view: 64 records of 300 residues, then 1000 of 24. The
+  // banded screen costs one band window per record, so its cut balances
+  // record counts; the exact scans' cut balances residues.
+  Rng rng(29);
+  std::vector<seq::Sequence> db;
+  for (std::size_t i = 0; i < 1064; ++i) {
+    db.push_back(seq::random_protein(rng, "d", i < 64 ? 300 : 24));
+  }
+  const DbView view = make_db_view(db);
+  constexpr std::size_t kParts = 8;
+  constexpr std::size_t kBatch = 16;
+  const auto covers = [&](const std::vector<RecordRange>& ranges) {
+    ASSERT_FALSE(ranges.empty());
+    EXPECT_EQ(ranges.front().begin, 0u);
+    EXPECT_EQ(ranges.back().end, view.size());
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      EXPECT_LT(ranges[r].begin, ranges[r].end) << r;
+      if (r > 0) {
+        EXPECT_EQ(ranges[r].begin, ranges[r - 1].end) << r;
+      }
+      if (r + 1 < ranges.size()) {
+        EXPECT_EQ(ranges[r].end % kBatch, 0u) << r;
+      }
+    }
+  };
+
+  const std::vector<RecordRange> screen =
+      balanced_ranges(view, kParts, kBatch, RecordCost::kRecord);
+  covers(screen);
+  EXPECT_EQ(screen.size(), kParts);
+  for (const RecordRange& range : screen) {
+    const std::size_t records = range.end - range.begin;
+    EXPECT_LE(records, view.size() / kParts + kBatch) << range.begin;
+    EXPECT_GE(records + kBatch, view.size() / kParts) << range.begin;
+  }
+
+  const std::vector<RecordRange> exact =
+      balanced_ranges(view, kParts, kBatch, RecordCost::kResidues);
+  covers(exact);
+  const std::uint64_t total = 64 * 300 + 1000 * 24;
+  for (const RecordRange& range : exact) {
+    std::uint64_t residues = 0;
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      residues += view[i].size();
+    }
+    // Snapping a cut to a lane batch moves it by at most one batch of the
+    // longest records.
+    EXPECT_LE(residues, total / kParts + kBatch * 300) << range.begin;
+    EXPECT_GE(residues + kBatch * 300, total / kParts) << range.begin;
+  }
+  // The long records fill the first exact chunks: far fewer records each
+  // than the screen's even split.
+  EXPECT_LT(exact.front().end, screen.front().end);
+}
+
 }  // namespace
 }  // namespace swdual::align

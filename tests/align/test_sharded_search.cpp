@@ -2,12 +2,14 @@
 // bit-identical to the unsharded search at every shard count, for every
 // kernel, on every available backend, serial and threaded — including a
 // ragged database whose 5000-residue outlier dwarfs every other record.
-// Plus: residue-balance guarantees of the planner under Zipf-skewed
-// lengths, multi-query group equivalence, deterministic fault injection
+// Plus: the planner's contract (contiguous runs of the longest-first order
+// with the smallest possible largest run, residue balance under Zipf-skewed
+// lengths), multi-query group equivalence, deterministic fault injection
 // through the before_shard hook (retry-to-recovery and budget exhaustion →
 // partial results with a reason), and the zero-copy MappedSwdb path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -110,9 +112,148 @@ TEST(ShardPlan, CoversEveryRecordExactlyOnce) {
   }
 }
 
+/// Record ids longest first, ties by id: the order the planner cuts.
+std::vector<std::uint32_t> longest_first(
+    const std::vector<std::uint32_t>& lengths) {
+  std::vector<std::uint32_t> order(lengths.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return lengths[a] > lengths[b];
+                   });
+  return order;
+}
+
+/// The largest shard load of a plan.
+std::uint64_t largest_load(const ShardPlan& plan) {
+  std::uint64_t largest = 0;
+  for (const auto& shard : plan.shards) {
+    largest = std::max(largest, shard.residues);
+  }
+  return largest;
+}
+
+/// The smallest largest-run load over every cut of `loads` into `runs`
+/// contiguous non-empty runs, by trying them all.
+std::uint64_t brute_force_optimum(const std::vector<std::uint64_t>& loads,
+                                  std::size_t runs) {
+  std::uint64_t best = ~std::uint64_t{0};
+  const auto recurse = [&](const auto& self, std::size_t begin,
+                           std::size_t left, std::uint64_t largest) -> void {
+    if (left == 1) {
+      std::uint64_t last = 0;
+      for (std::size_t i = begin; i < loads.size(); ++i) last += loads[i];
+      best = std::min(best, std::max(largest, last));
+      return;
+    }
+    std::uint64_t run = 0;
+    for (std::size_t end = begin + 1; end + left - 1 <= loads.size(); ++end) {
+      run += loads[end - 1];
+      self(self, end, left - 1, std::max(largest, run));
+    }
+  };
+  recurse(recurse, 0, runs, 0);
+  return best;
+}
+
+TEST(ShardPlan, RunsAreContiguousInLongestFirstOrder) {
+  // Lengths with many ties (and empty records): concatenating the shards,
+  // each longest first with ties by id, must give the global order back.
+  Rng rng(31);
+  for (const std::size_t records : {5u, 40u, 300u}) {
+    std::vector<std::uint32_t> lengths(records);
+    for (auto& length : lengths) {
+      length = static_cast<std::uint32_t>(rng.below(12) * rng.below(40));
+    }
+    const std::vector<std::uint32_t> order = longest_first(lengths);
+    for (const std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
+      const ShardPlan plan = plan_shards(lengths, shards);
+      const std::string label = std::to_string(records) + " records, " +
+                                std::to_string(shards) + " shards";
+      ASSERT_EQ(plan.shards.size(), std::min(shards, records)) << label;
+      std::vector<std::uint32_t> concatenated;
+      for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+        const auto& ids = plan.shards[s].records;
+        ASSERT_FALSE(ids.empty()) << label;
+        EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << label;
+        std::uint64_t residues = 0;
+        for (const std::uint32_t id : ids) {
+          residues += std::max<std::uint32_t>(lengths[id], 1);
+        }
+        EXPECT_EQ(plan.shards[s].residues, residues) << label;
+        if (s + 1 < plan.shards.size()) {
+          const auto& next = plan.shards[s + 1].records;
+          std::uint32_t shortest = ~0u;
+          std::uint32_t longest_next = 0;
+          for (const std::uint32_t id : ids) {
+            shortest = std::min(shortest, lengths[id]);
+          }
+          for (const std::uint32_t id : next) {
+            longest_next = std::max(longest_next, lengths[id]);
+          }
+          EXPECT_GE(shortest, longest_next) << label << " shard " << s;
+        }
+        const std::size_t begin = concatenated.size();
+        concatenated.insert(concatenated.end(), ids.begin(), ids.end());
+        std::stable_sort(concatenated.begin() +
+                             static_cast<std::ptrdiff_t>(begin),
+                         concatenated.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return lengths[a] > lengths[b];
+                         });
+      }
+      EXPECT_EQ(concatenated, order) << label;
+    }
+  }
+}
+
+TEST(ShardPlan, LargestShardIsTheBestContiguousCut) {
+  Rng rng(37);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t records = 1 + rng.below(12);
+    const std::size_t shards = 1 + rng.below(5);
+    std::vector<std::uint32_t> lengths(records);
+    for (auto& length : lengths) {
+      // Mostly short, sometimes a giant, sometimes empty.
+      length = static_cast<std::uint32_t>(
+          rng.below(8) == 0 ? 200 + rng.below(400) : rng.below(60));
+    }
+    std::vector<std::uint64_t> loads;
+    for (const std::uint32_t id : longest_first(lengths)) {
+      loads.push_back(std::max<std::uint32_t>(lengths[id], 1));
+    }
+    const ShardPlan plan = plan_shards(lengths, shards);
+    ASSERT_EQ(plan.shards.size(), std::min(shards, records));
+    EXPECT_EQ(largest_load(plan),
+              brute_force_optimum(loads, plan.shards.size()))
+        << "trial " << trial << ": " << records << " records, " << shards
+        << " shards";
+  }
+}
+
+TEST(ShardPlan, RecordAboveTheFairShareSitsAlone) {
+  // 40 short records and one giant worth more than a quarter of the total:
+  // the giant leads the longest-first order and fills a shard by itself.
+  Rng rng(41);
+  std::vector<std::uint32_t> lengths(41);
+  for (auto& length : lengths) {
+    length = static_cast<std::uint32_t>(20 + rng.below(60));
+  }
+  lengths[17] = 5000;
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    const ShardPlan plan = plan_shards(lengths, shards);
+    ASSERT_EQ(plan.shards.size(), shards);
+    EXPECT_EQ(plan.shards[0].records, std::vector<std::uint32_t>{17})
+        << shards << " shards";
+    EXPECT_EQ(plan.shards[0].residues, 5000u);
+    EXPECT_EQ(largest_load(plan), 5000u) << shards << " shards";
+  }
+}
+
 TEST(ShardPlan, ZipfSkewedLengthsStayResidueBalanced) {
   // Zipf-skewed record lengths concentrate residues in few hot records; the
-  // LPT planner must still bound per-shard residue imbalance to <= 10%.
+  // contiguous-run planner must still bound per-shard residue imbalance to
+  // <= 10%.
   Rng rng(23);
   std::vector<std::uint32_t> lengths(600);
   for (std::size_t i = 0; i < lengths.size(); ++i) {
@@ -440,6 +581,19 @@ TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.ranked.result.scores, expected.scores);
   expect_hits_equal(result.ranked.hits, expected.top(10), "mmap");
+
+  // The lane-batch index cuts into the same plan as the record views.
+  const ShardedSearchEngine from_views(direct_view, options);
+  const ShardPlan expected_plan = plan_shards(direct_view, 3);
+  ASSERT_EQ(engine.plan().shards.size(), expected_plan.shards.size());
+  for (std::size_t s = 0; s < expected_plan.shards.size(); ++s) {
+    EXPECT_EQ(engine.plan().shards[s].records,
+              expected_plan.shards[s].records)
+        << "shard " << s;
+    EXPECT_EQ(from_views.plan().shards[s].records,
+              expected_plan.shards[s].records)
+        << "shard " << s;
+  }
   std::remove(path.c_str());
 }
 
