@@ -398,8 +398,6 @@ int main(int argc, char** argv) {
                                                        3)});
     table.add_row({"shard scans", std::to_string(stats.shards.scans)});
     table.add_row({"shard retries", std::to_string(stats.shards.retries)});
-    table.add_row(
-        {"shard recoveries", std::to_string(stats.shard_recoveries)});
   }
   const double recall_mean =
       recall_count > 0 ? recall_sum / static_cast<double>(recall_count) : 1.0;
@@ -480,7 +478,7 @@ int main(int argc, char** argv) {
         "\"batches\": %llu, \"mean_batch\": %.2f, "
         "\"group_passes\": %llu, \"db_passes_per_query\": %.4f, "
         "\"shard_scans\": %llu, \"shard_retries\": %llu, "
-        "\"shard_recoveries\": %llu, \"partial_responses\": %llu, "
+        "\"partial_responses\": %llu, "
         "\"backpressure_retries\": %llu, \"scores_identical\": %s}\n",
         elapsed, throughput, p50, p95, p99, hit_rate,
         static_cast<unsigned long long>(stats.searches),
@@ -489,7 +487,6 @@ int main(int argc, char** argv) {
         db_passes_per_query,
         static_cast<unsigned long long>(stats.shards.scans),
         static_cast<unsigned long long>(stats.shards.retries),
-        static_cast<unsigned long long>(stats.shard_recoveries),
         static_cast<unsigned long long>(stats.partial_responses),
         static_cast<unsigned long long>(backpressure_retries),
         mismatches == 0 ? "true" : "false");

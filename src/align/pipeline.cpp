@@ -162,8 +162,6 @@ std::vector<SearchOutcome> search(const SearchEngine& engine,
     outcome.failures = failures;
   }
 
-  engine.recover(group, request, outcomes);
-
   // Annotation runs once, on each query's final global top-k: hit scores
   // and order are already fixed, and the search space is the whole
   // database, so annotated answers inherit the topology independence.

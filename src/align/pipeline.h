@@ -3,11 +3,12 @@
 // A task is a group of queries scanned against the whole database (paper
 // §II-C, Fig. 6). search() runs its stages once for every engine:
 //   screen? → select → rescan (uncertified candidates, longest-first) →
-//   rank → recover (engine hook) → annotate (final global top-k only).
+//   rank → annotate (final global top-k only).
 // An engine supplies only how records are partitioned: a group scan, a
-// group screen, an exact scan of a candidate view, and optionally partition
-// recovery. Every stage after the partition pass sees database-order data,
-// so answers never depend on the partition topology.
+// group screen and an exact scan of a candidate view. Retrying a failed
+// partition is the engine's job; one that fails past its retries is
+// reported in the outcome. Every stage after the partition pass sees
+// database-order data, so answers never depend on the partition topology.
 #pragma once
 
 #include <cstddef>
@@ -61,15 +62,10 @@ struct SearchOutcome {
   bool filtered = false;  ///< the two-stage filter produced this answer
   FilterStats filter;     ///< what the filter did (zero when off)
 
-  /// False when a partition failed past recovery: its records were not
+  /// False when a partition failed past its retries: its records were not
   /// scanned (scores read 0) and never appear in the hits.
   bool complete = true;
   std::vector<ShardFailure> failures;
-
-  /// False when recovery merged a failed partition's own filtered answer
-  /// (its candidate selection was per partition, not global): valid hits,
-  /// but not the canonical answer a cache key promises.
-  bool canonical = true;
 };
 
 /// Where an engine's spans and metrics go (each optional; the sinks must
@@ -126,13 +122,6 @@ class SearchEngine {
     for (std::size_t i = 0; i < count; ++i) fn(i);
   }
 
-  /// Runs after ranking and before annotation, so recovered answers are
-  /// annotated like any other. An override may rescue the partitions named
-  /// in each outcome's `failures` and merge their hits. Default: none.
-  virtual void recover(std::span<const SearchProfiles* const> /*group*/,
-                       const SearchRequest& /*request*/,
-                       std::vector<SearchOutcome>& /*outcomes*/) const {}
-
   /// Also receive the pipeline's filter_rescore / annotate_* spans and its
   /// filter_* / annotate_* metrics.
   const SearchSinks& sinks() const { return sinks_; }
@@ -142,8 +131,7 @@ class SearchEngine {
 };
 
 /// The serial engine: the whole database as one range, on the calling
-/// thread (its exact scan is rescan() of every record). Also the recovery
-/// path of the sharded engine.
+/// thread (its exact scan is rescan() of every record).
 class SerialSearchEngine : public SearchEngine {
  public:
   /// Copies the record spans; the viewed residues must outlive the engine.

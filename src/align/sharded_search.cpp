@@ -70,10 +70,8 @@ ShardPlan cut_runs(std::span<const std::uint32_t> order,
     plan.shards[s].records.push_back(order[i]);
     plan.shards[s].residues += load[i];
   }
-  // Record lists in ascending database order: a search over one shard's
-  // records (the serve layer's rescue of a failed shard) then breaks score
-  // ties exactly the way the unsharded search does (smallest database index
-  // wins).
+  // Record lists in ascending database order, the form in which
+  // ShardFailure::records reports a failed shard.
   for (ShardPlan::Shard& shard : plan.shards) {
     std::sort(shard.records.begin(), shard.records.end());
   }

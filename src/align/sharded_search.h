@@ -62,9 +62,8 @@ namespace swdual::align {
 /// index's order), are cut into contiguous runs whose largest residue load
 /// is as small as any such cut allows, so every shard's lane batches are
 /// the global longest-first ones and pad few lanes. Each shard's record
-/// list is stored in ascending database order, so a search over one
-/// shard's records (the serve layer's rescue of a failed shard) breaks
-/// score ties by database index like the whole-database search.
+/// list is stored in ascending database order, the form in which
+/// ShardFailure::records reports a failed shard.
 /// Deterministic for a given (lengths, shard count).
 struct ShardPlan {
   struct Shard {

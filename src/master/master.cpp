@@ -49,36 +49,6 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
 
 SearchReport run_search(const std::vector<seq::Sequence>& queries,
                         const align::DbView& db_view,
-                        std::span<const std::uint32_t> shard,
-                        const MasterConfig& config) {
-  align::DbView shard_view;
-  shard_view.reserve(shard.size());
-  for (const std::uint32_t record : shard) {
-    SWDUAL_REQUIRE(record < db_view.size(),
-                   "shard record index out of range");
-    shard_view.push_back(db_view[record]);
-  }
-  // Annotation is disabled for the sub-view run unconditionally: a shard
-  // report exists to be merged with other shards, and per-shard annotation
-  // would use the shard's residue count as the Karlin–Altschul search
-  // space (wrong e-values) before the winners are even known. The caller's
-  // pipeline annotates the merged global top-k instead.
-  MasterConfig shard_config = config;
-  shard_config.annotate = {};
-  shard_config.stats = nullptr;
-  SearchReport report = run_search(queries, shard_view, shard_config);
-  // Hits come back indexed into the sub-view; lift them to global database
-  // indices so shard reports merge with the rest of the scatter.
-  for (QueryResult& result : report.results) {
-    for (align::SearchHit& hit : result.hits) {
-      hit.db_index = shard[hit.db_index];
-    }
-  }
-  return report;
-}
-
-SearchReport run_search(const std::vector<seq::Sequence>& queries,
-                        const align::DbView& db_view,
                         const MasterConfig& config) {
   SWDUAL_REQUIRE(config.cpu_workers + config.gpu_workers > 0,
                  "need at least one worker");
@@ -192,15 +162,18 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
     }
   };
 
-  // Failure handling: a failed report is reassigned to the next worker in
-  // registration order (a different one than the failing worker whenever the
-  // platform has more than one), bounded by max_task_retries per task.
+  // Failure handling: a failed report (an injected fault or a task that
+  // threw) is reassigned to the next worker in registration order (a
+  // different one than the failing worker whenever the platform has more
+  // than one), bounded by max_task_retries per task; past that, the run
+  // throws here, on the caller's thread, with the last attempt's error.
   std::map<std::size_t, std::size_t> retries;
   const auto handle_failure = [&](const TaskReport& r) {
     const std::size_t attempt = ++retries[r.task_id];
     SWDUAL_CHECK(attempt <= config.max_task_retries,
                  "task " + std::to_string(r.task_id) + " failed " +
-                     std::to_string(attempt) + " times — giving up");
+                     std::to_string(attempt) + " times — giving up: " +
+                     r.error);
     const std::size_t target = (r.worker_id + 1) % workers.size();
     if (config.metrics) config.metrics->add("task_retries");
     if (config.tracer) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -151,18 +150,6 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
 /// here.
 SearchReport run_search(const std::vector<seq::Sequence>& queries,
                         const align::DbView& db,
-                        const MasterConfig& config);
-
-/// Shard plumbing: run the search against only the database records listed
-/// in `shard` (indices into `db`, each < db.size()). The scan sees a
-/// sub-view — still zero-copy spans into the caller's storage — and every
-/// reported hit is mapped back to its *global* database index before the
-/// report is returned, so the output composes directly with results from
-/// other shards (the serve layer's shard recovery re-runs a failed shard
-/// through the full master scheduler with this overload).
-SearchReport run_search(const std::vector<seq::Sequence>& queries,
-                        const align::DbView& db,
-                        std::span<const std::uint32_t> shard,
                         const MasterConfig& config);
 
 }  // namespace swdual::master

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "align/search.h"
@@ -29,6 +30,7 @@ struct TaskReport {
   std::size_t worker_id = 0;
   sched::PeId pe;
   bool failed = false;            ///< worker fault — master must reassign
+  std::string error;              ///< why a failed attempt failed
   std::vector<align::SearchHit> hits;  ///< the query's top hits, rank order
   align::FilterStats filter;      ///< what the filter did (zero when off)
   std::uint64_t cells = 0;        ///< DP cells computed

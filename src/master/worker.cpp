@@ -1,5 +1,6 @@
 #include "master/worker.h"
 
+#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -92,13 +93,44 @@ Worker::~Worker() {
 
 void Worker::run() {
   while (auto order = commands_.pop()) {
+    // A task that throws fails its attempt like an injected fault: the
+    // master retries it elsewhere or, past its budget, throws on its own
+    // thread. An exception must never leave this thread (std::terminate).
+    TaskReport report;
+    try {
+      report = execute(*order);
+    } catch (const std::exception& error) {
+      report = fail(*order, error.what());
+    } catch (...) {
+      report = fail(*order, "unknown exception");
+    }
     // The master keeps the result queue open until every worker joined, so
     // a rejected push means a task report (and a waiting collect loop) would
     // be lost — that invariant breaking is unrecoverable here.
-    SWDUAL_CHECK(results_.push(execute(*order)),
+    SWDUAL_CHECK(results_.push(std::move(report)),
                  "result queue closed while worker " + std::to_string(id_) +
                      " was executing");
   }
+}
+
+TaskReport Worker::fail(const TaskOrder& order, std::string error) {
+  // The attempt charges no virtual time: drop what the device accrued.
+  if (device_) device_->take_virtual_seconds();
+  if (context_.tracer) {
+    context_.tracer->instant(
+        "fault", "fault", obs::worker_track(id_),
+        {{"task_id", static_cast<double>(order.task_id)},
+         {"worker", static_cast<double>(id_)}});
+  }
+  if (context_.metrics) context_.metrics->add("task_faults");
+  TaskReport report;
+  report.task_id = order.task_id;
+  report.query_index = order.query_index;
+  report.worker_id = id_;
+  report.pe = pe_;
+  report.failed = true;
+  report.error = std::move(error);
+  return report;
 }
 
 TaskReport Worker::execute(const TaskOrder& order) {
@@ -113,15 +145,7 @@ TaskReport Worker::execute(const TaskOrder& order) {
 
   if (context_.fault_injector &&
       context_.fault_injector(order.task_id, id_)) {
-    if (context_.tracer) {
-      context_.tracer->instant(
-          "fault", "fault", obs::worker_track(id_),
-          {{"task_id", static_cast<double>(order.task_id)},
-           {"worker", static_cast<double>(id_)}});
-    }
-    if (context_.metrics) context_.metrics->add("task_faults");
-    report.failed = true;
-    return report;
+    return fail(order, "injected fault");
   }
 
   obs::Span span;

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "align/pipeline.h"
@@ -58,8 +59,8 @@ struct WorkerContext {
 
   /// Fault injection hook for robustness testing: called before a task
   /// executes; returning true makes the worker report failure instead of
-  /// results (simulating a crashed kernel / lost slave). Must be
-  /// thread-safe. nullptr = no faults.
+  /// results (simulating a crashed kernel / lost slave), and so does a
+  /// throw. Must be thread-safe. nullptr = no faults.
   std::function<bool(std::size_t task_id, std::size_t worker_id)>
       fault_injector;
 
@@ -102,6 +103,8 @@ class Worker {
  private:
   void run();
   TaskReport execute(const TaskOrder& order);
+  /// The report of a failed attempt: no hits, no cells, no virtual time.
+  TaskReport fail(const TaskOrder& order, std::string error);
 
   std::size_t id_;
   sched::PeId pe_;

@@ -6,7 +6,7 @@
 //   counters   tasks_dispatched, task_retries, task_faults,
 //              serve_accepted, serve_rejected_*, serve_cache_{hits,misses},
 //              serve_batches, serve_searches, serve_partial_responses,
-//              serve_shard_{scans,retries,failures,recoveries,group_passes}
+//              serve_shard_{scans,retries,failures,group_passes}
 //   histograms chunk_scan_seconds, task_virtual_seconds, lambda_iterations,
 //              serve_{queue,execute,latency}_seconds, serve_batch_size,
 //              serve_shard_scan_seconds, serve_shard_group_queries

@@ -10,76 +10,6 @@
 
 namespace swdual::serve {
 
-/// The service's sharded engine. A shard that exhausts its in-engine
-/// retries gets one more chance in the pipeline's recover stage — after the
-/// ranking, before the single annotate stage: its records re-run through
-/// the master scheduler (run_search's shard overload) and the rescued top-k
-/// merges into every query's partial top-k. Failures are shared by the
-/// whole group, so recovery runs once per failed shard, not per query.
-class QueryService::RescuingShards final : public align::ShardedSearchEngine {
- public:
-  template <typename Db>
-  RescuingShards(QueryService& service, const Db& db,
-                 const align::ShardedSearchOptions& options)
-      : ShardedSearchEngine(db, options), service_(service) {}
-
-  void recover(std::span<const align::SearchProfiles* const> group,
-               const align::SearchRequest& request,
-               std::vector<align::SearchOutcome>& outcomes) const override {
-    if (outcomes.empty() || outcomes.front().failures.empty()) {
-      return;
-    }
-    std::vector<seq::Sequence> queries(group.size());
-    for (std::size_t q = 0; q < group.size(); ++q) {
-      const std::span<const std::uint8_t> residues = group[q]->query();
-      queries[q].residues.assign(residues.begin(), residues.end());
-    }
-    std::vector<align::ShardFailure> remaining;
-    for (const align::ShardFailure& failure : outcomes.front().failures) {
-      master::SearchReport rescued;
-      try {
-        rescued = master::run_search(queries, service_.view_, failure.records,
-                                     service_.master_config());
-      } catch (...) {
-        remaining.push_back(failure);  // master recovery failed too
-        continue;
-      }
-      for (std::size_t q = 0; q < outcomes.size(); ++q) {
-        // Re-rank the union of the partial top-k and the rescued shard's
-        // top-k; both carry global indices, so the merged ranking matches
-        // the unsharded search.
-        std::vector<align::SearchHit> merged;
-        for (const align::SearchHit& hit : outcomes[q].ranked.hits) {
-          align::push_top_hit(merged, hit, request.k);
-        }
-        for (const align::SearchHit& hit : rescued.results[q].hits) {
-          align::push_top_hit(merged, hit, request.k);
-        }
-        align::finish_top_hits(merged);
-        outcomes[q].ranked.hits = std::move(merged);
-        // A filtered rescue merges the shard's *per-shard* candidate
-        // selection into the global one: every hit is exactly rescored,
-        // but the answer is not the canonical one the filter key promises.
-        if (request.filter.enabled()) outcomes[q].canonical = false;
-      }
-      {
-        util::MutexLock lock(service_.mutex_);
-        ++service_.shard_recoveries_;
-      }
-      if (service_.config_.metrics) {
-        service_.config_.metrics->add("serve_shard_recoveries");
-      }
-    }
-    for (align::SearchOutcome& outcome : outcomes) {
-      outcome.complete = remaining.empty();
-      outcome.failures = remaining;
-    }
-  }
-
- private:
-  QueryService& service_;
-};
-
 QueryService::QueryService(std::vector<seq::Sequence> db, ServiceConfig config)
     : db_(std::move(db)),
       view_(align::make_db_view(db_)),
@@ -108,8 +38,8 @@ void QueryService::start() {
   if (config_.master.annotate.enabled()) {
     config_.master.annotate.validate();
     // One calibration per service, acquired before the batcher starts:
-    // every dispatch (master path, sharded path, shard recovery) then
-    // borrows the same deterministic parameters.
+    // every dispatch (master path or sharded path) then borrows the same
+    // deterministic parameters.
     const seq::AlphabetKind kind =
         mapped_ ? mapped_->alphabet()
                 : (db_.empty() ? seq::AlphabetKind::kProtein
@@ -125,9 +55,10 @@ void QueryService::start() {
     options.before_shard = config_.before_shard;
     options.tracer = config_.tracer;
     options.metrics = config_.metrics;
-    sharded_ = mapped_
-                   ? std::make_unique<RescuingShards>(*this, mapped_, options)
-                   : std::make_unique<RescuingShards>(*this, view_, options);
+    sharded_ = mapped_ ? std::make_unique<align::ShardedSearchEngine>(
+                             mapped_, options)
+                       : std::make_unique<align::ShardedSearchEngine>(
+                             view_, options);
   }
   batcher_ = std::thread([this] { run(); });
 }
@@ -314,8 +245,8 @@ void QueryService::dispatch(std::vector<Request> batch) {
     if (sharded_) {
       // The distinct queries form one multi-query group: each shard chunk
       // is scanned once per query while hot, instead of one full database
-      // pass per query; selection, rescan, recovery and annotation run on
-      // the merged data.
+      // pass per query; selection, rescan and annotation run on the merged
+      // data.
       std::vector<std::shared_ptr<const align::CachedProfiles>> cached;
       std::vector<const align::SearchProfiles*> group;
       for (const std::size_t leader : leaders) {
@@ -386,7 +317,7 @@ void QueryService::dispatch(std::vector<Request> batch) {
   for (std::size_t q = 0; q < leaders.size(); ++q) {
     const align::SearchOutcome& outcome = outcomes[q];
     const std::string& key = batch[leaders[q]].key;
-    if (outcome.complete && outcome.canonical) {
+    if (outcome.complete) {
       // Complete answers are deterministic across shard topology and
       // cacheable under the topology-free key.
       const auto value = results_.insert(key, outcome.ranked.hits);
@@ -394,8 +325,8 @@ void QueryService::dispatch(std::vector<Request> batch) {
         fulfill(batch[i], *value, /*cache_hit=*/false, {}, outcome.filter);
       }
     } else {
-      // Partial or non-canonical answers never enter the cache: a later
-      // request at a healthy moment deserves the canonical result.
+      // Partial answers never enter the cache: a later request at a healthy
+      // moment deserves the complete result.
       for (const std::size_t i : groups[key]) {
         fulfill(batch[i], outcome.ranked.hits, /*cache_hit=*/false,
                 partial_reason, outcome.filter);
@@ -414,7 +345,6 @@ QueryService::Stats QueryService::stats() const {
     stats.batches = batches_;
     stats.searches = searches_;
     stats.partial_responses = partial_responses_;
-    stats.shard_recoveries = shard_recoveries_;
     stats.filter = filter_stats_;
   }
   stats.results = results_.stats();

@@ -97,10 +97,10 @@ struct ServiceConfig {
   /// holds shards × threads_per_shard threads.
   std::size_t threads_per_shard = 1;
 
-  /// In-engine recovery attempts per failed shard scan (sharded path). A
-  /// shard that exhausts them is re-run through the master scheduler
-  /// (run_search's shard overload) before it surfaces as a partial
-  /// response.
+  /// Retries after a shard attempt fails (sharded path): the engine's retry
+  /// ladder re-runs the shard's chunks inline, with candidate selection
+  /// still global. A shard that exhausts them surfaces as a partial,
+  /// uncached response.
   std::size_t max_shard_retries = 1;
 
   /// Test hook mirroring before_batch, forwarded to the sharded engine:
@@ -199,10 +199,12 @@ class QueryService {
     std::uint64_t batches = 0;    ///< workloads dispatched to the engine
     std::uint64_t searches = 0;   ///< distinct queries actually executed
     std::uint64_t partial_responses = 0;  ///< fulfilled with failed shards
-    std::uint64_t shard_recoveries = 0;   ///< shards rescued via the master
     ResultCache::Stats results;
     align::ProfileCache::Stats profiles;
-    align::ShardedSearchEngine::Stats shards;  ///< zeros on the master path
+    /// The sharded engine's retry ladder (zeros on the master path):
+    /// `retries` counts attempts after a failure, `failures` the shards
+    /// that exhausted it, each of which made its group's answers partial.
+    align::ShardedSearchEngine::Stats shards;
 
     /// Accumulated two-stage filter counters across every executed search
     /// (zeros while master.filter is off).
@@ -226,9 +228,6 @@ class QueryService {
     double admit_seconds = 0;  ///< enqueue → admission (filled at admission)
     std::uint64_t id = 0;      ///< monotonic request id, for trace args
   };
-
-  /// The sharded engine plus escalated recovery through the master.
-  class RescuingShards;
 
   void run();
   /// The one dispatch path: admit the batch, answer cache hits, collapse
@@ -275,7 +274,6 @@ class QueryService {
   std::uint64_t batches_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t searches_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t partial_responses_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t shard_recoveries_ SWDUAL_GUARDED_BY(mutex_) = 0;
   align::FilterStats filter_stats_ SWDUAL_GUARDED_BY(mutex_);
 
   std::thread batcher_;  ///< must be last: joins before members destruct

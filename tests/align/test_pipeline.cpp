@@ -1,6 +1,6 @@
 // The search pipeline's own contract (align/pipeline.h), independent of any
 // production engine: request validation, group handling, the stage order
-// screen → select → rescan → rank → recover → annotate, partition failures,
+// screen → select → rescan → rank → annotate, partition failures,
 // and the spans/metrics the pipeline emits. Engine-equivalence and recall
 // batteries live in test_filter / test_annotate / test_sharded_search.
 #include <gtest/gtest.h>
@@ -183,36 +183,6 @@ class FailingEngine : public SerialSearchEngine {
   std::vector<std::uint32_t> failed_;
 };
 
-/// FailingEngine whose recover() rescues the lost partition with an exact
-/// serial search of the whole database, and checks it runs before
-/// annotation.
-class RescuingEngine : public FailingEngine {
- public:
-  RescuingEngine(const DbView& db, std::size_t failed_end)
-      : FailingEngine(db, failed_end), db_(db) {}
-
-  void recover(std::span<const SearchProfiles* const> group,
-               const SearchRequest& request,
-               std::vector<SearchOutcome>& outcomes) const override {
-    ++recovers;
-    for (std::size_t q = 0; q < group.size(); ++q) {
-      for (const SearchHit& hit : outcomes[q].ranked.hits) {
-        if (hit.annotation) annotated_before_recover = true;
-      }
-      outcomes[q].ranked.result = search_database(*group[q], db_);
-      outcomes[q].ranked.hits = outcomes[q].ranked.result.top(request.k);
-      outcomes[q].complete = true;
-      outcomes[q].failures.clear();
-    }
-  }
-
-  mutable std::size_t recovers = 0;
-  mutable bool annotated_before_recover = false;
-
- private:
-  DbView db_;
-};
-
 /// Serial engine with the threaded engines' contract and a scrambled
 /// schedule: parallel_for starts one thread per item, last item first, and
 /// rescan cuts its view through it (search_ranges).
@@ -362,7 +332,6 @@ TEST(Pipeline, ExactGroupMatchesSearchDatabase) {
     EXPECT_EQ(out[q].filter.candidates, 0u);
     EXPECT_EQ(out[q].filter.rescans, 0u);
     EXPECT_TRUE(out[q].complete);
-    EXPECT_TRUE(out[q].canonical);
     EXPECT_TRUE(out[q].failures.empty());
   }
 }
@@ -574,32 +543,6 @@ TEST(Pipeline, FailedPartitionRecordsNeverBecomeCandidates) {
               static_cast<std::uint64_t>(std::count_if(
                   selected.begin(), selected.end(),
                   [&masked](std::uint32_t c) { return !masked.exact[c]; })));
-  }
-}
-
-TEST(Pipeline, RecoverRunsAfterRankingAndBeforeAnnotation) {
-  const Corpus corpus = make_corpus(14, 2, 90);
-  const DbView db = corpus.view();
-  const RescuingEngine engine(db, 30);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
-  const KarlinAltschulParams params = test_params();
-  SearchRequest request;
-  request.k = 6;
-  request.annotate.mode = AnnotateMode::kStats;
-  request.stats = &params;
-  const auto out = search(engine, group.span(), request);
-  EXPECT_EQ(engine.recovers, 1u) << "recover runs once per group";
-  EXPECT_FALSE(engine.annotated_before_recover);
-  for (std::size_t q = 0; q < out.size(); ++q) {
-    EXPECT_TRUE(out[q].complete);
-    const SearchResult want = search_database(*group.ptrs[q], db);
-    expect_same_hits(out[q].ranked.hits, want.top(6));
-    bool rescued_hit = false;
-    for (const SearchHit& hit : out[q].ranked.hits) {
-      ASSERT_NE(hit.annotation, nullptr) << "db " << hit.db_index;
-      if (hit.db_index < 30) rescued_hit = true;
-    }
-    EXPECT_TRUE(rescued_hit) << "query " << q << "'s homolog was rescued";
   }
 }
 

@@ -1,6 +1,12 @@
 // Integration tests for the master–slave runtime (paper Fig. 6).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+
 #include "align/scalar.h"
 #include "master/master.h"
 #include "seq/dbgen.h"
@@ -278,6 +284,60 @@ TEST(Master, PermanentFailureEventuallyGivesUp) {
     return task_id == 0;  // task 0 fails everywhere, forever
   };
   EXPECT_THROW(run_search(fixture.queries, fixture.db, config), Error);
+}
+
+TEST(Master, ThrowingTaskIsRetriedLikeAFault) {
+  // A task that throws fails its attempt on the worker thread and is
+  // reassigned like an injected fault, so the hits still equal the oracle.
+  const Fixture fixture(6, 30, 71);
+  const auto expected = fixture.best_scores();
+  for (const AllocationPolicy policy :
+       {AllocationPolicy::kSwdual, AllocationPolicy::kSelfScheduling}) {
+    MasterConfig config;
+    config.cpu_workers = 1;
+    config.gpu_workers = 1;
+    config.policy = policy;
+    config.top_hits = 1;
+    // Every task throws on its first attempt.
+    auto attempts = std::make_shared<std::map<std::size_t, int>>();
+    auto mutex = std::make_shared<std::mutex>();
+    config.fault_injector = [attempts, mutex](std::size_t task_id,
+                                              std::size_t) {
+      std::lock_guard<std::mutex> lock(*mutex);
+      if ((*attempts)[task_id]++ == 0) {
+        throw std::runtime_error("task threw");
+      }
+      return false;
+    };
+    const SearchReport report =
+        run_search(fixture.queries, fixture.db, config);
+    ASSERT_EQ(report.results.size(), fixture.queries.size());
+    for (std::size_t q = 0; q < fixture.queries.size(); ++q) {
+      ASSERT_FALSE(report.results[q].hits.empty());
+      EXPECT_EQ(report.results[q].hits[0].score, expected[q])
+          << policy_name(policy) << " query " << q;
+    }
+  }
+}
+
+TEST(Master, ThrowingTaskPastBudgetThrowsOnTheCaller) {
+  const Fixture fixture(2, 10, 73);
+  MasterConfig config;
+  config.cpu_workers = 1;
+  config.gpu_workers = 1;
+  config.max_task_retries = 2;
+  config.fault_injector = [](std::size_t task_id, std::size_t) {
+    if (task_id == 0) throw std::runtime_error("task 0 cannot build");
+    return false;
+  };
+  try {
+    (void)run_search(fixture.queries, fixture.db, config);
+    FAIL() << "task 0 exhausted its retries without an error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("task 0 cannot build"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Master, TopHitsHonored) {

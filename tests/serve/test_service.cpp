@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,6 +240,39 @@ TEST(QueryService, LatencyMetricsAndSpansAreRecorded) {
     }
     EXPECT_TRUE(saw_queued);
     EXPECT_TRUE(saw_answer);
+  }
+}
+
+TEST(QueryService, ThrowingTaskFailsOnlyItsBatch) {
+  // The first task throws and has no retries left, so its batch fails on
+  // the batcher thread; the service keeps serving the next request.
+  const auto db = tiny_database(12, 9);
+  ServiceConfig config = small_config();
+  config.master.max_task_retries = 0;
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  config.master.fault_injector = [calls](std::size_t, std::size_t) {
+    if (calls->fetch_add(1) == 0) throw std::runtime_error("task threw");
+    return false;
+  };
+  const align::ScoringScheme scheme = config.master.scheme;
+  const align::KernelKind kernel = config.master.cpu_kernel;
+  const std::size_t top = config.master.top_hits;
+  QueryService service(db, std::move(config));
+
+  const Submission first = service.submit(make_query(60, 40));
+  ASSERT_TRUE(first.accepted());
+  EXPECT_THROW((void)first.result.get(), Error);
+
+  const seq::Sequence query = make_query(61, 44);
+  const Submission second = service.submit(query);
+  ASSERT_TRUE(second.accepted());
+  const QueryResponse response = second.result.get();
+  const auto expected =
+      align::search_database(query, db, scheme, kernel).top(top);
+  ASSERT_EQ(response.hits.size(), expected.size());
+  for (std::size_t h = 0; h < expected.size(); ++h) {
+    EXPECT_EQ(response.hits[h].db_index, expected[h].db_index) << "hit " << h;
+    EXPECT_EQ(response.hits[h].score, expected[h].score) << "hit " << h;
   }
 }
 

@@ -1,8 +1,9 @@
 // Serve-layer sharded search: bit-identity of sharded responses,
-// cache hits independent of shard topology, shard-failure recovery through
-// the master scheduler, partial-results-with-reason fallback, and the
-// shutdown-mid-scatter drain guarantee. The multithreaded soak at the end
-// runs under tsan via the preset matrix (labels: serve, shards, threads).
+// cache hits independent of shard topology, shard failures recovered by the
+// engine's retry ladder into canonical, cached answers, partial results with
+// a reason once the ladder is exhausted, and the shutdown-mid-scatter drain
+// guarantee. The multithreaded soak at the end runs under tsan via the
+// preset matrix (labels: serve, shards, threads).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,50 +127,15 @@ TEST(ShardedQueryService, CacheHitsBitIdenticalRegardlessOfShardCount) {
   }
 }
 
-TEST(ShardedQueryService, FailedShardIsRecoveredThroughMasterScheduler) {
-  const auto db = make_database(18, 3);
-  ServiceConfig config = sharded_config(3);
-  config.max_shard_retries = 1;
-  // Shard 1 fails every in-engine attempt; the serve layer must rescue it
-  // by re-running exactly that shard through master::run_search.
-  config.before_shard = [](std::size_t shard, std::size_t) {
-    if (shard == 1) throw std::runtime_error("injected: shard 1 down");
-  };
-  const align::ScoringScheme scheme = config.master.scheme;
-  const align::KernelKind kernel = config.master.cpu_kernel;
-  const std::size_t top = config.master.top_hits;
-  obs::MetricsRegistry metrics;
-  config.metrics = &metrics;
-  QueryService service(db, std::move(config));
-
-  const seq::Sequence query = make_query(11, 48);
-  const Submission ticket = service.submit(query);
-  ASSERT_TRUE(ticket.accepted());
-  const QueryResponse response = ticket.result.get();
-  EXPECT_FALSE(response.partial) << response.partial_reason;
-  const auto expected =
-      align::search_database(query, db, scheme, kernel).top(top);
-  expect_hits_equal(response.hits, expected, "recovered via master");
-
-  const auto stats = service.stats();
-  EXPECT_GE(stats.shard_recoveries, 1u);
-  EXPECT_EQ(stats.partial_responses, 0u);
-  EXPECT_GE(metrics.counter("serve_shard_recoveries"), 1.0);
-  EXPECT_GE(metrics.counter("serve_shard_failures"), 1.0);
-}
-
 TEST(ShardedQueryService, ExhaustedShardYieldsPartialResponseNeverCached) {
   const auto db = make_database(18, 4);
   ServiceConfig config = sharded_config(3);
   config.max_shard_retries = 1;
-  // The master rescue fails too (every task past max_task_retries), so the
-  // ladder's failure surfaces as a partial response.
-  config.master.fault_injector = [](std::size_t, std::size_t) {
-    return true;
-  };
   config.before_shard = [](std::size_t shard, std::size_t) {
     if (shard == 0) throw std::runtime_error("injected: shard 0 down");
   };
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
   QueryService service(db, std::move(config));
 
   const seq::Sequence query = make_query(13, 52);
@@ -190,8 +156,8 @@ TEST(ShardedQueryService, ExhaustedShardYieldsPartialResponseNeverCached) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.searches, 2u);
   EXPECT_EQ(stats.partial_responses, 2u);
-  EXPECT_EQ(stats.shard_recoveries, 0u);
   EXPECT_EQ(stats.results.size, 0u);  // nothing was inserted
+  EXPECT_GE(metrics.counter("serve_shard_failures"), 1.0);
 }
 
 /// Random records with a dozen mutated copies of `query` spread across the
@@ -221,7 +187,7 @@ ServiceConfig filtered_annotated_config() {
   return config;
 }
 
-TEST(ShardedQueryService, FilteredAnnotatedShardRescuedThroughMaster) {
+TEST(ShardedQueryService, FilteredAnnotatedShardRetriedIsCanonicalAndCached) {
   const seq::Sequence query = make_query(41, 80);
   const auto db = planted_database(query, 7);
   const align::DbView view = align::make_db_view(db);
@@ -237,15 +203,19 @@ TEST(ShardedQueryService, FilteredAnnotatedShardRescuedThroughMaster) {
 
   ServiceConfig config = filtered_annotated_config();
   config.max_shard_retries = 1;
-  config.before_shard = [](std::size_t shard, std::size_t) {
-    if (shard == 1) throw std::runtime_error("injected: shard 1 down");
+  // Shard 1's first attempt fails; the ladder's retry re-runs its chunks
+  // inline, and selection stays global over the merged screen.
+  config.before_shard = [](std::size_t shard, std::size_t attempt) {
+    if (shard == 1 && attempt == 0) {
+      throw std::runtime_error("injected: shard 1 blip");
+    }
   };
   QueryService service(db, std::move(config));
   const QueryResponse response = service.submit(query).result.get();
   EXPECT_FALSE(response.partial) << response.partial_reason;
   EXPECT_TRUE(response.filtered);
   EXPECT_TRUE(response.annotated);
-  expect_hits_equal(response.hits, healthy, "rescued");
+  expect_hits_equal(response.hits, healthy, "retried");
   for (std::size_t i = 0; i < response.hits.size(); ++i) {
     const align::SearchHit& hit = response.hits[i];
     ASSERT_NE(hit.annotation, nullptr) << "hit " << i;
@@ -257,14 +227,14 @@ TEST(ShardedQueryService, FilteredAnnotatedShardRescuedThroughMaster) {
               hit.score)
         << "hit " << i << " cigar " << hit.annotation->cigar;
   }
-  EXPECT_GE(service.stats().shard_recoveries, 1u);
 
-  // A rescued filtered answer merged the shard's own candidate selection,
-  // so it is never cached: the resubmission searches again.
+  // A recovered answer is the canonical one, so it was cached.
   const QueryResponse again = service.submit(query).result.get();
-  EXPECT_FALSE(again.cache_hit);
-  expect_hits_equal(again.hits, healthy, "rescued again");
-  EXPECT_EQ(service.stats().searches, 2u);
+  EXPECT_TRUE(again.cache_hit);
+  expect_hits_equal(again.hits, healthy, "cached");
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.searches, 1u);
+  EXPECT_GE(stats.shards.retries, 1u);
   service.shutdown();
 }
 
@@ -273,9 +243,6 @@ TEST(ShardedQueryService, FilteredAnnotatedWithoutRecoveryIsPartialUncached) {
   const auto db = planted_database(query, 8);
   ServiceConfig config = filtered_annotated_config();
   config.max_shard_retries = 1;
-  config.master.fault_injector = [](std::size_t, std::size_t) {
-    return true;
-  };
   config.before_shard = [](std::size_t shard, std::size_t) {
     if (shard == 1) throw std::runtime_error("injected: shard 1 down");
   };
@@ -290,7 +257,6 @@ TEST(ShardedQueryService, FilteredAnnotatedWithoutRecoveryIsPartialUncached) {
   EXPECT_TRUE(second.partial);
   const auto stats = service.stats();
   EXPECT_EQ(stats.partial_responses, 2u);
-  EXPECT_EQ(stats.shard_recoveries, 0u);
   EXPECT_EQ(stats.results.size, 0u);
   service.shutdown();
 }
@@ -344,9 +310,9 @@ TEST(ShardedQueryServiceSoak, ConcurrentSubmittersWithInjectedShardFaults) {
   config.admission_capacity = 64;
   config.max_batch = 6;
   config.max_shard_retries = 2;
-  // Every 9th shard attempt fails; the in-engine recovery retry (attempt
-  // counter keeps moving) or the master fallback rescues it, so no request
-  // may surface as partial.
+  // Every 9th shard attempt fails; the engine's retry ladder (the attempt
+  // counter keeps moving) recovers it, so no request may surface as
+  // partial.
   std::atomic<std::uint64_t> attempts{0};
   config.before_shard = [&](std::size_t, std::size_t) {
     if (attempts.fetch_add(1) % 9 == 8) {

@@ -39,6 +39,10 @@ Enforces conventions clang-tidy cannot express:
     src/align/parallel_search.cpp — one pool per engine: the sharded
     engine runs its shards as chunks of that engine's pass, and other
     layers reach the pool through SearchEngine::parallel_for
+  * files under src/align/ include only align/, obs/, seq/ and util/
+    headers — the engines and the pipeline know nothing of the scheduler
+    or the service, so a failed shard recovers in the engine's retry
+    ladder and nowhere above it
   * optionally (--cxx), every header under src/ compiles standalone
 
 Exit status 0 when clean, 1 with one ``file:line: message`` per violation
@@ -121,7 +125,7 @@ STATS_INTERNAL_CALL = re.compile(
 STATS_INTERNAL_ALLOWED_PREFIXES = ("src/align/", "src/core/")
 
 # The search pipeline (align/pipeline.h) writes screen -> select -> rescan ->
-# rank -> recover -> annotate once for every engine. A second caller of a
+# rank -> annotate once for every engine. A second caller of a
 # stage would fork the stage sequence again (the per-engine filter copies
 # and post-merge annotate calls this rule exists to keep out).
 PIPELINE_STAGE_CALL = re.compile(
@@ -139,6 +143,13 @@ THREAD_POOL_CONSTRUCTION = re.compile(
     r"|\bThreadPool\s+\w+\s*[({;])"
 )
 THREAD_POOL_OWNER = "src/align/parallel_search.cpp"
+
+# Layering: align sits below the scheduler, the master and the service. An
+# align file that reached up into them would let recovery or scheduling
+# leak into the engines and the pipeline.
+ALIGN_PREFIX = "src/align/"
+ALIGN_INCLUDE_DIRS = ("align/", "obs/", "seq/", "util/")
+PROJECT_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
 
 
 def is_call(code: str, match: re.Match) -> bool:
@@ -308,6 +319,21 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 "one pool per engine; run work through the engine's "
                 "parallel_for or as chunks of its pass",
             )
+
+    if rel.as_posix().startswith(ALIGN_PREFIX):
+        for match in PROJECT_INCLUDE.finditer(raw):
+            # strip_comments keeps the '#' of live directives only.
+            if code[match.start():match.end()].strip()[:1] != "#":
+                continue
+            if not match.group(1).startswith(ALIGN_INCLUDE_DIRS):
+                lineno = raw.count("\n", 0, match.start()) + 1
+                report(
+                    lineno,
+                    f'#include "{match.group(1)}" in src/align/ — align '
+                    "includes only align/, obs/, seq/ and util/ headers; "
+                    "the engines know nothing of the scheduler or the "
+                    "service",
+                )
 
     if top_dir in DETERMINISTIC_DIRS:
         for match in UNORDERED.finditer(code):
