@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
               << master::policy_name(config.policy) << " on "
               << config.cpu_workers << " CPU (x"
               << config.threads_per_cpu_worker << " threads, "
-              << align::backend_name(
-                     align::resolve_backend(config.cpu_backend))
+              << align::backend_name(align::resolve_backend(
+                     config.cpu_backend, config.cpu_kernel))
               << " backend) + " << config.gpu_workers << " GPU workers...\n";
     const master::SearchReport report =
         master::run_search(queries, db, config);

@@ -1,6 +1,5 @@
 #include "align/annotate.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -155,51 +154,17 @@ std::vector<double> background_frequencies(const seq::Alphabet& alphabet) {
 
 }  // namespace
 
-StatsCache::StatsCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
-
 std::shared_ptr<const KarlinAltschulParams> StatsCache::acquire(
     const ScoringScheme& scheme, const seq::Alphabet& alphabet,
     const std::string& db_id) {
   const std::string key =
       scoring_key(scheme) + '/' + alphabet_name(alphabet) + '/' + db_id;
-  {
-    util::MutexLock lock(mutex_);
-    const auto found = index_.find(key);
-    if (found != index_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, found->second);
-      return found->second->second;
-    }
-    ++misses_;
-  }
-
-  // Calibrate outside the lock: a few hundred Gotoh alignments must not
-  // serialize unrelated callers. Deterministic (fixed seed + alphabet
-  // background), so a racing duplicate builds the identical value; the
-  // first insert wins and everyone shares that object.
-  auto params = std::make_shared<const KarlinAltschulParams>(
-      calibrate_gapped_params(scheme, background_frequencies(alphabet)));
-
-  util::MutexLock lock(mutex_);
-  const auto found = index_.find(key);
-  if (found != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, found->second);
-    return found->second->second;
-  }
-  lru_.emplace_front(key, std::move(params));
-  index_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return lru_.front().second;
-}
-
-StatsCache::Stats StatsCache::stats() const {
-  util::MutexLock lock(mutex_);
-  return {hits_, misses_, evictions_, lru_.size(), capacity_};
+  // Deterministic (fixed seed + alphabet background), so a racing duplicate
+  // calibrates the identical value and the first insert wins.
+  return LruCache::acquire(key, [&] {
+    return std::make_shared<const KarlinAltschulParams>(
+        calibrate_gapped_params(scheme, background_frequencies(alphabet)));
+  });
 }
 
 }  // namespace swdual::align

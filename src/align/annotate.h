@@ -20,20 +20,18 @@
 // memory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "align/search.h"
 #include "align/statistics.h"
 #include "seq/alphabet.h"
-#include "util/mutex.h"
+#include "util/lru_cache.h"
 
 namespace swdual::obs {
 class MetricsRegistry;
@@ -121,52 +119,25 @@ void annotate_hits(std::vector<SearchHit>& hits,
 /// Total residues in a database view (the Karlin–Altschul search space `n`).
 std::uint64_t db_residue_count(const DbView& db);
 
-/// Thread-safe cache of calibrated Karlin–Altschul parameters, keyed by
-/// (scoring scheme, alphabet, database id) — the db id keeps two databases'
-/// stats separate should calibration ever become db-dependent, and mirrors
-/// how serve keys its ResultCache. Calibration (a few hundred Gotoh
-/// alignments) runs OUTSIDE the lock on a miss; a racing duplicate resolves
-/// in favour of the first writer, so every caller sees one stable object.
-/// Deterministic: fixed seed, background frequencies chosen by alphabet
-/// (Robinson–Robinson for protein, uniform for DNA/RNA).
-class StatsCache {
+/// Cache of calibrated Karlin–Altschul parameters, keyed by (scoring
+/// scheme, alphabet, database id) — the db id keeps two databases' stats
+/// separate should calibration ever become db-dependent, and mirrors how
+/// serve keys its ResultCache. The LRU is util::LruCache: calibration (a
+/// few hundred Gotoh alignments) runs OUTSIDE the lock on a miss, and a
+/// racing duplicate resolves in favour of the first writer, so every caller
+/// sees one stable object. Deterministic: fixed seed, background
+/// frequencies chosen by alphabet (Robinson–Robinson for protein, uniform
+/// for DNA/RNA).
+class StatsCache : private util::LruCache<KarlinAltschulParams> {
  public:
-  explicit StatsCache(std::size_t capacity = 16);
-
-  StatsCache(const StatsCache&) = delete;
-  StatsCache& operator=(const StatsCache&) = delete;
+  explicit StatsCache(std::size_t capacity = 16) : LruCache(capacity) {}
 
   std::shared_ptr<const KarlinAltschulParams> acquire(
       const ScoringScheme& scheme, const seq::Alphabet& alphabet,
       const std::string& db_id);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t size = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
-
-  /// Leaf capability for lock-order declarations (never lock directly;
-  /// every public method is self-locking).
-  util::Mutex& capability() const SWDUAL_RETURN_CAPABILITY(mutex_) {
-    return mutex_;
-  }
-
- private:
-  using Entry =
-      std::pair<std::string, std::shared_ptr<const KarlinAltschulParams>>;
-
-  std::size_t capacity_;
-  mutable util::Mutex mutex_;
-  std::list<Entry> lru_ SWDUAL_GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      SWDUAL_GUARDED_BY(mutex_);
-  std::uint64_t hits_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t evictions_ SWDUAL_GUARDED_BY(mutex_) = 0;
+  using LruCache::capability;
+  using LruCache::stats;
 };
 
 }  // namespace swdual::align

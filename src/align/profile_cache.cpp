@@ -1,9 +1,6 @@
 #include "align/profile_cache.h"
 
-#include <algorithm>
-
 #include "util/crc32.h"
-#include "util/error.h"
 
 namespace swdual::align {
 
@@ -38,53 +35,14 @@ std::string make_key(std::span<const std::uint8_t> query,
 
 }  // namespace
 
-ProfileCache::ProfileCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-std::shared_ptr<const CachedProfiles> ProfileCache::acquire(
+std::shared_ptr<const SearchProfiles> ProfileCache::acquire(
     std::span<const std::uint8_t> query, const ScoringScheme& scheme,
     KernelKind kernel, Backend backend) {
-  const Backend resolved = resolve_backend(backend);
-  std::string key = make_key(query, scheme, kernel, resolved);
-
-  {
-    util::MutexLock lock(mutex_);
-    const auto found = index_.find(key);
-    if (found != index_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, found->second);
-      return found->second->second;
-    }
-  }
-
-  // Miss: build outside the lock (profile construction is O(|q|·alphabet)
-  // and must not serialize other workers' lookups).
-  auto entry = std::shared_ptr<CachedProfiles>(new CachedProfiles());
-  entry->residues_.assign(query.begin(), query.end());
-  entry->profiles_.emplace(entry->query(), scheme, kernel, resolved);
-
-  util::MutexLock lock(mutex_);
-  const auto raced = index_.find(key);
-  if (raced != index_.end()) {
-    // Another thread built the same entry first; keep theirs.
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, raced->second);
-    return raced->second->second;
-  }
-  ++misses_;
-  lru_.emplace_front(key, entry);
-  index_.emplace(std::move(key), lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return entry;
-}
-
-ProfileCache::Stats ProfileCache::stats() const {
-  util::MutexLock lock(mutex_);
-  return {hits_, misses_, evictions_, lru_.size(), capacity_};
+  const Backend resolved = resolve_backend(backend, kernel);
+  return LruCache::acquire(make_key(query, scheme, kernel, resolved), [&] {
+    return std::make_shared<const SearchProfiles>(query, scheme, kernel,
+                                                  resolved);
+  });
 }
 
 }  // namespace swdual::align

@@ -6,30 +6,24 @@
 // that sees the same query repeatedly — or the same query fanned out to
 // several workers in one batch — should build that state once and share it,
 // the way SWAPHI keeps one resident query context across a whole multi-pass
-// search. Entries own a copy of the query residues, so the profiles stay
-// valid independent of the submitting caller's buffers, and acquire()
-// returns shared ownership: an entry evicted by the LRU stays alive for as
-// long as any in-flight scan still holds it.
+// search. A SearchProfiles owns a copy of its query residues, so a cached
+// entry stays valid independent of the submitting caller's buffers, and
+// acquire() returns shared ownership: an entry evicted by the LRU stays
+// alive for as long as any in-flight scan still holds it.
 //
-// Thread-safe. Lookups are served under one mutex; a miss builds the
-// profiles *outside* the lock (construction cost must not serialize
-// unrelated workers), and a racing duplicate build is resolved in favour of
-// the first entry inserted.
+// The LRU, its locking and its counters are util::LruCache: a miss builds
+// the profiles outside the lock, and a racing duplicate build is resolved
+// in favour of the first entry inserted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "align/search.h"
-#include "util/mutex.h"
+#include "util/lru_cache.h"
 
 namespace swdual::align {
 
@@ -39,67 +33,21 @@ namespace swdual::align {
 /// produce bit-identical scores for every kernel.
 std::string scoring_key(const ScoringScheme& scheme);
 
-/// One cached profile set. Owns the query residues its SearchProfiles views
-/// point into.
-class CachedProfiles {
- public:
-  const SearchProfiles& profiles() const { return *profiles_; }
-  std::span<const std::uint8_t> query() const {
-    return {residues_.data(), residues_.size()};
-  }
-
- private:
-  friend class ProfileCache;
-  CachedProfiles() = default;
-
-  std::vector<std::uint8_t> residues_;
-  std::optional<SearchProfiles> profiles_;  ///< views into residues_
-};
-
-class ProfileCache {
+class ProfileCache : private util::LruCache<SearchProfiles> {
  public:
   /// `capacity` = maximum retained entries (≥ 1).
-  explicit ProfileCache(std::size_t capacity = 64);
-
-  ProfileCache(const ProfileCache&) = delete;
-  ProfileCache& operator=(const ProfileCache&) = delete;
+  explicit ProfileCache(std::size_t capacity = 64) : LruCache(capacity) {}
 
   /// Get-or-build the profile set for (query, scheme, kernel, backend).
-  /// kAuto resolves to the widest backend the host supports, so every
-  /// caller that lets the dispatcher decide shares one entry.
-  std::shared_ptr<const CachedProfiles> acquire(
+  /// kAuto resolves with the kernel-aware rule (best_backend(kernel)), the
+  /// backend a directly built SearchProfiles picks, so every caller that
+  /// lets the dispatcher decide shares one entry.
+  std::shared_ptr<const SearchProfiles> acquire(
       std::span<const std::uint8_t> query, const ScoringScheme& scheme,
       KernelKind kernel, Backend backend = Backend::kAuto);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t size = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
-
-  /// The cache's capability, for lock-order declarations in owning layers
-  /// (the serve stack declares service → result-cache → profile-cache).
-  /// It is a leaf capability: no ProfileCache method acquires any other
-  /// lock while holding it. Never lock it directly — every public method
-  /// is self-locking.
-  util::Mutex& capability() const SWDUAL_RETURN_CAPABILITY(mutex_) {
-    return mutex_;
-  }
-
- private:
-  using Entry = std::pair<std::string, std::shared_ptr<const CachedProfiles>>;
-
-  std::size_t capacity_;
-  mutable util::Mutex mutex_;
-  std::list<Entry> lru_ SWDUAL_GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      SWDUAL_GUARDED_BY(mutex_);
-  std::uint64_t hits_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t evictions_ SWDUAL_GUARDED_BY(mutex_) = 0;
+  using LruCache::capability;
+  using LruCache::stats;
 };
 
 }  // namespace swdual::align

@@ -61,7 +61,7 @@ DbView make_db_view(const std::vector<seq::Sequence>& records) {
 SearchProfiles::SearchProfiles(std::span<const std::uint8_t> query,
                                const ScoringScheme& scheme, KernelKind kernel,
                                Backend backend)
-    : query_(query),
+    : query_(query.begin(), query.end()),
       scheme_(scheme),
       kernel_(kernel),
       backend_(resolve_backend(backend, kernel)),

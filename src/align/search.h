@@ -81,7 +81,9 @@ using DbView = std::vector<std::span<const std::uint8_t>>;
 DbView make_db_view(const std::vector<seq::Sequence>& records);
 
 /// Per-query kernel state, built once and shared read-only by every chunk of
-/// one search (serial or parallel). Profiles are striped for the resolved
+/// one search (serial or parallel). It owns a copy of the query residues,
+/// so it stays valid after the caller's buffer is gone (align::ProfileCache
+/// stores it as is). Profiles are striped for the resolved
 /// SIMD backend's lane counts, so one SearchProfiles caches exactly one
 /// profile set per active backend. The 16-bit escalation profile used by
 /// the striped8 tier is built lazily on the first saturated pair, under a
@@ -114,7 +116,7 @@ class SearchProfiles {
   const StripedProfileU8& striped8() const { return *profile8_; }
 
  private:
-  std::span<const std::uint8_t> query_;
+  std::vector<std::uint8_t> query_;
   ScoringScheme scheme_;
   KernelKind kernel_;
   Backend backend_;

@@ -163,13 +163,13 @@ TaskReport Worker::execute(const TaskOrder& order) {
       device_ ? align::KernelKind::kInterSeq : context_.cpu_kernel;
   const align::Backend backend =
       device_ ? align::Backend::kAuto : context_.cpu_backend;
-  std::shared_ptr<const align::CachedProfiles> cached;
+  std::shared_ptr<const align::SearchProfiles> cached;
   std::optional<align::SearchProfiles> local;
   const align::SearchProfiles* profiles;
   if (context_.profile_cache) {
     cached = context_.profile_cache->acquire(query_view, context_.scheme,
                                              kernel, backend);
-    profiles = &cached->profiles();
+    profiles = cached.get();
   } else {
     profiles = &local.emplace(query_view, context_.scheme, kernel, backend);
   }

@@ -1,7 +1,5 @@
 #include "serve/cache.h"
 
-#include <algorithm>
-
 #include "align/profile_cache.h"
 
 namespace swdual::serve {
@@ -42,46 +40,6 @@ std::string result_key(std::span<const std::uint8_t> query,
   }
   key.append(reinterpret_cast<const char*>(query.data()), query.size());
   return key;
-}
-
-ResultCache::ResultCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-std::shared_ptr<const ResultCache::Hits> ResultCache::lookup(
-    const std::string& key) {
-  util::MutexLock lock(mutex_);
-  const auto found = index_.find(key);
-  if (found == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, found->second);
-  return found->second->second;
-}
-
-std::shared_ptr<const ResultCache::Hits> ResultCache::insert(
-    const std::string& key, Hits hits) {
-  util::MutexLock lock(mutex_);
-  const auto raced = index_.find(key);
-  if (raced != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, raced->second);
-    return raced->second->second;
-  }
-  auto value = std::make_shared<const Hits>(std::move(hits));
-  lru_.emplace_front(key, value);
-  index_.emplace(key, lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return value;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  util::MutexLock lock(mutex_);
-  return {hits_, misses_, evictions_, lru_.size(), capacity_};
 }
 
 }  // namespace swdual::serve

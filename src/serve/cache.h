@@ -14,24 +14,19 @@
 // shard count. test_result_cache.cpp pins the exact key layout so a field
 // cannot sneak in unreviewed.
 //
-// Thread-safe; values are shared_ptr so a hit handed to a caller stays
-// valid after the entry is evicted.
+// The cache itself is util::LruCache (util/lru_cache.h): thread-safe, and a
+// hit handed to a caller stays valid after the entry is evicted.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "align/annotate.h"
 #include "align/scoring.h"
 #include "align/search.h"
-#include "util/mutex.h"
+#include "util/lru_cache.h"
 
 namespace swdual::serve {
 
@@ -59,53 +54,8 @@ std::string result_key(std::span<const std::uint8_t> query,
                        const align::FilterConfig& filter = {},
                        const align::AnnotateConfig& annotate = {});
 
-class ResultCache {
- public:
-  using Hits = std::vector<align::SearchHit>;
-
-  /// `capacity` = maximum retained entries (≥ 1).
-  explicit ResultCache(std::size_t capacity = 1024);
-
-  ResultCache(const ResultCache&) = delete;
-  ResultCache& operator=(const ResultCache&) = delete;
-
-  /// Ranked hits for `key`, or nullptr on a miss. A hit refreshes LRU order.
-  std::shared_ptr<const Hits> lookup(const std::string& key);
-
-  /// Insert (or refresh) `key` → `hits`, evicting the LRU tail past
-  /// capacity. Returns the resident value (the existing one if another
-  /// thread raced the insert — first writer wins, answers are identical by
-  /// key construction).
-  std::shared_ptr<const Hits> insert(const std::string& key, Hits hits);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t size = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
-
-  /// The cache's capability, for lock-order declarations in owning layers
-  /// (QueryService declares service → result-cache → profile-cache; see
-  /// DESIGN.md "Static concurrency analysis"). Never lock it directly —
-  /// every public method is self-locking.
-  util::Mutex& capability() const SWDUAL_RETURN_CAPABILITY(mutex_) {
-    return mutex_;
-  }
-
- private:
-  using Entry = std::pair<std::string, std::shared_ptr<const Hits>>;
-
-  std::size_t capacity_;
-  mutable util::Mutex mutex_;
-  std::list<Entry> lru_ SWDUAL_GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      SWDUAL_GUARDED_BY(mutex_);
-  std::uint64_t hits_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ SWDUAL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t evictions_ SWDUAL_GUARDED_BY(mutex_) = 0;
-};
+/// Ranked hits by result_key. Values are inserted once per key (first
+/// writer wins) and shared with every request that hits them.
+using ResultCache = util::LruCache<std::vector<align::SearchHit>>;
 
 }  // namespace swdual::serve

@@ -14,8 +14,7 @@ QueryService::QueryService(std::vector<seq::Sequence> db, ServiceConfig config)
     : db_(std::move(db)),
       view_(align::make_db_view(db_)),
       config_(std::move(config)),
-      results_(config_.result_cache_capacity),
-      profiles_(config_.profile_cache_capacity) {
+      results_(config_.result_cache_capacity) {
   start();
 }
 
@@ -23,8 +22,7 @@ QueryService::QueryService(std::shared_ptr<const seq::MappedSwdb> db,
                            ServiceConfig config)
     : mapped_(std::move(db)),
       config_(std::move(config)),
-      results_(config_.result_cache_capacity),
-      profiles_(config_.profile_cache_capacity) {
+      results_(config_.result_cache_capacity) {
   SWDUAL_REQUIRE(mapped_ != nullptr, "mapped database must not be null");
   view_ = mapped_->residue_views();
   start();
@@ -247,14 +245,14 @@ void QueryService::dispatch(std::vector<Request> batch) {
       // is scanned once per query while hot, instead of one full database
       // pass per query; selection, rescan and annotation run on the merged
       // data.
-      std::vector<std::shared_ptr<const align::CachedProfiles>> cached;
+      std::vector<std::shared_ptr<const align::SearchProfiles>> cached;
       std::vector<const align::SearchProfiles*> group;
       for (const std::size_t leader : leaders) {
         const seq::Sequence& query = batch[leader].query;
         cached.push_back(profiles_.acquire(
             {query.residues.data(), query.residues.size()}, mc.scheme,
             mc.cpu_kernel, mc.cpu_backend));
-        group.push_back(&cached.back()->profiles());
+        group.push_back(cached.back().get());
       }
       align::SearchRequest request;
       request.k = mc.top_hits;
@@ -315,12 +313,14 @@ void QueryService::dispatch(std::vector<Request> batch) {
                       " attempts: " + failure.reason;
   }
   for (std::size_t q = 0; q < leaders.size(); ++q) {
-    const align::SearchOutcome& outcome = outcomes[q];
+    align::SearchOutcome& outcome = outcomes[q];
     const std::string& key = batch[leaders[q]].key;
     if (outcome.complete) {
       // Complete answers are deterministic across shard topology and
       // cacheable under the topology-free key.
-      const auto value = results_.insert(key, outcome.ranked.hits);
+      const auto value = results_.insert(
+          key, std::make_shared<const std::vector<align::SearchHit>>(
+                   std::move(outcome.ranked.hits)));
       for (const std::size_t i : groups[key]) {
         fulfill(batch[i], *value, /*cache_hit=*/false, {}, outcome.filter);
       }

@@ -46,6 +46,7 @@
 #include "seq/sequence.h"
 #include "seq/swdb.h"
 #include "serve/cache.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/timer.h"
 
@@ -70,7 +71,6 @@ struct ServiceConfig {
   std::size_t max_batch = 16;
 
   std::size_t result_cache_capacity = 1024;
-  std::size_t profile_cache_capacity = 64;
 
   /// Identity of the database this service fronts; part of every result
   /// cache key (two services over different databases must not share hits).
@@ -199,8 +199,8 @@ class QueryService {
     std::uint64_t batches = 0;    ///< workloads dispatched to the engine
     std::uint64_t searches = 0;   ///< distinct queries actually executed
     std::uint64_t partial_responses = 0;  ///< fulfilled with failed shards
-    ResultCache::Stats results;
-    align::ProfileCache::Stats profiles;
+    util::CacheStats results;
+    util::CacheStats profiles;
     /// The sharded engine's retry ladder (zeros on the master path):
     /// `retries` counts attempts after a failure, `failures` the shards
     /// that exhausted it, each of which made its group's answers partial.

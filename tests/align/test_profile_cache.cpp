@@ -50,13 +50,13 @@ TEST(ProfileCache, SecondAcquireIsAHitAndSharesTheEntry) {
 TEST(ProfileCache, EntryOwnsItsResidues) {
   ProfileCache cache(2);
   ScoringScheme scheme;
-  std::shared_ptr<const CachedProfiles> cached;
+  std::shared_ptr<const SearchProfiles> cached;
   {
     const seq::Sequence query = make_query(5, 60);
     cached = cache.acquire(view(query), scheme, KernelKind::kScalar);
   }  // submitting buffer destroyed; the cached copy must stay valid
   EXPECT_EQ(cached->query().size(), 60u);
-  EXPECT_EQ(cached->profiles().kernel(), KernelKind::kScalar);
+  EXPECT_EQ(cached->kernel(), KernelKind::kScalar);
 }
 
 TEST(ProfileCache, DistinctKernelsAndGapsGetDistinctEntries) {
@@ -110,6 +110,24 @@ TEST(ProfileCache, EvictsLeastRecentlyUsedButAcquiredEntriesSurvive) {
   EXPECT_EQ(held->query().size(), 40u);
 }
 
+// kAuto resolves per kernel (best_backend(KernelKind)): a cached entry must
+// run on the backend a directly built SearchProfiles picks, e.g. AVX2 for
+// striped8 on an AVX-512BW host. Under SWDUAL_FORCE_BACKEND both sides read
+// the forced backend.
+TEST(ProfileCache, AutoBackendFollowsTheKernelAwareRule) {
+  ProfileCache cache(8);
+  const seq::Sequence query = make_query(19, 64);
+  ScoringScheme scheme;
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
+                            KernelKind::kStriped8, KernelKind::kInterSeq}) {
+    const SearchProfiles direct(view(query), scheme, kernel, Backend::kAuto);
+    const auto cached = cache.acquire(view(query), scheme, kernel);
+    EXPECT_EQ(cached->backend(), direct.backend())
+        << kernel_name(kernel) << ": cache=" << backend_name(cached->backend())
+        << " direct=" << backend_name(direct.backend());
+  }
+}
+
 TEST(ProfileCache, CachedProfilesScoreBitIdenticalToDirectSearch) {
   const auto db = tiny_database(25, 17);
   const DbView db_view = make_db_view(db);
@@ -125,7 +143,7 @@ TEST(ProfileCache, CachedProfilesScoreBitIdenticalToDirectSearch) {
     // scores (the lazy 16-bit escalation state is per-profile, not per-scan).
     for (int pass = 0; pass < 2; ++pass) {
       const SearchResult via_cache =
-          search_database(cached->profiles(), db_view);
+          search_database(*cached, db_view);
       ASSERT_EQ(via_cache.scores.size(), direct.scores.size());
       for (std::size_t i = 0; i < direct.scores.size(); ++i) {
         EXPECT_EQ(via_cache.scores[i], direct.scores[i])

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,10 @@
 namespace swdual::serve {
 namespace {
 
-ResultCache::Hits hits_of(int score) { return {{0, score}}; }
+std::shared_ptr<const std::vector<align::SearchHit>> hits_of(int score) {
+  return std::make_shared<const std::vector<align::SearchHit>>(
+      std::vector<align::SearchHit>{{0, score}});
+}
 
 TEST(ResultCache, MissThenHit) {
   ResultCache cache(4);

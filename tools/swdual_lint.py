@@ -43,6 +43,10 @@ Enforces conventions clang-tidy cannot express:
     headers — the engines and the pipeline know nothing of the scheduler
     or the service, so a failed shard recovers in the engine's retry
     ladder and nowhere above it
+  * ``std::list`` appears in src/ only in src/util/lru_cache.h — one LRU:
+    the result, profile and statistics caches are util::LruCache with
+    their own key functions, sharing one accounting rule and one
+    util::CacheStats
   * optionally (--cxx), every header under src/ compiles standalone
 
 Exit status 0 when clean, 1 with one ``file:line: message`` per violation
@@ -150,6 +154,12 @@ THREAD_POOL_OWNER = "src/align/parallel_search.cpp"
 ALIGN_PREFIX = "src/align/"
 ALIGN_INCLUDE_DIRS = ("align/", "obs/", "seq/", "util/")
 PROJECT_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+
+# One LRU: util::LruCache is the only list-plus-index cache in the library.
+# Every memoizer (results, profiles, calibrations) instantiates it, so hit /
+# miss accounting and the build-outside-the-lock rule cannot drift apart.
+STD_LIST = re.compile(r"\bstd::list\b")
+STD_LIST_OWNER = "src/util/lru_cache.h"
 
 
 def is_call(code: str, match: re.Match) -> bool:
@@ -334,6 +344,16 @@ def lint_file(path: pathlib.Path) -> list[str]:
                     "the engines know nothing of the scheduler or the "
                     "service",
                 )
+
+    if rel.as_posix() != STD_LIST_OWNER:
+        for match in STD_LIST.finditer(code):
+            lineno = code.count("\n", 0, match.start()) + 1
+            report(
+                lineno,
+                "std::list outside util/lru_cache.h — memoize through "
+                "util::LruCache (one LRU, one CacheStats) instead of "
+                "hand-rolling another",
+            )
 
     if top_dir in DETERMINISTIC_DIRS:
         for match in UNORDERED.finditer(code):
