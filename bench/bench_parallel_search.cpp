@@ -8,16 +8,20 @@
 //                           [--threads-list 1,2,4] [--backend-list all]
 //                           [--reps R] [--db-zipf-s S] [--shards N]
 //
+// Kernel rows report their best, median and worst GCUPS over --reps, the
+// filtered rows their best.
 // --db-zipf-s S > 0 draws the record lengths from a Zipf rank distribution,
 // max(24, 3·len / rank^S), the length skew of the sharded serve workloads.
-// --shards N > 0 adds, per backend, the sharded layer: an interseq group
-// pass of two queries through N shards × t threads per shard against the
-// chunked engine at N·t threads, for every t in --threads-list (median
-// wall time over --reps, GCUPS, and score identity with the serial scan).
+// --shards N > 0 adds, per backend and exact kernel, the sharded layer: a
+// group pass of two queries through N shards × t threads per shard against
+// the chunked engine at N·t threads, for every t in --threads-list (median,
+// min and max wall time over --reps, GCUPS from the median, and score
+// identity with the serial scan).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,10 +57,17 @@ std::vector<std::size_t> parse_list(const std::string& csv) {
   return out;
 }
 
-struct Measurement {
-  double gcups = 0.0;
-  double seconds = 0.0;
+/// Median, min and max of `samples` (sorted in place; non-empty).
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
+
+Spread spread_of(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
 
 /// One-line roofline characterization per kernel, recorded in the JSON so a
 /// perf trajectory reader knows what bound each number sits against.
@@ -108,7 +119,8 @@ int main(int argc, char** argv) {
   cli.add_option("threads-list", "thread counts to measure", "1,2,4");
   cli.add_option("backend-list",
                  "SIMD backends to measure ('all' = every available)", "all");
-  cli.add_option("reps", "repetitions (best kept)", "3");
+  cli.add_option("reps", "repetitions (best, median and worst reported)",
+                 "3");
   cli.add_option("plant", "mutated query homologs planted in the database",
                  "12");
   cli.add_option("filter-band", "banded-screen half-width for the filtered "
@@ -140,6 +152,7 @@ int main(int argc, char** argv) {
     len = cli.option_uint("len");
     query_len = cli.option_uint("query-len");
     reps = cli.option_uint("reps");
+    SWDUAL_REQUIRE(reps > 0, "--reps must be >= 1");
     plant = cli.option_uint("plant");
     filter_band = cli.option_uint("filter-band");
     top_k = cli.option_uint("top-k");
@@ -212,17 +225,16 @@ int main(int argc, char** argv) {
   const align::ScoringScheme scheme;
 
   const auto measure = [&](const auto& search_fn) {
-    Measurement best;
+    std::vector<double> rates;
     for (std::size_t r = 0; r < reps; ++r) {
       WallTimer timer;
       const align::SearchResult result = search_fn();
       const double seconds = timer.seconds();
-      const double gcups =
-          seconds > 0 ? static_cast<double>(result.cells) / seconds / 1e9
-                      : 0.0;
-      if (gcups > best.gcups) best = {gcups, seconds};
+      rates.push_back(seconds > 0 ? static_cast<double>(result.cells) /
+                                        seconds / 1e9
+                                  : 0.0);
     }
-    return best;
+    return spread_of(rates);  // GCUPS: max is the best
   };
 
   const std::vector<align::KernelKind> kernels = {
@@ -269,17 +281,21 @@ int main(int argc, char** argv) {
       const align::SearchResult serial = align::search_database(
           query_view, views, scheme, kernel, backend);
       const bool serial_identical = serial.scores == reference[ki];
-      const Measurement serial_best = measure([&] {
+      const Spread serial_gcups = measure([&] {
         return align::search_database(query_view, views, scheme, kernel,
                                       backend);
       });
       table.add_row({align::kernel_name(kernel), bname, "serial", "1",
-                     TextTable::fmt(serial_best.gcups, 3), "1.00",
+                     TextTable::fmt(serial_gcups.max, 3), "1.00",
                      serial_identical ? "yes" : "NO"});
       json += std::string("        \"") + align::kernel_name(kernel) +
               "\": {\n";
       json += "          \"serial_gcups\": " +
-              TextTable::fmt(serial_best.gcups, 4) + ",\n";
+              TextTable::fmt(serial_gcups.max, 4) + ",\n";
+      json += "          \"serial_gcups_median\": " +
+              TextTable::fmt(serial_gcups.median, 4) + ",\n";
+      json += "          \"serial_gcups_min\": " +
+              TextTable::fmt(serial_gcups.min, 4) + ",\n";
       json += std::string("          \"serial_scores_identical\": ") +
               (serial_identical ? "true" : "false") + ",\n";
       json += std::string("          \"roofline\": \"") +
@@ -298,18 +314,22 @@ int main(int argc, char** argv) {
           return engine.search(profiles);
         };
         const bool identical = parallel_search().scores == reference[ki];
-        const Measurement parallel_best = measure(parallel_search);
-        const double speedup = serial_best.gcups > 0
-                                   ? parallel_best.gcups / serial_best.gcups
+        const Spread parallel_gcups = measure(parallel_search);
+        const double speedup = serial_gcups.max > 0
+                                   ? parallel_gcups.max / serial_gcups.max
                                    : 0.0;
         table.add_row({align::kernel_name(kernel), bname,
                        std::to_string(threads),
                        std::to_string(engine.num_chunks()),
-                       TextTable::fmt(parallel_best.gcups, 3),
+                       TextTable::fmt(parallel_gcups.max, 3),
                        TextTable::fmt(speedup, 2), identical ? "yes" : "NO"});
         json += "            {\"threads\": " + std::to_string(threads) +
                 ", \"chunks\": " + std::to_string(engine.num_chunks()) +
-                ", \"gcups\": " + TextTable::fmt(parallel_best.gcups, 4) +
+                ", \"gcups\": " + TextTable::fmt(parallel_gcups.max, 4) +
+                ", \"gcups_median\": " +
+                TextTable::fmt(parallel_gcups.median, 4) +
+                ", \"gcups_min\": " +
+                TextTable::fmt(parallel_gcups.min, 4) +
                 ", \"speedup\": " + TextTable::fmt(speedup, 3) +
                 ", \"scores_identical\": " + (identical ? "true" : "false") +
                 "}";
@@ -320,79 +340,98 @@ int main(int argc, char** argv) {
     }
     json += "      },\n";
 
-    // The sharded layer: one interseq group pass of two queries through
-    // `shards` shards × t threads each, against the chunked engine's pass
-    // at the same shards·t threads. Both must score like the serial scan.
+    // The sharded layer, per exact kernel: one group pass of two queries
+    // through `shards` shards × t threads each, against the chunked
+    // engine's pass at the same shards·t threads. Both must score like the
+    // serial scan.
     if (shards > 0) {
-      const align::KernelKind kernel = align::KernelKind::kInterSeq;
-      const align::SearchProfiles first(query_view, scheme, kernel, backend);
-      const align::SearchProfiles second(second_view, scheme, kernel,
-                                         backend);
-      const align::SearchProfiles* group[] = {&first, &second};
-      const align::SearchResult expected[] = {
-          align::search_database(first, views),
-          align::search_database(second, views)};
-      const double cells =
-          static_cast<double>(expected[0].cells + expected[1].cells);
-      // Median wall time of the group pass over `reps` passes, after one
-      // untimed pass that also checks the scores.
-      const auto group_pass = [&](const align::ParallelSearchEngine& engine,
-                                  bool& identical) {
-        const auto results = engine.search_ranked_many(group, top_k);
-        identical = results[0].result.scores == expected[0].scores &&
-                    results[1].result.scores == expected[1].scores;
-        std::vector<double> seconds;
-        for (std::size_t r = 0; r < reps; ++r) {
-          WallTimer timer;
-          (void)engine.search_ranked_many(group, top_k);
-          seconds.push_back(timer.seconds());
-        }
-        std::sort(seconds.begin(), seconds.end());
-        return seconds[seconds.size() / 2];
+      // Median, min and max wall time of the group pass over `reps` passes,
+      // after one untimed pass that also checks the scores.
+      const auto group_pass =
+          [&](const align::ParallelSearchEngine& engine,
+              std::span<const align::SearchProfiles* const> group,
+              const align::SearchResult (&expected)[2], bool& identical) {
+            const auto results = engine.search_ranked_many(group, top_k);
+            identical = results[0].result.scores == expected[0].scores &&
+                        results[1].result.scores == expected[1].scores;
+            std::vector<double> seconds;
+            for (std::size_t r = 0; r < reps; ++r) {
+              WallTimer timer;
+              (void)engine.search_ranked_many(group, top_k);
+              seconds.push_back(timer.seconds());
+            }
+            return spread_of(seconds);
+          };
+      const auto ms = [](double seconds) {
+        return TextTable::fmt(seconds * 1e3, 3);
       };
-      json += "      \"sharded\": {\"kernel\": \"interseq\", \"group\": 2, "
-              "\"shards\": " + std::to_string(shards) + ", \"rows\": [\n";
-      for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
-        const std::size_t per_shard = thread_counts[ti];
-        align::ParallelSearchOptions chunked_options;
-        chunked_options.threads = shards * per_shard;
-        const align::ParallelSearchEngine chunked(mapped, chunked_options);
-        align::ShardedSearchOptions sharded_options;
-        sharded_options.num_shards = shards;
-        sharded_options.threads_per_shard = per_shard;
-        const align::ShardedSearchEngine sharded(views, sharded_options);
-        bool chunked_identical = false;
-        bool sharded_identical = false;
-        const double chunked_s = group_pass(chunked, chunked_identical);
-        const double sharded_s = group_pass(sharded, sharded_identical);
-        const bool identical = chunked_identical && sharded_identical;
-        const double chunked_gcups = cells / chunked_s / 1e9;
-        const double sharded_gcups = cells / sharded_s / 1e9;
-        const std::string topology =
-            std::to_string(shards) + "x" + std::to_string(per_shard);
-        table.add_row({"group2 chunked", bname,
-                       std::to_string(chunked_options.threads),
-                       std::to_string(chunked.num_chunks()),
-                       TextTable::fmt(chunked_gcups, 3), "1.00",
-                       chunked_identical ? "yes" : "NO"});
-        table.add_row({"group2 sharded", bname, topology,
-                       std::to_string(sharded.num_chunks()),
-                       TextTable::fmt(sharded_gcups, 3),
-                       TextTable::fmt(chunked_s / sharded_s, 2),
-                       sharded_identical ? "yes" : "NO"});
-        json += "        {\"threads_per_shard\": " + std::to_string(per_shard) +
-                ", \"threads\": " + std::to_string(chunked_options.threads) +
-                ", \"imbalance\": " +
-                TextTable::fmt(sharded.plan().imbalance(), 4) +
-                ", \"chunked_ms\": " + TextTable::fmt(chunked_s * 1e3, 3) +
-                ", \"sharded_ms\": " + TextTable::fmt(sharded_s * 1e3, 3) +
-                ", \"chunked_gcups\": " + TextTable::fmt(chunked_gcups, 4) +
-                ", \"sharded_gcups\": " + TextTable::fmt(sharded_gcups, 4) +
-                ", \"overhead_frac\": " +
-                TextTable::fmt(sharded_s / chunked_s - 1.0, 4) +
-                ", \"scores_identical\": " + (identical ? "true" : "false") +
-                "}";
-        json += ti + 1 < thread_counts.size() ? ",\n" : "\n";
+      json += "      \"sharded\": {\"group\": 2, \"shards\": " +
+              std::to_string(shards) + ", \"rows\": [\n";
+      for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const align::KernelKind kernel = kernels[ki];
+        const char* kname = align::kernel_name(kernel);
+        const align::SearchProfiles first(query_view, scheme, kernel, backend);
+        const align::SearchProfiles second(second_view, scheme, kernel,
+                                           backend);
+        const align::SearchProfiles* group[] = {&first, &second};
+        const align::SearchResult expected[] = {
+            align::search_database(first, views),
+            align::search_database(second, views)};
+        const double cells =
+            static_cast<double>(expected[0].cells + expected[1].cells);
+        for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+          const std::size_t per_shard = thread_counts[ti];
+          align::ParallelSearchOptions chunked_options;
+          chunked_options.threads = shards * per_shard;
+          const align::ParallelSearchEngine chunked(mapped, chunked_options);
+          align::ShardedSearchOptions sharded_options;
+          sharded_options.num_shards = shards;
+          sharded_options.threads_per_shard = per_shard;
+          const align::ShardedSearchEngine sharded(views, sharded_options);
+          bool chunked_identical = false;
+          bool sharded_identical = false;
+          const Spread chunked_s =
+              group_pass(chunked, group, expected, chunked_identical);
+          const Spread sharded_s =
+              group_pass(sharded, group, expected, sharded_identical);
+          const bool identical = chunked_identical && sharded_identical;
+          const double chunked_gcups = cells / chunked_s.median / 1e9;
+          const double sharded_gcups = cells / sharded_s.median / 1e9;
+          const std::string topology =
+              std::to_string(shards) + "x" + std::to_string(per_shard);
+          table.add_row({std::string(kname) + " group2 chunked", bname,
+                         std::to_string(chunked_options.threads),
+                         std::to_string(chunked.num_chunks()),
+                         TextTable::fmt(chunked_gcups, 3), "1.00",
+                         chunked_identical ? "yes" : "NO"});
+          table.add_row({std::string(kname) + " group2 sharded", bname,
+                         topology, std::to_string(sharded.num_chunks()),
+                         TextTable::fmt(sharded_gcups, 3),
+                         TextTable::fmt(chunked_s.median / sharded_s.median,
+                                        2),
+                         sharded_identical ? "yes" : "NO"});
+          json += std::string("        {\"kernel\": \"") + kname +
+                  "\", \"threads_per_shard\": " + std::to_string(per_shard) +
+                  ", \"threads\": " +
+                  std::to_string(chunked_options.threads) +
+                  ", \"imbalance\": " +
+                  TextTable::fmt(sharded.plan().imbalance(), 4) +
+                  ", \"chunked_ms\": " + ms(chunked_s.median) +
+                  ", \"chunked_ms_min\": " + ms(chunked_s.min) +
+                  ", \"chunked_ms_max\": " + ms(chunked_s.max) +
+                  ", \"sharded_ms\": " + ms(sharded_s.median) +
+                  ", \"sharded_ms_min\": " + ms(sharded_s.min) +
+                  ", \"sharded_ms_max\": " + ms(sharded_s.max) +
+                  ", \"chunked_gcups\": " + TextTable::fmt(chunked_gcups, 4) +
+                  ", \"sharded_gcups\": " + TextTable::fmt(sharded_gcups, 4) +
+                  ", \"overhead_frac\": " +
+                  TextTable::fmt(sharded_s.median / chunked_s.median - 1.0, 4) +
+                  ", \"scores_identical\": " +
+                  (identical ? "true" : "false") + "}";
+          json += ki + 1 < kernels.size() || ti + 1 < thread_counts.size()
+                      ? ",\n"
+                      : "\n";
+        }
       }
       json += "      ]},\n";
     }
@@ -439,31 +478,31 @@ int main(int argc, char** argv) {
                        static_cast<double>(exact_top.size());
     };
     const auto measure_filtered = [&](const auto& filtered_fn) {
-      Measurement best;
+      double best = 0.0;
       double recall = 1.0;
       for (std::size_t r = 0; r < reps; ++r) {
         WallTimer timer;
         const align::SearchOutcome result = filtered_fn();
         const double seconds = timer.seconds();
         const double gcups = seconds > 0 ? exact_cells / seconds / 1e9 : 0.0;
-        if (gcups > best.gcups) best = {gcups, seconds};
+        best = std::max(best, gcups);
         recall = recall_of(result.ranked.hits);
       }
-      return std::pair<Measurement, double>(best, recall);
+      return std::pair<double, double>(best, recall);
     };
     const double serial_exact_gcups = [&] {
-      const Measurement best = measure([&] {
-        return align::search_database(query_view, views, scheme,
-                                      align::KernelKind::kInterSeq, backend);
-      });
-      return best.gcups;
+      return measure([&] {
+               return align::search_database(query_view, views, scheme,
+                                             align::KernelKind::kInterSeq,
+                                             backend);
+             }).max;
     }();
     const auto [filtered_serial, serial_recall] = measure_filtered(
         [&] { return filtered_search(serial_engine, heuristic); });
     table.add_row({"filtered", bname, "serial", "1",
-                   TextTable::fmt(filtered_serial.gcups, 3),
+                   TextTable::fmt(filtered_serial, 3),
                    TextTable::fmt(serial_exact_gcups > 0
-                                      ? filtered_serial.gcups /
+                                      ? filtered_serial /
                                             serial_exact_gcups
                                       : 0.0, 2),
                    off_identical ? "yes" : "NO"});
@@ -479,10 +518,10 @@ int main(int argc, char** argv) {
             "effective_gcups divides exact-scan cells by filtered wall "
             "time\",\n";
     json += "        \"serial\": {\"effective_gcups\": " +
-            TextTable::fmt(filtered_serial.gcups, 4) +
+            TextTable::fmt(filtered_serial, 4) +
             ", \"speedup_vs_exact\": " +
             TextTable::fmt(serial_exact_gcups > 0
-                               ? filtered_serial.gcups / serial_exact_gcups
+                               ? filtered_serial / serial_exact_gcups
                                : 0.0, 3) +
             ", \"recall\": " + TextTable::fmt(serial_recall, 4) + "},\n";
     json += "        \"parallel\": [\n";
@@ -495,17 +534,17 @@ int main(int argc, char** argv) {
           [&] { return filtered_search(engine, heuristic); });
       table.add_row({"filtered", bname, std::to_string(threads),
                      std::to_string(engine.num_chunks()),
-                     TextTable::fmt(best.gcups, 3),
+                     TextTable::fmt(best, 3),
                      TextTable::fmt(serial_exact_gcups > 0
-                                        ? best.gcups / serial_exact_gcups
+                                        ? best / serial_exact_gcups
                                         : 0.0, 2),
                      recall == 1.0 ? "yes" : "NO"});
       json += "          {\"threads\": " + std::to_string(threads) +
               ", \"chunks\": " + std::to_string(engine.num_chunks()) +
-              ", \"effective_gcups\": " + TextTable::fmt(best.gcups, 4) +
+              ", \"effective_gcups\": " + TextTable::fmt(best, 4) +
               ", \"speedup_vs_exact\": " +
               TextTable::fmt(serial_exact_gcups > 0
-                                 ? best.gcups / serial_exact_gcups
+                                 ? best / serial_exact_gcups
                                  : 0.0, 3) +
               ", \"recall\": " + TextTable::fmt(recall, 4) + "}";
       json += ti + 1 < thread_counts.size() ? ",\n" : "\n";

@@ -1,5 +1,8 @@
 #include "align/profile.h"
 
+#include <algorithm>
+
+#include "util/aligned.h"
 #include "util/error.h"
 
 namespace swdual::align {
@@ -25,9 +28,9 @@ StripedProfile::StripedProfile(std::span<const std::uint8_t> query,
   SWDUAL_REQUIRE(!query.empty(), "striped profile needs a non-empty query");
   SWDUAL_REQUIRE(lanes_ > 0, "striped profile needs at least one lane");
   segment_length_ = (length_ + lanes_ - 1) / lanes_;
-  data_.assign(alphabet_size_ * segment_length_ * lanes_, 0);
+  data_ = cache_aligned(storage_, alphabet_size_ * segment_length_ * lanes_);
   for (std::size_t code = 0; code < alphabet_size_; ++code) {
-    std::int16_t* out = data_.data() + code * segment_length_ * lanes_;
+    std::int16_t* out = data_ + code * segment_length_ * lanes_;
     for (std::size_t s = 0; s < segment_length_; ++s) {
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
         const std::size_t position = lane * segment_length_ + s;
@@ -50,9 +53,11 @@ StripedProfileU8::StripedProfileU8(std::span<const std::uint8_t> query,
                  "byte profile expects a matrix with non-positive minimum");
   bias_ = static_cast<std::uint8_t>(-matrix.min_score());
   segment_length_ = (length_ + lanes_ - 1) / lanes_;
-  data_.assign(matrix.size() * segment_length_ * lanes_, bias_);
+  const std::size_t size = matrix.size() * segment_length_ * lanes_;
+  data_ = cache_aligned(storage_, size);
+  std::fill(data_, data_ + size, bias_);
   for (std::size_t code = 0; code < matrix.size(); ++code) {
-    std::uint8_t* out = data_.data() + code * segment_length_ * lanes_;
+    std::uint8_t* out = data_ + code * segment_length_ * lanes_;
     for (std::size_t s = 0; s < segment_length_; ++s) {
       for (std::size_t lane = 0; lane < lanes_; ++lane) {
         const std::size_t position = lane * segment_length_ + s;

@@ -11,6 +11,13 @@
 // 16-bit lanes), so each profile records the lane count it was built for
 // and the kernels require it to match their vector width. The final scores
 // are layout-independent — see DESIGN.md "SIMD backends & dispatch".
+//
+// A service builds one striped profile per distinct query and frees it
+// again, so their storage is a plain vector aligned by hand
+// (util/aligned.h cache_aligned): the freed block fits the next query's
+// identical request, where an allocator-aligned block would not and the
+// heap would grow with traffic. The profiles point into their own storage,
+// so they cannot be copied.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +27,6 @@
 #include "align/scoring.h"
 #include "align/simd16.h"
 #include "align/simd8.h"
-#include "util/aligned.h"
 
 namespace swdual::align {
 
@@ -52,6 +58,9 @@ class StripedProfile {
   StripedProfile(std::span<const std::uint8_t> query, const ScoreMatrix& matrix,
                  std::size_t lanes = kLanes16);
 
+  StripedProfile(const StripedProfile&) = delete;
+  StripedProfile& operator=(const StripedProfile&) = delete;
+
   std::size_t query_length() const { return length_; }
   std::size_t segment_length() const { return segment_length_; }
   std::size_t alphabet_size() const { return alphabet_size_; }
@@ -65,8 +74,7 @@ class StripedProfile {
   /// row(code)[s * lanes() + lane] == score of query position
   /// lane*segLen + s (or 0 if that position is padding).
   const std::int16_t* row(std::uint8_t code) const {
-    return data_.data() +
-           static_cast<std::size_t>(code) * segment_length_ * lanes_;
+    return data_ + static_cast<std::size_t>(code) * segment_length_ * lanes_;
   }
 
  private:
@@ -75,8 +83,10 @@ class StripedProfile {
   std::size_t alphabet_size_;
   std::size_t lanes_;
   std::int8_t max_score_ = 0;
-  /// 64-byte aligned: every striped row starts lane-width aligned.
-  AlignedVector<std::int16_t> data_;
+  std::vector<std::int16_t> storage_;
+  /// 64-byte aligned into storage_: every striped row starts lane-width
+  /// aligned.
+  std::int16_t* data_ = nullptr;
 };
 
 /// Byte-precision striped profile: scores stored *biased* (score − min_score
@@ -87,6 +97,9 @@ class StripedProfileU8 {
  public:
   StripedProfileU8(std::span<const std::uint8_t> query,
                    const ScoreMatrix& matrix, std::size_t lanes = kLanes8);
+
+  StripedProfileU8(const StripedProfileU8&) = delete;
+  StripedProfileU8& operator=(const StripedProfileU8&) = delete;
 
   std::size_t query_length() const { return length_; }
   std::size_t segment_length() const { return segment_length_; }
@@ -100,8 +113,7 @@ class StripedProfileU8 {
   /// row(code)[s * lanes() + lane] == biased score of query position
   /// lane*segLen + s against database residue `code`.
   const std::uint8_t* row(std::uint8_t code) const {
-    return data_.data() +
-           static_cast<std::size_t>(code) * segment_length_ * lanes_;
+    return data_ + static_cast<std::size_t>(code) * segment_length_ * lanes_;
   }
 
  private:
@@ -110,8 +122,10 @@ class StripedProfileU8 {
   std::size_t lanes_;
   std::uint8_t bias_;
   std::int8_t max_score_ = 0;
-  /// 64-byte aligned: every striped row starts lane-width aligned.
-  AlignedVector<std::uint8_t> data_;
+  std::vector<std::uint8_t> storage_;
+  /// 64-byte aligned into storage_: every striped row starts lane-width
+  /// aligned.
+  std::uint8_t* data_ = nullptr;
 };
 
 }  // namespace swdual::align

@@ -51,18 +51,12 @@ class AlignScratch {
 
   /// The inter-sequence kernel's workspace: `n` 64-byte-aligned elements
   /// that the kernel lays out itself (see kernel_interseq_impl.h). Contents
-  /// are NOT zeroed. The buffer is a plain vector aligned by hand: an
-  /// aligned allocation is padded by the allocator, so the block a finished
-  /// worker thread frees is too small for the next thread's identical
-  /// request, and a master run's short-lived workers left a trail of them.
+  /// are NOT zeroed. The buffer is aligned by hand (util/aligned.h
+  /// cache_aligned): a master run's short-lived worker threads each free
+  /// one, and an allocator-aligned block is too small for the next thread's
+  /// identical request.
   std::int16_t* interseq_workspace(std::size_t n) {
-    constexpr std::size_t kPad = kCacheLineBytes / sizeof(std::int16_t);
-    if (iseq_workspace_.size() < n + kPad) iseq_workspace_.resize(n + kPad);
-    const auto address =
-        reinterpret_cast<std::uintptr_t>(iseq_workspace_.data());
-    const std::size_t skip =
-        (kCacheLineBytes - address % kCacheLineBytes) % kCacheLineBytes;
-    return iseq_workspace_.data() + skip / sizeof(std::int16_t);
+    return cache_aligned(iseq_workspace_, n);
   }
 
   /// 16-bit banded-screen state: H and E columns (zeroed), `n` elements

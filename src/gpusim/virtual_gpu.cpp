@@ -22,8 +22,6 @@ BatchResult VirtualGpu::run_batch(std::span<const std::uint8_t> query,
 
 BatchResult VirtualGpu::run_batch(const align::SearchProfiles& profiles,
                                   const align::DbView& db) {
-  SWDUAL_REQUIRE(profiles.kernel() == align::KernelKind::kInterSeq,
-                 "virtual GPU batches run the inter-sequence kernel");
   const std::span<const std::uint8_t> query = profiles.query();
   BatchResult result;
   result.scores.assign(db.size(), 0);

@@ -4,14 +4,17 @@
 // run on a software device that mirrors the externally visible behaviour of
 // a Tesla C2050 running a CUDASW++-2.0-class kernel:
 //
-//   * results  — batch Smith–Waterman scores, computed exactly, via the
-//     inter-sequence kernel (CUDASW++'s inter-task SIMT parallelization maps
-//     one alignment per CUDA thread; the 8-lane SIMD batch kernel is the
-//     same computation at narrower width);
+//   * results  — batch Smith–Waterman scores, computed exactly on the host
+//     with the caller's exact kernel. Every exact kernel returns the same
+//     scores, so which one the host runs is a wall-time choice only; the
+//     building overload uses the inter-sequence kernel, the SIMD analogue
+//     of CUDASW++'s inter-task model (one alignment per CUDA thread);
 //   * timing   — a virtual clock charged from an SM/occupancy model: batches
 //     of alignments are waved across `sm_count × threads_per_sm` contexts at
 //     `gcups` sustained throughput, plus PCIe transfer time for query and
-//     database residues at `pcie_gbps`;
+//     database residues at `pcie_gbps`. It depends on cells, record counts
+//     and residue bytes only — every kernel counts a pair as |q|·|d| cells —
+//     so it does not depend on the host kernel;
 //   * capacity — device-memory tracking; batches that exceed `memory_bytes`
 //     are split into sub-batches exactly as CUDASW++ partitions large
 //     databases.
@@ -63,18 +66,17 @@ class VirtualGpu {
 
   const DeviceSpec& spec() const { return spec_; }
 
-  /// Execute one query against a database batch: exact scores plus modeled
-  /// time. The scoring scheme must use 16-bit-safe penalties (see
-  /// align::striped_score); overflowing pairs are rescanned exactly.
+  /// Execute one query against a database batch: exact scores (from the
+  /// inter-sequence kernel) plus modeled time. Overflowing pairs are
+  /// rescanned exactly.
   BatchResult run_batch(std::span<const std::uint8_t> query,
                         const align::DbView& db,
                         const align::ScoringScheme& scheme);
 
   /// Same execution with caller-provided (possibly cached/shared) query
   /// profiles — the resident-query-context reuse CUDASW++-class tools apply
-  /// across batches. The profiles must target KernelKind::kInterSeq (the
-  /// device's inter-task SIMT model). Scores are bit-identical to the
-  /// building overload.
+  /// across batches. Scores come from the profiles' exact kernel; scores,
+  /// cells and modeled time are identical to the building overload's.
   BatchResult run_batch(const align::SearchProfiles& profiles,
                         const align::DbView& db);
 

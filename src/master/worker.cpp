@@ -17,10 +17,11 @@ namespace swdual::master {
 /// A GPU worker's pipeline primitives: the serial engine, with every exact
 /// scan — the whole database, or a filtered task's candidates — run on the
 /// virtual device and the banded screen on the host CPU, the way
-/// CUDASW++-class tools prefilter before shipping work. Each stage's
-/// modeled time is charged to its hardware and accumulates until the worker
-/// takes it. Screens and candidate selection are deterministic, so a
-/// GPU-executed task reports the same hits as a CPU-executed one. Used by
+/// CUDASW++-class tools prefilter before shipping work. The device scores
+/// with the profiles' exact kernel; each stage's modeled time is charged to
+/// its hardware from cells and accumulates until the worker takes it.
+/// Screens and candidate selection are deterministic, so a GPU-executed
+/// task reports the same hits as a CPU-executed one. Used by
 /// its worker thread only: parallel_for stays the inline default and a
 /// rescan stays one unsplit device batch, so modeled occupancy and virtual
 /// time do not depend on the pipeline's fan-outs.
@@ -157,21 +158,19 @@ TaskReport Worker::execute(const TaskOrder& order) {
   }
 
   WallTimer timer;
-  // The device runs the inter-task kernel (CUDASW++'s SIMT model); CPU
-  // workers the configured kernel on the configured backend.
-  const align::KernelKind kernel =
-      device_ ? align::KernelKind::kInterSeq : context_.cpu_kernel;
-  const align::Backend backend =
-      device_ ? align::Backend::kAuto : context_.cpu_backend;
+  // Both worker types scan with the configured exact kernel on the
+  // configured backend, so they share one cached profile per query. A GPU
+  // worker's virtual time comes from the device model, which charges cells.
   std::shared_ptr<const align::SearchProfiles> cached;
   std::optional<align::SearchProfiles> local;
   const align::SearchProfiles* profiles;
   if (context_.profile_cache) {
-    cached = context_.profile_cache->acquire(query_view, context_.scheme,
-                                             kernel, backend);
+    cached = context_.profile_cache->acquire(
+        query_view, context_.scheme, context_.cpu_kernel, context_.cpu_backend);
     profiles = cached.get();
   } else {
-    profiles = &local.emplace(query_view, context_.scheme, kernel, backend);
+    profiles = &local.emplace(query_view, context_.scheme, context_.cpu_kernel,
+                              context_.cpu_backend);
   }
   const align::SearchProfiles* group[] = {profiles};
   align::SearchOutcome outcome =

@@ -3,10 +3,12 @@
 // Every worker owns a command queue of TaskOrders and pushes TaskReports to
 // the master's shared result queue. A task is one query answered by the
 // search pipeline (align/pipeline.h) over the worker's engine: a CPU worker
-// scans with the SWIPE-class kernel (serially, or chunked over a pool); a
-// GPU worker drives a gpusim::VirtualGpu. Both compute exact scores on this
-// host and additionally report modeled ("virtual") execution times for the
-// paper's hardware classes.
+// scans on the host (serially, or chunked over a pool); a GPU worker drives
+// a gpusim::VirtualGpu. Both compute exact scores on this host with the
+// configured exact kernel, and both report modeled ("virtual") execution
+// times for the paper's hardware classes: SWIPE-class CPU workers and
+// CUDASW++-class GPU workers. Virtual time is charged from DP cells, which
+// every exact kernel counts alike, so the host kernel never changes it.
 #pragma once
 
 #include <functional>
@@ -34,7 +36,9 @@ struct WorkerContext {
   const align::DbView* db = nullptr;
   align::ScoringScheme scheme;
   platform::PerfModel model;
-  align::KernelKind cpu_kernel = align::KernelKind::kInterSeq;
+  /// Exact kernel of every worker's host scan, CPU and GPU alike (see
+  /// MasterConfig::cpu_kernel).
+  align::KernelKind cpu_kernel = align::KernelKind::kStriped8;
 
   /// SIMD backend for the CPU kernels (kAuto = widest available; see
   /// align/backend.h). Forwarded to every search call a CPU worker makes.

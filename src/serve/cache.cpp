@@ -7,7 +7,6 @@ namespace swdual::serve {
 std::string result_key(std::span<const std::uint8_t> query,
                        const std::string& db_id,
                        const align::ScoringScheme& scheme,
-                       align::KernelKind kernel,
                        const align::FilterConfig& filter,
                        const align::AnnotateConfig& annotate) {
   std::string key;
@@ -15,8 +14,6 @@ std::string result_key(std::span<const std::uint8_t> query,
   key += db_id;
   key += '/';
   key += align::scoring_key(scheme);
-  key += '/';
-  key += align::kernel_name(kernel);
   key += '/';
   if (filter.enabled()) {
     // kOff deliberately adds nothing: the filtered-off answer is the exact

@@ -72,8 +72,7 @@ Submission QueryService::submit(const seq::Sequence& query) {
   request.query = query;
   request.key = result_key({query.residues.data(), query.residues.size()},
                            config_.db_id, config_.master.scheme,
-                           config_.master.cpu_kernel, config_.master.filter,
-                           config_.master.annotate);
+                           config_.master.filter, config_.master.annotate);
   request.enqueue_wall = config_.tracer ? config_.tracer->now() : 0.0;
 
   Submission ticket;

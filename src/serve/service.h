@@ -17,8 +17,8 @@
 //     Per-query profiles come from a shared align::ProfileCache, so repeat
 //     queries skip profile construction entirely.
 //   - Result caching: finished answers go into an LRU ResultCache keyed by
-//     (query residues, db id, scoring params, kernel); a hit at admission
-//     time is answered without touching a worker.
+//     (query residues, db id, scoring params, filter, annotation); a hit at
+//     admission time is answered without touching a worker.
 //
 // Every request is tracked end to end: enqueue→admit→execute→complete
 // timestamps become spans on the obs::Tracer and latency histograms
@@ -76,7 +76,8 @@ struct ServiceConfig {
   /// cache key (two services over different databases must not share hits).
   /// Shard topology is deliberately NOT part of the identity: sharded and
   /// unsharded searches are bit-identical, so cached answers are valid at
-  /// any shard count (the same way the SIMD backend is excluded). The
+  /// any shard count (the same way the exact kernel and the SIMD backend
+  /// are excluded: every kernel on every backend scores alike). The
   /// two-stage filter config (master.filter) DOES join the key when enabled
   /// — it changes which hits come back — but stays topology-free for the
   /// same determinism reason (see serve/cache.h). The annotation config

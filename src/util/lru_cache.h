@@ -20,6 +20,12 @@
 // acquire() runs its build with the lock released: construction cost (a
 // striped profile, a few hundred calibration alignments) must not serialize
 // unrelated callers' lookups.
+//
+// Each key is stored once, in its list node; the index maps string_views of
+// those strings to the nodes. List nodes never move, and an index entry is
+// erased before its node is popped, so every view outlives its use. A
+// result-cache key carries the whole query, so a second copy would cost
+// ≈1 KB per entry on 1000-residue queries.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +34,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -80,9 +87,9 @@ class LruCache {
       return found->second->second;
     }
     lru_.emplace_front(key, std::move(value));
-    index_.emplace(key, lru_.begin());
+    index_.emplace(lru_.front().first, lru_.begin());
     while (lru_.size() > capacity_) {
-      index_.erase(lru_.back().first);
+      index_.erase(lru_.back().first);  // the view dies with the node below
       lru_.pop_back();
       ++evictions_;
     }
@@ -117,8 +124,9 @@ class LruCache {
   std::size_t capacity_;
   mutable Mutex mutex_;
   std::list<Entry> lru_ SWDUAL_GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::string, typename std::list<Entry>::iterator> index_
-      SWDUAL_GUARDED_BY(mutex_);
+  /// Keys are views of the list nodes' strings.
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
+      index_ SWDUAL_GUARDED_BY(mutex_);
   std::uint64_t hits_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ SWDUAL_GUARDED_BY(mutex_) = 0;

@@ -1,14 +1,27 @@
-// Differential property test of the sharded engine: on random record-length
-// profiles — uniform, Zipf at s 0.5 and 1.1, one giant above a shard's fair
-// share, and empty and length-1 records — a group search through
-// align::search on every shard count × threads per shard × filter mode must
-// equal the serial engine's answer in hits, scores, cells and filter
-// counters.
+// Differential property test of the exact kernels and the sharded engine.
+// Inputs: random record-length profiles — uniform, Zipf at s 0.5 and 1.1,
+// one giant above a shard's fair share, and empty and length-1 records —
+// with wildcard residues and planted self-homologs of the queries that
+// overflow the byte tier, plus a high-match matrix whose planted pair
+// overflows 16 bits and so reaches the 32-bit oracle. For every exact
+// kernel × filter mode, the serial engine's group search through
+// align::search must equal the scalar kernel's in hits, scores and filter
+// counters (so an answer does not depend on the kernel), and the sharded
+// engine's on every shard count × threads per shard must equal the serial
+// engine's in all of that plus cells and overflow rescans.
+//
+// Cells across kernels: every exact kernel counts a pair as |q|·|d|, so
+// unfiltered cells equal the scalar kernel's. A filtered search adds the
+// banded screen's cells, and the SIMD screen counts the cells of every
+// precision tier it ran (kernel_banded.h) while the scalar kernel screens
+// with the one-tier reference; so filtered cells are compared among the
+// SIMD kernels, which share one screen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -17,14 +30,35 @@
 #include "align/pipeline.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
+#include "seq/alphabet.h"
 #include "util/rng.h"
 
 namespace swdual::align {
 namespace {
 
+constexpr KernelKind kExactKernels[] = {KernelKind::kScalar,
+                                        KernelKind::kStriped,
+                                        KernelKind::kStriped8,
+                                        KernelKind::kInterSeq};
+
+/// Random protein codes with about one wildcard (X) in sixteen.
 std::vector<std::uint8_t> random_codes(Rng& rng, std::size_t len) {
+  const std::uint8_t wildcard = seq::Alphabet::protein().wildcard_code();
   std::vector<std::uint8_t> out(len);
-  for (auto& c : out) c = static_cast<std::uint8_t>(rng.below(20));
+  for (auto& c : out) {
+    c = rng.below(16) == 0 ? wildcard
+                           : static_cast<std::uint8_t>(rng.below(20));
+  }
+  return out;
+}
+
+/// `query` with about one residue in ten replaced at random.
+std::vector<std::uint8_t> homolog_of(Rng& rng,
+                                     const std::vector<std::uint8_t>& query) {
+  std::vector<std::uint8_t> out = query;
+  for (auto& c : out) {
+    if (rng.below(10) == 0) c = static_cast<std::uint8_t>(rng.below(20));
+  }
   return out;
 }
 
@@ -71,17 +105,13 @@ std::vector<LengthProfile> length_profiles(Rng& rng) {
   return out;
 }
 
-void expect_same_outcome(const SearchOutcome& actual,
-                         const SearchOutcome& expected,
-                         const std::string& label) {
+/// Hits, scores and filter counters: what every exact kernel must agree on.
+void expect_same_answer(const SearchOutcome& actual,
+                        const SearchOutcome& expected,
+                        const std::string& label) {
   EXPECT_TRUE(actual.complete) << label;
   EXPECT_EQ(actual.filtered, expected.filtered) << label;
   EXPECT_EQ(actual.ranked.result.scores, expected.ranked.result.scores)
-      << label;
-  EXPECT_EQ(actual.ranked.result.cells, expected.ranked.result.cells)
-      << label;
-  EXPECT_EQ(actual.ranked.result.overflow_rescans,
-            expected.ranked.result.overflow_rescans)
       << label;
   ASSERT_EQ(actual.ranked.hits.size(), expected.ranked.hits.size()) << label;
   for (std::size_t h = 0; h < expected.ranked.hits.size(); ++h) {
@@ -96,51 +126,149 @@ void expect_same_outcome(const SearchOutcome& actual,
       << label;
 }
 
+/// The same answer, computed by the same kernel.
+void expect_same_outcome(const SearchOutcome& actual,
+                         const SearchOutcome& expected,
+                         const std::string& label) {
+  expect_same_answer(actual, expected, label);
+  EXPECT_EQ(actual.ranked.result.cells, expected.ranked.result.cells)
+      << label;
+  EXPECT_EQ(actual.ranked.result.overflow_rescans,
+            expected.ranked.result.overflow_rescans)
+      << label;
+}
+
+/// One scoring scheme, its queries, and the record sets to search.
+struct Case {
+  std::string name;
+  ScoringScheme scheme;
+  std::vector<std::vector<std::uint8_t>> queries;
+  std::vector<LengthProfile> profiles;
+  /// Kernels that must rescan some pair at a wider precision (filter off):
+  /// proof that the inputs reach the tier they are there for.
+  std::vector<KernelKind> must_overflow;
+};
+
+std::vector<Case> cases(Rng& rng) {
+  std::vector<Case> out;
+  // BLOSUM62: the planted self-homologs score past the byte tier, so
+  // striped8 escalates them to 16 bits.
+  Case blosum{"blosum62", ScoringScheme{},
+              {random_codes(rng, 48), random_codes(rng, 70)},
+              length_profiles(rng),
+              {KernelKind::kStriped8}};
+  out.push_back(std::move(blosum));
+  // Match 100: the planted homolog of a 600-residue query scores ≈50,000,
+  // past the 16-bit tiers, so every SIMD kernel falls back to the 32-bit
+  // oracle.
+  static const ScoreMatrix high_match =
+      ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 100, -20);
+  Case uniform{"match100", ScoringScheme{&high_match, GapPenalty{}},
+               {random_codes(rng, 600)},
+               {{"planted-pair", {30, 200, 1, 0, 90, 60}}},
+               {KernelKind::kStriped, KernelKind::kStriped8,
+                KernelKind::kInterSeq}};
+  out.push_back(std::move(uniform));
+  return out;
+}
+
 TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
   Rng rng(0x5a4d);
-  const ScoringScheme scheme;
-  const std::vector<std::uint8_t> queries[] = {random_codes(rng, 48),
-                                               random_codes(rng, 70)};
-  const SearchProfiles first(queries[0], scheme, KernelKind::kInterSeq);
-  const SearchProfiles second(queries[1], scheme, KernelKind::kInterSeq);
-  const SearchProfiles* group[] = {&first, &second};
 
   FilterConfig heuristic;
   heuristic.mode = FilterMode::kHeuristic;
   heuristic.band = 8;
   heuristic.keep_factor = 2.0;
 
-  for (const LengthProfile& profile : length_profiles(rng)) {
-    std::vector<std::vector<std::uint8_t>> records;
-    for (const std::size_t length : profile.lengths) {
-      records.push_back(random_codes(rng, length));
+  for (const Case& c : cases(rng)) {
+    std::vector<std::vector<std::unique_ptr<SearchProfiles>>> by_kernel;
+    for (const KernelKind kernel : kExactKernels) {
+      by_kernel.emplace_back();
+      for (const auto& query : c.queries) {
+        by_kernel.back().push_back(
+            std::make_unique<SearchProfiles>(query, c.scheme, kernel));
+      }
     }
-    DbView db;
-    for (const auto& record : records) db.emplace_back(record);
-    const SerialSearchEngine serial(db);
 
-    for (const FilterConfig& filter : {FilterConfig{}, heuristic}) {
-      SearchRequest request;
-      request.k = 5;
-      request.filter = filter;
-      const std::vector<SearchOutcome> expected =
-          search(serial, group, request);
+    for (const LengthProfile& profile : c.profiles) {
+      std::vector<std::vector<std::uint8_t>> records;
+      for (const std::size_t length : profile.lengths) {
+        records.push_back(random_codes(rng, length));
+      }
+      // Insert one homolog of every query at a random position.
+      for (const auto& query : c.queries) {
+        const auto at = static_cast<std::ptrdiff_t>(
+            rng.below(records.size() + 1));
+        records.insert(records.begin() + at, homolog_of(rng, query));
+      }
+      DbView db;
+      for (const auto& record : records) db.emplace_back(record);
+      const SerialSearchEngine serial(db);
+      std::vector<std::pair<std::string, std::unique_ptr<ShardedSearchEngine>>>
+          engines;
       for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
         for (const std::size_t threads : {1u, 3u}) {
           ShardedSearchOptions options;
           options.num_shards = shards;
           options.threads_per_shard = threads;
-          const ShardedSearchEngine engine(db, options);
-          const std::vector<SearchOutcome> actual =
-              search(engine, group, request);
-          ASSERT_EQ(actual.size(), expected.size());
+          engines.emplace_back(
+              "/shards=" + std::to_string(shards) +
+                  "/threads=" + std::to_string(threads),
+              std::make_unique<ShardedSearchEngine>(db, options));
+        }
+      }
+
+      for (const FilterConfig& filter : {FilterConfig{}, heuristic}) {
+        SearchRequest request;
+        request.k = 5;
+        request.filter = filter;
+        const std::string where = c.name + "/" + profile.name +
+                                  (filter.enabled() ? "/heuristic" : "/off");
+        std::vector<SearchOutcome> oracle;  // the scalar kernel's
+        std::vector<SearchOutcome> simd;    // the first SIMD kernel's
+        for (std::size_t k = 0; k < std::size(kExactKernels); ++k) {
+          const KernelKind kernel = kExactKernels[k];
+          std::vector<const SearchProfiles*> group;
+          for (const auto& profiles : by_kernel[k]) {
+            group.push_back(profiles.get());
+          }
+          const std::vector<SearchOutcome> expected =
+              search(serial, group, request);
+          if (oracle.empty()) {
+            oracle = expected;
+          } else if (simd.empty()) {
+            simd = expected;
+          }
+          const std::vector<SearchOutcome>& same_cells =
+              filter.enabled() && kernel != KernelKind::kScalar ? simd
+                                                                : oracle;
+          const std::string label = where + "/" + kernel_name(kernel);
+          std::size_t rescans = 0;
+          ASSERT_EQ(expected.size(), oracle.size());
           for (std::size_t q = 0; q < expected.size(); ++q) {
-            expect_same_outcome(
-                actual[q], expected[q],
-                profile.name + (filter.enabled() ? "/heuristic" : "/off") +
-                    "/shards=" + std::to_string(shards) +
-                    "/threads=" + std::to_string(threads) + "/query " +
-                    std::to_string(q));
+            const std::string serial_label =
+                label + "/serial/query " + std::to_string(q);
+            expect_same_answer(expected[q], oracle[q], serial_label);
+            EXPECT_EQ(expected[q].ranked.result.cells,
+                      same_cells[q].ranked.result.cells)
+                << serial_label;
+            rescans += expected[q].ranked.result.overflow_rescans;
+          }
+          if (!filter.enabled() &&
+              std::count(c.must_overflow.begin(), c.must_overflow.end(),
+                         kernel) > 0) {
+            EXPECT_GT(rescans, 0u) << label << ": inputs must overflow";
+          }
+
+          for (const auto& [topology, engine] : engines) {
+            const std::vector<SearchOutcome> actual =
+                search(*engine, group, request);
+            ASSERT_EQ(actual.size(), expected.size());
+            for (std::size_t q = 0; q < expected.size(); ++q) {
+              expect_same_outcome(
+                  actual[q], expected[q],
+                  label + topology + "/query " + std::to_string(q));
+            }
           }
         }
       }

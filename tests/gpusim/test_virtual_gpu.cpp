@@ -29,18 +29,31 @@ TEST(VirtualGpu, ScoresAreExact) {
   VirtualGpu gpu;
   Rng rng(1);
   const seq::Sequence query = seq::random_protein(rng, "q", 80);
-  const auto db = tiny_db(20, 2);
+  auto db = tiny_db(20, 2);
+  db.push_back(query);  // a self-hit overflows striped8's byte tier
   const align::DbView views = make_views(db);
   const align::ScoringScheme scheme;
-  const BatchResult batch = gpu.run_batch(
-      {query.residues.data(), query.residues.size()}, views, scheme);
+  const std::span<const std::uint8_t> query_view(query.residues.data(),
+                                                 query.residues.size());
+  const BatchResult batch = gpu.run_batch(query_view, views, scheme);
   ASSERT_EQ(batch.scores.size(), db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     EXPECT_EQ(batch.scores[i],
-              align::gotoh_score({query.residues.data(), query.residues.size()},
-                                 views[i], scheme)
-                  .score)
+              align::gotoh_score(query_view, views[i], scheme).score)
         << "record " << i;
+  }
+
+  // Profiles of any exact kernel: the same scores, and — time being charged
+  // from cells — the same cells and modeled time as the building overload.
+  for (const align::KernelKind kernel :
+       {align::KernelKind::kScalar, align::KernelKind::kStriped,
+        align::KernelKind::kStriped8, align::KernelKind::kInterSeq}) {
+    const align::SearchProfiles profiles(query_view, scheme, kernel);
+    const BatchResult with = gpu.run_batch(profiles, views);
+    EXPECT_EQ(with.scores, batch.scores) << align::kernel_name(kernel);
+    EXPECT_EQ(with.cells, batch.cells) << align::kernel_name(kernel);
+    EXPECT_EQ(with.virtual_seconds, batch.virtual_seconds)
+        << align::kernel_name(kernel);
   }
 }
 

@@ -71,80 +71,64 @@ TEST(ResultCache, KeySeparatesEveryDimension) {
   align::ScoringScheme different_gaps = scheme;
   different_gaps.gap.open += 1;
   const std::span<const std::uint8_t> q{query.data(), query.size()};
-  const std::string base =
-      result_key(q, "db1", scheme, align::KernelKind::kInterSeq);
-  EXPECT_NE(base, result_key({other.data(), other.size()}, "db1", scheme,
-                             align::KernelKind::kInterSeq));
-  EXPECT_NE(base,
-            result_key(q, "db2", scheme, align::KernelKind::kInterSeq));
-  EXPECT_NE(base, result_key(q, "db1", different_gaps,
-                             align::KernelKind::kInterSeq));
-  EXPECT_NE(base,
-            result_key(q, "db1", scheme, align::KernelKind::kStriped));
-  EXPECT_EQ(base, result_key(q, "db1", scheme, align::KernelKind::kInterSeq));
+  const std::string base = result_key(q, "db1", scheme);
+  EXPECT_NE(base, result_key({other.data(), other.size()}, "db1", scheme));
+  EXPECT_NE(base, result_key(q, "db2", scheme));
+  EXPECT_NE(base, result_key(q, "db1", different_gaps));
+  EXPECT_EQ(base, result_key(q, "db1", scheme));
 
   // The two-stage filter splits the cache only when enabled, and every
   // parameter of an enabled filter is part of the identity.
   align::FilterConfig heuristic;
   heuristic.mode = align::FilterMode::kHeuristic;
-  const std::string filtered = result_key(
-      q, "db1", scheme, align::KernelKind::kInterSeq, heuristic);
+  const std::string filtered = result_key(q, "db1", scheme, heuristic);
   EXPECT_NE(base, filtered);
   align::FilterConfig wider = heuristic;
   wider.band += 1;
-  EXPECT_NE(filtered, result_key(q, "db1", scheme,
-                                 align::KernelKind::kInterSeq, wider));
+  EXPECT_NE(filtered, result_key(q, "db1", scheme, wider));
   align::FilterConfig keepier = heuristic;
   keepier.keep_factor += 1.0;
-  EXPECT_NE(filtered, result_key(q, "db1", scheme,
-                                 align::KernelKind::kInterSeq, keepier));
+  EXPECT_NE(filtered, result_key(q, "db1", scheme, keepier));
   // kOff ≡ exact search, so it shares the unfiltered key (and cache entry).
   align::FilterConfig off;
-  EXPECT_EQ(base,
-            result_key(q, "db1", scheme, align::KernelKind::kInterSeq, off));
+  EXPECT_EQ(base, result_key(q, "db1", scheme, off));
 
   // Annotation splits the cache only when enabled; mode and cutoff are both
   // part of an enabled config's identity (the mode decides the payload, the
   // cutoff decides which hits survive).
   align::AnnotateConfig stats;
   stats.mode = align::AnnotateMode::kStats;
-  const std::string annotated = result_key(
-      q, "db1", scheme, align::KernelKind::kInterSeq, off, stats);
+  const std::string annotated = result_key(q, "db1", scheme, off, stats);
   EXPECT_NE(base, annotated);
   align::AnnotateConfig cigar = stats;
   cigar.mode = align::AnnotateMode::kStatsCigar;
-  EXPECT_NE(annotated, result_key(q, "db1", scheme,
-                                  align::KernelKind::kInterSeq, off, cigar));
+  EXPECT_NE(annotated, result_key(q, "db1", scheme, off, cigar));
   align::AnnotateConfig strict = stats;
   strict.evalue_cutoff = 0.001;
-  EXPECT_NE(annotated, result_key(q, "db1", scheme,
-                                  align::KernelKind::kInterSeq, off, strict));
+  EXPECT_NE(annotated, result_key(q, "db1", scheme, off, strict));
   // Annotate kOff adds nothing: plain and off-annotated answers alias.
-  EXPECT_EQ(base, result_key(q, "db1", scheme, align::KernelKind::kInterSeq,
-                             off, align::AnnotateConfig{}));
+  EXPECT_EQ(base, result_key(q, "db1", scheme, off, align::AnnotateConfig{}));
 }
 
 TEST(ResultCache, KeyLayoutIsPinned) {
   // Pins the exact key layout so a field cannot sneak in (or out)
-  // unreviewed. The key is db id, scoring parameters, kernel, and the raw
-  // query residues — nothing else. In particular the SIMD backend and the
-  // shard topology (shard count, threads per shard, scatter order) are
-  // excluded on purpose: both produce bit-identical answers
-  // (tests/align/test_backend_equivalence.cpp,
+  // unreviewed. The key is db id, scoring parameters, and the raw query
+  // residues — nothing else. In particular the exact kernel, the SIMD
+  // backend and the shard topology (shard count, threads per shard,
+  // scatter order) are excluded on purpose: all produce bit-identical
+  // answers (tests/align/test_backend_equivalence.cpp,
+  // tests/align/test_sharded_property.cpp,
   // tests/align/test_sharded_search.cpp), so one cached result serves every
-  // backend and every shard count. Extending the key with either would
-  // silently split the cache per deployment topology.
+  // kernel, backend and shard count. Extending the key with any of them
+  // would silently split the cache per deployment.
   const std::vector<std::uint8_t> query{3, 1, 4, 1, 5};
   const align::ScoringScheme scheme;
-  const align::KernelKind kernel = align::KernelKind::kStriped;
   std::string expected = "dbX";
   expected += '/';
   expected += align::scoring_key(scheme);
   expected += '/';
-  expected += align::kernel_name(kernel);
-  expected += '/';
   expected.append(reinterpret_cast<const char*>(query.data()), query.size());
-  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme, kernel),
+  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme),
             expected);
 
   // An enabled two-stage filter adds exactly one segment before the query
@@ -158,16 +142,13 @@ TEST(ResultCache, KeyLayoutIsPinned) {
   filtered += '/';
   filtered += align::scoring_key(scheme);
   filtered += '/';
-  filtered += align::kernel_name(kernel);
-  filtered += '/';
   filtered += "filter:";
   filtered += align::filter_mode_name(filter.mode);
   filtered += ":b48:k";
   filtered += std::to_string(2.5);
   filtered += '/';
   filtered.append(reinterpret_cast<const char*>(query.data()), query.size());
-  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme, kernel,
-                       filter),
+  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme, filter),
             filtered);
 
   // An enabled annotation likewise adds exactly one segment (after the
@@ -179,8 +160,6 @@ TEST(ResultCache, KeyLayoutIsPinned) {
   annotated += '/';
   annotated += align::scoring_key(scheme);
   annotated += '/';
-  annotated += align::kernel_name(kernel);
-  annotated += '/';
   annotated += "annotate:";
   annotated += align::annotate_mode_name(align::AnnotateMode::kStatsCigar);
   annotated += ":e";
@@ -188,7 +167,7 @@ TEST(ResultCache, KeyLayoutIsPinned) {
   annotated += '/';
   annotated.append(reinterpret_cast<const char*>(query.data()),
                    query.size());
-  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme, kernel,
+  EXPECT_EQ(result_key({query.data(), query.size()}, "dbX", scheme,
                        align::FilterConfig{}, annotate),
             annotated);
 }
