@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "align/backend.h"
 #include "align/banded.h"
@@ -29,14 +31,19 @@ struct KernelFixtureData {
   std::uint64_t cells = 0;
 
   KernelFixtureData(std::size_t query_len, std::size_t db_count,
-                    std::size_t db_len) {
+                    std::size_t db_len)
+      : KernelFixtureData(query_len,
+                          std::vector<std::size_t>(db_count, db_len)) {}
+
+  KernelFixtureData(std::size_t query_len,
+                    const std::vector<std::size_t>& db_lengths) {
     Rng rng(1234);
     query = seq::random_protein(rng, "q", query_len);
-    for (std::size_t i = 0; i < db_count; ++i) {
-      db.push_back(seq::random_protein(rng, "d", db_len));
+    for (const std::size_t len : db_lengths) {
+      db.push_back(seq::random_protein(rng, "d", len));
+      cells += static_cast<std::uint64_t>(query_len) * len;
     }
     views = align::make_db_view(db);
-    cells = static_cast<std::uint64_t>(query_len) * db_count * db_len;
   }
 };
 
@@ -184,13 +191,38 @@ void backend_interseq(benchmark::State& state, align::Backend backend) {
       static_cast<double>(align::backend_lanes16(backend));
 }
 
-void backend_banded_screen(benchmark::State& state, align::Backend backend) {
+/// Record lengths of the banded screen rows: 256 records, 256 × 600
+/// residues in total.
+enum class ScreenShape {
+  kOneLength,  ///< every record 600 residues
+  kMixed,      ///< 256 distinct lengths, 600 ± 1..128
+  kRuns,       ///< 32 lengths, 600 ± 2..62, in runs of 8 equal lengths
+};
+
+std::vector<std::size_t> screen_lengths(ScreenShape shape) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t k = 1; k <= 128; ++k) {
+    const std::size_t d = shape == ScreenShape::kMixed  ? k
+                          : shape == ScreenShape::kRuns ? 2 + 4 * ((k - 1) / 8)
+                                                        : 0;
+    lengths.push_back(600 + d);
+    lengths.push_back(600 - d);
+  }
+  return lengths;
+}
+
+void backend_banded_screen(benchmark::State& state, align::Backend backend,
+                           ScreenShape shape) {
   // The two-stage filter's screening shape: many medium-length records, a
   // band much narrower than the record. GCUPS counts the band cells the
   // screen actually computes (BandedBatchResult.cells), so the number is
   // comparable with the full-matrix kernels per unit of work — the screen's
   // end-to-end advantage is that it has ~len/(2·band+1)× fewer cells.
-  const KernelFixtureData data(300, 256, 600);
+  // With one length every lane group is uniform, so the screen walks each
+  // group's band geometry once (its uniform path); the other shapes leave
+  // no such group and time the paced path, where runs of 8 let lanes of
+  // one length share a geometry step.
+  const KernelFixtureData data(300, screen_lengths(shape));
   const std::size_t band = 16;
   const std::span<const std::uint8_t> query(data.query.residues.data(),
                                             data.query.residues.size());
@@ -220,11 +252,16 @@ void register_backend_benchmarks() {
     benchmark::RegisterBenchmark(
         ("BM_InterSeqBackend/" + suffix).c_str(),
         [backend](benchmark::State& s) { backend_interseq(s, backend); });
-    benchmark::RegisterBenchmark(
-        ("BM_BandedScreenBackend/" + suffix).c_str(),
-        [backend](benchmark::State& s) {
-          backend_banded_screen(s, backend);
-        });
+    for (const auto& row :
+         {std::pair{"BM_BandedScreenBackend/", ScreenShape::kOneLength},
+          std::pair{"BM_BandedScreenMixedBackend/", ScreenShape::kMixed},
+          std::pair{"BM_BandedScreenRunsBackend/", ScreenShape::kRuns}}) {
+      const ScreenShape shape = row.second;
+      benchmark::RegisterBenchmark(
+          (row.first + suffix).c_str(), [backend, shape](benchmark::State& s) {
+            backend_banded_screen(s, backend, shape);
+          });
+    }
   }
 }
 

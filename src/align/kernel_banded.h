@@ -6,13 +6,17 @@
 // kernel — longest-first batching, per-column dprofile, SWDB v2 pre-sorted
 // order detection. The DP is restricted per lane to a diagonal band of
 // half-width `band` around j = ⌊i·n_l/m⌋, so the screen costs O(m·band)
-// per record instead of O(m·n).
+// per record instead of O(m·n). A lane group whose records share one
+// length walks the band geometry once for all its lanes; other groups pace
+// each lane through its own columns (kernel_banded_impl.h).
 //
 // Scores are bit-identical to the scalar banded_gotoh_score (banded.h) for
 // every lane that does not overflow: the 8-bit saturating tier runs first
 // and saturated lanes are regrouped through a 16-bit pass; lanes that
 // saturate even there come back with overflow set and the caller rescans
-// them with the 32-bit scalar banded kernel.
+// them with the 32-bit scalar banded kernel. Cells are counted as the
+// scalar kernel counts them: each banded cell once, however many tiers
+// screened it (the exact kernels likewise count |q|·|d|).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,7 @@ struct BandedBatchResult {
   std::vector<int> scores;     ///< banded score per input sequence
   std::vector<bool> overflow;  ///< saturated even at 16 bits (rescan!)
   std::vector<bool> edge_hit;  ///< best banded cell sat on the band boundary
-  std::uint64_t cells = 0;     ///< banded DP cells computed (all tiers)
+  std::uint64_t cells = 0;     ///< banded DP cells, each counted once
 };
 
 /// Banded-screen one query against many database sequences, one SIMD batch

@@ -10,13 +10,27 @@
 // Layout is the interseq kernel's (kernel_interseq_impl.h): one database
 // sequence per lane and longest-first batching with pre-sorted-order
 // detection. What is new is the band: per lane the DP is restricted to
-// rows i with |j − ⌊i·n_l/m⌋| ≤ band, walked column-major — and because a
-// band covers only a sliver of rows, lanes are *paced*: each lane advances
-// through its own columns Bresenham-style at rate n_l/n_max so that every
-// lane's window stays centred on the same rows regardless of the group's
-// length mix (see the comment at the step loop). Substitution scores come
-// from a per-row 32-entry shuffle (lut32) on vector types that have one,
-// else from a per-step gathered dprofile.
+// rows i with |j − ⌊i·n_l/m⌋| ≤ band, walked column-major. Substitution
+// scores come from a per-row 32-entry shuffle (lut32) on vector types that
+// have one, else from a per-column gathered dprofile.
+//
+// A lane group takes one of two paths, decided by its input alone:
+//  - uniform: a full byte-tier group whose records all have one length
+//    (longest-first order puts equal lengths next to each other; how many
+//    groups qualify depends on the database's length multiset, see
+//    DESIGN.md "Screen kernel design"). Every lane takes column j at step j
+//    with the same window, edge runs and sentinel row, so one set of band
+//    counters walks the geometry for the whole group, the sentinel is one
+//    vector store, the edge-run masks are splats, and the rows run with no
+//    in-window clamps or blends.
+//  - paced: every other group (mixed lengths, a partial tail group, and
+//    every 16-bit regroup). Because a band covers only a sliver of rows,
+//    each lane advances through its own columns Bresenham-style at rate
+//    n_l/n_max so that every lane's window stays centred on the same rows
+//    regardless of the group's length mix (see the comment at the step
+//    loop), and each lane walks its own geometry.
+// Both paths run the same row body and the same per-lane arithmetic, so
+// scores, edge_hit, overflow and cells do not depend on the path.
 //
 // Band geometry is tracked with four incremental counters per lane —
 // F(v) = min{ i ≥ 1 : i·n ≥ v·m } evaluated at v = j−band, j−band+1,
@@ -31,12 +45,13 @@
 //    tail run     [F(j+band), bl]      — rows whose LEFT band edge is j
 // Head/tail rows are the band-boundary cells feeding the edge_hit
 // certificate (banded.h). Rows are processed in three zones: a top fringe
-// and bottom fringe whose lane masks are built with two vector compares
-// against the column-relative row number (covering the edge runs and
-// cross-lane raggedness; a scalar per-lane build remains as the fallback
-// for union windows taller than the element type), and a bulk zone in
-// between where every live lane is in-window and off-edge, so one constant
-// mask register suffices and no edge tracking runs.
+// and bottom fringe that track edge runs, and a bulk zone in between where
+// every live lane is in-window and off-edge, so one constant mask register
+// suffices and no edge tracking runs. A paced group builds its fringe lane
+// masks with two vector compares against the column-relative row number
+// (covering the edge runs and cross-lane raggedness; a scalar per-lane
+// build remains as the fallback for union windows taller than the element
+// type); a uniform group's fringes are its edge runs themselves.
 //
 // Masking uses the vector min() operation: a lane's mask element is the
 // type's max value (identity for min) when the lane is in-window, 0
@@ -44,10 +59,11 @@
 // stores, which keeps the in-register F chain and the column state exactly
 // equal to the scalar banded recurrence with out-of-band reads clamped to
 // H=0 / E,F≤0 — clamps that provably never change an in-band H (H is
-// max(…, 0) anyway). One scalar sentinel store per lane per column (zeroing
-// state H just above the window top unless that row was inside the previous
-// column's window) covers the only remaining stale-state read, the
-// diagonal into the window's top row.
+// max(…, 0) anyway). A sentinel store per column (zeroing state H just
+// above the window top unless that row was inside the previous column's
+// window: per lane on the paced path, one vector on the uniform path)
+// covers the only remaining stale-state read, the diagonal into the
+// window's top row.
 #pragma once
 
 #include <algorithm>
@@ -61,6 +77,15 @@
 #include "align/kernel_banded.h"
 #include "align/scratch.h"
 #include "util/error.h"
+
+// The column and row lambdas must be inlined into their loops: GCC at -O2
+// otherwise emits the row body out of line, and a call per row costs the
+// uniform path its whole gain.
+#if defined(__GNUC__)
+#define SWDUAL_BANDED_INLINE __attribute__((always_inline))
+#else
+#define SWDUAL_BANDED_INLINE
+#endif
 
 namespace swdual::align {
 
@@ -99,6 +124,15 @@ struct BandCounter {
   }
 };
 
+/// One column's band geometry in one lane.
+struct BandColumn {
+  std::size_t tl = 1;       ///< window rows [tl, bl]; empty when tl > bl
+  std::size_t bl = 0;
+  std::size_t head_hi = 0;  ///< head run [tl, head_hi]; none when < tl
+  std::size_t tail_lo = 0;  ///< tail run [tail_lo, bl]; none when > bl
+  bool fresh_top = false;   ///< state H at row tl−1 is stale: zero it
+};
+
 /// Per-lane band state carried across columns.
 struct LaneBand {
   std::size_t n = 0;        ///< lane's database length (0 = idle lane)
@@ -108,21 +142,51 @@ struct LaneBand {
   BandCounter d;            ///< F(j + band + 1)
   std::size_t prev_tl = 1;  ///< previous column's window top
   std::size_t prev_bl = 0;  ///< previous column's window bottom (empty)
+
+  /// Steps the four counters to column j (columns arrive as 1, 2, …, n) and
+  /// returns its window and genuine edge runs: a boundary column with no
+  /// outside neighbour — j = 1 for the left edge, j = n for the right — is
+  /// a matrix edge, not a band edge.
+  BandColumn next(std::size_t j, std::size_t band, std::size_t m) {
+    const auto sj = static_cast<std::int64_t>(j);
+    const auto sband = static_cast<std::int64_t>(band);
+    a.step(sj - sband, m, n);
+    b.step(sj - sband + 1, m, n);
+    c.step(sj + sband, m, n);
+    d.step(sj + sband + 1, m, n);
+    BandColumn col;
+    col.tl = a.f;
+    col.bl = std::min(m, d.f - 1);
+    col.head_hi = j + 1 <= n ? std::min(col.bl, b.f - 1) : 0;
+    col.tail_lo = j >= 2 ? std::max(col.tl, c.f) : m + 1;
+    // The diagonal into the window's top row reads state H one row above
+    // it, which is stale unless the previous column's window wrote it.
+    col.fresh_top = col.tl >= 2 && col.tl <= col.bl &&
+                    !(prev_tl <= col.tl - 1 && col.tl - 1 <= prev_bl);
+    prev_tl = col.tl;
+    prev_bl = col.bl;
+    return col;
+  }
 };
+
+/// Row-body tags: a uniform group's rows lie inside every lane's window.
+inline constexpr std::true_type kAllLanesIn{};
+inline constexpr std::false_type kMaskedLanes{};
 
 }  // namespace banded_detail
 
 /// One tier of the banded screen over the sequences named by `order`
 /// (longest-first). Results land in `out` at their original indices. When
 /// `escalate` is non-null, saturated lanes are appended to it instead of
-/// being flagged; when null they set out.overflow.
+/// being flagged; when null they set out.overflow. Returns the banded cells
+/// the pass computed.
 template <class V>
-void banded_screen_pass(std::span<const std::uint8_t> query,
-                        const SequenceViews& db, const ScoringScheme& scheme,
-                        std::size_t band,
-                        std::span<const std::uint32_t> order,
-                        BandedBatchResult& out,
-                        std::vector<std::uint32_t>* escalate) {
+std::uint64_t banded_screen_pass(std::span<const std::uint8_t> query,
+                                 const SequenceViews& db,
+                                 const ScoringScheme& scheme, std::size_t band,
+                                 std::span<const std::uint32_t> order,
+                                 BandedBatchResult& out,
+                                 std::vector<std::uint32_t>* escalate) {
   using T = typename V::value_type;
   constexpr bool kByte = std::is_same_v<T, std::uint8_t>;
   constexpr std::size_t kL = V::kLanes;
@@ -182,6 +246,7 @@ void banded_screen_pass(std::span<const std::uint8_t> query,
       V::splat(static_cast<T>(scheme.gap.open + scheme.gap.extend));
   const V v_bias = V::splat(static_cast<T>(bias));
 
+  std::uint64_t cells = 0;
   for (std::size_t group_start = 0; group_start < order.size();
        group_start += kL) {
     const std::size_t lanes_used = std::min(kL, order.size() - group_start);
@@ -216,155 +281,23 @@ void banded_screen_pass(std::span<const std::uint8_t> query,
 
     V v_max = V::zero();
     V v_edge = V::zero();
-
-    alignas(64) T bulk_mask_arr[kL];
-    alignas(64) T act_arr[kL];
-    alignas(64) T mask_row[kL];
-    alignas(64) T edge_row[kL];
     alignas(64) std::uint8_t codes[kL];
-    std::size_t tl[kL], bl[kL], head_hi[kL], tail_lo[kL];
-    std::size_t jcol[kL] = {};  // columns consumed per lane
-    std::size_t acc[kL] = {};   // Bresenham pacing accumulator
     for (std::size_t l = 0; l < kL; ++l) codes[l] = pad_code;
 
-    // Lanes are paced through their own columns Bresenham-style: lane l
-    // advances exactly on the steps where floor(s·n_l/n_max) grows, so
-    // after step s it sits at column ≈ s·n_l/n_max and its band window is
-    // centred near row s·m/n_max — the same rows as every other lane in
-    // the group, whatever the length mix. (Marching every lane through one
-    // absolute column index instead lets the windows drift apart linearly
-    // — centres j·m/n_l — ballooning the union row range until most vector
-    // work is masked off.) Pacing changes nothing per lane: each still
-    // walks its columns 1..n_l in order with identical windows and
-    // arithmetic, so scores stay bit-identical; lanes idle on a step keep
-    // their state through blended stores.
-    for (std::size_t s = 1; s <= max_len; ++s) {
-      // Band geometry for the lanes that advance this step: bump the four
-      // F counters, derive the window, the genuine edge runs (a boundary
-      // column with no outside neighbour — j = 1 for the left edge, j = n
-      // for the right — is a matrix edge, not a band edge), and the
-      // cross-lane zone boundaries.
-      std::size_t row_lo = m + 1;
-      std::size_t row_hi = 0;
-      std::size_t bulk_lo = 1;
-      std::size_t bulk_hi = m;
-      bool all_active = true;
-      const std::int64_t sband = static_cast<std::int64_t>(band);
-      // Geometry is a pure function of (m, band, n, step), and pacing makes
-      // every lane of equal length march in lockstep — so within the
-      // longest-first group, a lane whose length equals its left
-      // neighbour's replays the neighbour's outcome verbatim instead of
-      // stepping its own counters. Real databases are full of equal-length
-      // runs (and sorting makes them adjacent), which turns the dominant
-      // scalar-geometry cost into a per-distinct-length cost.
-      std::size_t share_n = std::numeric_limits<std::size_t>::max();
-      int share_kind = 0;  // 0 = no column this step, 1 = window, 2 = empty
-      std::size_t share_j = 0, share_tl = 0, share_bl = 0, share_head = 0,
-                  share_tail = 0, share_r0 = 0;
-      bool share_sentinel = false;
-      for (std::size_t l = 0; l < kL; ++l) {
-        bulk_mask_arr[l] = 0;
-        act_arr[l] = 0;
-        LaneBand& L = lane[l];
-        if (L.n == share_n) {  // same length as lane l−1: replay its outcome
-          if (share_kind == 0) {
-            all_active = false;
-            tl[l] = 1;
-            bl[l] = 0;
-            continue;
-          }
-          act_arr[l] = static_cast<T>(-1);
-          codes[l] = lane_seq[l][share_j - 1];
-          if (share_kind == 2) {
-            tl[l] = 1;
-            bl[l] = 0;
-            continue;
-          }
-          out.cells += share_bl - share_tl + 1;
-          tl[l] = share_tl;
-          bl[l] = share_bl;
-          head_hi[l] = share_head;
-          tail_lo[l] = share_tail;
-          bulk_mask_arr[l] = kMaskOn;
-          if (share_sentinel) state_h[(share_r0 - 1) * kL + l] = 0;
-          continue;
-        }
-        share_n = L.n;
-        share_kind = 0;
-        share_sentinel = false;
-        if (jcol[l] >= L.n) {  // exhausted (or idle) lane
-          all_active = false;
-          tl[l] = 1;
-          bl[l] = 0;
-          continue;
-        }
-        acc[l] += L.n;
-        if (acc[l] < max_len) {  // paced out this step
-          all_active = false;
-          tl[l] = 1;
-          bl[l] = 0;
-          continue;
-        }
-        acc[l] -= max_len;
-        const std::size_t j = ++jcol[l];
-        act_arr[l] = static_cast<T>(-1);  // all-ones: blend() needs full masks
-        codes[l] = lane_seq[l][j - 1];
-        share_j = j;
-        const std::int64_t sj = static_cast<std::int64_t>(j);
-        L.a.step(sj - sband, m, L.n);
-        L.b.step(sj - sband + 1, m, L.n);
-        L.c.step(sj + sband, m, L.n);
-        L.d.step(sj + sband + 1, m, L.n);
-        const std::size_t w_tl = L.a.f;
-        const std::size_t w_bl = std::min(m, L.d.f - 1);
-        if (w_tl > w_bl) {  // window empty at this column (very ragged n≫m)
-          share_kind = 2;
-          L.prev_tl = w_tl;
-          L.prev_bl = w_bl;
-          tl[l] = 1;
-          bl[l] = 0;
-          continue;
-        }
-        share_kind = 1;
-        out.cells += w_bl - w_tl + 1;
-        tl[l] = w_tl;
-        bl[l] = w_bl;
-        head_hi[l] = j + 1 <= L.n ? std::min(w_bl, L.b.f - 1) : 0;
-        tail_lo[l] = j >= 2 ? std::max(w_tl, L.c.f) : m + 1;
-        share_tl = w_tl;
-        share_bl = w_bl;
-        share_head = head_hi[l];
-        share_tail = tail_lo[l];
-        bulk_mask_arr[l] = kMaskOn;
-        row_lo = std::min(row_lo, w_tl);
-        row_hi = std::max(row_hi, w_bl);
-        bulk_lo = std::max(bulk_lo, std::max(w_tl, head_hi[l] + 1));
-        bulk_hi = std::min(bulk_hi, std::min(w_bl, tail_lo[l] - 1));
+    // Column registers the row body reads and advances: the column's
+    // residue codes, the diagonal H and the running F; and on a paced step,
+    // which lanes advance (v_act) and whether all of them do.
+    V v_codes = V::zero();
+    V v_diag = V::zero();
+    V v_f = V::zero();
+    V v_act = V::zero();
+    bool all_active = true;
 
-        // Sentinel: the diagonal into this lane's window top reads state H
-        // one row above it; zero it unless the previous column wrote it as
-        // a genuine in-window value.
-        if (w_tl >= 2) {
-          const std::size_t r0 = w_tl - 1;
-          if (!(L.prev_tl <= r0 && r0 <= L.prev_bl)) {
-            share_sentinel = true;
-            share_r0 = r0;
-            state_h[(r0 - 1) * kL + l] = 0;
-          }
-        }
-        L.prev_tl = w_tl;
-        L.prev_bl = w_bl;
-      }
-      if (row_lo > row_hi) continue;  // no live window anywhere this step
-      if (bulk_lo > bulk_hi) {        // no common off-edge zone: all fringe
-        bulk_lo = row_hi + 1;
-        bulk_hi = row_hi;
-      }
-
-      // This step's database residues (stale entries of idle lanes are
-      // masked everywhere), as a code vector feeding the per-row lut32
-      // lookup or gathered into the dprofile.
-      V v_codes = V::zero();
+    // Starts a column whose rows begin at `top`: this column's database
+    // residues (stale entries of idle lanes are masked everywhere) as a code
+    // vector feeding the per-row lut32 lookup or gathered into the
+    // dprofile, and the diagonal into the top row.
+    const auto begin_column = [&](std::size_t top) SWDUAL_BANDED_INLINE {
       if constexpr (kByte && kHasLut) {
         if (use_lut) v_codes = V::load(codes);
       }
@@ -375,123 +308,253 @@ void banded_screen_pass(std::span<const std::uint8_t> query,
           for (std::size_t l = 0; l < kL; ++l) dst[l] = ext[codes[l]];
         }
       }
-      const V v_act = V::load(act_arr);
+      v_diag = top >= 2 ? V::load(state_h + (top - 2) * kL) : V::zero();
+      v_f = V::zero();
+    };
 
-      // Fringe masks are normally built with two vector compares against
-      // the column-relative row number rr = r − row_lo + 1 (rr ≥ 1, so 0 is
-      // a safe "never" for head runs and kMaskOn for empty windows — rr
-      // never reaches it under the span guard below). Only when the union
-      // window is taller than the element type can express does the scalar
-      // per-lane build run instead.
-      const bool vec_fringe =
-          row_hi - row_lo + 2 < static_cast<std::size_t>(kMaskOn);
-      V v_tl_rel = V::zero();
-      V v_bl_rel = V::zero();
-      V v_head_rel = V::zero();
-      V v_tail_rel = V::zero();
-      if (vec_fringe) {
-        alignas(64) T tl_rel[kL], bl_rel[kL], head_rel[kL], tail_rel[kL];
+    // One row of the current column. A paced row clamps H and E to the
+    // in-window lanes of `v_mask` and, on a step where some lane idles,
+    // keeps that lane's state through blends; a uniform group's rows lie
+    // inside every lane's window (kAllLanesIn), so it does neither.
+    // `v_edge_mask` picks the lanes whose cell is on an edge run, read only
+    // when `track_edge` is set.
+    const auto process_row = [&](auto all_in, std::size_t r, V v_mask,
+                                 V v_edge_mask,
+                                 bool track_edge) SWDUAL_BANDED_INLINE {
+      constexpr bool kAllIn = decltype(all_in)::value;
+      V v_score;
+      if constexpr (kByte && kHasLut) {
+        v_score = use_lut ? V::lut32(ext_rows + query[r - 1] * 32, v_codes)
+                          : V::load(dprofile + query[r - 1] * kL);
+      } else {
+        v_score = V::load(dprofile + query[r - 1] * kL);
+      }
+      const V v_h_prev = V::load(state_h + (r - 1) * kL);
+      const V v_e_prev = V::load(state_e + (r - 1) * kL);
+      const V v_e = max(subs(v_e_prev, v_gap_extend),
+                        subs(v_h_prev, v_gap_open_extend));
+      V v_h;
+      if constexpr (kByte) {
+        v_h = subs(adds(v_diag, v_score), v_bias);
+      } else {
+        v_h = adds(v_diag, v_score);
+      }
+      v_h = max(v_h, v_e);
+      v_h = max(v_h, v_f);
+      if constexpr (!kByte) v_h = max(v_h, V::zero());
+      V v_hm = v_h;
+      V v_em = v_e;
+      if constexpr (!kAllIn) {
+        v_hm = min(v_h, v_mask);
+        v_em = min(v_e, v_mask);
+      }
+      v_max = max(v_max, v_hm);
+      if (track_edge) v_edge = max(v_edge, min(v_hm, v_edge_mask));
+      v_diag = v_h_prev;
+      if (kAllIn || all_active) {
+        v_hm.store(state_h + (r - 1) * kL);
+        v_em.store(state_e + (r - 1) * kL);
+      } else {
+        // Idle lanes keep their state untouched this step.
+        blend(v_act, v_hm, v_h_prev).store(state_h + (r - 1) * kL);
+        blend(v_act, v_em, v_e_prev).store(state_e + (r - 1) * kL);
+      }
+      // The masked H keeps the running F register correct through
+      // out-of-window rows: those contribute at most subs(0, gs+ge) ≤ 0.
+      v_f = max(subs(v_f, v_gap_extend), subs(v_hm, v_gap_open_extend));
+    };
+
+    // Longest-first order: the first and last lanes bound every length.
+    if (kByte && lanes_used == kL && lane[0].n == lane[kL - 1].n) {
+      // Uniform group: lane 0's counters walk the geometry for all lanes.
+      const V v_on = V::splat(kMaskOn);
+      LaneBand& walk = lane[0];
+      for (std::size_t j = 1; j <= max_len; ++j) {
+        const BandColumn col = walk.next(j, band, m);
+        if (col.tl > col.bl) continue;  // window empty at this column (n≫m)
+        cells += kL * (col.bl - col.tl + 1);
+        if (col.fresh_top) V::zero().store(state_h + (col.tl - 2) * kL);
+        for (std::size_t l = 0; l < kL; ++l) codes[l] = lane_seq[l][j - 1];
+        begin_column(col.tl);
+        // Rows above the bulk zone are head-run rows, rows below it tail-run
+        // rows; when the runs leave no row between them, every row is one.
+        std::size_t bulk_lo = std::max(col.tl, col.head_hi + 1);
+        std::size_t bulk_hi = std::min(col.bl, col.tail_lo - 1);
+        if (bulk_lo > bulk_hi) {
+          bulk_lo = col.bl + 1;
+          bulk_hi = col.bl;
+        }
+        for (std::size_t r = col.tl; r < bulk_lo; ++r) {
+          process_row(kAllLanesIn, r, v_on, v_on, true);
+        }
+        for (std::size_t r = bulk_lo; r <= bulk_hi; ++r) {
+          process_row(kAllLanesIn, r, v_on, v_on, false);
+        }
+        for (std::size_t r = bulk_hi + 1; r <= col.bl; ++r) {
+          process_row(kAllLanesIn, r, v_on, v_on, true);
+        }
+      }
+    } else {
+      alignas(64) T bulk_mask_arr[kL];
+      alignas(64) T act_arr[kL];
+      alignas(64) T mask_row[kL];
+      alignas(64) T edge_row[kL];
+      // This step's window and edge runs per windowed lane.
+      std::size_t tl[kL], bl[kL], head_hi[kL], tail_lo[kL];
+      std::size_t jcol[kL] = {};  // columns consumed per lane
+      std::size_t acc[kL] = {};   // Bresenham pacing accumulator
+
+      // Lanes are paced through their own columns Bresenham-style: lane l
+      // advances exactly on the steps where floor(s·n_l/n_max) grows, so
+      // after step s it sits at column ≈ s·n_l/n_max and its band window is
+      // centred near row s·m/n_max — the same rows as every other lane in
+      // the group, whatever the length mix. (Marching every lane through
+      // one absolute column index instead lets the windows drift apart
+      // linearly — centres j·m/n_l — ballooning the union row range until
+      // most vector work is masked off.) Pacing changes nothing per lane:
+      // each still walks its columns 1..n_l in order with identical windows
+      // and arithmetic, so scores stay bit-identical; lanes idle on a step
+      // keep their state through blended stores.
+      for (std::size_t s = 1; s <= max_len; ++s) {
+        // Band geometry for the lanes that advance this step, and the
+        // cross-lane zone boundaries.
+        std::size_t row_lo = m + 1;
+        std::size_t row_hi = 0;
+        std::size_t bulk_lo = 1;
+        std::size_t bulk_hi = m;
+        all_active = true;
+        // Geometry is a pure function of (m, band, n, step), and pacing
+        // makes every lane of equal length march in lockstep — so within
+        // the longest-first group, a lane whose length equals its left
+        // neighbour's replays the neighbour's outcome verbatim instead of
+        // stepping its own counters. Paced groups still repeat lengths (a
+        // 16-bit regroup of equal-length homologs, a group straddling two
+        // runs), and there the replay is worth 1.4–2.5× (EXPERIMENTS.md).
+        std::size_t share_n = std::numeric_limits<std::size_t>::max();
+        std::size_t share_j = 0;  // the run's column this step (0: none)
+        BandColumn share;
         for (std::size_t l = 0; l < kL; ++l) {
-          if (bulk_mask_arr[l] == 0) {  // empty window: match no row
-            tl_rel[l] = kMaskOn;
-            bl_rel[l] = 0;
-            head_rel[l] = 0;
-            tail_rel[l] = kMaskOn;
+          bulk_mask_arr[l] = 0;
+          act_arr[l] = 0;
+          LaneBand& L = lane[l];
+          if (L.n != share_n) {  // first lane of its length: step it
+            share_n = L.n;
+            share_j = 0;
+            if (jcol[l] < L.n) {  // not exhausted (or idle)
+              acc[l] += L.n;
+              if (acc[l] >= max_len) {  // not paced out this step
+                acc[l] -= max_len;
+                share_j = ++jcol[l];
+                share = L.next(share_j, band, m);
+                if (share.tl <= share.bl) {  // the run's zone bounds
+                  row_lo = std::min(row_lo, share.tl);
+                  row_hi = std::max(row_hi, share.bl);
+                  bulk_lo = std::max(bulk_lo,
+                                     std::max(share.tl, share.head_hi + 1));
+                  bulk_hi = std::min(bulk_hi,
+                                     std::min(share.bl, share.tail_lo - 1));
+                }
+              }
+            }
+          }
+          if (share_j == 0) {
+            all_active = false;
             continue;
           }
-          tl_rel[l] = static_cast<T>(tl[l] - row_lo + 1);
-          bl_rel[l] = static_cast<T>(bl[l] - row_lo + 1);
-          head_rel[l] = head_hi[l] >= row_lo
-                            ? static_cast<T>(head_hi[l] - row_lo + 1)
-                            : 0;
-          tail_rel[l] = tail_lo[l] <= row_hi
-                            ? static_cast<T>(tail_lo[l] - row_lo + 1)
-                            : kMaskOn;
+          act_arr[l] = static_cast<T>(-1);  // all-ones: blend() needs them
+          codes[l] = lane_seq[l][share_j - 1];
+          if (share.tl > share.bl) continue;  // window empty (ragged n≫m)
+          cells += share.bl - share.tl + 1;
+          tl[l] = share.tl;
+          bl[l] = share.bl;
+          head_hi[l] = share.head_hi;
+          tail_lo[l] = share.tail_lo;
+          bulk_mask_arr[l] = kMaskOn;
+          if (share.fresh_top) state_h[(share.tl - 2) * kL + l] = 0;
         }
-        v_tl_rel = V::load(tl_rel);
-        v_bl_rel = V::load(bl_rel);
-        v_head_rel = V::load(head_rel);
-        v_tail_rel = V::load(tail_rel);
-      }
+        if (row_lo > row_hi) continue;  // no live window anywhere this step
+        if (bulk_lo > bulk_hi) {        // no common off-edge zone: all fringe
+          bulk_lo = row_hi + 1;
+          bulk_hi = row_hi;
+        }
+        v_act = V::load(act_arr);
 
-      V v_diag = row_lo >= 2 ? V::load(state_h + (row_lo - 2) * kL)
-                             : V::zero();
-      V v_f = V::zero();
-
-      const auto process_row = [&](std::size_t r, V v_mask, V v_edge_mask,
-                                   bool track_edge) {
-        V v_score;
-        if constexpr (kByte && kHasLut) {
-          v_score = use_lut ? V::lut32(ext_rows + query[r - 1] * 32, v_codes)
-                            : V::load(dprofile + query[r - 1] * kL);
-        } else {
-          v_score = V::load(dprofile + query[r - 1] * kL);
-        }
-        const V v_h_prev = V::load(state_h + (r - 1) * kL);
-        const V v_e_prev = V::load(state_e + (r - 1) * kL);
-        const V v_e = max(subs(v_e_prev, v_gap_extend),
-                          subs(v_h_prev, v_gap_open_extend));
-        V v_h;
-        if constexpr (kByte) {
-          v_h = subs(adds(v_diag, v_score), v_bias);
-        } else {
-          v_h = adds(v_diag, v_score);
-        }
-        v_h = max(v_h, v_e);
-        v_h = max(v_h, v_f);
-        if constexpr (!kByte) v_h = max(v_h, V::zero());
-        const V v_hm = min(v_h, v_mask);
-        v_max = max(v_max, v_hm);
-        if (track_edge) v_edge = max(v_edge, min(v_hm, v_edge_mask));
-        v_diag = v_h_prev;
-        if (all_active) {
-          v_hm.store(state_h + (r - 1) * kL);
-          min(v_e, v_mask).store(state_e + (r - 1) * kL);
-        } else {
-          // Idle lanes keep their state untouched this step.
-          blend(v_act, v_hm, v_h_prev).store(state_h + (r - 1) * kL);
-          blend(v_act, min(v_e, v_mask), v_e_prev)
-              .store(state_e + (r - 1) * kL);
-        }
-        // The masked H keeps the running F register correct through
-        // out-of-window rows: those contribute at most subs(0, gs+ge) ≤ 0.
-        v_f = max(subs(v_f, v_gap_extend), subs(v_hm, v_gap_open_extend));
-      };
-
-      const auto fringe_row = [&](std::size_t r) {
+        // Fringe masks are normally built with two vector compares against
+        // the column-relative row number rr = r − row_lo + 1 (rr ≥ 1, so 0
+        // is a safe "never" for head runs and kMaskOn for empty windows —
+        // rr never reaches it under the span guard below). Only when the
+        // union window is taller than the element type can express does the
+        // scalar per-lane build run instead.
+        const bool vec_fringe =
+            row_hi - row_lo + 2 < static_cast<std::size_t>(kMaskOn);
+        V v_tl_rel = V::zero();
+        V v_bl_rel = V::zero();
+        V v_head_rel = V::zero();
+        V v_tail_rel = V::zero();
         if (vec_fringe) {
-          const V v_rr = V::splat(static_cast<T>(r - row_lo + 1));
-          const V v_win = bit_and(ge(v_rr, v_tl_rel), ge(v_bl_rel, v_rr));
-          const V v_run = bit_and(
-              v_win, bit_or(ge(v_head_rel, v_rr), ge(v_rr, v_tail_rel)));
-          if constexpr (kByte) {
-            // All-ones == kMaskOn for unsigned bytes: masks are ready.
-            process_row(r, v_win, v_run, true);
-          } else {
-            // Signed all-ones is −1; clamp the masks to the min() identity.
-            const V v_on = V::splat(kMaskOn);
-            process_row(r, bit_and(v_win, v_on), bit_and(v_run, v_on), true);
+          alignas(64) T tl_rel[kL], bl_rel[kL], head_rel[kL], tail_rel[kL];
+          for (std::size_t l = 0; l < kL; ++l) {
+            if (bulk_mask_arr[l] == 0) {  // no window: match no row
+              tl_rel[l] = kMaskOn;
+              bl_rel[l] = 0;
+              head_rel[l] = 0;
+              tail_rel[l] = kMaskOn;
+              continue;
+            }
+            tl_rel[l] = static_cast<T>(tl[l] - row_lo + 1);
+            bl_rel[l] = static_cast<T>(bl[l] - row_lo + 1);
+            head_rel[l] = head_hi[l] >= row_lo
+                              ? static_cast<T>(head_hi[l] - row_lo + 1)
+                              : 0;
+            tail_rel[l] = tail_lo[l] <= row_hi
+                              ? static_cast<T>(tail_lo[l] - row_lo + 1)
+                              : kMaskOn;
           }
-          return;
+          v_tl_rel = V::load(tl_rel);
+          v_bl_rel = V::load(bl_rel);
+          v_head_rel = V::load(head_rel);
+          v_tail_rel = V::load(tail_rel);
         }
-        for (std::size_t l = 0; l < kL; ++l) {
-          const bool on =
-              bulk_mask_arr[l] != 0 && tl[l] <= r && r <= bl[l];
-          mask_row[l] = on ? kMaskOn : 0;
-          edge_row[l] =
-              on && (r <= head_hi[l] || r >= tail_lo[l]) ? kMaskOn : 0;
-        }
-        process_row(r, V::load(mask_row), V::load(edge_row), true);
-      };
 
-      for (std::size_t r = row_lo; r < bulk_lo; ++r) fringe_row(r);
-      if (bulk_lo <= bulk_hi) {
-        const V v_bulk = V::load(bulk_mask_arr);
-        for (std::size_t r = bulk_lo; r <= bulk_hi; ++r) {
-          process_row(r, v_bulk, V::zero(), false);
+        begin_column(row_lo);
+
+        const auto fringe_row = [&](std::size_t r) SWDUAL_BANDED_INLINE {
+          if (vec_fringe) {
+            const V v_rr = V::splat(static_cast<T>(r - row_lo + 1));
+            const V v_win = bit_and(ge(v_rr, v_tl_rel), ge(v_bl_rel, v_rr));
+            const V v_run = bit_and(
+                v_win, bit_or(ge(v_head_rel, v_rr), ge(v_rr, v_tail_rel)));
+            if constexpr (kByte) {
+              // All-ones == kMaskOn for unsigned bytes: masks are ready.
+              process_row(kMaskedLanes, r, v_win, v_run, true);
+            } else {
+              // Signed all-ones is −1; clamp the masks to the min() identity.
+              const V v_on = V::splat(kMaskOn);
+              process_row(kMaskedLanes, r, bit_and(v_win, v_on),
+                          bit_and(v_run, v_on), true);
+            }
+            return;
+          }
+          for (std::size_t l = 0; l < kL; ++l) {
+            const bool on =
+                bulk_mask_arr[l] != 0 && tl[l] <= r && r <= bl[l];
+            mask_row[l] = on ? kMaskOn : 0;
+            edge_row[l] =
+                on && (r <= head_hi[l] || r >= tail_lo[l]) ? kMaskOn : 0;
+          }
+          process_row(kMaskedLanes, r, V::load(mask_row), V::load(edge_row),
+                      true);
+        };
+
+        for (std::size_t r = row_lo; r < bulk_lo; ++r) fringe_row(r);
+        if (bulk_lo <= bulk_hi) {
+          const V v_bulk = V::load(bulk_mask_arr);
+          for (std::size_t r = bulk_lo; r <= bulk_hi; ++r) {
+            process_row(kMaskedLanes, r, v_bulk, V::zero(), false);
+          }
         }
+        for (std::size_t r = bulk_hi + 1; r <= row_hi; ++r) fringe_row(r);
       }
-      for (std::size_t r = bulk_hi + 1; r <= row_hi; ++r) fringe_row(r);
     }
 
     for (std::size_t l = 0; l < lanes_used; ++l) {
@@ -510,6 +573,7 @@ void banded_screen_pass(std::span<const std::uint8_t> query,
           best > 0 && static_cast<int>(v_edge.lane(l)) == best;
     }
   }
+  return cells;
 }
 
 /// Full banded screen: 8-bit tier, 16-bit escalation, overflow flags for
@@ -548,11 +612,13 @@ BandedBatchResult banded_screen_impl(std::span<const std::uint8_t> query,
   }
 
   std::vector<std::uint32_t> escalate;
-  banded_screen_pass<V8T>(query, db, scheme, band,
-                          {order.data(), order.size()}, result, &escalate);
+  result.cells = banded_screen_pass<V8T>(query, db, scheme, band,
+                                         {order.data(), order.size()}, result,
+                                         &escalate);
   if (!escalate.empty()) {
     // `escalate` is a subsequence of `order`, so it is already
-    // longest-first; regroup it at the 16-bit lane width.
+    // longest-first; regroup it at the 16-bit lane width. The byte tier
+    // already counted these cells, and each banded cell counts once.
     banded_screen_pass<V16T>(query, db, scheme, band,
                              {escalate.data(), escalate.size()}, result,
                              nullptr);
@@ -561,3 +627,5 @@ BandedBatchResult banded_screen_impl(std::span<const std::uint8_t> query,
 }
 
 }  // namespace swdual::align
+
+#undef SWDUAL_BANDED_INLINE

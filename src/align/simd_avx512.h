@@ -68,10 +68,15 @@ struct V8x64 {
   /// Per-lane lookup into a 32-entry byte table; every idx lane must be < 32.
   /// vpshufb indexes within 16-byte quarters, so both table halves are
   /// broadcast to all four and bit 4 of the index selects between them.
+  /// The all-lanes zero-masked broadcast compiles to the plain one; GCC 12
+  /// misreports the plain intrinsic's undefined pass-through operand as
+  /// maybe-uninitialized once it is inlined into a loop.
   static V8x64 lut32(const std::uint8_t* table, V8x64 idx) {
-    const __m512i lo = _mm512_broadcast_i32x4(
+    const __m512i lo = _mm512_maskz_broadcast_i32x4(
+        __mmask16(0xFFFF),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(table)));
-    const __m512i hi = _mm512_broadcast_i32x4(
+    const __m512i hi = _mm512_maskz_broadcast_i32x4(
+        __mmask16(0xFFFF),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(table + 16)));
     const __m512i pick_lo = _mm512_shuffle_epi8(lo, idx.v);
     const __m512i pick_hi = _mm512_shuffle_epi8(hi, idx.v);

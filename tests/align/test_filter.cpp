@@ -2,7 +2,8 @@
 //
 // Layer 1 — the vectorized banded screen kernel must be bit-identical to
 // the scalar banded_gotoh_score on every backend, including the 8→16-bit
-// escalation and overflow decisions. Layer 2 — the filter pipeline: mode
+// escalation and overflow decisions and the banded cell count, on mixed
+// lengths and on lane groups of one length. Layer 2 — the filter pipeline: mode
 // `off` is bit-identical to the unfiltered search across kernels, backends
 // and shard counts; heuristic mode reaches perfect recall on a
 // homolog-planted corpus and near-perfect recall on random ones, measured
@@ -24,8 +25,11 @@
 #include "align/scalar.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
+#include "seq/alphabet.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "screen_reference.h"
 
 namespace swdual::align {
 namespace {
@@ -114,6 +118,21 @@ class FilterBackends : public ::testing::TestWithParam<Backend> {
   static void force(Backend backend) {
     ::setenv("SWDUAL_FORCE_BACKEND", backend_name(backend), 1);
   }
+  /// Screens `views` on the tested backend and expects the screen's
+  /// contract against the scalar reference (screen_reference.h); returns
+  /// the reference.
+  ScreenReference expect_screen_like_scalar(std::span<const std::uint8_t> query,
+                                            const SequenceViews& views,
+                                            const ScoringScheme& scheme,
+                                            std::size_t band,
+                                            const std::string& where) {
+    const ScreenReference want = screen_reference(query, views, scheme, band);
+    force(GetParam());
+    EXPECT_EQ(screen_mismatch(banded_screen(query, views, scheme, band), want),
+              "")
+        << where;
+    return want;
+  }
 
  private:
   std::string saved_;
@@ -125,24 +144,8 @@ TEST_P(FilterBackends, ScreenKernelMatchesScalarBanded) {
     const Corpus corpus = make_corpus(seed, 53, 150, 300);
     const SequenceViews views = corpus.seq_views();
     for (std::size_t band : {1u, 8u, 32u, 512u}) {
-      force(GetParam());
-      const BandedBatchResult got =
-          banded_screen(corpus.query, views, scheme, band);
-      ASSERT_EQ(got.scores.size(), views.size());
-      std::uint64_t want_cells = 0;
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        const BandedResult want =
-            banded_gotoh_score(corpus.query, views[i], scheme, band);
-        ASSERT_FALSE(got.overflow[i]) << "no overflow expected at these sizes";
-        ASSERT_EQ(got.scores[i], want.score)
-            << "record " << i << " band " << band << " len "
-            << views[i].size();
-        ASSERT_EQ(got.edge_hit[i], want.edge_hit)
-            << "record " << i << " band " << band;
-        want_cells += want.cells;
-      }
-      ASSERT_EQ(got.cells, want_cells)
-          << "padding or masked rows billed as cells, band " << band;
+      expect_screen_like_scalar(corpus.query, views, scheme, band,
+                                "band " + std::to_string(band));
     }
   }
 }
@@ -179,19 +182,78 @@ TEST_P(FilterBackends, ScreenEscalatesAndFlagsOverflowLikeScalar) {
   SequenceViews views;
   for (const auto& r : records) views.emplace_back(r.data(), r.size());
   for (std::size_t band : {6u, 64u}) {
-    force(GetParam());
-    const BandedBatchResult got = banded_screen(query, views, scheme, band);
-    EXPECT_TRUE(got.overflow[0]) << "band " << band;
-    for (std::size_t i = 1; i < views.size(); ++i) {
-      const BandedResult want =
-          banded_gotoh_score(query, views[i], scheme, band);
-      ASSERT_FALSE(got.overflow[i]) << "record " << i << " band " << band;
-      ASSERT_EQ(got.scores[i], want.score)
-          << "record " << i << " band " << band;
-      ASSERT_EQ(got.edge_hit[i], want.edge_hit)
-          << "record " << i << " band " << band;
+    // Each banded cell counts once, however many tiers screened it.
+    const ScreenReference want = expect_screen_like_scalar(
+        query, views, scheme, band, "band " + std::to_string(band));
+    EXPECT_GE(want.records[0].score, std::numeric_limits<std::int16_t>::max())
+        << "band " << band;
+  }
+}
+
+TEST_P(FilterBackends, UniformLaneGroupsMatchScalarBanded) {
+  // Records of one length fill whole lane groups, which the screen walks
+  // with one band geometry per group; a partial group and the 16-bit
+  // regroup take the paced path. Record counts put full, partial and
+  // single-record groups at both of the backend's lane widths; shapes
+  // cover n = m, n ≪ m and n ≫ m (columns whose window is empty). One
+  // record is a copy of the query's prefix: under BLOSUM62 it saturates
+  // the byte tier, and under a match-100 matrix it also overflows 16 bits
+  // wherever its whole diagonal lies in the band.
+  const Backend backend = GetParam();
+  std::vector<std::size_t> counts;
+  for (const std::size_t lanes :
+       {backend_lanes8(backend), backend_lanes16(backend)}) {
+    for (const std::size_t count : {lanes - 1, lanes, lanes + 1,
+                                    2 * lanes + 3}) {
+      counts.push_back(count);
     }
   }
+  const std::size_t max_count = *std::max_element(counts.begin(), counts.end());
+  static const ScoreMatrix high_match =
+      ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 100, -20);
+  const ScoringScheme schemes[] = {ScoringScheme{},
+                                   ScoringScheme{&high_match, GapPenalty{}}};
+  struct Shape {
+    std::size_t m, n;
+  };
+  Rng rng(0x0f1f);
+  bool escalated = false;
+  bool overflowed = false;
+  for (const ScoringScheme& scheme : schemes) {
+    for (const Shape shape : {Shape{400, 400}, Shape{400, 40},
+                              Shape{30, 500}}) {
+      const std::vector<std::uint8_t> query = random_codes(rng, shape.m);
+      std::vector<std::vector<std::uint8_t>> records;
+      for (std::size_t i = 0; i < max_count; ++i) {
+        records.push_back(random_codes(rng, shape.n));
+      }
+      for (std::size_t band : {1u, 16u, 128u}) {
+        for (const std::size_t count : counts) {
+          std::vector<std::vector<std::uint8_t>> group(
+              records.begin(),
+              records.begin() + static_cast<std::ptrdiff_t>(count));
+          std::vector<std::uint8_t>& homolog = group[count / 2];
+          std::copy_n(query.begin(), std::min(shape.m, shape.n),
+                      homolog.begin());
+          SequenceViews views;
+          for (const auto& r : group) views.emplace_back(r.data(), r.size());
+          const ScreenReference want = expect_screen_like_scalar(
+              query, views, scheme, band,
+              "m " + std::to_string(shape.m) + " n " +
+                  std::to_string(shape.n) + " band " + std::to_string(band) +
+                  " records " + std::to_string(count));
+          for (const BandedResult& record : want.records) {
+            escalated = escalated || record.score > 255;
+            overflowed =
+                overflowed ||
+                record.score >= std::numeric_limits<std::int16_t>::max();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(escalated) << "no homolog saturated the byte tier";
+  EXPECT_TRUE(overflowed) << "no homolog overflowed 16 bits";
 }
 
 // --- Layer 2: the filter pipeline ----------------------------------------
