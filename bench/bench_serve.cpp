@@ -377,7 +377,6 @@ int main(int argc, char** argv) {
   table.add_row({"distinct searches", std::to_string(stats.searches)});
   table.add_row({"batches", std::to_string(stats.batches)});
   table.add_row({"mean batch size", TextTable::fmt(mean_batch, 2)});
-  table.add_row({"profile-cache hits", std::to_string(stats.profiles.hits)});
   table.add_row(
       {"backpressure retries", std::to_string(backpressure_retries)});
   // Amortized DB scan cost per distinct query: on the sharded path every

@@ -1,7 +1,6 @@
 #include "align/backend.h"
 
 #include <cstdlib>
-#include <string_view>
 
 #include "align/kernel_dispatch.h"
 #include "util/error.h"
@@ -55,23 +54,12 @@ const KernelTable* table_for(Backend backend) {
   return nullptr;
 }
 
-/// SWDUAL_DISABLE_AVX512: any non-empty value other than "0" disables
-/// automatic selection of the 512-bit tier. Read per call, like the force
-/// override, so tests and long-lived services can re-point it.
-bool avx512_disabled() {
+/// The backend named by SWDUAL_FORCE_BACKEND, or kAuto when the variable is
+/// unset/empty. Throws on unknown names and unavailable backends. Read per
+/// call, so tests and long-lived services can re-point it.
+Backend forced_backend() {
   // Read-only env access: the tree never setenv()s, so concurrent getenv
   // calls cannot race a mutation (concurrency-mt-unsafe's hazard).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* value = std::getenv("SWDUAL_DISABLE_AVX512");
-  return value != nullptr && *value != '\0' &&
-         std::string_view(value) != "0";
-}
-
-/// The backend named by SWDUAL_FORCE_BACKEND, or kAuto when the variable is
-/// unset/empty. Throws on unknown names, unavailable backends, and the
-/// force-avx512-while-disabled contradiction.
-Backend forced_backend() {
-  // Read-only env access; see avx512_disabled().
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* forced = std::getenv("SWDUAL_FORCE_BACKEND");
   if (forced == nullptr || *forced == '\0') return Backend::kAuto;
@@ -88,20 +76,14 @@ Backend forced_backend() {
         " is not available on this host (compiled: " +
         (backend_compiled(backend) ? "yes" : "no") + ")");
   }
-  if (backend == Backend::kAVX512 && avx512_disabled()) {
-    throw InvalidArgument(
-        "SWDUAL_FORCE_BACKEND=avx512 contradicts SWDUAL_DISABLE_AVX512");
-  }
   return backend;
 }
 
-/// Widest available backend honoring the disable switch (no force, no
-/// per-kernel gate).
+/// Widest available backend (no force, no per-kernel gate).
 Backend widest_auto_backend() {
   Backend best = Backend::kScalar;
   for (Backend backend :
        {Backend::kSSE2, Backend::kAVX2, Backend::kAVX512}) {
-    if (backend == Backend::kAVX512 && avx512_disabled()) continue;
     if (backend_available(backend)) best = backend;
   }
   return best;
@@ -157,9 +139,9 @@ std::vector<Backend> available_backends() {
 }
 
 Backend best_backend() {
-  // The environment overrides are consulted on every call (they are only
-  // read at dispatch-table granularity — once per search, not per record)
-  // so test harnesses and the CI forced-backend jobs can re-point them.
+  // The environment override is consulted on every call (it is only read
+  // at dispatch-table granularity — once per search, not per record) so
+  // test harnesses and the CI forced-backend jobs can re-point it.
   if (const Backend forced = forced_backend(); forced != Backend::kAuto) {
     return forced;
   }

@@ -71,13 +71,9 @@ std::vector<Backend> available_backends();
 
 /// The widest available backend — unless the SWDUAL_FORCE_BACKEND
 /// environment variable names one, in which case that backend is returned
-/// (InvalidArgument if it is unknown or unavailable on this host). The
-/// SWDUAL_DISABLE_AVX512 environment variable (any non-empty value other
-/// than "0") removes kAVX512 from automatic selection — deployments can opt
-/// out of downclock-prone 512-bit paths fleet-wide; setting it together
-/// with SWDUAL_FORCE_BACKEND=avx512 is a contradiction and throws
-/// InvalidArgument. The environment is consulted on every call so tests can
-/// re-point it.
+/// (InvalidArgument if it is unknown or unavailable on this host). That
+/// variable is the one override of CPUID dispatch; it is consulted on every
+/// call so tests can re-point it.
 Backend best_backend();
 
 /// Kernel-aware auto selection: like best_backend(), but applies measured

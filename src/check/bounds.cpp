@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "check/contracts.h"
 #include "util/error.h"
 
 namespace swdual::check {
@@ -110,8 +109,8 @@ LowerBounds schedule_lower_bounds(const std::vector<sched::Task>& tasks,
   bounds.knapsack = hi;
   bounds.certified =
       std::max({bounds.longest_task, bounds.aggregate_area, bounds.knapsack});
-  SWDUAL_DCHECK(bounds.certified >= bounds.longest_task - 1e-12,
-                "certified bound lost to the longest-task bound");
+  SWDUAL_CHECK(bounds.certified >= bounds.longest_task - 1e-12,
+               "certified bound lost to the longest-task bound");
   return bounds;
 }
 

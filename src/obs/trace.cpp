@@ -122,7 +122,7 @@ Tracer::ThreadBuffer* Tracer::local_buffer() {
   return raw;
 }
 
-void Tracer::record_impl(TraceEvent event) {
+void Tracer::record(TraceEvent event) {
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   ThreadBuffer* buffer = local_buffer();
   event.thread = buffer->index;
@@ -130,9 +130,9 @@ void Tracer::record_impl(TraceEvent event) {
   buffer->events.push_back(std::move(event));
 }
 
-void Tracer::instant_impl(std::string name, std::string category,
-                          std::size_t track,
-                          std::vector<std::pair<std::string, double>> args) {
+void Tracer::instant(std::string name, std::string category,
+                     std::size_t track,
+                     std::vector<std::pair<std::string, double>> args) {
   TraceEvent event;
   event.phase = TraceEvent::Phase::kInstant;
   event.name = std::move(name);
@@ -140,7 +140,7 @@ void Tracer::instant_impl(std::string name, std::string category,
   event.track = track;
   event.start = event.end = now();
   event.args = std::move(args);
-  record_impl(std::move(event));
+  record(std::move(event));
 }
 
 std::vector<TraceEvent> Tracer::flush() {

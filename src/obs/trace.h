@@ -21,9 +21,8 @@
 // helpers turn that list into Chrome trace_event JSON (chrome://tracing /
 // Perfetto) with one pid per track and separate wall/virtual tid lanes.
 //
-// Building with -DSWDUAL_TRACE=OFF compiles the tracer down to no-ops: the
-// inline entry points below reduce to empty bodies, instrumentation sites
-// keep compiling, and flush() always returns an empty list.
+// The tracer is always compiled. Instrumented layers take an `obs::Tracer*`
+// and open no span when it is null, so an untraced run records nothing.
 #pragma once
 
 #include <atomic>
@@ -37,10 +36,6 @@
 #include <vector>
 
 #include "util/mutex.h"
-
-#ifndef SWDUAL_TRACE_ENABLED
-#define SWDUAL_TRACE_ENABLED 1
-#endif
 
 namespace swdual::obs {
 
@@ -120,32 +115,20 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// False when the build compiled the tracer out (-DSWDUAL_TRACE=OFF).
-  static constexpr bool compiled_in() { return SWDUAL_TRACE_ENABLED != 0; }
-
   /// Open a wall-clock span on `track`.
   Span span(std::string name, std::string category, std::size_t track) {
-    if constexpr (!compiled_in()) return {};
     return Span(this, std::move(name), std::move(category), track);
   }
 
   /// Record a zero-duration wall-clock event at the current time.
   void instant(std::string name, std::string category, std::size_t track,
-               std::vector<std::pair<std::string, double>> args = {}) {
-    if constexpr (!compiled_in()) return;
-    instant_impl(std::move(name), std::move(category), track,
-                 std::move(args));
-  }
+               std::vector<std::pair<std::string, double>> args = {});
 
   /// Record a fully specified event (used for virtual-clock timelines).
-  void record(TraceEvent event) {
-    if constexpr (!compiled_in()) return;
-    record_impl(std::move(event));
-  }
+  void record(TraceEvent event);
 
   /// Wall seconds since this tracer's construction.
   double now() const {
-    if constexpr (!compiled_in()) return 0.0;
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - epoch_)
         .count();
@@ -158,9 +141,6 @@ class Tracer {
   struct ThreadBuffer;  ///< opaque per-thread event buffer
 
  private:
-  void instant_impl(std::string name, std::string category, std::size_t track,
-                    std::vector<std::pair<std::string, double>> args);
-  void record_impl(TraceEvent event);
   ThreadBuffer* local_buffer();
 
   std::uint64_t id_ = 0;  ///< globally unique, validates thread-local caches

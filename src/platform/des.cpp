@@ -5,7 +5,6 @@
 #include <queue>
 #include <string>
 
-#include "check/contracts.h"
 #include "obs/trace.h"
 #include "util/error.h"
 
@@ -26,8 +25,8 @@ std::size_t track_of(const sched::PeId& pe,
 void finalize(ExecutionTrace& trace, const sched::HybridPlatform& platform,
               obs::Tracer* tracer) {
   for (const TraceEntry& entry : trace.entries) {
-    SWDUAL_DCHECK(entry.end >= entry.start && entry.start >= 0,
-                  "DES produced a negative-length or negative-start span");
+    SWDUAL_CHECK(entry.end >= entry.start && entry.start >= 0,
+                 "DES produced a negative-length or negative-start span");
     trace.makespan = std::max(trace.makespan, entry.end);
     const double duration = entry.end - entry.start;
     if (entry.pe.type == sched::PeType::kCpu) {

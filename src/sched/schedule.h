@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "check/contracts.h"
 #include "sched/task.h"
+#include "util/error.h"
 
 namespace swdual::sched {
 
@@ -24,8 +24,8 @@ struct Assignment {
 class Schedule {
  public:
   void add(Assignment assignment) {
-    SWDUAL_DCHECK(assignment.end >= assignment.start,
-                  "assignment ends before it starts");
+    SWDUAL_CHECK(assignment.end >= assignment.start,
+                 "assignment ends before it starts");
     assignments_.push_back(assignment);
   }
 

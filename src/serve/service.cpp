@@ -139,7 +139,6 @@ master::MasterConfig QueryService::master_config() {
   master::MasterConfig engine = config_.master;
   engine.tracer = config_.tracer;
   engine.metrics = config_.metrics;
-  engine.profile_cache = &profiles_;
   engine.stats = stats_params_.get();
   return engine;
 }
@@ -243,15 +242,17 @@ void QueryService::dispatch(std::vector<Request> batch) {
       // The distinct queries form one multi-query group: each shard chunk
       // is scanned once per query while hot, instead of one full database
       // pass per query; selection, rescan and annotation run on the merged
-      // data.
-      std::vector<std::shared_ptr<const align::SearchProfiles>> cached;
+      // data. Profiles are built per batch: only result-cache misses get
+      // here, so a profile cache would hold queries that do not come back.
+      std::vector<std::unique_ptr<const align::SearchProfiles>> profiles;
       std::vector<const align::SearchProfiles*> group;
       for (const std::size_t leader : leaders) {
         const seq::Sequence& query = batch[leader].query;
-        cached.push_back(profiles_.acquire(
-            {query.residues.data(), query.residues.size()}, mc.scheme,
-            mc.cpu_kernel, mc.cpu_backend));
-        group.push_back(cached.back().get());
+        profiles.push_back(std::make_unique<const align::SearchProfiles>(
+            std::span<const std::uint8_t>(query.residues.data(),
+                                          query.residues.size()),
+            mc.scheme, mc.cpu_kernel, mc.cpu_backend));
+        group.push_back(profiles.back().get());
       }
       align::SearchRequest request;
       request.k = mc.top_hits;
@@ -347,7 +348,6 @@ QueryService::Stats QueryService::stats() const {
     stats.filter = filter_stats_;
   }
   stats.results = results_.stats();
-  stats.profiles = profiles_.stats();
   if (sharded_) stats.shards = sharded_->stats();
   return stats;
 }

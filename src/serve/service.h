@@ -14,8 +14,8 @@
 //     queries through master::run_search as ONE workload — the
 //     dual-approximation scheduler sees the whole batch and splits it across
 //     CPU and GPU workers, exactly as the paper's Fig. 6 flow intends.
-//     Per-query profiles come from a shared align::ProfileCache, so repeat
-//     queries skip profile construction entirely.
+//     Only result-cache misses reach an engine, so the service keeps no
+//     profile cache: each batch builds its queries' profiles.
 //   - Result caching: finished answers go into an LRU ResultCache keyed by
 //     (query residues, db id, scoring params, filter, annotation); a hit at
 //     admission time is answered without touching a worker.
@@ -40,7 +40,7 @@
 #include <thread>
 #include <vector>
 
-#include "align/profile_cache.h"
+#include "align/annotate.h"
 #include "align/sharded_search.h"
 #include "master/master.h"
 #include "seq/sequence.h"
@@ -59,8 +59,8 @@ namespace swdual::serve {
 
 struct ServiceConfig {
   /// Execution engine configuration (workers, policy, scoring, kernel). The
-  /// service installs its own profile cache and observability sinks into
-  /// this before each dispatch; leave those fields alone here.
+  /// service installs its observability sinks and calibration into this
+  /// before each dispatch; leave those fields alone here.
   master::MasterConfig master;
 
   /// Bounded admission queue: submissions beyond this many waiting requests
@@ -201,7 +201,6 @@ class QueryService {
     std::uint64_t searches = 0;   ///< distinct queries actually executed
     std::uint64_t partial_responses = 0;  ///< fulfilled with failed shards
     util::CacheStats results;
-    util::CacheStats profiles;
     /// The sharded engine's retry ladder (zeros on the master path):
     /// `retries` counts attempts after a failure, `failures` the shards
     /// that exhausted it, each of which made its group's answers partial.
@@ -249,7 +248,6 @@ class QueryService {
   align::DbView view_;  ///< residue views into db_ or mapped_
   ServiceConfig config_;
   ResultCache results_;
-  align::ProfileCache profiles_;
   align::StatsCache stats_cache_;  ///< calibrated Karlin–Altschul params
   /// Acquired once at start() when master.annotate is enabled; every
   /// dispatch borrows the same calibration (deterministic per scheme ×
@@ -257,14 +255,13 @@ class QueryService {
   std::shared_ptr<const align::KarlinAltschulParams> stats_params_;
   std::unique_ptr<align::ShardedSearchEngine> sharded_;  ///< shards > 0 only
 
-  /// Service capability, declared before both cache capabilities: the
-  /// admission lock may be held briefly around queue/counter state, but the
-  /// caches are only ever entered with it released (their methods are
-  /// self-locking), so the sharded path cannot produce a
-  /// service↔cache deadlock — and under Clang, acquiring mutex_ while a
-  /// cache lock is held contradicts this declaration and fails the build.
-  mutable util::Mutex mutex_
-      SWDUAL_ACQUIRED_BEFORE(results_.capability(), profiles_.capability());
+  /// Service capability, declared before the result cache's: the admission
+  /// lock may be held briefly around queue/counter state, but the cache is
+  /// only ever entered with it released (its methods are self-locking), so
+  /// the service cannot produce a service↔cache deadlock — and under Clang,
+  /// acquiring mutex_ while the cache lock is held contradicts this
+  /// declaration and fails the build.
+  mutable util::Mutex mutex_ SWDUAL_ACQUIRED_BEFORE(results_.capability());
   util::CondVar wake_;
   std::deque<Request> admission_ SWDUAL_GUARDED_BY(mutex_);
   bool accepting_ SWDUAL_GUARDED_BY(mutex_) = true;

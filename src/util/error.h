@@ -2,8 +2,8 @@
 //
 // The project uses exceptions for unrecoverable API misuse and I/O failure
 // (per C++ Core Guidelines E.2), with SWDUAL_CHECK/SWDUAL_REQUIRE macros to
-// attach file:line context to the message. Both are always-on; the
-// compile-out debug tier SWDUAL_DCHECK lives in check/contracts.h.
+// attach file:line context to the message. Both are always on: the project
+// has one check tier, and no build compiles a check out.
 #pragma once
 
 #include <sstream>

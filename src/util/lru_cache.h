@@ -110,7 +110,7 @@ class LruCache {
   }
 
   /// The cache's capability, for lock-order declarations in owning layers
-  /// (QueryService declares service → result-cache → profile-cache; see
+  /// (QueryService declares service → result-cache; see
   /// DESIGN.md "Static concurrency analysis"). It is a leaf capability: no
   /// method acquires another lock while holding it, and build() runs with
   /// it released. Never lock it directly — every method is self-locking.

@@ -12,47 +12,27 @@
 namespace swdual::align {
 namespace {
 
-/// Saves an environment variable on construction and restores it on
-/// destruction, so tests can freely re-point the selection overrides.
-class ScopedEnvVar {
+/// Saves SWDUAL_FORCE_BACKEND on construction and restores it on
+/// destruction, so tests can freely re-point the override.
+class ScopedForceBackend {
  public:
-  explicit ScopedEnvVar(const char* name) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
+  ScopedForceBackend() {
+    if (const char* old = std::getenv(kName)) saved_ = old;
   }
-  ~ScopedEnvVar() {
+  ~ScopedForceBackend() {
     if (saved_.empty()) {
-      ::unsetenv(name_);
+      ::unsetenv(kName);
     } else {
-      ::setenv(name_, saved_.c_str(), 1);
+      ::setenv(kName, saved_.c_str(), 1);
     }
   }
-  void set(const std::string& value) { ::setenv(name_, value.c_str(), 1); }
-  void clear() { ::unsetenv(name_); }
+  void set(const std::string& value) { ::setenv(kName, value.c_str(), 1); }
+  void clear() { ::unsetenv(kName); }
 
  private:
-  const char* name_;
+  static constexpr const char* kName = "SWDUAL_FORCE_BACKEND";
   std::string saved_;
 };
-
-class ScopedForceBackend : public ScopedEnvVar {
- public:
-  ScopedForceBackend() : ScopedEnvVar("SWDUAL_FORCE_BACKEND") {}
-};
-
-class ScopedDisableAvx512 : public ScopedEnvVar {
- public:
-  ScopedDisableAvx512() : ScopedEnvVar("SWDUAL_DISABLE_AVX512") {}
-};
-
-/// The widest available backend excluding kAVX512 (what auto selection must
-/// pick when the 512-bit tier is disabled).
-Backend widest_non_avx512() {
-  Backend widest = Backend::kScalar;
-  for (Backend b : available_backends()) {
-    if (b != Backend::kAVX512) widest = b;
-  }
-  return widest;
-}
 
 TEST(Backend, NamesRoundTripThroughParse) {
   for (Backend b : {Backend::kAuto, Backend::kScalar, Backend::kSSE2,
@@ -112,65 +92,14 @@ TEST(Backend, AvailableBackendsIsNarrowestFirstAndContainsScalar) {
 
 TEST(Backend, BestBackendIsTheWidestAvailable) {
   ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
   env.clear();
-  disable.clear();
   const std::vector<Backend> avail = available_backends();
   EXPECT_EQ(best_backend(), avail.back());
 }
 
-TEST(Backend, DisableAvx512RemovesItFromAutoSelection) {
-  ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
-  env.clear();
-  disable.set("1");
-  EXPECT_EQ(best_backend(), widest_non_avx512());
-  for (KernelKind kernel : {KernelKind::kStriped8, KernelKind::kStriped,
-                            KernelKind::kInterSeq}) {
-    EXPECT_NE(best_backend(kernel), Backend::kAVX512) << kernel_name(kernel);
-  }
-  // kAuto resolution flows through the same gate.
-  EXPECT_EQ(resolve_backend(Backend::kAuto), widest_non_avx512());
-}
-
-TEST(Backend, DisableAvx512ZeroMeansEnabled) {
-  ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
-  env.clear();
-  disable.set("0");
-  EXPECT_EQ(best_backend(), available_backends().back());
-}
-
-TEST(Backend, DisableAvx512LeavesExplicitRequestsAlone) {
-  // The env var opts *auto* selection out of the 512-bit tier; code that
-  // explicitly names kAVX512 made a deliberate choice and keeps it.
-  if (!backend_available(Backend::kAVX512)) {
-    GTEST_SKIP() << "avx512 not available on this host";
-  }
-  ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
-  env.clear();
-  disable.set("1");
-  EXPECT_EQ(resolve_backend(Backend::kAVX512), Backend::kAVX512);
-}
-
-TEST(Backend, DisableAvx512ContradictsForcedAvx512) {
-  if (!backend_available(Backend::kAVX512)) {
-    GTEST_SKIP() << "avx512 not available on this host";
-  }
-  ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
-  env.set("avx512");
-  disable.set("1");
-  EXPECT_THROW(best_backend(), InvalidArgument);
-  EXPECT_THROW(best_backend(KernelKind::kInterSeq), InvalidArgument);
-}
-
 TEST(Backend, KernelAwareBestGatesStriped8OffAvx512) {
   ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
   env.clear();
-  disable.clear();
   if (best_backend() != Backend::kAVX512) {
     GTEST_SKIP() << "widest backend is not avx512; the gate is invisible";
   }
@@ -190,17 +119,13 @@ TEST(Backend, ForcedBackendOverridesKernelGate) {
     GTEST_SKIP() << "avx512 not available on this host";
   }
   ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
-  disable.clear();
   env.set("avx512");
   EXPECT_EQ(best_backend(KernelKind::kStriped8), Backend::kAVX512);
 }
 
 TEST(Backend, ResolveWithKernelHonorsExplicitBackend) {
   ScopedForceBackend env;
-  ScopedDisableAvx512 disable;
   env.clear();
-  disable.clear();
   for (Backend b : available_backends()) {
     EXPECT_EQ(resolve_backend(b, KernelKind::kStriped8), b) << backend_name(b);
   }

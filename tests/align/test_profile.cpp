@@ -89,9 +89,9 @@ TEST(StripedProfile, SegmentLengthCeiling) {
   EXPECT_EQ(profile.segment_length(), 3u);  // ceil(17/8)
 }
 
-// A service builds a striped8 profile per distinct query, keeps a few dozen
-// (the profile cache), and frees the rest between allocations of its own:
-// result-cache entries whose keys carry the whole query. If a freed profile
+// A service builds a striped8 profile per distinct query, may keep a few
+// dozen (an align::ProfileCache), and frees the rest between allocations of
+// its own: result-cache entries whose keys carry the whole query. If a freed profile
 // block cannot serve the next identical request, every query leaves a hole
 // that the cache's small allocations split, and the heap grows with
 // traffic: ≈47 MB here with allocator-aligned profiles, ≈3 MB with

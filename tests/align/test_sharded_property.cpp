@@ -11,7 +11,11 @@
 // cells and filter counters (so an answer and its cost do not depend on
 // the kernel), and the sharded engine's on every shard count × threads per
 // shard must equal the serial engine's in all of that plus overflow
-// rescans.
+// rescans. On the BLOSUM62 record sets a striped8 search with stats+cigar
+// annotation, filter off and heuristic, must rank like the unannotated
+// search, equal the serial engine's annotations field by field on every
+// topology, and carry CIGARs that re-derive each hit's score through
+// cigar_score.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,9 +27,12 @@
 #include <utility>
 #include <vector>
 
+#include "align/alignment.h"
+#include "align/annotate.h"
 #include "align/pipeline.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
+#include "align/statistics.h"
 #include "seq/alphabet.h"
 #include "util/rng.h"
 
@@ -145,6 +152,28 @@ void expect_same_outcome(const SearchOutcome& actual,
       << label;
 }
 
+/// The same annotation in every field, hit by hit (expect_same_answer
+/// compares the hits themselves).
+void expect_same_annotation(const SearchOutcome& actual,
+                            const SearchOutcome& expected,
+                            const std::string& label) {
+  ASSERT_EQ(actual.ranked.hits.size(), expected.ranked.hits.size()) << label;
+  for (std::size_t h = 0; h < expected.ranked.hits.size(); ++h) {
+    const SearchHit& x = actual.ranked.hits[h];
+    const SearchHit& y = expected.ranked.hits[h];
+    const std::string at = label + " hit " + std::to_string(h);
+    ASSERT_NE(x.annotation, nullptr) << at;
+    ASSERT_NE(y.annotation, nullptr) << at;
+    EXPECT_EQ(x.annotation->evalue, y.annotation->evalue) << at;
+    EXPECT_EQ(x.annotation->bits, y.annotation->bits) << at;
+    EXPECT_EQ(x.annotation->cigar, y.annotation->cigar) << at;
+    EXPECT_EQ(x.annotation->query_begin, y.annotation->query_begin) << at;
+    EXPECT_EQ(x.annotation->query_end, y.annotation->query_end) << at;
+    EXPECT_EQ(x.annotation->db_begin, y.annotation->db_begin) << at;
+    EXPECT_EQ(x.annotation->db_end, y.annotation->db_end) << at;
+  }
+}
+
 /// One scoring scheme, its queries, and the record sets to search.
 struct Case {
   std::string name;
@@ -154,6 +183,8 @@ struct Case {
   /// Kernels that must rescan some pair at a wider precision (filter off):
   /// proof that the inputs reach the tier they are there for.
   std::vector<KernelKind> must_overflow;
+  /// Also run the annotated striped8 search (stats+cigar).
+  bool annotate = false;
 };
 
 std::vector<Case> cases(Rng& rng) {
@@ -163,7 +194,8 @@ std::vector<Case> cases(Rng& rng) {
   Case blosum{"blosum62", ScoringScheme{},
               {random_codes(rng, 48), random_codes(rng, 70)},
               length_profiles(rng, 70),
-              {KernelKind::kStriped8}};
+              {KernelKind::kStriped8},
+              /*annotate=*/true};
   out.push_back(std::move(blosum));
   // Match 100: the planted homolog of a 600-residue query scores ≈50,000,
   // past the 16-bit tiers, so every SIMD kernel falls back to the 32-bit
@@ -186,6 +218,10 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
   heuristic.mode = FilterMode::kHeuristic;
   heuristic.band = 8;
   heuristic.keep_factor = 2.0;
+
+  // A small calibration: the annotation only needs valid (lambda, K).
+  const KarlinAltschulParams params = calibrate_gapped_params(
+      ScoringScheme{}, std::vector<double>(20, 0.05), 60, 60, 40, 3);
 
   for (const Case& c : cases(rng)) {
     std::vector<std::vector<std::unique_ptr<SearchProfiles>>> by_kernel;
@@ -267,6 +303,42 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
               expect_same_outcome(
                   actual[q], expected[q],
                   label + topology + "/query " + std::to_string(q));
+            }
+          }
+
+          if (!c.annotate || kernel != KernelKind::kStriped8) continue;
+          SearchRequest annotated = request;
+          annotated.annotate.mode = AnnotateMode::kStatsCigar;
+          annotated.stats = &params;
+          const std::string annotated_label = label + "/stats+cigar";
+          const std::vector<SearchOutcome> serial_annotated =
+              search(serial, group, annotated);
+          ASSERT_EQ(serial_annotated.size(), expected.size());
+          for (std::size_t q = 0; q < expected.size(); ++q) {
+            const std::string at =
+                annotated_label + "/serial/query " + std::to_string(q);
+            // No e-value cutoff: annotation leaves the ranking alone.
+            expect_same_answer(serial_annotated[q], expected[q], at);
+            for (const SearchHit& hit : serial_annotated[q].ranked.hits) {
+              ASSERT_NE(hit.annotation, nullptr) << at;
+              const HitAnnotation& a = *hit.annotation;
+              const std::vector<std::uint8_t>& query = c.queries[q];
+              EXPECT_EQ(cigar_score(a.cigar, {query.data(), query.size()},
+                                    db[hit.db_index], a.query_begin,
+                                    a.db_begin, c.scheme),
+                        hit.score)
+                  << at << " record " << hit.db_index << " " << a.cigar;
+            }
+          }
+          for (const auto& [topology, engine] : engines) {
+            const std::vector<SearchOutcome> actual =
+                search(*engine, group, annotated);
+            ASSERT_EQ(actual.size(), serial_annotated.size());
+            for (std::size_t q = 0; q < actual.size(); ++q) {
+              const std::string at =
+                  annotated_label + topology + "/query " + std::to_string(q);
+              expect_same_outcome(actual[q], serial_annotated[q], at);
+              expect_same_annotation(actual[q], serial_annotated[q], at);
             }
           }
         }

@@ -1,6 +1,6 @@
 // Lockcheck case: acquiring two mutexes against their declared order.
 //
-// The serve stack declares service -> result-cache -> profile-cache with
+// The serve stack declares service -> result-cache with
 // SWDUAL_ACQUIRED_BEFORE (serve/service.h); this case is the minimal model
 // of that declaration. The inversion diagnostic needs -Wthread-safety-beta,
 // which is why the battery (and the build) always passes it alongside

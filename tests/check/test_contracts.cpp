@@ -1,49 +1,45 @@
-// Unit tests for the SWDUAL_DCHECK contract macro tier.
+// Unit tests for SWDUAL_CHECK, the project's one check tier (util/error.h).
 #include <gtest/gtest.h>
 
-#include "check/contracts.h"
+#include <string>
+
 #include "util/error.h"
 
-namespace swdual::check {
+namespace swdual {
 namespace {
 
-TEST(Contracts, DcheckPassesOnTrueCondition) {
-  EXPECT_NO_THROW(SWDUAL_DCHECK(1 + 1 == 2, "arithmetic broke"));
+TEST(Contracts, CheckPassesOnTrueConditionEvaluatingItOnce) {
+  int evaluations = 0;
+  const auto probe = [&evaluations] {
+    ++evaluations;
+    return true;
+  };
+  EXPECT_NO_THROW(SWDUAL_CHECK(probe(), "probe tripped"));
+  EXPECT_EQ(evaluations, 1);
 }
 
-TEST(Contracts, DcheckMatchesCompileTimeSwitch) {
-  // When the contract tier is compiled in, a failing DCHECK throws after
-  // evaluating its condition exactly once; when compiled out, the condition
-  // must not be evaluated at all (it sits inside an unevaluated sizeof).
+TEST(Contracts, AlwaysOnCheckThrowsRegardlessOfTier) {
+  // SWDUAL_CHECK is never compiled out: no build option removes it.
+  EXPECT_THROW(SWDUAL_CHECK(false, "always-on check"), Error);
+}
+
+TEST(Contracts, CheckThrowsErrorWithItsMessage) {
+  // A failing check throws after evaluating its condition exactly once, and
+  // the error names the message.
   int evaluations = 0;
   const auto probe = [&evaluations] {
     ++evaluations;
     return false;
   };
-  if (contracts_enabled()) {
-    EXPECT_THROW(SWDUAL_DCHECK(probe(), "probe tripped"), Error);
-    EXPECT_EQ(evaluations, 1);
-  } else {
-    EXPECT_NO_THROW(SWDUAL_DCHECK(probe(), "probe tripped"));
-    EXPECT_EQ(evaluations, 0);
-  }
-}
-
-TEST(Contracts, AlwaysOnCheckThrowsRegardlessOfTier) {
-  // SWDUAL_CHECK is the validator tier: never compiled out.
-  EXPECT_THROW(SWDUAL_CHECK(false, "always-on check"), Error);
-}
-
-TEST(Contracts, DcheckErrorCarriesMessage) {
-  if (!contracts_enabled()) GTEST_SKIP() << "contracts compiled out";
   try {
-    SWDUAL_DCHECK(false, "span inverted in test fixture");
+    SWDUAL_CHECK(probe(), "span inverted in test fixture");
     FAIL() << "expected a throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("span inverted in test fixture"),
               std::string::npos);
   }
+  EXPECT_EQ(evaluations, 1);
 }
 
 }  // namespace
-}  // namespace swdual::check
+}  // namespace swdual

@@ -3,8 +3,8 @@
 
 Runs the example binary on a tiny generated workload, then checks that the
 trace file is valid Chrome trace_event JSON (every event carries ph/ts/pid)
-and that the metrics dump reached stdout. Works with SWDUAL_TRACE=OFF too:
-the trace file is then a valid empty trace, and metrics still flow.
+and that the metrics dump reached stdout. The tracer is always compiled,
+so a traced run must record events.
 """
 import json
 import subprocess
@@ -43,6 +43,7 @@ def main():
             trace = json.load(handle)
         events = trace["traceEvents"]
         assert isinstance(events, list), "traceEvents must be a list"
+        assert events, "a traced run recorded no events"
         for event in events:
             for key in ("ph", "ts", "pid"):
                 assert key in event, f"event missing {key!r}: {event}"

@@ -64,9 +64,6 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(ChromeExport, MatchesGoldenTrace) {
-  if (!Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   const std::string actual = deterministic_trace_json();
   const std::string golden_path =
       std::string(SWDUAL_OBS_TEST_DIR) + "/golden_trace.json";
@@ -82,9 +79,6 @@ TEST(ChromeExport, MatchesGoldenTrace) {
 }
 
 TEST(ChromeExport, JsonParsesAndEveryEventHasPhTsPid) {
-  if (!Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   const std::string json = deterministic_trace_json();
   const testjson::Value root = testjson::parse(json);  // throws if malformed
   ASSERT_EQ(root.kind, testjson::Value::Kind::kObject);
@@ -115,9 +109,6 @@ TEST(ChromeExport, JsonParsesAndEveryEventHasPhTsPid) {
 }
 
 TEST(ChromeExport, ExportedBusySumsMatchSearchReport) {
-  if (!Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   // Full pipeline: run a search, export the trace, re-parse the JSON, and
   // recover per-worker virtual busy time from the file alone.
   Rng rng(211);

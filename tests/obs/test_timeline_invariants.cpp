@@ -54,9 +54,6 @@ std::vector<obs::TraceEvent> task_spans(
 class TimelinePolicies : public ::testing::TestWithParam<AllocationPolicy> {};
 
 TEST_P(TimelinePolicies, SpansAreWellFormedNonOverlappingAndSumToBusy) {
-  if (!obs::Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   const Fixture fixture;
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
@@ -133,9 +130,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultTrace, TwoFaultsShowTwoRetriesAndAWorkerMove) {
-  if (!obs::Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   const Fixture fixture(6, 20, 101);
   constexpr std::size_t kDoomedTask = 3;
   obs::Tracer tracer;

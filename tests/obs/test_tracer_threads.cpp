@@ -16,9 +16,6 @@ namespace swdual::obs {
 namespace {
 
 TEST(TracerThreads, HammerFlushYieldsEveryEventExactlyOnce) {
-  if (!Tracer::compiled_in()) {
-    GTEST_SKIP() << "tracer compiled out (SWDUAL_TRACE=OFF)";
-  }
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kEventsPerThread = 500;
 

@@ -1,7 +1,6 @@
 // Unit tests for the schedule model, validator, and metrics.
 #include <gtest/gtest.h>
 
-#include "check/contracts.h"
 #include "sched/schedule.h"
 #include "util/error.h"
 
@@ -119,9 +118,7 @@ TEST(Validate, DetectsCpuDurationUsedOnGpu) {
 }
 
 TEST(Contracts, AddRejectsInvertedSpanWhenEnabled) {
-  // Schedule::add carries a SWDUAL_DCHECK that the span is not inverted;
-  // it only fires when the contract tier is compiled in.
-  if (!check::contracts_enabled()) GTEST_SKIP() << "contracts compiled out";
+  // Schedule::add checks that the span is not inverted.
   Schedule s;
   EXPECT_THROW(s.add({0, {PeType::kCpu, 0}, 5.0, 4.0}), Error);
 }

@@ -14,7 +14,12 @@ namespace {
 
 class FastaIndexTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/swdual_fai_test.fa";
+  // One file per test case: ctest runs cases as concurrent processes, so a
+  // shared name lets one case rewrite or delete another's input.
+  std::string path_ =
+      ::testing::TempDir() + "/swdual_fai_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".fa";
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::vector<Sequence> write_sample(std::size_t count, std::size_t width) {
