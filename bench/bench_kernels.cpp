@@ -5,15 +5,18 @@
 // behind the --calibrate path of the performance model.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/annotate.h"
 #include "align/backend.h"
 #include "align/banded.h"
 #include "align/kernel_interseq.h"
 #include "align/kernel_striped.h"
 #include "align/kernel_striped8.h"
+#include "align/linear_space.h"
 #include "align/scalar.h"
 #include "align/search.h"
 #include "seq/dbgen.h"
@@ -240,6 +243,97 @@ void backend_banded_screen(benchmark::State& state, align::Backend backend,
       static_cast<double>(align::backend_lanes8(backend));
 }
 
+// --- Annotate tracebacks ------------------------------------------------
+// One hit's CIGAR, two ways: the linear-space traceback alone
+// (sw_align_affine_linear: two score-only passes, then Myers–Miller) and
+// annotate_cigar, which tries the half-width-16 band first and falls back
+// to it only when the band does not certify the hit. The "banded" counter
+// says which path served the annotate_cigar row (1: the band, 0: the
+// fallback).
+
+/// One query and one record whose alignment the rows trace back.
+struct CigarPair {
+  std::vector<std::uint8_t> query, record;
+  int score = 0;  ///< the exact local score, the hit's search score
+};
+
+enum class CigarShape {
+  kPlanted,   ///< 300×300: a substitution every 17 residues
+  kIndels,    ///< 1000×1001: also a 1-residue indel every 40, alternating
+  kFallback,  ///< 300×30000: the homolog at offset 14000, far off the band
+};
+
+CigarPair cigar_pair(CigarShape shape) {
+  Rng rng(4321);
+  const std::size_t m = shape == CigarShape::kIndels ? 1000 : 300;
+  CigarPair pair;
+  pair.query = seq::random_protein(rng, "q", m).residues;
+  std::vector<std::uint8_t> homolog;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto other = static_cast<std::uint8_t>(rng.below(20));
+    if (shape == CigarShape::kIndels && i % 40 == 39) {
+      if (i % 80 == 39) {
+        homolog.push_back(other);  // an inserted residue
+      } else {
+        continue;  // a deleted one
+      }
+    }
+    homolog.push_back(i % 17 == 16 ? other : pair.query[i]);
+  }
+  if (shape == CigarShape::kFallback) {
+    pair.record = seq::random_protein(rng, "r", 14000).residues;
+    pair.record.insert(pair.record.end(), homolog.begin(), homolog.end());
+    const auto tail = seq::random_protein(rng, "t", 30000 - pair.record.size());
+    pair.record.insert(pair.record.end(), tail.residues.begin(),
+                       tail.residues.end());
+  } else {
+    pair.record = std::move(homolog);
+  }
+  pair.score =
+      align::sw_align_affine_linear(pair.query, pair.record, {}).score;
+  return pair;
+}
+
+void annotate_cigar_row(benchmark::State& state, CigarShape shape,
+                        bool annotate) {
+  const CigarPair pair = cigar_pair(shape);
+  const align::ScoringScheme scheme;
+  auto path = align::TracebackPath::kLinear;
+  for (auto _ : state) {
+    if (annotate) {
+      align::SearchHit hit(0, pair.score);
+      hit.annotation = std::make_shared<align::HitAnnotation>();
+      path = align::annotate_cigar(hit, pair.query, pair.record, scheme);
+      benchmark::DoNotOptimize(hit.annotation.get());
+    } else {
+      const align::Alignment alignment =
+          align::sw_align_affine_linear(pair.query, pair.record, scheme);
+      benchmark::DoNotOptimize(alignment.score);
+    }
+  }
+  if (annotate) {
+    state.counters["banded"] = path == align::TracebackPath::kBanded ? 1 : 0;
+  }
+}
+
+void register_annotate_benchmarks() {
+  for (const auto& [name, shape] :
+       {std::pair{"planted_300x300", CigarShape::kPlanted},
+        std::pair{"indels_1000x1001", CigarShape::kIndels},
+        std::pair{"fallback_300x30000", CigarShape::kFallback}}) {
+    for (const bool annotate : {false, true}) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_AnnotateCigar/") +
+           (annotate ? "annotate_cigar/" : "linear/") + name)
+              .c_str(),
+          [shape, annotate](benchmark::State& s) {
+            annotate_cigar_row(s, shape, annotate);
+          })
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
+}
+
 void register_backend_benchmarks() {
   for (const align::Backend backend : align::available_backends()) {
     const std::string suffix = align::backend_name(backend);
@@ -269,6 +363,7 @@ void register_backend_benchmarks() {
 
 int main(int argc, char** argv) {
   register_backend_benchmarks();
+  register_annotate_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,9 +1,11 @@
 #include "align/annotate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "align/alignment.h"
+#include "align/banded.h"
 #include "align/linear_space.h"
 #include "align/profile_cache.h"
 #include "obs/metrics.h"
@@ -78,12 +80,29 @@ void annotate_stats(std::vector<SearchHit>& hits, std::size_t query_length,
   }
 }
 
-void annotate_cigar(SearchHit& hit, std::span<const std::uint8_t> query,
-                    std::span<const std::uint8_t> record,
-                    const ScoringScheme& scheme) {
+namespace {
+
+// The one band half-width a traceback tries before the linear-space one.
+constexpr std::size_t kTracebackBand = 16;
+
+}  // namespace
+
+TracebackPath annotate_cigar(SearchHit& hit,
+                             std::span<const std::uint8_t> query,
+                             std::span<const std::uint8_t> record,
+                             const ScoringScheme& scheme) {
   SWDUAL_REQUIRE(hit.annotation != nullptr,
                  "annotate_cigar needs the hit's stats annotation");
-  const Alignment alignment = sw_align_affine_linear(query, record, scheme);
+  // A banded path is a real path, so it never scores above the optimum: a
+  // band whose best equals the hit's exact score holds an optimal
+  // alignment.
+  TracebackPath path = TracebackPath::kBanded;
+  Alignment alignment =
+      banded_gotoh_align(query, record, scheme, kTracebackBand);
+  if (alignment.score != hit.score) {
+    path = TracebackPath::kLinear;
+    alignment = sw_align_affine_linear(query, record, scheme);
+  }
   // Search kernels and the traceback compute the same Gotoh recurrence;
   // a disagreement here is a kernel or traceback bug, never an input one.
   SWDUAL_CHECK(alignment.score == hit.score,
@@ -95,6 +114,20 @@ void annotate_cigar(SearchHit& hit, std::span<const std::uint8_t> query,
   annotation->db_begin = alignment.db_begin;
   annotation->db_end = alignment.db_end;
   hit.annotation = std::move(annotation);
+  return path;
+}
+
+void record_tracebacks(obs::Span& span, obs::MetricsRegistry* metrics,
+                       std::span<const TracebackPath> served) {
+  const auto banded = static_cast<double>(
+      std::count(served.begin(), served.end(), TracebackPath::kBanded));
+  const double linear = static_cast<double>(served.size()) - banded;
+  span.arg("banded", banded);
+  span.arg("linear", linear);
+  if (metrics) {
+    metrics->add("annotate_cigar_banded", banded);
+    metrics->add("annotate_cigar_linear", linear);
+  }
 }
 
 void annotate_hits(std::vector<SearchHit>& hits,
@@ -115,10 +148,13 @@ void annotate_hits(std::vector<SearchHit>& hits,
     span = tracer->span("annotate_traceback", "align", trace_track);
     span.arg("hits", static_cast<double>(hits.size()));
   }
+  std::vector<TracebackPath> served;
+  served.reserve(hits.size());
   for (SearchHit& hit : hits) {
     SWDUAL_CHECK(hit.db_index < db.size(), "hit index outside the database");
-    annotate_cigar(hit, query, db[hit.db_index], scheme);
+    served.push_back(annotate_cigar(hit, query, db[hit.db_index], scheme));
   }
+  record_tracebacks(span, metrics, served);
 }
 
 std::uint64_t db_residue_count(const DbView& db) {

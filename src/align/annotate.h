@@ -3,11 +3,11 @@
 // A raw Smith–Waterman score is not a result — production services in the
 // BLAST / SWAPHI lineage report, for every hit, how surprising the score is
 // (e-value, bit score) and the alignment itself. This module turns the
-// library islands in statistics.h / linear_space.h into pipeline stages:
-// annotate_stats() decorates an already-merged top-k hit list in place and
-// applies the cutoff, annotate_cigar() adds one hit's traceback, and the
-// search pipeline (align/pipeline.h) is their one caller; annotate_hits()
-// runs both on one hit list.
+// library islands in statistics.h / banded.h / linear_space.h into pipeline
+// stages: annotate_stats() decorates an already-merged top-k hit list in
+// place and applies the cutoff, annotate_cigar() adds one hit's traceback,
+// and the search pipeline (align/pipeline.h) is their one caller;
+// annotate_hits() runs both on one hit list.
 //
 // Placement is the key invariant: annotation runs ONCE, post-merge, on the
 // global top-k winners — never per chunk or per shard. The hit list an
@@ -15,9 +15,11 @@
 // chunking, and shard topologies, and annotation is a pure per-hit function
 // of (query, record, scheme, params, db_residues), so annotated results
 // inherit that topology independence by construction — including which of
-// several co-optimal CIGARs is reported, because every path runs the one
-// linear-space traceback. Each traceback costs O(m·n) time and O(m + n)
-// memory.
+// several co-optimal CIGARs is reported, because every path runs the same
+// two tracebacks in the same order. A hit whose optimal path stays near the
+// band's diagonal costs O(m·w) time and m·(2w + 1) direction bytes at
+// half-width w = 16; any other hit falls back to the linear-space
+// traceback, O(m·n) time. Either way memory stays O(m + n).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +37,7 @@
 
 namespace swdual::obs {
 class MetricsRegistry;
+class Span;
 class Tracer;
 }  // namespace swdual::obs
 
@@ -93,21 +96,38 @@ void annotate_stats(std::vector<SearchHit>& hits, std::size_t query_length,
                     obs::MetricsRegistry* metrics = nullptr,
                     std::size_t trace_track = 0);
 
+/// Which traceback served a hit's CIGAR.
+enum class TracebackPath : std::uint8_t {
+  kBanded,  ///< banded_gotoh_align at half-width 16, certified by its score
+  kLinear,  ///< the linear-space traceback (sw_align_affine_linear)
+};
+
 /// CIGAR stage for one hit that already carries its stats annotation:
-/// re-align `query` against `record` with the linear-space traceback
-/// (sw_align_affine_linear) and attach the CIGAR and aligned ranges. The
-/// traceback score is checked against the hit's search score (they are the
-/// same Gotoh recurrence; a mismatch is a kernel bug, reported as
-/// swdual::Error). Touches only `hit`, so distinct hits may be annotated
-/// concurrently.
-void annotate_cigar(SearchHit& hit, std::span<const std::uint8_t> query,
-                    std::span<const std::uint8_t> record,
-                    const ScoringScheme& scheme);
+/// re-align `query` against `record` and attach the CIGAR and aligned
+/// ranges. The traceback first runs banded_gotoh_align at half-width 16 and
+/// keeps its path when the band's best equals the hit's score; otherwise it
+/// runs the linear-space traceback (sw_align_affine_linear). The traceback
+/// score is checked against the hit's search score (they are the same Gotoh
+/// recurrence; a mismatch is a kernel bug, reported as swdual::Error).
+/// Returns the path that served the hit. Touches only `hit`, so distinct
+/// hits may be annotated concurrently.
+TracebackPath annotate_cigar(SearchHit& hit,
+                             std::span<const std::uint8_t> query,
+                             std::span<const std::uint8_t> record,
+                             const ScoringScheme& scheme);
+
+/// Bookkeeping of one annotate_traceback span, whose hits annotate_cigar
+/// served along `served`: sets the span's `banded` and `linear` args, the
+/// hits each path served, and adds them once to the annotate_cigar_banded /
+/// annotate_cigar_linear counters when `metrics` is set.
+void record_tracebacks(obs::Span& span, obs::MetricsRegistry* metrics,
+                       std::span<const TracebackPath> served);
 
 /// Both stages on one hit list, serially: annotate_stats, then
 /// (kStatsCigar) annotate_cigar for every survivor against
-/// db[hit.db_index] under one annotate_traceback span. No-op when
-/// config.enabled() is false; throws InvalidArgument on an invalid config.
+/// db[hit.db_index] under one annotate_traceback span, recorded through
+/// record_tracebacks. No-op when config.enabled() is false; throws
+/// InvalidArgument on an invalid config.
 void annotate_hits(std::vector<SearchHit>& hits,
                    std::span<const std::uint8_t> query, const DbView& db,
                    const ScoringScheme& scheme, const AnnotateConfig& config,

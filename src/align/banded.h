@@ -17,11 +17,16 @@
 //     attained on a band-boundary cell, so the true optimum plausibly
 //     continues outside the band and the heuristic filter must keep the
 //     record as a rescan candidate regardless of its screened rank.
+//
+// banded_gotoh_align adds a traceback on the same geometry: the annotate
+// stage keeps a hit's banded path when the band's best equals the hit's
+// exact score, which certifies it as an optimal local alignment.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "align/alignment.h"
 #include "align/scoring.h"
 
 namespace swdual::align {
@@ -50,5 +55,20 @@ bool banded_covers_all(std::size_t m, std::size_t n, std::size_t band);
 BandedResult banded_gotoh_score(std::span<const std::uint8_t> query,
                                 std::span<const std::uint8_t> db,
                                 const ScoringScheme& scheme, std::size_t band);
+
+/// Affine-gap banded local alignment with traceback, on banded_gotoh_score's
+/// geometry and recurrence: its score and end cell are banded_gotoh_score's,
+/// and its path attains that score. A banded path is a real local
+/// alignment, so the score never exceeds the exact optimum, and when it
+/// equals the optimum the path is an optimal alignment. Ties break as in
+/// sw_align_affine (the path stops at H = 0, then prefers E, F, the
+/// diagonal; a gap opens rather than extends), so a covering band returns
+/// sw_align_affine's alignment. Memory: one direction byte per in-band
+/// cell slot, m·min(2·band + 1, n), plus O(n). A score-0 result is the
+/// empty alignment with all coordinates 0. Same caller rule as
+/// banded_gotoh_score.
+Alignment banded_gotoh_align(std::span<const std::uint8_t> query,
+                             std::span<const std::uint8_t> db,
+                             const ScoringScheme& scheme, std::size_t band);
 
 }  // namespace swdual::align

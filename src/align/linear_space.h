@@ -29,7 +29,8 @@ Alignment nw_align_affine_linear(std::span<const std::uint8_t> query,
 /// Local affine-gap alignment in linear space: locate the optimal region
 /// with two O(n)-memory passes (align/locate.h), then align the region
 /// globally with the linear-space routine. Score-identical to
-/// sw_align_affine with memory Θ(n + region width).
+/// sw_align_affine with memory Θ(n + region width). The annotate stage's
+/// traceback for a hit its band (banded_gotoh_align) does not certify.
 Alignment sw_align_affine_linear(std::span<const std::uint8_t> query,
                                  std::span<const std::uint8_t> db,
                                  const ScoringScheme& scheme);

@@ -10,7 +10,9 @@
 //
 // The located region is then aligned globally in linear space
 // (sw_align_affine_linear, linear_space.h), so a full local alignment
-// needs O(m + n) memory, never the region's area.
+// needs O(m + n) memory, never the region's area. Annotation reaches this
+// path only for a hit that its half-width-16 band does not certify
+// (annotate.h).
 #pragma once
 
 #include <cstddef>

@@ -187,12 +187,17 @@ std::vector<SearchOutcome> search(const SearchEngine& engine,
                                   sinks.trace_track);
         span.arg("hits", static_cast<double>(tracebacks.size()));
       }
+      // Each traceback writes its own slot; the counters are added once
+      // per call, after the fan-out.
+      std::vector<TracebackPath> served(tracebacks.size());
       engine.parallel_for(tracebacks.size(), [&](std::size_t t) {
         const auto [q, i] = tracebacks[t];
         SearchHit& hit = outcomes[q].ranked.hits[i];
-        annotate_cigar(hit, group[q]->query(), engine.record(hit.db_index),
-                       group[q]->scheme());
+        served[t] = annotate_cigar(hit, group[q]->query(),
+                                   engine.record(hit.db_index),
+                                   group[q]->scheme());
       });
+      record_tracebacks(span, sinks.metrics, served);
     }
   }
   return outcomes;

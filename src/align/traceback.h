@@ -2,8 +2,9 @@
 //
 // These routines keep the whole DP matrix (O(m·n) memory) and recover the
 // alignment path, unlike the score-only kernels in scalar.h. They are the
-// tests' oracle for the linear-space traceback that annotation uses
-// (locate.h), and the quickstart example's Fig. 1 traceback.
+// tests' oracle for the banded and linear-space tracebacks that annotation
+// uses (banded.h, linear_space.h), and the quickstart example's Fig. 1
+// traceback.
 #pragma once
 
 #include <cstdint>

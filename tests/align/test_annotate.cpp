@@ -4,11 +4,13 @@
 // validation, and cigar_score() as an independent score oracle — every
 // CIGAR an annotated search reports must re-derive the hit's exact Gotoh
 // score from the raw residues. (2) annotate_hits(): stats/cigar decoration,
-// the post-ranking e-value cutoff, a 30k-residue record, bit-identity of
-// annotated vs. unannotated hit lists across kernels, backends, thread
-// counts, and shard topologies {1, 2, 5}, and filtered annotated answers
-// identical field by field across engines whose pools run the rescan and
-// the tracebacks. (3) StatsCache: deterministic calibration, LRU
+// the post-ranking e-value cutoff, a 30k-residue record, both traceback
+// paths with their counters and span args, the score cross-check against an
+// inflated hit score, bit-identity of annotated vs. unannotated hit lists
+// across kernels, backends, thread counts, and shard topologies {1, 2, 5}
+// with every hit score checked against the scalar Gotoh oracle, and
+// filtered annotated answers identical field by field across engines whose
+// pools run the rescan and the tracebacks. (3) StatsCache: deterministic calibration, LRU
 // accounting, and first-writer-wins under concurrent acquire.
 #include <gtest/gtest.h>
 
@@ -18,17 +20,22 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "align/alignment.h"
 #include "align/annotate.h"
 #include "align/backend.h"
+#include "align/banded.h"
 #include "align/parallel_search.h"
 #include "align/pipeline.h"
+#include "align/scalar.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
 #include "align/statistics.h"
 #include "align/traceback.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "seq/alphabet.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -308,26 +315,43 @@ TEST(AnnotateHits, CutoffDropsExactlyTheInsignificantSuffix) {
   }
 }
 
+/// A 1.5k-residue query and a 30k-residue record holding a gapped homolog
+/// of it at offset 14000, far from the band's diagonal.
+struct LongRecord {
+  std::vector<std::uint8_t> query, homolog, record;
+};
+
+LongRecord make_long_record(Rng& rng) {
+  LongRecord out;
+  out.query = random_codes(rng, 1500);
+  out.homolog = out.query;
+  for (std::size_t p = 0; p < out.homolog.size(); p += 9) {
+    out.homolog[p] = static_cast<std::uint8_t>(rng.below(20));
+  }
+  out.homolog.erase(out.homolog.begin() + 600, out.homolog.begin() + 606);
+  const std::vector<std::uint8_t> insert = random_codes(rng, 4);
+  out.homolog.insert(out.homolog.begin() + 1100, insert.begin(), insert.end());
+  out.record = random_codes(rng, 14000);
+  out.record.insert(out.record.end(), out.homolog.begin(), out.homolog.end());
+  const std::vector<std::uint8_t> tail =
+      random_codes(rng, 30000 - out.record.size());
+  out.record.insert(out.record.end(), tail.begin(), tail.end());
+  return out;
+}
+
 TEST(AnnotateHits, LongRecordCigarPassesScoreOracle) {
   // A 30k-residue record holding a gapped 1.5k-residue homolog of the
-  // query, annotated through a threaded engine. The traceback's memory is
-  // linear in the sequences (the region's full matrices would be ~27 MB),
-  // and its CIGAR must re-derive the search score.
+  // query, annotated through a threaded engine. The half-width-16 band
+  // does not reach the homolog, so the traceback falls back to linear
+  // space: its memory stays linear in the sequences (the region's full
+  // matrices would be ~27 MB), and its CIGAR must re-derive the search
+  // score.
   const ScoringScheme scheme;
   Rng rng(0x30c0);
-  const std::vector<std::uint8_t> query = random_codes(rng, 1500);
-  std::vector<std::uint8_t> homolog = query;
-  for (std::size_t p = 0; p < homolog.size(); p += 9) {
-    homolog[p] = static_cast<std::uint8_t>(rng.below(20));
-  }
-  homolog.erase(homolog.begin() + 600, homolog.begin() + 606);
-  const std::vector<std::uint8_t> insert = random_codes(rng, 4);
-  homolog.insert(homolog.begin() + 1100, insert.begin(), insert.end());
-  std::vector<std::uint8_t> record = random_codes(rng, 14000);
-  record.insert(record.end(), homolog.begin(), homolog.end());
-  const std::vector<std::uint8_t> tail =
-      random_codes(rng, 30000 - record.size());
-  record.insert(record.end(), tail.begin(), tail.end());
+  const LongRecord long_record = make_long_record(rng);
+  const std::vector<std::uint8_t>& query = long_record.query;
+  const std::vector<std::uint8_t>& homolog = long_record.homolog;
+  const std::vector<std::uint8_t>& record = long_record.record;
   ASSERT_EQ(record.size(), 30000u);
   const std::vector<std::uint8_t> before = random_codes(rng, 200);
   const std::vector<std::uint8_t> after = random_codes(rng, 300);
@@ -364,6 +388,143 @@ TEST(AnnotateHits, LongRecordCigarPassesScoreOracle) {
   EXPECT_NE(note.cigar.find('I'), std::string::npos);
 }
 
+/// One hit of `query` against `record` carrying its exact search score,
+/// as annotate_cigar receives it.
+SearchHit exact_hit(const std::vector<std::uint8_t>& query,
+                    const std::vector<std::uint8_t>& record,
+                    const ScoringScheme& scheme) {
+  const DbView one{{record.data(), record.size()}};
+  SearchHit hit(0, search_database(query, one, scheme, KernelKind::kStriped)
+                       .scores.front());
+  hit.annotation = std::make_shared<HitAnnotation>();
+  return hit;
+}
+
+TEST(AnnotateHits, TracebackServesBandedThenLinear) {
+  // annotate_cigar keeps the half-width-16 band's path when its best equals
+  // the hit's score: a near-diagonal homolog, and a record short enough for
+  // the band to cover its matrix. A homolog with a 40-residue insertion
+  // leaves the band, and the 30k-residue record's homolog lies far off its
+  // diagonal: both take the linear-space traceback. Every CIGAR re-derives
+  // its hit's score.
+  const ScoringScheme scheme;
+  Rng rng(0x1add);
+  const std::vector<std::uint8_t> query = random_codes(rng, 300);
+  std::vector<std::uint8_t> near = query;
+  for (std::size_t p = 0; p < near.size(); p += 17) {
+    near[p] = static_cast<std::uint8_t>(rng.below(20));
+  }
+  std::vector<std::uint8_t> inserted = near;
+  const std::vector<std::uint8_t> insertion = random_codes(rng, 40);
+  inserted.insert(inserted.begin() + 150, insertion.begin(), insertion.end());
+  // The query's first 10 residues behind 6 others: 16 columns, which the
+  // band covers.
+  std::vector<std::uint8_t> short_record = random_codes(rng, 6);
+  short_record.insert(short_record.end(), query.begin(), query.begin() + 10);
+  ASSERT_TRUE(banded_covers_all(query.size(), short_record.size(), 16));
+  Rng long_rng(0x30c0);
+  const LongRecord long_record = make_long_record(long_rng);
+
+  const auto served_by = [&](const std::vector<std::uint8_t>& q,
+                             const std::vector<std::uint8_t>& r) {
+    SearchHit hit = exact_hit(q, r, scheme);
+    const TracebackPath path = annotate_cigar(hit, q, r, scheme);
+    const HitAnnotation& note = *hit.annotation;
+    EXPECT_GT(hit.score, 0);
+    EXPECT_EQ(cigar_score(note.cigar, q, r, note.query_begin, note.db_begin,
+                          scheme),
+              hit.score)
+        << "cigar " << note.cigar;
+    return path;
+  };
+  EXPECT_EQ(served_by(query, near), TracebackPath::kBanded);
+  EXPECT_EQ(served_by(query, short_record), TracebackPath::kBanded);
+  EXPECT_EQ(served_by(query, inserted), TracebackPath::kLinear);
+  EXPECT_EQ(served_by(long_record.query, long_record.record),
+            TracebackPath::kLinear);
+
+  // Through the pipeline: each search() call adds the hits each path
+  // served to the counters once, and to its annotate_traceback span. The
+  // long record's one hit is a linear-space one.
+  const KarlinAltschulParams params = test_params();
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  SearchSinks sinks;
+  sinks.metrics = &metrics;
+  sinks.tracer = &tracer;
+  AnnotateConfig config;
+  config.mode = AnnotateMode::kStatsCigar;
+  const DbView three{{near.data(), near.size()},
+                     {inserted.data(), inserted.size()},
+                     {short_record.data(), short_record.size()}};
+  const SearchProfiles profiles({query.data(), query.size()}, scheme,
+                                KernelKind::kStriped);
+  const SearchOutcome out = annotated_search(
+      SerialSearchEngine(three, sinks), profiles, 3, FilterConfig{}, config,
+      params);
+  ASSERT_EQ(out.ranked.hits.size(), 3u);
+  EXPECT_EQ(metrics.counter("annotate_cigar_banded"), 2.0);
+  EXPECT_EQ(metrics.counter("annotate_cigar_linear"), 1.0);
+  const DbView one_long{{long_record.record.data(), long_record.record.size()}};
+  const SearchProfiles long_profiles(
+      {long_record.query.data(), long_record.query.size()}, scheme,
+      KernelKind::kStriped);
+  const SearchOutcome long_out =
+      annotated_search(SerialSearchEngine(one_long, sinks), long_profiles, 1,
+                       FilterConfig{}, config, params);
+  EXPECT_EQ(metrics.counter("annotate_cigar_banded"), 2.0);
+  EXPECT_EQ(metrics.counter("annotate_cigar_linear"), 2.0);
+  ASSERT_EQ(long_out.ranked.hits.size(), 1u);
+  const HitAnnotation& note = *long_out.ranked.hits.front().annotation;
+  EXPECT_EQ(cigar_score(note.cigar, long_record.query, long_record.record,
+                        note.query_begin, note.db_begin, scheme),
+            long_out.ranked.hits.front().score);
+
+  std::vector<std::pair<double, double>> spans;  // (banded, linear)
+  for (const obs::TraceEvent& event : tracer.flush()) {
+    if (event.name == "annotate_traceback") {
+      spans.emplace_back(event.arg("banded", -1), event.arg("linear", -1));
+    }
+  }
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0], std::pair(2.0, 1.0));
+  EXPECT_EQ(spans[1], std::pair(0.0, 1.0));
+}
+
+TEST(AnnotateHits, InflatedHitScoreFailsTheCrossCheck) {
+  // A search score above the optimum is a kernel bug: no band reaches it,
+  // and neither does the linear-space traceback, so annotate_cigar throws
+  // swdual::Error. Once on a pair the band covers, once on the 30k-residue
+  // record.
+  const ScoringScheme scheme;
+  Rng rng(0xb16);
+  const std::vector<std::uint8_t> query = random_codes(rng, 40);
+  std::vector<std::uint8_t> record = random_codes(rng, 4);
+  record.insert(record.end(), query.begin(), query.begin() + 12);
+  ASSERT_TRUE(banded_covers_all(query.size(), record.size(), 16));
+  Rng long_rng(0x30c0);
+  const LongRecord long_record = make_long_record(long_rng);
+
+  const auto expect_error = [&](const std::vector<std::uint8_t>& q,
+                                const std::vector<std::uint8_t>& r) {
+    SearchHit hit = exact_hit(q, r, scheme);
+    ASSERT_EQ(hit.score, gotoh_score(q, r, scheme).score);
+    ++hit.score;
+    try {
+      annotate_cigar(hit, q, r, scheme);
+      ADD_FAILURE() << "an inflated score passed the cross-check (m "
+                    << q.size() << ", n " << r.size() << ")";
+    } catch (const InvalidArgument& e) {
+      ADD_FAILURE() << "a precondition fired instead of the cross-check: "
+                    << e.what();
+    } catch (const Error&) {
+    }
+    EXPECT_EQ(hit.annotation->cigar, "");
+  };
+  expect_error(query, record);
+  expect_error(long_record.query, long_record.record);
+}
+
 class AnnotateBackends : public ::testing::TestWithParam<Backend> {
  protected:
   void SetUp() override {
@@ -385,9 +546,11 @@ class AnnotateBackends : public ::testing::TestWithParam<Backend> {
   std::string saved_;
 };
 
-/// Every hit of an annotated result must (a) carry a CIGAR that re-derives
-/// its exact search score from the raw residues, and (b) match the
-/// unannotated ranking hit-for-hit (cutoff = +inf).
+/// Every hit of an annotated result must (a) carry the scalar Gotoh
+/// oracle's score, which a filtered hit reaches only through its exact
+/// rescan, (b) carry a CIGAR that re-derives that score from the raw
+/// residues, and (c) match the unannotated ranking hit-for-hit
+/// (cutoff = +inf).
 void check_annotated(const std::vector<SearchHit>& annotated,
                      const std::vector<SearchHit>& plain, const Corpus& corpus,
                      const DbView& db, const ScoringScheme& scheme,
@@ -404,6 +567,9 @@ void check_annotated(const std::vector<SearchHit>& annotated,
         evalue(params, annotated[i].score, corpus.query.size(), n))
         << what << " #" << i;
     const std::span<const std::uint8_t> record = db[annotated[i].db_index];
+    EXPECT_EQ(annotated[i].score,
+              gotoh_score(corpus.query, record, scheme).score)
+        << what << " #" << i;
     EXPECT_EQ(cigar_score(note.cigar, {corpus.query.data(),
                                        corpus.query.size()},
                           record, note.query_begin, note.db_begin, scheme),
@@ -537,6 +703,10 @@ TEST_P(AnnotateBackends, FilteredAnnotatedIdenticalAcrossEnginesAndShards) {
             what + " query " + std::to_string(q) + " #" + std::to_string(i);
         EXPECT_EQ(x.db_index, y.db_index) << at;
         EXPECT_EQ(x.score, y.score) << at;
+        EXPECT_EQ(x.score, gotoh_score(group[q]->query(),
+                                       db[x.db_index], scheme)
+                               .score)
+            << at;
         ASSERT_NE(x.annotation, nullptr) << at;
         ASSERT_NE(y.annotation, nullptr) << at;
         EXPECT_EQ(x.annotation->evalue, y.annotation->evalue) << at;

@@ -1,8 +1,12 @@
-// Unit/property tests for the banded heuristic kernel.
+// Unit/property tests for the banded heuristic kernel and its traceback.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "align/alignment.h"
 #include "align/banded.h"
 #include "align/scalar.h"
+#include "align/traceback.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -71,6 +75,7 @@ TEST(Banded, RejectsZeroBand) {
   Rng rng(35);
   const auto q = random_codes(rng, 10);
   EXPECT_THROW(banded_gotoh_score(q, q, scheme, 0), InvalidArgument);
+  EXPECT_THROW(banded_gotoh_align(q, q, scheme, 0), InvalidArgument);
 }
 
 TEST(Banded, EmptyInputsScoreZero) {
@@ -139,11 +144,15 @@ TEST(Banded, ExtremeGeometriesMatchReference) {
   // by many columns per row (the former double-slope center and the old
   // one-cell stale invalidation both broke here), band ≥ n degenerates to
   // full-width, and m ≫ n parks the center at the right edge for most rows.
+  // The traceback runs on the same geometry: it must reach the reference's
+  // score along a path whose CIGAR re-derives it (the empty alignment for
+  // empty inputs), and at a covering band that score is the exact optimum.
   ScoringScheme scheme;
   Rng rng(0x9e0);
   const std::size_t dims[][2] = {{1, 1},    {1, 500},  {500, 1},  {3, 1000},
                                  {1000, 3}, {7, 311},  {311, 7},  {64, 64},
-                                 {129, 40}, {40, 129}, {2, 2},    {97, 997}};
+                                 {129, 40}, {40, 129}, {2, 2},    {97, 997},
+                                 {0, 0},    {0, 7},    {7, 0}};
   for (const auto& dim : dims) {
     const auto q = random_codes(rng, dim[0]);
     const auto d = random_codes(rng, dim[1]);
@@ -157,7 +166,70 @@ TEST(Banded, ExtremeGeometriesMatchReference) {
       ASSERT_EQ(got.edge_hit, want.edge_hit)
           << dim[0] << "x" << dim[1] << " band " << band;
       ASSERT_EQ(got.exact, want.exact);
+
+      const Alignment traced = banded_gotoh_align(q, d, scheme, band);
+      ASSERT_EQ(traced.score, want.score)
+          << dim[0] << "x" << dim[1] << " band " << band;
+      ASSERT_EQ(cigar_score(traced.cigar(), q, d, traced.query_begin,
+                            traced.db_begin, scheme),
+                traced.score)
+          << dim[0] << "x" << dim[1] << " band " << band << " cigar "
+          << traced.cigar();
+      if (traced.score == 0) {
+        ASSERT_EQ(traced.cigar(), "");
+        ASSERT_EQ(traced.query_begin + traced.db_end, 0u);
+      }
+      if (banded_covers_all(q.size(), d.size(), band)) {
+        ASSERT_EQ(traced.score, gotoh_score(q, d, scheme).score)
+            << dim[0] << "x" << dim[1] << " band " << band;
+      }
     }
+  }
+}
+
+TEST(Banded, TracebackOfZeroScorePairIsEmpty) {
+  // Every residue pair scores −1, so the best local alignment is empty.
+  const ScoreMatrix mismatch =
+      ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 1, -1);
+  const ScoringScheme scheme{&mismatch, GapPenalty{}};
+  const std::vector<std::uint8_t> q(40, 0);
+  const std::vector<std::uint8_t> d(50, 1);
+  const Alignment traced = banded_gotoh_align(q, d, scheme, 8);
+  EXPECT_EQ(traced.score, 0);
+  EXPECT_EQ(banded_gotoh_score(q, d, scheme, 8).score, 0);
+  EXPECT_EQ(traced.cigar(), "");
+  EXPECT_EQ(traced.query_begin, 0u);
+  EXPECT_EQ(traced.db_begin, 0u);
+}
+
+TEST(Banded, CoveringTracebackIsSwAlignAffine) {
+  // banded_gotoh_align breaks ties as sw_align_affine does, so a band that
+  // covers the matrix yields the full-matrix traceback's very alignment.
+  ScoringScheme scheme;
+  Rng rng(0x7bac);
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto q = random_codes(rng, static_cast<std::size_t>(rng.between(1, 90)));
+    auto d = random_codes(rng, static_cast<std::size_t>(rng.between(1, 90)));
+    if (rep % 2 == 0) {
+      // A gapped homolog, so the alignments have runs of both gap kinds.
+      d = q;
+      for (std::size_t p = 0; p < d.size(); p += 7) {
+        d[p] = static_cast<std::uint8_t>(rng.below(20));
+      }
+      if (d.size() > 30) d.erase(d.begin() + 10, d.begin() + 14);
+      const auto extra = random_codes(rng, 3);
+      d.insert(d.begin() + static_cast<std::ptrdiff_t>(d.size() / 2),
+               extra.begin(), extra.end());
+    }
+    const Alignment want = sw_align_affine(q, d, scheme);
+    const Alignment got = banded_gotoh_align(q, d, scheme, q.size() + d.size());
+    EXPECT_EQ(got.score, want.score) << "rep " << rep;
+    EXPECT_EQ(got.aligned_query, want.aligned_query) << "rep " << rep;
+    EXPECT_EQ(got.aligned_db, want.aligned_db) << "rep " << rep;
+    EXPECT_EQ(got.query_begin, want.query_begin) << "rep " << rep;
+    EXPECT_EQ(got.query_end, want.query_end) << "rep " << rep;
+    EXPECT_EQ(got.db_begin, want.db_begin) << "rep " << rep;
+    EXPECT_EQ(got.db_end, want.db_end) << "rep " << rep;
   }
 }
 

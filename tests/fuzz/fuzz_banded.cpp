@@ -3,7 +3,10 @@
 // The screen promises, on every backend, exactly what the scalar banded
 // reference banded_gotoh_score computes (the contract is spelled out and
 // checked in tests/align/screen_reference.h, which the filter tests share).
-// Any difference — or a crash, or a sanitizer report — is a finding.
+// The annotate stage's banded traceback runs on the same geometry, so each
+// record's traceback at the decoded band must reach the reference's score
+// along a path whose CIGAR re-derives it (cigar_score). Any difference —
+// or a crash, or a sanitizer report — is a finding.
 //
 // The input bytes decode into one screen call: a scoring matrix (BLOSUM62,
 // or a match-100 matrix that reaches the 16-bit tier's limit at small
@@ -36,7 +39,9 @@
 #include <vector>
 
 #include "../align/screen_reference.h"
+#include "align/alignment.h"
 #include "align/backend.h"
+#include "align/banded.h"
 #include "align/kernel_banded.h"
 #include "align/scoring.h"
 #include "seq/alphabet.h"
@@ -127,16 +132,18 @@ Screen decode(const std::uint8_t* data, std::size_t size) {
   return s;
 }
 
-[[noreturn]] void finding(const Screen& s, align::Backend backend,
+/// `where` names the backend whose screen, or the traceback, broke.
+[[noreturn]] void finding(const Screen& s, const std::string& where,
                           const std::string& what) {
-  std::cerr << "fuzz_banded: " << align::backend_name(backend) << ": " << what
+  std::cerr << "fuzz_banded: " << where << ": " << what
             << " (m " << s.query.size() << ", band " << s.band << ", "
             << s.records.size() << " records, "
             << (s.high_match ? "match-100" : "blosum62") << ")\n";
   std::abort();
 }
 
-/// Screens `s` on every available backend against the scalar reference.
+/// Screens `s` on every available backend against the scalar reference,
+/// then traces back every record at the screen's band.
 void check(const Screen& s) {
   static const align::ScoreMatrix high_match = align::ScoreMatrix::uniform(
       seq::AlphabetKind::kProtein, 100, -20);
@@ -151,7 +158,22 @@ void check(const Screen& s) {
     const std::string mismatch = align::screen_mismatch(
         align::kernel_table(backend).banded(s.query, views, scheme, s.band),
         want);
-    if (!mismatch.empty()) finding(s, backend, mismatch);
+    if (!mismatch.empty()) finding(s, align::backend_name(backend), mismatch);
+  }
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const align::Alignment traced =
+        align::banded_gotoh_align(s.query, views[i], scheme, s.band);
+    const int rederived =
+        align::cigar_score(traced.cigar(), s.query, views[i],
+                           traced.query_begin, traced.db_begin, scheme);
+    if (traced.score != want.records[i].score || rederived != traced.score) {
+      finding(s, "traceback",
+              "record " + std::to_string(i) + " (length " +
+                  std::to_string(views[i].size()) + "): score " +
+                  std::to_string(traced.score) + ", reference " +
+                  std::to_string(want.records[i].score) + ", cigar " +
+                  std::to_string(rederived));
+    }
   }
 }
 

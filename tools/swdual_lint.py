@@ -21,20 +21,21 @@ Enforces conventions clang-tidy cannot express:
   * bare .lock()/.unlock()/... calls are banned outside src/util/ — manual
     lock management defeats both the RAII discipline and the static
     analysis; use the scoped util::*MutexLock types
-  * no ``banded_gotoh_score`` calls outside src/align/ — the scalar banded
-    kernel is the screen's reference oracle, not a search primitive; other
-    layers go through the search pipeline (align::search with a FilterConfig,
-    or screen_range / banded_screen), which keeps band semantics and
-    escalation in one place
+  * no ``banded_gotoh_score`` / ``banded_gotoh_align`` calls outside
+    src/align/ — the scalar banded kernel is the screen's reference oracle
+    and its traceback the annotate stage's, not search primitives; other
+    layers go through the search pipeline (align::search with a FilterConfig
+    or an AnnotateConfig, or screen_range / banded_screen), which keeps band
+    semantics, escalation and the traceback's certification in one place
   * ``filter_select_candidates`` and ``annotate_hits`` are called only from
     src/align/pipeline.cpp (and annotate.cpp, which holds annotate_hits'
     overloads) — candidate selection and annotation are pipeline stages,
     written once, not re-implemented per engine or layer
   * no ``calibrate_gapped_params`` / ``sw_align_affine`` calls outside
     src/align/ and src/core/ — statistics calibration is StatsCache's job
-    (deterministic, shared, cached per database) and the O(m·n) traceback
-    must not leak into service layers; annotation goes through
-    AnnotateConfig + annotate_hits
+    (deterministic, shared, cached per database) and the full-matrix
+    traceback's O(m·n) memory must not leak into service layers; annotation
+    goes through AnnotateConfig + annotate_hits
   * a ``ThreadPool`` is constructed in src/ only by
     src/align/parallel_search.cpp — one pool per engine: the sharded
     engine runs its shards as chunks of that engine's pass, and other
@@ -109,20 +110,24 @@ RAW_PAYLOAD_READ = re.compile(r"(?:\.read\s*\(|(?<![\w:])fread\s*\()")
 RAW_READ_ALLOWED = ("src/seq/swdb.cpp",)
 
 # The scalar banded kernel is align-internal: it is the bit-identity oracle
-# for the vectorized screen and the overflow fallback of the filter stage.
-# Any other layer calling it directly would fork band/escalation semantics
+# for the vectorized screen and the overflow fallback of the filter stage,
+# and its traceback is the annotate stage's (annotate_cigar's first try).
+# Any other layer calling them directly would fork band/escalation semantics
 # away from the pipeline (FilterConfig validation, edge_hit handling, the
-# 8->16->32-bit ladder), so everything outside src/align/ must go through
-# the search pipeline (align::search) or screen_range.
-BANDED_ORACLE_CALL = re.compile(r"\bbanded_gotoh_score\s*\(")
+# 8->16->32-bit ladder, the traceback's certification against the exact
+# score), so everything outside src/align/ must go through the search
+# pipeline (align::search) or screen_range.
+BANDED_ORACLE_CALL = re.compile(r"\b(banded_gotoh_score|banded_gotoh_align)\s*\(")
 BANDED_ORACLE_ALLOWED_PREFIX = "src/align/"
 
 # Statistics calibration and the full-matrix traceback are annotation
 # internals: calibrate_gapped_params must go through align::StatsCache (one
 # deterministic calibration per (scheme, alphabet, db), shared), and
 # sw_align_affine's O(m·n) matrix must not leak into service layers — the
-# annotate stage uses the linear-space traceback (sw_align_affine_linear).
-# Other layers request annotation via AnnotateConfig instead.
+# annotate stage traces back in a certified band (banded_gotoh_align) and
+# falls back to the linear-space traceback (sw_align_affine_linear) when
+# the band does not certify the hit. Other layers request annotation via
+# AnnotateConfig instead.
 STATS_INTERNAL_CALL = re.compile(
     r"\b(calibrate_gapped_params|sw_align_affine)\s*\("
 )
@@ -292,9 +297,9 @@ def lint_file(path: pathlib.Path) -> list[str]:
             lineno = code.count("\n", 0, match.start()) + 1
             report(
                 lineno,
-                "banded_gotoh_score outside src/align/ — the scalar banded "
-                "oracle is align-internal; use the search pipeline "
-                "(align::search) or screen_range",
+                f"{match.group(1)} outside src/align/ — the scalar banded "
+                "kernel and its traceback are align-internal; use the search "
+                "pipeline (align::search) or screen_range",
             )
 
     if not rel.as_posix().startswith(STATS_INTERNAL_ALLOWED_PREFIXES):
