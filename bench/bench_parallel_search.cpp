@@ -2,7 +2,11 @@
 // SIMD backend, and thread count on this host, with a scores-equality check
 // against the serial scalar-free reference on every configuration. Emits
 // BENCH_parallel_search.json so later changes have a recorded perf
-// trajectory.
+// trajectory, and exits 1 with a FAIL line on stderr when any
+// configuration's scores differ from the reference (the scores==ref column
+// reads NO there). The filtered rows report recall@k against the exact
+// top-k in their own column; the heuristic filter may lose recall, so
+// recall does not fail the run.
 //
 //   ./bench_parallel_search [--records N] [--len L] [--query-len Q]
 //                           [--threads-list 1,2,4] [--backend-list all]
@@ -178,7 +182,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < records; ++i) {
     // Mild length skew so chunk balancing has something to balance, or a
     // Zipf rank skew (a few giants, a long tail of short records) with the
-    // ranks scattered over the database like bench_serve's.
+    // ranks scattered over the database.
     std::size_t record_len = 0;
     if (db_zipf_s > 0.0) {
       const std::size_t rank = (i * 0x9e3779b9u) % records;
@@ -243,7 +247,18 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"kernel", "backend", "threads", "chunks", "GCUPS",
-                    "speedup", "scores==ref"});
+                    "speedup", "scores==ref", "recall"});
+  // Appends `row` with its scores==ref and recall cells. A row whose scores
+  // differ from the reference reads NO and fails the run, named by its
+  // first three cells.
+  std::vector<std::string> mismatches;
+  const auto add_checked_row = [&](std::vector<std::string> row,
+                                   bool identical, std::string recall) {
+    if (!identical) mismatches.push_back(row[0] + " " + row[1] + " " + row[2]);
+    row.push_back(identical ? "yes" : "NO");
+    row.push_back(std::move(recall));
+    table.add_row(std::move(row));
+  };
 
   std::string json = "{\n";
   json += "  \"bench\": \"parallel_search\",\n";
@@ -285,9 +300,9 @@ int main(int argc, char** argv) {
         return align::search_database(query_view, views, scheme, kernel,
                                       backend);
       });
-      table.add_row({align::kernel_name(kernel), bname, "serial", "1",
-                     TextTable::fmt(serial_gcups.max, 3), "1.00",
-                     serial_identical ? "yes" : "NO"});
+      add_checked_row({align::kernel_name(kernel), bname, "serial", "1",
+                       TextTable::fmt(serial_gcups.max, 3), "1.00"},
+                      serial_identical, "-");
       json += std::string("        \"") + align::kernel_name(kernel) +
               "\": {\n";
       json += "          \"serial_gcups\": " +
@@ -318,11 +333,12 @@ int main(int argc, char** argv) {
         const double speedup = serial_gcups.max > 0
                                    ? parallel_gcups.max / serial_gcups.max
                                    : 0.0;
-        table.add_row({align::kernel_name(kernel), bname,
-                       std::to_string(threads),
-                       std::to_string(engine.num_chunks()),
-                       TextTable::fmt(parallel_gcups.max, 3),
-                       TextTable::fmt(speedup, 2), identical ? "yes" : "NO"});
+        add_checked_row({align::kernel_name(kernel), bname,
+                         std::to_string(threads),
+                         std::to_string(engine.num_chunks()),
+                         TextTable::fmt(parallel_gcups.max, 3),
+                         TextTable::fmt(speedup, 2)},
+                        identical, "-");
         json += "            {\"threads\": " + std::to_string(threads) +
                 ", \"chunks\": " + std::to_string(engine.num_chunks()) +
                 ", \"gcups\": " + TextTable::fmt(parallel_gcups.max, 4) +
@@ -399,17 +415,17 @@ int main(int argc, char** argv) {
           const double sharded_gcups = cells / sharded_s.median / 1e9;
           const std::string topology =
               std::to_string(shards) + "x" + std::to_string(per_shard);
-          table.add_row({std::string(kname) + " group2 chunked", bname,
-                         std::to_string(chunked_options.threads),
-                         std::to_string(chunked.num_chunks()),
-                         TextTable::fmt(chunked_gcups, 3), "1.00",
-                         chunked_identical ? "yes" : "NO"});
-          table.add_row({std::string(kname) + " group2 sharded", bname,
-                         topology, std::to_string(sharded.num_chunks()),
-                         TextTable::fmt(sharded_gcups, 3),
-                         TextTable::fmt(chunked_s.median / sharded_s.median,
-                                        2),
-                         sharded_identical ? "yes" : "NO"});
+          add_checked_row({std::string(kname) + " group2 chunked", bname,
+                           std::to_string(chunked_options.threads),
+                           std::to_string(chunked.num_chunks()),
+                           TextTable::fmt(chunked_gcups, 3), "1.00"},
+                          chunked_identical, "-");
+          add_checked_row({std::string(kname) + " group2 sharded", bname,
+                           topology, std::to_string(sharded.num_chunks()),
+                           TextTable::fmt(sharded_gcups, 3),
+                           TextTable::fmt(chunked_s.median / sharded_s.median,
+                                          2)},
+                          sharded_identical, "-");
           json += std::string("        {\"kernel\": \"") + kname +
                   "\", \"threads_per_shard\": " + std::to_string(per_shard) +
                   ", \"threads\": " +
@@ -499,13 +515,13 @@ int main(int argc, char** argv) {
     }();
     const auto [filtered_serial, serial_recall] = measure_filtered(
         [&] { return filtered_search(serial_engine, heuristic); });
-    table.add_row({"filtered", bname, "serial", "1",
-                   TextTable::fmt(filtered_serial, 3),
-                   TextTable::fmt(serial_exact_gcups > 0
-                                      ? filtered_serial /
-                                            serial_exact_gcups
-                                      : 0.0, 2),
-                   off_identical ? "yes" : "NO"});
+    add_checked_row({"filtered", bname, "serial", "1",
+                     TextTable::fmt(filtered_serial, 3),
+                     TextTable::fmt(serial_exact_gcups > 0
+                                        ? filtered_serial /
+                                              serial_exact_gcups
+                                        : 0.0, 2)},
+                    off_identical, TextTable::fmt(serial_recall, 2));
     json += "      \"filtered\": {\n";
     json += "        \"band\": " + std::to_string(filter_band) +
             ", \"keep_factor\": 4, \"top_k\": " + std::to_string(top_k) +
@@ -538,7 +554,7 @@ int main(int argc, char** argv) {
                      TextTable::fmt(serial_exact_gcups > 0
                                         ? best / serial_exact_gcups
                                         : 0.0, 2),
-                     recall == 1.0 ? "yes" : "NO"});
+                     "-", TextTable::fmt(recall, 2)});
       json += "          {\"threads\": " + std::to_string(threads) +
               ", \"chunks\": " + std::to_string(engine.num_chunks()) +
               ", \"effective_gcups\": " + TextTable::fmt(best, 4) +
@@ -566,5 +582,14 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::remove(swdb_path.c_str());
   std::printf("\n[json written to %s]\n", cli.option("out").c_str());
+  if (!mismatches.empty()) {
+    std::string rows;
+    for (const std::string& row : mismatches) rows += "\n  " + row;
+    std::fprintf(stderr,
+                 "FAIL: %zu configuration(s) scored differently from the "
+                 "serial reference:%s\n",
+                 mismatches.size(), rows.c_str());
+    return 1;
+  }
   return 0;
 }

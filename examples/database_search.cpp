@@ -63,9 +63,6 @@ int main(int argc, char** argv) {
   cli.add_option("queries", "number of sampled queries", "5");
   cli.add_option("cpus", "CPU workers (m)", "1");
   cli.add_option("gpus", "virtual GPU workers (k)", "1");
-  cli.add_option("threads",
-                 "intra-task threads per CPU worker (chunked parallel scan)",
-                 "1");
   cli.add_option("policy",
                  "swdual | swdual-refined | self-scheduling | equal-power | "
                  "proportional | lpt",
@@ -138,8 +135,6 @@ int main(int argc, char** argv) {
     config.gpu_workers = cli.option_uint("gpus");
     config.policy = parse_policy(cli.option("policy"));
     config.top_hits = cli.option_uint("top");
-    config.threads_per_cpu_worker =
-        cli.option_uint("threads");
     if (!align::parse_backend(cli.option("backend"), config.cpu_backend)) {
       throw InvalidArgument("unknown backend: " + cli.option("backend") +
                             " (want auto|scalar|sse2|avx2|avx512)");
@@ -190,8 +185,7 @@ int main(int argc, char** argv) {
     std::cerr << "searching " << queries.size() << " queries against "
               << db.size() << " records with policy "
               << master::policy_name(config.policy) << " on "
-              << config.cpu_workers << " CPU (x"
-              << config.threads_per_cpu_worker << " threads, "
+              << config.cpu_workers << " CPU ("
               << align::backend_name(align::resolve_backend(
                      config.cpu_backend, config.cpu_kernel))
               << " backend) + " << config.gpu_workers << " GPU workers...\n";

@@ -211,14 +211,6 @@ std::vector<RankedSearchResult> ParallelSearchEngine::search_ranked_many(
   return results;
 }
 
-std::vector<ScreenResult> ParallelSearchEngine::screen_many(
-    std::span<const SearchProfiles* const> profiles, std::size_t band) const {
-  std::vector<ShardFailure> failures;
-  std::vector<ScreenResult> screens = screen(profiles, band, failures);
-  require_complete(failures);
-  return screens;
-}
-
 std::vector<RankedSearchResult> ParallelSearchEngine::scan(
     std::span<const SearchProfiles* const> profiles, std::size_t top_k,
     std::vector<ShardFailure>& failures) const {

@@ -1,11 +1,12 @@
 // Chunked parallel database search: multithreaded intra-task scans.
 //
-// The master–slave engine parallelizes *across* tasks (one query vs the
-// whole database per worker); this engine additionally parallelizes *inside*
-// one task, the way SWIPE/CUDASW++-class tools do: the database is
-// partitioned into cost-balanced chunks that fan out over a ThreadPool,
-// every chunk sharing one read-only set of query profiles (including the
-// lazily built 16-bit escalation profile of the striped8 tier).
+// The master–slave runtime parallelizes *across* tasks (one query vs the
+// whole database per worker); this engine, which the sharded query service
+// runs on, parallelizes *inside* one task, the way SWIPE/CUDASW++-class
+// tools do: the database is partitioned into cost-balanced chunks that fan
+// out over a ThreadPool, every chunk sharing one read-only set of query
+// profiles (including the lazily built 16-bit escalation profile of the
+// striped8 tier).
 //
 // Results are bit-identical to the serial search_database path — same
 // scores, same cells / overflow_rescans accounting — deterministically,
@@ -131,13 +132,6 @@ class ParallelSearchEngine : public SearchEngine {
   std::vector<RankedSearchResult> search_ranked_many(
       std::span<const SearchProfiles* const> profiles, std::size_t k) const;
 
-  /// Stage 1 alone: per-query banded screens of the whole database, one
-  /// shared pass per chunk, in database order, bit-identical to serial
-  /// screen_range. Throws when a shard fails past its retries, like
-  /// search_ranked_many.
-  std::vector<ScreenResult> screen_many(
-      std::span<const SearchProfiles* const> profiles, std::size_t band) const;
-
   // Pipeline primitives (align/pipeline.h).
   std::uint64_t db_residues() const override { return total_residues_; }
   /// The residue span of database record `index` (database order, i.e. the
@@ -150,9 +144,10 @@ class ParallelSearchEngine : public SearchEngine {
   std::vector<RankedSearchResult> scan(
       std::span<const SearchProfiles* const> group, std::size_t k,
       std::vector<ShardFailure>& failures) const override;
-  /// The group pass of screen_many; records of chunks run_chunks does not
-  /// merge read score 0 with the exact certificate, so they are never
-  /// rescanned.
+  /// Stage 1 alone: per-query banded screens of the whole database, one
+  /// shared pass per chunk, in database order, bit-identical to serial
+  /// screen_range. Records of chunks run_chunks does not merge read score 0
+  /// with the exact certificate, so they are never rescanned.
   std::vector<ScreenResult> screen(
       std::span<const SearchProfiles* const> group, std::size_t band,
       std::vector<ShardFailure>& failures) const override;

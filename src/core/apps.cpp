@@ -33,19 +33,14 @@ AppRunResult from_trace(const platform::ExecutionTrace& trace,
 }
 
 /// Single-PE-class run: every task costs its class time; self-scheduled.
-/// `threads_per_worker` divides each task's time (intra-task parallel scan).
 AppRunResult homogeneous_run(const Workload& workload,
                              const platform::WorkerClass& worker_class,
-                             std::size_t workers, sched::PeType type,
-                             std::size_t threads_per_worker = 1) {
+                             std::size_t workers, sched::PeType type) {
   SWDUAL_REQUIRE(workers >= 1, "need at least one worker");
-  const double threads =
-      static_cast<double>(std::max<std::size_t>(1, threads_per_worker));
   std::vector<sched::Task> tasks;
   tasks.reserve(workload.query_lengths.size());
   for (std::size_t q = 0; q < workload.query_lengths.size(); ++q) {
-    const double seconds =
-        worker_class.seconds_for(workload.cells(q)) / threads;
+    const double seconds = worker_class.seconds_for(workload.cells(q));
     tasks.push_back({q, seconds, seconds});
   }
   const sched::HybridPlatform platform =
@@ -73,18 +68,17 @@ AppRunResult run_swdual_virtual(const Workload& workload,
 
 AppRunResult run_app_virtual(AppKind app, const Workload& workload,
                              std::size_t workers,
-                             const platform::PerfModel& model,
-                             std::size_t threads_per_worker) {
+                             const platform::PerfModel& model) {
   switch (app) {
     case AppKind::kSwps3:
       return homogeneous_run(workload, model.swps3_cpu, workers,
-                             sched::PeType::kCpu, threads_per_worker);
+                             sched::PeType::kCpu);
     case AppKind::kStriped:
       return homogeneous_run(workload, model.striped_cpu, workers,
-                             sched::PeType::kCpu, threads_per_worker);
+                             sched::PeType::kCpu);
     case AppKind::kSwipe:
       return homogeneous_run(workload, model.swipe_cpu, workers,
-                             sched::PeType::kCpu, threads_per_worker);
+                             sched::PeType::kCpu);
     case AppKind::kCudasw:
       return homogeneous_run(workload, model.cudasw_gpu, workers,
                              sched::PeType::kGpu);

@@ -44,17 +44,11 @@ struct AppRunResult {
 /// Run one application on `workers` processing elements in virtual time.
 /// For CPU-only (GPU-only) apps, all workers are CPUs (GPUs); for SWDUAL the
 /// workers are split per §V-A (split_workers) unless an explicit platform is
-/// given via run_app_virtual_on.
-///
-/// `threads_per_worker` models intra-task threading inside each CPU worker
-/// (the chunked parallel scan of align::ParallelSearchEngine): each task's
-/// CPU time shrinks linearly with the thread count, matching how the CPU
-/// baselines parallelize one search internally. It is ignored for the
-/// GPU-only CUDASW++ class and for SWDUAL's GPU share.
+/// given via run_swdual_virtual. A worker is one processing element that
+/// runs whole query-vs-database tasks, as in the paper's Fig. 6 runtime.
 AppRunResult run_app_virtual(AppKind app, const Workload& workload,
                              std::size_t workers,
-                             const platform::PerfModel& model = {},
-                             std::size_t threads_per_worker = 1);
+                             const platform::PerfModel& model = {});
 
 /// SWDUAL on an explicit (m CPUs, k GPUs) platform — used for the Table IV
 /// extension to 8 CPUs + 8 GPUs.

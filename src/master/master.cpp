@@ -129,7 +129,6 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
   context.cpu_backend =
       align::resolve_backend(config.cpu_backend, config.cpu_kernel);
   context.request = request;
-  context.threads_per_cpu_worker = config.threads_per_cpu_worker;
   context.profile_cache = config.profile_cache;
   context.fault_injector = config.fault_injector;
   context.tracer = config.tracer;

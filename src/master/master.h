@@ -78,10 +78,6 @@ struct MasterConfig {
   align::AnnotateConfig annotate;
   const align::KarlinAltschulParams* stats = nullptr;
 
-  /// Intra-task threads per CPU worker (> 1 scans the database in parallel
-  /// chunks inside each task; scores are identical to the serial path).
-  std::size_t threads_per_cpu_worker = 1;
-
   /// Optional shared query-profile cache, borrowed for the run and forwarded
   /// to every worker: repeated queries (and one query fanned out across
   /// batches/retries) reuse one resident SearchProfiles instead of
@@ -117,7 +113,7 @@ struct MasterConfig {
   /// schedule/collect/merge phases and retry decisions on obs::kMasterTrack,
   /// each worker traces task spans (wall + virtual clock) on its own track,
   /// and counters/histograms (`tasks_dispatched`, `task_retries`,
-  /// `chunk_scan_seconds`, ...) accumulate in the registry.
+  /// `task_virtual_seconds`, ...) accumulate in the registry.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

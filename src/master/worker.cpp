@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "align/parallel_search.h"
 #include "gpusim/virtual_gpu.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -73,14 +72,6 @@ Worker::Worker(std::size_t id, sched::PeId pe, const WorkerContext& context,
     auto device = std::make_unique<DeviceEngine>(context_, sinks);
     device_ = device.get();
     engine_ = std::move(device);
-  } else if (context_.threads_per_cpu_worker > 1) {
-    align::ParallelSearchOptions options;
-    options.threads = context_.threads_per_cpu_worker;
-    options.tracer = sinks.tracer;
-    options.metrics = sinks.metrics;
-    options.trace_track = sinks.trace_track;
-    engine_ =
-        std::make_unique<align::ParallelSearchEngine>(*context_.db, options);
   } else {
     engine_ = std::make_unique<align::SerialSearchEngine>(*context_.db, sinks);
   }

@@ -3,12 +3,12 @@
 // Every worker owns a command queue of TaskOrders and pushes TaskReports to
 // the master's shared result queue. A task is one query answered by the
 // search pipeline (align/pipeline.h) over the worker's engine: a CPU worker
-// scans on the host (serially, or chunked over a pool); a GPU worker drives
-// a gpusim::VirtualGpu. Both compute exact scores on this host with the
-// configured exact kernel, and both report modeled ("virtual") execution
-// times for the paper's hardware classes: SWIPE-class CPU workers and
-// CUDASW++-class GPU workers. Virtual time is charged from DP cells, which
-// every exact kernel counts alike, so the host kernel never changes it.
+// scans serially on the host; a GPU worker drives a gpusim::VirtualGpu.
+// Both compute exact scores on this host with the configured exact kernel,
+// and both report modeled ("virtual") execution times for the paper's
+// hardware classes: SWIPE-class CPU workers and CUDASW++-class GPU workers.
+// Virtual time is charged from DP cells, which every exact kernel counts
+// alike, so the host kernel never changes it.
 #pragma once
 
 #include <functional>
@@ -48,11 +48,6 @@ struct WorkerContext {
   /// annotation (see MasterConfig for the determinism argument). Applies to
   /// both worker types.
   align::SearchRequest request;
-
-  /// Intra-task threads for each CPU worker: > 1 makes the worker scan the
-  /// database through a chunked ParallelSearchEngine instead of the serial
-  /// engine (results are bit-identical either way).
-  std::size_t threads_per_cpu_worker = 1;
 
   /// Optional shared query-profile cache (align/profile_cache.h). When set,
   /// workers acquire per-query profiles from it instead of rebuilding them
@@ -116,8 +111,7 @@ class Worker {
   ConcurrentQueue<TaskReport>& results_;
   ConcurrentQueue<TaskOrder> commands_;
   /// What the pipeline runs this worker's tasks on: the virtual device for
-  /// a GPU worker, the chunked engine for a CPU worker with
-  /// threads_per_cpu_worker > 1, the serial engine otherwise.
+  /// a GPU worker, the serial engine for a CPU worker.
   std::unique_ptr<align::SearchEngine> engine_;
   DeviceEngine* device_ = nullptr;  ///< engine_ of a GPU worker, else null
   /// Virtual clock of this worker: tasks execute back to back in modeled

@@ -14,6 +14,7 @@
 // accounting, and first-writer-wins under concurrent acquire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -631,7 +632,22 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
 
 TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
   const ScoringScheme scheme;
-  const Corpus corpus = make_corpus(0xf11e, 90, 120);
+  Corpus corpus = make_corpus(0xf11e, 90, 120);
+  // A homolog with a 40-residue insertion halfway: its optimal path leaves
+  // the band-16 screen's diagonal, so its screened score is below its exact
+  // one, and only the rescan's score gives its hit the Gotoh score that
+  // check_annotated demands.
+  constexpr std::size_t kIndel = 4;
+  Rng rng(0x1de1);
+  std::vector<std::uint8_t> indel = corpus.query;
+  for (std::size_t p = 0; p < indel.size(); p += 17) {
+    indel[p] = static_cast<std::uint8_t>(rng.below(20));
+  }
+  const std::vector<std::uint8_t> insertion = random_codes(rng, 40);
+  indel.insert(indel.begin() + 60, insertion.begin(), insertion.end());
+  ASSERT_LT(banded_gotoh_score(corpus.query, indel, scheme, 16).score,
+            gotoh_score(corpus.query, indel, scheme).score);
+  corpus.records[kIndel] = std::move(indel);
   const DbView db = corpus.view();
   const KarlinAltschulParams params = test_params();
   const std::uint64_t n = db_residue_count(db);
@@ -653,6 +669,10 @@ TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
   check_annotated(annotated.ranked.hits, plain.ranked.hits, corpus, db,
                   scheme, params, n, "filtered serial");
   EXPECT_EQ(annotated.filter.candidates, plain.filter.candidates);
+  EXPECT_TRUE(std::any_of(
+      annotated.ranked.hits.begin(), annotated.ranked.hits.end(),
+      [](const SearchHit& hit) { return hit.db_index == kIndel; }))
+      << "the indel homolog left the top " << k;
 }
 
 TEST_P(AnnotateBackends, FilteredAnnotatedIdenticalAcrossEnginesAndShards) {

@@ -497,7 +497,8 @@ TEST_P(FilterBackends, RescanCutMatchesSerialSearchRange) {
 TEST(FilterPipeline, HeuristicPerfectRecallOnPlantedCorpus) {
   // Every top-k slot is held by a planted homolog (plant > k), so the
   // screen's banded lower bound ranks them far above the noise — recall
-  // must be exactly 1.0, the property bench_serve's oracle gates on.
+  // must be exactly 1.0, as servebench's `recall_at_k` reads on
+  // miss-filtered-annotated.
   const ScoringScheme scheme;
   FilterConfig config;
   config.mode = FilterMode::kHeuristic;

@@ -460,13 +460,16 @@ TEST(ShardedSearch, PublicGroupPassesThrowOnFailedShard) {
   const SearchProfiles* group[] = {&profiles};
   EXPECT_THROW((void)engine.search(profiles), Error);
   EXPECT_THROW((void)engine.search_ranked_many(group, 5), Error);
-  EXPECT_THROW((void)engine.screen_many(group, 16), Error);
 
   std::vector<ShardFailure> failures;
   (void)engine.scan(group, 5, failures);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].shard, 0u);
   EXPECT_NE(failures[0].reason.find("is gone"), std::string::npos);
+  std::vector<ShardFailure> screen_failures;
+  (void)engine.screen(group, 16, screen_failures);
+  ASSERT_EQ(screen_failures.size(), 1u);
+  EXPECT_EQ(screen_failures[0].shard, 0u);
 }
 
 TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {

@@ -201,27 +201,6 @@ TEST(Master, MultiRoundMatchesOneRoundResults) {
   EXPECT_EQ(b.planned.size(), fixture.queries.size());
 }
 
-TEST(Master, ThreadedCpuWorkersMatchSerialHits) {
-  const Fixture fixture(8, 50, 61);
-  MasterConfig serial;
-  serial.cpu_workers = 2;
-  serial.gpu_workers = 1;
-  serial.top_hits = 3;
-  MasterConfig threaded = serial;
-  threaded.threads_per_cpu_worker = 4;
-  const SearchReport a = run_search(fixture.queries, fixture.db, serial);
-  const SearchReport b = run_search(fixture.queries, fixture.db, threaded);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t q = 0; q < a.results.size(); ++q) {
-    ASSERT_EQ(a.results[q].hits.size(), b.results[q].hits.size());
-    for (std::size_t h = 0; h < a.results[q].hits.size(); ++h) {
-      EXPECT_EQ(a.results[q].hits[h].score, b.results[q].hits[h].score);
-      EXPECT_EQ(a.results[q].hits[h].db_index, b.results[q].hits[h].db_index);
-    }
-  }
-  EXPECT_EQ(a.total_cells, b.total_cells);
-}
-
 TEST(Master, MoreRoundsThanTasksClamped) {
   const Fixture fixture(3, 10, 53);
   MasterConfig config;

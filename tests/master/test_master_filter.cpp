@@ -1,8 +1,7 @@
 // Master-path two-stage filter (ctest labels: filter threads): every worker
 // mix must answer a heuristic-filtered run exactly like the serial filtered
 // search. GPU workers screen on the host and rescan candidates on the
-// virtual device; threaded CPU workers screen and rescan through the
-// chunked engine; a shared ProfileCache must not change a single hit. An
+// virtual device; a shared ProfileCache must not change a single hit. An
 // unsharded filtered QueryService, which dispatches through the master,
 // must give the same hits.
 #include <gtest/gtest.h>
@@ -106,28 +105,24 @@ TEST(MasterFilter, HeuristicMatchesSerialForEveryWorkerMix) {
   ASSERT_GT(serial.candidates, 0u);
 
   for (const std::size_t gpus : {0u, 1u, 2u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      for (const bool cached : {false, true}) {
-        align::ProfileCache cache(16);
-        MasterConfig config;
-        config.cpu_workers = 2;
-        config.gpu_workers = gpus;
-        config.top_hits = k;
-        config.filter = heuristic();
-        config.threads_per_cpu_worker = threads;
-        if (cached) config.profile_cache = &cache;
-        const std::string label = "gpus=" + std::to_string(gpus) +
-                                  " threads=" + std::to_string(threads) +
-                                  (cached ? " cached" : " uncached");
-        const SearchReport report =
-            run_search(corpus.queries, corpus.db, config);
-        ASSERT_EQ(report.results.size(), corpus.queries.size()) << label;
-        for (std::size_t q = 0; q < corpus.queries.size(); ++q) {
-          expect_same_hits(report.results[q].hits, serial.hits[q],
-                           label + " query " + std::to_string(q));
-        }
-        EXPECT_EQ(report.filter.candidates, serial.candidates) << label;
+    for (const bool cached : {false, true}) {
+      align::ProfileCache cache(16);
+      MasterConfig config;
+      config.cpu_workers = 2;
+      config.gpu_workers = gpus;
+      config.top_hits = k;
+      config.filter = heuristic();
+      if (cached) config.profile_cache = &cache;
+      const std::string label = "gpus=" + std::to_string(gpus) +
+                                (cached ? " cached" : " uncached");
+      const SearchReport report =
+          run_search(corpus.queries, corpus.db, config);
+      ASSERT_EQ(report.results.size(), corpus.queries.size()) << label;
+      for (std::size_t q = 0; q < corpus.queries.size(); ++q) {
+        expect_same_hits(report.results[q].hits, serial.hits[q],
+                         label + " query " + std::to_string(q));
       }
+      EXPECT_EQ(report.filter.candidates, serial.candidates) << label;
     }
   }
 }

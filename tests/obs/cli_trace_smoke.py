@@ -24,7 +24,6 @@ def main():
             "--queries", "2",
             "--cpus", "2",
             "--gpus", "1",
-            "--threads", "2",
             "--trace", trace_path,
             "--metrics",
         ]

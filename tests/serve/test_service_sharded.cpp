@@ -1,7 +1,8 @@
 // Serve-layer sharded search: bit-identity of sharded responses,
-// cache hits independent of shard topology, shard failures recovered by the
-// engine's retry ladder into canonical, cached answers, partial results with
-// a reason once the ladder is exhausted, and the shutdown-mid-scatter drain
+// cache hits independent of shard topology, filtered answers that recall the
+// exact top-k on both serve paths, shard failures recovered by the engine's
+// retry ladder into canonical, cached answers, partial results with a reason
+// once the ladder is exhausted, and the shutdown-mid-scatter drain
 // guarantee. The multithreaded soak at the end runs under tsan via the
 // preset matrix (labels: serve, shards, threads).
 #include <gtest/gtest.h>
@@ -176,6 +177,64 @@ std::vector<seq::Sequence> planted_database(const seq::Sequence& query,
   }
   return db;
 }
+
+/// Recall@k of `got` against the exact top-k `want`. An expected hit counts
+/// as recalled on an index match or a score match: under score ties the
+/// exact top-k set is not unique, and a tie-equivalent record is exactly as
+/// good an answer.
+double recall_at_k(const std::vector<align::SearchHit>& got,
+                   const std::vector<align::SearchHit>& want) {
+  if (want.empty()) return 1.0;
+  std::size_t recalled = 0;
+  for (const align::SearchHit& expected : want) {
+    for (const align::SearchHit& hit : got) {
+      if (hit.db_index == expected.db_index || hit.score == expected.score) {
+        ++recalled;
+        break;
+      }
+    }
+  }
+  return static_cast<double>(recalled) / static_cast<double>(want.size());
+}
+
+/// The service's two paths: the master at 0 shards, the sharded engine
+/// otherwise.
+class FilteredQueryService : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FilteredQueryService, HeuristicAnswersRecallTheExactTopK) {
+  // A dozen planted homologs for k = 10: the band-16 screen with keep
+  // factor 4 must keep every record of the exact top-k, whichever path
+  // serves the query.
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    const seq::Sequence query = make_query(50 + s, 80);
+    const auto db = planted_database(query, 11 + s);
+    ServiceConfig config = sharded_config(GetParam());
+    config.db_id = "filtered";
+    config.master.filter.mode = align::FilterMode::kHeuristic;
+    config.master.filter.band = 16;
+    config.master.filter.keep_factor = 4.0;
+    const std::vector<align::SearchHit> exact =
+        align::search_database(query, db, config.master.scheme,
+                               config.master.cpu_kernel)
+            .top(config.master.top_hits);
+    ASSERT_EQ(exact.size(), 10u);
+    QueryService service(db, std::move(config));
+    const QueryResponse response = service.submit(query).result.get();
+    const std::string label = "query " + std::to_string(s);
+    EXPECT_TRUE(response.filtered) << label;
+    EXPECT_FALSE(response.partial) << label << " " << response.partial_reason;
+    EXPECT_EQ(response.hits.size(), exact.size()) << label;
+    EXPECT_EQ(recall_at_k(response.hits, exact), 1.0) << label;
+    service.shutdown();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServePaths, FilteredQueryService, ::testing::Values(0u, 2u),
+    [](const ::testing::TestParamInfo<std::size_t>& pi) {
+      return pi.param == 0 ? std::string("master")
+                           : "shards" + std::to_string(pi.param);
+    });
 
 ServiceConfig filtered_annotated_config() {
   ServiceConfig config = sharded_config(2);

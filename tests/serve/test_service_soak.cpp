@@ -1,8 +1,9 @@
 // Multithreaded soak: several submitter threads hammer one service with a
 // small query pool while the batcher coalesces and caches. Run under tsan
 // via the preset matrix (labels: serve, threads). Every accepted future must
-// be fulfilled, answers must be consistent for equal queries, and the
-// bookkeeping must balance.
+// be fulfilled, every answer — computed, deduplicated in a batch or served
+// from the cache — must equal the direct align::search_database top-k, and
+// the bookkeeping must balance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "align/search.h"
 #include "seq/dbgen.h"
 #include "serve/service.h"
 #include "util/rng.h"
@@ -39,6 +41,12 @@ TEST(QueryServiceSoak, ConcurrentSubmittersAllGetConsistentAnswers) {
   config.admission_capacity = 64;
   config.max_batch = 8;
   config.db_id = "soak";
+  std::vector<std::vector<align::SearchHit>> expected;
+  for (const seq::Sequence& query : pool) {
+    expected.push_back(align::search_database(query, db, config.master.scheme,
+                                              config.master.cpu_kernel)
+                           .top(config.master.top_hits));
+  }
   QueryService service(db, std::move(config));
 
   constexpr std::size_t kThreads = 4;
@@ -71,18 +79,15 @@ TEST(QueryServiceSoak, ConcurrentSubmittersAllGetConsistentAnswers) {
   for (auto& thread : submitters) thread.join();
 
   ASSERT_EQ(collected.size(), kThreads * kPerThread);
-  std::vector<std::vector<align::SearchHit>> reference(pool.size());
   for (auto& [pick, future] : collected) {
     const QueryResponse response = future.get();
     ASSERT_FALSE(response.hits.empty());
-    if (reference[pick].empty()) {
-      reference[pick] = response.hits;
-      continue;
-    }
-    ASSERT_EQ(response.hits.size(), reference[pick].size());
+    ASSERT_EQ(response.hits.size(), expected[pick].size()) << "query " << pick;
     for (std::size_t h = 0; h < response.hits.size(); ++h) {
-      EXPECT_EQ(response.hits[h].db_index, reference[pick][h].db_index);
-      EXPECT_EQ(response.hits[h].score, reference[pick][h].score);
+      EXPECT_EQ(response.hits[h].db_index, expected[pick][h].db_index)
+          << "query " << pick << " hit " << h;
+      EXPECT_EQ(response.hits[h].score, expected[pick][h].score)
+          << "query " << pick << " hit " << h;
     }
   }
 
