@@ -6,7 +6,10 @@
 // configuration's scores differ from the reference (the scores==ref column
 // reads NO there). The filtered rows report recall@k against the exact
 // top-k in their own column; the heuristic filter may lose recall, so
-// recall does not fail the run.
+// recall does not fail the run. They also report the filter's funnel per
+// query from SearchOutcome::filter: exact rescans, and the records kept
+// only because their best banded cell is still on the edge of the
+// cascade's widest band.
 //
 //   ./bench_parallel_search [--records N] [--len L] [--query-len Q]
 //                           [--threads-list 1,2,4] [--backend-list all]
@@ -247,16 +250,21 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"kernel", "backend", "threads", "chunks", "GCUPS",
-                    "speedup", "scores==ref", "recall"});
-  // Appends `row` with its scores==ref and recall cells. A row whose scores
-  // differ from the reference reads NO and fails the run, named by its
-  // first three cells.
+                    "speedup", "scores==ref", "recall", "rescans/q",
+                    "uncertain/q"});
+  // Appends `row` with its scores==ref, recall and filter-funnel cells. A
+  // row whose scores differ from the reference reads NO and fails the run,
+  // named by its first three cells.
   std::vector<std::string> mismatches;
   const auto add_checked_row = [&](std::vector<std::string> row,
-                                   bool identical, std::string recall) {
+                                   bool identical, std::string recall,
+                                   std::string rescans = "-",
+                                   std::string uncertain = "-") {
     if (!identical) mismatches.push_back(row[0] + " " + row[1] + " " + row[2]);
     row.push_back(identical ? "yes" : "NO");
     row.push_back(std::move(recall));
+    row.push_back(std::move(rescans));
+    row.push_back(std::move(uncertain));
     table.add_row(std::move(row));
   };
 
@@ -493,19 +501,27 @@ int main(int argc, char** argv) {
                  : static_cast<double>(found) /
                        static_cast<double>(exact_top.size());
     };
-    const auto measure_filtered = [&](const auto& filtered_fn) {
+    // Best effective GCUPS over --reps, plus the (deterministic) recall
+    // and filter counters of one query's outcome.
+    struct Filtered {
       double best = 0.0;
       double recall = 1.0;
+      align::FilterStats stats;
+    };
+    const auto measure_filtered = [&](const auto& filtered_fn) {
+      Filtered out;
       for (std::size_t r = 0; r < reps; ++r) {
         WallTimer timer;
         const align::SearchOutcome result = filtered_fn();
         const double seconds = timer.seconds();
         const double gcups = seconds > 0 ? exact_cells / seconds / 1e9 : 0.0;
-        best = std::max(best, gcups);
-        recall = recall_of(result.ranked.hits);
+        out.best = std::max(out.best, gcups);
+        out.recall = recall_of(result.ranked.hits);
+        out.stats = result.filter;
       }
-      return std::pair<double, double>(best, recall);
+      return out;
     };
+    const auto count = [](std::uint64_t n) { return std::to_string(n); };
     const double serial_exact_gcups = [&] {
       return measure([&] {
                return align::search_database(query_view, views, scheme,
@@ -513,15 +529,18 @@ int main(int argc, char** argv) {
                                              backend);
              }).max;
     }();
-    const auto [filtered_serial, serial_recall] = measure_filtered(
+    const Filtered serial_filtered = measure_filtered(
         [&] { return filtered_search(serial_engine, heuristic); });
+    const double filtered_serial = serial_filtered.best;
     add_checked_row({"filtered", bname, "serial", "1",
                      TextTable::fmt(filtered_serial, 3),
                      TextTable::fmt(serial_exact_gcups > 0
                                         ? filtered_serial /
                                               serial_exact_gcups
                                         : 0.0, 2)},
-                    off_identical, TextTable::fmt(serial_recall, 2));
+                    off_identical, TextTable::fmt(serial_filtered.recall, 2),
+                    count(serial_filtered.stats.rescans),
+                    count(serial_filtered.stats.band_uncertain));
     json += "      \"filtered\": {\n";
     json += "        \"band\": " + std::to_string(filter_band) +
             ", \"keep_factor\": 4, \"top_k\": " + std::to_string(top_k) +
@@ -539,22 +558,29 @@ int main(int argc, char** argv) {
             TextTable::fmt(serial_exact_gcups > 0
                                ? filtered_serial / serial_exact_gcups
                                : 0.0, 3) +
-            ", \"recall\": " + TextTable::fmt(serial_recall, 4) + "},\n";
+            ", \"recall\": " + TextTable::fmt(serial_filtered.recall, 4) +
+            ", \"rescans_per_query\": " +
+            count(serial_filtered.stats.rescans) +
+            ", \"band_uncertain_per_query\": " +
+            count(serial_filtered.stats.band_uncertain) + "},\n";
     json += "        \"parallel\": [\n";
     for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
       const std::size_t threads = thread_counts[ti];
       align::ParallelSearchOptions options;
       options.threads = threads;
       const align::ParallelSearchEngine engine(mapped, options);
-      const auto [best, recall] = measure_filtered(
+      const Filtered filtered = measure_filtered(
           [&] { return filtered_search(engine, heuristic); });
+      const double best = filtered.best;
       table.add_row({"filtered", bname, std::to_string(threads),
                      std::to_string(engine.num_chunks()),
                      TextTable::fmt(best, 3),
                      TextTable::fmt(serial_exact_gcups > 0
                                         ? best / serial_exact_gcups
                                         : 0.0, 2),
-                     "-", TextTable::fmt(recall, 2)});
+                     "-", TextTable::fmt(filtered.recall, 2),
+                     count(filtered.stats.rescans),
+                     count(filtered.stats.band_uncertain)});
       json += "          {\"threads\": " + std::to_string(threads) +
               ", \"chunks\": " + std::to_string(engine.num_chunks()) +
               ", \"effective_gcups\": " + TextTable::fmt(best, 4) +
@@ -562,7 +588,10 @@ int main(int argc, char** argv) {
               TextTable::fmt(serial_exact_gcups > 0
                                  ? best / serial_exact_gcups
                                  : 0.0, 3) +
-              ", \"recall\": " + TextTable::fmt(recall, 4) + "}";
+              ", \"recall\": " + TextTable::fmt(filtered.recall, 4) +
+              ", \"rescans_per_query\": " + count(filtered.stats.rescans) +
+              ", \"band_uncertain_per_query\": " +
+              count(filtered.stats.band_uncertain) + "}";
       json += ti + 1 < thread_counts.size() ? ",\n" : "\n";
     }
     json += "        ]\n";

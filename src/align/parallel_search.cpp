@@ -4,6 +4,7 @@
 #include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,6 +25,36 @@ std::size_t exact_batch(const SearchProfiles& profiles) {
   return profiles.kernel() == KernelKind::kInterSeq
              ? backend_lanes16(profiles.backend())
              : 1;
+}
+
+/// Records per lane batch of the profiles' banded screen (1: no batching).
+std::size_t screen_batch(const SearchProfiles& profiles) {
+  return profiles.kernel() == KernelKind::kScalar
+             ? 1
+             : backend_lanes8(profiles.screen_backend());
+}
+
+/// Estimated cost of screening db[range] at half-width `band`, in banded
+/// columns: each record counts min(n, 2·band + 1), and a lane group that is
+/// not uniform (a full batch of one length) counts ten times, the paced
+/// path's measured cost per cell against the uniform path's (DESIGN.md
+/// "Throughput model"). Groups are counted from the range's start, as the
+/// kernel forms them.
+std::uint64_t screen_cost(const DbView& db, RecordRange range,
+                          std::size_t batch, std::size_t band) {
+  constexpr std::uint64_t kPacedCost = 10;
+  std::uint64_t cost = 0;
+  for (std::size_t g = range.begin; g < range.end; g += batch) {
+    const std::size_t end = std::min(range.end, g + batch);
+    bool uniform = end - g == batch;
+    std::uint64_t columns = 0;
+    for (std::size_t i = g; i < end; ++i) {
+      uniform = uniform && db[i].size() == db[g].size();
+      columns += std::min(db[i].size(), 2 * band + 1);
+    }
+    cost += uniform ? columns : kPacedCost * columns;
+  }
+  return cost;
 }
 
 /// The public group passes answer for every record or throw.
@@ -103,22 +134,59 @@ SearchResult search_ranges(const SearchEngine& engine,
   return result;
 }
 
+std::vector<ScreenResult> screen_ranges(
+    const SearchEngine& engine, std::span<const SearchProfiles* const> group,
+    std::span<const DbView> views, std::size_t band, std::size_t parts) {
+  struct Piece {
+    std::size_t query = 0;
+    RecordRange range;
+  };
+  std::vector<Piece> pieces;
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    for (const RecordRange& range :
+         balanced_ranges(views[q], parts, screen_batch(*group[q]),
+                         RecordCost::kRecord)) {
+      pieces.push_back({q, range});
+    }
+  }
+  std::vector<ScreenResult> screened(pieces.size());
+  engine.parallel_for(pieces.size(), [&](std::size_t p) {
+    const Piece& piece = pieces[p];
+    screened[p] = screen_range(*group[piece.query], views[piece.query],
+                               piece.range.begin, piece.range.end, band);
+  });
+  // Pieces come query by query, each query's in view order.
+  std::vector<ScreenResult> out(group.size());
+  for (std::size_t p = 0; p < pieces.size(); ++p) {
+    ScreenResult& merged = out[pieces[p].query];
+    const ScreenResult& part = screened[p];
+    merged.scores.insert(merged.scores.end(), part.scores.begin(),
+                         part.scores.end());
+    merged.exact.insert(merged.exact.end(), part.exact.begin(),
+                        part.exact.end());
+    merged.edge_hit.insert(merged.edge_hit.end(), part.edge_hit.begin(),
+                           part.edge_hit.end());
+    merged.cells += part.cells;
+  }
+  return out;
+}
+
 ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                                            const ParallelSearchOptions& options)
-    : ParallelSearchEngine(
-          db, longest_first(db), std::vector<std::size_t>{db.size()},
-          options.threads,
-          {options.tracer, options.metrics, options.trace_track}) {}
+    : ParallelSearchEngine(db, longest_first(db),
+                           std::vector<std::size_t>{db.size()},
+                           options.threads, {options.tracer, options.metrics}) {
+}
 
 // Same longest-first order the DbView ctor computes, but read from the
 // database's lane-batch index (identical tie-breaking by record id), and
 // every span points into the shared mapping — no copies, no sort.
 ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
                                            const ParallelSearchOptions& options)
-    : ParallelSearchEngine(
-          db.residue_views(), db.lane_order(),
-          std::vector<std::size_t>{db.size()}, options.threads,
-          {options.tracer, options.metrics, options.trace_track}) {}
+    : ParallelSearchEngine(db.residue_views(), db.lane_order(),
+                           std::vector<std::size_t>{db.size()},
+                           options.threads, {options.tracer, options.metrics}) {
+}
 
 ParallelSearchEngine::ParallelSearchEngine(
     const DbView& db, std::span<const std::uint32_t> longest_first,
@@ -188,6 +256,14 @@ void ParallelSearchEngine::parallel_for(
   } else {
     SearchEngine::parallel_for(count, fn);
   }
+}
+
+std::vector<ScreenResult> ParallelSearchEngine::rescreen(
+    std::span<const SearchProfiles* const> group,
+    std::span<const DbView> records, std::size_t band) const {
+  const std::size_t threads = pool_ ? pool_->size() : 1;
+  return screen_ranges(*this, group, records, band,
+                       threads * kChunksPerThread);
 }
 
 SearchResult ParallelSearchEngine::rescan(const SearchProfiles& profiles,
@@ -307,16 +383,29 @@ std::vector<ScreenResult> ParallelSearchEngine::screen(
   }
   if (profiles.empty()) return merged;
 
-  // The banded kernel batches byte lanes; keep those batches unsplit the
-  // same way the exact scan aligns interseq chunks to the 16-bit lanes. Its
-  // paced lane walk covers one band window per record, so the chunks
-  // balance records, not residues: a residue cut would pile the short tail
-  // of the longest-first order into one straggler chunk.
-  const std::vector<Chunk> chunks = chunk_ranges(
-      profiles[0]->kernel() == KernelKind::kScalar
-          ? 1
-          : backend_lanes8(profiles[0]->backend()),
-      RecordCost::kRecord);
+  // The banded kernel batches the screen backend's byte lanes; keep those
+  // batches unsplit the same way the exact scan aligns interseq chunks to
+  // the 16-bit lanes. Its paced lane walk covers one band window per
+  // record, so the chunks balance records, not residues: a residue cut
+  // would pile the short tail of the longest-first order into one
+  // straggler chunk.
+  //
+  // One paced lane group can cost as much as a whole chunk of uniform ones,
+  // and a costly chunk that the pool starts last stretches the pass by its
+  // whole length. So the chunks run in decreasing estimated cost
+  // (screen_cost); each chunk's output keeps its range, so the order never
+  // changes a value.
+  const std::size_t batch = screen_batch(*profiles[0]);
+  std::vector<std::pair<std::uint64_t, Chunk>> by_cost;
+  for (const Chunk& chunk : chunk_ranges(batch, RecordCost::kRecord)) {
+    by_cost.emplace_back(screen_cost(db_, chunk.range, batch, band), chunk);
+  }
+  std::stable_sort(
+      by_cost.begin(), by_cost.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<Chunk> chunks;
+  chunks.reserve(by_cost.size());
+  for (const auto& costed : by_cost) chunks.push_back(costed.second);
 
   const SearchSinks& sink = sinks();
   std::vector<std::vector<ScreenResult>> per_chunk(chunks.size());

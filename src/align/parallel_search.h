@@ -53,12 +53,11 @@ struct ParallelSearchOptions {
   std::size_t threads = 1;
 
   /// Optional observability sinks (obs/trace.h, obs/metrics.h): every chunk
-  /// pass becomes a wall-clock `chunk_scan` / `filter_screen` span on
-  /// `trace_track` (recorded from the pool thread that ran it) and a
+  /// pass becomes a wall-clock `chunk_scan` / `filter_screen` span on track
+  /// 0 (recorded from the pool thread that ran it) and a
   /// `chunk_scan_seconds` histogram sample. Both must outlive the engine.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  std::size_t trace_track = 0;
 };
 
 /// A contiguous range of records, [begin, end).
@@ -93,6 +92,14 @@ std::vector<RecordRange> balanced_ranges(
 SearchResult search_ranges(const SearchEngine& engine,
                            const SearchProfiles& profiles, const DbView& view,
                            std::size_t parts);
+
+/// Per query, screen_range(*group[q], views[q], 0, views[q].size(), band)
+/// cut by balanced_ranges into at most `parts` ranges aligned to the screen
+/// backend's byte lanes, every query's ranges in one engine.parallel_for:
+/// the same scores, flags and cells. The cascade of the threaded engines.
+std::vector<ScreenResult> screen_ranges(
+    const SearchEngine& engine, std::span<const SearchProfiles* const> group,
+    std::span<const DbView> views, std::size_t band, std::size_t parts);
 
 class ParallelSearchEngine : public SearchEngine {
  public:
@@ -151,6 +158,10 @@ class ParallelSearchEngine : public SearchEngine {
   std::vector<ScreenResult> screen(
       std::span<const SearchProfiles* const> group, std::size_t band,
       std::vector<ShardFailure>& failures) const override;
+  /// screen_ranges over the pool, 4 ranges per query and pool thread.
+  std::vector<ScreenResult> rescreen(
+      std::span<const SearchProfiles* const> group,
+      std::span<const DbView> records, std::size_t band) const override;
   /// search_ranges over the pool, 4 ranges per pool thread.
   SearchResult rescan(const SearchProfiles& profiles,
                       const DbView& candidates) const override;
@@ -184,11 +195,13 @@ class ParallelSearchEngine : public SearchEngine {
     std::size_t shard = 0;
   };
 
-  /// How a group pass runs its chunks (in shard order): call run(c) for
-  /// every chunk c and return, per chunk, 1 when its output is merged.
-  /// run(c) overwrites chunk c's output, so a chunk may run again.
-  /// `queries` and `screen` describe the pass. Default: every chunk on the
-  /// pool, every output merged; a throwing chunk propagates.
+  /// How a group pass runs its chunks: call run(c) for every chunk c and
+  /// return, per chunk, 1 when its output is merged. run(c) overwrites
+  /// chunk c's output, so a chunk may run again. The pool starts chunks in
+  /// index order, which the pass chooses (the screen puts its costliest
+  /// chunks first, across shards). `queries` and `screen` describe the
+  /// pass. Default: every chunk on the pool, every output merged; a
+  /// throwing chunk propagates.
   virtual std::vector<std::uint8_t> run_chunks(
       std::span<const Chunk> chunks, std::size_t queries, bool screen,
       const std::function<void(std::size_t)>& run,

@@ -19,6 +19,18 @@ void SearchRequest::validate() const {
                  "(acquire them via align::StatsCache)");
 }
 
+std::vector<ScreenResult> SearchEngine::rescreen(
+    std::span<const SearchProfiles* const> group,
+    std::span<const DbView> records, std::size_t band) const {
+  std::vector<ScreenResult> out;
+  out.reserve(group.size());
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    out.push_back(
+        screen_range(*group[q], records[q], 0, records[q].size(), band));
+  }
+  return out;
+}
+
 SerialSearchEngine::SerialSearchEngine(const DbView& db,
                                        const SearchSinks& sinks)
     : SearchEngine(sinks), db_(db), residues_(db_residue_count(db)) {}
@@ -52,6 +64,98 @@ std::vector<ScreenResult> SerialSearchEngine::screen(
 }
 
 namespace {
+
+/// The cascade's widest band, as a multiple of the screen's: two steps, at
+/// 2× and at 4× the band.
+constexpr std::size_t kCascadeWidening = 4;
+
+/// A step re-screens a record only while the band at half-width w is
+/// narrow against it both ways: the record is longer than kNarrowBand band
+/// widths (2w + 1 columns), and at least 1/kNarrowBand of the query's
+/// length, so a column's window spans at most kNarrowBand·(2w + 1) query
+/// rows. The kernel's paced walk runs a lane group over the union of its
+/// lanes' windows, so a short record (tall windows) in a group of mixed
+/// lengths makes the re-screen cost more than the exact rescans it stands
+/// in for; such a record stays on the edge and is rescanned.
+constexpr std::size_t kNarrowBand = 2;
+
+/// True when `step_band` is narrow against a record of length n for a
+/// query of length m (kNarrowBand).
+bool band_is_narrow(std::size_t m, std::size_t n, std::size_t step_band) {
+  return n > kNarrowBand * (2 * step_band + 1) && kNarrowBand * n >= m;
+}
+
+/// Stage cascade for the group's merged screens: every band-edge hit that
+/// lacks the exactness certificate is re-screened at twice the band and, if
+/// still on the edge, at four times it, while the band is narrow against it
+/// (band_is_narrow). A wider band's optimum ranges over
+/// a superset of the narrower band's paths, so its score is never lower; it
+/// replaces the record's score, certificate and edge flag, and its cells
+/// add to the screen's. Only records still on the edge at the widest band
+/// reach selection through the edge flag. Each step is one engine call for
+/// the whole group, over each query's edge hits longest-first, so lane
+/// groups of equal length stay together.
+void cascade(const SearchEngine& engine,
+             std::span<const SearchProfiles* const> group,
+             std::vector<ScreenResult>& screens, std::size_t band) {
+  std::vector<std::vector<std::uint32_t>> uncertain(group.size());
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    const ScreenResult& screen = screens[q];
+    for (std::size_t i = 0; i < screen.scores.size(); ++i) {
+      if (screen.edge_hit[i] && !screen.exact[i]) {
+        uncertain[q].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    std::stable_sort(uncertain[q].begin(), uncertain[q].end(),
+                     [&engine](std::uint32_t a, std::uint32_t b) {
+                       return engine.record(a).size() >
+                              engine.record(b).size();
+                     });
+  }
+  const SearchSinks& sinks = engine.sinks();
+  for (std::size_t widen = 2; widen <= kCascadeWidening; widen *= 2) {
+    std::vector<DbView> views(group.size());
+    std::size_t records = 0;
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      // Longest first: the records the band is narrow against are a prefix.
+      const std::size_t m = group[q]->query().size();
+      uncertain[q].erase(
+          std::find_if(uncertain[q].begin(), uncertain[q].end(),
+                       [&](std::uint32_t i) {
+                         return !band_is_narrow(m, engine.record(i).size(),
+                                                band * widen);
+                       }),
+          uncertain[q].end());
+      for (const std::uint32_t i : uncertain[q]) {
+        views[q].push_back(engine.record(i));
+      }
+      records += views[q].size();
+    }
+    if (records == 0) return;
+    obs::Span span;
+    if (sinks.tracer) {
+      span = sinks.tracer->span("filter_cascade", "align", sinks.trace_track);
+      span.arg("band", static_cast<double>(band * widen));
+      span.arg("records", static_cast<double>(records));
+    }
+    const std::vector<ScreenResult> wider =
+        engine.rescreen(group, views, band * widen);
+    span.finish();
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      ScreenResult& screen = screens[q];
+      for (std::size_t r = 0; r < uncertain[q].size(); ++r) {
+        const std::uint32_t i = uncertain[q][r];
+        screen.scores[i] = wider[q].scores[r];
+        screen.exact[i] = wider[q].exact[r];
+        screen.edge_hit[i] = wider[q].edge_hit[r];
+      }
+      screen.cells += wider[q].cells;
+      std::erase_if(uncertain[q], [&screen](std::uint32_t i) {
+        return !screen.edge_hit[i] || screen.exact[i];
+      });
+    }
+  }
+}
 
 /// Stages select → rescan → rank for one query's merged screen. `missing`
 /// (empty when every partition answered) flags records no screen covered.
@@ -144,6 +248,7 @@ std::vector<SearchOutcome> search(const SearchEngine& engine,
   } else {
     std::vector<ScreenResult> screens =
         engine.screen(group, request.filter.band, failures);
+    cascade(engine, group, screens, request.filter.band);
     std::vector<std::uint8_t> missing;
     for (const ShardFailure& failure : failures) {
       if (missing.empty()) missing.assign(screens.front().scores.size(), 0);

@@ -2,10 +2,12 @@
 //
 // A task is a group of queries scanned against the whole database (paper
 // §II-C, Fig. 6). search() runs its stages once for every engine:
-//   screen? → select → rescan (uncertified candidates, longest-first) →
-//   rank → annotate (final global top-k only).
+//   screen? → cascade (band-edge hits re-screened at 2× and 4× the band) →
+//   select → rescan (uncertified candidates, longest-first) → rank →
+//   annotate (final global top-k only).
 // An engine supplies only how records are partitioned: a group scan, a
-// group screen and an exact scan of a candidate view. Retrying a failed
+// group screen, a banded screen of record views and an exact scan of a
+// candidate view. Retrying a failed
 // partition is the engine's job; one that fails past its retries is
 // reported in the outcome. Every stage after the partition pass sees
 // database-order data, so answers never depend on the partition topology.
@@ -56,7 +58,9 @@ struct ShardFailure {
 /// One query's answer from the pipeline.
 struct SearchOutcome {
   /// Database-order scores plus the final top-k. Filtered: screened lower
-  /// bounds with every candidate's entry overwritten by its exact score.
+  /// bounds (the cascade's widest band for re-screened records) with every
+  /// candidate's entry overwritten by its exact score; cells count the
+  /// screen, the cascade and the rescan.
   RankedSearchResult ranked;
 
   bool filtered = false;  ///< the two-stage filter produced this answer
@@ -104,6 +108,14 @@ class SearchEngine {
       std::span<const SearchProfiles* const> group, std::size_t band,
       std::vector<ShardFailure>& failures) const = 0;
 
+  /// Banded screen of `records[q]` with `group[q]` at half-width `band`,
+  /// per query: the cascade's re-screen of each query's band-edge hits
+  /// (longest-first). Default: serial screen_range per query on the calling
+  /// thread. Overrides must return the same scores, flags and cells.
+  virtual std::vector<ScreenResult> rescreen(
+      std::span<const SearchProfiles* const> group,
+      std::span<const DbView> records, std::size_t band) const;
+
   /// Exact scan of the candidate records in `candidates` (longest-first).
   /// Default: serial search_range on the calling thread. Overrides must
   /// return the same scores, cells and overflow_rescans.
@@ -122,8 +134,8 @@ class SearchEngine {
     for (std::size_t i = 0; i < count; ++i) fn(i);
   }
 
-  /// Also receive the pipeline's filter_rescore / annotate_* spans and its
-  /// filter_* / annotate_* metrics.
+  /// Also receive the pipeline's filter_cascade / filter_rescore /
+  /// annotate_* spans and its filter_* / annotate_* metrics.
   const SearchSinks& sinks() const { return sinks_; }
 
  private:

@@ -65,7 +65,9 @@ SearchProfiles::SearchProfiles(std::span<const std::uint8_t> query,
       scheme_(scheme),
       kernel_(kernel),
       backend_(resolve_backend(backend, kernel)),
-      table_(&kernel_table(backend_)) {
+      table_(&kernel_table(backend_)),
+      screen_backend_(backend == Backend::kAuto ? best_backend() : backend_),
+      screen_table_(&kernel_table(screen_backend_)) {
   if (query_.empty()) return;
   switch (kernel_) {
     case KernelKind::kStriped:
@@ -255,7 +257,7 @@ ScreenResult screen_range(const SearchProfiles& profiles, const DbView& db,
   const SequenceViews slice(db.begin() + static_cast<std::ptrdiff_t>(begin),
                             db.begin() + static_cast<std::ptrdiff_t>(end));
   const BandedBatchResult batch =
-      profiles.table().banded(query, slice, scheme, band);
+      profiles.screen_table().banded(query, slice, scheme, band);
   result.cells = batch.cells;
   for (std::size_t i = 0; i < count; ++i) {
     if (batch.overflow[i]) {

@@ -108,6 +108,13 @@ class SearchProfiles {
   /// Kernel entry points of the resolved backend.
   const KernelTable& table() const { return *table_; }
 
+  /// The backend the banded screen runs on: best_backend() when the
+  /// profiles' backend was auto-selected (per-kernel gates shape only the
+  /// exact kernel), else the explicit backend. Screens are bit-identical
+  /// across backends, so this choice moves only speed.
+  Backend screen_backend() const { return screen_backend_; }
+  const KernelTable& screen_table() const { return *screen_table_; }
+
   /// 16-bit striped profile: eager for kStriped, lazy (first overflow) for
   /// kStriped8. Safe to call concurrently; query must be non-empty.
   const StripedProfile& striped16() const;
@@ -121,6 +128,8 @@ class SearchProfiles {
   KernelKind kernel_;
   Backend backend_;
   const KernelTable* table_;
+  Backend screen_backend_;
+  const KernelTable* screen_table_;
   std::unique_ptr<StripedProfileU8> profile8_;
   mutable std::once_flag once16_;
   mutable std::unique_ptr<StripedProfile> profile16_;
@@ -154,12 +163,13 @@ SearchResult search_database(const seq::Sequence& query,
 // --- Two-stage filter primitives ------------------------------------------
 //
 // Stage 1 screens every record with the cheap vectorized banded kernel
-// (align/kernel_banded.h); stage 2 rescans only the surviving candidates
-// with the configured exact kernel (the stage sequence lives in
-// align/pipeline.h). Screening is bit-identical across SIMD backends and
-// candidate selection is deterministic, so filtered results are a pure
-// function of (query, db, scheme, kernel, filter config) — they do not
-// depend on backend, thread count, chunking, or shard topology.
+// (align/kernel_banded.h) and re-screens its band-edge hits at wider bands;
+// stage 2 rescans only the surviving candidates with the configured exact
+// kernel (the stage sequence lives in align/pipeline.h). Screening is
+// bit-identical across SIMD backends and candidate selection is
+// deterministic, so filtered results are a pure function of (query, db,
+// scheme, kernel, filter config) — they do not depend on backend, thread
+// count, chunking, or shard topology.
 
 /// Filtering policy for a search.
 enum class FilterMode {
@@ -208,9 +218,10 @@ struct ScreenResult {
   std::uint64_t cells = 0;            ///< banded DP cells computed
 };
 
-/// Screen db[begin, end) with the banded kernel of the profiles' backend
-/// (kScalar kernel: the scalar banded reference). scores[i] corresponds to
-/// db[begin + i]. Results are bit-identical across backends and chunkings.
+/// Screen db[begin, end) with the banded kernel of the profiles' screen
+/// backend (kScalar kernel: the scalar banded reference). scores[i]
+/// corresponds to db[begin + i]. Results are bit-identical across backends
+/// and chunkings.
 ScreenResult screen_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t begin, std::size_t end,
                           std::size_t band);

@@ -149,9 +149,9 @@ ShardPlan plan_shards(const DbView& db, std::size_t num_shards) {
 ShardedSearchEngine::ShardedSearchEngine(
     const DbView& db, std::span<const std::uint32_t> longest_first,
     ShardPlan plan, const ShardedSearchOptions& options)
-    : ParallelSearchEngine(
-          db, longest_first, run_lengths(plan), options.threads_per_shard,
-          {options.tracer, options.metrics, options.trace_track}),
+    : ParallelSearchEngine(db, longest_first, run_lengths(plan),
+                           options.threads_per_shard,
+                           {options.tracer, options.metrics}),
       options_(options),
       plan_(std::move(plan)) {
   // The layout cut `longest_first` into runs of the shards' sizes; each run
@@ -203,10 +203,12 @@ std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
     options_.metrics->observe("serve_shard_group_queries",
                               static_cast<double>(queries));
   }
-  // Chunks come in shard order: shard s owns chunks [first[s], first[s+1]).
+  // Each shard's chunks, in the pass's order (which may interleave shards).
   const std::size_t num_shards = plan_.shards.size();
-  std::vector<std::size_t> first(num_shards + 1, chunks.size());
-  for (std::size_t c = chunks.size(); c-- > 0;) first[chunks[c].shard] = c;
+  std::vector<std::vector<std::size_t>> owned(num_shards);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    owned[chunks[c].shard].push_back(c);
+  }
 
   // One outcome per shard attempt: a shard_scan span over [start, end] on
   // the pass clock, the serve_shard_* metrics and Stats.
@@ -219,7 +221,6 @@ std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
       obs::TraceEvent event;
       event.name = "shard_scan";
       event.category = "shard";
-      event.track = options_.trace_track;
       event.start = epoch + start;
       event.end = epoch + end;
       event.args = {
@@ -251,7 +252,9 @@ std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
     const std::size_t s = chunks[c].shard;
     times[c].first = pass_timer.seconds();
     errors[c] = failure_of([&] {
-      if (c == first[s] && options_.before_shard) options_.before_shard(s, 0);
+      if (c == owned[s].front() && options_.before_shard) {
+        options_.before_shard(s, 0);
+      }
       run(c);
     });
     times[c].second = pass_timer.seconds();
@@ -268,7 +271,7 @@ std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
     double start = std::numeric_limits<double>::infinity();
     double end = 0.0;
     std::optional<std::string> error;
-    for (std::size_t c = first[s]; c < first[s + 1]; ++c) {
+    for (const std::size_t c : owned[s]) {
       start = std::min(start, times[c].first);
       end = std::max(end, times[c].second);
       if (!error) error = errors[c];
@@ -279,12 +282,12 @@ std::vector<std::uint8_t> ShardedSearchEngine::run_chunks(
       start = pass_timer.seconds();
       error = failure_of([&] {
         if (options_.before_shard) options_.before_shard(s, attempt);
-        for (std::size_t c = first[s]; c < first[s + 1]; ++c) run(c);
+        for (const std::size_t c : owned[s]) run(c);
       });
       note(s, attempt, start, pass_timer.seconds(), !error);
     }
     if (error) {
-      for (std::size_t c = first[s]; c < first[s + 1]; ++c) merged[c] = 0;
+      for (const std::size_t c : owned[s]) merged[c] = 0;
       failure.reason = std::move(*error);
       failures.push_back(std::move(failure));
     }

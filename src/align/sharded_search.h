@@ -108,11 +108,10 @@ struct ShardedSearchOptions {
   std::function<void(std::size_t shard, std::size_t attempt)> before_shard;
 
   /// Optional observability sinks: every shard attempt becomes a
-  /// `shard_scan` span on `trace_track` and feeds the `serve_shard_*`
+  /// `shard_scan` span on track 0 and feeds the `serve_shard_*`
   /// counters/histograms. Both must outlive the engine.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  std::size_t trace_track = 0;
 };
 
 /// Result of one query of a sharded search (the pipeline's outcome).

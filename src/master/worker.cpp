@@ -15,10 +15,11 @@ namespace swdual::master {
 
 /// A GPU worker's pipeline primitives: the serial engine, with every exact
 /// scan — the whole database, or a filtered task's candidates — run on the
-/// virtual device and the banded screen on the host CPU, the way
-/// CUDASW++-class tools prefilter before shipping work. The device scores
-/// with the profiles' exact kernel; each stage's modeled time is charged to
-/// its hardware from cells and accumulates until the worker takes it.
+/// virtual device and the banded screen and its cascade on the host CPU,
+/// the way CUDASW++-class tools prefilter before shipping work. The device
+/// scores with the profiles' exact kernel; each stage's modeled time is
+/// charged to its hardware from cells (the cascade at the host rate, with
+/// no second task overhead) and accumulates until the worker takes it.
 /// Screens and candidate selection are deterministic, so a GPU-executed
 /// task reports the same hits as a CPU-executed one. Used by
 /// its worker thread only: parallel_for stays the inline default and a
@@ -38,6 +39,18 @@ class DeviceEngine final : public align::SerialSearchEngine {
         SerialSearchEngine::screen(group, band, failures);
     for (const align::ScreenResult& s : screens) {
       virtual_seconds_ += host_.seconds_for(s.cells);
+    }
+    return screens;
+  }
+
+  std::vector<align::ScreenResult> rescreen(
+      std::span<const align::SearchProfiles* const> group,
+      std::span<const align::DbView> records,
+      std::size_t band) const override {
+    std::vector<align::ScreenResult> screens =
+        SerialSearchEngine::rescreen(group, records, band);
+    for (const align::ScreenResult& s : screens) {
+      virtual_seconds_ += static_cast<double>(s.cells) / (host_.gcups * 1e9);
     }
     return screens;
   }

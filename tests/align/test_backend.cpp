@@ -1,12 +1,15 @@
 // Units for the runtime SIMD backend layer: names, parsing, lane counts,
-// availability invariants, the SWDUAL_FORCE_BACKEND override, and the
-// per-backend kernel tables.
+// availability invariants, the SWDUAL_FORCE_BACKEND override, the
+// per-backend kernel tables and the profiles' screen-backend rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "align/backend.h"
+#include "align/search.h"
 #include "util/error.h"
 
 namespace swdual::align {
@@ -121,6 +124,41 @@ TEST(Backend, ForcedBackendOverridesKernelGate) {
   ScopedForceBackend env;
   env.set("avx512");
   EXPECT_EQ(best_backend(KernelKind::kStriped8), Backend::kAVX512);
+}
+
+TEST(Backend, ScreenRunsOnTheWidestBackendUnlessOneIsNamed) {
+  // The banded screen has no per-kernel gate: auto profiles screen on
+  // best_backend() whatever backend their exact kernel resolved to (AVX2
+  // for striped8 on AVX-512 hosts), the environment override still names
+  // both, and an explicit backend pins both even against the override.
+  ScopedForceBackend env;
+  env.clear();
+  const std::vector<std::uint8_t> query = {1, 5, 9, 13, 17, 2, 6};
+  const ScoringScheme scheme;
+  for (const KernelKind kernel :
+       {KernelKind::kScalar, KernelKind::kStriped, KernelKind::kStriped8,
+        KernelKind::kInterSeq}) {
+    const SearchProfiles profiles(query, scheme, kernel);
+    EXPECT_EQ(profiles.backend(), best_backend(kernel)) << kernel_name(kernel);
+    EXPECT_EQ(profiles.screen_backend(), best_backend())
+        << kernel_name(kernel);
+    EXPECT_EQ(&profiles.screen_table(), &kernel_table(best_backend()))
+        << kernel_name(kernel);
+  }
+  const Backend narrowest = available_backends().front();
+  for (const Backend b : available_backends()) {
+    env.set(backend_name(b));
+    const SearchProfiles forced(query, scheme, KernelKind::kStriped8);
+    EXPECT_EQ(forced.backend(), b) << backend_name(b);
+    EXPECT_EQ(forced.screen_backend(), b) << backend_name(b);
+
+    env.set(backend_name(narrowest));
+    const SearchProfiles named(query, scheme, KernelKind::kStriped8, b);
+    EXPECT_EQ(named.backend(), b) << backend_name(b);
+    EXPECT_EQ(named.screen_backend(), b) << backend_name(b);
+    EXPECT_EQ(&named.screen_table(), &kernel_table(b)) << backend_name(b);
+    env.clear();
+  }
 }
 
 TEST(Backend, ResolveWithKernelHonorsExplicitBackend) {

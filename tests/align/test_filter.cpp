@@ -494,6 +494,85 @@ TEST_P(FilterBackends, RescanCutMatchesSerialSearchRange) {
   }
 }
 
+TEST_P(FilterBackends, RescreenCutMatchesSerialScreenRange) {
+  // The cascade's re-screen on the threaded engines cuts each query's view
+  // into ranges aligned to the screen backend's byte lanes and runs every
+  // query's ranges in one fan-out. Each query's answer must reproduce one
+  // serial screen_range bit for bit (scores, both flags, cells): at the
+  // lane-batch edges, with one long record ahead of short ones, and with
+  // the queries' views of different sizes.
+  const ScoringScheme scheme;
+  Rng rng(0x5c2e);
+  const std::vector<std::uint8_t> query = random_codes(rng, 120);
+  const std::vector<std::uint8_t> other = random_codes(rng, 95);
+  const std::size_t lanes = backend_lanes8(GetParam());
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::size_t i = 0; i < 3 * lanes; ++i) {
+    if (i % 2 != 0) {
+      records.push_back(random_codes(rng, 120));
+      continue;
+    }
+    // Half the records are homologs of the query, whose byte tier
+    // saturates and regroups at 16 bits.
+    records.push_back(query);
+    for (std::size_t p = i % 5; p < query.size(); p += 9) {
+      records.back()[p] = static_cast<std::uint8_t>(rng.below(20));
+    }
+  }
+  const std::vector<std::uint8_t> long_record = random_codes(rng, 900);
+  DbView all;
+  for (const auto& r : records) all.emplace_back(r.data(), r.size());
+
+  std::vector<DbView> views;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, lanes - 1,
+                              lanes, lanes + 1, 3 * lanes}) {
+    views.emplace_back(all.begin(),
+                       all.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  DbView skewed{{long_record.data(), long_record.size()}};
+  skewed.insert(skewed.end(), all.begin(), all.end());
+  views.push_back(skewed);
+
+  ParallelSearchOptions parallel_options;
+  parallel_options.threads = 4;
+  const ParallelSearchEngine parallel(all, parallel_options);
+  ShardedSearchOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.threads_per_shard = 2;
+  const ShardedSearchEngine sharded(all, sharded_options);
+  const std::pair<const char*, const SearchEngine*> engines[] = {
+      {"parallel x4", &parallel}, {"sharded 2x2", &sharded}};
+
+  const SearchProfiles first({query.data(), query.size()}, scheme,
+                             KernelKind::kInterSeq, GetParam());
+  const SearchProfiles second({other.data(), other.size()}, scheme,
+                              KernelKind::kInterSeq, GetParam());
+  const SearchProfiles* group[] = {&first, &second};
+  for (const std::size_t band : {std::size_t{3}, std::size_t{24}}) {
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      // The second query screens the next view, so the two differ in size.
+      const DbView pair[] = {views[v], views[(v + 1) % views.size()]};
+      for (const auto& [name, engine] : engines) {
+        const std::vector<ScreenResult> cut =
+            engine->rescreen(group, pair, band);
+        ASSERT_EQ(cut.size(), 2u);
+        for (std::size_t q = 0; q < 2; ++q) {
+          const ScreenResult serial =
+              screen_range(*group[q], pair[q], 0, pair[q].size(), band);
+          const std::string what = std::string(name) + " band " +
+                                   std::to_string(band) + ", query " +
+                                   std::to_string(q) + ", " +
+                                   std::to_string(pair[q].size()) + " records";
+          EXPECT_EQ(cut[q].scores, serial.scores) << what;
+          EXPECT_EQ(cut[q].exact, serial.exact) << what;
+          EXPECT_EQ(cut[q].edge_hit, serial.edge_hit) << what;
+          EXPECT_EQ(cut[q].cells, serial.cells) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(FilterPipeline, HeuristicPerfectRecallOnPlantedCorpus) {
   // Every top-k slot is held by a planted homolog (plant > k), so the
   // screen's banded lower bound ranks them far above the noise — recall

@@ -9,6 +9,7 @@
 
 #include "align/parallel_search.h"
 #include "align/search.h"
+#include "obs/trace.h"
 #include "seq/dbgen.h"
 #include "seq/swdb.h"
 #include "util/rng.h"
@@ -310,6 +311,48 @@ TEST(ParallelSearch, ScreenChunksBalanceRecordsExactChunksBalanceResidues) {
   // The long records fill the first exact chunks: far fewer records each
   // than the screen's even split.
   EXPECT_LT(exact.front().end, screen.front().end);
+}
+
+TEST(ParallelSearch, ScreenChunksCutAtTheScreenBackendLanes) {
+  // The screen's chunks keep the screen backend's byte-lane batches whole,
+  // not the exact kernel's: auto striped8 profiles scan on AVX2 on an
+  // AVX-512 host but screen 64 lanes at a time. 800 records over 8 chunks
+  // put the even cuts at multiples of 100, which snap to 96 for 32 lanes
+  // and to 128 for 64. Only the chunk that ends the database may hold a
+  // partial batch (the pass runs its chunks in cost order, so that chunk
+  // need not come last).
+  const auto db = random_database(800, 31, 40, 120);
+  const DbView views = make_db_view(db);
+  Rng rng(32);
+  const seq::Sequence query = seq::random_protein(rng, "q", 90);
+  const SearchProfiles profiles(
+      {query.residues.data(), query.residues.size()}, ScoringScheme{},
+      KernelKind::kStriped8);
+  const std::size_t lanes = backend_lanes8(profiles.screen_backend());
+  obs::Tracer tracer;
+  ParallelSearchOptions options;
+  options.threads = 2;
+  options.tracer = &tracer;
+  const ParallelSearchEngine engine(views, options);
+  const SearchProfiles* group[] = {&profiles};
+  std::vector<ShardFailure> failures;
+  const ScreenResult screened = engine.screen(group, 16, failures).front();
+  EXPECT_EQ(screened.scores,
+            screen_range(profiles, views, 0, views.size(), 16).scores);
+
+  std::size_t chunks = 0;
+  std::size_t partial = 0;
+  std::size_t total = 0;
+  for (const obs::TraceEvent& event : tracer.flush()) {
+    if (event.name != "filter_screen") continue;
+    const auto records = static_cast<std::size_t>(event.arg("records", 0.0));
+    ++chunks;
+    total += records;
+    if (records % lanes != 0) ++partial;
+  }
+  EXPECT_GT(chunks, 1u);
+  EXPECT_LE(partial, 1u);
+  EXPECT_EQ(total, views.size());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The search pipeline's own contract (align/pipeline.h), independent of any
 // production engine: request validation, group handling, the stage order
-// screen → select → rescan → rank → annotate, partition failures,
+// screen → cascade → select → rescan → rank → annotate (the filtered stages
+// against the scalar reference in filter_reference.h), partition failures,
 // and the spans/metrics the pipeline emits. Engine-equivalence and recall
 // batteries live in test_filter / test_annotate / test_sharded_search.
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "filter_reference.h"
 
 namespace swdual::align {
 namespace {
@@ -185,11 +188,17 @@ class FailingEngine : public SerialSearchEngine {
 
 /// Serial engine with the threaded engines' contract and a scrambled
 /// schedule: parallel_for starts one thread per item, last item first, and
-/// rescan cuts its view through it (search_ranges).
+/// rescreen and rescan cut their views through it (screen_ranges,
+/// search_ranges).
 class ReversedThreadsEngine : public SerialSearchEngine {
  public:
   using SerialSearchEngine::SerialSearchEngine;
 
+  std::vector<ScreenResult> rescreen(
+      std::span<const SearchProfiles* const> group,
+      std::span<const DbView> records, std::size_t band) const override {
+    return screen_ranges(*this, group, records, band, 5);
+  }
   SearchResult rescan(const SearchProfiles& profiles,
                       const DbView& candidates) const override {
     return search_ranges(*this, profiles, candidates, 5);
@@ -397,18 +406,14 @@ TEST(Pipeline, FilteredRescansOnlyUncertifiedCandidatesLongestFirst) {
   ASSERT_EQ(engine.rescans.size(), 2u) << "one candidate rescan per query";
   for (std::size_t q = 0; q < out.size(); ++q) {
     EXPECT_TRUE(out[q].filtered);
-    const ScreenResult screen =
-        screen_range(*group.ptrs[q], db, 0, db.size(), request.filter.band);
-    FilterStats stats;
-    const std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, request.k, request.filter, &stats);
-    EXPECT_EQ(out[q].filter.candidates, stats.candidates);
-    EXPECT_EQ(out[q].filter.band_uncertain, stats.band_uncertain);
+    const FilterReference ref =
+        filter_reference(group.ptrs[q]->query(), db, ScoringScheme{},
+                         request.filter, request.k);
+    EXPECT_EQ(out[q].filter.candidates, ref.stats.candidates);
+    EXPECT_EQ(out[q].filter.band_uncertain, ref.stats.band_uncertain);
 
     std::multiset<const std::uint8_t*> want;
-    for (const std::uint32_t c : candidates) {
-      if (!screen.exact[c]) want.insert(db[c].data());
-    }
+    for (const std::uint32_t c : ref.rescans) want.insert(db[c].data());
     const DbView& rescanned = engine.rescans[q];
     EXPECT_EQ(out[q].filter.rescans, rescanned.size());
     std::multiset<const std::uint8_t*> got;
@@ -442,28 +447,94 @@ TEST(Pipeline, FilteredScoresOverlayExactOnScreen) {
   const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
   const SearchRequest request = heuristic_request(6, 8);
   const SearchOutcome out = search(engine, group.span(), request).front();
-  const ScreenResult screen =
-      screen_range(*group.ptrs[0], db, 0, db.size(), request.filter.band);
-  const std::vector<std::uint32_t> candidates =
-      filter_select_candidates(screen, request.k, request.filter, nullptr);
+  const FilterReference ref = filter_reference(
+      group.ptrs[0]->query(), db, ScoringScheme{}, request.filter, request.k);
+  // The corpus must exercise both cascade steps, or the overlay of their
+  // scores goes unchecked.
+  ASSERT_GT(ref.cascaded[0], 0u);
+  ASSERT_GT(ref.cascaded[1], 0u);
   const SearchResult exact = search_database(*group.ptrs[0], db);
-  const std::set<std::uint32_t> kept(candidates.begin(), candidates.end());
+  const std::set<std::uint32_t> kept(ref.candidates.begin(),
+                                     ref.candidates.end());
   ASSERT_EQ(out.ranked.result.scores.size(), db.size());
   for (std::uint32_t i = 0; i < db.size(); ++i) {
     if (kept.count(i) != 0) {
       EXPECT_EQ(out.ranked.result.scores[i], exact.scores[i]) << "record " << i;
     } else {
-      EXPECT_EQ(out.ranked.result.scores[i], screen.scores[i])
-          << "record " << i;
+      EXPECT_EQ(out.ranked.result.scores[i], ref.scores[i]) << "record " << i;
     }
   }
   DbView rescanned;
-  for (const std::uint32_t c : candidates) {
-    if (!screen.exact[c]) rescanned.push_back(db[c]);
-  }
+  for (const std::uint32_t c : ref.rescans) rescanned.push_back(db[c]);
   const std::uint64_t rescan_cells =
       search_range(*group.ptrs[0], rescanned, 0, rescanned.size()).cells;
-  EXPECT_EQ(out.ranked.result.cells, screen.cells + rescan_cells);
+  EXPECT_EQ(out.ranked.result.cells, ref.cells() + rescan_cells);
+}
+
+TEST(Pipeline, CascadeSkipsRecordsUnderHalfTheQuery) {
+  // A cascade step re-screens an edge hit only while the wider band is
+  // narrow against it both ways. Exact copies of query segments run off the
+  // band's diagonal, so they end on the band's edge: the 300-residue copies
+  // are at least half the 400-residue query and must be re-screened, the
+  // 150-residue ones are long enough for both wider bands but under half
+  // the query and must stay on the edge unscreened.
+  class CascadeEngine : public SerialSearchEngine {
+   public:
+    using SerialSearchEngine::SerialSearchEngine;
+    std::vector<ScreenResult> rescreen(
+        std::span<const SearchProfiles* const> group,
+        std::span<const DbView> records, std::size_t band) const override {
+      step_records.push_back(records[0].size());
+      return SerialSearchEngine::rescreen(group, records, band);
+    }
+    mutable std::vector<std::size_t> step_records;
+  };
+
+  Rng rng(0xca5c);
+  const std::vector<std::uint8_t> query = random_codes(rng, 400);
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::ptrdiff_t a = 0; a < 100; a += 20) {
+    records.emplace_back(query.begin() + a, query.begin() + a + 300);
+    records.emplace_back(query.begin() + a + 50, query.begin() + a + 200);
+  }
+  for (std::size_t i = 0; i < 20; ++i) {
+    records.push_back(random_codes(rng, 60 + 17 * i));
+  }
+  DbView db;
+  for (const auto& r : records) db.emplace_back(r.data(), r.size());
+
+  const SearchRequest request = heuristic_request(4, 4);
+  const FilterReference ref = filter_reference(query, db, ScoringScheme{},
+                                               request.filter, request.k);
+  std::size_t short_edge_hits = 0;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const std::size_t n = db[i].size();
+    if (ref.edge_hit[i] && !ref.exact[i] && 2 * n < query.size() &&
+        n > 2 * (2 * 4 * request.filter.band + 1)) {
+      ++short_edge_hits;
+    }
+  }
+  ASSERT_GT(short_edge_hits, 0u) << "the corpus must hold a record the "
+                                    "query-length half of the rule skips";
+  ASSERT_GT(ref.cascaded[0], 0u);
+
+  const CascadeEngine engine(db);
+  const SearchProfiles profiles({query.data(), query.size()}, ScoringScheme{},
+                                KernelKind::kInterSeq);
+  const SearchProfiles* group[] = {&profiles};
+  const SearchOutcome out = search(engine, group, request).front();
+  ASSERT_EQ(engine.step_records.size(), ref.cascaded[1] > 0 ? 2u : 1u);
+  for (std::size_t step = 0; step < engine.step_records.size(); ++step) {
+    EXPECT_EQ(engine.step_records[step], ref.cascaded[step]) << "step " << step;
+  }
+  EXPECT_EQ(out.filter.band_uncertain, ref.stats.band_uncertain);
+  EXPECT_EQ(out.filter.candidates, ref.stats.candidates);
+  EXPECT_EQ(out.filter.rescans, ref.stats.rescans);
+  DbView rescanned;
+  for (const std::uint32_t c : ref.rescans) rescanned.push_back(db[c]);
+  EXPECT_EQ(out.ranked.result.cells,
+            ref.cells() +
+                search_range(profiles, rescanned, 0, rescanned.size()).cells);
 }
 
 TEST(Pipeline, FilteredHitsRankOnlyCandidatesWithExactScores) {
@@ -474,14 +545,13 @@ TEST(Pipeline, FilteredHitsRankOnlyCandidatesWithExactScores) {
   const SearchRequest request = heuristic_request(5, 16);
   const auto out = search(engine, group.span(), request);
   for (std::size_t q = 0; q < out.size(); ++q) {
-    const ScreenResult screen =
-        screen_range(*group.ptrs[q], db, 0, db.size(), request.filter.band);
-    const std::vector<std::uint32_t> candidates =
-        filter_select_candidates(screen, request.k, request.filter, nullptr);
+    const FilterReference ref =
+        filter_reference(group.ptrs[q]->query(), db, ScoringScheme{},
+                         request.filter, request.k);
     const SearchResult exact = search_database(*group.ptrs[q], db);
     // The ranking is the top-k of the candidates under their exact scores.
     std::vector<SearchHit> want;
-    for (const std::uint32_t c : candidates) {
+    for (const std::uint32_t c : ref.candidates) {
       push_top_hit(want, {c, exact.scores[c]}, request.k);
     }
     finish_top_hits(want);
@@ -522,27 +592,21 @@ TEST(Pipeline, FailedPartitionRecordsNeverBecomeCandidates) {
     for (const SearchHit& hit : out[q].ranked.hits) {
       EXPECT_GE(hit.db_index, kFailed);
     }
-    // The failed records read 0 with a certificate: without the erase they
-    // would still be selected as candidates once the heap has room.
-    ScreenResult masked =
-        screen_range(*group.ptrs[q], db, 0, db.size(), request.filter.band);
-    for (std::size_t i = 0; i < kFailed; ++i) {
-      masked.scores[i] = 0;
-      masked.exact[i] = 1;
-      masked.edge_hit[i] = 0;
-    }
-    FilterStats stats;
-    const std::vector<std::uint32_t> selected =
-        filter_select_candidates(masked, request.k, request.filter, &stats);
-    const auto lost = static_cast<std::uint64_t>(std::count_if(
-        selected.begin(), selected.end(),
-        [](std::uint32_t c) { return c < kFailed; }));
-    EXPECT_EQ(out[q].filter.candidates, stats.candidates - lost);
+    // The failed records read 0 with a certificate: they still rank in
+    // the keep-best selection, which drops them afterwards (without the
+    // drop they would be candidates once the keep has room), and the
+    // cascade never re-screens them.
+    std::vector<bool> failed(db.size(), false);
+    std::fill_n(failed.begin(), kFailed, true);
+    const FilterReference ref =
+        filter_reference(group.ptrs[q]->query(), db, ScoringScheme{},
+                         request.filter, request.k, failed);
+    EXPECT_EQ(out[q].filter.candidates, ref.stats.candidates);
+    EXPECT_EQ(out[q].filter.band_uncertain, ref.stats.band_uncertain);
     // Failed records carry the certificate, so none of them is rescanned.
-    EXPECT_EQ(out[q].filter.rescans,
-              static_cast<std::uint64_t>(std::count_if(
-                  selected.begin(), selected.end(),
-                  [&masked](std::uint32_t c) { return !masked.exact[c]; })));
+    EXPECT_EQ(out[q].filter.rescans, ref.stats.rescans);
+    EXPECT_TRUE(std::all_of(ref.rescans.begin(), ref.rescans.end(),
+                            [](std::uint32_t c) { return c >= kFailed; }));
   }
 }
 
@@ -638,6 +702,7 @@ TEST(Pipeline, ThreadedFanOutMatchesInlineEngine) {
               want[q].ranked.result.overflow_rescans);
     EXPECT_EQ(got[q].filter.candidates, want[q].filter.candidates);
     EXPECT_EQ(got[q].filter.rescans, want[q].filter.rescans);
+    EXPECT_EQ(got[q].filter.band_uncertain, want[q].filter.band_uncertain);
     expect_same_hits(got[q].ranked.hits, want[q].ranked.hits);
     for (std::size_t i = 0; i < got[q].ranked.hits.size(); ++i) {
       const HitAnnotation& a = *got[q].ranked.hits[i].annotation;
@@ -652,8 +717,20 @@ TEST(Pipeline, ThreadedFanOutMatchesInlineEngine) {
     }
     hits += got[q].ranked.hits.size();
   }
-  // One rescan fan-out per query, then one for every traceback.
-  EXPECT_EQ(threaded.fan_outs, got.size() + 1);
+  // One fan-out per cascade step that has records to re-screen (for the
+  // whole group), one rescan fan-out per query, then one for every
+  // traceback.
+  std::size_t steps[2] = {0, 0};
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    const FilterReference ref =
+        filter_reference(group.ptrs[q]->query(), db, ScoringScheme{},
+                         request.filter, request.k);
+    for (std::size_t step = 0; step < 2; ++step) {
+      if (ref.cascaded[step] > 0) steps[step] = 1;
+    }
+  }
+  ASSERT_EQ(steps[0], 1u) << "the corpus must exercise the cascade";
+  EXPECT_EQ(threaded.fan_outs, steps[0] + steps[1] + got.size() + 1);
   EXPECT_EQ(threaded.last_count, hits);
 }
 

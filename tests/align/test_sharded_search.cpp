@@ -27,6 +27,8 @@
 #include "util/error.h"
 #include "util/rng.h"
 
+#include "filter_reference.h"
+
 namespace swdual::align {
 namespace {
 
@@ -531,9 +533,14 @@ TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
           << " in partial hits";
     }
 
-    // The healthy records alone, screened and selected serially: the
-    // partial answer must count exactly their candidates and rank their
-    // exact top-k.
+    // The filtered stages with the failed shard's records screened as
+    // lost, serially: the partial answer must count exactly the healthy
+    // candidates and rank the healthy records' exact top-k.
+    const FilterReference want =
+        filter_reference(profiles.query(), db, scheme, filter, k, failed);
+    EXPECT_EQ(result.filter.candidates, want.stats.candidates) << label;
+    EXPECT_EQ(result.filter.rescans, want.stats.rescans) << label;
+
     DbView healthy;
     std::vector<std::size_t> healthy_index;
     for (std::size_t i = 0; i < db.size(); ++i) {
@@ -541,11 +548,6 @@ TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
       healthy.push_back(db[i]);
       healthy_index.push_back(i);
     }
-    FilterStats want;
-    (void)filter_select_candidates(
-        screen_range(profiles, healthy, 0, healthy.size(), filter.band), k,
-        filter, &want);
-    EXPECT_EQ(result.filter.candidates, want.candidates) << label;
 
     const SearchResult exact = search_database(profiles, healthy);
     std::vector<SearchHit> expected = exact.top(k);

@@ -1,7 +1,8 @@
 // Master-path two-stage filter (ctest labels: filter threads): every worker
 // mix must answer a heuristic-filtered run exactly like the serial filtered
-// search. GPU workers screen on the host and rescan candidates on the
-// virtual device; a shared ProfileCache must not change a single hit. An
+// search. GPU workers screen and cascade on the host, charged at the host
+// model, and rescan candidates on the virtual device; a shared
+// ProfileCache must not change a single hit. An
 // unsharded filtered QueryService, which dispatches through the master,
 // must give the same hits.
 #include <gtest/gtest.h>
@@ -15,10 +16,13 @@
 #include "align/pipeline.h"
 #include "align/profile_cache.h"
 #include "align/search.h"
+#include "gpusim/virtual_gpu.h"
 #include "master/master.h"
 #include "seq/dbgen.h"
 #include "serve/service.h"
 #include "util/rng.h"
+
+#include "../align/filter_reference.h"
 
 namespace swdual::master {
 namespace {
@@ -125,6 +129,51 @@ TEST(MasterFilter, HeuristicMatchesSerialForEveryWorkerMix) {
       EXPECT_EQ(report.filter.candidates, serial.candidates) << label;
     }
   }
+}
+
+TEST(MasterFilter, GpuWorkerChargesTheCascadeAtTheHostRate) {
+  // A GPU worker screens on the host, re-screens the band-edge hits there,
+  // and rescans the candidates on the device. Its virtual busy time is the
+  // sum, per task, of the screen at the host model (with its task
+  // overhead), the cascade's banded cells at the host rate, and the
+  // device's modeled rescan batch. Every kernel would miss an uncharged
+  // cascade alike, so this checks the sum itself.
+  const Corpus corpus = planted_corpus(0xf180);
+  MasterConfig config;
+  config.cpu_workers = 0;
+  config.gpu_workers = 1;
+  config.top_hits = 4;
+  config.filter = heuristic();
+  const SearchReport report = run_search(corpus.queries, corpus.db, config);
+  ASSERT_EQ(report.worker_virtual_busy.size(), 1u);
+
+  const align::DbView db = align::make_db_view(corpus.db);
+  const platform::WorkerClass& host = config.model.cpu_worker();
+  double want = 0.0;
+  std::uint64_t cascade_cells = 0;
+  for (const seq::Sequence& query : corpus.queries) {
+    const std::span<const std::uint8_t> residues(query.residues);
+    const align::FilterReference ref = align::filter_reference(
+        residues, db, config.scheme, config.filter, config.top_hits);
+    align::DbView rescans;
+    for (const std::uint32_t c : ref.rescans) rescans.push_back(db[c]);
+    const align::SearchProfiles profiles(residues, config.scheme,
+                                         config.cpu_kernel,
+                                         config.cpu_backend);
+    gpusim::VirtualGpu gpu(
+        gpusim::DeviceSpec{.gcups = config.model.gpu_worker().gcups});
+    want += host.seconds_for(ref.screen_cells) +
+            static_cast<double>(ref.cascade_cells) / (host.gcups * 1e9) +
+            gpu.run_batch(profiles, rescans).virtual_seconds;
+    cascade_cells += ref.cascade_cells;
+  }
+  ASSERT_GT(cascade_cells, 0u) << "the corpus must exercise the cascade";
+  const double busy = report.worker_virtual_busy.begin()->second;
+  EXPECT_NEAR(busy, want, 1e-9 * want);
+  // The cascade's share is far above the tolerance, so a missing charge
+  // fails the check above.
+  EXPECT_GT(static_cast<double>(cascade_cells) / (host.gcups * 1e9),
+            1e-6 * want);
 }
 
 TEST(MasterFilter, UnshardedFilteredServiceMatchesSerial) {
