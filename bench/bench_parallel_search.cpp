@@ -221,12 +221,11 @@ int main(int argc, char** argv) {
     db.push_back(std::move(h));
   }
 
-  // Measure what production runs: an SWDB v2 pre-encoded database served
-  // zero-copy out of one shared mapping. The serial reference and every
-  // engine read the same 64-byte-aligned residue spans.
+  // Measure what production runs: an SWDB database served zero-copy out of
+  // one shared mapping. The serial reference and every engine read the
+  // same 64-byte-aligned residue spans.
   const std::string swdb_path = cli.option("out") + ".tmp.swdb";
-  seq::write_swdb(swdb_path, db, seq::AlphabetKind::kProtein,
-                  seq::kSwdbVersion2);
+  seq::write_swdb(swdb_path, db, seq::AlphabetKind::kProtein);
   const seq::MappedSwdb mapped(swdb_path);
   const align::DbView views = mapped.residue_views();
   const align::ScoringScheme scheme;

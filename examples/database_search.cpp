@@ -42,7 +42,11 @@ master::AllocationPolicy parse_policy(const std::string& name) {
 
 std::vector<seq::Sequence> load_sequences(const std::string& path) {
   if (ends_with(path, ".swdb")) {
-    return seq::SwdbReader(path).read_all();
+    const seq::MappedSwdb db(path);
+    std::vector<seq::Sequence> records;
+    records.reserve(db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) records.push_back(db.record(i));
+    return records;
   }
   return seq::read_fasta_file(path, seq::AlphabetKind::kProtein);
 }

@@ -1,7 +1,6 @@
 // swdb_convert: FASTA <-> SWDB conversion utility (paper §IV's format step).
 //
-//   ./swdb_convert db.fasta db.swdb            # FASTA -> binary (v2)
-//   ./swdb_convert --db-version 1 a.fa b.swdb  # emit the legacy v1 layout
+//   ./swdb_convert db.fasta db.swdb            # FASTA -> binary
 //   ./swdb_convert db.swdb db.fasta            # binary -> FASTA
 //   ./swdb_convert --stats db.swdb             # print database statistics
 //
@@ -41,31 +40,18 @@ int main(int argc, char** argv) {
   CliParser cli("swdb_convert", "convert between FASTA and SWDB");
   cli.add_flag("stats", "print statistics of the input instead of converting");
   cli.add_option("alphabet", "protein | dna | rna", "protein");
-  cli.add_option("db-version",
-                 "SWDB container version to write: 2 (pre-encoded, default) "
-                 "| 1 (legacy)",
-                 "2");
 
   try {
     cli.parse(argc, argv);
     if (cli.help_requested() || cli.positional().empty()) {
       std::cout << cli.usage()
-                << "\nusage: swdb_convert [--stats] [--db-version 1|2] "
-                   "<input> [output]\n";
+                << "\nusage: swdb_convert [--stats] <input> [output]\n";
       return cli.help_requested() ? 0 : 2;
     }
 
     seq::AlphabetKind alphabet = seq::AlphabetKind::kProtein;
     if (cli.option("alphabet") == "dna") alphabet = seq::AlphabetKind::kDna;
     if (cli.option("alphabet") == "rna") alphabet = seq::AlphabetKind::kRna;
-
-    std::uint32_t version = seq::kSwdbVersionLatest;
-    if (cli.option("db-version") == "1") {
-      version = seq::kSwdbVersion1;
-    } else if (cli.option("db-version") != "2") {
-      std::cerr << "unknown --db-version (use 1 or 2)\n";
-      return 2;
-    }
 
     const std::string& input = cli.positional()[0];
     const bool input_is_swdb = ends_with(input, ".swdb");
@@ -77,10 +63,8 @@ int main(int argc, char** argv) {
       if (input_is_swdb) {
         // Index-only path: lengths come straight from the SWDB index
         // section, no record is decoded.
-        const seq::SwdbReader reader(input);
-        stats = seq::compute_stats(reader);
-        format = "swdb v" + std::to_string(reader.version()) +
-                 (reader.pre_encoded() ? " (pre-encoded)" : "");
+        stats = seq::compute_stats(seq::MappedSwdb(input));
+        format = "swdb";
       } else {
         stats = seq::compute_stats(seq::read_fasta_file(input, alphabet));
         format = "fasta";
@@ -92,9 +76,16 @@ int main(int argc, char** argv) {
     }
 
     WallTimer timer;
-    const std::vector<seq::Sequence> records =
-        input_is_swdb ? seq::SwdbReader(input).read_all()
-                      : seq::read_fasta_file(input, alphabet);
+    std::vector<seq::Sequence> records;
+    if (input_is_swdb) {
+      const seq::MappedSwdb db(input);
+      records.reserve(db.size());
+      for (std::size_t i = 0; i < db.size(); ++i) {
+        records.push_back(db.record(i));
+      }
+    } else {
+      records = seq::read_fasta_file(input, alphabet);
+    }
     std::cerr << "read " << records.size() << " records in "
               << TextTable::fmt(timer.millis(), 1) << " ms\n";
 
@@ -105,7 +96,7 @@ int main(int argc, char** argv) {
     const std::string& output = cli.positional()[1];
     timer.reset();
     if (ends_with(output, ".swdb")) {
-      seq::write_swdb(output, records, alphabet, version);
+      seq::write_swdb(output, records, alphabet);
     } else {
       seq::write_fasta_file(output, records);
     }

@@ -7,18 +7,6 @@
 
 namespace swdual::align {
 
-QueryProfile::QueryProfile(std::span<const std::uint8_t> query,
-                           const ScoreMatrix& matrix)
-    : length_(query.size()), alphabet_size_(matrix.size()) {
-  data_.resize(alphabet_size_ * length_);
-  for (std::size_t code = 0; code < alphabet_size_; ++code) {
-    std::int16_t* out = data_.data() + code * length_;
-    for (std::size_t i = 0; i < length_; ++i) {
-      out[i] = matrix.score(query[i], static_cast<std::uint8_t>(code));
-    }
-  }
-}
-
 StripedProfile::StripedProfile(std::span<const std::uint8_t> query,
                                const ScoreMatrix& matrix, std::size_t lanes)
     : length_(query.size()),

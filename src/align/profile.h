@@ -30,25 +30,6 @@
 
 namespace swdual::align {
 
-/// Sequential query profile: row(code)[i] == matrix.score(q[i], code).
-class QueryProfile {
- public:
-  QueryProfile(std::span<const std::uint8_t> query, const ScoreMatrix& matrix);
-
-  std::size_t query_length() const { return length_; }
-  std::size_t alphabet_size() const { return alphabet_size_; }
-
-  /// Scores of every query position against database residue `code`.
-  const std::int16_t* row(std::uint8_t code) const {
-    return data_.data() + static_cast<std::size_t>(code) * length_;
-  }
-
- private:
-  std::size_t length_;
-  std::size_t alphabet_size_;
-  std::vector<std::int16_t> data_;
-};
-
 /// Farrar striped profile: the query is split into `lanes` segments of
 /// `segment_length()` positions; vector s holds query positions
 /// { s, s+segLen, ..., s+(lanes-1)·segLen }. Padding positions (>= |q|)

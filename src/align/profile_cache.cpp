@@ -20,12 +20,14 @@ namespace {
 
 std::string make_key(std::span<const std::uint8_t> query,
                      const ScoringScheme& scheme, KernelKind kernel,
-                     Backend backend) {
+                     Backend exact, Backend screen) {
   std::string key;
   key.reserve(query.size() + 64);
   key += kernel_name(kernel);
   key += '/';
-  key += backend_name(backend);
+  key += backend_name(exact);
+  key += '+';
+  key += backend_name(screen);
   key += '/';
   key += scoring_key(scheme);
   key += '/';
@@ -38,10 +40,14 @@ std::string make_key(std::span<const std::uint8_t> query,
 std::shared_ptr<const SearchProfiles> ProfileCache::acquire(
     std::span<const std::uint8_t> query, const ScoringScheme& scheme,
     KernelKind kernel, Backend backend) {
-  const Backend resolved = resolve_backend(backend, kernel);
-  return LruCache::acquire(make_key(query, scheme, kernel, resolved), [&] {
+  // The key names the backends the built profiles run: the exact
+  // kernel's and the screen's (SearchProfiles resolves them the same way).
+  const std::string key =
+      make_key(query, scheme, kernel, resolve_backend(backend, kernel),
+               resolve_backend(backend));
+  return LruCache::acquire(key, [&] {
     return std::make_shared<const SearchProfiles>(query, scheme, kernel,
-                                                  resolved);
+                                                  backend);
   });
 }
 

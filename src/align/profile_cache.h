@@ -2,7 +2,7 @@
 //
 // Building a SearchProfiles (striped profile layout, lazy 16-bit escalation
 // state, kernel-table resolution) is pure per-query work: it depends only on
-// (query residues, scoring scheme, kernel, resolved SIMD backend). A service
+// (query residues, scoring scheme, kernel, resolved SIMD backends). A service
 // that sees the same query repeatedly — or the same query fanned out to
 // several workers in one batch — should build that state once and share it,
 // the way SWAPHI keeps one resident query context across a whole multi-pass
@@ -39,9 +39,12 @@ class ProfileCache : private util::LruCache<SearchProfiles> {
   explicit ProfileCache(std::size_t capacity = 64) : LruCache(capacity) {}
 
   /// Get-or-build the profile set for (query, scheme, kernel, backend).
-  /// kAuto resolves with the kernel-aware rule (best_backend(kernel)), the
-  /// backend a directly built SearchProfiles picks, so every caller that
-  /// lets the dispatcher decide shares one entry.
+  /// The entry is built with `backend` as given, so it equals a directly
+  /// built SearchProfiles, and it is keyed by the backends its profiles run:
+  /// the exact kernel's (resolve_backend(backend, kernel)) and the screen's
+  /// (resolve_backend(backend)). A kAuto striped8 entry on an AVX-512BW host
+  /// scans on AVX2 and screens on AVX-512, so it is not the kAVX2 entry,
+  /// which screens on AVX2.
   std::shared_ptr<const SearchProfiles> acquire(
       std::span<const std::uint8_t> query, const ScoringScheme& scheme,
       KernelKind kernel, Backend backend = Backend::kAuto);

@@ -66,7 +66,7 @@ SearchProfiles::SearchProfiles(std::span<const std::uint8_t> query,
       kernel_(kernel),
       backend_(resolve_backend(backend, kernel)),
       table_(&kernel_table(backend_)),
-      screen_backend_(backend == Backend::kAuto ? best_backend() : backend_),
+      screen_backend_(resolve_backend(backend)),
       screen_table_(&kernel_table(screen_backend_)) {
   if (query_.empty()) return;
   switch (kernel_) {

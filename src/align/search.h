@@ -108,10 +108,10 @@ class SearchProfiles {
   /// Kernel entry points of the resolved backend.
   const KernelTable& table() const { return *table_; }
 
-  /// The backend the banded screen runs on: best_backend() when the
-  /// profiles' backend was auto-selected (per-kernel gates shape only the
-  /// exact kernel), else the explicit backend. Screens are bit-identical
-  /// across backends, so this choice moves only speed.
+  /// The backend the banded screen runs on, resolve_backend(backend):
+  /// best_backend() when the profiles' backend was auto-selected (per-kernel
+  /// gates shape only the exact kernel), else the explicit backend. Screens
+  /// are bit-identical across backends, so this choice moves only speed.
   Backend screen_backend() const { return screen_backend_; }
   const KernelTable& screen_table() const { return *screen_table_; }
 

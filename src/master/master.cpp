@@ -124,10 +124,12 @@ SearchReport run_search(const std::vector<seq::Sequence>& queries,
   context.cpu_kernel = config.cpu_kernel;
   // Resolve the SIMD backend once, here on the caller's thread: a bad
   // --backend or SWDUAL_FORCE_BACKEND surfaces as a clean configuration
-  // error instead of an exception escaping a worker thread, and every
-  // worker is pinned to the same backend for the whole run.
-  context.cpu_backend =
-      align::resolve_backend(config.cpu_backend, config.cpu_kernel);
+  // error instead of an exception escaping a worker thread. The workers
+  // get the configured backend itself, so kAuto profiles scan on
+  // best_backend(kernel) and screen on best_backend(), as everywhere else.
+  static_cast<void>(
+      align::resolve_backend(config.cpu_backend, config.cpu_kernel));
+  context.cpu_backend = config.cpu_backend;
   context.request = request;
   context.profile_cache = config.profile_cache;
   context.fault_injector = config.fault_injector;

@@ -81,8 +81,8 @@ struct MasterConfig {
   /// Optional shared query-profile cache, borrowed for the run and forwarded
   /// to every worker: repeated queries (and one query fanned out across
   /// batches/retries) reuse one resident SearchProfiles instead of
-  /// rebuilding per task. The serve layer passes its cache here so profile
-  /// reuse spans requests. Scores are bit-identical with or without it.
+  /// rebuilding per task. Without it (the query service passes none) each
+  /// task builds its own. Scores are bit-identical with or without it.
   align::ProfileCache* profile_cache = nullptr;
 
   /// Allocation rounds (Fig. 6: the master may allocate "only once at the

@@ -163,8 +163,9 @@ TaskReport Worker::execute(const TaskOrder& order) {
 
   WallTimer timer;
   // Both worker types scan with the configured exact kernel on the
-  // configured backend, so they share one cached profile per query. A GPU
-  // worker's virtual time comes from the device model, which charges cells.
+  // configured backend, so with a profile cache they share one entry per
+  // query. A GPU worker's virtual time comes from the device model, which
+  // charges cells.
   std::shared_ptr<const align::SearchProfiles> cached;
   std::optional<align::SearchProfiles> local;
   const align::SearchProfiles* profiles;

@@ -51,9 +51,9 @@ struct WorkerContext {
 
   /// Optional shared query-profile cache (align/profile_cache.h). When set,
   /// workers acquire per-query profiles from it instead of rebuilding them
-  /// per task, so repeated queries — the service layer's batches — reuse one
-  /// resident profile context. Must be thread-safe (it is) and outlive the
-  /// workers. Scores are bit-identical with or without it.
+  /// per task, so repeated queries reuse one resident profile context. Must
+  /// be thread-safe (it is) and outlive the workers. Scores are
+  /// bit-identical with or without it.
   align::ProfileCache* profile_cache = nullptr;
 
   /// Fault injection hook for robustness testing: called before a task

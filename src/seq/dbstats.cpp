@@ -24,7 +24,7 @@ DatabaseStats compute_stats(const std::vector<Sequence>& records) {
   return compute_stats_from_lengths(lengths);
 }
 
-DatabaseStats compute_stats(const SwdbReader& db) {
+DatabaseStats compute_stats(const MappedSwdb& db) {
   DatabaseStats stats;
   stats.num_sequences = db.size();
   if (db.size() == 0) return stats;

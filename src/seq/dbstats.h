@@ -29,6 +29,6 @@ DatabaseStats compute_stats_from_lengths(const std::vector<std::size_t>& lengths
 /// Compute stats for an open SWDB straight from its index section — no
 /// record is decoded and no data-section byte is touched, so this is O(n)
 /// in the record count regardless of database size.
-DatabaseStats compute_stats(const SwdbReader& db);
+DatabaseStats compute_stats(const MappedSwdb& db);
 
 }  // namespace swdual::seq

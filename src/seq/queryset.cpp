@@ -48,18 +48,4 @@ std::vector<Sequence> sample_query_set(const std::vector<Sequence>& database,
   return queries;
 }
 
-std::vector<Sequence> make_query_set(QuerySetKind kind,
-                                     const std::vector<Sequence>& uniprot,
-                                     std::uint64_t seed) {
-  switch (kind) {
-    case QuerySetKind::kPaper:
-      return sample_query_set(uniprot, kPaperQueryCount, 100, 5000, seed);
-    case QuerySetKind::kHomogeneous:
-      return sample_query_set(uniprot, kPaperQueryCount, 4500, 5000, seed);
-    case QuerySetKind::kHeterogeneous:
-      return sample_query_set(uniprot, kPaperQueryCount, 4, 35213, seed);
-  }
-  throw InvalidArgument("unknown query set kind");
-}
-
 }  // namespace swdual::seq

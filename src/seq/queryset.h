@@ -1,9 +1,11 @@
-// Query-set construction for the paper's three experimental configurations.
+// Query sets for the paper's three experimental configurations.
 //
 // §V-A/B use 40 real query sequences of length 100–5,000 aa taken from
 // UniProt. §V-C adds two 40-sequence sets drawn from UniProt:
 //   homogeneous   — lengths 4,500..5,000 (similar task sizes)
 //   heterogeneous — lengths 4..35,213 (the database's full span)
+// core::make_workload holds these bounds; sample_query_set draws real
+// sequences inside any bounds.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +29,5 @@ std::vector<Sequence> sample_query_set(const std::vector<Sequence>& database,
                                        std::size_t count, std::size_t min_len,
                                        std::size_t max_len,
                                        std::uint64_t seed);
-
-/// Build one of the three paper query sets from a (synthetic) UniProt.
-std::vector<Sequence> make_query_set(QuerySetKind kind,
-                                     const std::vector<Sequence>& uniprot,
-                                     std::uint64_t seed = 42);
 
 }  // namespace swdual::seq

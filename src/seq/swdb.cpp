@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <numeric>
 
@@ -24,12 +25,11 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'S', 'W', 'D', 'B'};
 constexpr std::array<char, 4> kV2Magic = {'S', 'W', 'V', '2'};
-/// v1 header: magic + version + alphabet(+pad) + count + index offset.
-constexpr std::uint64_t kHeaderBytesV1 = 4 + 4 + 4 + 8 + 8;
-/// v2 header: v1 header + pre-encoded section offset.
-constexpr std::uint64_t kHeaderBytesV2 = kHeaderBytesV1 + 8;
+/// Header: magic + version + alphabet(+pad) + count + index offset +
+/// aligned-section offset.
+constexpr std::uint64_t kHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8;
 constexpr std::uint64_t kIndexEntryBytes = 8 + 4 + 2 + 2;
-/// v2 section: magic + block + data offset + data size ...
+/// Aligned section: magic + block + data offset + data size ...
 constexpr std::uint64_t kV2SectionHeaderBytes = 4 + 4 + 8 + 8;
 /// ... then per record a blocked offset + padded length, then the order.
 constexpr std::uint64_t kV2EntryBytes = 8 + 4;
@@ -45,22 +45,9 @@ void write_le(std::ostream& out, T value) {
   out.write(bytes.data(), bytes.size());
 }
 
-template <typename T>
-T read_le(std::istream& in) {
-  static_assert(std::is_unsigned_v<T>);
-  std::array<char, sizeof(T)> bytes;
-  in.read(bytes.data(), bytes.size());
-  T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    value = static_cast<T>(
-        value |
-        static_cast<T>(static_cast<unsigned char>(bytes[i])) << (8 * i));
-  }
-  return value;
-}
-
-/// Bounds-checked little-endian cursor over in-memory bytes; both readers
-/// parse header/index/v2 tables through it so their validation is identical.
+/// Bounds-checked little-endian cursor over in-memory bytes; every parse
+/// step reads through it, so a short structure is an IoError, never an
+/// out-of-bounds read.
 class ByteCursor {
  public:
   ByteCursor(const std::uint8_t* begin, std::size_t size,
@@ -95,26 +82,24 @@ class ByteCursor {
 };
 
 struct ParsedHeader {
-  std::uint32_t version = 0;
   AlphabetKind alphabet = AlphabetKind::kProtein;
   std::uint64_t count = 0;
   std::uint64_t index_offset = 0;
-  std::uint64_t v2_offset = 0;     ///< meaningful for version >= 2
-  std::uint64_t header_bytes = 0;  ///< 28 (v1) or 36 (v2)
+  std::uint64_t v2_offset = 0;
 };
 
-ParsedHeader parse_header(const std::uint8_t* bytes, std::uint64_t avail,
-                          std::uint64_t file_size, const std::string& path) {
-  ByteCursor cur(bytes, static_cast<std::size_t>(avail), path);
-  if (avail < kHeaderBytesV1 || !cur.match(kMagic)) {
+ParsedHeader parse_header(const std::uint8_t* bytes, std::uint64_t file_size,
+                          const std::string& path) {
+  ByteCursor cur(bytes, static_cast<std::size_t>(file_size), path);
+  if (!cur.match(kMagic)) {
     throw IoError("not an SWDB file (bad magic): " + path);
   }
-  ParsedHeader h;
-  h.version = cur.get<std::uint32_t>();
-  if (h.version != kSwdbVersion1 && h.version != kSwdbVersion2) {
-    throw IoError("unsupported SWDB version " + std::to_string(h.version) +
+  const auto version = cur.get<std::uint32_t>();
+  if (version != kSwdbVersion) {
+    throw IoError("unsupported SWDB version " + std::to_string(version) +
                   " in " + path);
   }
+  ParsedHeader h;
   const auto alphabet_byte = cur.get<std::uint8_t>();
   if (alphabet_byte > 2) {
     throw IoError("corrupt SWDB alphabet field in " + path);
@@ -125,14 +110,7 @@ ParsedHeader parse_header(const std::uint8_t* bytes, std::uint64_t avail,
   cur.get<std::uint8_t>();
   h.count = cur.get<std::uint64_t>();
   h.index_offset = cur.get<std::uint64_t>();
-  h.header_bytes = kHeaderBytesV1;
-  if (h.version >= kSwdbVersion2) {
-    if (avail < kHeaderBytesV2) {
-      throw IoError("truncated SWDB header: " + path);
-    }
-    h.v2_offset = cur.get<std::uint64_t>();
-    h.header_bytes = kHeaderBytesV2;
-  }
+  h.v2_offset = cur.get<std::uint64_t>();
   // Validate against the actual file size before allocating anything —
   // corrupt counts/offsets must fail cleanly, not OOM.
   if (h.index_offset > file_size ||
@@ -153,7 +131,6 @@ struct RawEntry {
 /// `data_end` is the first byte past the record section (== index offset).
 std::vector<RawEntry> parse_index(const std::uint8_t* bytes,
                                   std::uint64_t count,
-                                  std::uint64_t header_bytes,
                                   std::uint64_t data_end,
                                   const std::string& path) {
   ByteCursor cur(bytes, static_cast<std::size_t>(count * kIndexEntryBytes),
@@ -166,7 +143,7 @@ std::vector<RawEntry> parse_index(const std::uint8_t* bytes,
     entry.desc_length = cur.get<std::uint16_t>();
     const std::uint64_t record_end =
         entry.offset + entry.seq_length + entry.id_length + entry.desc_length;
-    if (entry.offset < header_bytes || record_end > data_end) {
+    if (entry.offset < kHeaderBytes || record_end > data_end) {
       throw IoError("corrupt SWDB index entry: " + path);
     }
   }
@@ -182,8 +159,8 @@ struct ParsedV2 {
   std::vector<std::uint32_t> order;  ///< lane-batch index (longest first)
 };
 
-/// Parse + validate the v2 pre-encoded section tables. `bytes` holds at
-/// least the section header + entry/order tables (checked by the caller).
+/// Parse + validate the aligned section's tables. `bytes` holds at least
+/// the section header + entry/order tables (checked by the caller).
 ParsedV2 parse_v2_tables(const std::uint8_t* bytes, std::uint64_t avail,
                          std::uint64_t v2_offset, std::uint64_t file_size,
                          std::span<const std::uint32_t> lengths,
@@ -241,9 +218,8 @@ ParsedV2 parse_v2_tables(const std::uint8_t* bytes, std::uint64_t avail,
   return v2;
 }
 
-/// The lane-batch order for files without a v2 section: record ids sorted
-/// longest-first, ties broken by id (stable sort) — the same rule the
-/// writer uses, so v1 and v2 databases batch identically.
+/// The lane-batch order the writer stores: record ids sorted longest-first,
+/// ties broken by id (stable sort).
 std::vector<std::uint32_t> lane_order_from_lengths(
     std::span<const std::uint32_t> lengths) {
   std::vector<std::uint32_t> order(lengths.size());
@@ -262,9 +238,10 @@ std::uint64_t align_up(std::uint64_t value, std::uint64_t block) {
 }  // namespace
 
 void write_swdb(const std::string& path, const std::vector<Sequence>& records,
-                AlphabetKind alphabet, std::uint32_t version) {
-  SWDUAL_REQUIRE(version == kSwdbVersion1 || version == kSwdbVersion2,
-                 "unknown SWDB version " + std::to_string(version));
+                AlphabetKind alphabet) {
+  std::uint64_t index_offset = kHeaderBytes;
+  std::vector<std::uint32_t> lengths;
+  lengths.reserve(records.size());
   for (const Sequence& record : records) {
     SWDUAL_REQUIRE(record.alphabet == alphabet,
                    "record '" + record.id + "' has a different alphabet");
@@ -276,31 +253,37 @@ void write_swdb(const std::string& path, const std::vector<Sequence>& records,
     SWDUAL_REQUIRE(
         record.length() <= std::numeric_limits<std::uint32_t>::max(),
         "record too long: " + record.id);
+    index_offset +=
+        record.length() + record.id.size() + record.description.size();
+    lengths.push_back(static_cast<std::uint32_t>(record.length()));
+  }
+  // Every offset follows from the lengths, so the file is written front to
+  // back in one pass.
+  const std::uint64_t v2_offset =
+      index_offset + records.size() * kIndexEntryBytes;
+  const std::uint64_t tables_end =
+      v2_offset + kV2SectionHeaderBytes +
+      records.size() * (kV2EntryBytes + kV2OrderEntryBytes);
+  const std::uint64_t data_offset = align_up(tables_end, kSwdbV2Block);
+  std::uint64_t data_bytes = 0;
+  for (const std::uint32_t length : lengths) {
+    data_bytes += align_up(length, kSwdbV2Block);
   }
 
   std::ofstream out(path, std::ios::binary);
   if (!out) throw IoError("cannot open SWDB for writing: " + path);
 
-  // Header (index and v2 offsets back-patched once known).
   out.write(kMagic.data(), kMagic.size());
-  write_le<std::uint32_t>(out, version);
+  write_le<std::uint32_t>(out, kSwdbVersion);
   write_le<std::uint8_t>(out, static_cast<std::uint8_t>(alphabet));
   write_le<std::uint8_t>(out, 0);
   write_le<std::uint8_t>(out, 0);
   write_le<std::uint8_t>(out, 0);
   write_le<std::uint64_t>(out, records.size());
-  const std::streampos index_offset_pos = out.tellp();
-  write_le<std::uint64_t>(out, 0);  // placeholder
-  std::streampos v2_offset_pos{};
-  if (version >= kSwdbVersion2) {
-    v2_offset_pos = out.tellp();
-    write_le<std::uint64_t>(out, 0);  // placeholder
-  }
+  write_le<std::uint64_t>(out, index_offset);
+  write_le<std::uint64_t>(out, v2_offset);
 
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(records.size());
   for (const Sequence& record : records) {
-    offsets.push_back(static_cast<std::uint64_t>(out.tellp()));
     out.write(reinterpret_cast<const char*>(record.residues.data()),
               static_cast<std::streamsize>(record.residues.size()));
     out.write(record.id.data(),
@@ -309,187 +292,64 @@ void write_swdb(const std::string& path, const std::vector<Sequence>& records,
               static_cast<std::streamsize>(record.description.size()));
   }
 
-  const auto index_offset = static_cast<std::uint64_t>(out.tellp());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    write_le<std::uint64_t>(out, offsets[i]);
-    write_le<std::uint32_t>(out,
-                            static_cast<std::uint32_t>(records[i].length()));
+  std::uint64_t offset = kHeaderBytes;
+  for (const Sequence& record : records) {
+    write_le<std::uint64_t>(out, offset);
+    write_le<std::uint32_t>(out, static_cast<std::uint32_t>(record.length()));
     write_le<std::uint16_t>(out,
-                            static_cast<std::uint16_t>(records[i].id.size()));
+                            static_cast<std::uint16_t>(record.id.size()));
     write_le<std::uint16_t>(
-        out, static_cast<std::uint16_t>(records[i].description.size()));
+        out, static_cast<std::uint16_t>(record.description.size()));
+    offset += record.length() + record.id.size() + record.description.size();
   }
 
-  std::uint64_t v2_offset = 0;
-  if (version >= kSwdbVersion2) {
-    // Pre-encoded section: every record's residues again, but padded with
-    // the wildcard code to a block multiple and starting block-aligned, so
-    // a mapped reader hands the bytes straight to the SIMD kernels.
-    v2_offset = static_cast<std::uint64_t>(out.tellp());
-    const std::uint64_t tables_end =
-        v2_offset + kV2SectionHeaderBytes +
-        records.size() * (kV2EntryBytes + kV2OrderEntryBytes);
-    const std::uint64_t data_offset = align_up(tables_end, kSwdbV2Block);
-    std::uint64_t data_bytes = 0;
-    for (const Sequence& record : records) {
-      data_bytes += align_up(record.length(), kSwdbV2Block);
-    }
+  // Aligned section: every record's residues again, but padded with the
+  // wildcard code to a block multiple and starting block-aligned, so a
+  // mapped reader hands the bytes straight to the SIMD kernels.
+  out.write(kV2Magic.data(), kV2Magic.size());
+  write_le<std::uint32_t>(out, static_cast<std::uint32_t>(kSwdbV2Block));
+  write_le<std::uint64_t>(out, data_offset);
+  write_le<std::uint64_t>(out, data_bytes);
 
-    out.write(kV2Magic.data(), kV2Magic.size());
-    write_le<std::uint32_t>(out, static_cast<std::uint32_t>(kSwdbV2Block));
-    write_le<std::uint64_t>(out, data_offset);
-    write_le<std::uint64_t>(out, data_bytes);
-
-    std::uint64_t rel = 0;
-    for (const Sequence& record : records) {
-      const std::uint64_t padded = align_up(record.length(), kSwdbV2Block);
-      write_le<std::uint64_t>(out, rel);
-      write_le<std::uint32_t>(out, static_cast<std::uint32_t>(padded));
-      rel += padded;
-    }
-
-    std::vector<std::uint32_t> lengths;
-    lengths.reserve(records.size());
-    for (const Sequence& record : records) {
-      lengths.push_back(static_cast<std::uint32_t>(record.length()));
-    }
-    for (const std::uint32_t id : lane_order_from_lengths(lengths)) {
-      write_le<std::uint32_t>(out, id);
-    }
-
-    const std::string gap(static_cast<std::size_t>(data_offset - tables_end),
-                          '\0');
-    out.write(gap.data(), static_cast<std::streamsize>(gap.size()));
-
-    const std::uint8_t wildcard = Alphabet::get(alphabet).wildcard_code();
-    for (const Sequence& record : records) {
-      out.write(reinterpret_cast<const char*>(record.residues.data()),
-                static_cast<std::streamsize>(record.residues.size()));
-      const std::uint64_t padded = align_up(record.length(), kSwdbV2Block);
-      const std::string pad(
-          static_cast<std::size_t>(padded - record.length()),
-          static_cast<char>(wildcard));
-      out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-    }
+  std::uint64_t rel = 0;
+  for (const std::uint32_t length : lengths) {
+    const std::uint64_t padded = align_up(length, kSwdbV2Block);
+    write_le<std::uint64_t>(out, rel);
+    write_le<std::uint32_t>(out, static_cast<std::uint32_t>(padded));
+    rel += padded;
+  }
+  for (const std::uint32_t id : lane_order_from_lengths(lengths)) {
+    write_le<std::uint32_t>(out, id);
   }
 
-  out.seekp(index_offset_pos);
-  write_le<std::uint64_t>(out, index_offset);
-  if (version >= kSwdbVersion2) {
-    out.seekp(v2_offset_pos);
-    write_le<std::uint64_t>(out, v2_offset);
+  const std::string gap(static_cast<std::size_t>(data_offset - tables_end),
+                        '\0');
+  out.write(gap.data(), static_cast<std::streamsize>(gap.size()));
+
+  const std::uint8_t wildcard = Alphabet::get(alphabet).wildcard_code();
+  for (const Sequence& record : records) {
+    out.write(reinterpret_cast<const char*>(record.residues.data()),
+              static_cast<std::streamsize>(record.residues.size()));
+    const std::uint64_t padded = align_up(record.length(), kSwdbV2Block);
+    const std::string pad(
+        static_cast<std::size_t>(padded - record.length()),
+        static_cast<char>(wildcard));
+    out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
   }
+
   out.flush();
   if (!out) throw IoError("SWDB write failed: " + path);
 }
 
 std::size_t convert_fasta_to_swdb(const std::string& fasta_path,
                                   const std::string& swdb_path,
-                                  AlphabetKind alphabet,
-                                  std::uint32_t version) {
+                                  AlphabetKind alphabet) {
   const std::vector<Sequence> records = read_fasta_file(fasta_path, alphabet);
-  write_swdb(swdb_path, records, alphabet, version);
+  write_swdb(swdb_path, records, alphabet);
   return records.size();
 }
 
-SwdbReader::SwdbReader(const std::string& path)
-    : path_(path), file_(path, std::ios::binary) {
-  if (!file_) throw IoError("cannot open SWDB file: " + path);
-
-  file_.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(0);
-
-  std::array<std::uint8_t, kHeaderBytesV2> header_bytes{};
-  const std::uint64_t header_avail = std::min<std::uint64_t>(
-      file_size, header_bytes.size());
-  file_.read(reinterpret_cast<char*>(header_bytes.data()),
-             static_cast<std::streamsize>(header_avail));
-  if (!file_ && header_avail > 0) {
-    throw IoError("truncated SWDB header: " + path);
-  }
-  const ParsedHeader header =
-      parse_header(header_bytes.data(), header_avail, file_size, path);
-  version_ = header.version;
-  alphabet_ = header.alphabet;
-  data_end_ = header.index_offset;
-
-  std::vector<std::uint8_t> index_bytes(
-      static_cast<std::size_t>(header.count * kIndexEntryBytes));
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(header.index_offset));
-  file_.read(reinterpret_cast<char*>(index_bytes.data()),
-             static_cast<std::streamsize>(index_bytes.size()));
-  if (!file_ && !index_bytes.empty()) {
-    throw IoError("truncated SWDB index: " + path);
-  }
-  const std::vector<RawEntry> raw = parse_index(
-      index_bytes.data(), header.count, header.header_bytes, data_end_, path);
-  entries_.reserve(raw.size());
-  lengths_.reserve(raw.size());
-  for (const RawEntry& entry : raw) {
-    entries_.push_back(
-        {entry.offset, entry.seq_length, entry.id_length, entry.desc_length});
-    lengths_.push_back(entry.seq_length);
-    total_residues_ += entry.seq_length;
-  }
-
-  if (version_ >= kSwdbVersion2) {
-    const std::uint64_t tables_size =
-        kV2SectionHeaderBytes +
-        header.count * (kV2EntryBytes + kV2OrderEntryBytes);
-    if (header.v2_offset < header.index_offset ||
-        header.v2_offset > file_size ||
-        tables_size > file_size - header.v2_offset) {
-      throw IoError("corrupt SWDB v2 section (out of bounds): " + path);
-    }
-    std::vector<std::uint8_t> v2_bytes(static_cast<std::size_t>(tables_size));
-    file_.clear();
-    file_.seekg(static_cast<std::streamoff>(header.v2_offset));
-    file_.read(reinterpret_cast<char*>(v2_bytes.data()),
-               static_cast<std::streamsize>(v2_bytes.size()));
-    if (!file_) throw IoError("truncated SWDB v2 section: " + path);
-    ParsedV2 v2 = parse_v2_tables(v2_bytes.data(), tables_size,
-                                  header.v2_offset, file_size, lengths_, path);
-    lane_order_ = std::move(v2.order);
-  } else {
-    lane_order_ = lane_order_from_lengths(lengths_);
-  }
-}
-
-std::size_t SwdbReader::length(std::size_t i) const {
-  SWDUAL_REQUIRE(i < entries_.size(), "SWDB record index out of range");
-  return entries_[i].seq_length;
-}
-
-Sequence SwdbReader::read(std::size_t i) const {
-  SWDUAL_REQUIRE(i < entries_.size(), "SWDB record index out of range");
-  const Entry& entry = entries_[i];
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(entry.offset));
-  Sequence record;
-  record.alphabet = alphabet_;
-  record.residues.resize(entry.seq_length);
-  file_.read(reinterpret_cast<char*>(record.residues.data()),
-             entry.seq_length);
-  record.id.resize(entry.id_length);
-  file_.read(record.id.data(), entry.id_length);
-  record.description.resize(entry.desc_length);
-  file_.read(record.description.data(), entry.desc_length);
-  if (!file_) throw IoError("truncated SWDB record in " + path_);
-  return record;
-}
-
-std::vector<Sequence> SwdbReader::read_all() const {
-  std::vector<Sequence> records;
-  records.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    records.push_back(read(i));
-  }
-  return records;
-}
-
-MappedSwdb::MappedSwdb(const std::string& path) : path_(path) {
+MappedSwdb::MappedSwdb(const std::string& path) {
 #if SWDUAL_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw IoError("cannot open SWDB file: " + path);
@@ -527,20 +387,16 @@ MappedSwdb::MappedSwdb(const std::string& path) : path_(path) {
 #endif
 
   try {
-    const ParsedHeader header =
-        parse_header(data_, file_size_, file_size_, path);
-    version_ = header.version;
+    const ParsedHeader header = parse_header(data_, file_size_, path);
     alphabet_ = header.alphabet;
-    count_ = static_cast<std::size_t>(header.count);
 
-    const std::vector<RawEntry> raw =
-        parse_index(base() + header.index_offset, header.count,
-                    header.header_bytes, header.index_offset, path);
+    const std::vector<RawEntry> raw = parse_index(
+        data_ + header.index_offset, header.count, header.index_offset, path);
     entries_.reserve(raw.size());
     lengths_.reserve(raw.size());
     for (const RawEntry& entry : raw) {
       Entry e;
-      e.offset = entry.offset;
+      e.record_offset = entry.offset;
       e.seq_length = entry.seq_length;
       e.id_length = entry.id_length;
       e.desc_length = entry.desc_length;
@@ -549,25 +405,20 @@ MappedSwdb::MappedSwdb(const std::string& path) : path_(path) {
       total_residues_ += entry.seq_length;
     }
 
-    if (version_ >= kSwdbVersion2) {
-      const std::uint64_t tables_size =
-          kV2SectionHeaderBytes +
-          header.count * (kV2EntryBytes + kV2OrderEntryBytes);
-      if (header.v2_offset < header.index_offset ||
-          header.v2_offset > file_size_ ||
-          tables_size > file_size_ - header.v2_offset) {
-        throw IoError("corrupt SWDB v2 section (out of bounds): " + path);
-      }
-      ParsedV2 v2 =
-          parse_v2_tables(base() + header.v2_offset, tables_size,
-                          header.v2_offset, file_size_, lengths_, path);
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        entries_[i].v2_offset = v2.data_offset + v2.rel_offsets[i];
-      }
-      lane_order_ = std::move(v2.order);
-    } else {
-      lane_order_ = lane_order_from_lengths(lengths_);
+    const std::uint64_t tables_size =
+        kV2SectionHeaderBytes +
+        header.count * (kV2EntryBytes + kV2OrderEntryBytes);
+    if (header.v2_offset < header.index_offset ||
+        header.v2_offset > file_size_ ||
+        tables_size > file_size_ - header.v2_offset) {
+      throw IoError("corrupt SWDB v2 section (out of bounds): " + path);
     }
+    ParsedV2 v2 = parse_v2_tables(data_ + header.v2_offset, tables_size,
+                                  header.v2_offset, file_size_, lengths_, path);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      entries_[i].residue_offset = v2.data_offset + v2.rel_offsets[i];
+    }
+    lane_order_ = std::move(v2.order);
   } catch (...) {
 #if SWDUAL_HAVE_MMAP
     if (mmapped_) ::munmap(const_cast<std::uint8_t*>(data_), file_size_);
@@ -590,15 +441,13 @@ std::size_t MappedSwdb::length(std::size_t i) const {
 std::span<const std::uint8_t> MappedSwdb::residues(std::size_t i) const {
   SWDUAL_REQUIRE(i < entries_.size(), "SWDB record index out of range");
   const Entry& entry = entries_[i];
-  const std::uint64_t at =
-      version_ >= kSwdbVersion2 ? entry.v2_offset : entry.offset;
-  return {base() + at, entry.seq_length};
+  return {data_ + entry.residue_offset, entry.seq_length};
 }
 
 std::string_view MappedSwdb::id(std::size_t i) const {
   SWDUAL_REQUIRE(i < entries_.size(), "SWDB record index out of range");
   const Entry& entry = entries_[i];
-  return {reinterpret_cast<const char*>(base() + entry.offset +
+  return {reinterpret_cast<const char*>(data_ + entry.record_offset +
                                         entry.seq_length),
           entry.id_length};
 }
@@ -606,7 +455,7 @@ std::string_view MappedSwdb::id(std::size_t i) const {
 std::string_view MappedSwdb::description(std::size_t i) const {
   SWDUAL_REQUIRE(i < entries_.size(), "SWDB record index out of range");
   const Entry& entry = entries_[i];
-  return {reinterpret_cast<const char*>(base() + entry.offset +
+  return {reinterpret_cast<const char*>(data_ + entry.record_offset +
                                         entry.seq_length + entry.id_length),
           entry.desc_length};
 }

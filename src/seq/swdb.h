@@ -7,35 +7,33 @@
 // at any position directly and pre-size memory allocations (all lengths are
 // known up front). This is our realization of that format:
 //
-//   [header]   magic "SWDB", version, alphabet, record count, index offset
-//              (v2 adds the pre-encoded section offset)
+//   [header]   magic "SWDB", version (2), alphabet, record count, index
+//              offset, aligned-section offset
 //   [records]  residue codes + id + description per record, back to back
 //   [index]    per record: data offset, residue/id/description lengths
-//   [v2]       pre-encoded section (version >= 2 only), see below
+//   [aligned]  a *pre-encoded, pre-blocked* copy of the residues, so the
+//              hot search loop never touches (or re-copies) record bytes:
 //
-// Version 2 appends a *pre-encoded, pre-blocked* copy of the residue data
-// so the hot search loop never touches (or re-copies) raw record bytes:
+//   [section header] magic "SWV2", block granularity, data offset/size
+//   [entries]        per record: blocked data offset + padded length
+//   [lane order]     record ids sorted longest-first (ties by id) — the
+//                    SWIPE-style lane-batch index: consecutive runs of this
+//                    permutation form SIMD batches whose lanes retire
+//                    together
+//   [data]           residues per record at a 64-byte-aligned offset,
+//                    padded with the alphabet's wildcard code to a block
+//                    multiple
 //
-//   [v2 header]   magic "SWV2", block granularity, data offset/size
-//   [v2 entries]  per record: blocked data offset + padded length
-//   [lane order]  record ids sorted longest-first (ties by id) — the
-//                 SWIPE-style lane-batch index: consecutive runs of this
-//                 permutation form SIMD batches whose lanes retire together
-//   [v2 data]     residues per record at a 64-byte-aligned offset, padded
-//                 with the alphabet's wildcard code to a block multiple
-//
-// Two readers serve the format. SwdbReader loads the index (tens of bytes
-// per record) and leaves the data on disk, serving O(1) random reads via
-// seek. MappedSwdb maps the whole file read-only and hands out zero-copy
-// spans into the mapping — one mapping shared by every engine/shard/thread
-// (the kernel page cache holds a single physical copy). v1 files open in
-// both readers; they simply lack the pre-encoded section, so MappedSwdb
-// falls back to (equally zero-copy, but unaligned) spans into the record
-// section and computes the lane order at open. All integers little-endian.
+// One reader serves the format: MappedSwdb maps the whole file read-only
+// and hands out zero-copy spans into the mapping — one mapping shared by
+// every engine/shard/thread (the kernel page cache holds a single physical
+// copy). Residues come from the aligned section; ids and descriptions from
+// the record section. A file of any other version, such as a version-1 file
+// (this layout without the aligned section), is an IoError at open. All
+// integers little-endian.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,88 +43,25 @@
 
 namespace swdual::seq {
 
-/// SWDB container versions this library reads and writes.
-inline constexpr std::uint32_t kSwdbVersion1 = 1;
-inline constexpr std::uint32_t kSwdbVersion2 = 2;
-inline constexpr std::uint32_t kSwdbVersionLatest = kSwdbVersion2;
+/// The SWDB container version this library reads and writes.
+inline constexpr std::uint32_t kSwdbVersion = 2;
 
-/// Alignment/padding granularity of the v2 pre-encoded section, in bytes:
+/// Alignment/padding granularity of the aligned residue section, in bytes:
 /// every record's blocked residues start on a 64-byte (cache-line, widest
 /// SIMD register) boundary and are padded to a multiple of it.
 inline constexpr std::size_t kSwdbV2Block = 64;
 
-/// Write all records to an SWDB file of the given container version.
-/// Throws IoError on failure and InvalidArgument if records disagree on
-/// alphabet or the version is unknown. Version 2 files contain everything a
-/// v1 file does plus the pre-encoded section, so v1-only consumers of the
-/// record/index sections keep working off the same bytes.
+/// Write all records to an SWDB file. Throws IoError on failure and
+/// InvalidArgument if records disagree on alphabet or overflow a length
+/// field.
 void write_swdb(const std::string& path, const std::vector<Sequence>& records,
-                AlphabetKind alphabet,
-                std::uint32_t version = kSwdbVersionLatest);
+                AlphabetKind alphabet);
 
 /// Convert a FASTA file to SWDB (the master/worker "convert format" step in
 /// the paper's Fig. 6 workflow). Returns the number of records written.
 std::size_t convert_fasta_to_swdb(const std::string& fasta_path,
                                   const std::string& swdb_path,
-                                  AlphabetKind alphabet,
-                                  std::uint32_t version = kSwdbVersionLatest);
-
-/// Random-access streaming SWDB reader (v1 and v2 files).
-class SwdbReader {
- public:
-  /// Opens the file and loads the index; throws IoError if the file is
-  /// missing, truncated, or not an SWDB container (a corrupt v2 section is
-  /// rejected the same way — never silently ignored).
-  explicit SwdbReader(const std::string& path);
-
-  std::size_t size() const { return entries_.size(); }
-  AlphabetKind alphabet() const { return alphabet_; }
-
-  /// Container version of the file on disk (1 or 2).
-  std::uint32_t version() const { return version_; }
-
-  /// True if the file carries the v2 pre-encoded section.
-  bool pre_encoded() const { return version_ >= kSwdbVersion2; }
-
-  /// Residue count of record i without touching the data section — the
-  /// property that makes task-cost estimation cheap for the scheduler.
-  std::size_t length(std::size_t i) const;
-
-  /// Sum of all residue counts (cell-count denominators for GCUPS).
-  std::uint64_t total_residues() const { return total_residues_; }
-
-  /// All residue counts in record order, straight from the index section —
-  /// no record decoding (dbstats and the scheduler build on this).
-  std::span<const std::uint32_t> lengths() const { return lengths_; }
-
-  /// The lane-batch index: record ids sorted longest-first (ties by id).
-  /// Read from the v2 section, or computed at open for v1 files.
-  std::span<const std::uint32_t> lane_order() const { return lane_order_; }
-
-  /// Read one record (seek + read; O(1) in the file position).
-  Sequence read(std::size_t i) const;
-
-  /// Read every record in file order.
-  std::vector<Sequence> read_all() const;
-
- private:
-  struct Entry {
-    std::uint64_t offset = 0;
-    std::uint32_t seq_length = 0;
-    std::uint16_t id_length = 0;
-    std::uint16_t desc_length = 0;
-  };
-
-  std::string path_;
-  mutable std::ifstream file_;
-  AlphabetKind alphabet_ = AlphabetKind::kProtein;
-  std::uint32_t version_ = kSwdbVersion1;
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> lengths_;
-  std::vector<std::uint32_t> lane_order_;
-  std::uint64_t total_residues_ = 0;
-  std::uint64_t data_end_ = 0;  ///< first byte of the index section
-};
+                                  AlphabetKind alphabet);
 
 /// mmap-backed zero-copy SWDB reader.
 ///
@@ -143,33 +78,35 @@ class SwdbReader {
 /// only borrow the views). The object is immutable after construction, so
 /// concurrent reads need no synchronization.
 ///
-/// On v2 files residues(i) points into the pre-encoded section: 64-byte
-/// aligned, padded to a block multiple, ready for SIMD consumption. On v1
-/// files it points into the record section (same bytes, no alignment
-/// guarantee) — the compatibility fallback that keeps old databases
-/// searchable bit-identically.
+/// residues(i) points into the aligned section: 64-byte aligned, padded
+/// with the wildcard code to a block multiple, ready for SIMD consumption.
+/// Off POSIX the file is read into one buffer instead of mapped; the views
+/// then point into that buffer.
 class MappedSwdb {
  public:
   /// Maps and validates the file; throws IoError on any structural problem
-  /// (missing file, bad magic, truncated index, corrupt v2 section).
+  /// (missing file, bad magic, unsupported version, truncated index,
+  /// corrupt aligned section).
   explicit MappedSwdb(const std::string& path);
   ~MappedSwdb();
 
   MappedSwdb(const MappedSwdb&) = delete;
   MappedSwdb& operator=(const MappedSwdb&) = delete;
 
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return entries_.size(); }
   AlphabetKind alphabet() const { return alphabet_; }
-  std::uint32_t version() const { return version_; }
 
-  /// True if residues() serves 64-byte-aligned v2 pre-encoded data.
-  bool pre_encoded() const { return version_ >= kSwdbVersion2; }
-
+  /// Residue count of record i, from the index section — no data read, the
+  /// property that makes task-cost estimation cheap for the scheduler.
   std::size_t length(std::size_t i) const;
+
+  /// Sum of all residue counts (cell-count denominators for GCUPS).
   std::uint64_t total_residues() const { return total_residues_; }
+
+  /// All residue counts in record order, straight from the index section.
   std::span<const std::uint32_t> lengths() const { return lengths_; }
 
-  /// Lane-batch index (longest-first record ids; see SwdbReader).
+  /// The lane-batch index: record ids sorted longest-first (ties by id).
   std::span<const std::uint32_t> lane_order() const { return lane_order_; }
 
   /// Residue codes of record i, zero-copy out of the mapping.
@@ -187,24 +124,19 @@ class MappedSwdb {
 
  private:
   struct Entry {
-    std::uint64_t offset = 0;       ///< v1 record offset (absolute)
-    std::uint64_t v2_offset = 0;    ///< pre-encoded offset (absolute, v2)
+    std::uint64_t record_offset = 0;   ///< residues + id + description
+    std::uint64_t residue_offset = 0;  ///< aligned copy of the residues
     std::uint32_t seq_length = 0;
     std::uint16_t id_length = 0;
     std::uint16_t desc_length = 0;
   };
 
-  const std::uint8_t* base() const { return data_; }
-
-  std::string path_;
   const std::uint8_t* data_ = nullptr;  ///< mapping (or fallback buffer)
   std::size_t file_size_ = 0;
   bool mmapped_ = false;
   std::vector<std::uint8_t> fallback_;  ///< used when mmap is unavailable
 
   AlphabetKind alphabet_ = AlphabetKind::kProtein;
-  std::uint32_t version_ = kSwdbVersion1;
-  std::size_t count_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> lengths_;
   std::vector<std::uint32_t> lane_order_;

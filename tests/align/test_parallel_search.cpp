@@ -203,9 +203,9 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
 }
 
 TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
-  // The zero-copy path: an engine built over a MappedSwdb (v1 or v2 file)
-  // must score bit-identically to one built over in-memory record views —
-  // for every kernel (the lane-batch index supplies the longest-first order).
+  // The zero-copy path: an engine built over a MappedSwdb must score
+  // bit-identically to one built over in-memory record views — for every
+  // kernel (the lane-batch index supplies the longest-first order).
   const std::string path =
       ::testing::TempDir() + "/swdual_parallel_mapped.swdb";
   const auto db = random_database(48, 31);
@@ -215,9 +215,8 @@ TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
   ScoringScheme scheme;
-  for (const std::uint32_t version :
-       {seq::kSwdbVersion1, seq::kSwdbVersion2}) {
-    seq::write_swdb(path, db, seq::AlphabetKind::kProtein, version);
+  seq::write_swdb(path, db, seq::AlphabetKind::kProtein);
+  {
     const seq::MappedSwdb mapped(path);
     ParallelSearchOptions options;
     options.threads = 3;

@@ -1,4 +1,4 @@
-// Unit tests for query profile construction (sequential and striped).
+// Unit tests for striped query profile construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "align/profile.h"
 #include "align/search.h"
-#include "seq/alphabet.h"
 #include "util/aligned.h"
 #include "util/error.h"
 #include "util/lru_cache.h"
@@ -37,21 +36,6 @@
 
 namespace swdual::align {
 namespace {
-
-using seq::Alphabet;
-
-TEST(QueryProfile, RowsMatchMatrixLookups) {
-  const auto q = Alphabet::protein().encode("MKVLAWYNDERT");
-  const ScoreMatrix& m = ScoreMatrix::blosum62();
-  const QueryProfile profile(q, m);
-  ASSERT_EQ(profile.query_length(), q.size());
-  for (std::uint8_t code = 0; code < m.size(); ++code) {
-    const std::int16_t* row = profile.row(code);
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      EXPECT_EQ(row[i], m.score(q[i], code)) << "code " << int(code);
-    }
-  }
-}
 
 TEST(StripedProfile, LayoutMapsPositionsToLanes) {
   Rng rng(11);

@@ -128,6 +128,34 @@ TEST(ProfileCache, AutoBackendFollowsTheKernelAwareRule) {
   }
 }
 
+// A kAuto entry is what a direct kAuto build gives, screen backend
+// included: on an AVX-512BW host striped8 scans on AVX2 (the kernel gate)
+// and screens on AVX-512. So it is not the explicit kAVX2 entry, which
+// screens on AVX2. Where the gate changes nothing both entries would run
+// alike, so the case skips.
+TEST(ProfileCache, AutoEntryScreensLikeADirectAutoBuild) {
+  if (best_backend() == best_backend(KernelKind::kStriped8)) {
+    GTEST_SKIP() << "the striped8 gate does not narrow "
+                 << backend_name(best_backend()) << " on this host";
+  }
+  ProfileCache cache(8);
+  const seq::Sequence query = make_query(23, 64);
+  ScoringScheme scheme;
+  const SearchProfiles direct(view(query), scheme, KernelKind::kStriped8,
+                              Backend::kAuto);
+  const auto automatic = cache.acquire(view(query), scheme,
+                                       KernelKind::kStriped8, Backend::kAuto);
+  EXPECT_EQ(automatic->backend(), direct.backend());
+  EXPECT_EQ(automatic->screen_backend(), direct.screen_backend())
+      << "cache=" << backend_name(automatic->screen_backend())
+      << " direct=" << backend_name(direct.screen_backend());
+  const auto narrow = cache.acquire(view(query), scheme, KernelKind::kStriped8,
+                                    direct.backend());
+  EXPECT_NE(narrow.get(), automatic.get());
+  EXPECT_EQ(narrow->screen_backend(), direct.backend());
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
 TEST(ProfileCache, CachedProfilesScoreBitIdenticalToDirectSearch) {
   const auto db = tiny_database(25, 17);
   const DbView db_view = make_db_view(db);

@@ -15,7 +15,11 @@
 // annotation, filter off and heuristic, must rank like the unannotated
 // search, equal the serial engine's annotations field by field on every
 // topology, and carry CIGARs that re-derive each hit's score through
-// cigar_score.
+// cigar_score. Backends are an axis too: striped8 and interseq profiles
+// forced onto each available backend (which the screen then runs on as
+// well) must give the serial engine the scalar kernel's answer and cells,
+// and the annotated striped8 search's annotations, on every shape. The
+// shard × thread sweep runs on the auto profiles only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +33,7 @@
 
 #include "align/alignment.h"
 #include "align/annotate.h"
+#include "align/backend.h"
 #include "align/pipeline.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
@@ -232,6 +237,22 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
             std::make_unique<SearchProfiles>(query, c.scheme, kernel));
       }
     }
+    struct Forced {
+      KernelKind kernel;
+      Backend backend;
+      std::vector<std::unique_ptr<SearchProfiles>> profiles;
+    };
+    std::vector<Forced> forced;
+    for (const Backend backend : available_backends()) {
+      for (const KernelKind kernel :
+           {KernelKind::kStriped8, KernelKind::kInterSeq}) {
+        Forced& f = forced.emplace_back(Forced{kernel, backend, {}});
+        for (const auto& query : c.queries) {
+          f.profiles.push_back(std::make_unique<SearchProfiles>(
+              query, c.scheme, kernel, backend));
+        }
+      }
+    }
 
     for (const LengthProfile& profile : c.profiles) {
       std::vector<std::vector<std::uint8_t>> records;
@@ -268,6 +289,7 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
         const std::string where = c.name + "/" + profile.name +
                                   (filter.enabled() ? "/heuristic" : "/off");
         std::vector<SearchOutcome> oracle;  // the scalar kernel's
+        std::vector<SearchOutcome> annotated_oracle;  // auto striped8's
         for (std::size_t k = 0; k < std::size(kExactKernels); ++k) {
           const KernelKind kernel = kExactKernels[k];
           std::vector<const SearchProfiles*> group;
@@ -313,6 +335,7 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
           const std::string annotated_label = label + "/stats+cigar";
           const std::vector<SearchOutcome> serial_annotated =
               search(serial, group, annotated);
+          annotated_oracle = serial_annotated;
           ASSERT_EQ(serial_annotated.size(), expected.size());
           for (std::size_t q = 0; q < expected.size(); ++q) {
             const std::string at =
@@ -340,6 +363,50 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
               expect_same_outcome(actual[q], serial_annotated[q], at);
               expect_same_annotation(actual[q], serial_annotated[q], at);
             }
+          }
+        }
+
+        for (const Forced& f : forced) {
+          std::vector<const SearchProfiles*> group;
+          for (const auto& profiles : f.profiles) {
+            group.push_back(profiles.get());
+          }
+          const std::string label = where + "/" + kernel_name(f.kernel) +
+                                    "/" + backend_name(f.backend);
+          const std::vector<SearchOutcome> actual =
+              search(serial, group, request);
+          ASSERT_EQ(actual.size(), oracle.size());
+          std::size_t rescans = 0;
+          for (std::size_t q = 0; q < actual.size(); ++q) {
+            const std::string at = label + "/query " + std::to_string(q);
+            expect_same_answer(actual[q], oracle[q], at);
+            EXPECT_EQ(actual[q].ranked.result.cells,
+                      oracle[q].ranked.result.cells)
+                << at;
+            rescans += actual[q].ranked.result.overflow_rescans;
+          }
+          if (!filter.enabled() &&
+              std::count(c.must_overflow.begin(), c.must_overflow.end(),
+                         f.kernel) > 0) {
+            EXPECT_GT(rescans, 0u) << label << ": inputs must overflow";
+          }
+
+          if (!c.annotate || f.kernel != KernelKind::kStriped8) continue;
+          SearchRequest annotated = request;
+          annotated.annotate.mode = AnnotateMode::kStatsCigar;
+          annotated.stats = &params;
+          const std::vector<SearchOutcome> actual_annotated =
+              search(serial, group, annotated);
+          ASSERT_EQ(actual_annotated.size(), annotated_oracle.size());
+          for (std::size_t q = 0; q < actual_annotated.size(); ++q) {
+            const std::string at =
+                label + "/stats+cigar/query " + std::to_string(q);
+            expect_same_answer(actual_annotated[q], annotated_oracle[q], at);
+            EXPECT_EQ(actual_annotated[q].ranked.result.cells,
+                      annotated_oracle[q].ranked.result.cells)
+                << at;
+            expect_same_annotation(actual_annotated[q], annotated_oracle[q],
+                                   at);
           }
         }
       }

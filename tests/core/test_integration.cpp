@@ -34,8 +34,12 @@ TEST(EndToEnd, FastaToSwdbToSearch) {
   EXPECT_EQ(n, records.size());
 
   // 3. Load through the SWDB reader, as master and workers do.
-  const seq::SwdbReader reader(swdb_path);
-  const auto db = reader.read_all();
+  const seq::MappedSwdb mapped(swdb_path);
+  std::vector<seq::Sequence> db;
+  for (std::size_t i = 0; i < mapped.size(); ++i) {
+    db.push_back(mapped.record(i));
+  }
+  ASSERT_EQ(db, records);
 
   // 4. Sample queries and run the hybrid search.
   const auto queries = seq::sample_query_set(db, 4, 20, 200, 5);

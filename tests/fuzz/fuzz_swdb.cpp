@@ -1,24 +1,27 @@
-// Fuzz harness for the SWDB container parsers (SwdbReader + MappedSwdb).
+// Fuzz harness for the SWDB container parser (MappedSwdb).
 //
-// The parsers promise exactly one failure mode for hostile bytes: a thrown
+// The parser promises exactly one failure mode for hostile bytes: a thrown
 // swdual::Error (IoError for structural problems, InvalidArgument for bad
 // parameters). Anything else — a crash, an ASan/UBSan report, an unexpected
 // exception type — is a finding. On a successful open the harness walks the
-// whole surface (lengths, lane order, every record via both readers) so an
-// index that validates but points outside the file is caught too.
+// whole surface (lengths, lane order, every record's residues, id and
+// description) so an index that validates but points outside the file is
+// caught too.
 //
 // Two build modes, one source file:
 //   - SWDUAL_HAVE_LIBFUZZER (fuzz preset: clang + -fsanitize=fuzzer):
 //     exports LLVMFuzzerTestOneInput for open-ended fuzzing.
 //   - standalone (every other build, incl. GCC): a driver main() with
-//     --make-seeds <dir>  write the seed corpus (valid v1/v2 + edge cases)
-//     --smoke <dir>       replay the corpus plus bounded deterministic
+//     --make-seeds <dir>  write the seed corpus (valid files, a version-1
+//                         header, edge cases)
+//     --smoke <dir>       check that the version-1 header is rejected, then
+//                         replay the corpus plus bounded deterministic
 //                         mutations (truncations, byte flips) — the ctest
 //                         `fuzz` label runs this everywhere, so the corpus
 //                         never rots and the parser contract is exercised
 //                         even on hosts without libFuzzer.
 //
-// The input arrives as a byte buffer but both parsers take paths, so each
+// The input arrives as a byte buffer but the parser takes a path, so each
 // iteration round-trips through one reused temp file.
 #include <unistd.h>
 
@@ -64,24 +67,15 @@ void write_bytes(const std::string& path, const std::uint8_t* data,
             static_cast<std::streamsize>(size));
 }
 
-/// Walk every accessor of an open reader pair; the return value only exists
-/// so the reads cannot be optimized away.
+/// Walk every accessor of an open reader; the return value only exists so
+/// the reads cannot be optimized away.
 std::uint64_t exercise(const std::string& path) {
   std::uint64_t checksum = 0;
-
-  swdual::seq::SwdbReader reader(path);
-  checksum += reader.total_residues() + reader.version();
-  for (std::uint32_t lane : reader.lane_order()) checksum += lane;
-  for (std::size_t i = 0; i < reader.size(); ++i) {
-    checksum += reader.length(i);
-    const swdual::seq::Sequence record = reader.read(i);
-    for (std::uint8_t code : record.residues) checksum += code;
-    checksum += record.id.size() + record.description.size();
-  }
-
-  swdual::seq::MappedSwdb mapped(path);
-  checksum += mapped.total_residues() + mapped.version();
+  const swdual::seq::MappedSwdb mapped(path);
+  checksum += mapped.total_residues();
+  for (std::uint32_t lane : mapped.lane_order()) checksum += lane;
   for (std::size_t i = 0; i < mapped.size(); ++i) {
+    checksum += mapped.length(i);
     for (std::uint8_t code : mapped.residues(i)) checksum += code;
     checksum += mapped.id(i).size() + mapped.description(i).size();
   }
@@ -120,9 +114,19 @@ void dump(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
   write_bytes(path.string(), bytes.data(), bytes.size());
 }
 
-/// Seed corpus: structurally valid files of both container versions plus
-/// the classic parser edge cases. Everything past these is the mutator's
-/// job (libFuzzer when available, the deterministic smoke otherwise).
+/// A version-1 file (the layout without the aligned section): its 28-byte
+/// header for an empty database. The reader must refuse it.
+std::vector<std::uint8_t> version1_header() {
+  std::vector<std::uint8_t> bytes = {'S', 'W', 'D', 'B', 1, 0, 0, 0};
+  bytes.resize(28, 0);  // alphabet, padding, 0 records, index offset
+  bytes[8] = static_cast<std::uint8_t>(swdual::seq::AlphabetKind::kProtein);
+  bytes[20] = 28;  // the index starts right after the header
+  return bytes;
+}
+
+/// Seed corpus: structurally valid files, the version-1 header, and the
+/// classic parser edge cases. Everything past these is the mutator's job
+/// (libFuzzer when available, the deterministic smoke otherwise).
 void make_seeds(const fs::path& dir) {
   fs::create_directories(dir);
 
@@ -136,15 +140,12 @@ void make_seeds(const fs::path& dir) {
   records.emplace_back(swdual::seq::Sequence::from_text(
       "sp|P3", "empty record", swdual::seq::AlphabetKind::kProtein, ""));
 
-  swdual::seq::write_swdb((dir / "valid_v1.swdb").string(), records,
-                          swdual::seq::AlphabetKind::kProtein,
-                          swdual::seq::kSwdbVersion1);
   swdual::seq::write_swdb((dir / "valid_v2.swdb").string(), records,
-                          swdual::seq::AlphabetKind::kProtein,
-                          swdual::seq::kSwdbVersion2);
+                          swdual::seq::AlphabetKind::kProtein);
   swdual::seq::write_swdb((dir / "empty_db.swdb").string(), {},
                           swdual::seq::AlphabetKind::kProtein);
 
+  dump(dir / "version1_header.swdb", version1_header());
   dump(dir / "empty_file.swdb", {});
   dump(dir / "bad_magic.swdb", {'N', 'O', 'P', 'E', 1, 0, 0, 0});
   const std::vector<std::uint8_t> v2 = slurp(dir / "valid_v2.swdb");
@@ -156,10 +157,27 @@ void make_seeds(const fs::path& dir) {
        std::vector<std::uint8_t>(v2.begin(), v2.begin() + v2.size() / 2));
 }
 
-/// Bounded deterministic smoke: replay every corpus file verbatim, then at
-/// every truncation length and with every single-byte flip in the first
-/// 256 bytes (the header/index region where parsing decisions live).
+/// True if opening `bytes` throws an IoError naming version 1.
+bool version1_rejected(const std::vector<std::uint8_t>& bytes) {
+  write_bytes(scratch_path(), bytes.data(), bytes.size());
+  try {
+    exercise(scratch_path());
+  } catch (const swdual::IoError& error) {
+    return std::string(error.what()).find("unsupported SWDB version 1") !=
+           std::string::npos;
+  }
+  return false;
+}
+
+/// Bounded deterministic smoke: check that the version-1 header is refused,
+/// then replay every corpus file verbatim, at every truncation length and
+/// with every single-byte flip in the first 256 bytes (the header/index
+/// region where parsing decisions live).
 int smoke(const fs::path& dir) {
+  if (!version1_rejected(version1_header())) {
+    std::cerr << "fuzz_swdb smoke: a version-1 header was not rejected\n";
+    return 1;
+  }
   std::size_t iterations = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
@@ -179,7 +197,7 @@ int smoke(const fs::path& dir) {
       ++iterations;
     }
   }
-  std::cout << "fuzz_swdb smoke: " << iterations
+  std::cout << "fuzz_swdb smoke: version-1 header rejected, " << iterations
             << " inputs, no parser contract violation\n";
   return iterations == 0 ? 1 : 0;
 }

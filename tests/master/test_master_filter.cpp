@@ -2,9 +2,9 @@
 // mix must answer a heuristic-filtered run exactly like the serial filtered
 // search. GPU workers screen and cascade on the host, charged at the host
 // model, and rescan candidates on the virtual device; a shared
-// ProfileCache must not change a single hit. An
-// unsharded filtered QueryService, which dispatches through the master,
-// must give the same hits.
+// ProfileCache must not change a single hit, and its kAuto entries screen
+// on the widest backend. An unsharded filtered QueryService, which
+// dispatches through the master, must give the same hits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -129,6 +129,43 @@ TEST(MasterFilter, HeuristicMatchesSerialForEveryWorkerMix) {
       EXPECT_EQ(report.filter.candidates, serial.candidates) << label;
     }
   }
+}
+
+// The master hands its workers the configured backend, not the one the
+// striped8 gate resolves it to: a filtered kAuto run leaves cache entries
+// that screen on best_backend(), and a later kAuto acquire hits them.
+// Where the gate changes nothing the two would agree, so the case skips.
+TEST(MasterFilter, CachedAutoProfilesScreenOnTheWidestBackend) {
+  if (align::best_backend() ==
+      align::best_backend(align::KernelKind::kStriped8)) {
+    GTEST_SKIP() << "the striped8 gate does not narrow "
+                 << align::backend_name(align::best_backend())
+                 << " on this host";
+  }
+  const Corpus corpus = planted_corpus(0xf181);
+  align::ProfileCache cache(16);
+  MasterConfig config;
+  config.cpu_workers = 2;
+  config.gpu_workers = 1;
+  config.top_hits = 4;
+  config.filter = heuristic();
+  config.profile_cache = &cache;
+  ASSERT_EQ(config.cpu_backend, align::Backend::kAuto);
+  ASSERT_EQ(config.cpu_kernel, align::KernelKind::kStriped8);
+  const SearchReport report = run_search(corpus.queries, corpus.db, config);
+  ASSERT_EQ(report.results.size(), corpus.queries.size());
+
+  const util::CacheStats before = cache.stats();
+  for (const seq::Sequence& query : corpus.queries) {
+    const auto entry =
+        cache.acquire(query.residues, config.scheme, config.cpu_kernel,
+                      align::Backend::kAuto);
+    EXPECT_EQ(entry->screen_backend(), align::best_backend())
+        << align::backend_name(entry->screen_backend());
+  }
+  const util::CacheStats after = cache.stats();
+  EXPECT_EQ(after.hits - before.hits, corpus.queries.size());
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(MasterFilter, GpuWorkerChargesTheCascadeAtTheHostRate) {

@@ -1,6 +1,6 @@
-// Fuzz-style robustness tests: the FASTA parser and SWDB reader must either
-// succeed or throw IoError on arbitrary inputs — never crash, hang, or read
-// out of bounds.
+// Fuzz-style robustness tests: the FASTA parser and the SWDB reader
+// (MappedSwdb) must either succeed or throw IoError on arbitrary inputs —
+// never crash, hang, or read out of bounds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -66,11 +66,11 @@ TEST(SwdbFuzz, RandomFilesRejectedCleanly) {
       }
     }
     try {
-      const SwdbReader reader(path);
+      const MappedSwdb db(path);
       // A random file passing header checks is essentially impossible, but
       // if it does, reads must still be bounds-checked.
-      if (reader.size() > 0) {
-        (void)reader.read(0);
+      if (db.size() > 0) {
+        (void)db.record(0);
       }
     } catch (const IoError&) {
     } catch (const InvalidArgument&) {
@@ -104,9 +104,9 @@ TEST(SwdbFuzz, BitFlippedValidFileNeverCrashes) {
       out.write(copy.data(), static_cast<std::streamsize>(copy.size()));
     }
     try {
-      const SwdbReader reader(path);
-      for (std::size_t i = 0; i < reader.size(); ++i) {
-        (void)reader.read(i);
+      const MappedSwdb db(path);
+      for (std::size_t i = 0; i < db.size(); ++i) {
+        (void)db.record(i);
       }
     } catch (const IoError&) {
     } catch (const InvalidArgument&) {

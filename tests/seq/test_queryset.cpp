@@ -1,4 +1,5 @@
-// Unit tests for paper query-set construction (§V-A and §V-C).
+// Unit tests for paper query-set construction (§V-A and §V-C): the three
+// sets' length bounds, drawn through sample_query_set.
 #include <gtest/gtest.h>
 
 #include "seq/dbgen.h"
@@ -15,7 +16,7 @@ std::vector<Sequence> small_uniprot() {
 
 TEST(QuerySet, PaperSetHas40SequencesInRange) {
   const auto db = small_uniprot();
-  const auto queries = make_query_set(QuerySetKind::kPaper, db);
+  const auto queries = sample_query_set(db, kPaperQueryCount, 100, 5000, 42);
   ASSERT_EQ(queries.size(), kPaperQueryCount);
   std::size_t min_len = SIZE_MAX, max_len = 0;
   for (const auto& q : queries) {
@@ -28,7 +29,7 @@ TEST(QuerySet, PaperSetHas40SequencesInRange) {
 
 TEST(QuerySet, HomogeneousSetIsNarrow) {
   const auto db = small_uniprot();
-  const auto queries = make_query_set(QuerySetKind::kHomogeneous, db);
+  const auto queries = sample_query_set(db, kPaperQueryCount, 4500, 5000, 42);
   for (const auto& q : queries) {
     EXPECT_GE(q.length(), 4500u);
     EXPECT_LE(q.length(), 5000u);
@@ -37,7 +38,7 @@ TEST(QuerySet, HomogeneousSetIsNarrow) {
 
 TEST(QuerySet, HeterogeneousSetSpansDatabaseExtremes) {
   const auto db = small_uniprot();
-  const auto queries = make_query_set(QuerySetKind::kHeterogeneous, db);
+  const auto queries = sample_query_set(db, kPaperQueryCount, 4, 35213, 42);
   std::size_t min_len = SIZE_MAX, max_len = 0;
   for (const auto& q : queries) {
     min_len = std::min(min_len, q.length());
@@ -49,11 +50,11 @@ TEST(QuerySet, HeterogeneousSetSpansDatabaseExtremes) {
 
 TEST(QuerySet, DeterministicInSeed) {
   const auto db = small_uniprot();
-  const auto a = make_query_set(QuerySetKind::kPaper, db, 42);
-  const auto b = make_query_set(QuerySetKind::kPaper, db, 42);
+  const auto a = sample_query_set(db, kPaperQueryCount, 100, 5000, 42);
+  const auto b = sample_query_set(db, kPaperQueryCount, 100, 5000, 42);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  const auto c = make_query_set(QuerySetKind::kPaper, db, 43);
+  const auto c = sample_query_set(db, kPaperQueryCount, 100, 5000, 43);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!(a[i] == c[i])) any_diff = true;

@@ -1,8 +1,11 @@
-// Unit tests for the SWDB binary random-access format (paper §IV).
+// Unit tests for the SWDB binary random-access format (paper §IV), read
+// through its one reader, MappedSwdb.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "seq/dbgen.h"
 #include "seq/fasta.h"
@@ -40,48 +43,48 @@ class SwdbTest : public ::testing::Test {
 TEST_F(SwdbTest, RoundTripsAllRecords) {
   const auto records = sample_records();
   write_swdb(path_, records, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  ASSERT_EQ(reader.size(), records.size());
-  EXPECT_EQ(reader.alphabet(), AlphabetKind::kProtein);
+  const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), records.size());
+  EXPECT_EQ(db.alphabet(), AlphabetKind::kProtein);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(reader.read(i), records[i]) << "record " << i;
+    EXPECT_EQ(db.record(i), records[i]) << "record " << i;
   }
 }
 
 TEST_F(SwdbTest, RandomAccessOutOfOrder) {
   const auto records = sample_records();
   write_swdb(path_, records, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
+  const MappedSwdb db(path_);
   // Read in reverse and repeatedly — any order must work.
-  EXPECT_EQ(reader.read(2), records[2]);
-  EXPECT_EQ(reader.read(0), records[0]);
-  EXPECT_EQ(reader.read(2), records[2]);
-  EXPECT_EQ(reader.read(1), records[1]);
+  EXPECT_EQ(db.record(2), records[2]);
+  EXPECT_EQ(db.record(0), records[0]);
+  EXPECT_EQ(db.record(2), records[2]);
+  EXPECT_EQ(db.record(1), records[1]);
 }
 
 TEST_F(SwdbTest, LengthsAvailableWithoutReadingData) {
   const auto records = sample_records();
   write_swdb(path_, records, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  EXPECT_EQ(reader.length(0), 6u);
-  EXPECT_EQ(reader.length(1), 1u);
-  EXPECT_EQ(reader.length(2), 1000u);
-  EXPECT_EQ(reader.total_residues(), 1007u);
+  const MappedSwdb db(path_);
+  EXPECT_EQ(db.length(0), 6u);
+  EXPECT_EQ(db.length(1), 1u);
+  EXPECT_EQ(db.length(2), 1000u);
+  EXPECT_EQ(db.total_residues(), 1007u);
 }
 
 TEST_F(SwdbTest, EmptyDatabaseRoundTrips) {
   write_swdb(path_, {}, AlphabetKind::kDna);
-  const SwdbReader reader(path_);
-  EXPECT_EQ(reader.size(), 0u);
-  EXPECT_EQ(reader.alphabet(), AlphabetKind::kDna);
-  EXPECT_TRUE(reader.read_all().empty());
+  const MappedSwdb db(path_);
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.alphabet(), AlphabetKind::kDna);
+  EXPECT_TRUE(db.residue_views().empty());
 }
 
 TEST_F(SwdbTest, IndexOutOfRangeThrows) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  EXPECT_THROW(reader.length(3), InvalidArgument);
-  EXPECT_THROW(reader.read(3), InvalidArgument);
+  const MappedSwdb db(path_);
+  EXPECT_THROW(db.length(3), InvalidArgument);
+  EXPECT_THROW(db.record(3), InvalidArgument);
 }
 
 TEST_F(SwdbTest, MixedAlphabetRejected) {
@@ -95,11 +98,11 @@ TEST_F(SwdbTest, BadMagicRejected) {
   std::ofstream out(path_, std::ios::binary);
   out << "NOTSWDBDATA-----------------------------";
   out.close();
-  EXPECT_THROW(SwdbReader reader(path_), IoError);
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
 TEST_F(SwdbTest, MissingFileThrows) {
-  EXPECT_THROW(SwdbReader reader("/no/such/db.swdb"), IoError);
+  EXPECT_THROW(MappedSwdb db("/no/such/db.swdb"), IoError);
 }
 
 TEST_F(SwdbTest, TruncatedFileRejected) {
@@ -112,7 +115,7 @@ TEST_F(SwdbTest, TruncatedFileRejected) {
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   out.close();
-  EXPECT_THROW(SwdbReader reader(path_), IoError);
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
 TEST_F(SwdbTest, FastaConversionPreservesContent) {
@@ -122,9 +125,9 @@ TEST_F(SwdbTest, FastaConversionPreservesContent) {
   const std::size_t n =
       convert_fasta_to_swdb(fasta_path, path_, AlphabetKind::kProtein);
   EXPECT_EQ(n, records.size());
-  const SwdbReader reader(path_);
+  const MappedSwdb db(path_);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(reader.read(i), records[i]);
+    EXPECT_EQ(db.record(i), records[i]);
   }
   std::remove(fasta_path.c_str());
 }
@@ -142,59 +145,86 @@ void write_file_bytes(const std::string& path, const std::string& bytes) {
 
 TEST_F(SwdbTest, DefaultWriteIsVersion2) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  EXPECT_EQ(reader.version(), kSwdbVersion2);
-  EXPECT_TRUE(reader.pre_encoded());
+  // Magic, then the little-endian version field.
+  EXPECT_EQ(read_file_bytes(path_).substr(0, 8),
+            std::string("SWDB\x02\0\0\0", 8));
+  EXPECT_EQ(kSwdbVersion, 2u);
 }
 
-TEST_F(SwdbTest, ExplicitVersion1RoundTrips) {
-  const auto records = sample_records();
-  write_swdb(path_, records, AlphabetKind::kProtein, kSwdbVersion1);
-  const SwdbReader reader(path_);
-  EXPECT_EQ(reader.version(), kSwdbVersion1);
-  EXPECT_FALSE(reader.pre_encoded());
-  ASSERT_EQ(reader.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(reader.read(i), records[i]) << "record " << i;
+/// A version-1 file, the layout without the aligned section: a 28-byte
+/// header (no section offset), two records, their index.
+std::string version1_file() {
+  std::string bytes = "SWDB";
+  const auto put = [&bytes](std::uint64_t value, int width) {
+    for (int b = 0; b < width; ++b) {
+      bytes += static_cast<char>((value >> (8 * b)) & 0xff);
+    }
+  };
+  put(1, 4);  // version
+  put(static_cast<std::uint8_t>(AlphabetKind::kProtein), 1);
+  put(0, 3);   // padding
+  put(2, 8);   // record count
+  put(36, 8);  // index offset: 28 header bytes + 5 + 3 record bytes
+  bytes += std::string("\x01\x02\x03", 3) + "r0";
+  bytes += std::string("\x04", 1) + "r1";
+  for (const auto& [offset, length] :
+       {std::pair<std::uint64_t, std::uint64_t>{28, 3}, {33, 1}}) {
+    put(offset, 8);
+    put(length, 4);
+    put(2, 2);  // id length
+    put(0, 2);  // description length
+  }
+  return bytes;
+}
+
+TEST_F(SwdbTest, Version1FileRejected) {
+  write_file_bytes(path_, version1_file());
+  try {
+    const MappedSwdb db(path_);
+    FAIL() << "a version-1 file opened";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported SWDB version 1"),
+              std::string::npos)
+        << error.what();
   }
 }
 
 TEST_F(SwdbTest, UnknownVersionRejected) {
-  EXPECT_THROW(
-      write_swdb(path_, sample_records(), AlphabetKind::kProtein, 3),
-      InvalidArgument);
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  std::string bytes = read_file_bytes(path_);
+  bytes[4] = 3;  // the version field's low byte
+  write_file_bytes(path_, bytes);
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
 TEST_F(SwdbTest, LengthsSpanMatchesIndex) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  const auto lengths = reader.lengths();
-  ASSERT_EQ(lengths.size(), reader.size());
-  for (std::size_t i = 0; i < reader.size(); ++i) {
-    EXPECT_EQ(lengths[i], reader.length(i)) << "record " << i;
+  const MappedSwdb db(path_);
+  const auto lengths = db.lengths();
+  ASSERT_EQ(lengths.size(), db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(lengths[i], db.length(i)) << "record " << i;
   }
 }
 
-TEST_F(SwdbTest, LaneOrderIsLongestFirstForBothVersions) {
+TEST_F(SwdbTest, LaneOrderIsLongestFirst) {
   const auto records = sample_records();  // lengths 6, 1, 1000
-  for (std::uint32_t version : {kSwdbVersion1, kSwdbVersion2}) {
-    write_swdb(path_, records, AlphabetKind::kProtein, version);
-    const SwdbReader reader(path_);
-    const auto order = reader.lane_order();
-    ASSERT_EQ(order.size(), records.size()) << "version " << version;
-    // A permutation, lengths non-increasing along it.
-    std::vector<bool> seen(records.size(), false);
-    for (const std::uint32_t id : order) {
-      ASSERT_LT(id, records.size());
-      EXPECT_FALSE(seen[id]) << "duplicate id " << id;
-      seen[id] = true;
-    }
-    for (std::size_t k = 1; k < order.size(); ++k) {
-      EXPECT_GE(reader.length(order[k - 1]), reader.length(order[k]))
-          << "version " << version << " position " << k;
-    }
-    EXPECT_EQ(order[0], 2u);  // the 1000-residue record leads
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  const MappedSwdb db(path_);
+  const auto order = db.lane_order();
+  ASSERT_EQ(order.size(), records.size());
+  // A permutation, lengths non-increasing along it.
+  std::vector<bool> seen(records.size(), false);
+  for (const std::uint32_t id : order) {
+    ASSERT_LT(id, records.size());
+    EXPECT_FALSE(seen[id]) << "duplicate id " << id;
+    seen[id] = true;
   }
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    EXPECT_GE(db.length(order[k - 1]), db.length(order[k]))
+        << "position " << k;
+  }
+  EXPECT_EQ(order[0], 2u);  // the 1000-residue record leads
 }
 
 TEST_F(SwdbTest, LaneOrderBreaksLengthTiesById) {
@@ -204,8 +234,8 @@ TEST_F(SwdbTest, LaneOrderBreaksLengthTiesById) {
                                           AlphabetKind::kProtein, "MKVLAW"));
   }
   write_swdb(path_, records, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  const auto order = reader.lane_order();
+  const MappedSwdb db(path_);
+  const auto order = db.lane_order();
   ASSERT_EQ(order.size(), records.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
     EXPECT_EQ(order[k], k);  // equal lengths keep file order
@@ -215,17 +245,17 @@ TEST_F(SwdbTest, LaneOrderBreaksLengthTiesById) {
 TEST_F(SwdbTest, TruncatedV2SectionRejected) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   const std::string bytes = read_file_bytes(path_);
-  // The v2 section is the file tail; chopping a few bytes off must be a
-  // structured failure, never a silently ignored pre-encoded section.
+  // The aligned section is the file tail; chopping a few bytes off must be
+  // a structured failure, never a silently short residue span.
   write_file_bytes(path_, bytes.substr(0, bytes.size() - 7));
-  EXPECT_THROW(SwdbReader reader(path_), IoError);
-  EXPECT_THROW(MappedSwdb mapped(path_), IoError);
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
 TEST_F(SwdbTest, CorruptV2MagicRejected) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   std::string bytes = read_file_bytes(path_);
-  // v2_offset lives at bytes [28, 36) of the v2 header (little-endian).
+  // The section offset lives at bytes [28, 36) of the header
+  // (little-endian).
   std::uint64_t v2_offset = 0;
   for (int b = 7; b >= 0; --b) {
     v2_offset = (v2_offset << 8) |
@@ -234,41 +264,27 @@ TEST_F(SwdbTest, CorruptV2MagicRejected) {
   ASSERT_LT(v2_offset + 4, bytes.size());
   bytes[v2_offset] = 'X';  // smash the "SWV2" magic
   write_file_bytes(path_, bytes);
-  EXPECT_THROW(SwdbReader reader(path_), IoError);
-  EXPECT_THROW(MappedSwdb mapped(path_), IoError);
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
 TEST_F(SwdbTest, EmptyVersion2DatabaseRoundTrips) {
   write_swdb(path_, {}, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  EXPECT_EQ(reader.version(), kSwdbVersion2);
-  EXPECT_EQ(reader.size(), 0u);
-  EXPECT_TRUE(reader.lane_order().empty());
-  const MappedSwdb mapped(path_);
-  EXPECT_EQ(mapped.size(), 0u);
-}
-
-TEST_F(SwdbTest, ConvertFastaHonorsRequestedVersion) {
-  const std::string fasta_path = ::testing::TempDir() + "/swdual_conv_v1.fa";
-  write_fasta_file(fasta_path, sample_records());
-  convert_fasta_to_swdb(fasta_path, path_, AlphabetKind::kProtein,
-                        kSwdbVersion1);
-  EXPECT_EQ(SwdbReader(path_).version(), kSwdbVersion1);
-  convert_fasta_to_swdb(fasta_path, path_, AlphabetKind::kProtein);
-  EXPECT_EQ(SwdbReader(path_).version(), kSwdbVersion2);
-  std::remove(fasta_path.c_str());
+  const MappedSwdb db(path_);
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.total_residues(), 0u);
+  EXPECT_TRUE(db.lane_order().empty());
 }
 
 TEST_F(SwdbTest, LargeGeneratedDatabaseRoundTrips) {
   DatabaseProfile profile{"t", 500, 10, 400, 5.0, 0.5, 77};
   const auto records = generate_database(profile);
   write_swdb(path_, records, AlphabetKind::kProtein);
-  const SwdbReader reader(path_);
-  ASSERT_EQ(reader.size(), 500u);
+  const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), 500u);
   Rng rng(5);
   for (int i = 0; i < 25; ++i) {
     const auto idx = static_cast<std::size_t>(rng.below(500));
-    EXPECT_EQ(reader.read(idx), records[idx]);
+    EXPECT_EQ(db.record(idx), records[idx]);
   }
 }
 

@@ -1,12 +1,13 @@
 // Unit tests for the mmap-backed zero-copy SWDB reader: the mapped view
-// must be byte-for-byte identical to the streaming reader on both container
-// versions, and v2 residues must come back 64-byte aligned and wildcard
-// padded, ready for direct SIMD consumption.
+// must give back exactly the records written, and residues must come back
+// 64-byte aligned and wildcard padded, ready for direct SIMD consumption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -41,60 +42,64 @@ class SwdbMmapTest : public ::testing::Test {
     return records;
   }
 
-  /// The core contract: every byte the mapped reader serves equals what the
-  /// streaming reader decodes — same residues, ids, descriptions, lengths,
-  /// lane order.
-  void expect_matches_streaming(const std::string& path) {
-    const SwdbReader stream(path);
+  /// The core contract: the file read back is the records written — same
+  /// residues, ids, descriptions and lengths — and its lane order is the
+  /// records' ids longest first, ties by id.
+  void expect_matches_records(const std::string& path,
+                              const std::vector<Sequence>& records) {
     const MappedSwdb mapped(path);
-    ASSERT_EQ(mapped.size(), stream.size());
-    EXPECT_EQ(mapped.alphabet(), stream.alphabet());
-    EXPECT_EQ(mapped.version(), stream.version());
-    EXPECT_EQ(mapped.pre_encoded(), stream.pre_encoded());
-    EXPECT_EQ(mapped.total_residues(), stream.total_residues());
-    ASSERT_EQ(mapped.lane_order().size(), stream.lane_order().size());
-    for (std::size_t k = 0; k < mapped.lane_order().size(); ++k) {
-      EXPECT_EQ(mapped.lane_order()[k], stream.lane_order()[k]) << k;
+    ASSERT_EQ(mapped.size(), records.size());
+    EXPECT_EQ(mapped.alphabet(), AlphabetKind::kProtein);
+    std::uint64_t total = 0;
+    for (const Sequence& record : records) total += record.length();
+    EXPECT_EQ(mapped.total_residues(), total);
+
+    std::vector<std::uint32_t> order(records.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return records[a].length() != records[b].length()
+                           ? records[a].length() > records[b].length()
+                           : a < b;
+              });
+    ASSERT_EQ(mapped.lane_order().size(), order.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      EXPECT_EQ(mapped.lane_order()[k], order[k]) << k;
     }
-    for (std::size_t i = 0; i < mapped.size(); ++i) {
-      const Sequence decoded = stream.read(i);
-      EXPECT_EQ(mapped.length(i), decoded.length()) << "record " << i;
-      EXPECT_EQ(mapped.record(i), decoded) << "record " << i;
+
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const Sequence& written = records[i];
+      EXPECT_EQ(mapped.length(i), written.length()) << "record " << i;
+      EXPECT_EQ(mapped.lengths()[i], written.length()) << "record " << i;
+      EXPECT_EQ(mapped.record(i), written) << "record " << i;
       const auto span = mapped.residues(i);
-      ASSERT_EQ(span.size(), decoded.residues.size()) << "record " << i;
+      ASSERT_EQ(span.size(), written.residues.size()) << "record " << i;
       for (std::size_t b = 0; b < span.size(); ++b) {
-        ASSERT_EQ(span[b], decoded.residues[b])
+        ASSERT_EQ(span[b], written.residues[b])
             << "record " << i << " byte " << b;
       }
-      EXPECT_EQ(mapped.id(i), decoded.id);
-      EXPECT_EQ(mapped.description(i), decoded.description);
+      EXPECT_EQ(mapped.id(i), written.id);
+      EXPECT_EQ(mapped.description(i), written.description);
     }
   }
 };
 
-TEST_F(SwdbMmapTest, MatchesStreamingReaderOnVersion2) {
-  write_swdb(path_, sample_records(), AlphabetKind::kProtein, kSwdbVersion2);
-  expect_matches_streaming(path_);
+TEST_F(SwdbMmapTest, MatchesRecordsWritten) {
+  const auto records = sample_records();
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  expect_matches_records(path_, records);
 }
 
-TEST_F(SwdbMmapTest, MatchesStreamingReaderOnVersion1) {
-  write_swdb(path_, sample_records(), AlphabetKind::kProtein, kSwdbVersion1);
-  expect_matches_streaming(path_);
-}
-
-TEST_F(SwdbMmapTest, MatchesStreamingOnGeneratedDatabaseBothVersions) {
+TEST_F(SwdbMmapTest, MatchesRecordsWrittenOnGeneratedDatabase) {
   DatabaseProfile profile{"t", 300, 5, 250, 5.0, 0.5, 99};
   const auto records = generate_database(profile);
-  for (std::uint32_t version : {kSwdbVersion1, kSwdbVersion2}) {
-    write_swdb(path_, records, AlphabetKind::kProtein, version);
-    expect_matches_streaming(path_);
-  }
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  expect_matches_records(path_, records);
 }
 
 TEST_F(SwdbMmapTest, Version2ResiduesAre64ByteAligned) {
-  write_swdb(path_, sample_records(), AlphabetKind::kProtein, kSwdbVersion2);
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   const MappedSwdb mapped(path_);
-  ASSERT_TRUE(mapped.pre_encoded());
   for (std::size_t i = 0; i < mapped.size(); ++i) {
     const auto span = mapped.residues(i);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span.data()) % kSwdbV2Block,
@@ -105,7 +110,7 @@ TEST_F(SwdbMmapTest, Version2ResiduesAre64ByteAligned) {
 
 TEST_F(SwdbMmapTest, Version2PadBytesAreWildcard) {
   const auto records = sample_records();
-  write_swdb(path_, records, AlphabetKind::kProtein, kSwdbVersion2);
+  write_swdb(path_, records, AlphabetKind::kProtein);
   const MappedSwdb mapped(path_);
   const std::uint8_t wildcard =
       Alphabet::get(AlphabetKind::kProtein).wildcard_code();

@@ -11,8 +11,8 @@ Enforces conventions clang-tidy cannot express:
   * no unordered-container iteration in the observability exporters
     (trace/metrics output order must be deterministic for golden tests)
   * no raw stream/stdio reads of SWDB record payloads outside seq/swdb.cpp
-    (every consumer goes through SwdbReader or the zero-copy MappedSwdb so
-    format evolution stays in one translation unit)
+    (every consumer goes through the zero-copy MappedSwdb so format
+    evolution stays in one translation unit)
   * lock hygiene: raw standard lockables (std::mutex, std::lock_guard,
     std::condition_variable, ...) are banned outside src/util/mutex.h —
     they are invisible to Clang's thread-safety analysis; use the annotated
@@ -104,8 +104,8 @@ BARE_LOCK_CALL = re.compile(
 BARE_LOCK_ALLOWED_PREFIX = "src/util/"
 
 # Raw byte-level input: .read(...) on a stream or C stdio fread. Database
-# payload parsing is SwdbReader/MappedSwdb's job; any other TU doing its own
-# reads would fork the format knowledge (and silently miss v2 sections).
+# payload parsing is MappedSwdb's job; any other TU doing its own reads
+# would fork the format knowledge (and silently miss the aligned section).
 RAW_PAYLOAD_READ = re.compile(r"(?:\.read\s*\(|(?<![\w:])fread\s*\()")
 RAW_READ_ALLOWED = ("src/seq/swdb.cpp",)
 
@@ -289,7 +289,7 @@ def lint_file(path: pathlib.Path) -> list[str]:
             report(
                 lineno,
                 "raw stream/fread outside seq/swdb.cpp — read database "
-                "records via SwdbReader or MappedSwdb",
+                "records via MappedSwdb",
             )
 
     if not rel.as_posix().startswith(BANDED_ORACLE_ALLOWED_PREFIX):
