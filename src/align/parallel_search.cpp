@@ -261,16 +261,14 @@ void ParallelSearchEngine::parallel_for(
 std::vector<ScreenResult> ParallelSearchEngine::rescreen(
     std::span<const SearchProfiles* const> group,
     std::span<const DbView> records, std::size_t band) const {
-  const std::size_t threads = pool_ ? pool_->size() : 1;
   return screen_ranges(*this, group, records, band,
-                       threads * kChunksPerThread);
+                       threads() * kChunksPerThread);
 }
 
 SearchResult ParallelSearchEngine::rescan(const SearchProfiles& profiles,
                                           const DbView& candidates) const {
-  const std::size_t threads = pool_ ? pool_->size() : 1;
   return search_ranges(*this, profiles, candidates,
-                       threads * kChunksPerThread);
+                       threads() * kChunksPerThread);
 }
 
 SearchResult ParallelSearchEngine::search(

@@ -22,6 +22,13 @@
 // cross a run boundary, and one group pass still runs every chunk of every
 // shard on the one pool; run_chunks decides how the pass's chunks run and
 // which of their outputs the one merge takes.
+//
+// Concurrency: every pass is const and may run from several callers at once
+// (the sharded query service runs one align::search per batcher). Their
+// chunks share the pool's one FIFO queue, so while one pass runs a serial
+// step on its calling thread or waits on its last chunks, the pool works on
+// the chunks of the others. Each caller blocks only on its own items, and
+// pool items never call parallel_for, so overlapping passes cannot deadlock.
 #pragma once
 
 #include <cstddef>
@@ -173,6 +180,8 @@ class ParallelSearchEngine : public SearchEngine {
     return chunk_ranges(1, RecordCost::kResidues).size();
   }
   std::size_t db_records() const { return db_.size(); }
+  /// Threads of the pool (1: chunks run inline on the calling thread).
+  std::size_t threads() const { return pool_ ? pool_->size() : 1; }
 
  protected:
   /// Sharded layout: records in `longest_first` order (every record id,

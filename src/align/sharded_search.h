@@ -32,6 +32,13 @@
 // (partial results, scores of unscanned records read 0 and never enter the
 // merged top-k). A shard is a run of the length order, so a partial answer
 // misses one contiguous length band of the database.
+//
+// Concurrency: the chunked engine's contract (align/parallel_search.h)
+// holds. Passes may overlap, their chunks sharing the one pool's FIFO queue,
+// and each pass runs its own retry ladder on its own calling thread, so
+// before_shard may be called concurrently by overlapping passes (as well as
+// by one pass's shards on different pool threads). Stats are one aggregate
+// over every pass.
 #pragma once
 
 #include <cstddef>
@@ -103,8 +110,9 @@ struct ShardedSearchOptions {
 
   /// Test hook mirroring serve's before_batch: invoked with (shard index,
   /// attempt) before every shard attempt, including recovery attempts. A
-  /// throw from the hook is treated as that attempt failing. nullptr in
-  /// production.
+  /// throw from the hook is treated as that attempt failing. Calls may be
+  /// concurrent: one pass's shards start on different pool threads, and
+  /// passes may overlap. nullptr in production.
   std::function<void(std::size_t shard, std::size_t attempt)> before_shard;
 
   /// Optional observability sinks: every shard attempt becomes a

@@ -1,8 +1,9 @@
 #include "align/statistics.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "align/scalar.h"
+#include "align/search.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -122,11 +123,15 @@ KarlinAltschulParams calibrate_gapped_params(const ScoringScheme& scheme,
     return out;
   };
 
+  // Each pair is scored by the striped8 driver, whose 16- and 32-bit
+  // escalation makes every score equal gotoh_score's.
   RunningStats scores;
   for (std::size_t i = 0; i < samples; ++i) {
     const auto a = sample_seq(ref_m);
     const auto b = sample_seq(ref_n);
-    scores.add(gotoh_score(a, b, scheme).score);
+    const SearchProfiles profiles(a, scheme, KernelKind::kStriped8);
+    const DbView pair = {b};
+    scores.add(search_range(profiles, pair, 0, 1).scores.front());
   }
 
   // Method of moments for a Gumbel(μ, 1/λ):

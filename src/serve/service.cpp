@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <exception>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -35,7 +34,7 @@ void QueryService::start() {
   config_.master.filter.validate();
   if (config_.master.annotate.enabled()) {
     config_.master.annotate.validate();
-    // One calibration per service, acquired before the batcher starts:
+    // One calibration per service, acquired before the batchers start:
     // every dispatch (master path or sharded path) then borrows the same
     // deterministic parameters.
     const seq::AlphabetKind kind =
@@ -58,12 +57,28 @@ void QueryService::start() {
                        : std::make_unique<align::ShardedSearchEngine>(
                              view_, options);
   }
-  batcher_ = std::thread([this] { run(); });
+  // The sharded path runs one batcher per pool thread: each runs its own
+  // align::search on the one engine, whose pool interleaves the chunks of
+  // every pass in flight, so no pass's serial steps or narrow fan-outs leave
+  // the pool idle. The master path keeps one batcher: every
+  // master::run_search starts its own cpu_workers + gpu_workers threads for
+  // the modeled platform, so overlapping runs would multiply threads instead
+  // of sharing a fixed pool.
+  const std::size_t batchers = sharded_ ? sharded_->threads() : 1;
+  try {
+    for (std::size_t b = 0; b < batchers; ++b) {
+      batchers_.emplace_back([this] { run(); });
+    }
+  } catch (...) {
+    shutdown();
+    for (std::thread& batcher : batchers_) batcher.join();
+    throw;
+  }
 }
 
 QueryService::~QueryService() {
   shutdown();
-  if (batcher_.joinable()) batcher_.join();
+  for (std::thread& batcher : batchers_) batcher.join();
 }
 
 Submission QueryService::submit(const seq::Sequence& query) {
@@ -218,25 +233,34 @@ void QueryService::dispatch(std::vector<Request> batch) {
                              static_cast<double>(batch.size()));
   }
 
-  // Admit every request, answer cache hits immediately, and collapse the
-  // remaining misses by key: duplicates within one batch execute once.
-  std::unordered_map<std::string, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> leaders;  // first request of each distinct key
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Request& request = batch[i];
+  // Admit every request and answer cache hits immediately. A miss whose key
+  // is in flight, started by this batch or another, joins that search; every
+  // other miss starts one.
+  std::vector<Request> searchers;  // one per search this batch starts
+  std::size_t joined = 0;
+  for (Request& request : batch) {
     admit(request);
     if (const auto cached = results_.lookup(request.key)) {
       fulfill(request, *cached, /*cache_hit=*/true);
       continue;
     }
-    auto& group = groups[request.key];
-    if (group.empty()) leaders.push_back(i);
-    group.push_back(i);
+    util::MutexLock lock(mutex_);
+    const auto [entry, started] = in_flight_.try_emplace(request.key);
+    if (started) {
+      searchers.push_back(std::move(request));
+    } else {
+      entry->second.push_back(std::move(request));
+      ++joined_;
+      ++joined;
+    }
   }
-  if (leaders.empty()) return;
+  if (config_.metrics && joined > 0) {
+    config_.metrics->add("serve_joined", static_cast<double>(joined));
+  }
+  if (searchers.empty()) return;
 
   const master::MasterConfig& mc = config_.master;
-  std::vector<align::SearchOutcome> outcomes(leaders.size());
+  std::vector<align::SearchOutcome> outcomes(searchers.size());
   try {
     if (sharded_) {
       // The distinct queries form one multi-query group: each shard chunk
@@ -246,8 +270,8 @@ void QueryService::dispatch(std::vector<Request> batch) {
       // here, so a profile cache would hold queries that do not come back.
       std::vector<std::unique_ptr<const align::SearchProfiles>> profiles;
       std::vector<const align::SearchProfiles*> group;
-      for (const std::size_t leader : leaders) {
-        const seq::Sequence& query = batch[leader].query;
+      for (const Request& searcher : searchers) {
+        const seq::Sequence& query = searcher.query;
         profiles.push_back(std::make_unique<const align::SearchProfiles>(
             std::span<const std::uint8_t>(query.residues.data(),
                                           query.residues.size()),
@@ -264,13 +288,13 @@ void QueryService::dispatch(std::vector<Request> batch) {
       // One scheduler workload: the master's workers run the pipeline per
       // query, split across CPU and GPU workers.
       std::vector<seq::Sequence> queries;
-      queries.reserve(leaders.size());
-      for (const std::size_t leader : leaders) {
-        queries.push_back(batch[leader].query);
+      queries.reserve(searchers.size());
+      for (const Request& searcher : searchers) {
+        queries.push_back(searcher.query);
       }
       master::SearchReport report =
           master::run_search(queries, view_, master_config());
-      for (std::size_t q = 0; q < leaders.size(); ++q) {
+      for (std::size_t q = 0; q < searchers.size(); ++q) {
         outcomes[q].ranked.hits = std::move(report.results[q].hits);
         outcomes[q].filtered = mc.filter.enabled();
         outcomes[q].filter = report.results[q].filter;
@@ -278,11 +302,12 @@ void QueryService::dispatch(std::vector<Request> batch) {
     }
   } catch (...) {
     // Execution failed (e.g. a task exhausted its retries): fail exactly the
-    // requests of this batch and keep serving — the batcher must survive.
+    // requests that share this batch's searches and keep serving — the
+    // batcher must survive.
     const std::exception_ptr error = std::current_exception();
-    for (const std::size_t leader : leaders) {
-      for (const std::size_t i : groups[batch[leader].key]) {
-        batch[i].promise->set_exception(error);
+    for (Request& searcher : searchers) {
+      for (Request& request : end_search(std::move(searcher))) {
+        request.promise->set_exception(error);
       }
     }
     return;
@@ -293,7 +318,7 @@ void QueryService::dispatch(std::vector<Request> batch) {
   {
     util::MutexLock lock(mutex_);
     ++batches_;
-    searches_ += leaders.size();
+    searches_ += searchers.size();
     for (const align::SearchOutcome& outcome : outcomes) {
       filter_stats_.merge(outcome.filter);
     }
@@ -301,7 +326,7 @@ void QueryService::dispatch(std::vector<Request> batch) {
   if (config_.metrics) {
     config_.metrics->add("serve_batches");
     config_.metrics->add("serve_searches",
-                         static_cast<double>(leaders.size()));
+                         static_cast<double>(searchers.size()));
   }
 
   // Failures are shared by the group (one pass per shard chunk).
@@ -312,27 +337,41 @@ void QueryService::dispatch(std::vector<Request> batch) {
                       " failed after " + std::to_string(failure.attempts) +
                       " attempts: " + failure.reason;
   }
-  for (std::size_t q = 0; q < leaders.size(); ++q) {
+  for (std::size_t q = 0; q < searchers.size(); ++q) {
     align::SearchOutcome& outcome = outcomes[q];
-    const std::string& key = batch[leaders[q]].key;
+    Request& searcher = searchers[q];
     if (outcome.complete) {
       // Complete answers are deterministic across shard topology and
-      // cacheable under the topology-free key.
+      // cacheable under the topology-free key. The answer is cached before
+      // its key leaves the in-flight table, so a late duplicate hits the
+      // cache or joins; one that slips between the two steps searches again,
+      // which is harmless.
       const auto value = results_.insert(
-          key, std::make_shared<const std::vector<align::SearchHit>>(
-                   std::move(outcome.ranked.hits)));
-      for (const std::size_t i : groups[key]) {
-        fulfill(batch[i], *value, /*cache_hit=*/false, {}, outcome.filter);
+          searcher.key, std::make_shared<const std::vector<align::SearchHit>>(
+                            std::move(outcome.ranked.hits)));
+      for (Request& request : end_search(std::move(searcher))) {
+        fulfill(request, *value, /*cache_hit=*/false, {}, outcome.filter);
       }
     } else {
       // Partial answers never enter the cache: a later request at a healthy
       // moment deserves the complete result.
-      for (const std::size_t i : groups[key]) {
-        fulfill(batch[i], outcome.ranked.hits, /*cache_hit=*/false,
+      for (Request& request : end_search(std::move(searcher))) {
+        fulfill(request, outcome.ranked.hits, /*cache_hit=*/false,
                 partial_reason, outcome.filter);
       }
     }
   }
+}
+
+std::vector<QueryService::Request> QueryService::end_search(Request searcher) {
+  std::vector<Request> requests;
+  requests.push_back(std::move(searcher));
+  util::MutexLock lock(mutex_);
+  auto entry = in_flight_.extract(requests.front().key);
+  for (Request& joiner : entry.mapped()) {
+    requests.push_back(std::move(joiner));
+  }
+  return requests;
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -344,6 +383,7 @@ QueryService::Stats QueryService::stats() const {
     stats.rejected_shutdown = rejected_shutdown_;
     stats.batches = batches_;
     stats.searches = searches_;
+    stats.joined = joined_;
     stats.partial_responses = partial_responses_;
     stats.filter = filter_stats_;
   }

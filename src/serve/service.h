@@ -9,13 +9,18 @@
 //     machine-readable reason — it never blocks a caller indefinitely, so
 //     backpressure propagates to clients instead of accumulating as hidden
 //     memory growth.
-//   - Micro-batching: one batcher thread drains up to `max_batch` admitted
-//     requests at a time, collapses duplicates, and dispatches the distinct
-//     queries through master::run_search as ONE workload — the
-//     dual-approximation scheduler sees the whole batch and splits it across
-//     CPU and GPU workers, exactly as the paper's Fig. 6 flow intends.
-//     Only result-cache misses reach an engine, so the service keeps no
-//     profile cache: each batch builds its queries' profiles.
+//   - Micro-batching: a batcher thread drains up to `max_batch` admitted
+//     requests at a time and dispatches their distinct queries as ONE
+//     workload: through master::run_search, whose dual-approximation
+//     scheduler sees the whole batch and splits it across CPU and GPU
+//     workers as the paper's Fig. 6 flow intends, or as one group pass of
+//     the sharded engine. The sharded path runs one batcher per thread of
+//     the engine's pool, so several batches are in flight and the pool
+//     interleaves their chunks; the master path runs one. A query whose
+//     twin is already being searched, in its own batch or another, joins
+//     that search instead of starting a second one. Only result-cache misses
+//     reach an engine, so the service keeps no profile cache: each batch
+//     builds its queries' profiles.
 //   - Result caching: finished answers go into an LRU ResultCache keyed by
 //     (query residues, db id, scoring params, filter, annotation); a hit at
 //     admission time is answered without touching a worker.
@@ -38,6 +43,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "align/annotate.h"
@@ -95,7 +101,8 @@ struct ServiceConfig {
   std::size_t shards = 0;
 
   /// Scan threads per shard for the sharded path; the engine's one pool
-  /// holds shards × threads_per_shard threads.
+  /// holds shards × threads_per_shard threads, and the service runs one
+  /// batcher per pool thread.
   std::size_t threads_per_shard = 1;
 
   /// Retries after a shard attempt fails (sharded path): the engine's retry
@@ -114,10 +121,11 @@ struct ServiceConfig {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Test hook: invoked by the batcher thread with the batch size right
-  /// before a batch executes. Lets tests hold the batcher at a known point
-  /// (e.g. to fill the admission queue deterministically). nullptr in
-  /// production.
+  /// Test hook: invoked by the batcher thread that took a batch, with the
+  /// batch size, right before the batch executes. Lets tests hold that
+  /// batcher at a known point (e.g. to fill the admission queue
+  /// deterministically). The sharded path runs several batchers, which may
+  /// call it concurrently. nullptr in production.
   std::function<void(std::size_t batch_size)> before_batch;
 };
 
@@ -132,7 +140,7 @@ enum class SubmitStatus {
 struct QueryResponse {
   std::vector<align::SearchHit> hits;  ///< top hits, rank order
   bool cache_hit = false;              ///< answered from the result cache
-  double queue_seconds = 0.0;          ///< enqueue → admitted by the batcher
+  double queue_seconds = 0.0;          ///< enqueue → admitted by a batcher
   double execute_seconds = 0.0;        ///< admitted → answer ready
   double total_seconds = 0.0;          ///< enqueue → answer ready
 
@@ -168,7 +176,7 @@ struct Submission {
 class QueryService {
  public:
   /// Takes ownership of the database records (a long-running service must
-  /// not depend on a caller's buffers) and starts the batcher thread.
+  /// not depend on a caller's buffers) and starts the batcher threads.
   QueryService(std::vector<seq::Sequence> db, ServiceConfig config);
 
   /// Zero-copy variant: the service shares an mmap-backed SWDB instead of
@@ -190,7 +198,7 @@ class QueryService {
   Submission submit(const seq::Sequence& query);
 
   /// Stop accepting new work. Already-admitted requests still complete
-  /// (their futures are fulfilled) before the batcher exits. Idempotent.
+  /// (their futures are fulfilled) before the batchers exit. Idempotent.
   void shutdown();
 
   struct Stats {
@@ -199,6 +207,10 @@ class QueryService {
     std::uint64_t rejected_shutdown = 0;
     std::uint64_t batches = 0;    ///< workloads dispatched to the engine
     std::uint64_t searches = 0;   ///< distinct queries actually executed
+    /// Cache misses answered by a search another request had started (in
+    /// the same batch or another): misses = searches + joined once every
+    /// search has succeeded.
+    std::uint64_t joined = 0;
     std::uint64_t partial_responses = 0;  ///< fulfilled with failed shards
     util::CacheStats results;
     /// The sharded engine's retry ladder (zeros on the master path):
@@ -229,18 +241,24 @@ class QueryService {
     std::uint64_t id = 0;      ///< monotonic request id, for trace args
   };
 
+  /// One batcher: take up to max_batch admitted requests, dispatch them,
+  /// repeat until shut down and drained.
   void run();
-  /// The one dispatch path: admit the batch, answer cache hits, collapse
-  /// duplicates, search the distinct queries (the sharded pipeline or the
-  /// master), then one error fan-out, one stats update, one fulfil loop.
+  /// The one dispatch path: admit the batch, answer cache hits, join the
+  /// searches already in flight, search the other distinct queries (the
+  /// sharded pipeline or the master), then one error fan-out, one stats
+  /// update, one fulfil loop over the searchers and their joiners.
   void dispatch(std::vector<Request> batch);
+  /// Take `searcher`'s key out of the in-flight table: the requests its
+  /// search answers, the searcher first, then every request that joined.
+  std::vector<Request> end_search(Request searcher);
   /// config_.master with the service's cache and sinks installed.
   master::MasterConfig master_config();
   void admit(Request& request);
   void fulfill(Request& request, std::vector<align::SearchHit> hits,
                bool cache_hit, std::string partial_reason = {},
                const align::FilterStats& filter = {});
-  /// Shared ctor tail: validate config, start the batcher.
+  /// Shared ctor tail: validate config, start the batchers.
   void start();
 
   std::vector<seq::Sequence> db_;  ///< owned records (record ctor only)
@@ -256,11 +274,11 @@ class QueryService {
   std::unique_ptr<align::ShardedSearchEngine> sharded_;  ///< shards > 0 only
 
   /// Service capability, declared before the result cache's: the admission
-  /// lock may be held briefly around queue/counter state, but the cache is
-  /// only ever entered with it released (its methods are self-locking), so
-  /// the service cannot produce a service↔cache deadlock — and under Clang,
-  /// acquiring mutex_ while the cache lock is held contradicts this
-  /// declaration and fails the build.
+  /// lock may be held briefly around queue, in-flight and counter state,
+  /// but the cache is only ever entered with it released (its methods are
+  /// self-locking), so the service cannot produce a service↔cache deadlock
+  /// — and under Clang, acquiring mutex_ while the cache lock is held
+  /// contradicts this declaration and fails the build.
   mutable util::Mutex mutex_ SWDUAL_ACQUIRED_BEFORE(results_.capability());
   util::CondVar wake_;
   std::deque<Request> admission_ SWDUAL_GUARDED_BY(mutex_);
@@ -269,12 +287,19 @@ class QueryService {
   std::uint64_t accepted_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_queue_full_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_shutdown_ SWDUAL_GUARDED_BY(mutex_) = 0;
+  /// The searches in flight, by result key: each entry holds the requests
+  /// that joined it (its searcher stays in its batch). A key leaves the
+  /// table after its complete answer has entered the result cache.
+  std::unordered_map<std::string, std::vector<Request>> in_flight_
+      SWDUAL_GUARDED_BY(mutex_);
   std::uint64_t batches_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t searches_ SWDUAL_GUARDED_BY(mutex_) = 0;
+  std::uint64_t joined_ SWDUAL_GUARDED_BY(mutex_) = 0;
   std::uint64_t partial_responses_ SWDUAL_GUARDED_BY(mutex_) = 0;
   align::FilterStats filter_stats_ SWDUAL_GUARDED_BY(mutex_);
 
-  std::thread batcher_;  ///< must be last: joins before members destruct
+  /// Must be last: joined before the members they use destruct.
+  std::vector<std::thread> batchers_;
 };
 
 }  // namespace swdual::serve

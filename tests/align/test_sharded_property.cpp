@@ -6,6 +6,9 @@
 // screen walks as one) — with wildcard residues and planted self-homologs
 // of the queries that overflow the byte tier, plus a high-match matrix
 // whose planted pair overflows 16 bits and so reaches the 32-bit oracle.
+// Besides BLOSUM62 at gaps 10/2, three more scoring schemes run on the
+// Zipf-1.1, empty-and-1 and equal-run shapes: BLOSUM62 at gaps 5/1 and
+// 14/4, and a match 5 / mismatch −4 matrix.
 // For every exact kernel × filter mode, the serial engine's group search
 // through align::search must equal the scalar kernel's in hits, scores,
 // cells and filter counters (so an answer and its cost do not depend on
@@ -213,6 +216,39 @@ std::vector<Case> cases(Rng& rng) {
                {KernelKind::kStriped, KernelKind::kStriped8,
                 KernelKind::kInterSeq}};
   out.push_back(std::move(uniform));
+
+  // Further scoring schemes, on a subset of the length profiles: cheap and
+  // dear gaps, and a non-BLOSUM matrix in the ordinary score range. Their
+  // inputs come from their own generator, so the cases above keep theirs.
+  // The longer query's planted homolog scores past the byte tier (match 5
+  // needs 100 residues for that), and one equal-length run is that long.
+  Rng more(0x5c4e);
+  static const ScoreMatrix match5 =
+      ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 5, -4);
+  struct Scheme {
+    std::string name;
+    ScoringScheme scheme;
+    std::size_t long_query;
+  };
+  const Scheme schemes[] = {
+      {"blosum62-5/1", {&ScoreMatrix::blosum62(), GapPenalty{5, 1}}, 70},
+      {"blosum62-14/4", {&ScoreMatrix::blosum62(), GapPenalty{14, 4}}, 70},
+      {"match5-mismatch4", {&match5, GapPenalty{}}, 100},
+  };
+  for (const Scheme& s : schemes) {
+    std::vector<LengthProfile> profiles;
+    for (LengthProfile& profile : length_profiles(more, s.long_query)) {
+      if (profile.name == "zipf-1.1" || profile.name == "empty-and-1" ||
+          profile.name == "equal-runs") {
+        profiles.push_back(std::move(profile));
+      }
+    }
+    out.push_back({s.name,
+                   s.scheme,
+                   {random_codes(more, 48), random_codes(more, s.long_query)},
+                   std::move(profiles),
+                   {KernelKind::kStriped8}});
+  }
   return out;
 }
 

@@ -6,7 +6,8 @@
 // with the smallest possible largest run, residue balance under Zipf-skewed
 // lengths), multi-query group equivalence, deterministic fault injection
 // through the before_shard hook (retry-to-recovery and budget exhaustion →
-// partial results with a reason), and the zero-copy MappedSwdb path.
+// partial results with a reason), concurrent passes from several callers
+// on one engine, and the zero-copy MappedSwdb path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,15 +15,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "align/annotate.h"
 #include "align/backend.h"
 #include "align/parallel_search.h"
+#include "align/pipeline.h"
 #include "align/search.h"
 #include "align/sharded_search.h"
+#include "align/statistics.h"
 #include "seq/swdb.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -354,6 +360,121 @@ TEST(ShardedSearch, MultiQueryGroupMatchesPerQuerySearch) {
   // One group pass over the shards, not one pass per query.
   EXPECT_EQ(engine.stats().group_passes, 1u);
   EXPECT_EQ(engine.stats().scans, 3u);
+}
+
+TEST(ShardedSearch, ConcurrentPassesMatchTheSerialEngine) {
+  // The engine's concurrency contract: const passes from several callers
+  // at once share the one pool. Four threads each search their own pair of
+  // queries, exact, filtered, and filtered with stats+cigar, three rounds
+  // over; every outcome must equal the serial engine's.
+  Rng rng(0xc0c0);
+  std::vector<std::vector<std::uint8_t>> queries;
+  for (std::size_t q = 0; q < 8; ++q) {
+    queries.push_back(random_codes(
+        rng, static_cast<std::size_t>(rng.between(40, 120))));
+  }
+  Corpus corpus;
+  for (std::size_t i = 0; i < 160; ++i) {
+    if (i % 10 == 3) {  // one mutated copy of every query
+      auto homolog = queries[(i / 10) % queries.size()];
+      for (std::size_t p = i % 7; p < homolog.size(); p += 11) {
+        homolog[p] = static_cast<std::uint8_t>(rng.below(20));
+      }
+      corpus.records.push_back(std::move(homolog));
+    } else {
+      corpus.records.push_back(random_codes(
+          rng, static_cast<std::size_t>(rng.between(10, 250))));
+    }
+  }
+  const DbView db = corpus.view();
+  const ScoringScheme scheme;
+  std::vector<std::unique_ptr<SearchProfiles>> profiles;
+  for (const auto& query : queries) {
+    profiles.push_back(
+        std::make_unique<SearchProfiles>(query, scheme, KernelKind::kStriped8));
+  }
+
+  const KarlinAltschulParams params = calibrate_gapped_params(
+      scheme, std::vector<double>(20, 0.05), 60, 60, 40, 3);
+  std::vector<SearchRequest> requests(3);
+  for (SearchRequest& request : requests) request.k = 6;
+  for (std::size_t r = 1; r < 3; ++r) {
+    requests[r].filter.mode = FilterMode::kHeuristic;
+    requests[r].filter.band = 8;
+    requests[r].filter.keep_factor = 2.0;
+  }
+  requests[2].annotate.mode = AnnotateMode::kStatsCigar;
+  requests[2].stats = &params;
+
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRounds = 3;
+  const auto group_of = [&](std::size_t caller) {
+    return std::vector<const SearchProfiles*>{profiles[2 * caller].get(),
+                                              profiles[2 * caller + 1].get()};
+  };
+  const SerialSearchEngine serial(db);
+  // expected[caller][request]: the serial engine's outcomes for the pair.
+  std::vector<std::vector<std::vector<SearchOutcome>>> expected(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (const SearchRequest& request : requests) {
+      expected[c].push_back(search(serial, group_of(c), request));
+    }
+  }
+
+  ShardedSearchOptions options;
+  options.num_shards = 2;
+  options.threads_per_shard = 2;
+  const ShardedSearchEngine engine(db, options);
+  ASSERT_EQ(engine.threads(), 4u);
+  // actual[caller][round * requests + request]
+  std::vector<std::vector<std::vector<SearchOutcome>>> actual(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (const SearchRequest& request : requests) {
+          actual[c].push_back(search(engine, group_of(c), request));
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(actual[c].size(), kRounds * requests.size());
+    for (std::size_t i = 0; i < actual[c].size(); ++i) {
+      const std::size_t r = i % requests.size();
+      for (std::size_t q = 0; q < 2; ++q) {
+        const SearchOutcome& got = actual[c][i][q];
+        const SearchOutcome& want = expected[c][r][q];
+        const std::string label = "caller " + std::to_string(c) + " pass " +
+                                  std::to_string(i) + " query " +
+                                  std::to_string(q);
+        EXPECT_TRUE(got.complete) << label;
+        EXPECT_EQ(got.ranked.result.scores, want.ranked.result.scores)
+            << label;
+        EXPECT_EQ(got.ranked.result.cells, want.ranked.result.cells) << label;
+        expect_hits_equal(got.ranked.hits, want.ranked.hits, label);
+        EXPECT_EQ(got.filter.candidates, want.filter.candidates) << label;
+        EXPECT_EQ(got.filter.rescans, want.filter.rescans) << label;
+        EXPECT_EQ(got.filter.band_uncertain, want.filter.band_uncertain)
+            << label;
+        if (r != 2) continue;
+        ASSERT_EQ(got.ranked.hits.size(), want.ranked.hits.size()) << label;
+        for (std::size_t h = 0; h < got.ranked.hits.size(); ++h) {
+          ASSERT_NE(got.ranked.hits[h].annotation, nullptr) << label;
+          ASSERT_NE(want.ranked.hits[h].annotation, nullptr) << label;
+          EXPECT_EQ(got.ranked.hits[h].annotation->cigar,
+                    want.ranked.hits[h].annotation->cigar)
+              << label << " hit " << h;
+          EXPECT_EQ(got.ranked.hits[h].annotation->evalue,
+                    want.ranked.hits[h].annotation->evalue)
+              << label << " hit " << h;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(engine.stats().failures, 0u);
 }
 
 // With threads_per_shard 3 a failed shard spans several chunks on the

@@ -60,6 +60,30 @@ TEST(GappedCalibration, DeterministicAndPlausible) {
   EXPECT_LT(a.lambda, ungapped * 1.3);
 }
 
+TEST(GappedCalibration, PinnedToTheScalarGotohCalibration) {
+  // The calibration scores its pairs with the striped8 driver; these are
+  // the values it gave when it scored them with scalar gotoh_score, so any
+  // pair scored differently moves them.
+  const auto& protein = seq::amino_acid_frequencies();
+  const KarlinAltschulParams blosum =
+      calibrate_gapped_params(ScoringScheme{}, protein);
+  EXPECT_DOUBLE_EQ(blosum.lambda, 0.3376309231863806);
+  EXPECT_DOUBLE_EQ(blosum.k, 0.18424554628997244);
+
+  const KarlinAltschulParams cheap_gaps = calibrate_gapped_params(
+      ScoringScheme{&ScoreMatrix::blosum62(), GapPenalty{5, 1}}, protein);
+  EXPECT_DOUBLE_EQ(cheap_gaps.lambda, 0.12731951815223772);
+  EXPECT_DOUBLE_EQ(cheap_gaps.k, 0.01832671312105269);
+
+  const ScoreMatrix dna =
+      ScoreMatrix::uniform(seq::AlphabetKind::kDna, 2, -3);
+  const KarlinAltschulParams nucleotide = calibrate_gapped_params(
+      ScoringScheme{&dna, GapPenalty{}}, std::vector<double>(4, 0.25), 80, 80,
+      50, 9);
+  EXPECT_DOUBLE_EQ(nucleotide.lambda, 0.58339553256614562);
+  EXPECT_DOUBLE_EQ(nucleotide.k, 0.16660479921636731);
+}
+
 TEST(Evalue, DecreasesExponentiallyInScore) {
   KarlinAltschulParams params{0.3, 0.1};
   const double e50 = evalue(params, 50, 1000, 1000000);

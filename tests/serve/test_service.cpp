@@ -153,6 +153,7 @@ TEST(QueryService, DuplicateConcurrentQueriesCollapseToOneSearch) {
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.searches, 2u);  // decoy + ONE search for the duplicates
+  EXPECT_EQ(stats.joined, 1u);    // the second duplicate joined the first
   EXPECT_EQ(stats.results.size, 2u);  // one cache entry per distinct query
 
   // The duplicates produced one cache entry; a re-submit is a pure hit.

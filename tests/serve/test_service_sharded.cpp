@@ -2,13 +2,17 @@
 // cache hits independent of shard topology, filtered answers that recall the
 // exact top-k on both serve paths, shard failures recovered by the engine's
 // retry ladder into canonical, cached answers, partial results with a reason
-// once the ladder is exhausted, and the shutdown-mid-scatter drain
-// guarantee. The multithreaded soak at the end runs under tsan via the
-// preset matrix (labels: serve, shards, threads).
+// once the ladder is exhausted, the shutdown-mid-scatter drain guarantee,
+// batches that overlap on the engine's pool, and duplicates that join a
+// search in flight (complete, partial, or pending at shutdown). The
+// multithreaded soak at the end runs under tsan via the preset matrix
+// (labels: serve, shards, threads).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -357,6 +361,201 @@ TEST(ShardedQueryService, ShutdownMidScatterDrainsAdmittedRequests) {
   service.reset();  // destructor joins after the drain
 }
 
+/// A service whose first shard attempt holds until release(). The
+/// destructor releases before the service's batchers are joined, so a
+/// failed assertion cannot leave the held pass (and the test) waiting
+/// forever. `then` runs on every shard attempt after the hold.
+class HeldFirstPass {
+ public:
+  HeldFirstPass(std::vector<seq::Sequence> db, ServiceConfig config,
+                std::function<void(std::size_t, std::size_t)> then = {}) {
+    config.before_shard = [this, then = std::move(then)](
+                              std::size_t shard, std::size_t attempt) {
+      if (calls_.fetch_add(1) == 0) {
+        entered_.set_value();
+        released_.wait();
+      }
+      if (then) then(shard, attempt);
+    };
+    service_ = std::make_unique<QueryService>(std::move(db), std::move(config));
+  }
+  ~HeldFirstPass() { release(); }
+  HeldFirstPass(const HeldFirstPass&) = delete;
+  HeldFirstPass& operator=(const HeldFirstPass&) = delete;
+
+  QueryService& service() { return *service_; }
+  void wait_until_held() { held_.wait(); }
+  void release() {
+    std::call_once(release_once_, [this] { release_.set_value(); });
+  }
+
+ private:
+  std::atomic<int> calls_{0};
+  std::promise<void> entered_;
+  std::shared_future<void> held_ = entered_.get_future().share();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  std::once_flag release_once_;
+  std::unique_ptr<QueryService> service_;  // last: destroyed first
+};
+
+/// How long a test waits for an answer or a state that must come while a
+/// pass is held.
+constexpr auto kPatience = std::chrono::seconds(20);
+
+/// Polls `done` until it holds or kPatience passes; returns its last value.
+template <typename Done>
+bool eventually(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kPatience;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// 2 shards × 1 thread: a pool of 2 threads, so 2 batchers; max_batch 1
+/// makes every request its own batch.
+ServiceConfig two_batcher_config() {
+  ServiceConfig config = sharded_config(2);
+  config.max_batch = 1;
+  return config;
+}
+
+TEST(ShardedQueryService, SecondBatchRunsWhileFirstIsHeld) {
+  const auto db = make_database(16, 9);
+  ServiceConfig config = two_batcher_config();
+  const align::ScoringScheme scheme = config.master.scheme;
+  const align::KernelKind kernel = config.master.cpu_kernel;
+  const std::size_t top = config.master.top_hits;
+  HeldFirstPass held(db, std::move(config));
+
+  const seq::Sequence first_query = make_query(60, 40);
+  const Submission first = held.service().submit(first_query);
+  ASSERT_TRUE(first.accepted());
+  held.wait_until_held();
+
+  // The other batcher takes the second request, and its pass's chunks run
+  // on the pool thread the held pass leaves free.
+  const seq::Sequence second_query = make_query(61, 45);
+  const Submission second = held.service().submit(second_query);
+  ASSERT_TRUE(second.accepted());
+  ASSERT_EQ(second.result.wait_for(kPatience), std::future_status::ready)
+      << "the second batch waited for the held one";
+  EXPECT_EQ(first.result.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  expect_hits_equal(second.result.get().hits,
+                    align::search_database(second_query, db, scheme, kernel)
+                        .top(top),
+                    "second");
+
+  held.release();
+  expect_hits_equal(first.result.get().hits,
+                    align::search_database(first_query, db, scheme, kernel)
+                        .top(top),
+                    "first");
+  const auto stats = held.service().stats();
+  EXPECT_EQ(stats.searches, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+}
+
+TEST(ShardedQueryService, DuplicateOfHeldQueryJoinsItsSearch) {
+  const auto db = make_database(16, 10);
+  ServiceConfig config = two_batcher_config();
+  const align::ScoringScheme scheme = config.master.scheme;
+  const align::KernelKind kernel = config.master.cpu_kernel;
+  const std::size_t top = config.master.top_hits;
+  HeldFirstPass held(db, std::move(config));
+
+  const seq::Sequence query = make_query(62, 50);
+  const Submission first = held.service().submit(query);
+  ASSERT_TRUE(first.accepted());
+  held.wait_until_held();
+  // The other batcher misses the cache and joins the held search.
+  const Submission twin = held.service().submit(query);
+  ASSERT_TRUE(twin.accepted());
+  ASSERT_TRUE(eventually([&] { return held.service().stats().joined == 1; }));
+  EXPECT_EQ(twin.result.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  held.release();
+  const QueryResponse a = first.result.get();
+  const QueryResponse b = twin.result.get();
+  EXPECT_FALSE(a.cache_hit);
+  EXPECT_FALSE(b.cache_hit);
+  const auto expected =
+      align::search_database(query, db, scheme, kernel).top(top);
+  expect_hits_equal(a.hits, expected, "searcher");
+  expect_hits_equal(b.hits, expected, "joiner");
+
+  const auto stats = held.service().stats();
+  EXPECT_EQ(stats.searches, 1u);
+  EXPECT_EQ(stats.joined, 1u);
+  EXPECT_EQ(stats.batches, 1u);  // the joiner's batch started no search
+  EXPECT_EQ(stats.accepted, stats.results.hits + stats.results.misses);
+  EXPECT_EQ(stats.results.misses, stats.searches + stats.joined);
+
+  // The joined search cached its answer: a third copy is a pure hit.
+  EXPECT_TRUE(held.service().submit(query).result.get().cache_hit);
+  EXPECT_EQ(held.service().stats().searches, 1u);
+}
+
+TEST(ShardedQueryService, JoinPendingAtShutdownIsAnswered) {
+  const auto db = make_database(16, 11);
+  ServiceConfig config = two_batcher_config();
+  const align::ScoringScheme scheme = config.master.scheme;
+  const align::KernelKind kernel = config.master.cpu_kernel;
+  const std::size_t top = config.master.top_hits;
+  HeldFirstPass held(db, std::move(config));
+
+  const seq::Sequence query = make_query(63, 38);
+  const Submission first = held.service().submit(query);
+  ASSERT_TRUE(first.accepted());
+  held.wait_until_held();
+  const Submission twin = held.service().submit(query);
+  ASSERT_TRUE(twin.accepted());
+  ASSERT_TRUE(eventually([&] { return held.service().stats().joined == 1; }));
+
+  held.service().shutdown();
+  EXPECT_EQ(held.service().submit(query).status, SubmitStatus::kShutdown);
+  held.release();
+  const auto expected =
+      align::search_database(query, db, scheme, kernel).top(top);
+  expect_hits_equal(first.result.get().hits, expected, "searcher");
+  expect_hits_equal(twin.result.get().hits, expected, "joiner");
+  EXPECT_EQ(held.service().stats().searches, 1u);
+}
+
+TEST(ShardedQueryService, JoinerSharesAPartialOutcome) {
+  const auto db = make_database(16, 12);
+  HeldFirstPass held(db, two_batcher_config(),
+                     [](std::size_t shard, std::size_t) {
+                       if (shard == 0) {
+                         throw std::runtime_error("injected: shard 0 down");
+                       }
+                     });
+
+  const seq::Sequence query = make_query(64, 42);
+  const Submission first = held.service().submit(query);
+  ASSERT_TRUE(first.accepted());
+  held.wait_until_held();
+  const Submission twin = held.service().submit(query);
+  ASSERT_TRUE(twin.accepted());
+  ASSERT_TRUE(eventually([&] { return held.service().stats().joined == 1; }));
+
+  held.release();
+  const QueryResponse a = first.result.get();
+  const QueryResponse b = twin.result.get();
+  EXPECT_TRUE(a.partial);
+  EXPECT_TRUE(b.partial);
+  EXPECT_EQ(b.partial_reason, a.partial_reason);
+  expect_hits_equal(b.hits, a.hits, "joiner");
+  const auto stats = held.service().stats();
+  EXPECT_EQ(stats.searches, 1u);
+  EXPECT_EQ(stats.partial_responses, 2u);
+  EXPECT_EQ(stats.results.size, 0u);  // partial answers are never cached
+}
+
 TEST(ShardedQueryServiceSoak, ConcurrentSubmittersWithInjectedShardFaults) {
   const auto db = make_database(14, 6);
   std::vector<seq::Sequence> pool;
@@ -369,12 +568,13 @@ TEST(ShardedQueryServiceSoak, ConcurrentSubmittersWithInjectedShardFaults) {
   config.admission_capacity = 64;
   config.max_batch = 6;
   config.max_shard_retries = 2;
-  // Every 9th shard attempt fails; the engine's retry ladder (the attempt
-  // counter keeps moving) recovers it, so no request may surface as
-  // partial.
+  // Every 9th shard attempt fails when it is a shard's first; the engine's
+  // retry ladder recovers it, so no request may surface as partial. Retries
+  // never fail: the service's 6 batchers overlap their passes, so a retry
+  // could land on the next multiple of 9 as well.
   std::atomic<std::uint64_t> attempts{0};
-  config.before_shard = [&](std::size_t, std::size_t) {
-    if (attempts.fetch_add(1) % 9 == 8) {
+  config.before_shard = [&](std::size_t, std::size_t attempt) {
+    if (attempts.fetch_add(1) % 9 == 8 && attempt == 0) {
       throw std::runtime_error("soak fault");
     }
   };
@@ -389,7 +589,8 @@ TEST(ShardedQueryServiceSoak, ConcurrentSubmittersWithInjectedShardFaults) {
         align::search_database(query, db, scheme, kernel).top(top));
   }
 
-  constexpr std::size_t kThreads = 4;
+  // More submitters than batchers, so batches still coalesce.
+  constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 25;
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<std::uint64_t> partials{0};
@@ -430,6 +631,7 @@ TEST(ShardedQueryServiceSoak, ConcurrentSubmittersWithInjectedShardFaults) {
   EXPECT_GT(stats.shards.scans, 0u);
   EXPECT_EQ(stats.accepted,
             stats.results.hits + stats.results.misses);
+  EXPECT_EQ(stats.results.misses, stats.searches + stats.joined);
 }
 
 }  // namespace
