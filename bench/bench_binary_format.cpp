@@ -7,7 +7,8 @@
 // index access. The SWDB column reads through seq::MappedSwdb, the reader
 // every engine uses: a full scan opens the file and materializes every
 // record, a random read materializes one record, and the length sweep reads
-// only the index.
+// only the index. The last row gives both files' sizes (the indexed FASTA
+// reads the same file and keeps its index in memory).
 #include <cstdio>
 #include <filesystem>
 
@@ -128,6 +129,15 @@ int main(int argc, char** argv) {
   table.add_row({"length sweep (ms)", ms(fasta_lengths), ms(fai_lengths),
                  ms(swdb_lengths),
                  TextTable::fmt(fasta_lengths / swdb_lengths, 1) + "x"});
+
+  const auto fasta_bytes = std::filesystem::file_size(fasta_path);
+  const auto swdb_bytes = std::filesystem::file_size(swdb_path);
+  table.add_row({"bytes on disk", std::to_string(fasta_bytes),
+                 std::to_string(fasta_bytes), std::to_string(swdb_bytes),
+                 TextTable::fmt(static_cast<double>(swdb_bytes) /
+                                    static_cast<double>(fasta_bytes),
+                                2) +
+                     "x the size"});
 
   std::printf("%s", table.render().c_str());
   bench::emit_csv(table, "binary_format.csv");

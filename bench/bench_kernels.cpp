@@ -1,8 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): real measured GCUPS on this
 // host for every alignment kernel, across query lengths and across every
 // available SIMD backend (scalar/sse2/avx2/avx512 — registered at runtime
-// from CPUID, reported with their lane counts). These are the numbers
-// behind the --calibrate path of the performance model.
+// from CPUID, reported with their lane counts). The performance model's
+// GCUPS classes (platform/perf_model.h) stay Table II's; these rows are
+// this host's measured counterparts.
 #include <benchmark/benchmark.h>
 
 #include <memory>

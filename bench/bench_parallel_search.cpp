@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
   json += "  \"db_zipf_s\": " + TextTable::fmt(db_zipf_s, 2) + ",\n";
   json += "  \"query_len\": " + std::to_string(query_len) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
-  json += "  \"db_format\": \"swdb v2 (pre-encoded, mmap zero-copy)\",\n";
+  json += "  \"db_format\": \"swdb v" + std::to_string(seq::kSwdbVersion) +
+          " (pre-encoded, mmap zero-copy)\",\n";
   json += "  \"backends\": {\n";
 
   // Reference scores: the narrowest requested backend, serial. Every other
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
         const std::size_t threads = thread_counts[ti];
         align::ParallelSearchOptions options;
         options.threads = threads;
-        // Engines share the mapping and its precomputed lane-batch index.
+        // Engines share the mapping; each lays it out longest first.
         const align::ParallelSearchEngine engine(mapped, options);
         const auto parallel_search = [&] {
           const align::SearchProfiles profiles(query_view, scheme, kernel,

@@ -3,8 +3,8 @@
 // Stage-1 kernel of the two-stage filtered search (search.h): one batch of
 // database sequences is banded-aligned against the query simultaneously,
 // one per SIMD lane, in the same lane-per-sequence layout as the interseq
-// kernel — longest-first batching, per-column dprofile, SWDB v2 pre-sorted
-// order detection. The DP is restricted per lane to a diagonal band of
+// kernel — longest-first batching, per-column dprofile, pre-sorted order
+// detection. The DP is restricted per lane to a diagonal band of
 // half-width `band` around j = ⌊i·n_l/m⌋, so the screen costs O(m·band)
 // per record instead of O(m·n). A lane group whose records share one
 // length walks the band geometry once for all its lanes; other groups pace

@@ -591,8 +591,8 @@ BandedBatchResult banded_screen_impl(std::span<const std::uint8_t> query,
   if (query.empty() || db.empty()) return result;
 
   // Longest-first batching with the interseq kernel's pre-sorted-order
-  // detection (SWDB v2 lane-batch indexes and sorting engines deliver
-  // descending-length batches already).
+  // detection (the sorting engines deliver descending-length batches
+  // already).
   AlignScratch& scratch = thread_scratch();
   AlignedVector<std::uint32_t>& order = scratch.banded_order();
   order.resize(db.size());

@@ -20,10 +20,9 @@
 // Lane batching: sequences are processed longest-first so all lanes of a
 // group retire together (the occupancy fix from Rognes' SWIPE and Rucci et
 // al.'s KNL study). When the caller already supplies length-sorted views —
-// the SWDB v2 lane-batch index path, or chunks from a sorting
-// ParallelSearchEngine — the kernel detects the order with one O(n) scan
-// and skips its own sort entirely: the steady-state refill path performs no
-// allocation and no sorting.
+// chunks from a sorting ParallelSearchEngine — the kernel detects the order
+// with one O(n) scan and skips its own sort entirely: the steady-state
+// refill path performs no allocation and no sorting.
 #pragma once
 
 #include <algorithm>
@@ -88,9 +87,9 @@ InterSeqResult interseq_scores_impl(std::span<const std::uint8_t> query,
 
   // Process longest-first so lanes in a group have similar lengths and the
   // padded tail (pure overhead) stays short — the batching strategy of
-  // CUDASW++ and SWIPE. Callers that deliver pre-sorted batches (the SWDB
-  // v2 lane-batch index) skip the sort: the order buffer is thread-local
-  // and the identity fill is O(n).
+  // CUDASW++ and SWIPE. Callers that deliver pre-sorted batches (the
+  // sorting engines' chunks) skip the sort: the order buffer is
+  // thread-local and the identity fill is O(n).
   AlignedVector<std::uint32_t>& order = scratch.interseq_order();
   order.resize(db.size());
   std::iota(order.begin(), order.end(), 0u);

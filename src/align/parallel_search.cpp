@@ -178,15 +178,9 @@ ParallelSearchEngine::ParallelSearchEngine(const DbView& db,
                            options.threads, {options.tracer, options.metrics}) {
 }
 
-// Same longest-first order the DbView ctor computes, but read from the
-// database's lane-batch index (identical tie-breaking by record id), and
-// every span points into the shared mapping — no copies, no sort.
 ParallelSearchEngine::ParallelSearchEngine(const seq::MappedSwdb& db,
                                            const ParallelSearchOptions& options)
-    : ParallelSearchEngine(db.residue_views(), db.lane_order(),
-                           std::vector<std::size_t>{db.size()},
-                           options.threads, {options.tracer, options.metrics}) {
-}
+    : ParallelSearchEngine(db.residue_views(), options) {}
 
 ParallelSearchEngine::ParallelSearchEngine(
     const DbView& db, std::span<const std::uint32_t> longest_first,

@@ -118,11 +118,10 @@ class ParallelSearchEngine : public SearchEngine {
   explicit ParallelSearchEngine(const DbView& db,
                                 const ParallelSearchOptions& options = {});
 
-  /// Zero-copy engine over an mmap-backed SWDB: chunk scans read residues
-  /// straight out of the shared mapping (no per-engine or per-thread copy),
-  /// and the longest-first permutation comes from the database's
-  /// precomputed lane-batch index instead of a per-engine sort. The mapping
-  /// must outlive the engine (see MappedSwdb lifetime rules).
+  /// Zero-copy engine over an mmap-backed SWDB: the DbView form over
+  /// db.residue_views(), so chunk scans read residues straight out of the
+  /// shared mapping (no per-engine or per-thread copy). The mapping must
+  /// outlive the engine (see MappedSwdb lifetime rules).
   ParallelSearchEngine(const seq::MappedSwdb& db,
                        const ParallelSearchOptions& options = {});
 

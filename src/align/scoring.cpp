@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace swdual::align {
 
@@ -88,48 +87,6 @@ ScoreMatrix ScoreMatrix::uniform(seq::AlphabetKind alphabet, std::int8_t match,
   std::ostringstream name;
   name << "uniform(" << int(match) << '/' << int(mismatch) << ')';
   return ScoreMatrix(alphabet, n, std::move(data), name.str());
-}
-
-ScoreMatrix ScoreMatrix::parse_ncbi(const std::string& text,
-                                    seq::AlphabetKind alphabet,
-                                    std::string name) {
-  const seq::Alphabet& codes = seq::Alphabet::get(alphabet);
-  const std::size_t n = codes.size();
-  // Wildcard-vs-anything defaults to 0 for letters missing from the file.
-  std::vector<std::int8_t> data(n * n, 0);
-
-  std::istringstream in(text);
-  std::string line;
-  std::vector<std::uint8_t> columns;  // alphabet code of each file column
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    std::istringstream fields{std::string(trimmed)};
-    if (!have_header) {
-      char letter;
-      while (fields >> letter) columns.push_back(codes.encode(letter));
-      SWDUAL_REQUIRE(!columns.empty(), "matrix header row has no letters");
-      have_header = true;
-      continue;
-    }
-    char row_letter;
-    fields >> row_letter;
-    const std::uint8_t row_code = codes.encode(row_letter);
-    for (std::uint8_t col_code : columns) {
-      int value;
-      if (!(fields >> value)) {
-        throw IoError("matrix row for '" + std::string(1, row_letter) +
-                      "' is short");
-      }
-      SWDUAL_REQUIRE(value >= -128 && value <= 127,
-                     "matrix entry out of int8 range");
-      data[static_cast<std::size_t>(row_code) * n + col_code] =
-          static_cast<std::int8_t>(value);
-    }
-  }
-  SWDUAL_REQUIRE(have_header, "matrix text contains no data");
-  return ScoreMatrix(alphabet, n, std::move(data), std::move(name));
 }
 
 }  // namespace swdual::align

@@ -33,12 +33,6 @@ class ScoreMatrix {
   static ScoreMatrix uniform(seq::AlphabetKind alphabet, std::int8_t match,
                              std::int8_t mismatch);
 
-  /// Parse an NCBI-format matrix file body (column header row of residue
-  /// letters, then one row per residue). Lets users load BLOSUM45/50/80/90,
-  /// PAM matrices, etc. from standard distribution files.
-  static ScoreMatrix parse_ncbi(const std::string& text,
-                                seq::AlphabetKind alphabet, std::string name);
-
   seq::AlphabetKind alphabet() const { return alphabet_; }
   std::size_t size() const { return size_; }
   const std::string& name() const { return name_; }

@@ -88,8 +88,8 @@ class AlignScratch {
   }
 
   /// Reusable lane-batch order buffer — keeps the interseq refill path
-  /// heap-free when the caller's batch is already length-sorted (the SWDB
-  /// v2 lane-batch index path).
+  /// heap-free when the caller's batch is already length-sorted (the
+  /// sorting engines' chunks).
   AlignedVector<std::uint32_t>& interseq_order() { return iseq_order_; }
 
   /// Banded-screen byte-tier state: H and E columns (zeroed), `n` elements

@@ -125,8 +125,8 @@ double ShardPlan::imbalance() const {
 
 ShardPlan plan_shards(std::span<const std::uint32_t> lengths,
                       std::size_t num_shards) {
-  // Longest first, ties by record id: the order of the SWDB lane-batch index
-  // and of the chunked engine's layout.
+  // Longest first, ties by record id: the order of the chunked engine's
+  // layout.
   std::vector<std::uint32_t> order(lengths.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -176,8 +176,7 @@ ShardedSearchEngine::ShardedSearchEngine(const DbView& db,
 ShardedSearchEngine::ShardedSearchEngine(
     std::shared_ptr<const seq::MappedSwdb> db,
     const ShardedSearchOptions& options)
-    : ShardedSearchEngine(require_mapped(db).residue_views(),
-                          require_mapped(db).lane_order(), options) {
+    : ShardedSearchEngine(require_mapped(db).residue_views(), options) {
   mapped_ = std::move(db);
 }
 

@@ -65,12 +65,12 @@ class MappedSwdb;
 namespace swdual::align {
 
 /// Residue-balanced shard assignment: which database records each shard
-/// scans. The records, visited longest first (ties by id: the SWDB lane
-/// index's order), are cut into contiguous runs whose largest residue load
-/// is as small as any such cut allows, so every shard's lane batches are
-/// the global longest-first ones and pad few lanes. Each shard's record
-/// list is stored in ascending database order, the form in which
-/// ShardFailure::records reports a failed shard.
+/// scans. The records, visited longest first (ties by id: the chunked
+/// engine's layout order), are cut into contiguous runs whose largest
+/// residue load is as small as any such cut allows, so every shard's lane
+/// batches are the global longest-first ones and pad few lanes. Each
+/// shard's record list is stored in ascending database order, the form in
+/// which ShardFailure::records reports a failed shard.
 /// Deterministic for a given (lengths, shard count).
 struct ShardPlan {
   struct Shard {
@@ -131,9 +131,9 @@ class ShardedSearchEngine : public ParallelSearchEngine {
   /// outlive the engine).
   ShardedSearchEngine(const DbView& db, const ShardedSearchOptions& options);
 
-  /// Zero-copy shards straight into an mmap-backed SWDB: every shard's
-  /// records point into the one shared mapping, which the engine keeps
-  /// alive.
+  /// Zero-copy shards straight into an mmap-backed SWDB: the DbView form
+  /// over db->residue_views(), so every shard's records point into the one
+  /// shared mapping, which the engine keeps alive.
   ShardedSearchEngine(std::shared_ptr<const seq::MappedSwdb> db,
                       const ShardedSearchOptions& options);
 
@@ -179,7 +179,7 @@ class ShardedSearchEngine : public ParallelSearchEngine {
       std::vector<ShardFailure>& failures) const override;
 
  private:
-  /// Both public forms: plan and layout from one longest-first order.
+  /// The DbView form: plan and layout from one longest-first order.
   ShardedSearchEngine(const DbView& db,
                       std::span<const std::uint32_t> longest_first,
                       const ShardedSearchOptions& options);

@@ -14,21 +14,18 @@ VirtualGpu::VirtualGpu(DeviceSpec spec) : spec_(std::move(spec)) {
 
 BatchResult VirtualGpu::run_batch(std::span<const std::uint8_t> query,
                                   const align::DbView& db,
-                                  const align::ScoringScheme& scheme) {
+                                  const align::ScoringScheme& scheme) const {
   const align::SearchProfiles profiles(query, scheme,
                                        align::KernelKind::kInterSeq);
   return run_batch(profiles, db);
 }
 
 BatchResult VirtualGpu::run_batch(const align::SearchProfiles& profiles,
-                                  const align::DbView& db) {
+                                  const align::DbView& db) const {
   const std::span<const std::uint8_t> query = profiles.query();
   BatchResult result;
   result.scores.assign(db.size(), 0);
-  if (db.empty() || query.empty()) {
-    ++batches_run_;
-    return result;
-  }
+  if (db.empty() || query.empty()) return result;
 
   // Memory partitioning: residues resident on the device per sub-batch must
   // fit next to the query profile and per-thread DP state. We budget half
@@ -72,9 +69,6 @@ BatchResult VirtualGpu::run_batch(const align::SearchProfiles& profiles,
     ++result.sub_batches;
     begin = end;
   }
-
-  total_virtual_seconds_ += result.virtual_seconds;
-  ++batches_run_;
   return result;
 }
 

@@ -50,16 +50,10 @@ struct BatchResult {
   std::uint64_t cells = 0;        ///< DP cells in the batch
   std::size_t sub_batches = 1;    ///< memory-partitioning splits
   std::uint64_t bytes_transferred = 0;
-
-  double modeled_gcups() const {
-    return virtual_seconds > 0
-               ? static_cast<double>(cells) / virtual_seconds / 1e9
-               : 0.0;
-  }
 };
 
-/// One virtual accelerator. Thread-compatible (one master thread per device,
-/// like a CUDA context).
+/// One virtual accelerator. It keeps no state between batches: every
+/// run_batch reports its own modeled time, and callers sum what they need.
 class VirtualGpu {
  public:
   explicit VirtualGpu(DeviceSpec spec = {});
@@ -71,25 +65,17 @@ class VirtualGpu {
   /// rescanned exactly.
   BatchResult run_batch(std::span<const std::uint8_t> query,
                         const align::DbView& db,
-                        const align::ScoringScheme& scheme);
+                        const align::ScoringScheme& scheme) const;
 
   /// Same execution with caller-provided (possibly cached/shared) query
   /// profiles — the resident-query-context reuse CUDASW++-class tools apply
   /// across batches. Scores come from the profiles' exact kernel; scores,
   /// cells and modeled time are identical to the building overload's.
   BatchResult run_batch(const align::SearchProfiles& profiles,
-                        const align::DbView& db);
-
-  /// Total virtual busy time accumulated by this device.
-  double total_virtual_seconds() const { return total_virtual_seconds_; }
-
-  /// Number of batches executed.
-  std::size_t batches_run() const { return batches_run_; }
+                        const align::DbView& db) const;
 
  private:
   DeviceSpec spec_;
-  double total_virtual_seconds_ = 0.0;
-  std::size_t batches_run_ = 0;
 };
 
 }  // namespace swdual::gpusim

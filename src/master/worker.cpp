@@ -69,7 +69,7 @@ class DeviceEngine final : public align::SerialSearchEngine {
   double take_virtual_seconds() { return std::exchange(virtual_seconds_, 0.0); }
 
  private:
-  mutable gpusim::VirtualGpu gpu_;
+  gpusim::VirtualGpu gpu_;
   platform::WorkerClass host_;
   mutable double virtual_seconds_ = 0.0;
 };

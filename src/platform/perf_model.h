@@ -19,8 +19,8 @@
 // SWIPE-class kernel and its GPU workers a CUDASW++-class kernel, matching
 // §V "it integrates CUDASW++ 2.0 and SWIPE into the code".
 //
-// All constants are data, not code — override any of them to recalibrate,
-// or use `calibrate_cpu_gcups()` to measure this host's real kernels.
+// All constants are data, not code — override any of them to recalibrate
+// (bench_kernels measures this host's real kernels).
 #pragma once
 
 #include <cstdint>
@@ -57,12 +57,5 @@ struct PerfModel {
             gpu_worker().seconds_for(cells)};
   }
 };
-
-/// Measure the real sustained GCUPS of this host's inter-sequence kernel
-/// (used by the bench harnesses' --calibrate flag to re-derive swipe_cpu
-/// from hardware instead of from Table II).
-double calibrate_cpu_gcups(std::size_t query_len = 256,
-                           std::size_t db_sequences = 64,
-                           std::size_t db_len = 256);
 
 }  // namespace swdual::platform

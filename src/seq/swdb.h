@@ -5,32 +5,27 @@
 // scanning from the start. The paper introduces a simple binary format with
 // a few extra fields so both the master and the workers can read sequences
 // at any position directly and pre-size memory allocations (all lengths are
-// known up front). This is our realization of that format:
+// known up front). This is our realization of that format, version 3:
 //
-//   [header]   magic "SWDB", version (2), alphabet, record count, index
-//              offset, aligned-section offset
-//   [records]  residue codes + id + description per record, back to back
-//   [index]    per record: data offset, residue/id/description lengths
-//   [aligned]  a *pre-encoded, pre-blocked* copy of the residues, so the
-//              hot search loop never touches (or re-copies) record bytes:
+//   [header]    "SWDB" | version u32 (3) | alphabet u8 | 3 zero bytes |
+//               count u64
+//   [index]     per record: residue count u32, id length u16,
+//               description length u16
+//   [text]      per record: its id bytes, then its description bytes
+//   [pad]       zero bytes up to the next multiple of kSwdbBlock
+//   [residues]  per record: its residue codes, then the alphabet's wildcard
+//               code up to a multiple of kSwdbBlock
 //
-//   [section header] magic "SWV2", block granularity, data offset/size
-//   [entries]        per record: blocked data offset + padded length
-//   [lane order]     record ids sorted longest-first (ties by id) — the
-//                    SWIPE-style lane-batch index: consecutive runs of this
-//                    permutation form SIMD batches whose lanes retire
-//                    together
-//   [data]           residues per record at a 64-byte-aligned offset,
-//                    padded with the alphabet's wildcard code to a block
-//                    multiple
+// Every residue is stored once, pre-encoded and pre-blocked, so the hot
+// search loop reads it straight out of the file. The file stores no offset:
+// every record's text and residue offsets are prefix sums of the index's
+// lengths. All integers little-endian.
 //
 // One reader serves the format: MappedSwdb maps the whole file read-only
 // and hands out zero-copy spans into the mapping — one mapping shared by
 // every engine/shard/thread (the kernel page cache holds a single physical
-// copy). Residues come from the aligned section; ids and descriptions from
-// the record section. A file of any other version, such as a version-1 file
-// (this layout without the aligned section), is an IoError at open. All
-// integers little-endian.
+// copy). A file of any other version, such as a version-1 or version-2
+// file, is an IoError at open.
 #pragma once
 
 #include <cstdint>
@@ -44,24 +39,18 @@
 namespace swdual::seq {
 
 /// The SWDB container version this library reads and writes.
-inline constexpr std::uint32_t kSwdbVersion = 2;
+inline constexpr std::uint32_t kSwdbVersion = 3;
 
-/// Alignment/padding granularity of the aligned residue section, in bytes:
-/// every record's blocked residues start on a 64-byte (cache-line, widest
-/// SIMD register) boundary and are padded to a multiple of it.
-inline constexpr std::size_t kSwdbV2Block = 64;
+/// Alignment/padding granularity of the residue section, in bytes: every
+/// record's residues start on a 64-byte (cache-line, widest SIMD register)
+/// boundary and are padded to a multiple of it.
+inline constexpr std::size_t kSwdbBlock = 64;
 
-/// Write all records to an SWDB file. Throws IoError on failure and
-/// InvalidArgument if records disagree on alphabet or overflow a length
-/// field.
+/// Write all records to an SWDB file, front to back in one pass. Throws
+/// IoError on failure and InvalidArgument, before creating the file, if
+/// records disagree on alphabet or overflow a length field.
 void write_swdb(const std::string& path, const std::vector<Sequence>& records,
                 AlphabetKind alphabet);
-
-/// Convert a FASTA file to SWDB (the master/worker "convert format" step in
-/// the paper's Fig. 6 workflow). Returns the number of records written.
-std::size_t convert_fasta_to_swdb(const std::string& fasta_path,
-                                  const std::string& swdb_path,
-                                  AlphabetKind alphabet);
 
 /// mmap-backed zero-copy SWDB reader.
 ///
@@ -78,15 +67,15 @@ std::size_t convert_fasta_to_swdb(const std::string& fasta_path,
 /// only borrow the views). The object is immutable after construction, so
 /// concurrent reads need no synchronization.
 ///
-/// residues(i) points into the aligned section: 64-byte aligned, padded
+/// residues(i) points into the residue section: 64-byte aligned, padded
 /// with the wildcard code to a block multiple, ready for SIMD consumption.
 /// Off POSIX the file is read into one buffer instead of mapped; the views
 /// then point into that buffer.
 class MappedSwdb {
  public:
   /// Maps and validates the file; throws IoError on any structural problem
-  /// (missing file, bad magic, unsupported version, truncated index,
-  /// corrupt aligned section).
+  /// (missing file, bad magic, unsupported version, an index that runs past
+  /// the file, a file that does not end where its residue section does).
   explicit MappedSwdb(const std::string& path);
   ~MappedSwdb();
 
@@ -106,9 +95,6 @@ class MappedSwdb {
   /// All residue counts in record order, straight from the index section.
   std::span<const std::uint32_t> lengths() const { return lengths_; }
 
-  /// The lane-batch index: record ids sorted longest-first (ties by id).
-  std::span<const std::uint32_t> lane_order() const { return lane_order_; }
-
   /// Residue codes of record i, zero-copy out of the mapping.
   std::span<const std::uint8_t> residues(std::size_t i) const;
 
@@ -124,14 +110,14 @@ class MappedSwdb {
 
  private:
   struct Entry {
-    std::uint64_t record_offset = 0;   ///< residues + id + description
-    std::uint64_t residue_offset = 0;  ///< aligned copy of the residues
-    std::uint32_t seq_length = 0;
+    std::uint64_t text_offset = 0;     ///< id, then description; from data_
+    std::uint64_t residue_offset = 0;  ///< from residues_
     std::uint16_t id_length = 0;
     std::uint16_t desc_length = 0;
   };
 
   const std::uint8_t* data_ = nullptr;  ///< mapping (or fallback buffer)
+  const std::uint8_t* residues_ = nullptr;  ///< the residue section
   std::size_t file_size_ = 0;
   bool mmapped_ = false;
   std::vector<std::uint8_t> fallback_;  ///< used when mmap is unavailable
@@ -139,7 +125,6 @@ class MappedSwdb {
   AlphabetKind alphabet_ = AlphabetKind::kProtein;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> lengths_;
-  std::vector<std::uint32_t> lane_order_;
   std::uint64_t total_residues_ = 0;
 };
 

@@ -49,15 +49,6 @@ class ConcurrentQueue {
     return item;
   }
 
-  /// Non-blocking pop; nullopt if currently empty (queue may still be open).
-  std::optional<T> try_pop() {
-    util::MutexLock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Close the queue: no further pushes succeed; waiters drain then unblock.
   void close() {
     {

@@ -71,13 +71,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
-  /// Exponentially distributed double with the given mean.
-  double exponential(double mean) {
-    double u;
-    do { u = uniform(); } while (u <= 0.0);
-    return -mean * std::log(u);
-  }
-
   /// Standard normal via Box–Muller (one value per call; no caching).
   double normal() {
     double u1;

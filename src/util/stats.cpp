@@ -39,23 +39,4 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-Summary summarize(std::vector<double> samples) {
-  Summary s;
-  s.count = samples.size();
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  RunningStats rs;
-  for (double x : samples) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = samples.front();
-  s.max = samples.back();
-  s.sum = rs.sum();
-  s.p25 = percentile_sorted(samples, 0.25);
-  s.median = percentile_sorted(samples, 0.50);
-  s.p75 = percentile_sorted(samples, 0.75);
-  s.p95 = percentile_sorted(samples, 0.95);
-  return s;
-}
-
 }  // namespace swdual

@@ -31,23 +31,6 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Batch summary over a sample vector, including order statistics.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-};
-
-/// Compute a Summary (copies and sorts the input).
-Summary summarize(std::vector<double> samples);
-
 /// Linear-interpolated percentile of a *sorted* sample vector, q in [0,1].
 double percentile_sorted(const std::vector<double>& sorted, double q);
 

@@ -44,11 +44,4 @@ inline bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-/// Upper-case ASCII in place (residue normalization for FASTA input).
-inline void to_upper_ascii(std::string& s) {
-  for (char& c : s) {
-    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-  }
-}
-
 }  // namespace swdual

@@ -205,7 +205,7 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
 TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
   // The zero-copy path: an engine built over a MappedSwdb must score
   // bit-identically to one built over in-memory record views — for every
-  // kernel (the lane-batch index supplies the longest-first order).
+  // kernel (both lay the records out longest first from their lengths).
   const std::string path =
       ::testing::TempDir() + "/swdual_parallel_mapped.swdb";
   const auto db = random_database(48, 31);
@@ -226,6 +226,29 @@ TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
                               KernelKind::kStriped8, KernelKind::kInterSeq}) {
       expect_identical(engine_search(from_mapped, query_view, scheme, kernel),
                        engine_search(from_views, query_view, scheme, kernel));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ParallelSearch, MappedEngineReadsResiduesInPlace) {
+  // The engine scans its records longest first, yet record(i) is still
+  // database record i, and its span points into the mapping, not at a
+  // copy.
+  const std::string path =
+      ::testing::TempDir() + "/swdual_parallel_in_place.swdb";
+  seq::write_swdb(path, random_database(40, 41, 10, 80),
+                  seq::AlphabetKind::kProtein);
+  {
+    const seq::MappedSwdb mapped(path);
+    ParallelSearchOptions options;
+    options.threads = 2;
+    const ParallelSearchEngine engine(mapped, options);
+    EXPECT_EQ(engine.db_residues(), mapped.total_residues());
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+      EXPECT_EQ(engine.record(i).data(), mapped.residues(i).data())
+          << "record " << i;
+      EXPECT_EQ(engine.record(i).size(), mapped.length(i)) << "record " << i;
     }
   }
   std::remove(path.c_str());

@@ -56,54 +56,6 @@ TEST(UniformMatrix, MatchMismatchAndWildcard) {
   EXPECT_TRUE(m.symmetric());
 }
 
-TEST(NcbiParser, RoundTripsASmallMatrix) {
-  const std::string text =
-      "# comment line\n"
-      "   A  C  G  T  N\n"
-      "A  2 -1 -1 -1  0\n"
-      "C -1  2 -1 -1  0\n"
-      "G -1 -1  2 -1  0\n"
-      "T -1 -1 -1  2  0\n"
-      "N  0  0  0  0  0\n";
-  const ScoreMatrix m =
-      ScoreMatrix::parse_ncbi(text, AlphabetKind::kDna, "toy");
-  const Alphabet& a = Alphabet::dna();
-  EXPECT_EQ(m.score(a.encode('A'), a.encode('A')), 2);
-  EXPECT_EQ(m.score(a.encode('G'), a.encode('T')), -1);
-  EXPECT_EQ(m.score(a.encode('N'), a.encode('A')), 0);
-  EXPECT_EQ(m.name(), "toy");
-}
-
-TEST(NcbiParser, ParsesBlosum62Subset) {
-  // A fragment in NCBI layout must land in the right cells.
-  const std::string text =
-      "   A  R  N\n"
-      "A  4 -1 -2\n"
-      "R -1  5  0\n"
-      "N -2  0  6\n";
-  const ScoreMatrix m =
-      ScoreMatrix::parse_ncbi(text, AlphabetKind::kProtein, "b62frag");
-  const Alphabet& a = Alphabet::protein();
-  EXPECT_EQ(m.score(a.encode('A'), a.encode('A')), 4);
-  EXPECT_EQ(m.score(a.encode('N'), a.encode('N')), 6);
-  EXPECT_EQ(m.score(a.encode('R'), a.encode('N')), 0);
-  // Letters absent from the fragment default to 0.
-  EXPECT_EQ(m.score(a.encode('W'), a.encode('W')), 0);
-}
-
-TEST(NcbiParser, RejectsShortRow) {
-  const std::string text =
-      "   A  C\n"
-      "A  2\n";
-  EXPECT_THROW(ScoreMatrix::parse_ncbi(text, AlphabetKind::kDna, "bad"),
-               IoError);
-}
-
-TEST(NcbiParser, RejectsEmptyInput) {
-  EXPECT_THROW(ScoreMatrix::parse_ncbi("", AlphabetKind::kDna, "bad"),
-               InvalidArgument);
-}
-
 TEST(ScoreMatrixInvariants, RejectsWrongSize) {
   EXPECT_THROW(ScoreMatrix(AlphabetKind::kDna, 5,
                            std::vector<std::int8_t>(10, 0), "bad"),

@@ -708,7 +708,7 @@ TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
   EXPECT_EQ(result.ranked.result.scores, expected.scores);
   expect_hits_equal(result.ranked.hits, expected.top(10), "mmap");
 
-  // The lane-batch index cuts into the same plan as the record views.
+  // The mapped database cuts into the same plan as the record views.
   const ShardedSearchEngine from_views(direct_view, options);
   const ShardPlan expected_plan = plan_shards(direct_view, 3);
   ASSERT_EQ(engine.plan().shards.size(), expected_plan.shards.size());
@@ -721,6 +721,38 @@ TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
         << "shard " << s;
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardedSearch, MappedEngineKeepsTheMappingAlive) {
+  // Once the caller drops its pointer and the file is unlinked, the engine
+  // holds the only reference; its shards must still read the residues.
+  Rng rng(23);
+  std::vector<seq::Sequence> records;
+  for (std::size_t i = 0; i < 30; ++i) {
+    seq::Sequence s;
+    s.id = "r" + std::to_string(i);
+    s.residues = random_codes(rng, 1 + rng.below(120));
+    records.push_back(std::move(s));
+  }
+  const std::string path = testing::TempDir() + "/sharded_search_alive.swdb";
+  seq::write_swdb(path, records, seq::AlphabetKind::kProtein);
+  auto mapped = std::make_shared<const seq::MappedSwdb>(path);
+  ShardedSearchOptions options;
+  options.num_shards = 2;
+  options.threads_per_shard = 1;
+  const ShardedSearchEngine engine(mapped, options);
+  mapped.reset();
+  std::remove(path.c_str());
+
+  const std::vector<std::uint8_t> query = random_codes(rng, 60);
+  const ScoringScheme scheme;
+  const SearchResult expected = search_database(
+      query, make_db_view(records), scheme, KernelKind::kStriped);
+  const ShardedSearchResult result =
+      search_one(engine, query, scheme, KernelKind::kStriped, 5);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.ranked.result.scores, expected.scores);
+  expect_hits_equal(result.ranked.hits, expected.top(5), "alive");
 }
 
 }  // namespace

@@ -29,9 +29,10 @@ TEST(EndToEnd, FastaToSwdbToSearch) {
   seq::write_fasta_file(fasta_path, records);
 
   // 2. Convert to the binary random-access format (paper §IV).
-  const std::size_t n = seq::convert_fasta_to_swdb(
-      fasta_path, swdb_path, seq::AlphabetKind::kProtein);
-  EXPECT_EQ(n, records.size());
+  const auto converted =
+      seq::read_fasta_file(fasta_path, seq::AlphabetKind::kProtein);
+  EXPECT_EQ(converted.size(), records.size());
+  seq::write_swdb(swdb_path, converted, seq::AlphabetKind::kProtein);
 
   // 3. Load through the SWDB reader, as master and workers do.
   const seq::MappedSwdb mapped(swdb_path);

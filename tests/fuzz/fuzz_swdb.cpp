@@ -4,17 +4,16 @@
 // swdual::Error (IoError for structural problems, InvalidArgument for bad
 // parameters). Anything else — a crash, an ASan/UBSan report, an unexpected
 // exception type — is a finding. On a successful open the harness walks the
-// whole surface (lengths, lane order, every record's residues, id and
-// description) so an index that validates but points outside the file is
-// caught too.
+// whole surface (lengths, every record's residues, id and description) so
+// an index that validates but points outside the file is caught too.
 //
 // Two build modes, one source file:
 //   - SWDUAL_HAVE_LIBFUZZER (fuzz preset: clang + -fsanitize=fuzzer):
 //     exports LLVMFuzzerTestOneInput for open-ended fuzzing.
 //   - standalone (every other build, incl. GCC): a driver main() with
 //     --make-seeds <dir>  write the seed corpus (valid files, a version-1
-//                         header, edge cases)
-//     --smoke <dir>       check that the version-1 header is rejected, then
+//                         and a version-2 header, edge cases)
+//     --smoke <dir>       check that both old headers are rejected, then
 //                         replay the corpus plus bounded deterministic
 //                         mutations (truncations, byte flips) — the ctest
 //                         `fuzz` label runs this everywhere, so the corpus
@@ -73,7 +72,6 @@ std::uint64_t exercise(const std::string& path) {
   std::uint64_t checksum = 0;
   const swdual::seq::MappedSwdb mapped(path);
   checksum += mapped.total_residues();
-  for (std::uint32_t lane : mapped.lane_order()) checksum += lane;
   for (std::size_t i = 0; i < mapped.size(); ++i) {
     checksum += mapped.length(i);
     for (std::uint8_t code : mapped.residues(i)) checksum += code;
@@ -124,7 +122,18 @@ std::vector<std::uint8_t> version1_header() {
   return bytes;
 }
 
-/// Seed corpus: structurally valid files, the version-1 header, and the
+/// A version-2 file (every residue stored twice): its 36-byte header for an
+/// empty database. The reader must refuse it.
+std::vector<std::uint8_t> version2_header() {
+  std::vector<std::uint8_t> bytes = {'S', 'W', 'D', 'B', 2, 0, 0, 0};
+  bytes.resize(36, 0);  // alphabet, padding, 0 records, two offsets
+  bytes[8] = static_cast<std::uint8_t>(swdual::seq::AlphabetKind::kProtein);
+  bytes[20] = 36;  // the index starts right after the header ...
+  bytes[28] = 36;  // ... and so does the empty aligned section
+  return bytes;
+}
+
+/// Seed corpus: structurally valid files, the two old headers, and the
 /// classic parser edge cases. Everything past these is the mutator's job
 /// (libFuzzer when available, the deterministic smoke otherwise).
 void make_seeds(const fs::path& dir) {
@@ -140,42 +149,48 @@ void make_seeds(const fs::path& dir) {
   records.emplace_back(swdual::seq::Sequence::from_text(
       "sp|P3", "empty record", swdual::seq::AlphabetKind::kProtein, ""));
 
-  swdual::seq::write_swdb((dir / "valid_v2.swdb").string(), records,
+  swdual::seq::write_swdb((dir / "valid_v3.swdb").string(), records,
                           swdual::seq::AlphabetKind::kProtein);
   swdual::seq::write_swdb((dir / "empty_db.swdb").string(), {},
                           swdual::seq::AlphabetKind::kProtein);
 
   dump(dir / "version1_header.swdb", version1_header());
+  dump(dir / "version2_header.swdb", version2_header());
   dump(dir / "empty_file.swdb", {});
   dump(dir / "bad_magic.swdb", {'N', 'O', 'P', 'E', 1, 0, 0, 0});
-  const std::vector<std::uint8_t> v2 = slurp(dir / "valid_v2.swdb");
+  const std::vector<std::uint8_t> v3 = slurp(dir / "valid_v3.swdb");
   dump(dir / "truncated_header.swdb",
-       std::vector<std::uint8_t>(v2.begin(),
-                                 v2.begin() + std::min<std::size_t>(10,
-                                                                    v2.size())));
+       std::vector<std::uint8_t>(v3.begin(),
+                                 v3.begin() + std::min<std::size_t>(10,
+                                                                    v3.size())));
   dump(dir / "truncated_half.swdb",
-       std::vector<std::uint8_t>(v2.begin(), v2.begin() + v2.size() / 2));
+       std::vector<std::uint8_t>(v3.begin(), v3.begin() + v3.size() / 2));
 }
 
-/// True if opening `bytes` throws an IoError naming version 1.
-bool version1_rejected(const std::vector<std::uint8_t>& bytes) {
+/// True if opening `bytes` throws an IoError naming `version`.
+bool version_rejected(const std::vector<std::uint8_t>& bytes, int version) {
   write_bytes(scratch_path(), bytes.data(), bytes.size());
   try {
     exercise(scratch_path());
   } catch (const swdual::IoError& error) {
-    return std::string(error.what()).find("unsupported SWDB version 1") !=
+    return std::string(error.what()).find("unsupported SWDB version " +
+                                          std::to_string(version)) !=
            std::string::npos;
   }
   return false;
 }
 
-/// Bounded deterministic smoke: check that the version-1 header is refused,
+/// Bounded deterministic smoke: check that both old headers are refused,
 /// then replay every corpus file verbatim, at every truncation length and
 /// with every single-byte flip in the first 256 bytes (the header/index
 /// region where parsing decisions live).
 int smoke(const fs::path& dir) {
-  if (!version1_rejected(version1_header())) {
+  if (!version_rejected(version1_header(), 1)) {
     std::cerr << "fuzz_swdb smoke: a version-1 header was not rejected\n";
+    return 1;
+  }
+  if (!version_rejected(version2_header(), 2)) {
+    std::cerr << "fuzz_swdb smoke: a version-2 header was not rejected\n";
     return 1;
   }
   std::size_t iterations = 0;
@@ -197,8 +212,8 @@ int smoke(const fs::path& dir) {
       ++iterations;
     }
   }
-  std::cout << "fuzz_swdb smoke: version-1 header rejected, " << iterations
-            << " inputs, no parser contract violation\n";
+  std::cout << "fuzz_swdb smoke: version-1 and version-2 headers rejected, "
+            << iterations << " inputs, no parser contract violation\n";
   return iterations == 0 ? 1 : 0;
 }
 

@@ -53,10 +53,5 @@ TEST(PerfModel, Table2SingleWorkerTimesReproduced) {
   EXPECT_NEAR(model.cudasw_gpu.seconds_for(cells), 785.26, 785.26 * 0.05);
 }
 
-TEST(Calibrate, MeasuresPositiveRealThroughput) {
-  const double gcups = calibrate_cpu_gcups(64, 16, 64);
-  EXPECT_GT(gcups, 0.0);
-}
-
 }  // namespace
 }  // namespace swdual::platform

@@ -2,11 +2,15 @@
 // through its one reader, MappedSwdb.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
+#include "seq/alphabet.h"
 #include "seq/dbgen.h"
 #include "seq/fasta.h"
 #include "seq/swdb.h"
@@ -73,11 +77,15 @@ TEST_F(SwdbTest, LengthsAvailableWithoutReadingData) {
 }
 
 TEST_F(SwdbTest, EmptyDatabaseRoundTrips) {
-  write_swdb(path_, {}, AlphabetKind::kDna);
-  const MappedSwdb db(path_);
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.alphabet(), AlphabetKind::kDna);
-  EXPECT_TRUE(db.residue_views().empty());
+  for (const AlphabetKind alphabet :
+       {AlphabetKind::kDna, AlphabetKind::kProtein}) {
+    write_swdb(path_, {}, alphabet);
+    const MappedSwdb db(path_);
+    EXPECT_EQ(db.size(), 0u);
+    EXPECT_EQ(db.alphabet(), alphabet);
+    EXPECT_EQ(db.total_residues(), 0u);
+    EXPECT_TRUE(db.residue_views().empty());
+  }
 }
 
 TEST_F(SwdbTest, IndexOutOfRangeThrows) {
@@ -122,10 +130,10 @@ TEST_F(SwdbTest, FastaConversionPreservesContent) {
   const std::string fasta_path = ::testing::TempDir() + "/swdual_conv.fa";
   const auto records = sample_records();
   write_fasta_file(fasta_path, records);
-  const std::size_t n =
-      convert_fasta_to_swdb(fasta_path, path_, AlphabetKind::kProtein);
-  EXPECT_EQ(n, records.size());
+  write_swdb(path_, read_fasta_file(fasta_path, AlphabetKind::kProtein),
+             AlphabetKind::kProtein);
   const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(db.record(i), records[i]);
   }
@@ -143,56 +151,137 @@ void write_file_bytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST_F(SwdbTest, DefaultWriteIsVersion2) {
-  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
-  // Magic, then the little-endian version field.
-  EXPECT_EQ(read_file_bytes(path_).substr(0, 8),
-            std::string("SWDB\x02\0\0\0", 8));
-  EXPECT_EQ(kSwdbVersion, 2u);
+/// Appends `value` little-endian in `width` bytes.
+void put_le(std::string& bytes, std::uint64_t value, int width) {
+  for (int b = 0; b < width; ++b) {
+    bytes += static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+/// Overwrites `width` bytes at `offset` with `value`, little-endian.
+void patch_le(std::string& bytes, std::size_t offset, std::uint64_t value,
+              int width) {
+  std::string field;
+  put_le(field, value, width);
+  bytes.replace(offset, field.size(), field);
+}
+
+/// Opening `path` must throw an IoError whose message contains `fragment`.
+void expect_open_fails(const std::string& path, const std::string& fragment) {
+  try {
+    const MappedSwdb db(path);
+    ADD_FAILURE() << path << " opened";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find(fragment), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(SwdbTest, WritesTheVersion3LayoutByteForByte) {
+  const std::vector<Sequence> records = {
+      Sequence::from_text("r0", "first", AlphabetKind::kDna, "ACGTA"),
+      Sequence::from_text("e", "no residues", AlphabetKind::kDna, ""),
+      Sequence::from_text("r2", "", AlphabetKind::kDna, std::string(70, 'G')),
+  };
+  write_swdb(path_, records, AlphabetKind::kDna);
+
+  // DNA codes: A 0, C 1, G 2, T 3, wildcard N 4.
+  std::string expected = "SWDB";
+  put_le(expected, 3, 4);  // version
+  put_le(expected, 0, 1);  // alphabet: DNA
+  put_le(expected, 0, 3);  // zero bytes
+  put_le(expected, 3, 8);  // record count
+  using Entry = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+  for (const auto& [residues, id, description] :
+       {Entry{5, 2, 5}, Entry{0, 1, 11}, Entry{70, 2, 0}}) {
+    put_le(expected, residues, 4);
+    put_le(expected, id, 2);
+    put_le(expected, description, 2);
+  }
+  expected += "r0first" "eno residues" "r2";  // bytes [44, 65)
+  expected += std::string(128 - 65, '\0');    // residues start at 128
+  expected += std::string("\x00\x01\x02\x03\x00", 5) +
+              std::string(64 - 5, '\x04');  // r0; "e" takes no bytes
+  expected += std::string(70, '\x02') + std::string(128 - 70, '\x04');
+  ASSERT_EQ(expected.size(), 320u);
+  EXPECT_EQ(read_file_bytes(path_), expected);
+  EXPECT_EQ(kSwdbVersion, 3u);
 }
 
 /// A version-1 file, the layout without the aligned section: a 28-byte
 /// header (no section offset), two records, their index.
 std::string version1_file() {
   std::string bytes = "SWDB";
-  const auto put = [&bytes](std::uint64_t value, int width) {
-    for (int b = 0; b < width; ++b) {
-      bytes += static_cast<char>((value >> (8 * b)) & 0xff);
-    }
-  };
-  put(1, 4);  // version
-  put(static_cast<std::uint8_t>(AlphabetKind::kProtein), 1);
-  put(0, 3);   // padding
-  put(2, 8);   // record count
-  put(36, 8);  // index offset: 28 header bytes + 5 + 3 record bytes
+  put_le(bytes, 1, 4);  // version
+  put_le(bytes, static_cast<std::uint8_t>(AlphabetKind::kProtein), 1);
+  put_le(bytes, 0, 3);   // padding
+  put_le(bytes, 2, 8);   // record count
+  put_le(bytes, 36, 8);  // index offset: 28 header bytes + 5 + 3 record bytes
   bytes += std::string("\x01\x02\x03", 3) + "r0";
   bytes += std::string("\x04", 1) + "r1";
   for (const auto& [offset, length] :
        {std::pair<std::uint64_t, std::uint64_t>{28, 3}, {33, 1}}) {
-    put(offset, 8);
-    put(length, 4);
-    put(2, 2);  // id length
-    put(0, 2);  // description length
+    put_le(bytes, offset, 8);
+    put_le(bytes, length, 4);
+    put_le(bytes, 2, 2);  // id length
+    put_le(bytes, 0, 2);  // description length
   }
   return bytes;
 }
 
 TEST_F(SwdbTest, Version1FileRejected) {
   write_file_bytes(path_, version1_file());
-  try {
-    const MappedSwdb db(path_);
-    FAIL() << "a version-1 file opened";
-  } catch (const IoError& error) {
-    EXPECT_NE(std::string(error.what()).find("unsupported SWDB version 1"),
-              std::string::npos)
-        << error.what();
+  expect_open_fails(path_, "unsupported SWDB version 1");
+}
+
+/// A version-2 file, the layout with every residue stored twice: a 36-byte
+/// header (index and section offsets), two records, their index, then the
+/// aligned section (its magic, block, data offset and size, per record an
+/// offset and a padded length, the longest-first order) and its
+/// 64-byte-aligned data.
+std::string version2_file() {
+  std::string bytes = "SWDB";
+  put_le(bytes, 2, 4);  // version
+  put_le(bytes, static_cast<std::uint8_t>(AlphabetKind::kProtein), 1);
+  put_le(bytes, 0, 3);   // padding
+  put_le(bytes, 2, 8);   // record count
+  put_le(bytes, 44, 8);  // index offset: 36 header bytes + 5 + 3 record bytes
+  put_le(bytes, 76, 8);  // section offset: the index's 2 × 16 bytes later
+  bytes += std::string("\x01\x02\x03", 3) + "r0";
+  bytes += std::string("\x04", 1) + "r1";
+  for (const auto& [offset, length] :
+       {std::pair<std::uint64_t, std::uint64_t>{36, 3}, {41, 1}}) {
+    put_le(bytes, offset, 8);
+    put_le(bytes, length, 4);
+    put_le(bytes, 2, 2);  // id length
+    put_le(bytes, 0, 2);  // description length
   }
+  bytes += {'S', 'W', 'V', '2'};  // the section's magic
+  put_le(bytes, 64, 4);          // block
+  put_le(bytes, 192, 8);  // data offset: the tables end at 132
+  put_le(bytes, 128, 8);  // data bytes
+  for (const std::uint64_t rel : {std::uint64_t{0}, std::uint64_t{64}}) {
+    put_le(bytes, rel, 8);
+    put_le(bytes, 64, 4);  // padded length
+  }
+  put_le(bytes, 0, 4);  // lane order: r0 (3 residues), then r1 (1)
+  put_le(bytes, 1, 4);
+  bytes += std::string(192 - 132, '\0');
+  const char wildcard = 22;  // protein X
+  bytes += std::string("\x01\x02\x03", 3) + std::string(61, wildcard);
+  bytes += std::string("\x04", 1) + std::string(63, wildcard);
+  return bytes;
+}
+
+TEST_F(SwdbTest, Version2FileRejected) {
+  write_file_bytes(path_, version2_file());
+  expect_open_fails(path_, "unsupported SWDB version 2");
 }
 
 TEST_F(SwdbTest, UnknownVersionRejected) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   std::string bytes = read_file_bytes(path_);
-  bytes[4] = 3;  // the version field's low byte
+  bytes[4] = 4;  // the version field's low byte
   write_file_bytes(path_, bytes);
   EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
@@ -207,72 +296,170 @@ TEST_F(SwdbTest, LengthsSpanMatchesIndex) {
   }
 }
 
-TEST_F(SwdbTest, LaneOrderIsLongestFirst) {
-  const auto records = sample_records();  // lengths 6, 1, 1000
-  write_swdb(path_, records, AlphabetKind::kProtein);
-  const MappedSwdb db(path_);
-  const auto order = db.lane_order();
-  ASSERT_EQ(order.size(), records.size());
-  // A permutation, lengths non-increasing along it.
-  std::vector<bool> seen(records.size(), false);
-  for (const std::uint32_t id : order) {
-    ASSERT_LT(id, records.size());
-    EXPECT_FALSE(seen[id]) << "duplicate id " << id;
-    seen[id] = true;
-  }
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    EXPECT_GE(db.length(order[k - 1]), db.length(order[k]))
-        << "position " << k;
-  }
-  EXPECT_EQ(order[0], 2u);  // the 1000-residue record leads
-}
-
-TEST_F(SwdbTest, LaneOrderBreaksLengthTiesById) {
-  std::vector<Sequence> records;
-  for (int i = 0; i < 6; ++i) {
-    records.push_back(Sequence::from_text("t" + std::to_string(i), "",
-                                          AlphabetKind::kProtein, "MKVLAW"));
-  }
-  write_swdb(path_, records, AlphabetKind::kProtein);
-  const MappedSwdb db(path_);
-  const auto order = db.lane_order();
-  ASSERT_EQ(order.size(), records.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    EXPECT_EQ(order[k], k);  // equal lengths keep file order
-  }
-}
-
-TEST_F(SwdbTest, TruncatedV2SectionRejected) {
+TEST_F(SwdbTest, TruncatedResidueSectionRejected) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   const std::string bytes = read_file_bytes(path_);
-  // The aligned section is the file tail; chopping a few bytes off must be
+  // The residue section is the file tail; chopping a few bytes off must be
   // a structured failure, never a silently short residue span.
   write_file_bytes(path_, bytes.substr(0, bytes.size() - 7));
   EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
-TEST_F(SwdbTest, CorruptV2MagicRejected) {
+TEST_F(SwdbTest, TrailingBytesRejected) {
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  write_file_bytes(path_, read_file_bytes(path_) + std::string(64, '\x16'));
+  EXPECT_THROW(MappedSwdb db(path_), IoError);
+}
+
+TEST_F(SwdbTest, CountPastTheEndOfTheFileRejected) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   std::string bytes = read_file_bytes(path_);
-  // The section offset lives at bytes [28, 36) of the header
-  // (little-endian).
-  std::uint64_t v2_offset = 0;
-  for (int b = 7; b >= 0; --b) {
-    v2_offset = (v2_offset << 8) |
-                static_cast<std::uint8_t>(bytes[28 + static_cast<size_t>(b)]);
-  }
-  ASSERT_LT(v2_offset + 4, bytes.size());
-  bytes[v2_offset] = 'X';  // smash the "SWV2" magic
+  // One index entry more than the bytes after the 20-byte header hold.
+  patch_le(bytes, 12, (bytes.size() - 20) / 8 + 1, 8);
   write_file_bytes(path_, bytes);
   EXPECT_THROW(MappedSwdb db(path_), IoError);
 }
 
-TEST_F(SwdbTest, EmptyVersion2DatabaseRoundTrips) {
-  write_swdb(path_, {}, AlphabetKind::kProtein);
+// The sample file: a 20-byte header, then one 8-byte index entry per record
+// (residue count at +0, id length at +4, description length at +6).
+
+TEST_F(SwdbTest, TextPastTheEndOfTheFileRejected) {
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  std::string bytes = read_file_bytes(path_);
+  patch_le(bytes, 20 + 2 * 8 + 4, 65535, 2);  // record 2's id length
+  write_file_bytes(path_, bytes);
+  expect_open_fails(path_, "corrupt SWDB index");
+}
+
+TEST_F(SwdbTest, ResiduesPastTheEndOfTheFileRejected) {
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  std::string bytes = read_file_bytes(path_);
+  patch_le(bytes, 20, 0xffffffff, 4);  // record 0's residue count
+  write_file_bytes(path_, bytes);
+  expect_open_fails(path_, "corrupt SWDB index");
+}
+
+TEST_F(SwdbTest, CorruptAlphabetRejected) {
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  std::string bytes = read_file_bytes(path_);
+  bytes[8] = 3;  // the alphabet byte: DNA 0, RNA 1, protein 2
+  write_file_bytes(path_, bytes);
+  expect_open_fails(path_, "alphabet");
+}
+
+TEST_F(SwdbTest, EmptyFileRejected) {
+  write_file_bytes(path_, "");
+  expect_open_fails(path_, "bad magic");
+}
+
+TEST_F(SwdbTest, TruncatedHeaderRejected) {
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  // The first 19 of the header's 20 bytes: the count is one byte short.
+  write_file_bytes(path_, read_file_bytes(path_).substr(0, 19));
+  expect_open_fails(path_, "truncated");
+}
+
+TEST_F(SwdbTest, UnwritablePathThrows) {
+  EXPECT_THROW(write_swdb("/no/such/dir/db.swdb", sample_records(),
+                          AlphabetKind::kProtein),
+               IoError);
+}
+
+TEST_F(SwdbTest, RewriteReplacesALongerFile) {
+  // The reader refuses trailing bytes, so a rewrite must not leave the
+  // longer file's tail behind.
+  write_swdb(path_, sample_records(), AlphabetKind::kProtein);
+  const std::vector<Sequence> shorter = {sample_records()[1]};
+  write_swdb(path_, shorter, AlphabetKind::kProtein);
   const MappedSwdb db(path_);
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.total_residues(), 0u);
-  EXPECT_TRUE(db.lane_order().empty());
+  ASSERT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.record(0), shorter[0]);
+}
+
+TEST_F(SwdbTest, BlockMultiplesTakeNoPadding) {
+  // Header 20 + index 2 × 8 + text 28 bytes end on the first block
+  // boundary, and both residue counts are block multiples: the file is
+  // exactly 64 + 64 + 128 bytes, residues back to back.
+  const std::vector<Sequence> records = {
+      Sequence::from_text("a", "thirteen char", AlphabetKind::kProtein,
+                          std::string(64, 'M')),
+      Sequence::from_text("b", "thirteen char", AlphabetKind::kProtein,
+                          std::string(128, 'W')),
+  };
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  EXPECT_EQ(read_file_bytes(path_).size(), 256u);
+  const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.record(0), records[0]);
+  EXPECT_EQ(db.record(1), records[1]);
+  EXPECT_EQ(db.residues(1).data(), db.residues(0).data() + 64);
+}
+
+TEST_F(SwdbTest, EmptyFieldsRoundTrip) {
+  // Empty ids, descriptions and residue lists take no bytes, so neighbours
+  // share offsets; every record must still read back as written.
+  const std::vector<Sequence> records = {
+      Sequence::from_text("", "", AlphabetKind::kProtein, ""),
+      Sequence::from_text("a", "", AlphabetKind::kProtein, "MK"),
+      Sequence::from_text("", "only a description", AlphabetKind::kProtein,
+                          ""),
+      Sequence::from_text("b", "d", AlphabetKind::kProtein, ""),
+      Sequence::from_text("", "", AlphabetKind::kProtein, "W"),
+  };
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), records.size());
+  EXPECT_EQ(db.total_residues(), 3u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(db.record(i), records[i]) << "record " << i;
+  }
+}
+
+TEST_F(SwdbTest, RnaDatabaseRoundTripsPaddedWithItsWildcard) {
+  const std::vector<Sequence> records = {
+      Sequence::from_text("r0", "", AlphabetKind::kRna, "ACGU"),
+      Sequence::from_text("r1", "poly-U", AlphabetKind::kRna,
+                          std::string(65, 'U')),
+  };
+  write_swdb(path_, records, AlphabetKind::kRna);
+  const MappedSwdb db(path_);
+  EXPECT_EQ(db.alphabet(), AlphabetKind::kRna);
+  ASSERT_EQ(db.size(), records.size());
+  const std::uint8_t wildcard =
+      Alphabet::get(AlphabetKind::kRna).wildcard_code();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(db.record(i), records[i]) << "record " << i;
+    const auto span = db.residues(i);
+    const std::size_t padded =
+        (span.size() + kSwdbBlock - 1) / kSwdbBlock * kSwdbBlock;
+    for (std::size_t b = span.size(); b < padded; ++b) {
+      ASSERT_EQ(span.data()[b], wildcard) << "record " << i << " pad " << b;
+    }
+  }
+}
+
+TEST_F(SwdbTest, OverlongIdOrDescriptionRejectedBeforeTheFileIsCreated) {
+  for (const bool long_id : {true, false}) {
+    std::remove(path_.c_str());
+    auto records = sample_records();
+    (long_id ? records[0].id : records[0].description) =
+        std::string(65536, 'x');
+    EXPECT_THROW(write_swdb(path_, records, AlphabetKind::kProtein),
+                 InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(path_)) << "long id: " << long_id;
+  }
+}
+
+TEST_F(SwdbTest, LongestIdAndDescriptionRoundTrip) {
+  auto records = sample_records();
+  records[1].id = std::string(65535, 'i');
+  records[1].description = std::string(65535, 'd');
+  write_swdb(path_, records, AlphabetKind::kProtein);
+  const MappedSwdb db(path_);
+  ASSERT_EQ(db.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(db.record(i), records[i]) << "record " << i;
+  }
 }
 
 TEST_F(SwdbTest, LargeGeneratedDatabaseRoundTrips) {

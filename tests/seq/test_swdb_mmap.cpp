@@ -3,11 +3,9 @@
 // 64-byte aligned and wildcard padded, ready for direct SIMD consumption.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -43,8 +41,7 @@ class SwdbMmapTest : public ::testing::Test {
   }
 
   /// The core contract: the file read back is the records written — same
-  /// residues, ids, descriptions and lengths — and its lane order is the
-  /// records' ids longest first, ties by id.
+  /// residues, ids, descriptions and lengths.
   void expect_matches_records(const std::string& path,
                               const std::vector<Sequence>& records) {
     const MappedSwdb mapped(path);
@@ -53,19 +50,6 @@ class SwdbMmapTest : public ::testing::Test {
     std::uint64_t total = 0;
     for (const Sequence& record : records) total += record.length();
     EXPECT_EQ(mapped.total_residues(), total);
-
-    std::vector<std::uint32_t> order(records.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return records[a].length() != records[b].length()
-                           ? records[a].length() > records[b].length()
-                           : a < b;
-              });
-    ASSERT_EQ(mapped.lane_order().size(), order.size());
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      EXPECT_EQ(mapped.lane_order()[k], order[k]) << k;
-    }
 
     for (std::size_t i = 0; i < records.size(); ++i) {
       const Sequence& written = records[i];
@@ -97,18 +81,18 @@ TEST_F(SwdbMmapTest, MatchesRecordsWrittenOnGeneratedDatabase) {
   expect_matches_records(path_, records);
 }
 
-TEST_F(SwdbMmapTest, Version2ResiduesAre64ByteAligned) {
+TEST_F(SwdbMmapTest, ResiduesAre64ByteAligned) {
   write_swdb(path_, sample_records(), AlphabetKind::kProtein);
   const MappedSwdb mapped(path_);
   for (std::size_t i = 0; i < mapped.size(); ++i) {
     const auto span = mapped.residues(i);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span.data()) % kSwdbV2Block,
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span.data()) % kSwdbBlock,
               0u)
         << "record " << i;
   }
 }
 
-TEST_F(SwdbMmapTest, Version2PadBytesAreWildcard) {
+TEST_F(SwdbMmapTest, PadBytesAreWildcard) {
   const auto records = sample_records();
   write_swdb(path_, records, AlphabetKind::kProtein);
   const MappedSwdb mapped(path_);
@@ -117,7 +101,7 @@ TEST_F(SwdbMmapTest, Version2PadBytesAreWildcard) {
   for (std::size_t i = 0; i < mapped.size(); ++i) {
     const auto span = mapped.residues(i);
     const std::size_t padded =
-        (span.size() + kSwdbV2Block - 1) / kSwdbV2Block * kSwdbV2Block;
+        (span.size() + kSwdbBlock - 1) / kSwdbBlock * kSwdbBlock;
     // The bytes between the logical end and the block boundary belong to
     // this record's reservation; they must hold the alphabet wildcard so a
     // kernel over-reading a lane tail scores them deterministically.

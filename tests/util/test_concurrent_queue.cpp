@@ -20,13 +20,6 @@ TEST(ConcurrentQueue, FifoOrderSingleThread) {
   EXPECT_EQ(q.pop(), 3);
 }
 
-TEST(ConcurrentQueue, TryPopOnEmptyReturnsNullopt) {
-  ConcurrentQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_TRUE(q.push(9));
-  EXPECT_EQ(q.try_pop(), 9);
-}
-
 TEST(ConcurrentQueue, CloseDrainsThenEndsStream) {
   ConcurrentQueue<int> q;
   EXPECT_TRUE(q.push(1));

@@ -63,14 +63,6 @@ TEST(Rng, UniformInHalfOpenUnitInterval) {
   EXPECT_NEAR(sum / 20000.0, 0.5, 0.02);
 }
 
-TEST(Rng, ExponentialHasRequestedMean) {
-  Rng rng(11);
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
 TEST(Rng, NormalHasZeroMeanUnitVariance) {
   Rng rng(12);
   double sum = 0.0, sum2 = 0.0;

@@ -58,21 +58,5 @@ TEST(Percentile, RejectsEmptyAndBadQuantile) {
   EXPECT_THROW(percentile_sorted({1.0}, 1.5), InvalidArgument);
 }
 
-TEST(Summarize, FullSummary) {
-  const Summary s = summarize({5, 1, 3, 2, 4});
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.sum, 15.0);
-}
-
-TEST(Summarize, EmptyInputYieldsZeroSummary) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
 }  // namespace
 }  // namespace swdual

@@ -29,11 +29,5 @@ TEST(StartsEndsWith, Basics) {
   EXPECT_TRUE(starts_with("abc", ""));
 }
 
-TEST(ToUpperAscii, OnlyTouchesLowercaseLetters) {
-  std::string s = "acgT-n123";
-  to_upper_ascii(s);
-  EXPECT_EQ(s, "ACGT-N123");
-}
-
 }  // namespace
 }  // namespace swdual

@@ -105,7 +105,7 @@ BARE_LOCK_ALLOWED_PREFIX = "src/util/"
 
 # Raw byte-level input: .read(...) on a stream or C stdio fread. Database
 # payload parsing is MappedSwdb's job; any other TU doing its own reads
-# would fork the format knowledge (and silently miss the aligned section).
+# would fork the format knowledge (every offset is derived from the index).
 RAW_PAYLOAD_READ = re.compile(r"(?:\.read\s*\(|(?<![\w:])fread\s*\()")
 RAW_READ_ALLOWED = ("src/seq/swdb.cpp",)
 
