@@ -15,7 +15,6 @@
 #include "align/backend.h"
 #include "align/banded.h"
 #include "align/kernel_interseq.h"
-#include "align/kernel_striped.h"
 #include "align/kernel_striped8.h"
 #include "align/linear_space.h"
 #include "align/scalar.h"
@@ -74,23 +73,6 @@ void BM_ScalarGotoh(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarGotoh)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_StripedKernel(benchmark::State& state) {
-  const KernelFixtureData data(static_cast<std::size_t>(state.range(0)), 16,
-                               256);
-  const align::StripedProfile profile(
-      {data.query.residues.data(), data.query.residues.size()},
-      *data.scheme.matrix);
-  for (auto _ : state) {
-    int total = 0;
-    for (const auto& view : data.views) {
-      total += align::striped_score(profile, view, data.scheme.gap).score;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  report_gcups(state, data.cells);
-}
-BENCHMARK(BM_StripedKernel)->Arg(64)->Arg(256)->Arg(1024);
-
 void BM_InterSeqKernel(benchmark::State& state) {
   const KernelFixtureData data(static_cast<std::size_t>(state.range(0)), 64,
                                256);
@@ -128,7 +110,7 @@ BENCHMARK(BM_BandedKernel)->Arg(8)->Arg(32)->Arg(128);
 void BM_QueryProfileBuild(benchmark::State& state) {
   const KernelFixtureData data(static_cast<std::size_t>(state.range(0)), 1, 1);
   for (auto _ : state) {
-    const align::StripedProfile profile(
+    const align::StripedProfileU8 profile(
         {data.query.residues.data(), data.query.residues.size()},
         *data.scheme.matrix);
     benchmark::DoNotOptimize(profile.segment_length());
@@ -158,25 +140,6 @@ void backend_striped8(benchmark::State& state, align::Backend backend) {
   report_gcups(state, data.cells);
   state.counters["lanes"] =
       static_cast<double>(align::backend_lanes8(backend));
-}
-
-void backend_striped(benchmark::State& state, align::Backend backend) {
-  const KernelFixtureData data(360, 64, 256);
-  const std::span<const std::uint8_t> query(data.query.residues.data(),
-                                            data.query.residues.size());
-  const align::StripedProfile profile(query, *data.scheme.matrix,
-                                      align::backend_lanes16(backend));
-  const align::KernelTable& kt = align::kernel_table(backend);
-  for (auto _ : state) {
-    int total = 0;
-    for (const auto& view : data.views) {
-      total += kt.striped(profile, view, data.scheme.gap).score;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  report_gcups(state, data.cells);
-  state.counters["lanes"] =
-      static_cast<double>(align::backend_lanes16(backend));
 }
 
 void backend_interseq(benchmark::State& state, align::Backend backend) {
@@ -341,9 +304,6 @@ void register_backend_benchmarks() {
     benchmark::RegisterBenchmark(
         ("BM_Striped8Backend/" + suffix).c_str(),
         [backend](benchmark::State& s) { backend_striped8(s, backend); });
-    benchmark::RegisterBenchmark(
-        ("BM_StripedBackend/" + suffix).c_str(),
-        [backend](benchmark::State& s) { backend_striped(s, backend); });
     benchmark::RegisterBenchmark(
         ("BM_InterSeqBackend/" + suffix).c_str(),
         [backend](benchmark::State& s) { backend_interseq(s, backend); });

@@ -82,10 +82,8 @@ const char* roofline_note(swdual::align::KernelKind kernel) {
   switch (kernel) {
     case swdual::align::KernelKind::kStriped8:
       return "8-bit striped lazy-F: register-resident query profile, ~12 "
-             "SIMD ops/cell, no per-cell memory traffic; compute-bound";
-    case swdual::align::KernelKind::kStriped:
-      return "16-bit striped lazy-F: same op mix at half the lanes; "
-             "compute-bound";
+             "SIMD ops/cell, no per-cell memory traffic; compute-bound; "
+             "saturated pairs rescored as one 16-bit inter-sequence batch";
     case swdual::align::KernelKind::kInterSeq:
       return "16-bit inter-sequence: dprofile rebuild is asize*lanes "
              "stores per DB column, inner loop one aligned load/cell; "
@@ -244,8 +242,7 @@ int main(int argc, char** argv) {
   };
 
   const std::vector<align::KernelKind> kernels = {
-      align::KernelKind::kStriped8, align::KernelKind::kStriped,
-      align::KernelKind::kInterSeq};
+      align::KernelKind::kStriped8, align::KernelKind::kInterSeq};
 
   TextTable table;
   table.set_header({"kernel", "backend", "threads", "chunks", "GCUPS",

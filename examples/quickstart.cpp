@@ -10,7 +10,7 @@
 #include <exception>
 #include <iostream>
 
-#include "align/kernel_striped.h"
+#include "align/kernel_striped8.h"
 #include "align/scalar.h"
 #include "align/search.h"
 #include "align/traceback.h"
@@ -47,7 +47,7 @@ int main() try {
       {d.residues.data(), d.residues.size()}, scheme);
   std::cout << align::render_alignment(local);
 
-  const int striped = align::striped_score(
+  const int striped = align::striped8_score(
                           {q.residues.data(), q.residues.size()},
                           {d.residues.data(), d.residues.size()}, scheme)
                           .score;

@@ -94,7 +94,6 @@ Backend widest_auto_backend() {
 const char* kernel_name(KernelKind kind) {
   switch (kind) {
     case KernelKind::kScalar: return "scalar";
-    case KernelKind::kStriped: return "striped";
     case KernelKind::kStriped8: return "striped8";
     case KernelKind::kInterSeq: return "interseq";
   }
@@ -157,8 +156,8 @@ Backend best_backend(KernelKind kernel) {
       backend_available(Backend::kAVX2)) {
     // Measured on the recorded bench host: striped8 runs 11.6 GCUPS on
     // avx512 vs 13.5 on avx2 (DESIGN.md "AVX-512 striped8 regression").
-    // The 16-bit striped and interseq kernels win at 512 bits, so only the
-    // byte tier is gated.
+    // The interseq kernel wins at 512 bits, so only the byte tier is
+    // gated.
     best = Backend::kAVX2;
   }
   return best;

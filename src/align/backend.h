@@ -11,7 +11,9 @@
 // (8→16-bit escalation) decisions — the striped layout depends on the lane
 // count, but each DP cell's value does not, and the overflow guard bands
 // are functions of cell values only (DESIGN.md "SIMD backends & dispatch"
-// has the full argument). Backends therefore differ *only* in speed.
+// has the full argument). Backends therefore differ *only* in speed. (The
+// one backend-dependent value, the byte kernel's score on a pair it flags
+// as saturated, is a lower bound that no caller reads.)
 #pragma once
 
 #include <cstddef>
@@ -22,7 +24,6 @@
 
 #include "align/kernel_banded.h"
 #include "align/kernel_interseq.h"
-#include "align/kernel_striped.h"
 #include "align/kernel_striped8.h"
 #include "align/profile.h"
 #include "align/scoring.h"
@@ -34,15 +35,15 @@ namespace swdual::align {
 /// per kernel (see best_backend(KernelKind)).
 enum class KernelKind {
   kScalar,    ///< 32-bit Gotoh oracle (reference, no SIMD)
-  kStriped,   ///< Farrar striped SIMD, 16-bit (STRIPED/SWPS3 class)
-  kStriped8,  ///< Farrar striped SIMD, 8-bit tier with 16-bit/32-bit rescan
-  kInterSeq,  ///< Rognes inter-sequence SIMD (SWIPE class)
+  kStriped8,  ///< Farrar striped SIMD, 8-bit tier; saturated pairs are
+              ///< rescored by the 16-bit interseq kernel, then at 32 bits
+  kInterSeq,  ///< Rognes inter-sequence SIMD, 16-bit (SWIPE class)
 };
 
 /// Printable kernel name.
 const char* kernel_name(KernelKind kind);
 
-/// SIMD instruction-set tier used by the striped/interseq kernels.
+/// SIMD instruction-set tier used by the striped8/interseq kernels.
 enum class Backend {
   kAuto,    ///< resolve to best_backend() at use
   kScalar,  ///< width-generic scalar emulation (16×u8 / 8×i16 geometry)
@@ -98,15 +99,12 @@ std::size_t backend_lanes8(Backend backend);
 /// 16-bit-kernel lane count of a resolved backend (8 / 8 / 16 / 32).
 std::size_t backend_lanes16(Backend backend);
 
-/// Kernel entry points of one backend. Profiles passed to the striped
-/// kernels must have been built with the backend's lane count.
+/// Kernel entry points of one backend. Profiles passed to the striped8
+/// kernel must have been built with the backend's byte lane count.
 struct KernelTable {
   StripedResult (*striped8)(const StripedProfileU8& profile,
                             std::span<const std::uint8_t> db,
                             const GapPenalty& gap);
-  StripedResult (*striped)(const StripedProfile& profile,
-                           std::span<const std::uint8_t> db,
-                           const GapPenalty& gap);
   InterSeqResult (*interseq)(std::span<const std::uint8_t> query,
                              const SequenceViews& db,
                              const ScoringScheme& scheme);

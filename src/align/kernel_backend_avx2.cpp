@@ -15,7 +15,6 @@
 #include "align/kernel_banded_impl.h"
 #include "align/kernel_interseq_impl.h"
 #include "align/kernel_striped8_impl.h"
-#include "align/kernel_striped_impl.h"
 
 namespace swdual::align::detail {
 
@@ -23,7 +22,6 @@ namespace {
 
 const KernelTable kTable = {
     &striped8_score_impl<V8x32>,
-    &striped_score_impl<V16x16>,
     &interseq_scores_impl<V16x16>,
     &banded_screen_impl<V8x32, V16x16>,
 };

@@ -16,7 +16,6 @@
 #include "align/kernel_banded_impl.h"
 #include "align/kernel_interseq_impl.h"
 #include "align/kernel_striped8_impl.h"
-#include "align/kernel_striped_impl.h"
 
 namespace swdual::align::detail {
 
@@ -24,7 +23,6 @@ namespace {
 
 const KernelTable kTable = {
     &striped8_score_impl<V8x64>,
-    &striped_score_impl<V16x32>,
     &interseq_scores_impl<V16x32>,
     &banded_screen_impl<V8x64, V16x32>,
 };

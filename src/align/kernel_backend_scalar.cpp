@@ -7,7 +7,6 @@
 #include "align/kernel_dispatch.h"
 #include "align/kernel_interseq_impl.h"
 #include "align/kernel_striped8_impl.h"
-#include "align/kernel_striped_impl.h"
 #include "align/simd_scalar.h"
 
 namespace swdual::align::detail {
@@ -16,7 +15,6 @@ namespace {
 
 const KernelTable kTable = {
     &striped8_score_impl<VecU8Scalar<16>>,
-    &striped_score_impl<VecI16Scalar<8>>,
     &interseq_scores_impl<VecI16Scalar<8>>,
     &banded_screen_impl<VecU8Scalar<16>, VecI16Scalar<8>>,
 };

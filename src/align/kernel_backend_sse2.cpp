@@ -9,7 +9,6 @@
 #include "align/kernel_banded_impl.h"
 #include "align/kernel_interseq_impl.h"
 #include "align/kernel_striped8_impl.h"
-#include "align/kernel_striped_impl.h"
 #include "align/simd16.h"
 #include "align/simd8.h"
 
@@ -19,7 +18,6 @@ namespace {
 
 const KernelTable kTable = {
     &striped8_score_impl<V8>,
-    &striped_score_impl<V16>,
     &interseq_scores_impl<V16>,
     &banded_screen_impl<V8, V16>,
 };

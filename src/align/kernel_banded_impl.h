@@ -14,21 +14,24 @@
 // scores come from a per-row 32-entry shuffle (lut32) on vector types that
 // have one, else from a per-column gathered dprofile.
 //
-// A lane group takes one of two paths, decided by its input alone:
-//  - uniform: a full byte-tier group whose records all have one length
+// Lane groups are cut from the longest-first order by banded_group_end: up
+// to one record per lane, ending before the first record shorter than half
+// the group's first. A group takes one of two paths, decided by its input
+// alone:
+//  - uniform: a group whose records all have one length, full or partial
 //    (longest-first order puts equal lengths next to each other; how many
 //    groups qualify depends on the database's length multiset, see
 //    DESIGN.md "Screen kernel design"). Every lane takes column j at step j
 //    with the same window, edge runs and sentinel row, so one set of band
 //    counters walks the geometry for the whole group, the sentinel is one
 //    vector store, the edge-run masks are splats, and the rows run with no
-//    in-window clamps or blends.
-//  - paced: every other group (mixed lengths, a partial tail group, and
-//    every 16-bit regroup). Because a band covers only a sliver of rows,
-//    each lane advances through its own columns Bresenham-style at rate
-//    n_l/n_max so that every lane's window stays centred on the same rows
-//    regardless of the group's length mix (see the comment at the step
-//    loop), and each lane walks its own geometry.
+//    in-window clamps or blends. Idle lanes of a partial group read the pad
+//    code; their values are never read and their cells never counted.
+//  - paced: every group of mixed lengths. Because a band covers only a
+//    sliver of rows, each lane advances through its own columns
+//    Bresenham-style at rate n_l/n_max so that every lane's window stays
+//    centred on the same rows regardless of the group's length mix (see the
+//    comment at the step loop), and each lane walks its own geometry.
 // Both paths run the same row body and the same per-lane arithmetic, so
 // scores, edge_hit, overflow and cells do not depend on the path.
 //
@@ -208,8 +211,9 @@ std::uint64_t banded_screen_pass(std::span<const std::uint8_t> query,
       255 - bias - std::max(0, static_cast<int>(matrix.max_score()));
 
   // Substitution rows widened to the tier's element type with one pad
-  // column appended. The pad score itself is never read unmasked (exhausted
-  // lanes are masked everywhere), so 0 is safe for both tiers. Byte-tier
+  // column appended. Paced groups mask the pad score everywhere; the idle
+  // lanes of a partial uniform group add it unmasked, and 0 (a score of
+  // −bias in the byte tier) keeps their H at 0. Byte-tier
   // rows are zero-padded to a 32-byte stride whenever the alphabet (incl.
   // the pad code) fits, so vector types with a lut32 byte shuffle can look
   // a row up directly with the lane codes — that skips the dprofile build,
@@ -247,9 +251,12 @@ std::uint64_t banded_screen_pass(std::span<const std::uint8_t> query,
   const V v_bias = V::splat(static_cast<T>(bias));
 
   std::uint64_t cells = 0;
-  for (std::size_t group_start = 0; group_start < order.size();
-       group_start += kL) {
-    const std::size_t lanes_used = std::min(kL, order.size() - group_start);
+  for (std::size_t group_start = 0, group_end = 0; group_start < order.size();
+       group_start = group_end) {
+    group_end = banded_group_end(
+        group_start, order.size(), kL,
+        [&](std::size_t k) { return db[order[k]].size(); });
+    const std::size_t lanes_used = group_end - group_start;
     const std::uint8_t* lane_seq[kL];
     LaneBand lane[kL];
     std::size_t max_len = 0;
@@ -365,16 +372,18 @@ std::uint64_t banded_screen_pass(std::span<const std::uint8_t> query,
     };
 
     // Longest-first order: the first and last lanes bound every length.
-    if (kByte && lanes_used == kL && lane[0].n == lane[kL - 1].n) {
+    if (lane[0].n == lane[lanes_used - 1].n) {
       // Uniform group: lane 0's counters walk the geometry for all lanes.
       const V v_on = V::splat(kMaskOn);
       LaneBand& walk = lane[0];
       for (std::size_t j = 1; j <= max_len; ++j) {
         const BandColumn col = walk.next(j, band, m);
         if (col.tl > col.bl) continue;  // window empty at this column (n≫m)
-        cells += kL * (col.bl - col.tl + 1);
+        cells += lanes_used * (col.bl - col.tl + 1);
         if (col.fresh_top) V::zero().store(state_h + (col.tl - 2) * kL);
-        for (std::size_t l = 0; l < kL; ++l) codes[l] = lane_seq[l][j - 1];
+        for (std::size_t l = 0; l < lanes_used; ++l) {
+          codes[l] = lane_seq[l][j - 1];
+        }
         begin_column(col.tl);
         // Rows above the bulk zone are head-run rows, rows below it tail-run
         // rows; when the runs leave no row between them, every row is one.
@@ -428,8 +437,8 @@ std::uint64_t banded_screen_pass(std::span<const std::uint8_t> query,
         // the longest-first group, a lane whose length equals its left
         // neighbour's replays the neighbour's outcome verbatim instead of
         // stepping its own counters. Paced groups still repeat lengths (a
-        // 16-bit regroup of equal-length homologs, a group straddling two
-        // runs), and there the replay is worth 1.4–2.5× (EXPERIMENTS.md).
+        // group straddling two runs, a 16-bit regroup of homologs of a few
+        // lengths), and there the replay is worth 1.4–2.5× (EXPERIMENTS.md).
         std::size_t share_n = std::numeric_limits<std::size_t>::max();
         std::size_t share_j = 0;  // the run's column this step (0: none)
         BandColumn share;

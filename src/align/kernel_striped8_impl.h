@@ -8,10 +8,11 @@
 // are lane-count independent (see DESIGN.md "SIMD backends & dispatch").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
-#include "align/kernel_striped.h"
+#include "align/kernel_striped8.h"
 #include "align/profile.h"
 #include "align/scratch.h"
 #include "util/error.h"
@@ -39,6 +40,18 @@ StripedResult striped8_score_impl(const StripedProfileU8& profile,
   const V v_gap_open_extend =
       V::splat(static_cast<std::uint8_t>(gap.open + gap.extend));
   const V v_gap_open = V::splat(static_cast<std::uint8_t>(gap.open));
+
+  // Overflow guard band: the biased add saturates at 255, so a clamp
+  // requires a prior H above 255 − bias − max_score; every stored H passed
+  // through v_max, so a maximum below that band proves no clamping happened
+  // anywhere. Scores inside the band (including a legitimate ceiling score,
+  // which is indistinguishable from a clamp) are conservatively escalated.
+  const int guard = 255 - static_cast<int>(profile.bias()) -
+                    static_cast<int>(profile.max_score());
+  // A lane above this value has reached the guard (with a guard of 0 or
+  // less every pair escalates, so any positive lane may stop the scan).
+  const V v_guard_reached =
+      V::splat(static_cast<std::uint8_t>(std::max(guard - 1, 0)));
 
   // Per-thread workspace: zeroed rows, capacity reused across records.
   const AlignScratch::RowsU8 rows = thread_scratch().rows_u8(seg_len * kL);
@@ -70,7 +83,11 @@ StripedResult striped8_score_impl(const StripedProfileU8& profile,
       v_h = V::load(h_load + s * kL);
     }
 
-    // Lazy F, byte flavour (same dominance argument as the 16-bit kernel).
+    // Lazy F (Farrar): propagate vertical-gap chains that wrap across lanes.
+    // Continue while F strictly beats re-opening a gap from H at the current
+    // segment (once dominated everywhere, every later contribution of this
+    // chain is dominated by an H-seeded chain the main loop already carried).
+    // E is refreshed from corrected H so Eq. (3) sees final column values.
     //
     // On random protein corpora the correction fires on 30–50% of columns
     // (the wider the vector, the more often some lane needs it) but runs
@@ -115,6 +132,16 @@ StripedResult striped8_score_impl(const StripedProfileU8& profile,
       max(V::load(e_ptr + s * kL), v_h_gap).store(e_ptr + s * kL);
       v_f = subs(v_f, v_gap_extend);
       if (++s >= seg_len) {
+        // A gap chain longer than a whole segment hangs off a high cell:
+        // on a homolog the correction wraps on most columns once the
+        // diagonal scores well. A pair whose maximum has reached the guard
+        // escalates whatever the rest of its matrix holds, so it stops
+        // here. Random pairs seldom wrap, so they never pay for the check.
+        if (any_gt(v_max, v_guard_reached)) {
+          result.score = v_max.hmax();
+          result.overflow = true;
+          return result;
+        }
         s = 0;
         v_f = v_f.shift_lanes_up();
       }
@@ -124,17 +151,7 @@ StripedResult striped8_score_impl(const StripedProfileU8& profile,
   }
 
   const std::uint8_t best = v_max.hmax();
-  // Overflow guard band (same rule as the 16-bit kernel): the biased add
-  // saturates at 255, so a clamp requires a prior H above
-  // 255 − bias − max_score; every stored H passed through v_max, so a
-  // maximum below that band proves no clamping happened anywhere. Scores
-  // inside the band (including a legitimate ceiling score, which is
-  // indistinguishable from a clamp) are conservatively escalated.
-  const int guard = 255 - static_cast<int>(profile.bias()) -
-                    static_cast<int>(profile.max_score());
-  if (best >= guard) {
-    result.overflow = true;
-  }
+  result.overflow = best >= guard;
   result.score = best;
   return result;
 }

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "align/kernel_banded.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "seq/swdb.h"
@@ -36,22 +37,24 @@ std::size_t screen_batch(const SearchProfiles& profiles) {
 
 /// Estimated cost of screening db[range] at half-width `band`, in banded
 /// columns: each record counts min(n, 2·band + 1), and a lane group that is
-/// not uniform (a full batch of one length) counts ten times, the paced
-/// path's measured cost per cell against the uniform path's (DESIGN.md
-/// "Throughput model"). Groups are counted from the range's start, as the
-/// kernel forms them.
+/// not uniform (records of one length) counts ten times, the paced path's
+/// measured cost per cell against the uniform path's (DESIGN.md
+/// "Throughput model"). Groups are cut from the range's start by the
+/// kernel's own rule (banded_group_end); the engine's order is longest
+/// first, so a group is uniform when its last record is as long as its
+/// first.
 std::uint64_t screen_cost(const DbView& db, RecordRange range,
                           std::size_t batch, std::size_t band) {
   constexpr std::uint64_t kPacedCost = 10;
   std::uint64_t cost = 0;
-  for (std::size_t g = range.begin; g < range.end; g += batch) {
-    const std::size_t end = std::min(range.end, g + batch);
-    bool uniform = end - g == batch;
+  for (std::size_t g = range.begin, end = 0; g < range.end; g = end) {
+    end = banded_group_end(g, range.end, batch,
+                           [&](std::size_t i) { return db[i].size(); });
     std::uint64_t columns = 0;
     for (std::size_t i = g; i < end; ++i) {
-      uniform = uniform && db[i].size() == db[g].size();
       columns += std::min(db[i].size(), 2 * band + 1);
     }
+    const bool uniform = db[end - 1].size() == db[g].size();
     cost += uniform ? columns : kPacedCost * columns;
   }
   return cost;

@@ -5,8 +5,8 @@
 // runs on, parallelizes *inside* one task, the way SWIPE/CUDASW++-class
 // tools do: the database is partitioned into cost-balanced chunks that fan
 // out over a ThreadPool, every chunk sharing one read-only set of query
-// profiles (including the lazily built 16-bit escalation profile of the
-// striped8 tier).
+// profiles, built before the first chunk runs (no chunk builds or changes
+// any per-query state).
 //
 // Results are bit-identical to the serial search_database path — same
 // scores, same cells / overflow_rescans accounting — deterministically,

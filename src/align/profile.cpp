@@ -7,30 +7,6 @@
 
 namespace swdual::align {
 
-StripedProfile::StripedProfile(std::span<const std::uint8_t> query,
-                               const ScoreMatrix& matrix, std::size_t lanes)
-    : length_(query.size()),
-      alphabet_size_(matrix.size()),
-      lanes_(lanes),
-      max_score_(matrix.max_score()) {
-  SWDUAL_REQUIRE(!query.empty(), "striped profile needs a non-empty query");
-  SWDUAL_REQUIRE(lanes_ > 0, "striped profile needs at least one lane");
-  segment_length_ = (length_ + lanes_ - 1) / lanes_;
-  data_ = cache_aligned(storage_, alphabet_size_ * segment_length_ * lanes_);
-  for (std::size_t code = 0; code < alphabet_size_; ++code) {
-    std::int16_t* out = data_ + code * segment_length_ * lanes_;
-    for (std::size_t s = 0; s < segment_length_; ++s) {
-      for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        const std::size_t position = lane * segment_length_ + s;
-        out[s * lanes_ + lane] =
-            position < length_
-                ? matrix.score(query[position], static_cast<std::uint8_t>(code))
-                : std::int16_t{0};
-      }
-    }
-  }
-}
-
 StripedProfileU8::StripedProfileU8(std::span<const std::uint8_t> query,
                                    const ScoreMatrix& matrix,
                                    std::size_t lanes)

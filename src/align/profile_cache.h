@@ -1,7 +1,7 @@
 // Shared LRU cache of ready-to-use query profiles.
 //
-// Building a SearchProfiles (striped profile layout, lazy 16-bit escalation
-// state, kernel-table resolution) is pure per-query work: it depends only on
+// Building a SearchProfiles (striped profile layout, kernel-table
+// resolution) is pure per-query work: it depends only on
 // (query residues, scoring scheme, kernel, resolved SIMD backends). A service
 // that sees the same query repeatedly — or the same query fanned out to
 // several workers in one batch — should build that state once and share it,

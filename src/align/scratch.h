@@ -1,6 +1,6 @@
 // Reusable per-thread DP workspace for the alignment kernels.
 //
-// A database search calls the striped kernels once per record; without a
+// A database search calls the striped kernel once per record; without a
 // workspace each call allocates (and frees) three DP rows, which on short
 // records costs as much as the scan itself. AlignScratch keeps those rows
 // alive between calls: buffers are zero-filled on acquisition (the kernels
@@ -22,17 +22,11 @@ namespace swdual::align {
 class AlignScratch {
  public:
   /// Zero-filled buffers of `n` elements each, valid until the next
-  /// acquisition of the same group. The three u8 rows back the byte-striped
-  /// kernel (H load / H store / E); the i16 rows back the 16-bit one.
+  /// acquisition: the byte-striped kernel's H load / H store / E rows.
   struct RowsU8 {
     std::uint8_t* h_load;
     std::uint8_t* h_store;
     std::uint8_t* e;
-  };
-  struct RowsI16 {
-    std::int16_t* h_load;
-    std::int16_t* h_store;
-    std::int16_t* e;
   };
 
   RowsU8 rows_u8(std::size_t n) {
@@ -40,13 +34,6 @@ class AlignScratch {
     h8_store_.assign(n, 0);
     e8_.assign(n, 0);
     return {h8_load_.data(), h8_store_.data(), e8_.data()};
-  }
-
-  RowsI16 rows_i16(std::size_t n) {
-    h16_load_.assign(n, 0);
-    h16_store_.assign(n, 0);
-    e16_.assign(n, 0);
-    return {h16_load_.data(), h16_store_.data(), e16_.data()};
   }
 
   /// The inter-sequence kernel's workspace: `n` 64-byte-aligned elements
@@ -128,7 +115,6 @@ class AlignScratch {
   // 64-byte-aligned so wide vector loads at lane-multiple offsets never
   // straddle cache lines (util/aligned.h).
   AlignedVector<std::uint8_t> h8_load_, h8_store_, e8_;
-  AlignedVector<std::int16_t> h16_load_, h16_store_, e16_;
   std::vector<std::int16_t> iseq_workspace_;
   AlignedVector<std::int16_t> iseq_h_, iseq_e_;
   AlignedVector<std::int16_t> dprofile_, ext_rows_;

@@ -8,7 +8,6 @@
 #include "align/banded.h"
 #include "align/kernel_banded.h"
 #include "align/kernel_interseq.h"
-#include "align/kernel_striped.h"
 #include "align/kernel_striped8.h"
 #include "align/scalar.h"
 #include "util/error.h"
@@ -68,31 +67,31 @@ SearchProfiles::SearchProfiles(std::span<const std::uint8_t> query,
       table_(&kernel_table(backend_)),
       screen_backend_(resolve_backend(backend)),
       screen_table_(&kernel_table(screen_backend_)) {
-  if (query_.empty()) return;
-  switch (kernel_) {
-    case KernelKind::kStriped:
-      profile16_ = std::make_unique<StripedProfile>(
-          query_, *scheme_.matrix, backend_lanes16(backend_));
-      break;
-    case KernelKind::kStriped8:
-      profile8_ = std::make_unique<StripedProfileU8>(
-          query_, *scheme_.matrix, backend_lanes8(backend_));
-      break;
-    case KernelKind::kScalar:
-    case KernelKind::kInterSeq:
-      break;  // no striped state; kInterSeq builds its profile per batch
+  if (kernel_ == KernelKind::kStriped8 && !query_.empty()) {
+    profile8_ = std::make_unique<StripedProfileU8>(
+        query_, *scheme_.matrix, backend_lanes8(backend_));
   }
 }
 
-const StripedProfile& SearchProfiles::striped16() const {
-  std::call_once(once16_, [this] {
-    if (!profile16_) {
-      profile16_ = std::make_unique<StripedProfile>(
-          query_, *scheme_.matrix, backend_lanes16(backend_));
+namespace {
+
+/// The 16-bit inter-sequence kernel's result for `records`, with the score
+/// of every pair that saturated there (its overflow flag stays set)
+/// replaced by gotoh_score's.
+InterSeqResult interseq_exact(const KernelTable& table,
+                              std::span<const std::uint8_t> query,
+                              const SequenceViews& records,
+                              const ScoringScheme& scheme) {
+  InterSeqResult r = table.interseq(query, records, scheme);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (r.overflow[i]) {
+      r.scores[i] = gotoh_score(query, records[i], scheme).score;
     }
-  });
-  return *profile16_;
+  }
+  return r;
 }
+
+}  // namespace
 
 SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t begin, std::size_t end) {
@@ -112,56 +111,42 @@ SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
       }
       break;
     }
-    case KernelKind::kStriped: {
-      if (query.empty()) break;
-      const KernelTable& table = profiles.table();
-      const StripedProfile& profile = profiles.striped16();
-      for (std::size_t i = begin; i < end; ++i) {
-        const StripedResult r = table.striped(profile, db[i], scheme.gap);
-        result.cells += r.cells;
-        if (r.overflow) {
-          result.scores[i - begin] = gotoh_score(query, db[i], scheme).score;
-          ++result.overflow_rescans;
-        } else {
-          result.scores[i - begin] = r.score;
-        }
-      }
-      break;
-    }
     case KernelKind::kStriped8: {
-      // Tiered precision: bytes first, escalate saturated pairs to 16 bits,
-      // and to the 32-bit oracle if even those saturate.
+      // Tiered precision: bytes first, then the saturated records together
+      // on the 16-bit inter-sequence kernel, one record per lane. Those are
+      // the high scorers, on which a striped kernel's lazy-F loop is
+      // slowest; the byte kernel stops on them early.
       if (query.empty()) break;
       const KernelTable& table = profiles.table();
       const StripedProfileU8& profile8 = profiles.striped8();
+      std::vector<std::size_t> saturated;  // range positions
+      SequenceViews records;               // and their residues
       for (std::size_t i = begin; i < end; ++i) {
         const StripedResult r8 = table.striped8(profile8, db[i], scheme.gap);
         result.cells += r8.cells;
-        if (!r8.overflow) {
+        if (r8.overflow) {
+          saturated.push_back(i - begin);
+          records.push_back(db[i]);
+        } else {
           result.scores[i - begin] = r8.score;
-          continue;
         }
-        ++result.overflow_rescans;
-        const StripedResult r16 =
-            table.striped(profiles.striped16(), db[i], scheme.gap);
-        result.scores[i - begin] = r16.overflow
-                                       ? gotoh_score(query, db[i], scheme).score
-                                       : r16.score;
+      }
+      result.overflow_rescans = saturated.size();
+      if (saturated.empty()) break;
+      const InterSeqResult r16 = interseq_exact(table, query, records, scheme);
+      for (std::size_t k = 0; k < saturated.size(); ++k) {
+        result.scores[saturated[k]] = r16.scores[k];
       }
       break;
     }
     case KernelKind::kInterSeq: {
       const SequenceViews slice(db.begin() + static_cast<std::ptrdiff_t>(begin),
                                 db.begin() + static_cast<std::ptrdiff_t>(end));
-      InterSeqResult r = profiles.table().interseq(query, slice, scheme);
+      InterSeqResult r = interseq_exact(profiles.table(), query, slice, scheme);
       result.cells = r.cells;
       result.scores = std::move(r.scores);
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        if (r.overflow[i]) {
-          result.scores[i] = gotoh_score(query, slice[i], scheme).score;
-          ++result.overflow_rescans;
-        }
-      }
+      result.overflow_rescans = static_cast<std::size_t>(
+          std::count(r.overflow.begin(), r.overflow.end(), true));
       break;
     }
   }

@@ -3,13 +3,12 @@
 // This is the "fine-grained" layer of the paper's §II-C: a single task
 // (query vs whole database) is accelerated internally by the selected
 // kernel, while the task-level parallelism across queries is handled by the
-// scheduler/master in src/core. Saturating SIMD kernels that overflow are
-// transparently recomputed with the 32-bit scalar oracle.
+// scheduler/master in src/core. Pairs that saturate a SIMD kernel are
+// transparently rescored at a wider precision (search_range).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,7 +46,10 @@ struct SearchResult {
   std::vector<int> scores;   ///< score per database record, database order
   std::uint64_t cells = 0;   ///< DP cells computed
   double seconds = 0.0;      ///< wall-clock kernel time
-  std::size_t overflow_rescans = 0;  ///< pairs recomputed at 32 bits
+  /// Pairs the kernel's first tier saturated on and a wider one rescored
+  /// (striped8: byte → 16 bits, and 32 bits past that; interseq: 16 → 32
+  /// bits).
+  std::size_t overflow_rescans = 0;
 
   /// Billion cell updates per second (the paper's GCUPS metric).
   double gcups() const {
@@ -83,12 +85,11 @@ DbView make_db_view(const std::vector<seq::Sequence>& records);
 /// Per-query kernel state, built once and shared read-only by every chunk of
 /// one search (serial or parallel). It owns a copy of the query residues,
 /// so it stays valid after the caller's buffer is gone (align::ProfileCache
-/// stores it as is). Profiles are striped for the resolved
-/// SIMD backend's lane counts, so one SearchProfiles caches exactly one
-/// profile set per active backend. The 16-bit escalation profile used by
-/// the striped8 tier is built lazily on the first saturated pair, under a
-/// once-flag, so concurrent chunks share a single build instead of one per
-/// chunk (or, previously, one per search_database call).
+/// stores it as is). The striped8 profile is striped for the resolved
+/// SIMD backend's byte lane count, so one SearchProfiles caches exactly one
+/// profile per active backend. The other kernels keep no per-query state:
+/// the inter-sequence kernel, which is also the striped8 kernel's 16-bit
+/// tier, builds its database profile per lane batch.
 class SearchProfiles {
  public:
   SearchProfiles(std::span<const std::uint8_t> query,
@@ -115,10 +116,6 @@ class SearchProfiles {
   Backend screen_backend() const { return screen_backend_; }
   const KernelTable& screen_table() const { return *screen_table_; }
 
-  /// 16-bit striped profile: eager for kStriped, lazy (first overflow) for
-  /// kStriped8. Safe to call concurrently; query must be non-empty.
-  const StripedProfile& striped16() const;
-
   /// Byte-precision profile (kStriped8 only; query must be non-empty).
   const StripedProfileU8& striped8() const { return *profile8_; }
 
@@ -131,14 +128,16 @@ class SearchProfiles {
   Backend screen_backend_;
   const KernelTable* screen_table_;
   std::unique_ptr<StripedProfileU8> profile8_;
-  mutable std::once_flag once16_;
-  mutable std::unique_ptr<StripedProfile> profile16_;
 };
 
 /// Score `query` against db[begin, end) with shared profiles. scores[i] of
 /// the result corresponds to db[begin + i]. This is the single scan routine
 /// behind both the serial driver and the parallel engine, so chunked runs
-/// are bit-identical to serial ones by construction.
+/// are bit-identical to serial ones by construction. Every score equals
+/// gotoh_score's: the striped8 kernel scans each record in bytes, then
+/// rescores the records that saturated in one call of the 16-bit
+/// inter-sequence kernel; a pair that saturates a 16-bit kernel is rescored
+/// by gotoh_score.
 SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t begin, std::size_t end);
 

@@ -1,8 +1,9 @@
 // Portable 8-lane 16-bit signed SIMD vector — the narrowest member of the
 // width-generic 16-bit vector family.
 //
-// One code path for both SIMD kernels: compiled to SSE2 intrinsics on x86
-// and to plain (auto-vectorizable) loops elsewhere, so kernel results are
+// One code path for both 16-bit kernels (the inter-sequence kernel and the
+// banded screen's 16-bit tier): compiled to SSE2 intrinsics on x86 and to
+// plain (auto-vectorizable) loops elsewhere, so kernel results are
 // bit-identical across platforms. Arithmetic is *saturating* — kernels
 // detect saturation at INT16_MAX and fall back to the 32-bit scalar oracle.
 //
@@ -12,15 +13,13 @@
 //   using value_type = std::int16_t;
 //   zero() / splat(x) / load(p) / store(p)
 //   adds(a, b) / subs(a, b)                // saturating at ±32767/−32768
-//   max(a, b) / min(a, b) / any_gt(a, b)   // lane-wise max/min, strict any >
+//   max(a, b) / min(a, b)                  // lane-wise max/min
 //   ge(a, b)                               // all-ones where a >= b, else 0
 //   bit_and(a, b) / bit_or(a, b)           // lane-wise bitwise combine
 //   blend(mask, a, b)                      // a where mask all-ones, else b
-//   shift_lanes_up(fill)                   // lane i <- lane i-1, lane 0 <- fill
-//   lane(i) / hmax() / set_lane(i, x)      // extraction (outside hot loops)
+//   lane(i)                                // extraction (outside hot loops)
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "align/simd_scalar.h"
@@ -31,8 +30,6 @@
 #endif
 
 namespace swdual::align {
-
-inline constexpr std::size_t kLanes16 = 8;
 
 #if defined(SWDUAL_SIMD_SSE2)
 struct V16 {
@@ -55,10 +52,6 @@ struct V16 {
   friend V16 subs(V16 a, V16 b) { return {_mm_subs_epi16(a.v, b.v)}; }
   friend V16 max(V16 a, V16 b) { return {_mm_max_epi16(a.v, b.v)}; }
   friend V16 min(V16 a, V16 b) { return {_mm_min_epi16(a.v, b.v)}; }
-  /// True if any lane of a is strictly greater than the matching lane of b.
-  friend bool any_gt(V16 a, V16 b) {
-    return _mm_movemask_epi8(_mm_cmpgt_epi16(a.v, b.v)) != 0;
-  }
   /// All-ones mask where a >= b lane-wise (signed), 0 elsewhere.
   friend V16 ge(V16 a, V16 b) {
     // a >= b  <=>  max(a, b) == a in that lane.
@@ -71,32 +64,10 @@ struct V16 {
     return {_mm_or_si128(_mm_and_si128(mask.v, a.v),
                          _mm_andnot_si128(mask.v, b.v))};
   }
-  /// Shift lanes towards higher indices by one; lane 0 becomes `fill`.
-  V16 shift_lanes_up(std::int16_t fill) const {
-    V16 out{_mm_slli_si128(v, 2)};
-    out.v = _mm_insert_epi16(out.v, fill, 0);
-    return out;
-  }
   std::int16_t lane(std::size_t i) const {
     alignas(16) std::int16_t tmp[8];
     _mm_store_si128(reinterpret_cast<__m128i*>(tmp), v);
     return tmp[i];
-  }
-  /// Maximum across all 8 lanes.
-  std::int16_t hmax() const {
-    alignas(16) std::int16_t tmp[8];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), v);
-    std::int16_t best = tmp[0];
-    for (int i = 1; i < 8; ++i) best = std::max(best, tmp[i]);
-    return best;
-  }
-
-  /// Insert a value into one lane (slow path; used for gathers).
-  void set_lane(std::size_t i, std::int16_t x) {
-    alignas(16) std::int16_t tmp[8];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), v);
-    tmp[i] = x;
-    v = _mm_load_si128(reinterpret_cast<const __m128i*>(tmp));
   }
 };
 #else

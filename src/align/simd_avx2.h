@@ -128,9 +128,6 @@ struct V16x16 {
   friend V16x16 min(V16x16 a, V16x16 b) {
     return {_mm256_min_epi16(a.v, b.v)};
   }
-  friend bool any_gt(V16x16 a, V16x16 b) {
-    return _mm256_movemask_epi8(_mm256_cmpgt_epi16(a.v, b.v)) != 0;
-  }
   /// All-ones mask where a >= b lane-wise (signed), 0 elsewhere.
   friend V16x16 ge(V16x16 a, V16x16 b) {
     // a >= b  <=>  max(a, b) == a in that lane.
@@ -147,29 +144,10 @@ struct V16x16 {
   friend V16x16 blend(V16x16 mask, V16x16 a, V16x16 b) {
     return {_mm256_blendv_epi8(b.v, a.v, mask.v)};
   }
-  V16x16 shift_lanes_up(std::int16_t fill) const {
-    const __m256i t = _mm256_permute2x128_si256(v, v, 0x08);  // [a.lo, 0]
-    V16x16 out{_mm256_alignr_epi8(v, t, 14)};
-    out.v = _mm256_insert_epi16(out.v, fill, 0);
-    return out;
-  }
   std::int16_t lane(std::size_t i) const {
     alignas(32) std::int16_t tmp[16];
     _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
     return tmp[i];
-  }
-  std::int16_t hmax() const {
-    alignas(32) std::int16_t tmp[16];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    std::int16_t best = tmp[0];
-    for (int i = 1; i < 16; ++i) best = std::max(best, tmp[i]);
-    return best;
-  }
-  void set_lane(std::size_t i, std::int16_t x) {
-    alignas(32) std::int16_t tmp[16];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    tmp[i] = x;
-    v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
   }
 };
 

@@ -126,9 +126,6 @@ struct V16x32 {
   friend V16x32 min(V16x32 a, V16x32 b) {
     return {_mm512_min_epi16(a.v, b.v)};
   }
-  friend bool any_gt(V16x32 a, V16x32 b) {
-    return _mm512_cmpgt_epi16_mask(a.v, b.v) != 0;
-  }
   /// All-ones mask where a >= b lane-wise (signed), 0 elsewhere.
   friend V16x32 ge(V16x32 a, V16x32 b) {
     return {_mm512_movm_epi16(_mm512_cmpge_epi16_mask(a.v, b.v))};
@@ -144,30 +141,10 @@ struct V16x32 {
   friend V16x32 blend(V16x32 mask, V16x32 a, V16x32 b) {
     return {_mm512_ternarylogic_epi64(mask.v, a.v, b.v, 0xCA)};
   }
-  V16x32 shift_lanes_up(std::int16_t fill) const {
-    const __m512i t =
-        _mm512_maskz_shuffle_i64x2(0xFC, v, v, 0x90);  // [a.2, a.1, a.0, 0]
-    const __m512i shifted = _mm512_alignr_epi8(v, t, 14);
-    return {_mm512_mask_blend_epi16(__mmask32{1}, shifted,
-                                    _mm512_set1_epi16(fill))};
-  }
   std::int16_t lane(std::size_t i) const {
     alignas(64) std::int16_t tmp[32];
     _mm512_store_si512(tmp, v);
     return tmp[i];
-  }
-  std::int16_t hmax() const {
-    alignas(64) std::int16_t tmp[32];
-    _mm512_store_si512(tmp, v);
-    std::int16_t best = tmp[0];
-    for (int i = 1; i < 32; ++i) best = std::max(best, tmp[i]);
-    return best;
-  }
-  void set_lane(std::size_t i, std::int16_t x) {
-    alignas(64) std::int16_t tmp[32];
-    _mm512_store_si512(tmp, v);
-    tmp[i] = x;
-    v = _mm512_load_si512(tmp);
   }
 };
 

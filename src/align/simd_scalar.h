@@ -152,12 +152,6 @@ struct VecI16Scalar {
     for (std::size_t i = 0; i < N; ++i) out.v[i] = std::min(a.v[i], b.v[i]);
     return out;
   }
-  friend bool any_gt(VecI16Scalar a, VecI16Scalar b) {
-    for (std::size_t i = 0; i < N; ++i) {
-      if (a.v[i] > b.v[i]) return true;
-    }
-    return false;
-  }
   /// All-ones mask where a >= b lane-wise, 0 elsewhere.
   friend VecI16Scalar ge(VecI16Scalar a, VecI16Scalar b) {
     VecI16Scalar out;
@@ -190,15 +184,7 @@ struct VecI16Scalar {
     }
     return out;
   }
-  VecI16Scalar shift_lanes_up(std::int16_t fill) const {
-    VecI16Scalar out;
-    out.v[0] = fill;
-    for (std::size_t i = 1; i < N; ++i) out.v[i] = v[i - 1];
-    return out;
-  }
   std::int16_t lane(std::size_t i) const { return v[i]; }
-  std::int16_t hmax() const { return *std::max_element(v.begin(), v.end()); }
-  void set_lane(std::size_t i, std::int16_t x) { v[i] = x; }
 };
 
 }  // namespace swdual::align

@@ -34,7 +34,7 @@ double solve_ungapped_lambda(const ScoreMatrix& matrix,
 /// `samples` random sequence pairs of size ref_m × ref_n drawn from `freqs`
 /// and fitting a Gumbel with the method of moments. Deterministic in `seed`.
 /// The pairs are scored by the striped8 driver (equal to gotoh_score), so
-/// the scheme must meet the striped kernels' gap limits, which every search
+/// the scheme must meet the striped8 kernel's gap limits, which every search
 /// already requires: gap.extend >= 1 and gap.open + gap.extend <= 255.
 KarlinAltschulParams calibrate_gapped_params(
     const ScoringScheme& scheme, const std::vector<double>& freqs,

@@ -395,7 +395,7 @@ SearchHit exact_hit(const std::vector<std::uint8_t>& query,
                     const std::vector<std::uint8_t>& record,
                     const ScoringScheme& scheme) {
   const DbView one{{record.data(), record.size()}};
-  SearchHit hit(0, search_database(query, one, scheme, KernelKind::kStriped)
+  SearchHit hit(0, search_database(query, one, scheme, KernelKind::kStriped8)
                        .scores.front());
   hit.annotation = std::make_shared<HitAnnotation>();
   return hit;
@@ -459,7 +459,7 @@ TEST(AnnotateHits, TracebackServesBandedThenLinear) {
                      {inserted.data(), inserted.size()},
                      {short_record.data(), short_record.size()}};
   const SearchProfiles profiles({query.data(), query.size()}, scheme,
-                                KernelKind::kStriped);
+                                KernelKind::kStriped8);
   const SearchOutcome out = annotated_search(
       SerialSearchEngine(three, sinks), profiles, 3, FilterConfig{}, config,
       params);
@@ -469,7 +469,7 @@ TEST(AnnotateHits, TracebackServesBandedThenLinear) {
   const DbView one_long{{long_record.record.data(), long_record.record.size()}};
   const SearchProfiles long_profiles(
       {long_record.query.data(), long_record.query.size()}, scheme,
-      KernelKind::kStriped);
+      KernelKind::kStriped8);
   const SearchOutcome long_out =
       annotated_search(SerialSearchEngine(one_long, sinks), long_profiles, 1,
                        FilterConfig{}, config, params);
@@ -592,7 +592,7 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
   AnnotateConfig config;
   config.mode = AnnotateMode::kStatsCigar;
 
-  for (KernelKind kernel : {KernelKind::kInterSeq, KernelKind::kStriped}) {
+  for (KernelKind kernel : {KernelKind::kInterSeq, KernelKind::kStriped8}) {
     const std::vector<SearchHit> plain =
         search_database(corpus.query, db, scheme, kernel, GetParam()).top(k);
 

@@ -108,10 +108,9 @@ TEST(Backend, KernelAwareBestGatesStriped8OffAvx512) {
   }
   // The striped8 kernel measured slower on 512-bit vectors (see DESIGN.md,
   // "AVX-512 striped8 regression"), so auto selection steps it down to
-  // AVX2 while the 16-bit kernels keep the full width.
+  // AVX2 while the 16-bit interseq kernel keeps the full width.
   ASSERT_TRUE(backend_available(Backend::kAVX2));
   EXPECT_EQ(best_backend(KernelKind::kStriped8), Backend::kAVX2);
-  EXPECT_EQ(best_backend(KernelKind::kStriped), Backend::kAVX512);
   EXPECT_EQ(best_backend(KernelKind::kInterSeq), Backend::kAVX512);
   EXPECT_EQ(resolve_backend(Backend::kAuto, KernelKind::kStriped8),
             Backend::kAVX2);
@@ -136,8 +135,7 @@ TEST(Backend, ScreenRunsOnTheWidestBackendUnlessOneIsNamed) {
   const std::vector<std::uint8_t> query = {1, 5, 9, 13, 17, 2, 6};
   const ScoringScheme scheme;
   for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kStriped, KernelKind::kStriped8,
-        KernelKind::kInterSeq}) {
+       {KernelKind::kScalar, KernelKind::kStriped8, KernelKind::kInterSeq}) {
     const SearchProfiles profiles(query, scheme, kernel);
     EXPECT_EQ(profiles.backend(), best_backend(kernel)) << kernel_name(kernel);
     EXPECT_EQ(profiles.screen_backend(), best_backend())
@@ -225,8 +223,8 @@ TEST(Backend, KernelTableIsCompleteForEveryAvailableBackend) {
   for (Backend b : available_backends()) {
     const KernelTable& table = kernel_table(b);
     EXPECT_NE(table.striped8, nullptr) << backend_name(b);
-    EXPECT_NE(table.striped, nullptr) << backend_name(b);
     EXPECT_NE(table.interseq, nullptr) << backend_name(b);
+    EXPECT_NE(table.banded, nullptr) << backend_name(b);
   }
 }
 

@@ -191,10 +191,10 @@ TEST_P(FilterBackends, ScreenEscalatesAndFlagsOverflowLikeScalar) {
 }
 
 TEST_P(FilterBackends, UniformLaneGroupsMatchScalarBanded) {
-  // Records of one length fill whole lane groups, which the screen walks
-  // with one band geometry per group; a partial group and the 16-bit
-  // regroup take the paced path. Record counts put full, partial and
-  // single-record groups at both of the backend's lane widths; shapes
+  // Records of one length form lane groups that the screen walks with one
+  // band geometry per group, full or partial, in the byte tier and in the
+  // 16-bit regroup. Record counts put full, partial and single-record
+  // groups at both of the backend's lane widths; shapes
   // cover n = m, n ≪ m and n ≫ m (columns whose window is empty). One
   // record is a copy of the query's prefix: under BLOSUM62 it saturates
   // the byte tier, and under a match-100 matrix it also overflows 16 bits
@@ -254,6 +254,54 @@ TEST_P(FilterBackends, UniformLaneGroupsMatchScalarBanded) {
   }
   EXPECT_TRUE(escalated) << "no homolog saturated the byte tier";
   EXPECT_TRUE(overflowed) << "no homolog overflowed 16 bits";
+}
+
+TEST_P(FilterBackends, LaneGroupsEndBeforeRecordsUnderHalfTheFirst) {
+  // A lane group ends before the first record shorter than half the
+  // group's first one. Lengths 24–304 in steps of 7 span more than 2×, so
+  // they split into mixed groups (the paced path) at every lane width;
+  // runs of one length set apart from the rest by more than 2× (1000, 10,
+  // 4) form partial groups of one length (the uniform walk with idle
+  // lanes). The records arrive unsorted, and every fifth starts with a
+  // copy of the query, which saturates the byte tier wherever its diagonal
+  // lies in the band, so the 16-bit regroup cuts its groups too.
+  static const ScoreMatrix high_match =
+      ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 100, -20);
+  const ScoringScheme schemes[] = {ScoringScheme{},
+                                   ScoringScheme{&high_match, GapPenalty{}}};
+  Rng rng(0x6a1f);
+  const std::vector<std::uint8_t> query = random_codes(rng, 200);
+  std::vector<std::size_t> lengths = {1000, 1000, 1000, 10, 10, 10,
+                                      10,   10,   4,    4,  1};
+  for (std::size_t n = 24; n <= 304; n += 7) lengths.push_back(n);
+  lengths.push_back(150);
+  lengths.push_back(150);
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    // Spread the lengths over the input order.
+    std::vector<std::uint8_t> record =
+        random_codes(rng, lengths[(i * 17) % lengths.size()]);
+    if (i % 5 == 0) {
+      std::copy_n(query.begin(), std::min(query.size(), record.size()),
+                  record.begin());
+    }
+    records.push_back(std::move(record));
+  }
+  SequenceViews views;
+  for (const auto& r : records) views.emplace_back(r.data(), r.size());
+  bool escalated = false;
+  for (const ScoringScheme& scheme : schemes) {
+    for (std::size_t band : {4u, 64u}) {
+      const ScreenReference want = expect_screen_like_scalar(
+          query, views, scheme, band,
+          std::string(scheme.matrix == &high_match ? "match100" : "blosum62") +
+              " band " + std::to_string(band));
+      for (const BandedResult& record : want.records) {
+        escalated = escalated || record.score > 255;
+      }
+    }
+  }
+  EXPECT_TRUE(escalated) << "no record saturated the byte tier";
 }
 
 // --- Layer 2: the filter pipeline ----------------------------------------

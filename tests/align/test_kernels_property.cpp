@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "align/kernel_interseq.h"
-#include "align/kernel_striped.h"
 #include "align/scalar.h"
+#include "align/search.h"
 #include "seq/dbgen.h"
 #include "util/rng.h"
 
@@ -22,6 +22,15 @@ std::vector<std::uint8_t> random_codes(Rng& rng, std::size_t len,
   std::vector<std::uint8_t> out(len);
   for (auto& c : out) c = static_cast<std::uint8_t>(rng.below(alphabet));
   return out;
+}
+
+/// The striped kernel's score for one pair, through the search driver: the
+/// byte tier, then the 16-bit and 32-bit rescans of a saturated pair.
+SearchResult striped8_search(const std::vector<std::uint8_t>& q,
+                             const std::vector<std::uint8_t>& d,
+                             const ScoringScheme& s) {
+  const DbView one{{d.data(), d.size()}};
+  return search_database(q, one, s, KernelKind::kStriped8);
 }
 
 struct SchemeParam {
@@ -62,9 +71,7 @@ TEST_P(KernelAgreement, StripedMatchesOracleOnRandomPairs) {
     const auto q = random_codes(rng, qlen, 20);
     const auto d = random_codes(rng, dlen, 20);
     const int oracle = gotoh_score(q, d, s).score;
-    const StripedResult r = striped_score(q, d, s);
-    ASSERT_FALSE(r.overflow) << "unexpected 16-bit overflow";
-    ASSERT_EQ(r.score, oracle)
+    ASSERT_EQ(striped8_search(q, d, s).scores.front(), oracle)
         << "striped mismatch at rep " << rep << " qlen=" << qlen
         << " dlen=" << dlen;
   }
@@ -112,7 +119,7 @@ TEST(KernelEdgeCases, SingleResidueSequences) {
   const std::vector<std::uint8_t> q = {0};  // 'A'
   const std::vector<std::uint8_t> d = {0};
   const int oracle = gotoh_score(q, d, s).score;
-  EXPECT_EQ(striped_score(q, d, s).score, oracle);
+  EXPECT_EQ(striped8_search(q, d, s).scores.front(), oracle);
   SequenceViews views{std::span<const std::uint8_t>(d.data(), d.size())};
   EXPECT_EQ(interseq_scores(q, views, s).scores[0], oracle);
 }
@@ -120,10 +127,11 @@ TEST(KernelEdgeCases, SingleResidueSequences) {
 TEST(KernelEdgeCases, QueryLengthExactMultipleOfLanes) {
   ScoringScheme s;
   Rng rng(99);
-  for (std::size_t qlen : {8u, 16u, 64u, 128u}) {
+  for (std::size_t qlen : {16u, 32u, 64u, 128u}) {
     const auto q = random_codes(rng, qlen, 20);
     const auto d = random_codes(rng, 100, 20);
-    EXPECT_EQ(striped_score(q, d, s).score, gotoh_score(q, d, s).score)
+    EXPECT_EQ(striped8_search(q, d, s).scores.front(),
+              gotoh_score(q, d, s).score)
         << "qlen=" << qlen;
   }
 }
@@ -131,10 +139,11 @@ TEST(KernelEdgeCases, QueryLengthExactMultipleOfLanes) {
 TEST(KernelEdgeCases, QueryShorterThanLaneCount) {
   ScoringScheme s;
   Rng rng(123);
-  for (std::size_t qlen : {1u, 2u, 7u}) {
+  for (std::size_t qlen : {1u, 2u, 7u, 15u}) {
     const auto q = random_codes(rng, qlen, 20);
     const auto d = random_codes(rng, 50, 20);
-    EXPECT_EQ(striped_score(q, d, s).score, gotoh_score(q, d, s).score);
+    EXPECT_EQ(striped8_search(q, d, s).scores.front(),
+              gotoh_score(q, d, s).score);
   }
 }
 
@@ -146,18 +155,20 @@ TEST(KernelEdgeCases, HighlyRepetitiveSequencesStressLazyF) {
   std::vector<std::uint8_t> d(300, 11);
   for (std::size_t i = 0; i < d.size(); i += 17) d[i] = 3;  // sparse D
   const int oracle = gotoh_score(q, d, s).score;
-  EXPECT_EQ(striped_score(q, d, s).score, oracle);
+  EXPECT_EQ(striped8_search(q, d, s).scores.front(), oracle);
   SequenceViews views{std::span<const std::uint8_t>(d.data(), d.size())};
   EXPECT_EQ(interseq_scores(q, views, s).scores[0], oracle);
 }
 
 TEST(KernelEdgeCases, StripedOverflowDetected) {
   // Identical long sequences of tryptophan: score 11 per residue; 3500
-  // residues -> 38500 > INT16_MAX, so the kernel must flag overflow.
+  // residues -> 38500 > INT16_MAX, so both SIMD tiers must flag overflow
+  // and the driver must answer at 32 bits.
   ScoringScheme s;
   const std::vector<std::uint8_t> q(3500, 17);  // 'W' scores 11 vs itself
-  const StripedResult r = striped_score(q, q, s);
-  EXPECT_TRUE(r.overflow);
+  const SearchResult r = striped8_search(q, q, s);
+  EXPECT_EQ(r.overflow_rescans, 1u);
+  EXPECT_EQ(r.scores.front(), 38500);
 }
 
 TEST(KernelEdgeCases, InterSeqOverflowDetected) {

@@ -117,7 +117,6 @@ TEST_P(ParallelSearchKernels, DeterministicAcrossRepeatedRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, ParallelSearchKernels,
                          ::testing::Values(KernelKind::kScalar,
-                                           KernelKind::kStriped,
                                            KernelKind::kStriped8,
                                            KernelKind::kInterSeq),
                          [](const auto& param_info) {
@@ -138,8 +137,7 @@ TEST(ParallelSearch, OverflowEscalationMatchesSerial) {
   const std::span<const std::uint8_t> query_view(big.residues.data(),
                                                  big.residues.size());
   ScoringScheme scheme;
-  for (KernelKind kernel : {KernelKind::kStriped, KernelKind::kStriped8,
-                            KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kStriped8, KernelKind::kInterSeq}) {
     const SearchResult serial =
         search_database(query_view, views, scheme, kernel);
     EXPECT_GE(serial.overflow_rescans, 1u) << kernel_name(kernel);
@@ -185,8 +183,8 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
   const seq::Sequence query = seq::random_protein(rng, "q", 30);
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                            KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
+                            KernelKind::kInterSeq}) {
     const SearchResult r = engine_search(engine, query_view, scheme, kernel);
     EXPECT_TRUE(r.scores.empty());
     EXPECT_EQ(r.cells, 0u);
@@ -195,8 +193,8 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
   const auto db = random_database(10, 22);
   const DbView views = make_db_view(db);
   const ParallelSearchEngine full(views, options);
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                            KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
+                            KernelKind::kInterSeq}) {
     const SearchResult serial = search_database({}, views, scheme, kernel);
     expect_identical(engine_search(full, {}, scheme, kernel), serial);
   }
@@ -222,8 +220,8 @@ TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
     options.threads = 3;
     const ParallelSearchEngine from_views(views, options);
     const ParallelSearchEngine from_mapped(mapped, options);
-    for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                              KernelKind::kStriped8, KernelKind::kInterSeq}) {
+    for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
+                              KernelKind::kInterSeq}) {
       expect_identical(engine_search(from_mapped, query_view, scheme, kernel),
                        engine_search(from_views, query_view, scheme, kernel));
     }

@@ -37,24 +37,25 @@
 namespace swdual::align {
 namespace {
 
-TEST(StripedProfile, LayoutMapsPositionsToLanes) {
+TEST(StripedProfileU8, LayoutMapsPositionsToLanes) {
   Rng rng(11);
-  for (std::size_t qlen : {1u, 7u, 8u, 9u, 40u, 64u, 129u}) {
+  for (std::size_t qlen : {1u, 15u, 16u, 17u, 40u, 64u, 129u}) {
     std::vector<std::uint8_t> q(qlen);
     for (auto& c : q) c = static_cast<std::uint8_t>(rng.below(20));
     const ScoreMatrix& m = ScoreMatrix::blosum62();
-    const StripedProfile profile(q, m);
+    const StripedProfileU8 profile(q, m);
     const std::size_t seg = profile.segment_length();
-    ASSERT_GE(seg * kLanes16, qlen);
-    ASSERT_LT((seg - 1) * kLanes16, qlen + kLanes16);
+    ASSERT_GE(seg * kLanes8, qlen);
+    ASSERT_LT((seg - 1) * kLanes8, qlen + kLanes8);
     for (std::uint8_t code = 0; code < 4; ++code) {
-      const std::int16_t* row = profile.row(code);
+      const std::uint8_t* row = profile.row(code);
       for (std::size_t s = 0; s < seg; ++s) {
-        for (std::size_t lane = 0; lane < kLanes16; ++lane) {
+        for (std::size_t lane = 0; lane < kLanes8; ++lane) {
           const std::size_t position = lane * seg + s;
-          const std::int16_t expected =
-              position < qlen ? m.score(q[position], code) : std::int16_t{0};
-          ASSERT_EQ(row[s * kLanes16 + lane], expected)
+          const int expected =
+              (position < qlen ? m.score(q[position], code) : 0) +
+              profile.bias();
+          ASSERT_EQ(row[s * kLanes8 + lane], expected)
               << "qlen=" << qlen << " s=" << s << " lane=" << lane;
         }
       }
@@ -62,15 +63,15 @@ TEST(StripedProfile, LayoutMapsPositionsToLanes) {
   }
 }
 
-TEST(StripedProfile, RejectsEmptyQuery) {
-  EXPECT_THROW(StripedProfile({}, ScoreMatrix::blosum62()),
+TEST(StripedProfileU8, RejectsEmptyQuery) {
+  EXPECT_THROW(StripedProfileU8({}, ScoreMatrix::blosum62()),
                InvalidArgument);
 }
 
-TEST(StripedProfile, SegmentLengthCeiling) {
-  std::vector<std::uint8_t> q(17, 0);
-  const StripedProfile profile(q, ScoreMatrix::blosum62());
-  EXPECT_EQ(profile.segment_length(), 3u);  // ceil(17/8)
+TEST(StripedProfileU8, SegmentLengthCeiling) {
+  std::vector<std::uint8_t> q(33, 0);
+  const StripedProfileU8 profile(q, ScoreMatrix::blosum62());
+  EXPECT_EQ(profile.segment_length(), 3u);  // ceil(33/16)
 }
 
 // A service builds a striped8 profile per distinct query, may keep a few

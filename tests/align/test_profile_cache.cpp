@@ -37,8 +37,8 @@ TEST(ProfileCache, SecondAcquireIsAHitAndSharesTheEntry) {
   ProfileCache cache(4);
   const seq::Sequence query = make_query(3, 80);
   ScoringScheme scheme;
-  const auto first = cache.acquire(view(query), scheme, KernelKind::kStriped);
-  const auto second = cache.acquire(view(query), scheme, KernelKind::kStriped);
+  const auto first = cache.acquire(view(query), scheme, KernelKind::kStriped8);
+  const auto second = cache.acquire(view(query), scheme, KernelKind::kStriped8);
   EXPECT_EQ(first.get(), second.get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -63,7 +63,7 @@ TEST(ProfileCache, DistinctKernelsAndGapsGetDistinctEntries) {
   ProfileCache cache(8);
   const seq::Sequence query = make_query(7, 70);
   ScoringScheme scheme;
-  const auto striped = cache.acquire(view(query), scheme, KernelKind::kStriped);
+  const auto striped = cache.acquire(view(query), scheme, KernelKind::kStriped8);
   const auto interseq =
       cache.acquire(view(query), scheme, KernelKind::kInterSeq);
   EXPECT_NE(striped.get(), interseq.get());
@@ -71,7 +71,7 @@ TEST(ProfileCache, DistinctKernelsAndGapsGetDistinctEntries) {
   ScoringScheme other = scheme;
   other.gap.open += 1;
   const auto other_gaps =
-      cache.acquire(view(query), other, KernelKind::kStriped);
+      cache.acquire(view(query), other, KernelKind::kStriped8);
   EXPECT_NE(striped.get(), other_gaps.get());
   EXPECT_EQ(cache.stats().misses, 3u);
 }
@@ -91,20 +91,20 @@ TEST(ProfileCache, EvictsLeastRecentlyUsedButAcquiredEntriesSurvive) {
   const seq::Sequence q1 = make_query(12, 40);
   const seq::Sequence q2 = make_query(13, 40);
 
-  const auto held = cache.acquire(view(q0), scheme, KernelKind::kStriped);
-  (void)cache.acquire(view(q1), scheme, KernelKind::kStriped);
+  const auto held = cache.acquire(view(q0), scheme, KernelKind::kStriped8);
+  (void)cache.acquire(view(q1), scheme, KernelKind::kStriped8);
   // Touch q0 so q1 becomes the LRU victim, then overflow.
-  (void)cache.acquire(view(q0), scheme, KernelKind::kStriped);
-  (void)cache.acquire(view(q2), scheme, KernelKind::kStriped);
+  (void)cache.acquire(view(q0), scheme, KernelKind::kStriped8);
+  (void)cache.acquire(view(q2), scheme, KernelKind::kStriped8);
 
   auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.size, 2u);
 
   // q1 was evicted: re-acquiring it is a miss. q0 is still resident.
-  (void)cache.acquire(view(q1), scheme, KernelKind::kStriped);
+  (void)cache.acquire(view(q1), scheme, KernelKind::kStriped8);
   EXPECT_EQ(cache.stats().misses, 4u);
-  (void)cache.acquire(view(q0), scheme, KernelKind::kStriped);
+  (void)cache.acquire(view(q0), scheme, KernelKind::kStriped8);
 
   // The shared_ptr held across the evictions stays fully usable.
   EXPECT_EQ(held->query().size(), 40u);
@@ -118,8 +118,8 @@ TEST(ProfileCache, AutoBackendFollowsTheKernelAwareRule) {
   ProfileCache cache(8);
   const seq::Sequence query = make_query(19, 64);
   ScoringScheme scheme;
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                            KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
+                            KernelKind::kInterSeq}) {
     const SearchProfiles direct(view(query), scheme, kernel, Backend::kAuto);
     const auto cached = cache.acquire(view(query), scheme, kernel);
     EXPECT_EQ(cached->backend(), direct.backend())
@@ -162,8 +162,8 @@ TEST(ProfileCache, CachedProfilesScoreBitIdenticalToDirectSearch) {
   const seq::Sequence query = make_query(18, 90);
   ScoringScheme scheme;
   ProfileCache cache(4);
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped,
-                            KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
+                            KernelKind::kInterSeq}) {
     const SearchResult direct = search_database(view(query), db_view, scheme,
                                                 kernel, Backend::kAuto);
     const auto cached = cache.acquire(view(query), scheme, kernel);

@@ -47,10 +47,8 @@
 namespace swdual::align {
 namespace {
 
-constexpr KernelKind kExactKernels[] = {KernelKind::kScalar,
-                                        KernelKind::kStriped,
-                                        KernelKind::kStriped8,
-                                        KernelKind::kInterSeq};
+constexpr KernelKind kExactKernels[] = {
+    KernelKind::kScalar, KernelKind::kStriped8, KernelKind::kInterSeq};
 
 /// Random protein codes with about one wildcard (X) in sixteen.
 std::vector<std::uint8_t> random_codes(Rng& rng, std::size_t len) {
@@ -213,8 +211,7 @@ std::vector<Case> cases(Rng& rng) {
   Case uniform{"match100", ScoringScheme{&high_match, GapPenalty{}},
                {random_codes(rng, 600)},
                {{"planted-pair", {30, 200, 1, 0, 90, 60}}},
-               {KernelKind::kStriped, KernelKind::kStriped8,
-                KernelKind::kInterSeq}};
+               {KernelKind::kStriped8, KernelKind::kInterSeq}};
   out.push_back(std::move(uniform));
 
   // Further scoring schemes, on a subset of the length profiles: cheap and

@@ -291,8 +291,7 @@ TEST(ShardedSearch, BitIdenticalToUnshardedEverywhere) {
   const ScoringScheme scheme;
   const std::size_t k = 10;
 
-  const KernelKind kernels[] = {KernelKind::kScalar, KernelKind::kStriped,
-                                KernelKind::kStriped8,
+  const KernelKind kernels[] = {KernelKind::kScalar, KernelKind::kStriped8,
                                 KernelKind::kInterSeq};
   for (const Backend backend : available_backends()) {
     for (const KernelKind kernel : kernels) {
@@ -521,7 +520,7 @@ TEST(ShardedSearch, RetryBudgetExhaustionYieldsPartialResultsWithReason) {
   const DbView db = corpus.view();
   const ScoringScheme scheme;
   const SearchResult expected =
-      search_database(corpus.query, db, scheme, KernelKind::kStriped);
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8);
 
   for (const std::size_t threads : {1u, 3u}) {
     const std::string label = "threads=" + std::to_string(threads);
@@ -534,7 +533,7 @@ TEST(ShardedSearch, RetryBudgetExhaustionYieldsPartialResultsWithReason) {
     };
     const ShardedSearchEngine engine(db, options);
     const ShardedSearchResult result =
-        search_one(engine, corpus.query, scheme, KernelKind::kStriped, 5);
+        search_one(engine, corpus.query, scheme, KernelKind::kStriped8, 5);
 
     EXPECT_FALSE(result.complete) << label;
     ASSERT_EQ(result.failures.size(), 1u) << label;
@@ -747,9 +746,9 @@ TEST(ShardedSearch, MappedEngineKeepsTheMappingAlive) {
   const std::vector<std::uint8_t> query = random_codes(rng, 60);
   const ScoringScheme scheme;
   const SearchResult expected = search_database(
-      query, make_db_view(records), scheme, KernelKind::kStriped);
+      query, make_db_view(records), scheme, KernelKind::kStriped8);
   const ShardedSearchResult result =
-      search_one(engine, query, scheme, KernelKind::kStriped, 5);
+      search_one(engine, query, scheme, KernelKind::kStriped8, 5);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.ranked.result.scores, expected.scores);
   expect_hits_equal(result.ranked.hits, expected.top(5), "alive");

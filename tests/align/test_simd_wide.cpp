@@ -8,7 +8,7 @@
 // The one genuinely tricky operation at 256/512 bits is shift_lanes_up:
 // x86 byte shifts do not cross 128-bit boundaries, so the wrappers carry
 // the crossing byte with permute+alignr. These tests pin the exact
-// whole-vector semantics the striped kernels rely on.
+// whole-vector semantics the striped byte kernel relies on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -76,26 +76,19 @@ void check_i16_contract() {
   // Signed saturation at both rails.
   EXPECT_EQ(adds(V::splat(32000), V::splat(1000)).lane(0), 32767);
   EXPECT_EQ(subs(V::splat(-32000), V::splat(1000)).lane(kL - 1), -32768);
-  // max / any_gt are signed.
+  // max / min are signed.
   EXPECT_EQ(max(V::splat(-3), V::splat(-9)).lane(2), -3);
-  EXPECT_FALSE(any_gt(V::splat(5), V::splat(5)));
-  EXPECT_TRUE(any_gt(V::splat(6), V::splat(5)));
-  V mixed = V::splat(0);
-  mixed.set_lane(kL - 2, 1);  // top half again
-  EXPECT_TRUE(any_gt(mixed, V::splat(0)));
-  // Lane shift with explicit fill (the kernels pass the no-gap sentinel).
-  const V shifted = V::load(data).shift_lanes_up(-999);
-  EXPECT_EQ(shifted.lane(0), -999);
-  for (std::size_t i = 1; i < kL; ++i) {
-    ASSERT_EQ(shifted.lane(i), data[i - 1]) << "lane " << i;
+  EXPECT_EQ(min(V::splat(-3), V::splat(-9)).lane(kL - 1), -9);
+  // ge is signed and inclusive, and blend selects by its mask, lane by lane
+  // in every 128-bit half (the banded screen's 16-bit tier masks this way).
+  const V mask = ge(V::load(data), V::splat(0));
+  const V picked = blend(mask, V::splat(7), V::splat(-7));
+  for (std::size_t i = 0; i < kL; ++i) {
+    ASSERT_EQ(mask.lane(i), data[i] >= 0 ? -1 : 0) << "lane " << i;
+    ASSERT_EQ(picked.lane(i), data[i] >= 0 ? 7 : -7) << "lane " << i;
   }
-  // set_lane round-trips and hmax sees every half.
-  for (std::size_t pos : {std::size_t{0}, kL / 2, kL - 1}) {
-    V v = V::splat(-5);
-    v.set_lane(pos, 1234);
-    EXPECT_EQ(v.lane(pos), 1234);
-    EXPECT_EQ(v.hmax(), 1234) << "pos " << pos;
-  }
+  EXPECT_EQ(bit_and(V::splat(0x0ff0), V::splat(0x00ff)).lane(kL - 1), 0xf0);
+  EXPECT_EQ(bit_or(V::splat(0x0f00), V::splat(0x00f0)).lane(kL / 2), 0xff0);
 }
 
 TEST(SimdWideScalar, U8EmulationAt32And64Lanes) {

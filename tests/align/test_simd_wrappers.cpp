@@ -37,29 +37,34 @@ TEST(V16, MaxIsLaneWise) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(m.lane(static_cast<std::size_t>(i)), std::abs(xs[i]));
 }
 
-TEST(V16, AnyGtStrict) {
-  EXPECT_FALSE(any_gt(V16::splat(5), V16::splat(5)));
-  EXPECT_TRUE(any_gt(V16::splat(6), V16::splat(5)));
-  V16 mixed = V16::splat(0);
-  mixed.set_lane(4, 1);
-  EXPECT_TRUE(any_gt(mixed, V16::splat(0)));
-}
-
-TEST(V16, ShiftLanesUpInsertsFill) {
-  const std::int16_t data[8] = {10, 20, 30, 40, 50, 60, 70, 80};
-  const V16 shifted = V16::load(data).shift_lanes_up(-999);
-  EXPECT_EQ(shifted.lane(0), -999);
-  for (int i = 1; i < 8; ++i) {
-    EXPECT_EQ(shifted.lane(static_cast<std::size_t>(i)), data[i - 1]);
+TEST(V16, MinIsLaneWise) {
+  const std::int16_t xs[8] = {1, -2, 3, -4, 5, -6, 7, -8};
+  const std::int16_t ys[8] = {-1, 2, -3, 4, -5, 6, -7, 8};
+  const V16 m = min(V16::load(xs), V16::load(ys));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(m.lane(static_cast<std::size_t>(i)), -std::abs(xs[i]));
   }
 }
 
-TEST(V16, HmaxOverMixedSigns) {
-  const std::int16_t data[8] = {-5, -3, -10, -1, -7, -2, -8, -4};
-  EXPECT_EQ(V16::load(data).hmax(), -1);
-  V16 v = V16::load(data);
-  v.set_lane(2, 12);
-  EXPECT_EQ(v.hmax(), 12);
+TEST(V16, GeIsSignedAndInclusive) {
+  const std::int16_t data[8] = {-5, 0, 5, -1, 1, 32767, -32768, 4};
+  const V16 mask = ge(V16::load(data), V16::splat(0));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(mask.lane(static_cast<std::size_t>(i)), data[i] >= 0 ? -1 : 0)
+        << "lane " << i;
+  }
+}
+
+TEST(V16, BlendSelectsByMaskAndBitOpsCombine) {
+  const std::int16_t data[8] = {-5, 0, 5, -1, 1, 32767, -32768, 4};
+  const V16 picked = blend(ge(V16::load(data), V16::splat(0)),
+                           V16::splat(7), V16::splat(-7));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(picked.lane(static_cast<std::size_t>(i)), data[i] >= 0 ? 7 : -7)
+        << "lane " << i;
+  }
+  EXPECT_EQ(bit_and(V16::splat(0x0ff0), V16::splat(0x00ff)).lane(3), 0xf0);
+  EXPECT_EQ(bit_or(V16::splat(0x0f00), V16::splat(0x00f0)).lane(6), 0xff0);
 }
 
 TEST(V8, SaturatingAddClampsAt255) {

@@ -21,7 +21,8 @@
 //   - SWDUAL_HAVE_LIBFUZZER (fuzz preset: clang + -fsanitize=fuzzer):
 //     exports LLVMFuzzerTestOneInput for open-ended fuzzing.
 //   - standalone (every other build, incl. GCC): a main() with
-//     --make-seeds <dir>  write the seed corpus (the corner inputs below)
+//     --make-seeds <dir>  empty <dir>, then write the seed corpus (the
+//                         corner inputs below)
 //     --smoke             replay the corner inputs plus a bounded set of
 //                         generated ones — the ctest `fuzz` label runs this
 //                         everywhere, so the kernel contract is exercised
@@ -219,7 +220,12 @@ std::vector<std::vector<std::uint8_t>> corner_inputs() {
 }
 
 void make_seeds(const fs::path& dir) {
+  // Empty the directory first: seeds an earlier build wrote there would
+  // otherwise be replayed with the current ones.
   fs::create_directories(dir);
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) fs::remove(entry.path());
+  }
   int i = 0;
   for (const auto& bytes : corner_inputs()) {
     std::ofstream out(dir / ("corner_" + std::to_string(i++)),

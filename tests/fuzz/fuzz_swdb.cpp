@@ -11,8 +11,9 @@
 //   - SWDUAL_HAVE_LIBFUZZER (fuzz preset: clang + -fsanitize=fuzzer):
 //     exports LLVMFuzzerTestOneInput for open-ended fuzzing.
 //   - standalone (every other build, incl. GCC): a driver main() with
-//     --make-seeds <dir>  write the seed corpus (valid files, a version-1
-//                         and a version-2 header, edge cases)
+//     --make-seeds <dir>  empty <dir>, then write the seed corpus (valid
+//                         files, a version-1 and a version-2 header, edge
+//                         cases)
 //     --smoke <dir>       check that both old headers are rejected, then
 //                         replay the corpus plus bounded deterministic
 //                         mutations (truncations, byte flips) — the ctest
@@ -137,7 +138,12 @@ std::vector<std::uint8_t> version2_header() {
 /// classic parser edge cases. Everything past these is the mutator's job
 /// (libFuzzer when available, the deterministic smoke otherwise).
 void make_seeds(const fs::path& dir) {
+  // Empty the directory first: seeds an earlier build wrote there would
+  // otherwise be replayed with the current ones.
   fs::create_directories(dir);
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) fs::remove(entry.path());
+  }
 
   std::vector<swdual::seq::Sequence> records;
   records.emplace_back(swdual::seq::Sequence::from_text(

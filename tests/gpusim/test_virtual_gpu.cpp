@@ -46,8 +46,8 @@ TEST(VirtualGpu, ScoresAreExact) {
   // Profiles of any exact kernel: the same scores, and — time being charged
   // from cells — the same cells and modeled time as the building overload.
   for (const align::KernelKind kernel :
-       {align::KernelKind::kScalar, align::KernelKind::kStriped,
-        align::KernelKind::kStriped8, align::KernelKind::kInterSeq}) {
+       {align::KernelKind::kScalar, align::KernelKind::kStriped8,
+        align::KernelKind::kInterSeq}) {
     const align::SearchProfiles profiles(query_view, scheme, kernel);
     const BatchResult with = gpu.run_batch(profiles, views);
     EXPECT_EQ(with.scores, batch.scores) << align::kernel_name(kernel);
