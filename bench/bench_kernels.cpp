@@ -78,8 +78,9 @@ void BM_InterSeqKernel(benchmark::State& state) {
                                256);
   align::SequenceViews views;
   for (const auto& v : data.views) views.push_back(v);
+  const align::KernelTable& kt = align::kernel_table(align::best_backend());
   for (auto _ : state) {
-    const auto result = align::interseq_scores(
+    const auto result = kt.interseq(
         {data.query.residues.data(), data.query.residues.size()}, views,
         data.scheme);
     benchmark::DoNotOptimize(result.scores.data());

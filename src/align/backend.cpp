@@ -95,7 +95,6 @@ const char* kernel_name(KernelKind kind) {
   switch (kind) {
     case KernelKind::kScalar: return "scalar";
     case KernelKind::kStriped8: return "striped8";
-    case KernelKind::kInterSeq: return "interseq";
   }
   return "unknown";
 }
@@ -156,8 +155,10 @@ Backend best_backend(KernelKind kernel) {
       backend_available(Backend::kAVX2)) {
     // Measured on the recorded bench host: striped8 runs 11.6 GCUPS on
     // avx512 vs 13.5 on avx2 (DESIGN.md "AVX-512 striped8 regression").
-    // The interseq kernel wins at 512 bits, so only the byte tier is
-    // gated.
+    // The cap holds for the whole exact scan: the 16-bit tier that
+    // rescores its saturated records runs on the same kernel table, at
+    // AVX2's 16 lanes. The banded screen asks best_backend() and keeps the
+    // full width.
     best = Backend::kAVX2;
   }
   return best;

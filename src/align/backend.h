@@ -36,14 +36,14 @@ namespace swdual::align {
 enum class KernelKind {
   kScalar,    ///< 32-bit Gotoh oracle (reference, no SIMD)
   kStriped8,  ///< Farrar striped SIMD, 8-bit tier; saturated pairs are
-              ///< rescored by the 16-bit interseq kernel, then at 32 bits
-  kInterSeq,  ///< Rognes inter-sequence SIMD, 16-bit (SWIPE class)
+              ///< rescored by the 16-bit inter-sequence kernel (SWIPE
+              ///< class, KernelTable::interseq), then at 32 bits
 };
 
 /// Printable kernel name.
 const char* kernel_name(KernelKind kind);
 
-/// SIMD instruction-set tier used by the striped8/interseq kernels.
+/// SIMD instruction-set tier used by the SIMD kernels.
 enum class Backend {
   kAuto,    ///< resolve to best_backend() at use
   kScalar,  ///< width-generic scalar emulation (16×u8 / 8×i16 geometry)
@@ -82,8 +82,11 @@ Backend best_backend();
 /// caps at kAVX2 because the byte kernel measurably regresses at 512 bits
 /// on current hardware (lazy-F fixups over a too-short striped segment plus
 /// 512-bit license downclocking — DESIGN.md "AVX-512 striped8 regression"
-/// has the numbers). A forced backend always wins: the gate only shapes
-/// *automatic* choice, never an explicit request.
+/// has the numbers). The cap covers the whole exact scan, the byte tier
+/// and the 16-bit tier it calls through the same kernel table; the banded
+/// screen is not gated (SearchProfiles::screen_backend). A forced backend
+/// always wins: the gate only shapes *automatic* choice, never an explicit
+/// request.
 Backend best_backend(KernelKind kernel);
 
 /// kAuto → best_backend(); anything else is validated as available
@@ -105,9 +108,11 @@ struct KernelTable {
   StripedResult (*striped8)(const StripedProfileU8& profile,
                             std::span<const std::uint8_t> db,
                             const GapPenalty& gap);
+  /// The striped8 scan's 16-bit tier (search_range).
   InterSeqResult (*interseq)(std::span<const std::uint8_t> query,
                              const SequenceViews& db,
                              const ScoringScheme& scheme);
+  /// The filter's banded screen (screen_range).
   BandedBatchResult (*banded)(std::span<const std::uint8_t> query,
                               const SequenceViews& db,
                               const ScoringScheme& scheme, std::size_t band);

@@ -1,15 +1,16 @@
 // Inter-sequence vectorized banded Smith–Waterman (the filter screen).
 //
-// Stage-1 kernel of the two-stage filtered search (search.h): one batch of
-// database sequences is banded-aligned against the query simultaneously,
-// one per SIMD lane, in the same lane-per-sequence layout as the interseq
-// kernel — longest-first batching, per-column dprofile, pre-sorted order
-// detection. The DP is restricted per lane to a diagonal band of
-// half-width `band` around j = ⌊i·n_l/m⌋, so the screen costs O(m·band)
-// per record instead of O(m·n). A lane group ends early before a record
-// shorter than half its first one (banded_group_end). A group whose records
-// share one length walks the band geometry once for all its lanes; other
-// groups pace each lane through its own columns (kernel_banded_impl.h).
+// Stage-1 kernel of the two-stage filtered search, which screen_range
+// (search.h) calls through KernelTable::banded: one batch of database
+// sequences is banded-aligned against the query simultaneously, one per
+// SIMD lane, in the same lane-per-sequence layout as the interseq kernel —
+// longest-first batching, per-column dprofile, pre-sorted order detection.
+// The DP is restricted per lane to a diagonal band of half-width `band`
+// around j = ⌊i·n_l/m⌋, so the screen costs O(m·band) per record instead of
+// O(m·n). A lane group ends early before a record shorter than half its
+// first one (banded_group_end). A group whose records share one length
+// walks the band geometry once for all its lanes; other groups pace each
+// lane through its own columns (kernel_banded_impl.h).
 //
 // Scores are bit-identical to the scalar banded_gotoh_score (banded.h) for
 // every lane that does not overflow: the 8-bit saturating tier runs first
@@ -54,12 +55,5 @@ std::size_t banded_group_end(std::size_t begin, std::size_t end,
   while (next < limit && 2 * length(next) >= first) ++next;
   return next;
 }
-
-/// Banded-screen one query against many database sequences, one SIMD batch
-/// at a time, on the best available backend (SWDUAL_FORCE_BACKEND
-/// overrides). `band` must be ≥ 1.
-BandedBatchResult banded_screen(std::span<const std::uint8_t> query,
-                                const SequenceViews& db,
-                                const ScoringScheme& scheme, std::size_t band);
 
 }  // namespace swdual::align

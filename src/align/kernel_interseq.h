@@ -1,4 +1,5 @@
-// Rognes-style inter-sequence SIMD Smith–Waterman.
+// Rognes-style inter-sequence SIMD Smith–Waterman, the striped8 scan's
+// 16-bit tier.
 //
 // This is the kernel class behind the paper's SWIPE baseline (Rognes 2011):
 // instead of vectorizing within one DP matrix, one batch of *database
@@ -6,7 +7,9 @@
 // lane (8 lanes on SSE2, 16 on AVX2, 32 on AVX-512BW — the active backend
 // decides). There is no striping and no lazy-F fixup — every lane is an
 // independent matrix, so all dependencies are lane-local and the
-// recurrence is computed directly.
+// recurrence is computed directly. search_range hands it, in one call
+// through KernelTable::interseq (backend.h), the records of a range that
+// saturated the byte tier.
 //
 // Sequences are batched one SIMD-width at a time, longest-first, with
 // exhausted lanes padded by a sentinel profile row of large negative scores
@@ -31,10 +34,5 @@ struct InterSeqResult {
 
 /// Views of the database sequences to score in one call.
 using SequenceViews = std::vector<std::span<const std::uint8_t>>;
-
-/// Score one query against many database sequences, one SIMD batch at a
-/// time, on the best available backend (SWDUAL_FORCE_BACKEND overrides).
-InterSeqResult interseq_scores(std::span<const std::uint8_t> query,
-                               const SequenceViews& db, const ScoringScheme& scheme);
 
 }  // namespace swdual::align

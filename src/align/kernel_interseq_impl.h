@@ -20,9 +20,9 @@
 // Lane batching: sequences are processed longest-first so all lanes of a
 // group retire together (the occupancy fix from Rognes' SWIPE and Rucci et
 // al.'s KNL study). When the caller already supplies length-sorted views —
-// chunks from a sorting ParallelSearchEngine — the kernel detects the order
-// with one O(n) scan and skips its own sort entirely: the steady-state
-// refill path performs no allocation and no sorting.
+// the saturated records of a chunk from a sorting engine — the kernel
+// detects the order with one O(n) scan and skips its own sort entirely:
+// the steady-state refill path performs no allocation and no sorting.
 #pragma once
 
 #include <algorithm>

@@ -21,13 +21,6 @@ namespace {
 /// skew at slightly higher merge cost.
 constexpr std::size_t kChunksPerThread = 4;
 
-/// Records per lane batch of the profiles' exact scan (1: no batching).
-std::size_t exact_batch(const SearchProfiles& profiles) {
-  return profiles.kernel() == KernelKind::kInterSeq
-             ? backend_lanes16(profiles.backend())
-             : 1;
-}
-
 /// Records per lane batch of the profiles' banded screen (1: no batching).
 std::size_t screen_batch(const SearchProfiles& profiles) {
   return profiles.kernel() == KernelKind::kScalar
@@ -119,8 +112,8 @@ std::vector<RecordRange> balanced_ranges(
 SearchResult search_ranges(const SearchEngine& engine,
                            const SearchProfiles& profiles, const DbView& view,
                            std::size_t parts) {
-  const std::vector<RecordRange> ranges = balanced_ranges(
-      view, parts, exact_batch(profiles), RecordCost::kResidues);
+  const std::vector<RecordRange> ranges =
+      balanced_ranges(view, parts, 1, RecordCost::kResidues);
   std::vector<SearchResult> scanned(ranges.size());
   engine.parallel_for(ranges.size(), [&](std::size_t r) {
     scanned[r] =
@@ -294,11 +287,8 @@ std::vector<RankedSearchResult> ParallelSearchEngine::scan(
   }
   WallTimer timer;
 
-  // The inter-sequence kernel processes the (length-sorted) records in
-  // groups of one SIMD batch; keep chunk boundaries on batch multiples so
-  // no batch is split mid-vector across two chunks.
-  const std::vector<Chunk> chunks =
-      chunk_ranges(exact_batch(*profiles[0]), RecordCost::kResidues);
+  // The exact kernels score one record at a time, so any cut serves.
+  const std::vector<Chunk> chunks = chunk_ranges(1, RecordCost::kResidues);
 
   // chunk-major outcomes: per_chunk[c][q] is chunk c scanned with query q,
   // the chunk's records scanned once per query while they are hot; hits are
@@ -378,9 +368,9 @@ std::vector<ScreenResult> ParallelSearchEngine::screen(
   }
   if (profiles.empty()) return merged;
 
-  // The banded kernel batches the screen backend's byte lanes; keep those
-  // batches unsplit the same way the exact scan aligns interseq chunks to
-  // the 16-bit lanes. Its paced lane walk covers one band window per
+  // The banded kernel batches the screen backend's byte lanes, so the
+  // chunk cuts fall on batch multiples and no batch is split mid-vector
+  // across two chunks. Its paced lane walk covers one band window per
   // record, so the chunks balance records, not residues: a residue cut
   // would pile the short tail of the longest-first order into one
   // straggler chunk.

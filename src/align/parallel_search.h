@@ -82,18 +82,19 @@ enum class RecordCost {
 
 /// The record partition of the chunked passes and of the rescan split: cut
 /// `db` into at most `parts` contiguous ranges of about equal `cost`, then
-/// snap every interior cut to the nearest multiple of `batch` records, so a
-/// SIMD kernel never splits a lane batch between two ranges (a split batch
-/// runs twice with mostly padded lanes; a cut swallowed by its predecessor
-/// merges the two ranges). Scores, cells and overflow rescans never depend
-/// on the cut, since lanes are independent; only padding waste and chunk
-/// balance do. Empty for an empty `db`.
+/// snap every interior cut to the nearest multiple of `batch` records, so
+/// the banded screen never splits a lane batch between two ranges (a split
+/// batch runs twice with mostly padded lanes; a cut swallowed by its
+/// predecessor merges the two ranges). The exact scans take batch 1.
+/// Scores, cells and overflow rescans never depend on the cut, since lanes
+/// are independent; only padding waste and chunk balance do. Empty for an
+/// empty `db`.
 std::vector<RecordRange> balanced_ranges(
     std::span<const std::span<const std::uint8_t>> db, std::size_t parts,
     std::size_t batch, RecordCost cost);
 
 /// search_range(profiles, view, 0, view.size()) cut by balanced_ranges into
-/// at most `parts` lane-batch-aligned ranges that run through
+/// at most `parts` residue-balanced ranges that run through
 /// engine.parallel_for: the same scores, cells and overflow_rescans. The
 /// rescan of the threaded engines.
 SearchResult search_ranges(const SearchEngine& engine,
@@ -111,10 +112,13 @@ std::vector<ScreenResult> screen_ranges(
 class ParallelSearchEngine : public SearchEngine {
  public:
   /// Snapshots `db` (span copies, not residues), permutes it longest-first
-  /// (so the interseq lane batches waste few padded cells; the inverse
-  /// mapping is applied at merge, so callers always see database order) and
-  /// builds the partition once; the underlying records must outlive the
-  /// engine.
+  /// and builds the partition once; the underlying records must outlive the
+  /// engine. The order serves the lane-per-record kernels: the banded
+  /// screen's lane groups then hold records of similar length (uniform
+  /// groups walk the band geometry once), and the saturated records that a
+  /// chunk hands striped8's 16-bit tier arrive sorted, so its lane batches
+  /// pad few cells and skip their own sort. The inverse mapping is applied
+  /// at merge, so callers always see database order.
   explicit ParallelSearchEngine(const DbView& db,
                                 const ParallelSearchOptions& options = {});
 

@@ -175,8 +175,9 @@ SearchOutcome select_rescan_rank(const SearchEngine& engine,
   }
 
   // Rescan only the candidates whose screened score lacks the coverage
-  // certificate, longest-first so the interseq kernel packs similar lengths
-  // into one SIMD batch (lanes are independent: order never changes scores).
+  // certificate, longest-first so striped8's 16-bit tier packs similar
+  // lengths into one SIMD batch (lanes are independent: order never changes
+  // scores).
   std::vector<std::uint32_t> rescan_index;
   for (const std::uint32_t c : candidates) {
     if (!screen.exact[c]) rescan_index.push_back(c);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
-#include <utility>
 
 #include "align/banded.h"
 #include "align/kernel_banded.h"
@@ -73,26 +73,6 @@ SearchProfiles::SearchProfiles(std::span<const std::uint8_t> query,
   }
 }
 
-namespace {
-
-/// The 16-bit inter-sequence kernel's result for `records`, with the score
-/// of every pair that saturated there (its overflow flag stays set)
-/// replaced by gotoh_score's.
-InterSeqResult interseq_exact(const KernelTable& table,
-                              std::span<const std::uint8_t> query,
-                              const SequenceViews& records,
-                              const ScoringScheme& scheme) {
-  InterSeqResult r = table.interseq(query, records, scheme);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (r.overflow[i]) {
-      r.scores[i] = gotoh_score(query, records[i], scheme).score;
-    }
-  }
-  return r;
-}
-
-}  // namespace
-
 SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t begin, std::size_t end) {
   SWDUAL_REQUIRE(begin <= end && end <= db.size(),
@@ -133,20 +113,13 @@ SearchResult search_range(const SearchProfiles& profiles, const DbView& db,
       }
       result.overflow_rescans = saturated.size();
       if (saturated.empty()) break;
-      const InterSeqResult r16 = interseq_exact(table, query, records, scheme);
+      // A pair that saturates 16 bits too is scored by gotoh_score.
+      const InterSeqResult r16 = table.interseq(query, records, scheme);
       for (std::size_t k = 0; k < saturated.size(); ++k) {
-        result.scores[saturated[k]] = r16.scores[k];
+        result.scores[saturated[k]] =
+            r16.overflow[k] ? gotoh_score(query, records[k], scheme).score
+                            : r16.scores[k];
       }
-      break;
-    }
-    case KernelKind::kInterSeq: {
-      const SequenceViews slice(db.begin() + static_cast<std::ptrdiff_t>(begin),
-                                db.begin() + static_cast<std::ptrdiff_t>(end));
-      InterSeqResult r = interseq_exact(profiles.table(), query, slice, scheme);
-      result.cells = r.cells;
-      result.scores = std::move(r.scores);
-      result.overflow_rescans = static_cast<std::size_t>(
-          std::count(r.overflow.begin(), r.overflow.end(), true));
       break;
     }
   }
@@ -201,9 +174,23 @@ bool parse_filter_mode(const std::string& name, FilterMode& out) {
   return false;
 }
 
+namespace {
+
+/// The widest banded-screen half-width: wider than any record the SWDB
+/// index's 32-bit lengths describe, and small enough that the banded
+/// kernels' signed 64-bit geometry cannot overflow.
+constexpr std::size_t kMaxBand = std::numeric_limits<std::uint32_t>::max();
+
+void require_band(std::size_t band) {
+  SWDUAL_REQUIRE(band >= 1 && band <= kMaxBand,
+                 "filter band must be between 1 and 2^32 - 1");
+}
+
+}  // namespace
+
 void FilterConfig::validate() const {
   if (!enabled()) return;
-  SWDUAL_REQUIRE(band >= 1, "filter band must be at least 1");
+  require_band(band);
   SWDUAL_REQUIRE(std::isfinite(keep_factor) && keep_factor >= 1.0,
                  "filter keep_factor must be a finite value >= 1");
 }
@@ -213,7 +200,7 @@ ScreenResult screen_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t band) {
   SWDUAL_REQUIRE(begin <= end && end <= db.size(),
                  "screen_range out of bounds");
-  SWDUAL_REQUIRE(band >= 1, "filter band must be at least 1");
+  require_band(band);
   const std::span<const std::uint8_t> query = profiles.query();
   const ScoringScheme& scheme = profiles.scheme();
   const std::size_t count = end - begin;
@@ -265,9 +252,14 @@ std::vector<std::uint32_t> filter_select_candidates(const ScreenResult& screen,
                                                     const FilterConfig& config,
                                                     FilterStats* stats) {
   const std::size_t n = screen.scores.size();
-  const std::size_t keep = std::max<std::size_t>(
-      top_k, static_cast<std::size_t>(
-                 std::ceil(config.keep_factor * static_cast<double>(top_k))));
+  // Keeping more records than there are keeps them all, so the count is
+  // capped at n while it is still a double: the cast stays in range and
+  // the heap reserves no more than the records.
+  const double wanted =
+      std::max(static_cast<double>(top_k),
+               std::ceil(config.keep_factor * static_cast<double>(top_k)));
+  const std::size_t keep =
+      wanted < static_cast<double>(n) ? static_cast<std::size_t>(wanted) : n;
   std::vector<SearchHit> heap;
   heap.reserve(keep + 1);
   std::vector<std::uint32_t> candidates;

@@ -46,9 +46,8 @@ struct SearchResult {
   std::vector<int> scores;   ///< score per database record, database order
   std::uint64_t cells = 0;   ///< DP cells computed
   double seconds = 0.0;      ///< wall-clock kernel time
-  /// Pairs the kernel's first tier saturated on and a wider one rescored
-  /// (striped8: byte → 16 bits, and 32 bits past that; interseq: 16 → 32
-  /// bits).
+  /// Pairs striped8's byte tier saturated on and a wider one rescored (16
+  /// bits, and 32 bits past that); 0 for the scalar reference.
   std::size_t overflow_rescans = 0;
 
   /// Billion cell updates per second (the paper's GCUPS metric).
@@ -87,9 +86,9 @@ DbView make_db_view(const std::vector<seq::Sequence>& records);
 /// so it stays valid after the caller's buffer is gone (align::ProfileCache
 /// stores it as is). The striped8 profile is striped for the resolved
 /// SIMD backend's byte lane count, so one SearchProfiles caches exactly one
-/// profile per active backend. The other kernels keep no per-query state:
-/// the inter-sequence kernel, which is also the striped8 kernel's 16-bit
-/// tier, builds its database profile per lane batch.
+/// profile per active backend. The scalar reference keeps no per-query
+/// state, and neither does the striped8 kernel's 16-bit tier, the
+/// inter-sequence kernel, which builds its database profile per lane batch.
 class SearchProfiles {
  public:
   SearchProfiles(std::span<const std::uint8_t> query,
@@ -187,8 +186,8 @@ struct FilterConfig {
 
   bool enabled() const { return mode != FilterMode::kOff; }
 
-  /// Throws InvalidArgument on out-of-range parameters (band == 0,
-  /// keep_factor < 1, non-finite keep_factor).
+  /// Throws InvalidArgument on out-of-range parameters (band 0 or above
+  /// 2^32 - 1, keep_factor < 1, non-finite keep_factor).
   void validate() const;
 };
 
@@ -220,14 +219,14 @@ struct ScreenResult {
 /// Screen db[begin, end) with the banded kernel of the profiles' screen
 /// backend (kScalar kernel: the scalar banded reference). scores[i]
 /// corresponds to db[begin + i]. Results are bit-identical across backends
-/// and chunkings.
+/// and chunkings. `band` must lie in [1, 2^32 - 1] (InvalidArgument).
 ScreenResult screen_range(const SearchProfiles& profiles, const DbView& db,
                           std::size_t begin, std::size_t end,
                           std::size_t band);
 
 /// Deterministic stage-2 candidate selection: the max(k, ceil(keep_factor*k))
-/// best screened records plus every edge-uncertain one, as sorted unique
-/// range-local indices. `stats` (optional) accumulates selection counters.
+/// best screened records (every record when that exceeds their count) plus
+/// every edge-uncertain one, as sorted unique range-local indices. `stats` (optional) accumulates selection counters.
 /// The search pipeline (align/pipeline.h) is its one caller in the library.
 std::vector<std::uint32_t> filter_select_candidates(const ScreenResult& screen,
                                                     std::size_t top_k,

@@ -12,14 +12,6 @@ VirtualGpu::VirtualGpu(DeviceSpec spec) : spec_(std::move(spec)) {
   SWDUAL_REQUIRE(spec_.memory_bytes > 0, "device memory must be positive");
 }
 
-BatchResult VirtualGpu::run_batch(std::span<const std::uint8_t> query,
-                                  const align::DbView& db,
-                                  const align::ScoringScheme& scheme) const {
-  const align::SearchProfiles profiles(query, scheme,
-                                       align::KernelKind::kInterSeq);
-  return run_batch(profiles, db);
-}
-
 BatchResult VirtualGpu::run_batch(const align::SearchProfiles& profiles,
                                   const align::DbView& db) const {
   const std::span<const std::uint8_t> query = profiles.query();

@@ -6,9 +6,7 @@
 //
 //   * results  — batch Smith–Waterman scores, computed exactly on the host
 //     with the caller's exact kernel. Every exact kernel returns the same
-//     scores, so which one the host runs is a wall-time choice only; the
-//     building overload uses the inter-sequence kernel, the SIMD analogue
-//     of CUDASW++'s inter-task model (one alignment per CUDA thread);
+//     scores, so which one the host runs is a wall-time choice only;
 //   * timing   — a virtual clock charged from an SM/occupancy model: batches
 //     of alignments are waved across `sm_count × threads_per_sm` contexts at
 //     `gcups` sustained throughput, plus PCIe transfer time for query and
@@ -60,17 +58,11 @@ class VirtualGpu {
 
   const DeviceSpec& spec() const { return spec_; }
 
-  /// Execute one query against a database batch: exact scores (from the
-  /// inter-sequence kernel) plus modeled time. Overflowing pairs are
-  /// rescanned exactly.
-  BatchResult run_batch(std::span<const std::uint8_t> query,
-                        const align::DbView& db,
-                        const align::ScoringScheme& scheme) const;
-
-  /// Same execution with caller-provided (possibly cached/shared) query
-  /// profiles — the resident-query-context reuse CUDASW++-class tools apply
-  /// across batches. Scores come from the profiles' exact kernel; scores,
-  /// cells and modeled time are identical to the building overload's.
+  /// Execute one query against a database batch with caller-provided
+  /// (possibly cached/shared) query profiles — the resident-query-context
+  /// reuse CUDASW++-class tools apply across batches: exact scores from the
+  /// profiles' kernel (search_range) plus modeled time, which depends on
+  /// cells, record counts and residue bytes only.
   BatchResult run_batch(const align::SearchProfiles& profiles,
                         const align::DbView& db) const;
 

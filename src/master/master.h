@@ -43,13 +43,13 @@ struct MasterConfig {
   platform::PerfModel model;
 
   /// Exact kernel of every host scan: CPU workers' and the GPU workers'
-  /// (the virtual device computes real scores on the host). Every exact
-  /// kernel returns bit-identical scores and counts a pair as |q|·|d|
-  /// cells, and virtual time is charged from cells, so the choice moves
-  /// wall time only. The default, the byte-striped tier with 16-bit
-  /// escalation, measured fastest on every servebench workload, and also
-  /// on a lone query against a database dense in its homologs (11.7% of
-  /// the residues: 14.3 GCUPS against 6.0 for kInterSeq on AVX-512).
+  /// (the virtual device computes real scores on the host). Both kernels
+  /// return bit-identical scores and count a pair as |q|·|d| cells, and
+  /// virtual time is charged from cells, so the choice moves wall time
+  /// only. The default, the byte-striped kernel with its 16-bit
+  /// inter-sequence tier, is the one SIMD path; kScalar is the 32-bit
+  /// reference the tests compare it with, and the path for gap penalties
+  /// outside striped8's limits (extend 0, or open + extend > 255).
   align::KernelKind cpu_kernel = align::KernelKind::kStriped8;
   std::size_t top_hits = 10;     ///< hits reported per query
 

@@ -8,8 +8,8 @@
 // deliberately *not* part of the key — every kernel on every backend
 // produces bit-identical scores (tests/align/test_backend_equivalence.cpp,
 // tests/align/test_sharded_property.cpp), so a hit computed by the
-// inter-sequence kernel on AVX2 is the right answer for the striped kernel
-// on an SSE2 host too. Shard topology (shard count, thread counts) is
+// striped8 kernel on AVX2 is the right answer for the scalar reference on
+// an SSE2 host too. Shard topology (shard count, thread counts) is
 // excluded for the same reason: sharded results are bit-identical to the
 // unsharded search (tests/align/test_sharded_search.cpp), so a cached
 // answer is valid at any shard count. test_result_cache.cpp pins the exact

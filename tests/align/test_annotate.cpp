@@ -223,7 +223,7 @@ TEST(AnnotateHits, OffModeLeavesHitsUntouched) {
   const KarlinAltschulParams params = test_params();
   std::vector<SearchHit> hits = search_database(corpus.query, db,
                                                 ScoringScheme{},
-                                                KernelKind::kInterSeq)
+                                                KernelKind::kStriped8)
                                     .top(5);
   const std::vector<SearchHit> before = hits;
   annotate_hits(hits, corpus.query, db, ScoringScheme{}, AnnotateConfig{},
@@ -242,7 +242,7 @@ TEST(AnnotateHits, StatsModeAttachesEvalueAndBitsOnly) {
   const KarlinAltschulParams params = test_params();
   const ScoringScheme scheme;
   std::vector<SearchHit> hits =
-      search_database(corpus.query, db, scheme, KernelKind::kInterSeq).top(6);
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8).top(6);
   AnnotateConfig config;
   config.mode = AnnotateMode::kStats;
   annotate_hits(hits, corpus.query, db, scheme, config, params,
@@ -272,7 +272,7 @@ TEST(AnnotateHits, EvalueGrowsWithSearchSpace) {
   AnnotateConfig config;
   config.mode = AnnotateMode::kStats;
   std::vector<SearchHit> small =
-      search_database(corpus.query, db, scheme, KernelKind::kInterSeq).top(3);
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8).top(3);
   std::vector<SearchHit> large = small;
   const std::uint64_t n = db_residue_count(db);
   annotate_hits(small, corpus.query, db, scheme, config, params, n);
@@ -290,7 +290,7 @@ TEST(AnnotateHits, CutoffDropsExactlyTheInsignificantSuffix) {
   const KarlinAltschulParams params = test_params();
   const ScoringScheme scheme;
   std::vector<SearchHit> all =
-      search_database(corpus.query, db, scheme, KernelKind::kInterSeq).top(10);
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8).top(10);
   AnnotateConfig config;
   config.mode = AnnotateMode::kStats;
   std::vector<SearchHit> reference = all;
@@ -365,7 +365,7 @@ TEST(AnnotateHits, LongRecordCigarPassesScoreOracle) {
   options.threads = 2;
   const ParallelSearchEngine engine(db, options);
   const SearchProfiles profiles({query.data(), query.size()}, scheme,
-                                KernelKind::kInterSeq);
+                                KernelKind::kStriped8);
   AnnotateConfig config;
   config.mode = AnnotateMode::kStatsCigar;
   const SearchOutcome out =
@@ -592,7 +592,7 @@ TEST_P(AnnotateBackends, CigarOracleAcrossKernelsEnginesAndShards) {
   AnnotateConfig config;
   config.mode = AnnotateMode::kStatsCigar;
 
-  for (KernelKind kernel : {KernelKind::kInterSeq, KernelKind::kStriped8}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const std::vector<SearchHit> plain =
         search_database(corpus.query, db, scheme, kernel, GetParam()).top(k);
 
@@ -660,7 +660,7 @@ TEST_P(AnnotateBackends, FilteredAnnotatedMatchesFilteredPlain) {
   config.mode = AnnotateMode::kStatsCigar;
 
   const SearchProfiles profiles({corpus.query.data(), corpus.query.size()},
-                                scheme, KernelKind::kInterSeq, GetParam());
+                                scheme, KernelKind::kStriped8, GetParam());
   const SerialSearchEngine engine(db);
   const SearchOutcome plain = annotated_search(engine, profiles, k, filter,
                                                AnnotateConfig{}, params);
@@ -696,9 +696,9 @@ TEST_P(AnnotateBackends, FilteredAnnotatedIdenticalAcrossEnginesAndShards) {
                                          corpus.records[1].end() - 5);
   const SearchProfiles first_profiles(
       {corpus.query.data(), corpus.query.size()}, scheme,
-      KernelKind::kInterSeq, GetParam());
+      KernelKind::kStriped8, GetParam());
   const SearchProfiles second_profiles({second.data(), second.size()}, scheme,
-                                       KernelKind::kInterSeq, GetParam());
+                                       KernelKind::kStriped8, GetParam());
   const SearchProfiles* group[] = {&first_profiles, &second_profiles};
   const std::vector<SearchOutcome> serial =
       search(SerialSearchEngine(db), group, request);

@@ -108,10 +108,10 @@ TEST(Backend, KernelAwareBestGatesStriped8OffAvx512) {
   }
   // The striped8 kernel measured slower on 512-bit vectors (see DESIGN.md,
   // "AVX-512 striped8 regression"), so auto selection steps it down to
-  // AVX2 while the 16-bit interseq kernel keeps the full width.
+  // AVX2; no other kernel is gated.
   ASSERT_TRUE(backend_available(Backend::kAVX2));
   EXPECT_EQ(best_backend(KernelKind::kStriped8), Backend::kAVX2);
-  EXPECT_EQ(best_backend(KernelKind::kInterSeq), Backend::kAVX512);
+  EXPECT_EQ(best_backend(KernelKind::kScalar), Backend::kAVX512);
   EXPECT_EQ(resolve_backend(Backend::kAuto, KernelKind::kStriped8),
             Backend::kAVX2);
 }
@@ -134,8 +134,7 @@ TEST(Backend, ScreenRunsOnTheWidestBackendUnlessOneIsNamed) {
   env.clear();
   const std::vector<std::uint8_t> query = {1, 5, 9, 13, 17, 2, 6};
   const ScoringScheme scheme;
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchProfiles profiles(query, scheme, kernel);
     EXPECT_EQ(profiles.backend(), best_backend(kernel)) << kernel_name(kernel);
     EXPECT_EQ(profiles.screen_backend(), best_backend())

@@ -127,9 +127,10 @@ class FilterBackends : public ::testing::TestWithParam<Backend> {
                                             std::size_t band,
                                             const std::string& where) {
     const ScreenReference want = screen_reference(query, views, scheme, band);
-    force(GetParam());
-    EXPECT_EQ(screen_mismatch(banded_screen(query, views, scheme, band), want),
-              "")
+    EXPECT_EQ(
+        screen_mismatch(
+            kernel_table(GetParam()).banded(query, views, scheme, band), want),
+        "")
         << where;
     return want;
   }
@@ -155,12 +156,10 @@ TEST_P(FilterBackends, ScreenMatchesScalarBackendBitwise) {
   const Corpus corpus = make_corpus(0xbeefULL, 70, 180, 400);
   const SequenceViews views = corpus.seq_views();
   for (std::size_t band : {4u, 24u}) {
-    force(Backend::kScalar);
-    const BandedBatchResult ref =
-        banded_screen(corpus.query, views, scheme, band);
-    force(GetParam());
-    const BandedBatchResult got =
-        banded_screen(corpus.query, views, scheme, band);
+    const BandedBatchResult ref = kernel_table(Backend::kScalar)
+                                      .banded(corpus.query, views, scheme, band);
+    const BandedBatchResult got = kernel_table(GetParam())
+                                      .banded(corpus.query, views, scheme, band);
     ASSERT_EQ(got.scores, ref.scores) << "band " << band;
     ASSERT_EQ(got.overflow, ref.overflow) << "band " << band;
     ASSERT_EQ(got.edge_hit, ref.edge_hit) << "band " << band;
@@ -365,6 +364,79 @@ TEST(FilterConfigTest, ValidateRejectsBadParameters) {
   EXPECT_NO_THROW(config.validate());
 }
 
+TEST_P(FilterBackends, BandCapsAtTwoToThe32MinusOne) {
+  // The widest band is 2^32 - 1, wider than any record a 32-bit SWDB
+  // length describes: it covers every record, so the filtered search is
+  // the exact one. One more is refused by validate(), by the pipeline and
+  // by screen_range, before the banded kernels' signed geometry could wrap.
+  constexpr std::size_t kWidest = std::numeric_limits<std::uint32_t>::max();
+  const ScoringScheme scheme;
+  const Corpus corpus = make_corpus(0xba4dULL, 60, 100, 200);
+  const DbView db = corpus.view();
+  const std::size_t k = 5;
+  const std::vector<SearchHit> exact_top =
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8,
+                      GetParam())
+          .top(k);
+  FilterConfig config;
+  config.mode = FilterMode::kHeuristic;
+  for (const std::size_t band :
+       {kWidest + 1, std::numeric_limits<std::size_t>::max()}) {
+    config.band = band;
+    EXPECT_THROW(config.validate(), InvalidArgument) << band;
+    EXPECT_THROW(pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                                 KernelKind::kStriped8, k, config, GetParam()),
+                 InvalidArgument)
+        << band;
+    const SearchProfiles profiles(corpus.query, scheme, KernelKind::kStriped8,
+                                  GetParam());
+    EXPECT_THROW(screen_range(profiles, db, 0, db.size(), band),
+                 InvalidArgument)
+        << band;
+  }
+  config.band = kWidest;
+  EXPECT_NO_THROW(config.validate());
+  const SearchOutcome widest =
+      pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                      KernelKind::kStriped8, k, config, GetParam());
+  expect_same_hits(widest.ranked.hits, exact_top, "band 2^32 - 1");
+  EXPECT_EQ(widest.filter.rescans, 0u) << "every record carries the "
+                                          "exactness certificate";
+}
+
+TEST(FilterPipeline, KeepFactorPastTheRecordCountKeepsEveryRecord) {
+  // A keep factor whose ceil(keep_factor * k) exceeds the record count
+  // keeps every record, however far past it: the selection may reserve no
+  // more heap than there are records, nor cast a count past size_t's
+  // range.
+  const ScoringScheme scheme;
+  const Corpus corpus = make_planted(0x6eefULL, 120, 4, 90);
+  const DbView db = corpus.view();
+  const std::size_t k = 5;
+  const std::vector<SearchHit> exact_top =
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8).top(k);
+  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kStriped8);
+  const ScreenResult screen = screen_range(profiles, db, 0, db.size(), 16);
+  std::vector<std::uint32_t> every(db.size());
+  for (std::size_t i = 0; i < every.size(); ++i) {
+    every[i] = static_cast<std::uint32_t>(i);
+  }
+  FilterConfig config;
+  config.mode = FilterMode::kHeuristic;
+  config.band = 16;
+  for (const double keep_factor : {1e9, 1e17, 1e300}) {
+    config.keep_factor = keep_factor;
+    EXPECT_EQ(filter_select_candidates(screen, k, config, nullptr), every)
+        << keep_factor;
+    const SearchOutcome got =
+        pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
+                        KernelKind::kStriped8, k, config);
+    EXPECT_EQ(got.filter.candidates, db.size()) << keep_factor;
+    expect_same_hits(got.ranked.hits, exact_top,
+                     "keep factor " + std::to_string(keep_factor));
+  }
+}
+
 TEST(FilterConfigTest, ModeNamesRoundTrip) {
   FilterMode mode = FilterMode::kHeuristic;
   EXPECT_TRUE(parse_filter_mode("off", mode));
@@ -386,12 +458,12 @@ TEST_P(FilterBackends, OffModeBitIdenticalAcrossEngines) {
   force(GetParam());
 
   const SearchResult exact = search_database(
-      corpus.query, db, scheme, KernelKind::kInterSeq, GetParam());
+      corpus.query, db, scheme, KernelKind::kStriped8, GetParam());
   const std::vector<SearchHit> exact_top = exact.top(k);
 
   const SearchOutcome serial =
       pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
-                      KernelKind::kInterSeq, k, off, GetParam());
+                      KernelKind::kStriped8, k, off, GetParam());
   EXPECT_EQ(serial.ranked.result.scores, exact.scores);
   expect_same_hits(serial.ranked.hits, exact_top, "serial off");
 
@@ -400,7 +472,7 @@ TEST_P(FilterBackends, OffModeBitIdenticalAcrossEngines) {
     options.threads = threads;
     const ParallelSearchEngine engine(db, options);
     const SearchOutcome par = pipeline_search(
-        engine, corpus.query, scheme, KernelKind::kInterSeq, k, off,
+        engine, corpus.query, scheme, KernelKind::kStriped8, k, off,
         GetParam());
     EXPECT_EQ(par.ranked.result.scores, exact.scores) << threads << " threads";
     expect_same_hits(par.ranked.hits, exact_top,
@@ -415,7 +487,7 @@ TEST_P(FilterBackends, OffModeBitIdenticalAcrossEngines) {
                                           corpus.query.size());
     const std::vector<std::span<const std::uint8_t>> queries{q};
     const auto many = engine.search_many_filtered(
-        queries, scheme, KernelKind::kInterSeq, k, off, GetParam());
+        queries, scheme, KernelKind::kStriped8, k, off, GetParam());
     ASSERT_EQ(many.size(), 1u);
     ASSERT_TRUE(many[0].complete);
     EXPECT_FALSE(many[0].filtered);
@@ -441,7 +513,7 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
 
   const SearchOutcome serial =
       pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
-                      KernelKind::kInterSeq, k, config, GetParam());
+                      KernelKind::kStriped8, k, config, GetParam());
   ASSERT_EQ(serial.ranked.hits.size(), k);
   EXPECT_GE(serial.filter.candidates, k);
   EXPECT_EQ(serial.filter.rescans, serial.filter.candidates);
@@ -451,7 +523,7 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
     options.threads = threads;
     const ParallelSearchEngine engine(db, options);
     const SearchOutcome par = pipeline_search(
-        engine, corpus.query, scheme, KernelKind::kInterSeq, k, config,
+        engine, corpus.query, scheme, KernelKind::kStriped8, k, config,
         GetParam());
     EXPECT_EQ(par.ranked.result.scores, serial.ranked.result.scores)
         << threads;
@@ -469,7 +541,7 @@ TEST_P(FilterBackends, HeuristicIdenticalAcrossEnginesAndShards) {
                                           corpus.query.size());
     const std::vector<std::span<const std::uint8_t>> queries{q};
     const auto many = engine.search_many_filtered(
-        queries, scheme, KernelKind::kInterSeq, k, config, GetParam());
+        queries, scheme, KernelKind::kStriped8, k, config, GetParam());
     ASSERT_EQ(many.size(), 1u);
     ASSERT_TRUE(many[0].complete);
     EXPECT_TRUE(many[0].filtered);
@@ -521,7 +593,7 @@ TEST_P(FilterBackends, RescanCutMatchesSerialSearchRange) {
   const std::pair<const char*, const SearchEngine*> engines[] = {
       {"parallel x4", &parallel}, {"sharded 2x2", &sharded}};
 
-  for (KernelKind kernel : {KernelKind::kInterSeq, KernelKind::kStriped8}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchProfiles profiles({query.data(), query.size()}, scheme,
                                   kernel, GetParam());
     for (const DbView& view : views) {
@@ -592,9 +664,9 @@ TEST_P(FilterBackends, RescreenCutMatchesSerialScreenRange) {
       {"parallel x4", &parallel}, {"sharded 2x2", &sharded}};
 
   const SearchProfiles first({query.data(), query.size()}, scheme,
-                             KernelKind::kInterSeq, GetParam());
+                             KernelKind::kStriped8, GetParam());
   const SearchProfiles second({other.data(), other.size()}, scheme,
-                              KernelKind::kInterSeq, GetParam());
+                              KernelKind::kStriped8, GetParam());
   const SearchProfiles* group[] = {&first, &second};
   for (const std::size_t band : {std::size_t{3}, std::size_t{24}}) {
     for (std::size_t v = 0; v < views.size(); ++v) {
@@ -636,10 +708,10 @@ TEST(FilterPipeline, HeuristicPerfectRecallOnPlantedCorpus) {
     const Corpus corpus = make_planted(seed, 320, 12, 150);
     const DbView db = corpus.view();
     const SearchResult exact =
-        search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
+        search_database(corpus.query, db, scheme, KernelKind::kStriped8);
     const SearchOutcome got =
         pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
-                        KernelKind::kInterSeq, k, config);
+                        KernelKind::kStriped8, k, config);
     EXPECT_EQ(recall_against(got.ranked.hits, exact.top(k)), 1.0)
         << "seed " << seed;
     EXPECT_LT(got.filter.rescans, db.size())
@@ -666,10 +738,10 @@ TEST(FilterPipeline, HeuristicHighRecallOnRandomCorpus) {
     const Corpus corpus = make_corpus(seed, 400, 130, 250);
     const DbView db = corpus.view();
     const SearchResult exact =
-        search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
+        search_database(corpus.query, db, scheme, KernelKind::kStriped8);
     const SearchOutcome got =
         pipeline_search(SerialSearchEngine(db), corpus.query, scheme,
-                        KernelKind::kInterSeq, k, config);
+                        KernelKind::kStriped8, k, config);
     recalled += recall_against(got.ranked.hits, exact.top(k));
     ++trials;
   }

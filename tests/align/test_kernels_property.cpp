@@ -1,11 +1,13 @@
 // Property tests: every SIMD kernel must agree exactly with the 32-bit
 // scalar Gotoh oracle on randomized inputs, across scoring schemes, sequence
-// lengths, and alphabets.
+// lengths, and alphabets. The inter-sequence kernel (striped8's 16-bit
+// tier) is called through the kernel table of every available backend.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "align/backend.h"
 #include "align/kernel_interseq.h"
 #include "align/scalar.h"
 #include "align/search.h"
@@ -92,13 +94,16 @@ TEST_P(KernelAgreement, InterSeqMatchesOracleOnRandomBatches) {
     }
     SequenceViews views;
     for (const auto& d : db) views.emplace_back(d.data(), d.size());
-    const InterSeqResult r = interseq_scores(q, views, s);
-    ASSERT_EQ(r.scores.size(), batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      ASSERT_FALSE(r.overflow[i]);
-      const int oracle = gotoh_score(q, views[i], s).score;
-      ASSERT_EQ(r.scores[i], oracle)
-          << "interseq lane mismatch rep=" << rep << " i=" << i;
+    for (const Backend b : available_backends()) {
+      const InterSeqResult r = kernel_table(b).interseq(q, views, s);
+      ASSERT_EQ(r.scores.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        ASSERT_FALSE(r.overflow[i]);
+        const int oracle = gotoh_score(q, views[i], s).score;
+        ASSERT_EQ(r.scores[i], oracle)
+            << "interseq lane mismatch rep=" << rep << " i=" << i << " on "
+            << backend_name(b);
+      }
     }
   }
 }
@@ -121,7 +126,10 @@ TEST(KernelEdgeCases, SingleResidueSequences) {
   const int oracle = gotoh_score(q, d, s).score;
   EXPECT_EQ(striped8_search(q, d, s).scores.front(), oracle);
   SequenceViews views{std::span<const std::uint8_t>(d.data(), d.size())};
-  EXPECT_EQ(interseq_scores(q, views, s).scores[0], oracle);
+  for (const Backend b : available_backends()) {
+    EXPECT_EQ(kernel_table(b).interseq(q, views, s).scores[0], oracle)
+        << backend_name(b);
+  }
 }
 
 TEST(KernelEdgeCases, QueryLengthExactMultipleOfLanes) {
@@ -157,7 +165,10 @@ TEST(KernelEdgeCases, HighlyRepetitiveSequencesStressLazyF) {
   const int oracle = gotoh_score(q, d, s).score;
   EXPECT_EQ(striped8_search(q, d, s).scores.front(), oracle);
   SequenceViews views{std::span<const std::uint8_t>(d.data(), d.size())};
-  EXPECT_EQ(interseq_scores(q, views, s).scores[0], oracle);
+  for (const Backend b : available_backends()) {
+    EXPECT_EQ(kernel_table(b).interseq(q, views, s).scores[0], oracle)
+        << backend_name(b);
+  }
 }
 
 TEST(KernelEdgeCases, StripedOverflowDetected) {
@@ -175,8 +186,10 @@ TEST(KernelEdgeCases, InterSeqOverflowDetected) {
   ScoringScheme s;
   const std::vector<std::uint8_t> q(3500, 17);
   SequenceViews views{std::span<const std::uint8_t>(q.data(), q.size())};
-  const InterSeqResult r = interseq_scores(q, views, s);
-  EXPECT_TRUE(r.overflow[0]);
+  for (const Backend b : available_backends()) {
+    EXPECT_TRUE(kernel_table(b).interseq(q, views, s).overflow[0])
+        << backend_name(b);
+  }
 }
 
 TEST(KernelEdgeCases, InterSeqEmptyLaneHandling) {
@@ -189,9 +202,12 @@ TEST(KernelEdgeCases, InterSeqEmptyLaneHandling) {
   const std::vector<std::uint8_t> d2;
   SequenceViews views{std::span<const std::uint8_t>(d1.data(), d1.size()),
                       std::span<const std::uint8_t>(d2.data(), d2.size())};
-  const InterSeqResult r = interseq_scores(q, views, s);
-  EXPECT_EQ(r.scores[0], gotoh_score(q, views[0], s).score);
-  EXPECT_EQ(r.scores[1], 0);
+  for (const Backend b : available_backends()) {
+    const InterSeqResult r = kernel_table(b).interseq(q, views, s);
+    EXPECT_EQ(r.scores[0], gotoh_score(q, views[0], s).score)
+        << backend_name(b);
+    EXPECT_EQ(r.scores[1], 0) << backend_name(b);
+  }
 }
 
 }  // namespace

@@ -117,15 +117,14 @@ TEST_P(ParallelSearchKernels, DeterministicAcrossRepeatedRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, ParallelSearchKernels,
                          ::testing::Values(KernelKind::kScalar,
-                                           KernelKind::kStriped8,
-                                           KernelKind::kInterSeq),
+                                           KernelKind::kStriped8),
                          [](const auto& param_info) {
                            return kernel_name(param_info.param);
                          });
 
 TEST(ParallelSearch, OverflowEscalationMatchesSerial) {
   // A planted self-similar giant saturates the 8-bit tier, exercising the
-  // shared lazily built 16-bit escalation profile across chunks.
+  // 16-bit tier inside the chunks.
   Rng rng(17);
   std::vector<seq::Sequence> db = random_database(12, 18, 20, 120);
   seq::Sequence big;
@@ -137,15 +136,15 @@ TEST(ParallelSearch, OverflowEscalationMatchesSerial) {
   const std::span<const std::uint8_t> query_view(big.residues.data(),
                                                  big.residues.size());
   ScoringScheme scheme;
-  for (KernelKind kernel : {KernelKind::kStriped8, KernelKind::kInterSeq}) {
-    const SearchResult serial =
-        search_database(query_view, views, scheme, kernel);
-    EXPECT_GE(serial.overflow_rescans, 1u) << kernel_name(kernel);
-    ParallelSearchOptions options;
-    options.threads = 4;
-    const ParallelSearchEngine engine(views, options);
-    expect_identical(engine_search(engine, query_view, scheme, kernel), serial);
-  }
+  const SearchResult serial =
+      search_database(query_view, views, scheme, KernelKind::kStriped8);
+  EXPECT_GE(serial.overflow_rescans, 1u);
+  ParallelSearchOptions options;
+  options.threads = 4;
+  const ParallelSearchEngine engine(views, options);
+  expect_identical(
+      engine_search(engine, query_view, scheme, KernelKind::kStriped8),
+      serial);
 }
 
 TEST(ParallelSearch, RankedSearchEqualsTopOfFullResult) {
@@ -183,8 +182,7 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
   const seq::Sequence query = seq::random_protein(rng, "q", 30);
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
-                            KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchResult r = engine_search(engine, query_view, scheme, kernel);
     EXPECT_TRUE(r.scores.empty());
     EXPECT_EQ(r.cells, 0u);
@@ -193,8 +191,7 @@ TEST(ParallelSearch, EmptyDatabaseAndEmptyQuery) {
   const auto db = random_database(10, 22);
   const DbView views = make_db_view(db);
   const ParallelSearchEngine full(views, options);
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
-                            KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchResult serial = search_database({}, views, scheme, kernel);
     expect_identical(engine_search(full, {}, scheme, kernel), serial);
   }
@@ -220,8 +217,7 @@ TEST(ParallelSearch, MappedDatabaseMatchesRecordViews) {
     options.threads = 3;
     const ParallelSearchEngine from_views(views, options);
     const ParallelSearchEngine from_mapped(mapped, options);
-    for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
-                              KernelKind::kInterSeq}) {
+    for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
       expect_identical(engine_search(from_mapped, query_view, scheme, kernel),
                        engine_search(from_views, query_view, scheme, kernel));
     }
@@ -271,9 +267,9 @@ TEST(ParallelSearch, ResidueBalancedPartitionCoversAndBalances) {
                                                  query.residues.size());
   ScoringScheme scheme;
   const SearchResult serial =
-      search_database(query_view, views, scheme, KernelKind::kInterSeq);
+      search_database(query_view, views, scheme, KernelKind::kStriped8);
   expect_identical(
-      engine_search(engine, query_view, scheme, KernelKind::kInterSeq),
+      engine_search(engine, query_view, scheme, KernelKind::kStriped8),
       serial);
 }
 

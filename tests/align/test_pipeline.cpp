@@ -294,7 +294,7 @@ TEST(Pipeline, EmptyGroupNeverTouchesTheEngine) {
 TEST(Pipeline, NullProfileInGroupRejected) {
   const Corpus corpus = make_corpus(2, 1, 20);
   const SerialSearchEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const std::vector<const SearchProfiles*> with_null = {group.ptrs[0],
                                                         nullptr};
   EXPECT_THROW(search(engine, with_null, SearchRequest{}), InvalidArgument);
@@ -303,9 +303,9 @@ TEST(Pipeline, NullProfileInGroupRejected) {
 TEST(Pipeline, MixedKernelGroupRejected) {
   const Corpus corpus = make_corpus(3, 1, 20);
   const SerialSearchEngine engine(corpus.view());
-  const Group interseq(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group striped(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const Group scalar(corpus, ScoringScheme{}, KernelKind::kScalar);
-  const std::vector<const SearchProfiles*> mixed = {interseq.ptrs[0],
+  const std::vector<const SearchProfiles*> mixed = {striped.ptrs[0],
                                                     scalar.ptrs[0]};
   EXPECT_THROW(search(engine, mixed, SearchRequest{}), InvalidArgument);
 }
@@ -313,7 +313,7 @@ TEST(Pipeline, MixedKernelGroupRejected) {
 TEST(Pipeline, InvalidRequestRejectedBeforeAnyScan) {
   const Corpus corpus = make_corpus(4, 1, 20);
   const RecordingEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   EXPECT_THROW(search(engine, group.span(), heuristic_request(3, 0)),
                InvalidArgument);
   EXPECT_EQ(engine.scans + engine.screens, 0u);
@@ -325,7 +325,7 @@ TEST(Pipeline, ExactGroupMatchesSearchDatabase) {
   const Corpus corpus = make_corpus(5, 3, 120);
   const DbView db = corpus.view();
   const RecordingEngine engine(db);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   SearchRequest request;
   request.k = 7;
   const std::vector<SearchOutcome> out = search(engine, group.span(), request);
@@ -348,7 +348,7 @@ TEST(Pipeline, ExactGroupMatchesSearchDatabase) {
 TEST(Pipeline, OutcomesFollowGroupOrder) {
   const Corpus corpus = make_corpus(6, 3, 90);
   const SerialSearchEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   std::vector<const SearchProfiles*> reversed(group.ptrs.rbegin(),
                                               group.ptrs.rend());
   for (const SearchRequest& request :
@@ -368,7 +368,7 @@ TEST(Pipeline, OutcomesFollowGroupOrder) {
 TEST(Pipeline, ElapsedTimeStampedOnEveryOutcome) {
   const Corpus corpus = make_corpus(7, 3, 60);
   const SerialSearchEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const auto out = search(engine, group.span(), SearchRequest{});
   ASSERT_EQ(out.size(), 3u);
   EXPECT_GT(out[0].ranked.result.seconds, 0.0);
@@ -397,7 +397,7 @@ TEST(Pipeline, FilteredRescansOnlyUncertifiedCandidatesLongestFirst) {
   const Corpus corpus = make_corpus(9, 2, 150);
   const DbView db = corpus.view();
   const RecordingEngine engine(db);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const SearchRequest request = heuristic_request(6, 8);
   const auto out = search(engine, group.span(), request);
   ASSERT_EQ(out.size(), 2u);
@@ -444,7 +444,7 @@ TEST(Pipeline, FilteredScoresOverlayExactOnScreen) {
   const Corpus corpus = make_corpus(10, 1, 150);
   const DbView db = corpus.view();
   const SerialSearchEngine engine(db);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const SearchRequest request = heuristic_request(6, 8);
   const SearchOutcome out = search(engine, group.span(), request).front();
   const FilterReference ref = filter_reference(
@@ -520,7 +520,7 @@ TEST(Pipeline, CascadeSkipsRecordsUnderHalfTheQuery) {
 
   const CascadeEngine engine(db);
   const SearchProfiles profiles({query.data(), query.size()}, ScoringScheme{},
-                                KernelKind::kInterSeq);
+                                KernelKind::kStriped8);
   const SearchProfiles* group[] = {&profiles};
   const SearchOutcome out = search(engine, group, request).front();
   ASSERT_EQ(engine.step_records.size(), ref.cascaded[1] > 0 ? 2u : 1u);
@@ -541,7 +541,7 @@ TEST(Pipeline, FilteredHitsRankOnlyCandidatesWithExactScores) {
   const Corpus corpus = make_corpus(11, 2, 150);
   const DbView db = corpus.view();
   const SerialSearchEngine engine(db);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const SearchRequest request = heuristic_request(5, 16);
   const auto out = search(engine, group.span(), request);
   for (std::size_t q = 0; q < out.size(); ++q) {
@@ -566,7 +566,7 @@ TEST(Pipeline, FilteredHitsRankOnlyCandidatesWithExactScores) {
 TEST(Pipeline, FailedPartitionMakesExactAnswerIncomplete) {
   const Corpus corpus = make_corpus(12, 2, 90);
   const FailingEngine engine(corpus.view(), 30);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const auto out = search(engine, group.span(), SearchRequest{});
   for (const SearchOutcome& o : out) {
     EXPECT_FALSE(o.complete);
@@ -583,7 +583,7 @@ TEST(Pipeline, FailedPartitionRecordsNeverBecomeCandidates) {
   const DbView db = corpus.view();
   constexpr std::size_t kFailed = 40;
   const FailingEngine engine(db, kFailed);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const SearchRequest request = heuristic_request(5, 8);
   const auto out = search(engine, group.span(), request);
   for (std::size_t q = 0; q < out.size(); ++q) {
@@ -615,7 +615,7 @@ TEST(Pipeline, FailedPartitionRecordsNeverBecomeCandidates) {
 TEST(Pipeline, AnnotationOffLeavesHitsBare) {
   const Corpus corpus = make_corpus(15, 1, 60);
   const SerialSearchEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   for (const SearchRequest& request :
        {SearchRequest{}, heuristic_request(5, 8)}) {
     const SearchOutcome out = search(engine, group.span(), request).front();
@@ -630,7 +630,7 @@ TEST(Pipeline, AnnotationUsesWholeDatabaseAndKeepsRanking) {
   const Corpus corpus = make_corpus(16, 1, 90);
   const DbView db = corpus.view();
   const SerialSearchEngine engine(db);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const KarlinAltschulParams params = test_params();
   SearchRequest request = heuristic_request(6, 16);
   const SearchOutcome plain = search(engine, group.span(), request).front();
@@ -653,7 +653,7 @@ TEST(Pipeline, AnnotationUsesWholeDatabaseAndKeepsRanking) {
 TEST(Pipeline, EvalueCutoffKeepsRankedPrefix) {
   const Corpus corpus = make_corpus(17, 1, 90);
   const SerialSearchEngine engine(corpus.view());
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const KarlinAltschulParams params = test_params();
   SearchRequest request;
   request.k = 8;
@@ -682,7 +682,7 @@ TEST(Pipeline, ThreadedFanOutMatchesInlineEngine) {
   // included, and every surviving hit is traced back in one fan-out.
   const Corpus corpus = make_corpus(20, 3, 150);
   const DbView db = corpus.view();
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const KarlinAltschulParams params = test_params();
   SearchRequest request = heuristic_request(6, 8);
   request.annotate.mode = AnnotateMode::kStatsCigar;
@@ -742,7 +742,7 @@ TEST(Pipeline, FilterMetricsSumOverTheGroup) {
   SearchSinks sinks;
   sinks.metrics = &metrics;
   const SerialSearchEngine engine(corpus.view(), sinks);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
 
   search(engine, group.span(), SearchRequest{});
   EXPECT_EQ(metrics.counter("filter_candidates"), 0.0);
@@ -767,7 +767,7 @@ TEST(Pipeline, FilterRescoreSpanPerQuery) {
   sinks.tracer = &tracer;
   sinks.trace_track = 4;
   const SerialSearchEngine engine(corpus.view(), sinks);
-  const Group group(corpus, ScoringScheme{}, KernelKind::kInterSeq);
+  const Group group(corpus, ScoringScheme{}, KernelKind::kStriped8);
   const auto out = search(engine, group.span(), heuristic_request(5, 8));
   std::vector<obs::TraceEvent> spans;
   for (obs::TraceEvent& e : tracer.flush()) {

@@ -64,9 +64,8 @@ TEST(ProfileCache, DistinctKernelsAndGapsGetDistinctEntries) {
   const seq::Sequence query = make_query(7, 70);
   ScoringScheme scheme;
   const auto striped = cache.acquire(view(query), scheme, KernelKind::kStriped8);
-  const auto interseq =
-      cache.acquire(view(query), scheme, KernelKind::kInterSeq);
-  EXPECT_NE(striped.get(), interseq.get());
+  const auto scalar = cache.acquire(view(query), scheme, KernelKind::kScalar);
+  EXPECT_NE(striped.get(), scalar.get());
 
   ScoringScheme other = scheme;
   other.gap.open += 1;
@@ -118,8 +117,7 @@ TEST(ProfileCache, AutoBackendFollowsTheKernelAwareRule) {
   ProfileCache cache(8);
   const seq::Sequence query = make_query(19, 64);
   ScoringScheme scheme;
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
-                            KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchProfiles direct(view(query), scheme, kernel, Backend::kAuto);
     const auto cached = cache.acquire(view(query), scheme, kernel);
     EXPECT_EQ(cached->backend(), direct.backend())
@@ -162,13 +160,12 @@ TEST(ProfileCache, CachedProfilesScoreBitIdenticalToDirectSearch) {
   const seq::Sequence query = make_query(18, 90);
   ScoringScheme scheme;
   ProfileCache cache(4);
-  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8,
-                            KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchResult direct = search_database(view(query), db_view, scheme,
                                                 kernel, Backend::kAuto);
     const auto cached = cache.acquire(view(query), scheme, kernel);
     // Scan twice through the same cached profiles: reuse must not perturb
-    // scores (the lazy 16-bit escalation state is per-profile, not per-scan).
+    // scores (profiles are read-only once built).
     for (int pass = 0; pass < 2; ++pass) {
       const SearchResult via_cache =
           search_database(*cached, db_view);

@@ -8,6 +8,7 @@
 #include "align/scalar.h"
 #include "align/search.h"
 #include "seq/dbgen.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace swdual::align {
@@ -43,8 +44,7 @@ TEST_P(SearchKernels, AllKernelsAgreeWithScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, SearchKernels,
                          ::testing::Values(KernelKind::kScalar,
-                                           KernelKind::kStriped8,
-                                           KernelKind::kInterSeq),
+                                           KernelKind::kStriped8),
                          [](const auto& param_info) {
                            return kernel_name(param_info.param);
                          });
@@ -71,8 +71,7 @@ TEST(Search, SelfHitScoresHighest) {
   db.push_back(seq::random_protein(rng, "planted", 120));
   const seq::Sequence query = db.back();
   ScoringScheme scheme;
-  for (KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kStriped8, KernelKind::kInterSeq}) {
+  for (KernelKind kernel : {KernelKind::kScalar, KernelKind::kStriped8}) {
     const SearchResult r = search_database(query, db, scheme, kernel);
     const auto top = r.top(1);
     ASSERT_EQ(top.size(), 1u);
@@ -81,8 +80,8 @@ TEST(Search, SelfHitScoresHighest) {
 }
 
 TEST(Search, OverflowRescanProducesExactScores) {
-  // One enormous self-similar record saturates 16-bit kernels; the driver
-  // must fall back to the 32-bit oracle for that pair.
+  // One enormous self-similar record saturates both of striped8's SIMD
+  // tiers; the driver must fall back to the 32-bit oracle for that pair.
   Rng rng(9);
   std::vector<seq::Sequence> db = tiny_database(5, 10);
   seq::Sequence big;
@@ -94,12 +93,33 @@ TEST(Search, OverflowRescanProducesExactScores) {
   ScoringScheme scheme;
   const SearchResult scalar =
       search_database(query, db, scheme, KernelKind::kScalar);
-  for (KernelKind kernel : {KernelKind::kStriped8, KernelKind::kInterSeq}) {
-    const SearchResult r = search_database(query, db, scheme, kernel);
-    EXPECT_GE(r.overflow_rescans, 1u) << kernel_name(kernel);
+  const SearchResult r =
+      search_database(query, db, scheme, KernelKind::kStriped8);
+  EXPECT_GE(r.overflow_rescans, 1u);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(r.scores[i], scalar.scores[i]) << "record " << i;
+  }
+}
+
+TEST(Search, GapsOutsideStriped8LimitsSearchOnTheScalarReference) {
+  // The byte kernel needs extend >= 1 and open + extend <= 255; a scheme
+  // outside those limits is refused by striped8 and still searches through
+  // the scalar reference.
+  const auto db = tiny_database(6, 12);
+  Rng rng(13);
+  const seq::Sequence query = seq::random_protein(rng, "q", 50);
+  for (const GapPenalty gap : {GapPenalty{10, 0}, GapPenalty{250, 6}}) {
+    ScoringScheme scheme;
+    scheme.gap = gap;
+    EXPECT_THROW(search_database(query, db, scheme, KernelKind::kStriped8),
+                 InvalidArgument)
+        << gap.open << "/" << gap.extend;
+    const SearchResult r =
+        search_database(query, db, scheme, KernelKind::kScalar);
     for (std::size_t i = 0; i < db.size(); ++i) {
-      EXPECT_EQ(r.scores[i], scalar.scores[i])
-          << kernel_name(kernel) << " record " << i;
+      EXPECT_EQ(r.scores[i],
+                gotoh_score(query.residues, db[i].residues, scheme).score)
+          << gap.open << "/" << gap.extend << " record " << i;
     }
   }
 }
@@ -200,7 +220,7 @@ TEST(Search, GcupsAccountingPositive) {
   const seq::Sequence query = seq::random_protein(rng, "q", 60);
   ScoringScheme scheme;
   const SearchResult r =
-      search_database(query, db, scheme, KernelKind::kInterSeq);
+      search_database(query, db, scheme, KernelKind::kStriped8);
   EXPECT_GT(r.cells, 0u);
   EXPECT_GE(r.seconds, 0.0);
 }

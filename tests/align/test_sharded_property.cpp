@@ -18,11 +18,11 @@
 // annotation, filter off and heuristic, must rank like the unannotated
 // search, equal the serial engine's annotations field by field on every
 // topology, and carry CIGARs that re-derive each hit's score through
-// cigar_score. Backends are an axis too: striped8 and interseq profiles
-// forced onto each available backend (which the screen then runs on as
-// well) must give the serial engine the scalar kernel's answer and cells,
-// and the annotated striped8 search's annotations, on every shape. The
-// shard × thread sweep runs on the auto profiles only.
+// cigar_score. Backends are an axis too: striped8 profiles forced onto
+// each available backend (which the screen then runs on as well) must give
+// the serial engine the scalar kernel's answer and cells, and the annotated
+// striped8 search's annotations, on every shape. The shard × thread sweep
+// runs on the auto profiles only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,8 +47,8 @@
 namespace swdual::align {
 namespace {
 
-constexpr KernelKind kExactKernels[] = {
-    KernelKind::kScalar, KernelKind::kStriped8, KernelKind::kInterSeq};
+constexpr KernelKind kExactKernels[] = {KernelKind::kScalar,
+                                        KernelKind::kStriped8};
 
 /// Random protein codes with about one wildcard (X) in sixteen.
 std::vector<std::uint8_t> random_codes(Rng& rng, std::size_t len) {
@@ -180,15 +180,15 @@ void expect_same_annotation(const SearchOutcome& actual,
   }
 }
 
-/// One scoring scheme, its queries, and the record sets to search.
+/// One scoring scheme, its queries, and the record sets to search. Every
+/// case's planted homologs saturate striped8's byte tier, so its filter-off
+/// searches must rescan some pair at a wider precision: proof that the
+/// inputs reach the tier they are there for.
 struct Case {
   std::string name;
   ScoringScheme scheme;
   std::vector<std::vector<std::uint8_t>> queries;
   std::vector<LengthProfile> profiles;
-  /// Kernels that must rescan some pair at a wider precision (filter off):
-  /// proof that the inputs reach the tier they are there for.
-  std::vector<KernelKind> must_overflow;
   /// Also run the annotated striped8 search (stats+cigar).
   bool annotate = false;
 };
@@ -200,18 +200,15 @@ std::vector<Case> cases(Rng& rng) {
   Case blosum{"blosum62", ScoringScheme{},
               {random_codes(rng, 48), random_codes(rng, 70)},
               length_profiles(rng, 70),
-              {KernelKind::kStriped8},
               /*annotate=*/true};
   out.push_back(std::move(blosum));
   // Match 100: the planted homolog of a 600-residue query scores ≈50,000,
-  // past the 16-bit tiers, so every SIMD kernel falls back to the 32-bit
-  // oracle.
+  // past striped8's 16-bit tier, so it falls back to the 32-bit oracle.
   static const ScoreMatrix high_match =
       ScoreMatrix::uniform(seq::AlphabetKind::kProtein, 100, -20);
   Case uniform{"match100", ScoringScheme{&high_match, GapPenalty{}},
                {random_codes(rng, 600)},
-               {{"planted-pair", {30, 200, 1, 0, 90, 60}}},
-               {KernelKind::kStriped8, KernelKind::kInterSeq}};
+               {{"planted-pair", {30, 200, 1, 0, 90, 60}}}};
   out.push_back(std::move(uniform));
 
   // Further scoring schemes, on a subset of the length profiles: cheap and
@@ -243,8 +240,7 @@ std::vector<Case> cases(Rng& rng) {
     out.push_back({s.name,
                    s.scheme,
                    {random_codes(more, 48), random_codes(more, s.long_query)},
-                   std::move(profiles),
-                   {KernelKind::kStriped8}});
+                   std::move(profiles)});
   }
   return out;
 }
@@ -271,19 +267,15 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
       }
     }
     struct Forced {
-      KernelKind kernel;
       Backend backend;
       std::vector<std::unique_ptr<SearchProfiles>> profiles;
     };
     std::vector<Forced> forced;
     for (const Backend backend : available_backends()) {
-      for (const KernelKind kernel :
-           {KernelKind::kStriped8, KernelKind::kInterSeq}) {
-        Forced& f = forced.emplace_back(Forced{kernel, backend, {}});
-        for (const auto& query : c.queries) {
-          f.profiles.push_back(std::make_unique<SearchProfiles>(
-              query, c.scheme, kernel, backend));
-        }
+      Forced& f = forced.emplace_back(Forced{backend, {}});
+      for (const auto& query : c.queries) {
+        f.profiles.push_back(std::make_unique<SearchProfiles>(
+            query, c.scheme, KernelKind::kStriped8, backend));
       }
     }
 
@@ -344,9 +336,7 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
                 << serial_label;
             rescans += expected[q].ranked.result.overflow_rescans;
           }
-          if (!filter.enabled() &&
-              std::count(c.must_overflow.begin(), c.must_overflow.end(),
-                         kernel) > 0) {
+          if (!filter.enabled() && kernel == KernelKind::kStriped8) {
             EXPECT_GT(rescans, 0u) << label << ": inputs must overflow";
           }
 
@@ -404,8 +394,8 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
           for (const auto& profiles : f.profiles) {
             group.push_back(profiles.get());
           }
-          const std::string label = where + "/" + kernel_name(f.kernel) +
-                                    "/" + backend_name(f.backend);
+          const std::string label =
+              where + "/striped8/" + backend_name(f.backend);
           const std::vector<SearchOutcome> actual =
               search(serial, group, request);
           ASSERT_EQ(actual.size(), oracle.size());
@@ -418,13 +408,11 @@ TEST(ShardedProperty, MatchesSerialEngineOnRandomLengthProfiles) {
                 << at;
             rescans += actual[q].ranked.result.overflow_rescans;
           }
-          if (!filter.enabled() &&
-              std::count(c.must_overflow.begin(), c.must_overflow.end(),
-                         f.kernel) > 0) {
+          if (!filter.enabled()) {
             EXPECT_GT(rescans, 0u) << label << ": inputs must overflow";
           }
 
-          if (!c.annotate || f.kernel != KernelKind::kStriped8) continue;
+          if (!c.annotate) continue;
           SearchRequest annotated = request;
           annotated.annotate.mode = AnnotateMode::kStatsCigar;
           annotated.stats = &params;

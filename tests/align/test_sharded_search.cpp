@@ -291,8 +291,7 @@ TEST(ShardedSearch, BitIdenticalToUnshardedEverywhere) {
   const ScoringScheme scheme;
   const std::size_t k = 10;
 
-  const KernelKind kernels[] = {KernelKind::kScalar, KernelKind::kStriped8,
-                                KernelKind::kInterSeq};
+  const KernelKind kernels[] = {KernelKind::kScalar, KernelKind::kStriped8};
   for (const Backend backend : available_backends()) {
     for (const KernelKind kernel : kernels) {
       const SearchResult expected =
@@ -483,7 +482,7 @@ TEST(ShardedSearch, FailedShardRetriesOnRecoveryPathAndStaysBitIdentical) {
   const DbView db = corpus.view();
   const ScoringScheme scheme;
   const SearchResult expected =
-      search_database(corpus.query, db, scheme, KernelKind::kInterSeq);
+      search_database(corpus.query, db, scheme, KernelKind::kStriped8);
 
   for (const std::size_t threads : {1u, 3u}) {
     const std::string label = "threads=" + std::to_string(threads);
@@ -500,7 +499,7 @@ TEST(ShardedSearch, FailedShardRetriesOnRecoveryPathAndStaysBitIdentical) {
     };
     const ShardedSearchEngine engine(db, options);
     const ShardedSearchResult result =
-        search_one(engine, corpus.query, scheme, KernelKind::kInterSeq, 6);
+        search_one(engine, corpus.query, scheme, KernelKind::kStriped8, 6);
 
     EXPECT_EQ(injected.load(), 1) << label;
     EXPECT_TRUE(result.complete) << label;
@@ -578,7 +577,7 @@ TEST(ShardedSearch, PublicGroupPassesThrowOnFailedShard) {
   };
   const ShardedSearchEngine engine(corpus.view(), options);
   const SearchProfiles profiles(corpus.query, ScoringScheme{},
-                                KernelKind::kInterSeq);
+                                KernelKind::kStriped8);
   const SearchProfiles* group[] = {&profiles};
   EXPECT_THROW((void)engine.search(profiles), Error);
   EXPECT_THROW((void)engine.search_ranked_many(group, 5), Error);
@@ -622,7 +621,7 @@ TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
   filter.band = 12;
   filter.keep_factor = 2.0;
 
-  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kInterSeq);
+  const SearchProfiles profiles(corpus.query, scheme, KernelKind::kStriped8);
   const std::vector<std::span<const std::uint8_t>> queries{
       {corpus.query.data(), corpus.query.size()}};
   for (const std::size_t threads : {1u, 3u}) {
@@ -636,7 +635,7 @@ TEST(ShardedSearch, FilteredShardPastRetryBudgetContributesNothing) {
     };
     const ShardedSearchEngine engine(db, options);
     const auto many = engine.search_many_filtered(
-        queries, scheme, KernelKind::kInterSeq, k, filter);
+        queries, scheme, KernelKind::kStriped8, k, filter);
     ASSERT_EQ(many.size(), 1u) << label;
     const ShardedSearchResult& result = many[0];
     EXPECT_FALSE(result.complete) << label;
@@ -695,14 +694,14 @@ TEST(ShardedSearch, MappedSwdbShardsAreBitIdenticalToRecordViews) {
   const ScoringScheme scheme;
   const DbView direct_view = make_db_view(records);
   const SearchResult expected =
-      search_database(query, direct_view, scheme, KernelKind::kInterSeq);
+      search_database(query, direct_view, scheme, KernelKind::kStriped8);
 
   ShardedSearchOptions options;
   options.num_shards = 3;
   options.threads_per_shard = 2;
   const ShardedSearchEngine engine(mapped, options);
   const ShardedSearchResult result =
-      search_one(engine, query, scheme, KernelKind::kInterSeq, 10);
+      search_one(engine, query, scheme, KernelKind::kStriped8, 10);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.ranked.result.scores, expected.scores);
   expect_hits_equal(result.ranked.hits, expected.top(10), "mmap");

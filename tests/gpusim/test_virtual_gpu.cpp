@@ -14,6 +14,15 @@ align::DbView make_views(const std::vector<seq::Sequence>& records) {
   return align::make_db_view(records);
 }
 
+/// One query through the device on striped8 profiles, the default exact
+/// kernel.
+BatchResult run(const VirtualGpu& gpu, std::span<const std::uint8_t> query,
+                const align::DbView& db, const align::ScoringScheme& scheme) {
+  const align::SearchProfiles profiles(query, scheme,
+                                       align::KernelKind::kStriped8);
+  return gpu.run_batch(profiles, db);
+}
+
 std::vector<seq::Sequence> tiny_db(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<seq::Sequence> db;
@@ -35,7 +44,7 @@ TEST(VirtualGpu, ScoresAreExact) {
   const align::ScoringScheme scheme;
   const std::span<const std::uint8_t> query_view(query.residues.data(),
                                                  query.residues.size());
-  const BatchResult batch = gpu.run_batch(query_view, views, scheme);
+  const BatchResult batch = run(gpu, query_view, views, scheme);
   ASSERT_EQ(batch.scores.size(), db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     EXPECT_EQ(batch.scores[i],
@@ -43,18 +52,14 @@ TEST(VirtualGpu, ScoresAreExact) {
         << "record " << i;
   }
 
-  // Profiles of any exact kernel: the same scores, and — time being charged
-  // from cells — the same cells and modeled time as the building overload.
-  for (const align::KernelKind kernel :
-       {align::KernelKind::kScalar, align::KernelKind::kStriped8,
-        align::KernelKind::kInterSeq}) {
-    const align::SearchProfiles profiles(query_view, scheme, kernel);
-    const BatchResult with = gpu.run_batch(profiles, views);
-    EXPECT_EQ(with.scores, batch.scores) << align::kernel_name(kernel);
-    EXPECT_EQ(with.cells, batch.cells) << align::kernel_name(kernel);
-    EXPECT_EQ(with.virtual_seconds, batch.virtual_seconds)
-        << align::kernel_name(kernel);
-  }
+  // The scalar reference's profiles: the same scores, and — time being
+  // charged from cells — the same cells and modeled time.
+  const align::SearchProfiles scalar(query_view, scheme,
+                                     align::KernelKind::kScalar);
+  const BatchResult with = gpu.run_batch(scalar, views);
+  EXPECT_EQ(with.scores, batch.scores);
+  EXPECT_EQ(with.cells, batch.cells);
+  EXPECT_EQ(with.virtual_seconds, batch.virtual_seconds);
 }
 
 TEST(VirtualGpu, VirtualTimeTracksCellCount) {
@@ -65,10 +70,10 @@ TEST(VirtualGpu, VirtualTimeTracksCellCount) {
   const auto db = tiny_db(30, 4);
   const align::DbView views = make_views(db);
   const align::ScoringScheme scheme;
-  const BatchResult small = gpu.run_batch(
-      {q1.residues.data(), q1.residues.size()}, views, scheme);
-  const BatchResult large = gpu.run_batch(
-      {q2.residues.data(), q2.residues.size()}, views, scheme);
+  const BatchResult small =
+      run(gpu, {q1.residues.data(), q1.residues.size()}, views, scheme);
+  const BatchResult large =
+      run(gpu, {q2.residues.data(), q2.residues.size()}, views, scheme);
   EXPECT_GT(large.cells, small.cells);
   EXPECT_GT(large.virtual_seconds, small.virtual_seconds);
 }
@@ -79,8 +84,9 @@ TEST(VirtualGpu, ModeledGcupsBelowPeak) {
   const seq::Sequence query = seq::random_protein(rng, "q", 200);
   const auto db = tiny_db(64, 6);
   const align::ScoringScheme scheme;
-  const BatchResult batch = gpu.run_batch(
-      {query.residues.data(), query.residues.size()}, make_views(db), scheme);
+  const BatchResult batch =
+      run(gpu, {query.residues.data(), query.residues.size()}, make_views(db),
+          scheme);
   const double gcups =
       static_cast<double>(batch.cells) / batch.virtual_seconds / 1e9;
   EXPECT_GT(gcups, 0.0);
@@ -95,8 +101,9 @@ TEST(VirtualGpu, SmallBatchesLoseOccupancy) {
   const seq::Sequence query = seq::random_protein(rng, "q", 200);
   const auto db = tiny_db(8, 8);
   const align::ScoringScheme scheme;
-  const BatchResult batch = gpu.run_batch(
-      {query.residues.data(), query.residues.size()}, make_views(db), scheme);
+  const BatchResult batch =
+      run(gpu, {query.residues.data(), query.residues.size()}, make_views(db),
+          scheme);
   const double gcups =
       static_cast<double>(batch.cells) / batch.virtual_seconds / 1e9;
   EXPECT_LT(gcups, gpu.spec().gcups * 0.01);
@@ -113,8 +120,9 @@ TEST(VirtualGpu, MemoryPartitioningSplitsBatches) {
     db.push_back(seq::random_protein(rng, "d", 300));  // 3000 bytes total
   }
   const align::ScoringScheme scheme;
-  const BatchResult batch = gpu.run_batch(
-      {query.residues.data(), query.residues.size()}, make_views(db), scheme);
+  const BatchResult batch =
+      run(gpu, {query.residues.data(), query.residues.size()}, make_views(db),
+          scheme);
   EXPECT_GE(batch.sub_batches, 3u);
   // Scores still exact despite the splits.
   for (std::size_t i = 0; i < db.size(); ++i) {
@@ -129,7 +137,7 @@ TEST(VirtualGpu, MemoryPartitioningSplitsBatches) {
 TEST(VirtualGpu, EmptyBatchHandled) {
   VirtualGpu gpu;
   const align::ScoringScheme scheme;
-  const BatchResult batch = gpu.run_batch({}, {}, scheme);
+  const BatchResult batch = run(gpu, {}, {}, scheme);
   EXPECT_TRUE(batch.scores.empty());
   EXPECT_EQ(batch.virtual_seconds, 0.0);
 }

@@ -334,20 +334,20 @@ TEST(Master, TopHitsHonored) {
 }
 
 TEST(Master, VirtualTimeDoesNotDependOnTheExactKernel) {
-  // Virtual time is charged from cells, and every exact kernel counts a
+  // Virtual time is charged from cells, and both exact kernels count a
   // pair as |q|·|d| while the banded screen counts each banded cell once:
-  // switching the host scan between interseq, striped8 and the scalar
-  // kernel — on the GPU worker too — must leave answers, cells and the
-  // whole modeled timeline unchanged. Self-scheduling refills workers in
-  // real completion order, so there each of the three workers gets exactly
-  // one task and the assignment cannot depend on wall time.
+  // switching the host scan between striped8 and the scalar kernel — on
+  // the GPU worker too — must leave answers, cells and the whole modeled
+  // timeline unchanged. Self-scheduling refills workers in real completion
+  // order, so there each of the three workers gets exactly one task and the
+  // assignment cannot depend on wall time.
   for (const AllocationPolicy policy :
        {AllocationPolicy::kSwdual, AllocationPolicy::kSelfScheduling}) {
     Fixture fixture(policy == AllocationPolicy::kSwdual ? 8 : 3, 50, 71);
     // A self-homolog of a 150-residue query scores far above 255, so
-    // striped8 escalates it to 16 bits where interseq does not, and the
-    // SIMD screen regroups it through its 16-bit tier where the scalar
-    // kernel's reference screen runs one 32-bit pass.
+    // striped8 escalates it to 16 bits, and the SIMD screen regroups it
+    // through its 16-bit tier where the scalar kernel's reference screen
+    // runs one 32-bit pass.
     Rng rng(72);
     fixture.queries[0] = seq::random_protein(rng, "q0", 150);
     fixture.db.push_back(fixture.queries[0]);
@@ -363,43 +363,36 @@ TEST(Master, VirtualTimeDoesNotDependOnTheExactKernel) {
       config.filter = filter;
       config.model.cudasw_gpu.task_overhead = 0.0;  // work on both PE types
       config.model.swipe_cpu.task_overhead = 0.0;
-      config.cpu_kernel = align::KernelKind::kInterSeq;
+      config.cpu_kernel = align::KernelKind::kScalar;
       const SearchReport want =
           run_search(fixture.queries, fixture.db, config);
-      for (const align::KernelKind kernel :
-           {align::KernelKind::kStriped8, align::KernelKind::kScalar}) {
-        config.cpu_kernel = kernel;
-        const SearchReport got =
-            run_search(fixture.queries, fixture.db, config);
-        const std::string label = std::string(policy_name(policy)) + "/" +
-                                  align::filter_mode_name(filter.mode) + "/" +
-                                  align::kernel_name(kernel);
+      config.cpu_kernel = align::KernelKind::kStriped8;
+      const SearchReport got = run_search(fixture.queries, fixture.db, config);
+      const std::string label = std::string(policy_name(policy)) + "/" +
+                                align::filter_mode_name(filter.mode);
 
-        ASSERT_EQ(want.results.size(), got.results.size()) << label;
-        for (std::size_t q = 0; q < want.results.size(); ++q) {
-          const auto& want_hits = want.results[q].hits;
-          const auto& got_hits = got.results[q].hits;
-          ASSERT_EQ(want_hits.size(), got_hits.size())
-              << label << " query " << q;
-          for (std::size_t h = 0; h < want_hits.size(); ++h) {
-            EXPECT_EQ(got_hits[h].db_index, want_hits[h].db_index) << label;
-            EXPECT_EQ(got_hits[h].score, want_hits[h].score) << label;
-          }
+      ASSERT_EQ(want.results.size(), got.results.size()) << label;
+      for (std::size_t q = 0; q < want.results.size(); ++q) {
+        const auto& want_hits = want.results[q].hits;
+        const auto& got_hits = got.results[q].hits;
+        ASSERT_EQ(want_hits.size(), got_hits.size()) << label << " query " << q;
+        for (std::size_t h = 0; h < want_hits.size(); ++h) {
+          EXPECT_EQ(got_hits[h].db_index, want_hits[h].db_index) << label;
+          EXPECT_EQ(got_hits[h].score, want_hits[h].score) << label;
         }
-        EXPECT_EQ(got.total_cells, want.total_cells) << label;
-        EXPECT_EQ(got.virtual_makespan, want.virtual_makespan) << label;
-        EXPECT_EQ(got.worker_virtual_busy, want.worker_virtual_busy)
-            << label;
-        EXPECT_EQ(got.worker_virtual_busy.size(), 3u) << label;
-        const auto& want_plan = want.planned.assignments();
-        const auto& got_plan = got.planned.assignments();
-        ASSERT_EQ(got_plan.size(), want_plan.size()) << label;
-        for (std::size_t a = 0; a < want_plan.size(); ++a) {
-          EXPECT_EQ(got_plan[a].task_id, want_plan[a].task_id) << label;
-          EXPECT_EQ(got_plan[a].pe, want_plan[a].pe) << label;
-          EXPECT_EQ(got_plan[a].start, want_plan[a].start) << label;
-          EXPECT_EQ(got_plan[a].end, want_plan[a].end) << label;
-        }
+      }
+      EXPECT_EQ(got.total_cells, want.total_cells) << label;
+      EXPECT_EQ(got.virtual_makespan, want.virtual_makespan) << label;
+      EXPECT_EQ(got.worker_virtual_busy, want.worker_virtual_busy) << label;
+      EXPECT_EQ(got.worker_virtual_busy.size(), 3u) << label;
+      const auto& want_plan = want.planned.assignments();
+      const auto& got_plan = got.planned.assignments();
+      ASSERT_EQ(got_plan.size(), want_plan.size()) << label;
+      for (std::size_t a = 0; a < want_plan.size(); ++a) {
+        EXPECT_EQ(got_plan[a].task_id, want_plan[a].task_id) << label;
+        EXPECT_EQ(got_plan[a].pe, want_plan[a].pe) << label;
+        EXPECT_EQ(got_plan[a].start, want_plan[a].start) << label;
+        EXPECT_EQ(got_plan[a].end, want_plan[a].end) << label;
       }
     }
   }

@@ -92,7 +92,7 @@ SerialAnswer serial_filtered(const Corpus& corpus, std::size_t k) {
   for (const seq::Sequence& query : corpus.queries) {
     const align::SearchProfiles profiles(
         std::span<const std::uint8_t>(query.residues), align::ScoringScheme{},
-        align::KernelKind::kInterSeq);
+        align::KernelKind::kStriped8);
     const align::SearchProfiles* group[] = {&profiles};
     const align::SearchOutcome result =
         std::move(align::search(engine, group, request).front());

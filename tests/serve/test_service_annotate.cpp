@@ -87,7 +87,7 @@ TEST(QueryServiceAnnotate, StatsCigarResponseCarriesValidatedAnnotations) {
 
   const std::vector<align::SearchHit> plain =
       align::search_database(query.residues, db_view, scheme,
-                             align::KernelKind::kInterSeq)
+                             align::KernelKind::kStriped8)
           .top(top_k);
   ASSERT_EQ(response.hits.size(), plain.size());
   for (std::size_t i = 0; i < response.hits.size(); ++i) {

@@ -25,8 +25,8 @@ Enforces conventions clang-tidy cannot express:
     src/align/ — the scalar banded kernel is the screen's reference oracle
     and its traceback the annotate stage's, not search primitives; other
     layers go through the search pipeline (align::search with a FilterConfig
-    or an AnnotateConfig, or screen_range / banded_screen), which keeps band
-    semantics, escalation and the traceback's certification in one place
+    or an AnnotateConfig, or screen_range), which keeps band semantics,
+    escalation and the traceback's certification in one place
   * ``filter_select_candidates`` and ``annotate_hits`` are called only from
     src/align/pipeline.cpp (and annotate.cpp, which holds annotate_hits'
     overloads) — candidate selection and annotation are pipeline stages,
